@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401 -- np.median loads it on first call
+import numpy.random  # noqa: F401 -- loaded at import, not on first use
 
 from ..core.series import LastMileDataset, ProbeBinSeries
 from ..timebase import DELAY_BIN_SECONDS, MeasurementPeriod, TimeGrid
@@ -249,17 +251,18 @@ class AtlasPlatform:
         per_bin = self.schedule.traceroutes_per_bin
         dataset = LastMileDataset(grid=grid)
         obs = get_observer()
-        # The binned fast path *is* the last-mile estimation stage
-        # (medians synthesized directly), hence the span name.
+        # The binned fast path synthesizes the last-mile medians
+        # directly, but its time is the simulator's, not the §2.1
+        # estimator's: it is traced as its own stage.
         with obs.stage_span(
-            "lastmile", probes=len(probes), period=period.name,
+            "simulate", probes=len(probes), period=period.name,
         ):
             for probe in probes:
                 self._prepare_probe(probe, period)
                 series = self._binned_series(probe, grid, per_bin, af=af)
                 dataset.add(series, meta=self.probe_meta(probe))
-            obs.items_in("core-lastmile", len(probes))
-            obs.items_out("core-lastmile", len(dataset.series))
+            obs.items_in("simulate", len(probes))
+            obs.items_out("simulate", len(dataset.series))
         return dataset
 
     def _binned_series(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401 -- np.median loads it on first call
 
 from ..netbase.errors import EmptyPopulationError
 from ..obs import get_observer

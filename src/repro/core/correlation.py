@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from .aggregate import AggregatedSignal
 from .throughput import ThroughputSeries
@@ -81,6 +80,8 @@ def spearman_delay_throughput(
         # A constant series has undefined rank correlation; the paper's
         # "no correlation" case reports rho = 0.
         return CorrelationResult(0.0, 1.0, int(mask.sum()), d, t)
+    from scipy import stats     # off the import path
+
     rho, p_value = stats.spearmanr(d, t)
     return CorrelationResult(
         rho=float(rho),

@@ -8,11 +8,11 @@ classification (§2.3) — exists in two interchangeable backends:
   loops.  Simple, obviously faithful to the paper's prose, and the
   ground truth the differential-equivalence suite (``tests/kernels``)
   compares against.
-* ``vector``    — batched numpy/scipy implementations: flat
+* ``vector``    — batched numpy implementations: flat
   ``(probe, bin, sample)`` arrays with one grouped-median sort
   instead of per-bin :func:`numpy.median` calls, 2-D queueing-delay
-  stacking, and one :func:`scipy.signal.welch` call over an
-  (AS x bins) matrix instead of per-AS FFTs.
+  stacking, and one :func:`~repro.core.spectral.welch_power` call
+  over an (AS x bins) matrix instead of per-AS FFTs.
 
 **Contract:** both backends produce *numerically identical* output —
 bit-for-bit under :func:`repro.io.survey_to_dict` — on every input,

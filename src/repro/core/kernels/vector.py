@@ -1,4 +1,4 @@
-"""The vectorized kernel backend: batched numpy/scipy fast paths.
+"""The vectorized kernel backend: batched numpy fast paths.
 
 Same work as :mod:`.reference`, restructured around flat arrays:
 
@@ -9,9 +9,10 @@ Same work as :mod:`.reference`, restructured around flat arrays:
   ``(probe, bin, sample)`` arrays for *all* probes at once;
 * queueing-delay stacking as 2-D masked arithmetic with one
   ``nanmin`` over the probe axis;
-* spectral markers via a single :func:`scipy.signal.welch` call over
-  an (AS x bins) matrix, with the degenerate-signal gates applied
-  per row beforehand.
+* spectral markers via a single
+  :func:`~repro.core.spectral.welch_power` call over an (AS x bins)
+  matrix, with the degenerate-signal gates applied per row
+  beforehand.
 
 Bit-for-bit equivalence with the reference backend is a hard
 contract (see the package docstring); the trickiest corner is NaN
@@ -24,7 +25,6 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from ...timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -313,7 +313,7 @@ class VectorKernels:
         :func:`~repro.core.spectral.extract_markers` run per row, in
         the same order (shape, gap fraction, constant-after-fill,
         too-short-for-Welch); surviving rows of equal length share a
-        single :func:`scipy.signal.welch` call (``axis=-1``), which is
+        single :func:`~repro.core.spectral.welch_power` call, which is
         bit-identical to per-row calls.  Degenerate rows yield None.
         """
         from ..spectral import (
@@ -322,6 +322,7 @@ class VectorKernels:
             SEGMENT_DAYS,
             SpectralMarkers,
             fill_gaps,
+            welch_power,
         )
 
         if segment_days is None:
@@ -348,13 +349,8 @@ class VectorKernels:
             if nperseg < 2:
                 continue    # welch_periodogram raises -> None markers
             matrix = np.vstack([filled for _, filled in entries])
-            freqs, power = sp_signal.welch(
-                matrix,
-                fs=sample_rate_per_hour,
-                nperseg=nperseg,
-                scaling="spectrum",
-                detrend="constant",
-                axis=-1,
+            freqs, power = welch_power(
+                matrix, sample_rate_per_hour, nperseg
             )
             amplitude = 2.0 * np.sqrt(2.0 * power)
             start = 2           # DC bin + 1 skipped multi-day-trend bin

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
+import numpy.fft  # noqa: F401 -- loaded at import, not on first use
 
 from ..obs import get_observer, maybe_profiled
 from ..timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -88,6 +88,40 @@ def fill_gaps(values: np.ndarray) -> np.ndarray:
     return filled
 
 
+def welch_power(
+    values: np.ndarray, sample_rate: float, nperseg: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Welch power spectrum along the last axis of ``values``.
+
+    Bit-identical to SciPy's ``signal.welch(values, sample_rate,
+    nperseg=nperseg, scaling="spectrum", detrend="constant",
+    axis=-1)`` (pinned by ``tests/kernels/test_welch.py``), without
+    SciPy's import cost: a periodic Hann window built and normalised
+    the way SciPy builds it, ``nperseg // 2`` overlap, per-segment
+    mean removal, one-sided doubling and a mean over segments taken
+    along a contiguous axis (numpy's pairwise summation order).
+    Returns ``(frequencies, power)``; ``power`` has the leading shape
+    of ``values``.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    hop = nperseg - nperseg // 2
+    segments = (values.shape[-1] - nperseg // 2) // hop
+    fac = np.linspace(-np.pi, np.pi, nperseg + 1)
+    window = (0.5 + 0.5 * np.cos(fac))[:-1]
+    window = window * (1 / abs(sum(window)))    # builtin sum, as SciPy
+    spectra = np.zeros(
+        values.shape[:-1] + (nperseg // 2 + 1, segments), dtype=complex
+    )
+    for p in range(segments):
+        segment = values[..., p * hop:p * hop + nperseg]
+        segment = segment - np.mean(segment, axis=-1, keepdims=True)
+        spectra[..., p] = np.fft.rfft(segment * window, axis=-1)
+    power = spectra.real ** 2 + spectra.imag ** 2
+    power[..., 1:-1 if nperseg % 2 == 0 else None, :] *= 2
+    frequencies = np.fft.rfftfreq(nperseg, 1 / sample_rate)
+    return frequencies, power.mean(axis=-1)
+
+
 @maybe_profiled("core-spectral.welch_periodogram")
 def welch_periodogram(
     values: np.ndarray,
@@ -105,13 +139,7 @@ def welch_periodogram(
     if nperseg < 2:
         raise ValueError(f"signal too short for Welch: {len(values)} bins")
     sample_rate_per_hour = SECONDS_PER_HOUR / bin_seconds
-    freqs, power = sp_signal.welch(
-        values,
-        fs=sample_rate_per_hour,
-        nperseg=nperseg,
-        scaling="spectrum",
-        detrend="constant",
-    )
+    freqs, power = welch_power(values, sample_rate_per_hour, nperseg)
     amplitude = 2.0 * np.sqrt(2.0 * power)
     return Periodogram(frequencies_cph=freqs, amplitude_ms=amplitude)
 

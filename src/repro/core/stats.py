@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .aggregate import aggregate_population
 from .series import LastMileDataset
@@ -147,6 +146,7 @@ def bootstrap_spearman(
     if x.shape[0] < 2 * block:
         raise ValueError("too few joint bins for block bootstrap")
     rng = rng if rng is not None else np.random.default_rng()
+    from scipy import stats as sp_stats     # off the import path
 
     point, _p = sp_stats.spearmanr(x, y)
     n = x.shape[0]
@@ -185,6 +185,8 @@ def wilson_rank_bounds(n: int, confidence: float = 0.95) -> Tuple[float, float]:
         raise ValueError(f"confidence {confidence} outside (0,1)")
     if n < 2:
         return (float("nan"), float("nan"))
+    from scipy import stats as sp_stats     # off the import path
+
     z = float(sp_stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
     p = 0.5
     z2 = z * z

@@ -240,8 +240,9 @@ def classify_asn_batch(
     AS's aggregation keeps its own retry/isolation envelope (that is
     where faults strike), then marker extraction for every surviving
     signal runs as one ``markers_batch`` kernel call — for the
-    ``vector`` backend a single :func:`scipy.signal.welch` over the
-    (AS x bins) matrix.  Hoisting extraction out of the retry loop is
+    ``vector`` backend a single
+    :func:`~repro.core.spectral.welch_power` over the (AS x bins)
+    matrix.  Hoisting extraction out of the retry loop is
     safe because it is total: it maps degenerate signals to None
     instead of raising.
 

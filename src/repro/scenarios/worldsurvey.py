@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.random  # noqa: F401 -- loaded at import, not on first use
 
 from ..apnic import EyeballRanking, zipf_user_counts
 from ..atlas import AtlasPlatform

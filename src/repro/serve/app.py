@@ -37,9 +37,9 @@ duration, cache/shed/breaker outcome).  RED metrics per route:
 histogram ``serve_request_seconds{route}``, the ``serve_in_flight``
 gauge and the ``serve_cache_hit_ratio`` gauge.  A cache hit keeps the
 *original* route on ``http_requests_total`` (hit-ness is tracked by
-``serve_cache_hits_total`` and the hit-ratio gauge), while the legacy
-``serve_requests_total`` series keeps its historical ``cached`` /
-``shed`` route labels.
+``serve_cache_hits_total`` and the hit-ratio gauge), while the
+latency histogram keeps its historical ``cached`` / ``shed`` route
+labels.
 
 Error mapping follows the :mod:`repro.netbase.errors` taxonomy:
 *not found* archive errors → 404, malformed requests → 400, archive
@@ -316,16 +316,12 @@ class SurveyAPI:
         """RED metrics + access-log record for one finished request."""
         elapsed = time.perf_counter() - started
         status = response.status if response is not None else 500
-        # Legacy series: cache hits keep their historical route label.
-        legacy_route = "cached" if outcome == "cached" else route
-        obs.counter(
-            "serve_requests_total", "API requests by route",
-            ("route",),
-        ).inc(route=legacy_route)
+        # The latency histogram books cache hits under ``cached``.
+        timed_route = "cached" if outcome == "cached" else route
         obs.histogram(
             "serve_request_seconds", "request latency by route",
             ("route",),
-        ).observe(elapsed, route=legacy_route)
+        ).observe(elapsed, route=timed_route)
         obs.counter(
             "http_requests_total",
             "HTTP requests by route and response status",

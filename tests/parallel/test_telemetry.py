@@ -68,9 +68,9 @@ class TestSurveyTelemetryEquivalence:
         assert canonical_bytes(result) == serial_bytes
         parallel_totals = _stage_totals(obs.metrics)
         assert parallel_totals == serial_totals
-        # The partition genuinely covered the classify stage.
+        # The partition genuinely covered the simulate stage.
         in_totals = parallel_totals["pipeline_items_in_total"]
-        assert in_totals["core-lastmile"] > 0
+        assert in_totals["simulate"] > 0
 
     def test_worker_spans_graft_under_shard_markers(self, specs):
         with observed() as obs:
@@ -92,7 +92,7 @@ class TestSurveyTelemetryEquivalence:
         histogram = obs.metrics.get("pipeline_duration_seconds")
         stages = {dict(key)["stage"] for key, _ in histogram.samples()}
         # Worker-side stages only exist in the parent via the merge.
-        assert {"lastmile", "spectral", "survey-period"} <= stages
+        assert {"simulate", "spectral", "survey-period"} <= stages
 
 
 class TestDatasetShardTelemetry:

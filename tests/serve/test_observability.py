@@ -132,12 +132,13 @@ class TestRedMetrics:
         samples = self._counter_samples(obs)
         assert samples[("as", "200")] == 2.0
         assert not any(route == "cached" for route, _ in samples)
-        # The legacy series keeps its historical cached label.
-        legacy = dict(obs.metrics.counter(
-            "serve_requests_total", "", ("route",)
-        ).samples())
-        assert legacy[(("route", "as"),)] == 1
-        assert legacy[(("route", "cached"),)] == 1
+        # The latency histogram keeps its historical cached label.
+        timed = {
+            dict(key)["route"]
+            for key, _ in obs.metrics.get("serve_request_seconds").samples()
+        }
+        assert timed == {"as", "cached"}
+        assert obs.metrics.get("serve_requests_total") is None
 
     def test_statuses_land_on_their_series(self, archive):
         with observed() as obs:
@@ -245,10 +246,6 @@ class TestConcurrentTelemetry:
             "http_requests_total", "", ("route", "status")
         ).samples())
         assert sum(by_series.values()) == total
-        legacy_total = sum(dict(obs.metrics.counter(
-            "serve_requests_total", "", ("route",)
-        ).samples()).values())
-        assert legacy_total == total
         assert obs.metrics.histogram(
             "serve_request_seconds", "", ("route",)
         )  # exists with the same schema — would raise otherwise

@@ -184,7 +184,7 @@ class TestObsFlags:
         assert not args.prometheus
 
     def test_survey_with_metrics_out(self, tmp_path, capsys, monkeypatch):
-        # The full worker-level span tree (lastmile/aggregate/spectral)
+        # The full worker-level span tree (simulate/aggregate/spectral)
         # is a serial-path contract: sharded workers run silenced and
         # the parent re-emits shard-level spans instead.  Pin serial so
         # the CI REPRO_WORKERS matrix leg exercises the same assertions.
@@ -216,7 +216,7 @@ class TestObsFlags:
             for sample in metrics["pipeline_duration_seconds"]["samples"]
         }
         assert {
-            "survey-period", "load", "lastmile", "classify-dataset",
+            "survey-period", "load", "simulate", "classify-dataset",
             "filter", "aggregate", "spectral",
         } <= stages
         # Structured events landed in the JSONL sink.
