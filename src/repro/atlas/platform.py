@@ -8,10 +8,15 @@ Two fidelity modes share one statistical model (DESIGN.md §5):
 * ``run_period_binned`` (fast) — per-probe last-mile medians are drawn
   directly from the same per-reply RTT composition, skipping the
   per-hop object construction.  Used for the 646-AS world survey where
-  full fidelity would need billions of reply objects.
+  full fidelity would need billions of reply objects.  Each probe draws
+  from its own seeded stream; the draws are combined in place, the
+  pairwise diffs are laid out in whatever order is cheapest (a median
+  ignores order), and each bin's median is a single in-place
+  partition (``_row_medians``) rather than ``np.median``.
 
 ``tests/atlas/test_fidelity_equivalence.py`` asserts the two modes
-agree on small worlds.
+agree on small worlds; ``tests/atlas/test_binned_bytes.py`` pins the
+fast path byte for byte to its plain ``np.median`` formulation.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401 -- np.median loads it on first call
 import numpy.random  # noqa: F401 -- loaded at import, not on first use
 
 from ..core.series import LastMileDataset, ProbeBinSeries
@@ -269,7 +273,17 @@ class AtlasPlatform:
         self, probe: Probe, grid: TimeGrid, traceroutes_per_bin: int,
         af: int = 4,
     ) -> ProbeBinSeries:
-        """Per-bin last-mile medians for one probe, fully vectorized."""
+        """Per-bin last-mile medians for one probe, fully vectorized.
+
+        All draws come from the probe's own campaign stream, in a fixed
+        shape and order, so a probe's series does not depend on which
+        other probes run or in what order.  The arithmetic runs in
+        place on those draws; the 9 pairwise diffs per traceroute are
+        laid out ``(bins, 3, 3, k)`` because a median ignores order, and
+        each bin's median is one in-place partition (``_row_medians``).
+        The result is byte-identical to ``np.median`` over the
+        broadcast ``(bins, k, 3, 3)`` diffs.
+        """
         rng = np.random.default_rng(_campaign_seed(
             self.world.seed, grid.period, af,
             tag=2, probe_id=probe.probe_id,
@@ -300,13 +314,16 @@ class AtlasPlatform:
         queue = link.sample_packet_delays_ms(
             rho, k * REPLIES_PER_HOP, rng
         ).reshape(shape)
-        edge = (
-            base_edge
-            + rng.normal(size=shape) * access_noise * mult
-            + queue
-        )
+        edge = rng.normal(size=shape)
+        edge *= access_noise
+        edge *= mult
+        edge += base_edge
+        edge += queue
         if subscriber.lan is not None:
-            priv = lan_rtt + rng.normal(size=shape) * lan_noise * mult
+            priv = rng.normal(size=shape)
+            priv *= lan_noise
+            priv *= mult
+            priv += lan_rtt
         else:
             # Anchors: no private hop; the pipeline falls back to the
             # first public hop RTT with an implicit zero baseline.
@@ -314,28 +331,26 @@ class AtlasPlatform:
 
         # PPPoE session rebase: piecewise-constant base-RTT shift.
         if probe.reconnects:
-            session_delta = np.array([
-                probe.session_at(center)[1]
-                for center in grid.bin_centers()
-            ])
-            edge = edge + session_delta[:, None, None]
+            edge += probe.session_deltas(grid.bin_centers())[:, None, None]
 
         interference = _interference_per_bin(probe, grid)
         busy_bins = interference > 0.0
         if busy_bins.any():
+            # Both draws span every bin to keep the stream's layout.
             extra_edge = rng.exponential(1.0, size=shape)
             extra_priv = rng.exponential(1.0, size=shape)
-            scale = interference[:, None, None]
-            edge = edge + np.where(busy_bins[:, None, None],
-                                   extra_edge * scale, 0.0)
-            priv = priv + np.where(busy_bins[:, None, None],
-                                   extra_priv * scale, 0.0)
+            scale = interference[busy_bins][:, None, None]
+            edge[busy_bins] += extra_edge[busy_bins] * scale
+            priv[busy_bins] += extra_priv[busy_bins] * scale
 
         # Pairwise subtraction: 3 edge x 3 private = 9 diffs/traceroute.
-        diffs = (
-            edge[:, :, :, None] - priv[:, :, None, :]
-        ).reshape(num_bins, -1)
-        medians = np.median(diffs, axis=1)
+        diffs = np.empty((num_bins, REPLIES_PER_HOP, REPLIES_PER_HOP, k))
+        for i in range(REPLIES_PER_HOP):
+            for j in range(REPLIES_PER_HOP):
+                np.subtract(
+                    edge[:, :, i], priv[:, :, j], out=diffs[:, i, j, :]
+                )
+        medians = _row_medians(diffs.reshape(num_bins, -1))
 
         counts = _counts_with_outages(probe, grid, k)
         medians = np.where(counts > 0, medians, np.nan)
@@ -344,6 +359,32 @@ class AtlasPlatform:
             median_rtt_ms=medians,
             traceroute_counts=counts,
         )
+
+
+def _row_medians(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=1)``, byte for byte, with one partition.
+
+    ``np.median`` partitions a copy at the middle index(es) plus the
+    last one (its NaN check).  Here ``rows`` is partitioned in place at
+    ``h = n // 2`` only, so the caller's scratch array is reordered.
+    For even ``n`` the lower middle value is the maximum of the left
+    part, and the two are averaged as ``np.mean`` would, ``(lo + hi) /
+    2``.  NaN sorts last, so a row holding NaN holds one at or right
+    of ``h``; such rows return that NaN, as ``np.median`` does.
+    """
+    n = rows.shape[1]
+    h = n // 2
+    rows.partition(h, axis=1)
+    if n % 2:
+        medians = rows[:, h].copy()
+    else:
+        medians = rows[:, :h].max(axis=1)
+        medians += rows[:, h]
+        medians /= 2.0
+    top = rows[:, h:].max(axis=1)
+    nan_rows = np.isnan(top)
+    medians[nan_rows] = top[nan_rows]
+    return medians
 
 
 def _campaign_seed(

@@ -13,6 +13,7 @@ that as extra measurement noise and occasional RTT inflation spikes.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -120,15 +121,21 @@ class Probe:
         """(session index, base-RTT delta ms) active at time ``t``.
 
         Session 0 (delta 0) runs from the period start until the first
-        reconnect; each reconnect starts the next session.
+        reconnect; each reconnect starts the next session, so a
+        reconnect at exactly ``t`` is already in effect.
         """
-        index, delta = 0, 0.0
-        for when, new_delta in self.reconnects:
-            if t < when:
-                break
-            index += 1
-            delta = new_delta
-        return index, delta
+        index = bisect.bisect_right([when for when, _ in self.reconnects], t)
+        return index, self.reconnects[index - 1][1] if index else 0.0
+
+    def session_deltas(self, times: np.ndarray) -> np.ndarray:
+        """Base-RTT delta (ms) active at each of ``times``.
+
+        The vector form of ``session_at``: the same right-bisection
+        over the sorted reconnect times, in one ``searchsorted``.
+        """
+        whens = np.array([when for when, _ in self.reconnects])
+        deltas = np.array([0.0] + [delta for _, delta in self.reconnects])
+        return deltas[np.searchsorted(whens, times, side="right")]
 
 
 def sample_outages(

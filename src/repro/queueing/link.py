@@ -76,9 +76,9 @@ class LinkModel:
         mean matches the M/G/1 mean — keeps the sampled and analytic
         paths consistent (used to validate `binned` vs `full` fidelity).
         """
-        raw = sample_mm1_waits(rho, self.service_time_ms, samples, rng)
-        scale = 0.5 * (1.0 + self.scv)
-        return np.minimum(raw * scale, self.max_delay_ms)
+        delays = sample_mm1_waits(rho, self.service_time_ms, samples, rng)
+        delays *= 0.5 * (1.0 + self.scv)
+        return np.minimum(delays, self.max_delay_ms, out=delays)
 
 
 @dataclass

@@ -96,8 +96,9 @@ def sample_mm1_waits(
     scale = service_time / (1.0 - rho)
     busy = rng.random((rho.shape[0], samples)) < rho[:, None]
     waits = rng.exponential(1.0, size=(rho.shape[0], samples))
-    result = busy * waits * scale[:, None]
-    return result[0] if scalar else result
+    waits *= busy
+    waits *= scale[:, None]
+    return waits[0] if scalar else waits
 
 
 def erlang_loss(rho, servers: int = 1) -> np.ndarray:

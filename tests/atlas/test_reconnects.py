@@ -48,10 +48,37 @@ class TestSessionModel:
     def test_session_at_progression(self, tmp_path):
         world, platform, probes = build_platform()
         probe = probes[0]
+        assert probe.session_at(1e9) == (0, 0.0)  # no reconnects
         probe.reconnects = [(100.0, 0.5), (200.0, -0.3)]
+        assert probe.session_at(0.0) == (0, 0.0)
         assert probe.session_at(50.0) == (0, 0.0)
+        assert probe.session_at(np.nextafter(100.0, 0.0)) == (0, 0.0)
+        # A reconnect is in effect from its own timestamp on.
+        assert probe.session_at(100.0) == (1, 0.5)
         assert probe.session_at(150.0) == (1, 0.5)
+        assert probe.session_at(200.0) == (2, -0.3)
         assert probe.session_at(250.0) == (2, -0.3)
+        assert probe.session_at(1e9) == (2, -0.3)
+
+    @pytest.mark.parametrize("reconnects", [
+        [],
+        [(100.0, 0.5)],
+        [(100.0, 0.5), (200.0, -0.3)],
+        [(0.0, 0.2), (100.0, 0.5), (100.0, -0.1), (300.0, 0.7)],
+    ])
+    def test_session_deltas_match_session_at(self, reconnects):
+        world, platform, probes = build_platform()
+        probe = probes[0]
+        probe.reconnects = reconnects
+        whens = [when for when, _ in reconnects]
+        times = np.array(sorted(
+            [-1.0, 0.0, 50.0, 1e9]               # before / after all
+            + whens                               # exactly at a reconnect
+            + [np.nextafter(w, -np.inf) for w in whens]
+            + [np.nextafter(w, np.inf) for w in whens]
+        ))
+        scalar = [probe.session_at(t)[1] for t in times]
+        np.testing.assert_array_equal(probe.session_deltas(times), scalar)
 
     def test_sampling_sorted_and_bounded(self):
         rng = np.random.default_rng(0)
