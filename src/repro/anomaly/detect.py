@@ -26,7 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.kernels import record_kernel_op, resolve_kernels
+from ..core.kernels import resolve_kernels
+from ..core.kernels.flat import bin_medians
 from ..core.stats import churn_jaccard, wilson_score_interval
 from ..obs import get_observer
 from ..quality import DataQualityReport
@@ -67,50 +68,32 @@ def link_bin_medians(
     """Kernel-routed per-(link, bin) differential medians.
 
     Links are rows (sorted id order), bins are columns — the same flat
-    ``(row, bin, samples)`` shape the last-mile estimator feeds the
-    backends, so both backends are reused unchanged: the batched
-    backend computes the whole matrix in one grouped-median pass, the
-    reference backend iterates rows.  Returns
-    ``(link_ids, median_matrix, counts_matrix)``; bins under
-    ``min_samples`` observing traceroutes stay NaN.
+    ``(row * num_bins + bin, sample)`` shape the last-mile estimator
+    feeds the kernels, so one
+    :func:`~repro.core.kernels.flat.bin_medians` call computes the
+    whole matrix.  Returns ``(link_ids, median_matrix,
+    counts_matrix)``; bins under ``min_samples`` observing
+    traceroutes stay NaN.
     """
-    kern = resolve_kernels(kernels)
     grid = observations.grid
     num_bins = grid.num_bins
     keyed = {link_id(*key): key for key in observations.counts}
     link_ids = sorted(keyed)
-    num_links = len(link_ids)
-    counts_matrix = np.zeros((num_links, num_bins), dtype=np.int64)
+    counts_matrix = np.zeros((len(link_ids), num_bins), dtype=np.int64)
+    keys: List[int] = []
+    values: List[float] = []
     for row, name in enumerate(link_ids):
         for bin_index, n in observations.counts[keyed[name]].items():
             counts_matrix[row, bin_index] = n
-
-    record_kernel_op(kern.name, "anomaly-link-medians")
-    if getattr(kern, "batched", False):
-        rows: List[int] = []
-        sample_bins: List[int] = []
-        sample_lists: List[List[float]] = []
-        for row, name in enumerate(link_ids):
-            bins = observations.samples.get(keyed[name], {})
-            for bin_index in sorted(bins):
-                rows.append(row)
-                sample_bins.append(bin_index)
-                sample_lists.append(bins[bin_index])
-        medians, _valid = kern.dataset_bin_medians(
-            rows, sample_bins, sample_lists, num_links, num_bins,
-            counts_matrix, min_samples,
-        )
-        return link_ids, medians, counts_matrix
-
-    medians = np.full((num_links, num_bins), np.nan)
-    for row, name in enumerate(link_ids):
         bins = observations.samples.get(keyed[name], {})
-        sample_bins = sorted(bins)
-        sample_lists = [bins[b] for b in sample_bins]
-        medians[row], _valid = kern.bin_medians(
-            sample_bins, sample_lists, counts_matrix[row], num_bins,
-            min_samples,
-        )
+        for bin_index in sorted(bins):
+            keys.extend([row * num_bins + bin_index] * len(bins[bin_index]))
+            values.extend(bins[bin_index])
+    medians, _estimated = bin_medians(
+        np.asarray(keys, dtype=np.int64),
+        np.asarray(values, dtype=np.float64),
+        counts_matrix, min_samples, kernels,
+    )
     return link_ids, medians, counts_matrix
 
 

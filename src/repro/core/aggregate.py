@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import numpy.ma  # noqa: F401 -- np.median loads it on first call
@@ -27,6 +27,7 @@ from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import TimeGrid
 from .kernels import record_kernel_op, resolve_kernels
+from .kernels.flat import delay_matrix
 from .lastmile import MIN_TRACEROUTES_PER_BIN
 from .series import LastMileDataset, ProbeBinSeries
 
@@ -80,13 +81,103 @@ def probe_queuing_delay(
     """Per-probe queueing delay: medians minus the period minimum.
 
     Invalid bins (too few traceroutes / no estimate) are NaN.  If no
-    valid bin exists the whole series is NaN.
+    valid bin exists the whole series is NaN.  The one-row case of
+    :func:`~repro.core.kernels.flat.delay_matrix`.
     """
-    valid = series.valid_mask(min_traceroutes)
-    delays = np.where(valid, series.median_rtt_ms, np.nan)
-    if not valid.any():
-        return delays
-    return delays - np.nanmin(delays)
+    delays, _dead = delay_matrix(
+        series.median_rtt_ms[None, :],
+        series.traceroute_counts[None, :],
+        min_traceroutes,
+    )
+    return delays[0]
+
+
+def gather_population(
+    dataset: LastMileDataset,
+    probe_ids: Sequence[int],
+    quality: Optional[DataQualityReport] = None,
+) -> List[int]:
+    """The probes of one population that have a series.
+
+    The aggregation stage's per-population accounting, and the seam a
+    survey's per-AS retry envelope wraps: books ``probe_ids`` as
+    ingested, drops the ones without a series, and raises
+    :class:`EmptyPopulationError` (a ``ValueError``) when none is
+    left — callers with failure isolation catch it and quarantine the
+    population.  Returns the present probe ids in request order.
+    """
+    requested = list(probe_ids)
+    obs = get_observer()
+    with obs.stage_span("aggregate", probes=len(requested)):
+        present = [p for p in requested if p in dataset.series]
+        obs.items_in(STAGE, len(requested))
+        if quality is not None:
+            quality.ingest(STAGE, n=len(requested))
+            missing = len(requested) - len(present)
+            if missing:
+                quality.drop(
+                    STAGE, DropReason.NO_VALID_BINS, n=missing,
+                    detail=f"{missing} probes have metadata but no series",
+                )
+        if not present:
+            raise EmptyPopulationError(
+                f"no probes to aggregate (requested {len(requested)})"
+            )
+        obs.items_out(STAGE, len(present))
+        return present
+
+
+def population_signals(
+    dataset: LastMileDataset,
+    populations: Sequence[Sequence[int]],
+    qualities: Sequence[Optional[DataQualityReport]],
+    kern,
+    min_traceroutes: int = MIN_TRACEROUTES_PER_BIN,
+    min_probes_per_bin: int = 1,
+) -> List[AggregatedSignal]:
+    """Aggregated signals for gathered populations, in one pass.
+
+    Stacks every population's probes (a probe listed twice counts
+    twice), derives their queueing delays with one
+    :func:`~repro.core.kernels.flat.delay_matrix` call and aggregates
+    them with one ``population_medians`` kernel call.  Probes that
+    contribute no valid bin are noted on the population's ledger.
+    Bins where fewer than ``min_probes_per_bin`` probes have a valid
+    estimate are NaN.
+    """
+    shape = (-1, dataset.grid.num_bins)
+    series = [dataset.series[p] for population in populations
+              for p in population]
+    delays, dead = delay_matrix(
+        np.array([s.median_rtt_ms for s in series]).reshape(shape),
+        np.array([s.traceroute_counts for s in series]).reshape(shape),
+        min_traceroutes,
+    )
+    group_rows = np.split(
+        np.arange(len(series)),
+        np.cumsum([len(population) for population in populations])[:-1],
+    )
+    for rows, quality in zip(group_rows, qualities):
+        dead_count = int(dead[rows].sum()) if quality is not None else 0
+        if dead_count:
+            quality.degrade(
+                STAGE, DropReason.NO_VALID_BINS, n=dead_count,
+                detail=f"{dead_count} probes contributed no valid bin",
+            )
+    record_kernel_op(kern.name, "population-medians", len(group_rows))
+    aggregated, contributing = kern.population_medians(delays, group_rows)
+    return [
+        AggregatedSignal(
+            grid=dataset.grid,
+            delay_ms=np.where(
+                contributing[group] >= min_probes_per_bin,
+                aggregated[group], np.nan,
+            ),
+            probe_count=len(population),
+            contributing=contributing[group],
+        )
+        for group, population in enumerate(populations)
+    ]
 
 
 def aggregate_population(
@@ -99,67 +190,24 @@ def aggregate_population(
 ) -> AggregatedSignal:
     """Median queueing delay across a probe population, per bin.
 
-    ``probe_ids`` defaults to every probe in the dataset.  Bins where
-    fewer than ``min_probes_per_bin`` probes have a valid estimate are
-    NaN.  Raises :class:`EmptyPopulationError` (a ``ValueError``) when
-    no requested probe has a series — callers with failure isolation
-    (the survey) catch it and quarantine the population.  Probes that
-    contribute no valid bin at all are noted on ``quality``.
-    ``kernels`` selects how the queueing-delay rows are stacked
+    The one-population case of :func:`gather_population` +
+    :func:`population_signals`.  ``probe_ids`` defaults to every probe
+    in the dataset.  Bins where fewer than ``min_probes_per_bin``
+    probes have a valid estimate are NaN.  Raises
+    :class:`EmptyPopulationError` (a ``ValueError``) when no requested
+    probe has a series.  ``kernels`` selects the backend
     (:func:`repro.core.kernels.resolve_kernels`); backends are
     numerically identical by contract.
     """
     if probe_ids is None:
         probe_ids = dataset.probe_ids()
-    requested = list(probe_ids)
     kern = resolve_kernels(kernels)
-    obs = get_observer()
-    with obs.stage_span(
-        "aggregate", probes=len(requested), kernel=kern.name
-    ):
-        probe_ids = [p for p in requested if p in dataset.series]
-        obs.items_in(STAGE, len(requested))
-        if quality is not None:
-            quality.ingest(STAGE, n=len(requested))
-            missing = len(requested) - len(probe_ids)
-            if missing:
-                quality.drop(
-                    STAGE, DropReason.NO_VALID_BINS, n=missing,
-                    detail=(
-                        f"{missing} probes have metadata but no series"
-                    ),
-                )
-        if not probe_ids:
-            raise EmptyPopulationError(
-                f"no probes to aggregate (requested {len(requested)})"
-            )
-
-        record_kernel_op(kern.name, "stack-delays")
-        stacked = kern.stack_probe_delays(
-            dataset, probe_ids, min_traceroutes
-        )
-        if quality is not None:
-            dead = int(np.sum(np.all(np.isnan(stacked), axis=1)))
-            if dead:
-                quality.degrade(
-                    STAGE, DropReason.NO_VALID_BINS, n=dead,
-                    detail=f"{dead} probes contributed no valid bin",
-                )
-        contributing = np.sum(~np.isnan(stacked), axis=0)
-        with warnings.catch_warnings():
-            # All-NaN bins (every probe invalid) legitimately yield NaN.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            medians = np.nanmedian(stacked, axis=0)
-        medians = np.where(
-            contributing >= min_probes_per_bin, medians, np.nan
-        )
-        obs.items_out(STAGE, len(probe_ids))
-        return AggregatedSignal(
-            grid=dataset.grid,
-            delay_ms=medians,
-            probe_count=len(probe_ids),
-            contributing=contributing,
-        )
+    present = gather_population(dataset, probe_ids, quality)
+    [signal] = population_signals(
+        dataset, [present], [quality], kern, min_traceroutes,
+        min_probes_per_bin,
+    )
+    return signal
 
 
 def probes_with_daily_delay_over(

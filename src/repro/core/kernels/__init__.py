@@ -1,69 +1,65 @@
-"""Selectable analysis kernels: reference loops vs vectorized numpy.
+"""Analysis kernels: one flat-array contract, two implementations.
 
-The hot path of the pipeline — per-bin sample medians (§2.1), probe
-queueing-delay stacking, population aggregation and Welch
-classification (§2.3) — exists in two interchangeable backends:
+The paper's numeric steps (§2.1, §2.3) run through three operations
+over flat arrays, and every caller — the estimator, the survey, the
+streaming engine and anomaly pinpointing — goes through them:
 
-* ``reference`` — the original per-traceroute / per-probe Python
-  loops.  Simple, obviously faithful to the paper's prose, and the
-  ground truth the differential-equivalence suite (``tests/kernels``)
-  compares against.
-* ``vector``    — batched numpy implementations: flat
-  ``(probe, bin, sample)`` arrays with one grouped-median sort
-  instead of per-bin :func:`numpy.median` calls, 2-D queueing-delay
-  stacking, and one :func:`~repro.core.spectral.welch_power` call
-  over an (AS x bins) matrix instead of per-AS FFTs.
+* ``group_medians(keys, values, num_keys)`` — the median of
+  ``values`` per integer key; NaN for an empty key or one holding a
+  NaN (``numpy.median`` semantics).  Keys are ``row * num_bins +
+  bin`` for per-(probe, bin) medians, or any dense index.
+* ``population_medians(delays, group_rows)`` — per population (a list
+  of row indices into a (probe x bin) queueing-delay matrix), the
+  per-bin median of its non-NaN members and how many contributed;
+  ``(medians, contributing)`` of shape (populations x bins).
+* ``markers_batch(signals, bin_seconds, ...)`` — spectral markers per
+  aggregated signal, None for a degenerate one.
+
+Two backends implement it:
+
+* ``reference`` — loops that read like the paper: one
+  :func:`numpy.median` per key, one :func:`numpy.nanmedian` per
+  population, one :func:`~repro.core.spectral.compute_markers` per
+  signal.  It is the oracle the differential suites
+  (``tests/kernels``, ``tests/stream``, ``tests/anomaly``) compare
+  against.
+* ``vector`` (the default) — numpy: one grouped-median sort, a padded
+  (population x bin x probe) cube sorted along its last axis, and one
+  :func:`~repro.core.spectral.welch_power` call per signal length.
+
+Everything around the three operations is shared and backend-free
+(:mod:`.flat`): the traceroute scan, the bin masking, the
+queueing-delay matrix and the chunk planner that bounds the cube.
 
 **Contract:** both backends produce *numerically identical* output —
 bit-for-bit under :func:`repro.io.survey_to_dict` — on every input,
-including fault-injected and degenerate datasets.  The contract is
-enforced by ``tests/kernels`` (differential harness + hypothesis
-properties) and the golden fixtures under ``tests/golden``; because
-outputs are identical, the parallel result cache deliberately does
-*not* key on the backend (a hit computed by one backend may serve a
-run using the other).
-
-Resolution order: an explicit ``kernels=`` argument (a name or a
-backend object) wins, then the ``REPRO_KERNELS`` environment variable,
-then the default ``reference``.  Shard workers always receive the
-parent's *resolved* backend name in their task, so a survey's backend
-choice is shard-invariant regardless of worker environments.
+including fault-injected and degenerate datasets.  Because outputs
+are identical, the parallel result cache deliberately does *not* key
+on the backend.  Callers select a backend with a ``kernels=``
+argument (a name or a backend object); None means
+:data:`DEFAULT_KERNELS`.  Shard workers receive the parent's resolved
+backend name in their task.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Tuple, Union
+from typing import Union
 
 from ...obs import get_observer
 
-#: Environment knob consulted when ``kernels`` is not given explicitly
-#: (the CI matrix leg exports ``REPRO_KERNELS=vector``).
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: Default backend: the loop implementation the paper's prose maps to.
-DEFAULT_KERNELS = "reference"
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Names accepted by :func:`resolve_kernels` (and ``--kernels``)."""
-    return ("reference", "vector")
+#: Backend used when no ``kernels`` argument is given.
+DEFAULT_KERNELS = "vector"
 
 
 def resolve_kernels(kernels: Union[None, str, object] = None):
-    """Resolve a backend: explicit arg > ``REPRO_KERNELS`` > reference.
+    """Resolve a backend: a name, a backend object, or None (default).
 
-    ``kernels`` may be a backend name, an already-resolved backend
-    object (returned unchanged), or None.  Unknown names raise
-    ``ValueError`` listing the valid choices.
+    A backend object is returned unchanged.  Unknown names raise
+    ``ValueError`` naming the valid choices.
     """
     if kernels is not None and not isinstance(kernels, str):
         return kernels
-    name = kernels
-    if name is None:
-        name = os.environ.get(KERNELS_ENV, "").strip().lower() or None
-    if name is None:
-        name = DEFAULT_KERNELS
+    name = kernels or DEFAULT_KERNELS
     if name == "reference":
         from .reference import REFERENCE
 
@@ -73,13 +69,12 @@ def resolve_kernels(kernels: Union[None, str, object] = None):
 
         return VECTOR
     raise ValueError(
-        f"unknown kernel backend {name!r}; "
-        f"choose one of {', '.join(available_kernels())}"
+        f"unknown kernel backend {name!r}; choose reference or vector"
     )
 
 
 def record_kernel_op(kernel_name: str, op: str, n: int = 1) -> None:
-    """Count one kernel invocation on the active observer.
+    """Count kernel work on the active observer.
 
     ``kernel_ops_total{kernel, op}`` is the per-backend counter the
     dashboards use to confirm which backend actually ran — a constant
@@ -96,9 +91,7 @@ def record_kernel_op(kernel_name: str, op: str, n: int = 1) -> None:
 
 
 __all__ = [
-    "KERNELS_ENV",
     "DEFAULT_KERNELS",
-    "available_kernels",
     "resolve_kernels",
     "record_kernel_op",
 ]

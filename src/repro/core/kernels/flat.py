@@ -1,53 +1,49 @@
-"""The flat survey pass: whole-dataset arrays built once, used by
-every stage.
+"""Backend-free flat-array code shared by every kernel caller.
 
-The vector backend's batched entry points still walked Python
-structures per probe (the traceroute scan) and per AS (one
-``nanmedian`` call each).  This module removes those loops:
+The kernel operations (:mod:`repro.core.kernels`) consume flat
+arrays; this module produces and post-processes them, once, for every
+caller:
 
-* :func:`scan_lastmile_flat` — one pass over a probe's traceroutes
-  producing flat ``(bin, sample)`` arrays directly: hop addresses are
-  classified once per distinct address (they repeat for the whole
-  period), timestamp gating and binning follow
-  :meth:`~repro.timebase.TimeGrid.bin_index` exactly, and the paper's
-  pairwise private/public subtraction is computed for *all*
-  traceroutes in a handful of ``repeat``/``take`` operations instead
-  of a 3 x 3 Python product per traceroute.
-* :func:`dataset_matrices` / :func:`delay_matrix` — the
-  (probe x bin) median/count matrices built once per dataset, and the
-  queueing-delay rows derived from them in one 2-D pass mirroring
-  :func:`~repro.core.aggregate.probe_queuing_delay` row for row.
-* :func:`population_median_pass` — per-AS aggregated medians and
-  contributing counts for *every* AS in one
-  :func:`~repro.core.kernels.vector.grouped_median` call over
-  ``group * num_bins + bin`` keys of the NaN-filtered delay values.
-  ``numpy.nanmedian`` over a matrix column is by definition the
-  median of that column's non-NaN members, so feeding only non-NaN
-  values keyed by (group, bin) is bit-identical — all-NaN columns
-  become empty groups and yield NaN, as ``nanmedian`` (warning
-  suppressed) does.
+* :func:`scan_lastmile_flat` — the one traceroute scan (paper §2.1
+  stages 1-3): timestamp gating, binning, sanity counting and the
+  quality ledger, producing flat ``(bin, sample)`` arrays.  Hop
+  addresses are classified once per distinct address, and the
+  pairwise private/public subtraction for *all* traceroutes runs in a
+  handful of ``repeat``/``take`` operations at the end.  A custom
+  per-traceroute ``sample_fn`` (e.g. the end-to-end contrast of the
+  specificity experiments) swaps only the sampling.
+* :func:`bin_medians` — the one bin mask: a key gets the median of
+  its samples only when it was sampled *and* its traceroute count
+  reaches the sanity minimum (stage 4).
+* :func:`delay_matrix` — the one queueing-delay computation: per
+  probe row, medians minus the period minimum over valid bins.
+* :func:`plan_chunks` — splits populations into runs whose padded
+  population cube stays within :data:`_CHUNK_ELEMENTS`, so the survey
+  and the streaming engine run in bounded memory.
 
-Equivalence with the reference path is a hard contract, enforced by
-``tests/kernels/test_flat_pass.py`` and the differential suite: same
-series, same signals, same quality-ledger events in the same order.
-Quality accounting therefore stays *per record, in record order* —
-only the numeric work is batched.
+Quality accounting stays *per record, in record order* — only the
+numeric work is batched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...quality import DataQualityReport, DropReason
-from .vector import grouped_median
+from . import record_kernel_op, resolve_kernels
 
 #: Stage key for quality accounting — must match
 #: :data:`repro.core.lastmile.STAGE` (not imported to avoid a cycle).
 _LASTMILE_STAGE = "core-lastmile"
+
+#: Budget, in padded elements, of one chunk's population cube
+#: (populations x widest population x bins).  A chunk always holds at
+#: least one population, however wide.
+_CHUNK_ELEMENTS = 1 << 14
 
 #: Hop-address classification memo.  Addresses repeat massively (one
 #: probe traverses the same gateway and edge router all period), so
@@ -87,17 +83,28 @@ def scan_lastmile_flat(
     prb_id: Optional[int] = None,
     quality: Optional[DataQualityReport] = None,
     counts: Optional[np.ndarray] = None,
+    sample_fn: Optional[Callable] = None,
 ) -> FlatScan:
     """Stages 1-3 of the estimation for one probe, flat-array output.
 
-    Semantically identical to the reference scan
-    (:func:`repro.core.lastmile._scan_results` +
-    :func:`~repro.core.lastmile.lastmile_samples`): same timestamp
-    gating, same bin sanity counting, same sanity filter on replies,
-    and the same quality events with the same details *in the same
-    record order*.  The difference is mechanical: the boundary walk
-    uses the address-kind memo, and the pairwise subtraction for all
-    traceroutes happens in one vectorized pass at the end.
+    Edge semantics are decided here:
+
+    * a non-finite timestamp cannot be binned: the record is dropped
+      as ``MALFORMED_RECORD`` *before* the bin sanity counts — it
+      neither helps a bin reach the minimum nor is it sampled;
+    * a timestamp outside the period (skewed clock) is dropped as
+      ``OUT_OF_PERIOD``;
+    * a binned record always counts toward its bin's sanity count
+      (``counts`` is incremented in place), and one that yields no
+      sample — boundary missing, or present with only insane replies —
+      is degraded as ``NO_BOUNDARY``.
+
+    Samples are :func:`~repro.core.lastmile.lastmile_samples` per
+    traceroute, laid out as every private/public pairwise sample in
+    (traceroute, public-major pair) order followed by every anchor
+    (no private hop) sample.  ``sample_fn`` replaces the per-traceroute
+    extractor (e.g. :func:`~repro.core.lastmile.e2e_samples`); its
+    samples are laid out in traceroute order.
     """
     if not isinstance(results, list):
         results = list(results)
@@ -118,6 +125,7 @@ def scan_lastmile_flat(
     pub_sizes: List[int] = []
     priv_sizes: List[int] = []
     # Anchor traceroutes (no private hop): replies are the samples.
+    # A custom ``sample_fn``'s samples share this pool.
     anchor_bins: List[int] = []
     anchor_pool: List[float] = []
     anchor_sizes: List[int] = []
@@ -151,6 +159,19 @@ def scan_lastmile_flat(
             bin_index = last_bin
         counts[bin_index] += 1
 
+        if sample_fn is not None:
+            samples = sample_fn(result)
+            if samples:
+                anchor_bins.append(bin_index)
+                anchor_pool.extend(samples)
+                anchor_sizes.append(len(samples))
+            elif quality is not None:
+                quality.degrade(
+                    _LASTMILE_STAGE, DropReason.NO_BOUNDARY,
+                    detail=f"probe {result.prb_id}: no usable "
+                    "private→public hop pair",
+                )
+            continue
         last_private = None
         public = None
         for hop in result.hops:
@@ -241,73 +262,39 @@ def scan_lastmile_flat(
     )
 
 
-def flat_bin_medians(
-    sample_bins: np.ndarray,
-    sample_values: np.ndarray,
+
+
+def bin_medians(
+    keys: np.ndarray,
+    values: np.ndarray,
     counts: np.ndarray,
-    num_bins: int,
     min_traceroutes: int,
-) -> Tuple[np.ndarray, int]:
-    """Per-bin medians from flat per-sample arrays (one probe).
-
-    The flat-array twin of :meth:`VectorKernels.bin_medians`: bins
-    with at least one sample *and* ``counts >= min_traceroutes`` get
-    the grouped median of their samples; everything else stays NaN.
-    """
-    medians = np.full(num_bins, np.nan)
-    if not len(sample_bins):
-        return medians, 0
-    counts = np.asarray(counts)
-    grouped = grouped_median(sample_bins, sample_values, num_bins)
-    sampled = np.zeros(num_bins, dtype=bool)
-    sampled[np.unique(sample_bins)] = True
-    estimated = sampled & (counts >= min_traceroutes)
-    medians[estimated] = grouped[estimated]
-    return medians, int(estimated.sum())
-
-
-def flat_dataset_bin_medians(
-    sample_keys: np.ndarray,
-    sample_values: np.ndarray,
-    num_probes: int,
-    num_bins: int,
-    counts_matrix: np.ndarray,
-    min_traceroutes: int,
+    kernels=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Whole-dataset medians from flat ``probe * num_bins + bin`` keys."""
-    medians = np.full((num_probes, num_bins), np.nan)
-    if not len(sample_keys):
-        return medians, np.zeros(num_probes, dtype=np.int64)
-    counts_matrix = np.asarray(counts_matrix)
-    grouped = grouped_median(
-        sample_keys, sample_values, num_probes * num_bins
-    ).reshape(num_probes, num_bins)
-    sampled = np.zeros(num_probes * num_bins, dtype=bool)
-    sampled[np.unique(sample_keys)] = True
-    sampled = sampled.reshape(num_probes, num_bins)
-    estimated = sampled & (counts_matrix >= min_traceroutes)
-    medians[estimated] = grouped[estimated]
-    return medians, estimated.sum(axis=1).astype(np.int64)
+    """Per-key medians of flat samples, masked to the estimated keys.
 
-
-def dataset_matrices(
-    dataset,
-) -> Tuple[Dict[int, int], np.ndarray, np.ndarray]:
-    """(probe -> row index, median matrix, count matrix) for a dataset.
-
-    Rows follow :meth:`LastMileDataset.probe_ids` (sorted) order.
-    Built once per survey; every AS's aggregation gathers row indices
-    from here instead of re-stacking its probes' series.
+    ``counts`` holds one traceroute count per key, in any shape; keys
+    index its flattened form (``row * num_bins + bin`` for a matrix).
+    A key is *estimated* when it has at least one sample and its count
+    reaches ``min_traceroutes``; it gets the
+    :meth:`group_medians` value of its samples, everything else stays
+    NaN.  Returns ``(medians, estimated)``, both shaped like
+    ``counts``.
     """
-    ids = dataset.probe_ids()
-    num_bins = dataset.grid.num_bins
-    medians = np.empty((len(ids), num_bins), dtype=np.float64)
-    counts = np.empty((len(ids), num_bins), dtype=np.int64)
-    for row, prb_id in enumerate(ids):
-        series = dataset.series[prb_id]
-        medians[row] = series.median_rtt_ms
-        counts[row] = series.traceroute_counts
-    return {prb_id: row for row, prb_id in enumerate(ids)}, medians, counts
+    kern = resolve_kernels(kernels)
+    keys = np.asarray(keys, dtype=np.int64)
+    counts = np.asarray(counts)
+    medians = np.full(counts.shape, np.nan)
+    estimated = np.zeros(counts.shape, dtype=bool)
+    if not len(keys):
+        return medians, estimated
+    record_kernel_op(kern.name, "group-medians")
+    grouped = kern.group_medians(keys, values, counts.size)
+    flat_estimated = estimated.reshape(-1)
+    flat_estimated[keys] = True
+    flat_estimated &= counts.reshape(-1) >= min_traceroutes
+    medians.reshape(-1)[flat_estimated] = grouped[flat_estimated]
+    return medians, estimated
 
 
 def delay_matrix(
@@ -315,123 +302,48 @@ def delay_matrix(
     counts: np.ndarray,
     min_traceroutes: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Queueing-delay rows for *all* probes in one 2-D pass.
+    """Queueing-delay rows for a stack of probes in one 2-D pass.
 
-    Row ``i`` equals
-    ``probe_queuing_delay(series_i, min_traceroutes)`` exactly: bins
-    failing the sanity mask are NaN, rows with at least one valid bin
-    subtract their own ``nanmin`` baseline, all-NaN rows stay
-    unsubtracted.  Returns ``(delays, dead)`` where ``dead`` flags
-    rows that contributed no valid bin at all.
+    Per row: bins failing the sanity mask (too few traceroutes, or no
+    estimate) are NaN, and every row subtracts its own minimum over
+    valid bins — the propagation delay, recomputed per period.  The
+    minimum is ``fmin.reduce``, which is ``nanmin`` without its
+    all-NaN warning: a row with no valid bin stays all-NaN.  Returns
+    ``(delays, dead)`` where ``dead`` flags rows that contributed no
+    valid bin at all.
     """
     valid = (counts >= min_traceroutes) & ~np.isnan(medians)
     delays = np.where(valid, medians, np.nan)
-    alive = valid.any(axis=1)
-    if alive.any():
-        delays[alive] -= np.nanmin(delays[alive], axis=1)[:, None]
-    return delays, ~alive
+    dead = ~valid.any(axis=1)
+    if delays.size:
+        delays -= np.fmin.reduce(delays, axis=1)[:, None]
+    return delays, dead
 
 
-def population_median_pass(
-    delays: np.ndarray,
-    group_rows: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Aggregated medians + contributing counts for many populations.
+def plan_chunks(
+    sizes: Sequence[int],
+    width: int,
+    budget: Optional[int] = None,
+) -> List[Tuple[int, int]]:
+    """Split populations, in order, into ``[start, stop)`` chunks.
 
-    One grouped-median call over ``group * num_bins + bin`` keys of
-    the non-NaN delay values replaces one ``nanmedian`` call per AS.
-    Returns ``(medians, contributing)`` of shape (groups x bins);
-    groups may share rows (a probe requested twice is counted twice,
-    as ``aggregate_population`` stacks it twice).
+    A chunk's padded cube — populations x widest population x
+    ``width`` — stays within ``budget`` (default
+    :data:`_CHUNK_ELEMENTS`), except that a chunk always holds at
+    least one population: one wider than the budget gets a chunk of
+    its own.
     """
-    num_groups = len(group_rows)
-    num_bins = delays.shape[1]
-    if num_groups == 0:
-        return (
-            np.zeros((0, num_bins)),
-            np.zeros((0, num_bins), dtype=np.int64),
-        )
-    lengths = np.fromiter(
-        (len(rows) for rows in group_rows),
-        dtype=np.int64, count=num_groups,
-    )
-    max_rows = int(lengths.max()) if num_groups else 0
-    if max_rows == 0:
-        return (
-            np.full((num_groups, num_bins), np.nan),
-            np.zeros((num_groups, num_bins), dtype=np.int64),
-        )
-    if num_groups * num_bins * max_rows <= _CUBE_MAX_ELEMENTS:
-        return _cube_median_pass(
-            delays, group_rows, lengths, max_rows
-        )
-    # Skewed/huge populations: grouped-median keyed fallback (same
-    # exact midpoint arithmetic, bounded memory).
-    rows_concat = np.concatenate(
-        [np.asarray(r, dtype=np.int64) for r in group_rows]
-    )
-    group_of_row = np.repeat(
-        np.arange(num_groups, dtype=np.int64), lengths
-    )
-    values = delays[rows_concat].ravel()
-    keys = (
-        group_of_row[:, None] * num_bins
-        + np.arange(num_bins, dtype=np.int64)[None, :]
-    ).ravel()
-    ok = ~np.isnan(values)
-    medians = grouped_median(
-        keys[ok], values[ok], num_groups * num_bins
-    ).reshape(num_groups, num_bins)
-    contributing = np.bincount(
-        keys[ok], minlength=num_groups * num_bins
-    ).astype(np.int64).reshape(num_groups, num_bins)
-    return medians, contributing
-
-
-#: Cap on the padded (group x bin x probe) cube; beyond this the
-#: keyed grouped-median fallback bounds memory instead.
-_CUBE_MAX_ELEMENTS = 8_000_000
-
-
-def _cube_median_pass(
-    delays: np.ndarray,
-    group_rows: Sequence[np.ndarray],
-    lengths: np.ndarray,
-    max_rows: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Population medians via a NaN-padded (group x bin x probe) cube.
-
-    Group memberships are known up front, so instead of sorting
-    ``group * num_bins + bin`` keys we gather each group's delay rows
-    into a padded cube (missing slots point at an all-NaN pad row)
-    and take the exact ``0.5 * (lo + hi)`` midpoint along the last
-    axis — the same arithmetic as :func:`numpy.nanmedian` and
-    :func:`~repro.core.kernels.vector.grouped_median`, with one sort
-    of a contiguous axis instead of an argsort over all keys.
-    """
-    num_groups = len(group_rows)
-    num_bins = delays.shape[1]
-    pad_row = delays.shape[0]
-    delays_ext = np.vstack(
-        [delays, np.full((1, num_bins), np.nan)]
-    )
-    row_index = np.full(
-        (num_groups, max_rows), pad_row, dtype=np.int64
-    )
-    for group, rows in enumerate(group_rows):
-        row_index[group, : lengths[group]] = rows
-    # (group, bin, probe-slot), contiguous so the sort stays cheap.
-    cube = np.ascontiguousarray(
-        delays_ext[row_index].transpose(0, 2, 1)
-    )
-    present = ~np.isnan(cube)
-    contributing = present.sum(axis=2).astype(np.int64)
-    cube[~present] = np.inf
-    cube.sort(axis=2)
-    lo_idx = np.where(contributing > 0, (contributing - 1) // 2, 0)
-    hi_idx = contributing // 2
-    lo = np.take_along_axis(cube, lo_idx[:, :, None], axis=2)[:, :, 0]
-    hi = np.take_along_axis(cube, hi_idx[:, :, None], axis=2)[:, :, 0]
-    medians = 0.5 * (lo + hi)
-    medians[contributing == 0] = np.nan
-    return medians, contributing
+    if budget is None:
+        budget = _CHUNK_ELEMENTS
+    chunks: List[Tuple[int, int]] = []
+    start = 0
+    widest = 0
+    for index, size in enumerate(sizes):
+        wider = max(widest, size)
+        if index > start and (index - start + 1) * wider * width > budget:
+            chunks.append((start, index))
+            start, wider = index, size
+        widest = wider
+    if start < len(sizes):
+        chunks.append((start, len(sizes)))
+    return chunks

@@ -1,68 +1,60 @@
-"""The reference kernel backend: the original per-item Python loops.
+"""The reference kernel backend: the contract as plain loops.
 
-Every method is a verbatim transplant of the loop the pipeline ran
-before the backend seam existed, so this backend *is* the paper's
-prose: per-bin :func:`numpy.median` calls, one
-:func:`~repro.core.aggregate.probe_queuing_delay` per probe, one
-:func:`~repro.core.spectral.extract_markers` per signal.  The
-differential-equivalence suite treats it as ground truth for the
-``vector`` backend.
+Each operation reads like the paper's prose: one :func:`numpy.median`
+per (probe, bin), one :func:`numpy.nanmedian` per population, one
+:func:`~repro.core.spectral.compute_markers` per signal.  The
+differential suites treat it as ground truth for the ``vector``
+backend.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 
 class ReferenceKernels:
-    """Loop implementations of the four pipeline hot spots."""
+    """Loop implementations of the three kernel operations."""
 
     name = "reference"
-    #: No whole-dataset / whole-survey batching: callers iterate.
-    batched = False
 
-    def bin_medians(
+    def group_medians(
         self,
-        sample_bins: Sequence[int],
-        sample_lists: Sequence[List[float]],
-        counts: np.ndarray,
-        num_bins: int,
-        min_traceroutes: int,
-    ) -> Tuple[np.ndarray, int]:
-        """Per-bin medians of one probe's samples (§2.1 stage 4).
-
-        ``sample_bins[i]`` is the bin of the i-th sampled traceroute,
-        ``sample_lists[i]`` its (non-empty) sample list.  Bins with
-        fewer than ``min_traceroutes`` traceroutes — by ``counts``,
-        which includes sample-less traceroutes — stay NaN.  Returns
-        the medians and the number of estimated bins.
-        """
-        samples_per_bin: Dict[int, List[float]] = {}
-        for bin_index, samples in zip(sample_bins, sample_lists):
-            samples_per_bin.setdefault(bin_index, []).extend(samples)
-        medians = np.full(num_bins, np.nan)
-        valid_bins = 0
-        for bin_index, samples in samples_per_bin.items():
-            if counts[bin_index] >= min_traceroutes:
-                medians[bin_index] = float(np.median(samples))
-                valid_bins += 1
-        return medians, valid_bins
-
-    def stack_probe_delays(
-        self,
-        dataset,
-        probe_ids: Sequence[int],
-        min_traceroutes: int,
+        keys: np.ndarray,
+        values: np.ndarray,
+        num_keys: int,
     ) -> np.ndarray:
-        """Queueing-delay rows for a probe population (one per probe)."""
-        from ..aggregate import probe_queuing_delay
+        """``numpy.median`` of each present key's values; NaN elsewhere."""
+        members: Dict[int, List[float]] = {}
+        for key, value in zip(
+            np.asarray(keys).tolist(), np.asarray(values).tolist()
+        ):
+            members.setdefault(key, []).append(value)
+        medians = np.full(num_keys, np.nan)
+        for key, samples in members.items():
+            medians[key] = float(np.median(samples))
+        return medians
 
-        return np.vstack([
-            probe_queuing_delay(dataset.series[p], min_traceroutes)
-            for p in probe_ids
-        ])
+    def population_medians(
+        self,
+        delays: np.ndarray,
+        group_rows: Sequence[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per population: ``nanmedian`` across its rows, per bin."""
+        num_bins = delays.shape[1]
+        medians = np.empty((len(group_rows), num_bins))
+        contributing = np.empty((len(group_rows), num_bins), dtype=np.int64)
+        for group, rows in enumerate(group_rows):
+            stacked = delays[np.asarray(rows, dtype=np.int64)]
+            contributing[group] = np.sum(~np.isnan(stacked), axis=0)
+            with warnings.catch_warnings():
+                # All-NaN bins (every probe invalid) legitimately
+                # yield NaN.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                medians[group] = np.nanmedian(stacked, axis=0)
+        return medians, contributing
 
     def markers_batch(
         self,
@@ -72,14 +64,14 @@ class ReferenceKernels:
         max_gap_fraction: Optional[float] = None,
     ) -> List:
         """Spectral markers per signal, one Welch run each."""
-        from ..spectral import MAX_GAP_FRACTION, SEGMENT_DAYS, extract_markers
+        from ..spectral import MAX_GAP_FRACTION, SEGMENT_DAYS, compute_markers
 
         if segment_days is None:
             segment_days = SEGMENT_DAYS
         if max_gap_fraction is None:
             max_gap_fraction = MAX_GAP_FRACTION
         return [
-            extract_markers(
+            compute_markers(
                 values, bin_seconds, segment_days, max_gap_fraction
             )
             for values in signals

@@ -1,14 +1,14 @@
-"""The vectorized kernel backend: batched numpy fast paths.
+"""The vectorized kernel backend, the default: the contract in numpy.
 
 Same work as :mod:`.reference`, restructured around flat arrays:
 
-* per-bin medians via one grouped-median pass (segment extents by
+* group medians via one grouped-median pass (segment extents by
   ``searchsorted``, per-segment ordering by one padded row-wise sort)
-  over ``(group, sample)`` arrays instead of one :func:`numpy.median`
-  call per bin — and, for whole datasets, one such pass over flat
-  ``(probe, bin, sample)`` arrays for *all* probes at once;
-* queueing-delay stacking as 2-D masked arithmetic with one
-  ``nanmin`` over the probe axis;
+  over flat ``(key, value)`` arrays instead of one
+  :func:`numpy.median` call per key;
+* population medians via one sort of a padded
+  (population x bin x probe) cube instead of one ``nanmedian`` per
+  population;
 * spectral markers via a single
   :func:`~repro.core.spectral.welch_power` call over an (AS x bins)
   matrix, with the degenerate-signal gates applied per row
@@ -21,7 +21,6 @@ propagation in :func:`grouped_median`, handled explicitly below.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,173 +131,53 @@ def _lexsorted_segment_medians(
     return pair[present_idx]
 
 
-def _flatten_samples(
-    sample_bins: Sequence[int],
-    sample_lists: Sequence[List[float]],
-    keys: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand per-traceroute sample lists into flat (key, value) arrays.
-
-    ``keys`` defaults to the bin indices; callers batching a whole
-    dataset pass combined ``probe * num_bins + bin`` keys instead.
-    """
-    if keys is None:
-        keys = np.asarray(sample_bins, dtype=np.int64)
-    lengths = np.fromiter(
-        (len(samples) for samples in sample_lists),
-        dtype=np.int64, count=len(sample_lists),
-    )
-    flat_keys = np.repeat(keys, lengths)
-    flat_values = np.fromiter(
-        itertools.chain.from_iterable(sample_lists),
-        dtype=np.float64, count=int(lengths.sum()),
-    )
-    return flat_keys, flat_values
-
-
 class VectorKernels:
-    """Batched implementations of the four pipeline hot spots."""
+    """Numpy implementations of the three kernel operations."""
 
     name = "vector"
-    #: Callers with whole-dataset / whole-survey scope should use the
-    #: batched entry points (``dataset_bin_medians``, batched
-    #: classification) instead of iterating.
-    batched = True
-    #: The backend supports the flat survey pass (:mod:`.flat`):
-    #: flat-array traceroute scans and one grouped-median aggregation
-    #: pass over every AS.  Orchestrators check this capability before
-    #: routing; backends without it keep the per-AS path.
-    flat = True
 
-    def bin_medians(
+    def group_medians(
         self,
-        sample_bins: Sequence[int],
-        sample_lists: Sequence[List[float]],
-        counts: np.ndarray,
-        num_bins: int,
-        min_traceroutes: int,
-    ) -> Tuple[np.ndarray, int]:
-        """Per-bin medians for one probe via one grouped-median pass."""
-        medians = np.full(num_bins, np.nan)
-        if not len(sample_bins):
-            return medians, 0
-        counts = np.asarray(counts)
-        flat_bins, flat_values = _flatten_samples(
-            sample_bins, sample_lists
-        )
-        grouped = grouped_median(flat_bins, flat_values, num_bins)
-        sampled = np.zeros(num_bins, dtype=bool)
-        sampled[np.unique(flat_bins)] = True
-        estimated = sampled & (counts >= min_traceroutes)
-        medians[estimated] = grouped[estimated]
-        return medians, int(estimated.sum())
-
-    def dataset_bin_medians(
-        self,
-        probe_rows: Sequence[int],
-        sample_bins: Sequence[int],
-        sample_lists: Sequence[List[float]],
-        num_probes: int,
-        num_bins: int,
-        counts_matrix: np.ndarray,
-        min_traceroutes: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-dataset medians over flat (probe, bin, sample) arrays.
-
-        One grouped-median pass over ``probe * num_bins + bin`` keys
-        covers every probe of the dataset.  Returns the
-        (probe x bin) median matrix and the per-probe count of
-        estimated bins.
-        """
-        medians = np.full((num_probes, num_bins), np.nan)
-        if not len(probe_rows):
-            return medians, np.zeros(num_probes, dtype=np.int64)
-        counts_matrix = np.asarray(counts_matrix)
-        keys = (
-            np.asarray(probe_rows, dtype=np.int64) * num_bins
-            + np.asarray(sample_bins, dtype=np.int64)
-        )
-        flat_keys, flat_values = _flatten_samples(
-            sample_bins, sample_lists, keys=keys
-        )
-        grouped = grouped_median(
-            flat_keys, flat_values, num_probes * num_bins
-        ).reshape(num_probes, num_bins)
-        sampled = np.zeros(num_probes * num_bins, dtype=bool)
-        sampled[np.unique(flat_keys)] = True
-        sampled = sampled.reshape(num_probes, num_bins)
-        estimated = sampled & (counts_matrix >= min_traceroutes)
-        medians[estimated] = grouped[estimated]
-        return medians, estimated.sum(axis=1).astype(np.int64)
-
-    def flat_bin_medians(
-        self,
-        sample_bins: np.ndarray,
-        sample_values: np.ndarray,
-        counts: np.ndarray,
-        num_bins: int,
-        min_traceroutes: int,
-    ) -> Tuple[np.ndarray, int]:
-        """Per-bin medians from one probe's flat per-sample arrays."""
-        from .flat import flat_bin_medians
-
-        return flat_bin_medians(
-            sample_bins, sample_values, counts, num_bins,
-            min_traceroutes,
-        )
-
-    def flat_dataset_bin_medians(
-        self,
-        sample_keys: np.ndarray,
-        sample_values: np.ndarray,
-        num_probes: int,
-        num_bins: int,
-        counts_matrix: np.ndarray,
-        min_traceroutes: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Whole-dataset medians from flat per-sample key arrays."""
-        from .flat import flat_dataset_bin_medians
-
-        return flat_dataset_bin_medians(
-            sample_keys, sample_values, num_probes, num_bins,
-            counts_matrix, min_traceroutes,
-        )
+        keys: np.ndarray,
+        values: np.ndarray,
+        num_keys: int,
+    ) -> np.ndarray:
+        """Per-key medians in one grouped-median pass."""
+        return grouped_median(keys, values, num_keys)
 
     def population_medians(
         self,
         delays: np.ndarray,
         group_rows: Sequence[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregated medians for every AS in one grouped pass."""
-        from .flat import population_median_pass
+        """Population medians via a NaN-padded (group x bin x probe) cube.
 
-        return population_median_pass(delays, group_rows)
-
-    def stack_probe_delays(
-        self,
-        dataset,
-        probe_ids: Sequence[int],
-        min_traceroutes: int,
-    ) -> np.ndarray:
-        """Queueing-delay rows via 2-D masking and one axis-1 nanmin.
-
-        Rows without any valid bin stay all-NaN *unsubtracted*, as
-        :func:`~repro.core.aggregate.probe_queuing_delay` leaves them
-        (and so ``nanmin`` never sees an all-NaN row to warn about).
+        Each group's delay rows fill its slice of a NaN-padded cube;
+        one sort of the contiguous last axis puts every group's
+        non-NaN members first (numpy sorts NaN last), and the median
+        is the exact ``0.5 * (lo + hi)`` midpoint
+        :func:`numpy.nanmedian` computes.  Memory is groups x widest
+        group x bins: callers bound it by chunking
+        (:func:`repro.core.kernels.flat.plan_chunks`).
         """
-        medians = np.stack([
-            dataset.series[p].median_rtt_ms for p in probe_ids
-        ])
-        counts = np.stack([
-            dataset.series[p].traceroute_counts for p in probe_ids
-        ])
-        valid = (counts >= min_traceroutes) & ~np.isnan(medians)
-        delays = np.where(valid, medians, np.nan)
-        rows = valid.any(axis=1)
-        if rows.any():
-            baselines = np.nanmin(delays[rows], axis=1)
-            delays[rows] -= baselines[:, None]
-        return delays
+        num_bins = delays.shape[1]
+        max_rows = max((len(rows) for rows in group_rows), default=0)
+        # (group, bin, probe-slot), contiguous so the sort stays cheap.
+        cube = np.full((len(group_rows), num_bins, max_rows), np.nan)
+        for group, rows in enumerate(group_rows):
+            cube[group, :, : len(rows)] = delays[rows].T
+        contributing = (~np.isnan(cube)).sum(axis=2)
+        if max_rows == 0:
+            return np.full(contributing.shape, np.nan), contributing
+        cube.sort(axis=2)   # NaNs sort last, after every member
+        flat = cube.reshape(-1, max_rows)
+        cells = np.arange(flat.shape[0])
+        counts = contributing.reshape(-1)
+        lo = flat[cells, np.maximum(counts - 1, 0) // 2]
+        hi = flat[cells, counts // 2]
+        medians = (0.5 * (lo + hi)).reshape(contributing.shape)
+        medians[contributing == 0] = np.nan
+        return medians, contributing
 
     def markers_batch(
         self,
@@ -309,11 +188,15 @@ class VectorKernels:
     ) -> List:
         """Spectral markers for many signals with one Welch call.
 
-        The degenerate gates of
-        :func:`~repro.core.spectral.extract_markers` run per row, in
-        the same order (shape, gap fraction, constant-after-fill,
-        too-short-for-Welch); surviving rows of equal length share a
-        single :func:`~repro.core.spectral.welch_power` call, which is
+        Signals of equal length are stacked into one matrix and the
+        degenerate gates of
+        :func:`~repro.core.spectral.compute_markers` run on its rows,
+        in the same order (shape, gap fraction, constant-after-fill,
+        too-short-for-Welch): the gap fraction as an exact NaN count
+        over the length, gap filling only on rows that have gaps, and
+        the constant test as one broadcast ``isclose`` against each
+        row's first bin.  Surviving rows share a single
+        :func:`~repro.core.spectral.welch_power` call, which is
         bit-identical to per-row calls.  Degenerate rows yield None.
         """
         from ..spectral import (
@@ -330,25 +213,26 @@ class VectorKernels:
         if max_gap_fraction is None:
             max_gap_fraction = MAX_GAP_FRACTION
         markers: List[Optional[SpectralMarkers]] = [None] * len(signals)
-        by_length: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-        for i, values in enumerate(signals):
-            values = np.asarray(values, dtype=np.float64)
-            if values.ndim != 1 or values.size < 2:
-                continue
-            nan_fraction = float(np.mean(np.isnan(values)))
-            if nan_fraction > max_gap_fraction:
-                continue
-            filled = fill_gaps(values)
-            if np.allclose(filled, filled[0]):
-                continue
-            by_length.setdefault(len(filled), []).append((i, filled))
+        by_length: Dict[int, List[int]] = {}
+        arrays = [np.asarray(values, dtype=np.float64) for values in signals]
+        for i, values in enumerate(arrays):
+            if values.ndim == 1 and values.size >= 2:
+                by_length.setdefault(values.size, []).append(i)
         bins_per_day = SECONDS_PER_DAY // bin_seconds
         sample_rate_per_hour = SECONDS_PER_HOUR / bin_seconds
-        for length, entries in by_length.items():
+        for length, indices in by_length.items():
+            matrix = np.vstack([arrays[i] for i in indices])
+            gaps = np.isnan(matrix)
+            gap_counts = gaps.sum(axis=1)
+            keep = gap_counts / length <= max_gap_fraction
+            for row in np.flatnonzero(keep & (gap_counts > 0)):
+                matrix[row] = fill_gaps(matrix[row])
+            keep &= ~np.isclose(matrix, matrix[:, :1]).all(axis=1)
             nperseg = min(segment_days * bins_per_day, length)
-            if nperseg < 2:
+            if nperseg < 2 or not keep.any():
                 continue    # welch_periodogram raises -> None markers
-            matrix = np.vstack([filled for _, filled in entries])
+            entries = [i for i, kept in zip(indices, keep) if kept]
+            matrix = matrix[keep]
             freqs, power = welch_power(
                 matrix, sample_rate_per_hour, nperseg
             )
@@ -362,7 +246,7 @@ class VectorKernels:
             daily_index = int(
                 np.argmin(np.abs(freqs - DAILY_FREQUENCY_CPH))
             )
-            for row, (i, _filled) in enumerate(entries):
+            for row, i in enumerate(entries):
                 index = int(prominent[row])
                 markers[i] = SpectralMarkers(
                     prominent_frequency_cph=float(freqs[index]),

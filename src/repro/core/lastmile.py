@@ -25,9 +25,10 @@ import numpy as np
 from ..netbase import is_private, is_public, parse_address
 from ..atlas.traceroute import Hop, TracerouteResult
 from ..obs import get_observer, maybe_profiled
-from ..quality import DataQualityReport, DropReason
+from ..quality import DataQualityReport
 from ..timebase import TimeGrid
-from .kernels import record_kernel_op, resolve_kernels
+from .kernels import resolve_kernels
+from .kernels.flat import bin_medians, scan_lastmile_flat
 from .series import LastMileDataset, ProbeBinSeries
 
 #: The paper's disconnected-probe sanity threshold.
@@ -101,8 +102,8 @@ def lastmile_samples(result: TracerouteResult) -> List[float]:
     reply of the public hop — or, for non-anchors, of the private
     hop — is insane, the pairwise product is empty and the traceroute
     yields no samples at all, exactly like a traceroute whose boundary
-    never responded; :func:`estimate_probe_series` then counts it
-    toward bin sanity but flags it as degraded.
+    never responded; the scan then counts it toward bin sanity but
+    flags it as degraded.
     """
     boundary = find_boundary(result)
     if boundary is None:
@@ -139,76 +140,6 @@ def e2e_samples(result: TracerouteResult) -> List[float]:
     return []
 
 
-def _scan_results(
-    results: Iterable[TracerouteResult],
-    grid: TimeGrid,
-    prb_id: Optional[int],
-    sample_fn,
-    quality: Optional[DataQualityReport],
-    counts: np.ndarray,
-) -> Tuple[Optional[int], int, List[int], List[List[float]]]:
-    """Stages 1–3 for one probe: timestamp gating, binning, sampling.
-
-    The reference scan — edge semantics (NaN timestamps,
-    out-of-period clocks, sample-less traceroutes) are decided here.
-    Flat backends use :func:`repro.core.kernels.flat.scan_lastmile_flat`,
-    which replicates these semantics exactly (the differential suite
-    proves the outputs and quality events byte-identical); any change
-    here must be mirrored there.  Increments ``counts`` in place; returns
-    ``(prb_id, processed, sample_bins, sample_lists)`` where
-    ``sample_lists[i]`` is the non-empty sample list of the i-th
-    sampled traceroute and ``sample_bins[i]`` its bin.
-    """
-    processed = 0
-    duration = grid.num_bins * grid.bin_seconds
-    sample_bins: List[int] = []
-    sample_lists: List[List[float]] = []
-    for result in results:
-        processed += 1
-        if prb_id is None:
-            prb_id = result.prb_id
-        if quality is not None:
-            quality.ingest(STAGE)
-        timestamp = result.timestamp
-        if not np.isfinite(timestamp):
-            # A NaN/inf timestamp cannot be binned at all: the record
-            # is dropped as malformed *before* the bin sanity counts —
-            # it neither helps a bin reach min_traceroutes nor is it
-            # sampled.
-            if quality is not None:
-                quality.drop(
-                    STAGE, DropReason.MALFORMED_RECORD,
-                    detail=f"probe {result.prb_id}: timestamp "
-                    f"{timestamp!r}",
-                )
-            continue
-        if timestamp < 0 or timestamp > duration:
-            if quality is not None:
-                quality.drop(
-                    STAGE, DropReason.OUT_OF_PERIOD,
-                    detail=f"probe {result.prb_id}: timestamp "
-                    f"{timestamp:.0f}s outside 0..{duration}s",
-                )
-            continue
-        bin_index = int(grid.bin_index(timestamp))
-        counts[bin_index] += 1
-        samples = sample_fn(result)
-        if samples:
-            sample_bins.append(bin_index)
-            sample_lists.append(samples)
-        elif quality is not None:
-            # Boundary missing — or present with only insane replies
-            # (see lastmile_samples): the traceroute counts toward bin
-            # sanity (the probe *was* measuring) but contributes no
-            # samples and is flagged.
-            quality.degrade(
-                STAGE, DropReason.NO_BOUNDARY,
-                detail=f"probe {result.prb_id}: no usable "
-                "private→public hop pair",
-            )
-    return prb_id, processed, sample_bins, sample_lists
-
-
 def estimate_probe_series(
     results: Iterable[TracerouteResult],
     grid: TimeGrid,
@@ -220,11 +151,12 @@ def estimate_probe_series(
 ) -> ProbeBinSeries:
     """Binned last-mile medians for one probe's traceroutes.
 
-    Implements stages 1–4 above.  ``prb_id`` is inferred from the
-    first result when not given; an empty input needs it explicitly.
-    ``sample_fn`` swaps the per-traceroute sample extractor (default
-    :func:`lastmile_samples`; pass :func:`e2e_samples` for a naive
-    end-to-end analysis).  ``kernels`` selects the median backend
+    The one-probe case of :func:`estimate_dataset`.  ``prb_id`` is
+    inferred from the first result when not given; an empty input
+    needs it explicitly.  ``sample_fn`` swaps the per-traceroute
+    sample extractor (default :func:`lastmile_samples`; pass
+    :func:`e2e_samples` for a naive end-to-end analysis).
+    ``kernels`` selects the median backend
     (:func:`repro.core.kernels.resolve_kernels`); both backends are
     numerically identical by contract.
 
@@ -234,54 +166,14 @@ def estimate_probe_series(
     (skewed probe clocks) are dropped, and results that yield no
     samples — no responding public hop, or a boundary whose replies
     are all non-finite — still count toward the bin's sanity count
-    but are flagged; all three are recorded on ``quality`` when given.
+    but are flagged; all three are recorded on ``quality`` when given
+    (see :func:`repro.core.kernels.flat.scan_lastmile_flat`).
     """
-    kern = resolve_kernels(kernels)
-    obs = get_observer()
-    counts = np.zeros(grid.num_bins, dtype=np.int64)
-    if sample_fn is None and getattr(kern, "flat", False):
-        # Flat scan: same edge semantics and quality events, proven
-        # byte-identical by the differential suite; the pairwise
-        # sampling runs vectorized instead of per traceroute.
-        from .kernels.flat import scan_lastmile_flat
-
-        scan = scan_lastmile_flat(
-            results, grid, prb_id, quality, counts
-        )
-        prb_id, processed = scan.prb_id, scan.processed
-        if prb_id is None:
-            raise ValueError("empty result set and no prb_id given")
-        record_kernel_op(kern.name, "bin-medians")
-        medians, valid_bins = kern.flat_bin_medians(
-            scan.sample_bins, scan.sample_values, counts,
-            grid.num_bins, min_traceroutes,
-        )
-        obs.items_in(STAGE, processed)
-        obs.items_out(STAGE, valid_bins)
-        return ProbeBinSeries(
-            prb_id=prb_id,
-            median_rtt_ms=medians,
-            traceroute_counts=counts,
-        )
-    if sample_fn is None:
-        sample_fn = lastmile_samples
-    prb_id, processed, sample_bins, sample_lists = _scan_results(
-        results, grid, prb_id, sample_fn, quality, counts
+    [series] = _estimate(
+        [(prb_id, results)], grid, min_traceroutes, sample_fn, quality,
+        resolve_kernels(kernels),
     )
-    if prb_id is None:
-        raise ValueError("empty result set and no prb_id given")
-    record_kernel_op(kern.name, "bin-medians")
-    medians, valid_bins = kern.bin_medians(
-        sample_bins, sample_lists, counts, grid.num_bins,
-        min_traceroutes,
-    )
-    obs.items_in(STAGE, processed)
-    obs.items_out(STAGE, valid_bins)
-    return ProbeBinSeries(
-        prb_id=prb_id,
-        median_rtt_ms=medians,
-        traceroute_counts=counts,
-    )
+    return series
 
 
 def estimate_dataset(
@@ -295,123 +187,64 @@ def estimate_dataset(
 ) -> LastMileDataset:
     """Run the estimation for every probe of a measurement dataset.
 
-    A batched backend (``vector``) estimates every probe in one
-    grouped-median pass over flat ``(probe, bin, sample)`` arrays;
-    the reference backend iterates :func:`estimate_probe_series`.
-    Output is identical either way.
+    Each probe's traceroutes are scanned once; one ``group_medians``
+    call over flat ``(probe * num_bins + bin, sample)`` arrays then
+    estimates every probe's bins.  Arguments as for
+    :func:`estimate_probe_series`.
     """
     kern = resolve_kernels(kernels)
     obs = get_observer()
     with obs.stage_span(
         "lastmile", probes=len(results_by_probe), kernel=kern.name
     ):
-        if getattr(kern, "batched", False):
-            return _estimate_dataset_batched(
-                results_by_probe, grid, probe_meta, min_traceroutes,
-                sample_fn, quality, kern,
-            )
         dataset = LastMileDataset(grid=grid)
-        for prb_id, results in results_by_probe.items():
-            series = estimate_probe_series(
-                results, grid, prb_id=prb_id,
-                min_traceroutes=min_traceroutes, sample_fn=sample_fn,
-                quality=quality, kernels=kern,
-            )
-            meta = probe_meta.get(prb_id) if probe_meta else None
+        for series in _estimate(
+            list(results_by_probe.items()), grid, min_traceroutes,
+            sample_fn, quality, kern,
+        ):
+            meta = probe_meta.get(series.prb_id) if probe_meta else None
             dataset.add(series, meta=meta)
         return dataset
 
 
-def _estimate_dataset_batched(
-    results_by_probe: Dict[int, List[TracerouteResult]],
+def _estimate(
+    items: List[Tuple[Optional[int], Iterable[TracerouteResult]]],
     grid: TimeGrid,
-    probe_meta: Optional[Dict[int, object]],
     min_traceroutes: int,
     sample_fn,
     quality: Optional[DataQualityReport],
     kern,
-) -> LastMileDataset:
-    """Whole-dataset flat-array path for batched kernel backends.
-
-    Scans every probe with the same per-result scan the serial path
-    uses (so quality accounting is identical), then hands the kernel
-    one flat ``(probe_row, bin, samples)`` batch covering the whole
-    dataset.
-    """
+) -> List[ProbeBinSeries]:
+    """Stages 1-4 for ``(prb_id, results)`` pairs: one scan per probe,
+    one :func:`~repro.core.kernels.flat.bin_medians` call for all."""
+    num_bins = grid.num_bins
+    counts = np.zeros((len(items), num_bins), dtype=np.int64)
+    prb_ids: List[int] = []
+    keys = [np.zeros(0, dtype=np.int64)]
+    values = [np.zeros(0, dtype=np.float64)]
+    processed = 0
+    for row, (prb_id, results) in enumerate(items):
+        scan = scan_lastmile_flat(
+            results, grid, prb_id, quality, counts[row], sample_fn
+        )
+        if scan.prb_id is None:
+            raise ValueError("empty result set and no prb_id given")
+        prb_ids.append(scan.prb_id)
+        processed += scan.processed
+        keys.append(row * num_bins + scan.sample_bins)
+        values.append(scan.sample_values)
+    medians, estimated = bin_medians(
+        np.concatenate(keys), np.concatenate(values), counts,
+        min_traceroutes, kern,
+    )
     obs = get_observer()
-    dataset = LastMileDataset(grid=grid)
-    order = list(results_by_probe.items())
-    counts_matrix = np.zeros(
-        (len(order), grid.num_bins), dtype=np.int64
-    )
-    processed_total = 0
-    if sample_fn is None and getattr(kern, "flat", False):
-        from .kernels.flat import scan_lastmile_flat
-
-        key_chunks: List[np.ndarray] = []
-        value_chunks: List[np.ndarray] = []
-        for row, (prb_id, results) in enumerate(order):
-            scan = scan_lastmile_flat(
-                results, grid, prb_id, quality, counts_matrix[row]
-            )
-            processed_total += scan.processed
-            if len(scan.sample_bins):
-                key_chunks.append(
-                    row * grid.num_bins + scan.sample_bins
-                )
-                value_chunks.append(scan.sample_values)
-        sample_keys = (
-            np.concatenate(key_chunks) if key_chunks
-            else np.zeros(0, dtype=np.int64)
-        )
-        sample_values = (
-            np.concatenate(value_chunks) if value_chunks
-            else np.zeros(0, dtype=np.float64)
-        )
-        record_kernel_op(kern.name, "dataset-bin-medians")
-        medians, valid_per_probe = kern.flat_dataset_bin_medians(
-            sample_keys, sample_values,
-            len(order), grid.num_bins, counts_matrix,
-            min_traceroutes,
-        )
-        obs.items_in(STAGE, processed_total)
-        obs.items_out(STAGE, int(valid_per_probe.sum()))
-        for row, (prb_id, _results) in enumerate(order):
-            series = ProbeBinSeries(
-                prb_id=prb_id,
-                median_rtt_ms=medians[row],
-                traceroute_counts=counts_matrix[row],
-            )
-            meta = probe_meta.get(prb_id) if probe_meta else None
-            dataset.add(series, meta=meta)
-        return dataset
-    if sample_fn is None:
-        sample_fn = lastmile_samples
-    probe_rows: List[int] = []
-    sample_bins: List[int] = []
-    sample_lists: List[List[float]] = []
-    for row, (prb_id, results) in enumerate(order):
-        _, processed, bins_, lists_ = _scan_results(
-            results, grid, prb_id, sample_fn, quality,
-            counts_matrix[row],
-        )
-        processed_total += processed
-        probe_rows.extend([row] * len(bins_))
-        sample_bins.extend(bins_)
-        sample_lists.extend(lists_)
-    record_kernel_op(kern.name, "dataset-bin-medians")
-    medians, valid_per_probe = kern.dataset_bin_medians(
-        probe_rows, sample_bins, sample_lists,
-        len(order), grid.num_bins, counts_matrix, min_traceroutes,
-    )
-    obs.items_in(STAGE, processed_total)
-    obs.items_out(STAGE, int(valid_per_probe.sum()))
-    for row, (prb_id, _results) in enumerate(order):
-        series = ProbeBinSeries(
+    obs.items_in(STAGE, processed)
+    obs.items_out(STAGE, int(estimated.sum()))
+    return [
+        ProbeBinSeries(
             prb_id=prb_id,
             median_rtt_ms=medians[row],
-            traceroute_counts=counts_matrix[row],
+            traceroute_counts=counts[row],
         )
-        meta = probe_meta.get(prb_id) if probe_meta else None
-        dataset.add(series, meta=meta)
-    return dataset
+        for row, prb_id in enumerate(prb_ids)
+    ]

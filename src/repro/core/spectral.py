@@ -183,31 +183,46 @@ def extract_markers(
     for every degenerate input rather than raising or hallucinating
     peaks: empty and single-bin series, all-NaN and constant signals,
     series whose NaN gap fraction exceeds ``max_gap_fraction``, and
-    series too short for even one Welch segment.
+    series too short for even one Welch segment.  Observed as one
+    ``spectral`` stage; :func:`compute_markers` is the same work
+    unobserved.
     """
     obs = get_observer()
     with obs.stage_span("spectral", bins=int(np.size(values))):
         obs.items_in(STAGE)
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 2:
-            return None
-        nan_fraction = float(np.mean(np.isnan(values)))
-        if nan_fraction > max_gap_fraction:
-            return None
-        filled = fill_gaps(values)
-        if np.allclose(filled, filled[0]):
-            return None
-        try:
-            periodogram = welch_periodogram(
-                filled, bin_seconds, segment_days
-            )
-            frequency, amplitude = periodogram.prominent()
-        except ValueError:
-            return None  # too short for Welch / for the prominence scan
-        daily = periodogram.amplitude_at(DAILY_FREQUENCY_CPH)
-        obs.items_out(STAGE)
-        return SpectralMarkers(
-            prominent_frequency_cph=frequency,
-            prominent_amplitude_ms=amplitude,
-            daily_amplitude_ms=daily,
+        markers = compute_markers(
+            values, bin_seconds, segment_days, max_gap_fraction
         )
+        if markers is not None:
+            obs.items_out(STAGE)
+        return markers
+
+
+def compute_markers(
+    values: np.ndarray,
+    bin_seconds: int,
+    segment_days: int = SEGMENT_DAYS,
+    max_gap_fraction: float = MAX_GAP_FRACTION,
+) -> Optional[SpectralMarkers]:
+    """:func:`extract_markers` without the observability (the
+    reference kernel's per-signal step; its caller observes the
+    batch)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or values.size < 2:
+        return None
+    nan_fraction = float(np.mean(np.isnan(values)))
+    if nan_fraction > max_gap_fraction:
+        return None
+    filled = fill_gaps(values)
+    if np.allclose(filled, filled[0]):
+        return None
+    try:
+        periodogram = welch_periodogram(filled, bin_seconds, segment_days)
+        frequency, amplitude = periodogram.prominent()
+    except ValueError:
+        return None  # too short for Welch / for the prominence scan
+    return SpectralMarkers(
+        prominent_frequency_cph=frequency,
+        prominent_amplitude_ms=amplitude,
+        daily_amplitude_ms=periodogram.amplitude_at(DAILY_FREQUENCY_CPH),
+    )

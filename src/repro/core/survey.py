@@ -16,15 +16,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..apnic import EyeballRanking, RANK_BUCKETS, bucket_for_rank
-from ..netbase.errors import EmptyPopulationError, TransientFaultError
+from ..netbase.errors import TransientFaultError
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import MeasurementPeriod
-from .aggregate import (
-    STAGE as AGGREGATE_STAGE,
-    AggregatedSignal,
-    aggregate_population,
-)
+from .aggregate import gather_population, population_signals
 from .classify import (
     Classification,
     ClassificationThresholds,
@@ -34,9 +30,9 @@ from .classify import (
 )
 from .filtering import asns_with_min_probes
 from .kernels import record_kernel_op, resolve_kernels
-from .lastmile import MIN_TRACEROUTES_PER_BIN
+from .kernels.flat import plan_chunks
 from .series import LastMileDataset
-from .spectral import STAGE as SPECTRAL_STAGE, extract_markers
+from .spectral import STAGE as SPECTRAL_STAGE
 
 STAGE = "core-survey"
 
@@ -149,80 +145,6 @@ class SurveyResult:
         ])
 
 
-def classify_single_asn(
-    dataset: LastMileDataset,
-    asn: int,
-    probe_ids: Sequence[int],
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS,
-    quality: Optional[DataQualityReport] = None,
-    max_attempts: int = 2,
-    keep_signal: bool = False,
-    log=None,
-    kernels=None,
-) -> Tuple[Optional[ASReport], Optional[ASFailure], Optional[object]]:
-    """Run the aggregate → spectral → classify chain for one AS.
-
-    The unit of work both the serial survey loop and the sharded
-    executor (:mod:`repro.parallel`) share, so the two paths cannot
-    drift.  Returns ``(report, failure, signal)`` where exactly one of
-    ``report``/``failure`` is set; ``signal`` is the aggregated signal
-    when ``keep_signal`` and classification succeeded.
-
-    Failures are isolated exactly as :func:`classify_dataset`
-    documents: :class:`TransientFaultError` is retried up to
-    ``max_attempts`` times, any terminal error becomes an
-    :class:`ASFailure` recorded on ``quality`` (never a raised
-    exception).
-    """
-    obs = get_observer()
-    kern = resolve_kernels(kernels)
-    if log is None:
-        log = obs.logger.bind(stage=STAGE)
-    with obs.span("classify", asn=asn):
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                signal = aggregate_population(
-                    dataset, probe_ids, quality=quality, kernels=kern
-                )
-                markers = extract_markers(
-                    signal.delay_ms, dataset.grid.bin_seconds
-                )
-                break
-            except TransientFaultError as exc:
-                if attempts < max_attempts:
-                    continue
-                log.warning(
-                    "as-failed", asn=asn,
-                    error=type(exc).__name__, attempts=attempts,
-                )
-                return None, _build_failure(
-                    asn, exc, attempts, quality
-                ), None
-            except Exception as exc:  # noqa: BLE001 — per-AS isolation
-                log.warning(
-                    "as-failed", asn=asn,
-                    error=type(exc).__name__, attempts=attempts,
-                )
-                return None, _build_failure(
-                    asn, exc, attempts, quality
-                ), None
-        if markers is None and quality is not None:
-            quality.degrade(
-                STAGE, DropReason.DEGENERATE_SIGNAL,
-                detail=f"AS{asn}: signal too flat/short/gappy; "
-                "classified None",
-            )
-        classification = classify_markers(markers, thresholds)
-        report = ASReport(
-            asn=asn,
-            probe_count=len(probe_ids),
-            classification=classification,
-        )
-        return report, None, (signal if keep_signal else None)
-
-
 def classify_asn_batch(
     dataset: LastMileDataset,
     ordered_groups: Sequence[Tuple[int, Sequence[int]]],
@@ -234,17 +156,23 @@ def classify_asn_batch(
     log=None,
 ) -> List[Tuple[int, Optional[ASReport], Optional[ASFailure],
                 Optional[object]]]:
-    """Classify many ASes, batching marker extraction in one call.
+    """Run the aggregate → spectral → classify chain for many ASes.
 
-    The batched twin of looping :func:`classify_single_asn`: each
-    AS's aggregation keeps its own retry/isolation envelope (that is
-    where faults strike), then marker extraction for every surviving
-    signal runs as one ``markers_batch`` kernel call — for the
-    ``vector`` backend a single
-    :func:`~repro.core.spectral.welch_power` over the (AS x bins)
-    matrix.  Hoisting extraction out of the retry loop is
-    safe because it is total: it maps degenerate signals to None
-    instead of raising.
+    The one classify orchestration: the serial survey, shard workers
+    (:mod:`repro.parallel`) and the streaming engine all call it.  The
+    ASes are walked in input order, in chunks whose padded population
+    cube stays within :data:`~repro.core.kernels.flat._CHUNK_ELEMENTS`
+    (see :func:`~repro.core.kernels.flat.plan_chunks`), so memory is
+    bounded however large the period.  Per chunk, each AS's
+    :func:`gather_population` runs inside its own retry/isolation
+    envelope (that is where faults strike): a
+    :class:`TransientFaultError` is retried up to ``max_attempts``
+    times, and any terminal error becomes an :class:`ASFailure`
+    recorded on the AS's ledger, never a raised exception.  The
+    surviving ASes then share one queueing-delay pass, one
+    ``population_medians`` call and one ``markers_batch`` call — for
+    the ``vector`` backend a single
+    :func:`~repro.core.spectral.welch_power` per signal length.
 
     ``quality_for(asn)`` supplies the ledger each AS's accounting
     lands on (the serial survey shares one, shard workers keep one
@@ -253,83 +181,67 @@ def classify_asn_batch(
     ``signal`` retained only when ``keep_signals``.
     """
     kern = resolve_kernels(kernels)
-    obs = get_observer()
     if log is None:
-        log = obs.logger.bind(stage=STAGE)
+        log = get_observer().logger.bind(stage=STAGE)
     if quality_for is None:
         quality_for = lambda asn: None  # noqa: E731
-    staged: List[Tuple[int, Sequence[int], Optional[object],
-                       Optional[ASFailure]]] = []
-    if getattr(kern, "flat", False):
-        staged = _stage_populations_flat(
-            dataset, ordered_groups, quality_for, kern,
-            max_attempts, obs, log,
-        )
-    else:
-        for asn, probe_ids in ordered_groups:
-            quality = quality_for(asn)
-            signal = None
-            failure = None
-            with obs.span("classify", asn=asn):
-                attempts = 0
-                while True:
-                    attempts += 1
-                    try:
-                        signal = aggregate_population(
-                            dataset, probe_ids, quality=quality,
-                            kernels=kern,
-                        )
-                        break
-                    except TransientFaultError as exc:
-                        if attempts < max_attempts:
-                            continue
-                        log.warning(
-                            "as-failed", asn=asn,
-                            error=type(exc).__name__,
-                            attempts=attempts,
-                        )
-                        failure = _build_failure(
-                            asn, exc, attempts, quality
-                        )
-                        break
-                    except Exception as exc:  # noqa: BLE001
-                        log.warning(
-                            "as-failed", asn=asn,
-                            error=type(exc).__name__,
-                            attempts=attempts,
-                        )
-                        failure = _build_failure(
-                            asn, exc, attempts, quality
-                        )
-                        break
-            staged.append((asn, probe_ids, signal, failure))
+    outcomes = []
+    sizes = [len(probe_ids) for _, probe_ids in ordered_groups]
+    for start, stop in plan_chunks(sizes, dataset.grid.num_bins):
+        outcomes.extend(_classify_chunk(
+            dataset, ordered_groups[start:stop], thresholds,
+            max_attempts, keep_signals, kern, quality_for, log,
+        ))
+    return outcomes
 
+
+def _classify_chunk(
+    dataset, groups, thresholds, max_attempts, keep_signals, kern,
+    quality_for, log,
+):
+    """:func:`classify_asn_batch` over one chunk of ASes."""
+    obs = get_observer()
+    gathered = []
+    for asn, probe_ids in groups:
+        with obs.span("classify", asn=asn):
+            gathered.append(_gather_with_retries(
+                dataset, asn, probe_ids, quality_for(asn), max_attempts,
+                log,
+            ))
     survivors = [
-        entry for entry in staged if entry[3] is None
+        (asn, present)
+        for (asn, _), (present, failure) in zip(groups, gathered)
+        if failure is None
     ]
-    signals = [signal.delay_ms for _, _, signal, _ in survivors]
+    signals = population_signals(
+        dataset, [present for _, present in survivors],
+        [quality_for(asn) for asn, _ in survivors], kern,
+    ) if survivors else []
     with obs.stage_span(
         "spectral", kernel=kern.name, signals=len(signals)
     ):
         obs.items_in(SPECTRAL_STAGE, len(signals))
         record_kernel_op(kern.name, "markers-batch", len(signals))
         markers_list = kern.markers_batch(
-            signals, dataset.grid.bin_seconds
+            [signal.delay_ms for signal in signals],
+            dataset.grid.bin_seconds,
         )
         obs.items_out(
             SPECTRAL_STAGE,
             sum(markers is not None for markers in markers_list),
         )
-    markers_by_asn = {
-        asn: markers
-        for (asn, _, _, _), markers in zip(survivors, markers_list)
+    classified = {
+        asn: (signal, markers)
+        for (asn, _), signal, markers in zip(
+            survivors, signals, markers_list
+        )
     }
     outcomes = []
-    for asn, probe_ids, signal, failure in staged:
+    for (asn, probe_ids), (_, failure) in zip(groups, gathered):
         if failure is not None:
             outcomes.append((asn, None, failure, None))
             continue
-        markers = markers_by_asn[asn]
+        signal, markers = classified[asn]
         quality = quality_for(asn)
         if markers is None and quality is not None:
             quality.degrade(
@@ -337,11 +249,10 @@ def classify_asn_batch(
                 detail=f"AS{asn}: signal too flat/short/gappy; "
                 "classified None",
             )
-        classification = classify_markers(markers, thresholds)
         report = ASReport(
             asn=asn,
             probe_count=len(probe_ids),
-            classification=classification,
+            classification=classify_markers(markers, thresholds),
         )
         outcomes.append(
             (asn, report, None, signal if keep_signals else None)
@@ -349,134 +260,28 @@ def classify_asn_batch(
     return outcomes
 
 
-def _stage_populations_flat(
-    dataset: LastMileDataset,
-    ordered_groups: Sequence[Tuple[int, Sequence[int]]],
-    quality_for,
-    kern,
-    max_attempts: int,
-    obs,
-    log,
-) -> List[Tuple[int, Sequence[int], Optional[object],
-                Optional[ASFailure]]]:
-    """Aggregate every AS through the flat survey pass.
-
-    The array-driven twin of the per-AS ``aggregate_population``
-    loop: the (probe x bin) delay matrix is built once for the whole
-    dataset, each AS's envelope (span, retry, quality accounting,
-    :class:`EmptyPopulationError` isolation) only *gathers* its row
-    indices, and a single ``population_medians`` kernel call computes
-    every AS's aggregated signal at the end.  Quality events land on
-    each AS's ledger in the same order ``aggregate_population`` emits
-    them (ingest → missing-series drop → dead-probe degrade), so the
-    ledgers are byte-identical to the per-AS path.
-    """
-    from .kernels.flat import dataset_matrices, delay_matrix
-
-    index, medians_matrix, counts_matrix = dataset_matrices(dataset)
-    delays, dead = delay_matrix(
-        medians_matrix, counts_matrix, MIN_TRACEROUTES_PER_BIN
-    )
-
-    def gather(probe_ids, quality):
-        requested = list(probe_ids)
-        with obs.stage_span(
-            "aggregate", probes=len(requested), kernel=kern.name
-        ):
-            present = [p for p in requested if p in dataset.series]
-            obs.items_in(AGGREGATE_STAGE, len(requested))
-            if quality is not None:
-                quality.ingest(AGGREGATE_STAGE, n=len(requested))
-                missing = len(requested) - len(present)
-                if missing:
-                    quality.drop(
-                        AGGREGATE_STAGE, DropReason.NO_VALID_BINS,
-                        n=missing,
-                        detail=(
-                            f"{missing} probes have metadata but "
-                            "no series"
-                        ),
-                    )
-            if not present:
-                raise EmptyPopulationError(
-                    f"no probes to aggregate "
-                    f"(requested {len(requested)})"
-                )
-            rows = np.fromiter(
-                (index[p] for p in present),
-                dtype=np.int64, count=len(present),
-            )
-            if quality is not None:
-                dead_count = int(dead[rows].sum())
-                if dead_count:
-                    quality.degrade(
-                        AGGREGATE_STAGE, DropReason.NO_VALID_BINS,
-                        n=dead_count,
-                        detail=f"{dead_count} probes contributed "
-                        "no valid bin",
-                    )
-            obs.items_out(AGGREGATE_STAGE, len(present))
-            return rows
-
-    gathered: List[Tuple[int, Sequence[int], Optional[np.ndarray],
-                         Optional[ASFailure]]] = []
-    for asn, probe_ids in ordered_groups:
-        quality = quality_for(asn)
-        rows = None
-        failure = None
-        with obs.span("classify", asn=asn):
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    rows = gather(probe_ids, quality)
-                    break
-                except TransientFaultError as exc:
-                    if attempts < max_attempts:
-                        continue
-                    log.warning(
-                        "as-failed", asn=asn,
-                        error=type(exc).__name__, attempts=attempts,
-                    )
-                    failure = _build_failure(
-                        asn, exc, attempts, quality
-                    )
-                    break
-                except Exception as exc:  # noqa: BLE001 — isolation
-                    log.warning(
-                        "as-failed", asn=asn,
-                        error=type(exc).__name__, attempts=attempts,
-                    )
-                    failure = _build_failure(
-                        asn, exc, attempts, quality
-                    )
-                    break
-        gathered.append((asn, probe_ids, rows, failure))
-
-    survivors = [entry for entry in gathered if entry[3] is None]
-    record_kernel_op(
-        kern.name, "population-medians", len(survivors)
-    )
-    medians, contributing = kern.population_medians(
-        delays, [rows for _, _, rows, _ in survivors]
-    )
-    signals = {}
-    for group, (asn, _probe_ids, rows, _failure) in enumerate(
-        survivors
-    ):
-        delay_ms = np.where(
-            contributing[group] >= 1, medians[group], np.nan
+def _gather_with_retries(
+    dataset, asn, probe_ids, quality, max_attempts, log
+) -> Tuple[Optional[List[int]], Optional[ASFailure]]:
+    """One AS's retry/isolation envelope around
+    :func:`gather_population`: ``(present, None)`` or
+    ``(None, failure)``."""
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            return gather_population(dataset, probe_ids, quality=quality), None
+        except TransientFaultError as exc:
+            if attempts < max_attempts:
+                continue
+            error = exc
+        except Exception as exc:  # noqa: BLE001 — per-AS isolation
+            error = exc
+        log.warning(
+            "as-failed", asn=asn,
+            error=type(error).__name__, attempts=attempts,
         )
-        signals[asn] = AggregatedSignal(
-            grid=dataset.grid,
-            delay_ms=delay_ms,
-            probe_count=len(rows),
-            contributing=contributing[group],
-        )
-    return [
-        (asn, probe_ids, signals.get(asn), failure)
-        for asn, probe_ids, _rows, failure in gathered
-    ]
+        return None, _build_failure(asn, error, attempts, quality)
 
 
 def classify_dataset(
@@ -509,13 +314,13 @@ def classify_dataset(
     sharded executor (:func:`repro.parallel.classify_dataset_sharded`),
     which produces identical results for any worker count.  Unlike the
     scenario entry points, ``workers=None`` here always means the
-    serial loop below — the environment knob is not consulted, so
-    instrumentation-sensitive callers keep their span structure.
+    in-process :func:`classify_asn_batch` — the environment knob is
+    not consulted, so instrumentation-sensitive callers keep their
+    span structure.
 
     ``kernels`` selects the analysis backend
-    (:func:`repro.core.kernels.resolve_kernels`).  A batched backend
-    (``vector``) routes through :func:`classify_asn_batch`; results
-    are numerically identical either way by contract.
+    (:func:`repro.core.kernels.resolve_kernels`); results are
+    numerically identical on either by contract.
     """
     if workers is not None or cache is not None:
         from ..parallel import classify_dataset_sharded
@@ -543,37 +348,19 @@ def classify_dataset(
         )
         obs.items_in(STAGE, len(groups))
         log.info("classify-start", ases=len(groups))
-        if getattr(kern, "batched", False):
-            outcomes = classify_asn_batch(
-                dataset, list(groups.items()),
-                thresholds=thresholds, max_attempts=max_attempts,
-                keep_signals=keep_signals, kernels=kern,
-                quality_for=lambda asn: quality, log=log,
-            )
-            for asn, report, failure, signal in outcomes:
-                if failure is not None:
-                    result.failures[asn] = failure
-                    continue
-                result.reports[asn] = report
-                if keep_signals and signal is not None:
-                    result.signals[asn] = signal
-        else:
-            for asn, probe_ids in groups.items():
-                # One span per AS (aggregate/spectral nest under it)
-                # so the renderer can collapse the fan-out into one
-                # line.
-                report, failure, signal = classify_single_asn(
-                    dataset, asn, probe_ids,
-                    thresholds=thresholds, quality=quality,
-                    max_attempts=max_attempts,
-                    keep_signal=keep_signals, log=log, kernels=kern,
-                )
-                if failure is not None:
-                    result.failures[asn] = failure
-                    continue
-                result.reports[asn] = report
-                if keep_signals and signal is not None:
-                    result.signals[asn] = signal
+        outcomes = classify_asn_batch(
+            dataset, list(groups.items()),
+            thresholds=thresholds, max_attempts=max_attempts,
+            keep_signals=keep_signals, kernels=kern,
+            quality_for=lambda asn: quality, log=log,
+        )
+        for asn, report, failure, signal in outcomes:
+            if failure is not None:
+                result.failures[asn] = failure
+                continue
+            result.reports[asn] = report
+            if keep_signals and signal is not None:
+                result.signals[asn] = signal
         obs.items_out(STAGE, len(result.reports))
         outer.set_attr("reported", len(result.reported_asns()))
         outer.set_attr("failures", len(result.failures))

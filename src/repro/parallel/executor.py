@@ -117,9 +117,9 @@ def run_survey_period_parallel(
     is bypassed on fault-injection runs (the corrupted dataset must
     never populate — or be served from — the clean cache).
 
-    ``kernels`` is resolved here (arg > env > default) and its *name*
-    travels inside each shard task, so worker processes use the
-    parent's backend regardless of their own environment.  Cache keys
+    ``kernels`` is resolved here (None means the default backend) and
+    its *name* travels inside each shard task, so worker processes use
+    the parent's backend.  Cache keys
     deliberately do not include the backend: outputs are identical by
     contract, so hits may be served across backends.
     """

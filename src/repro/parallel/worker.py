@@ -39,14 +39,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.classify import ClassificationThresholds, DEFAULT_THRESHOLDS
-from ..core.kernels import DEFAULT_KERNELS, resolve_kernels
+from ..core.kernels import DEFAULT_KERNELS
 from ..core.series import LastMileDataset
-from ..core.survey import (
-    ASFailure,
-    ASReport,
-    classify_asn_batch,
-    classify_single_asn,
-)
+from ..core.survey import ASFailure, ASReport, classify_asn_batch
 from ..faults.base import FaultLog
 from ..quality import DataQualityReport
 from ..timebase import MeasurementPeriod
@@ -97,9 +92,8 @@ class SurveyShardTask:
     #: Dataset injectors with targets already pinned by the parent.
     faults: List = field(default_factory=list)
     fault_seed: int = 0
-    #: The parent's *resolved* kernel backend name — carried in the
-    #: task so a worker's own REPRO_KERNELS environment is irrelevant
-    #: (shard-invariance of the backend choice).
+    #: The parent's *resolved* kernel backend name, so every shard
+    #: runs the backend the parent chose.
     kernels: str = DEFAULT_KERNELS
     #: True when the parent runs observed: the worker captures its own
     #: metrics/spans and ships them back as a TelemetrySnapshot.
@@ -287,33 +281,17 @@ def _classify_groups(
     keep_signals: bool = False,
     kernels: str = DEFAULT_KERNELS,
 ) -> List[ASOutcome]:
-    kern = resolve_kernels(kernels)
-    if getattr(kern, "batched", False):
-        ledgers = {asn: DataQualityReport() for asn in groups}
-        batch = classify_asn_batch(
-            dataset, [(asn, groups[asn]) for asn in sorted(groups)],
-            thresholds=thresholds, max_attempts=max_attempts,
-            keep_signals=keep_signals, kernels=kern,
-            quality_for=ledgers.__getitem__,
+    ledgers = {asn: DataQualityReport() for asn in groups}
+    batch = classify_asn_batch(
+        dataset, [(asn, groups[asn]) for asn in sorted(groups)],
+        thresholds=thresholds, max_attempts=max_attempts,
+        keep_signals=keep_signals, kernels=kernels,
+        quality_for=ledgers.__getitem__,
+    )
+    return [
+        ASOutcome(
+            asn=asn, report=report, failure=failure,
+            quality=ledgers[asn], signal=signal,
         )
-        return [
-            ASOutcome(
-                asn=asn, report=report, failure=failure,
-                quality=ledgers[asn], signal=signal,
-            )
-            for asn, report, failure, signal in batch
-        ]
-    outcomes = []
-    for asn in sorted(groups):
-        quality = DataQualityReport()
-        report, failure, signal = classify_single_asn(
-            dataset, asn, groups[asn],
-            thresholds=thresholds, quality=quality,
-            max_attempts=max_attempts, keep_signal=keep_signals,
-            kernels=kern,
-        )
-        outcomes.append(ASOutcome(
-            asn=asn, report=report, failure=failure, quality=quality,
-            signal=signal,
-        ))
-    return outcomes
+        for asn, report, failure, signal in batch
+    ]

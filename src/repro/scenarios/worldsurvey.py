@@ -327,7 +327,7 @@ def run_survey_period(
 
     ``kernels`` selects the analysis backend (see
     :mod:`repro.core.kernels`): ``"reference"``, ``"vector"``, or
-    ``None`` to consult ``REPRO_KERNELS``.  Survey output is
+    ``None`` for the default (``vector``).  Survey output is
     numerically identical across backends by contract.
     """
     from ..obs import get_observer

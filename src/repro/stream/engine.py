@@ -15,12 +15,14 @@ split, on either kernel backend.  The contract holds because every
 numeric decision is delegated to the same code the batch path runs:
 
 * timestamp gating, binning and boundary sampling of raw traceroutes
-  mirror :func:`repro.core.lastmile._scan_results` decision for
-  decision (same quality-ledger entries included);
-* bin finalization calls the selected backend's ``bin_medians`` over
-  the open bin's pooled samples — the exact computation the batch
-  estimator performs, so ``reference``/``vector`` selection applies
-  to streaming runs too;
+  make the decisions of the batch scan
+  (:func:`repro.core.kernels.flat.scan_lastmile_flat`), one record at
+  a time (same quality-ledger entries included);
+* bin finalization runs the batch estimator's
+  :func:`~repro.core.kernels.flat.bin_medians` — the same mask and
+  the same ``group_medians`` kernel call — over the closing bins'
+  pooled samples, in chunks under the survey's chunk budget, so
+  ``reference``/``vector`` selection applies to streaming runs too;
 * classification runs :func:`repro.core.survey.classify_asn_batch`
   over the changed ASes with per-AS quality fragments, and the final
   ledger is assembled in the batch pipeline's stage order.
@@ -46,6 +48,7 @@ equivalence contract is over the survey ledger.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -53,7 +56,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from ..core.filtering import asns_with_min_probes
-from ..core.kernels import record_kernel_op, resolve_kernels
+from ..core.kernels import resolve_kernels
+from ..core.kernels.flat import bin_medians, plan_chunks
 from ..core.lastmile import (
     MIN_TRACEROUTES_PER_BIN,
     STAGE as LASTMILE_STAGE,
@@ -185,8 +189,9 @@ class StreamingSurvey:
 
     def _ingest_trace(self, record: TraceRecord) -> None:
         """Stages 1–3 of the paper for one arriving traceroute —
-        the same decisions :func:`repro.core.lastmile._scan_results`
-        makes, one record at a time."""
+        the same decisions
+        :func:`repro.core.kernels.flat.scan_lastmile_flat` makes, one
+        record at a time."""
         result = record.result
         quality = self.scan_quality
         quality.ingest(LASTMILE_STAGE)
@@ -281,49 +286,62 @@ class StreamingSurvey:
     def close_through(self, bin_index: int) -> int:
         """Finalize all open bins with index ≤ ``bin_index``.
 
-        Exact mode delegates the median to the selected kernel
-        backend's ``bin_medians`` over the bin's pooled samples —
-        bit-identical to the batch estimator; approximate mode reads
-        the P² marker.  Bins under the sanity threshold stay NaN and
-        are booked ``SPARSE_BIN`` on :attr:`engine_quality`.
+        Exact mode computes the medians of the closing buffers through
+        :func:`~repro.core.kernels.flat.bin_medians` — the batch
+        estimator's own mask and ``group_medians`` call, so finalized
+        bins are bit-identical to it — in chunks whose padded sample
+        matrix stays within the survey's chunk budget.  Approximate
+        mode reads the P² marker.  Bins under the sanity threshold
+        stay NaN and are booked ``SPARSE_BIN`` on
+        :attr:`engine_quality`.
         """
         bin_index = min(bin_index, self.grid.num_bins - 1)
         if bin_index <= self._closed_through:
             return 0
-        finalized = 0
-        for key in sorted(k for k in self._open if k[1] <= bin_index):
-            prb_id, b = key
-            estimator = self._open.pop(key)
-            count = int(self._counts[prb_id][b])
-            if self.approximate:
-                value = (
-                    estimator.value()
-                    if count >= self.min_traceroutes else float("nan")
-                )
-            else:
-                medians, _ = self.kernels.bin_medians(
-                    [0], [estimator.samples()],
-                    np.array([count], dtype=np.int64),
-                    1, self.min_traceroutes,
-                )
-                value = float(medians[0])
-            if count < self.min_traceroutes:
-                self.sparse_bins += 1
-                self.engine_quality.degrade(
-                    STAGE, DropReason.SPARSE_BIN,
-                    detail=f"probe {prb_id}: bin {b} closed with "
-                    f"{count} < {self.min_traceroutes} traceroutes",
-                )
-            if not math.isnan(value):
-                self._medians[prb_id][b] = value
-                self._dirty.add(prb_id)
-            finalized += 1
-        if finalized:
-            record_kernel_op(
-                self.kernels.name, "bin-medians", finalized
+        closing = sorted(k for k in self._open if k[1] <= bin_index)
+        sizes = [self._open[key].n for key in closing]
+        for start, stop in plan_chunks(sizes, 1):
+            # Pop one chunk at a time, so closed buffers are freed
+            # before the next chunk's arrays are built.
+            chunk = closing[start:stop]
+            estimators = [self._open.pop(key) for key in chunk]
+            counts = np.fromiter(
+                (self._counts[prb_id][b] for prb_id, b in chunk),
+                dtype=np.int64, count=len(chunk),
             )
+            if self.approximate:
+                values = [
+                    estimator.value() if count >= self.min_traceroutes
+                    else math.nan
+                    for estimator, count in zip(estimators, counts)
+                ]
+            else:
+                values, _estimated = bin_medians(
+                    np.repeat(
+                        np.arange(len(chunk), dtype=np.int64),
+                        sizes[start:stop],
+                    ),
+                    np.fromiter(
+                        itertools.chain.from_iterable(
+                            estimator.samples() for estimator in estimators
+                        ),
+                        dtype=np.float64, count=sum(sizes[start:stop]),
+                    ),
+                    counts, self.min_traceroutes, self.kernels,
+                )
+            for (prb_id, b), count, value in zip(chunk, counts, values):
+                if count < self.min_traceroutes:
+                    self.sparse_bins += 1
+                    self.engine_quality.degrade(
+                        STAGE, DropReason.SPARSE_BIN,
+                        detail=f"probe {prb_id}: bin {b} closed with "
+                        f"{count} < {self.min_traceroutes} traceroutes",
+                    )
+                if not math.isnan(value):
+                    self._medians[prb_id][b] = value
+                    self._dirty.add(prb_id)
         self._closed_through = bin_index
-        return finalized
+        return len(closing)
 
     # -- classification ------------------------------------------------
 

@@ -8,7 +8,7 @@ window closes.  Two estimators back it:
   memory is proportional to open bins, never the whole period).  Its
   value is exactly ``numpy.median`` over the samples seen so far, so
   a closed bin's estimate is bit-identical to the batch pipeline's
-  (:meth:`repro.core.kernels.reference.ReferenceKernels.bin_medians`
+  (:meth:`repro.core.kernels.reference.ReferenceKernels.group_medians`
   pools the same samples and calls ``numpy.median`` once).
 * :class:`P2Median` — the P² (P-squared) algorithm of Jain & Chlamtac
   (CACM 1985): five markers, constant memory, no buffer.  Opt-in

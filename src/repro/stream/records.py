@@ -12,8 +12,8 @@ three record granularities:
   reproduces the batch pipeline's metadata-without-data accounting.
 * :class:`TraceRecord` — one raw traceroute, the engine's native
   arrival unit.  Timestamp gating, binning and boundary sampling
-  mirror :func:`repro.core.lastmile._scan_results` decision for
-  decision.
+  mirror :func:`repro.core.kernels.flat.scan_lastmile_flat` decision
+  for decision.
 * :class:`SampleRecord` — one already-sampled traceroute: a bin index
   plus its last-mile samples (possibly empty: a boundary-less
   traceroute that still counts toward bin sanity).  This is the unit

@@ -2,16 +2,9 @@
 byte-identical across kernel backends and across shard counts."""
 
 import numpy as np
-import pytest
 
 from repro.anomaly import detect_anomalies, link_bin_medians, scan_links
-from repro.core.kernels import available_kernels
 from repro.parallel.cache import canonical_json
-
-pytestmark = pytest.mark.skipif(
-    "vector" not in available_kernels(),
-    reason="vector backend unavailable",
-)
 
 
 def report_bytes(sim, grid, **kwargs):

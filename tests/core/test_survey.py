@@ -250,7 +250,7 @@ class TestFailureIsolation:
         from repro.core import survey as survey_module
         from repro.netbase import TransientFaultError
 
-        real = survey_module.aggregate_population
+        real = survey_module.gather_population
         calls = {"n": 0}
 
         def flaky(dataset, probe_ids, **kwargs):
@@ -259,14 +259,16 @@ class TestFailureIsolation:
                 raise TransientFaultError("simulated blip")
             return real(dataset, probe_ids, **kwargs)
 
-        monkeypatch.setattr(
-            survey_module, "aggregate_population", flaky
-        )
+        monkeypatch.setattr(survey_module, "gather_population", flaky)
         dataset = synthetic_dataset([100], [])
-        result = classify_dataset(dataset, PERIOD, max_attempts=2)
-        assert calls["n"] == 2
-        assert not result.failures
-        assert result.reported_asns() == [100]
+        for kernels in ("reference", "vector"):
+            calls["n"] = 0
+            result = classify_dataset(
+                dataset, PERIOD, max_attempts=2, kernels=kernels
+            )
+            assert calls["n"] == 2
+            assert not result.failures
+            assert result.reported_asns() == [100]
 
     def test_transient_fault_exhausts_retries(self, monkeypatch):
         from repro.core import survey as survey_module
@@ -276,12 +278,15 @@ class TestFailureIsolation:
             raise TransientFaultError("persistent blip")
 
         monkeypatch.setattr(
-            survey_module, "aggregate_population", always_flaky
+            survey_module, "gather_population", always_flaky
         )
         dataset = synthetic_dataset([100], [])
-        result = classify_dataset(dataset, PERIOD, max_attempts=3)
-        assert result.failed_asns() == [100]
-        assert result.failures[100].attempts == 3
+        for kernels in ("reference", "vector"):
+            result = classify_dataset(
+                dataset, PERIOD, max_attempts=3, kernels=kernels
+            )
+            assert result.failed_asns() == [100]
+            assert result.failures[100].attempts == 3
 
     def test_degenerate_signal_noted_not_failed(self):
         """All-NaN series: markers None, classified None, not a failure."""

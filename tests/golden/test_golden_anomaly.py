@@ -16,15 +16,9 @@ import json
 
 import pytest
 
-from repro.core.kernels import KERNELS_ENV, available_kernels
 from repro.parallel.cache import canonical_json
 
 from .regenerate import ANOMALY_FIXTURE, build_anomaly_report
-
-
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +30,6 @@ def test_reference_matches_golden(golden_bytes):
     assert canonical_json(build_anomaly_report()) == golden_bytes
 
 
-@pytest.mark.skipif(
-    "vector" not in available_kernels(),
-    reason="vector backend unavailable",
-)
 def test_vector_matches_golden(golden_bytes):
     assert canonical_json(
         build_anomaly_report(kernels="vector")

@@ -14,7 +14,6 @@ import math
 
 import pytest
 
-from repro.core.kernels import KERNELS_ENV
 from repro.io import survey_to_dict
 from repro.parallel import WORKERS_ENV
 
@@ -30,7 +29,6 @@ from .regenerate import (
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
-"""Backend selection: resolution order, registry, and observability."""
+"""Backend selection: resolution, the contract surface, and
+observability."""
 
 import datetime as dt
 
@@ -7,8 +8,6 @@ import pytest
 
 from repro.core.kernels import (
     DEFAULT_KERNELS,
-    KERNELS_ENV,
-    available_kernels,
     record_kernel_op,
     resolve_kernels,
 )
@@ -19,36 +18,31 @@ from repro.parallel.worker import DatasetShardTask, SurveyShardTask
 from repro.scenarios import generate_specs
 from repro.timebase import MeasurementPeriod
 
+#: The whole public surface of a backend: its name and the three ops.
+CONTRACT = {"name", "group_medians", "population_medians", "markers_batch"}
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
+
+def public_surface(cls):
+    return {name for name in dir(cls) if not name.startswith("_")}
 
 
 class TestResolveKernels:
-    def test_default_is_reference(self):
+    def test_default_is_vector(self):
         kern = resolve_kernels()
-        assert kern is REFERENCE
-        assert kern.name == DEFAULT_KERNELS == "reference"
+        assert kern is VECTOR
+        assert kern.name == DEFAULT_KERNELS == "vector"
 
     def test_explicit_names(self):
         assert resolve_kernels("reference") is REFERENCE
         assert resolve_kernels("vector") is VECTOR
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "vector")
+    def test_env_var_ignored(self, monkeypatch):
+        """The backend is chosen by argument only: the old
+        ``REPRO_KERNELS`` knob no longer changes anything."""
+        monkeypatch.setenv("REPRO_KERNELS", "reference")
         assert resolve_kernels() is VECTOR
-        monkeypatch.setenv(KERNELS_ENV, "  REFERENCE ")
-        assert resolve_kernels() is REFERENCE
-        monkeypatch.setenv(KERNELS_ENV, "")
-        assert resolve_kernels() is REFERENCE
 
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "vector")
-        assert resolve_kernels("reference") is REFERENCE
-
-    def test_backend_object_passes_through(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "reference")
+    def test_backend_object_passes_through(self):
         custom = VectorKernels()
         assert resolve_kernels(custom) is custom
         assert resolve_kernels(VECTOR) is VECTOR
@@ -58,29 +52,26 @@ class TestResolveKernels:
             resolve_kernels("turbo")
         message = str(err.value)
         assert "turbo" in message
-        for name in available_kernels():
+        for name in ("reference", "vector"):
             assert name in message
-
-    def test_available_kernels_all_resolve(self):
-        assert available_kernels() == ("reference", "vector")
-        for name in available_kernels():
-            kern = resolve_kernels(name)
-            assert kern.name == name
 
 
 class TestBackendCapabilities:
-    def test_reference_is_unbatched(self):
-        assert ReferenceKernels.batched is False
-        assert getattr(REFERENCE, "batched", False) is False
+    """No capability flags: both backends expose exactly the contract,
+    so no caller can branch on one."""
 
-    def test_vector_is_batched(self):
-        assert VectorKernels.batched is True
-        assert getattr(VECTOR, "batched", False) is True
+    def test_reference_exposes_the_contract(self):
+        assert public_surface(ReferenceKernels) == CONTRACT
+        assert REFERENCE.name == "reference"
+
+    def test_vector_exposes_the_contract(self):
+        assert public_surface(VectorKernels) == CONTRACT
+        assert VECTOR.name == "vector"
 
 
 class TestShardTaskCarriesBackend:
     """Shard invariance: the parent resolves once and ships the name,
-    so worker processes never consult their own environment."""
+    so every worker process runs the parent's backend."""
 
     def test_survey_task_field_default(self):
         specs = generate_specs(num_ases=2, num_countries=2, seed=1)
@@ -110,16 +101,18 @@ class TestShardTaskCarriesBackend:
 class TestKernelOpCounter:
     def test_counter_emitted_per_backend_and_op(self):
         with observed() as obs:
-            record_kernel_op("vector", "bin-medians")
-            record_kernel_op("vector", "bin-medians", 4)
-            record_kernel_op("reference", "stack-delays")
+            record_kernel_op("vector", "group-medians")
+            record_kernel_op("vector", "group-medians", 4)
+            record_kernel_op("reference", "population-medians")
         counter = obs.metrics.get("kernel_ops_total")
-        assert counter.value(kernel="vector", op="bin-medians") == 5
-        assert counter.value(kernel="reference", op="stack-delays") == 1
+        assert counter.value(kernel="vector", op="group-medians") == 5
+        assert counter.value(
+            kernel="reference", op="population-medians"
+        ) == 1
 
     def test_noop_without_observer(self):
         # Must be a silent no-op under the default NOOP observer.
-        record_kernel_op("vector", "bin-medians")
+        record_kernel_op("vector", "group-medians")
 
     def test_pipeline_emits_kernel_ops(self):
         from repro.core import aggregate_population, LastMileDataset
@@ -137,4 +130,6 @@ class TestKernelOpCounter:
         with observed() as obs:
             aggregate_population(dataset, [1], kernels="vector")
         counter = obs.metrics.get("kernel_ops_total")
-        assert counter.value(kernel="vector", op="stack-delays") == 1
+        assert counter.value(
+            kernel="vector", op="population-medians"
+        ) == 1

@@ -24,7 +24,6 @@ from repro.core import (
     classify_dataset,
     estimate_probe_series,
 )
-from repro.core.kernels import KERNELS_ENV
 from repro.faults import BinLoss, FaultLog, NaNBursts, PoisonAS
 from repro.io import survey_to_dict
 from repro.parallel import WORKERS_ENV
@@ -45,10 +44,9 @@ def canonical_bytes(result):
 
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
-    """Neutralize the CI matrix knobs: every run in this file selects
+    """Neutralize the CI matrix knob: every run in this file selects
     its backend and execution mode explicitly."""
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -158,15 +156,14 @@ class TestSeededWorldEquivalence:
         )
         assert canonical_bytes(vector) == canonical_bytes(reference)
 
-    def test_env_var_selects_vector(self, specs, monkeypatch):
-        """REPRO_KERNELS=vector with no explicit argument must route
-        through the vector backend and still match."""
+    def test_default_backend_matches_reference(self, specs):
+        """With no explicit argument the survey runs the default
+        (vector) backend and still matches the reference."""
         reference, _ = run_survey_period(
             specs, PERIOD, seed=7, kernels="reference"
         )
-        monkeypatch.setenv(KERNELS_ENV, "vector")
-        vector, _ = run_survey_period(specs, PERIOD, seed=7)
-        assert canonical_bytes(vector) == canonical_bytes(reference)
+        default, _ = run_survey_period(specs, PERIOD, seed=7)
+        assert canonical_bytes(default) == canonical_bytes(reference)
 
 
 class TestFaultedEquivalence:

@@ -1,39 +1,46 @@
-"""Differential tests for the flat survey pass primitives.
+"""Differential tests for the shared flat-array code.
 
-``repro.core.kernels.flat`` re-derives every stage of the survey —
-the traceroute scan, per-probe bin medians, queueing-delay rows, and
-per-AS population medians — from flat arrays.  The backend contract
-says each primitive is *bit-identical* to its reference twin; this
-suite proves it at the primitive level (the end-to-end guarantee
-lives in ``test_differential.py``), including the dirty inputs the
-reference scan's quality accounting was written for.
+``repro.core.kernels.flat`` holds the code every kernel caller
+shares — the traceroute scan, the bin mask, the queueing-delay matrix
+and the chunk planner — and the backends implement the population
+medians over its output.  Each piece is pinned *bit-identical* to a
+plain oracle here (the end-to-end guarantee lives in
+``test_differential.py``), including the dirty inputs the scan's
+quality accounting was written for.
 """
 
 import datetime as dt
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
-from repro.core.aggregate import probe_queuing_delay
+from repro.atlas.traceroute import TracerouteResult
+
+from repro.core import classify_dataset
+from repro.core.kernels import flat as flat_mod
 from repro.core.kernels.flat import (
-    _CUBE_MAX_ELEMENTS,
+    bin_medians,
     delay_matrix,
-    dataset_matrices,
-    flat_bin_medians,
-    population_median_pass,
+    plan_chunks,
     scan_lastmile_flat,
 )
+from repro.core.kernels.reference import REFERENCE
+from repro.core.kernels.vector import VECTOR
 from repro.core.lastmile import (
     MIN_TRACEROUTES_PER_BIN,
+    STAGE,
+    e2e_samples,
     estimate_probe_series,
     lastmile_samples,
 )
-from repro.core.series import ProbeBinSeries
-from repro.quality import DataQualityReport
+from repro.io import survey_to_dict
+from repro.quality import DataQualityReport, DropReason
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 from tests.core.test_lastmile import hop, traceroute, typical_traceroute
 from tests.kernels.test_differential import (
+    PERIOD,
     degenerate_dataset,
     synthetic_dataset,
 )
@@ -86,6 +93,105 @@ def dirty_results():
     return results
 
 
+#: The per-traceroute scan the flat scan replaced, kept verbatim as
+#: its oracle: same gating, same binning, same ledger events.
+def _scan_results(
+    results: Iterable[TracerouteResult],
+    grid: TimeGrid,
+    prb_id: Optional[int],
+    sample_fn,
+    quality: Optional[DataQualityReport],
+    counts: np.ndarray,
+) -> Tuple[Optional[int], int, List[int], List[List[float]]]:
+    """Stages 1–3 for one probe: timestamp gating, binning, sampling.
+
+    The reference scan — edge semantics (NaN timestamps,
+    out-of-period clocks, sample-less traceroutes) are decided here.
+    Flat backends use :func:`repro.core.kernels.flat.scan_lastmile_flat`,
+    which replicates these semantics exactly (the differential suite
+    proves the outputs and quality events byte-identical); any change
+    here must be mirrored there.  Increments ``counts`` in place; returns
+    ``(prb_id, processed, sample_bins, sample_lists)`` where
+    ``sample_lists[i]`` is the non-empty sample list of the i-th
+    sampled traceroute and ``sample_bins[i]`` its bin.
+    """
+    processed = 0
+    duration = grid.num_bins * grid.bin_seconds
+    sample_bins: List[int] = []
+    sample_lists: List[List[float]] = []
+    for result in results:
+        processed += 1
+        if prb_id is None:
+            prb_id = result.prb_id
+        if quality is not None:
+            quality.ingest(STAGE)
+        timestamp = result.timestamp
+        if not np.isfinite(timestamp):
+            # A NaN/inf timestamp cannot be binned at all: the record
+            # is dropped as malformed *before* the bin sanity counts —
+            # it neither helps a bin reach min_traceroutes nor is it
+            # sampled.
+            if quality is not None:
+                quality.drop(
+                    STAGE, DropReason.MALFORMED_RECORD,
+                    detail=f"probe {result.prb_id}: timestamp "
+                    f"{timestamp!r}",
+                )
+            continue
+        if timestamp < 0 or timestamp > duration:
+            if quality is not None:
+                quality.drop(
+                    STAGE, DropReason.OUT_OF_PERIOD,
+                    detail=f"probe {result.prb_id}: timestamp "
+                    f"{timestamp:.0f}s outside 0..{duration}s",
+                )
+            continue
+        bin_index = int(grid.bin_index(timestamp))
+        counts[bin_index] += 1
+        samples = sample_fn(result)
+        if samples:
+            sample_bins.append(bin_index)
+            sample_lists.append(samples)
+        elif quality is not None:
+            # Boundary missing — or present with only insane replies
+            # (see lastmile_samples): the traceroute counts toward bin
+            # sanity (the probe *was* measuring) but contributes no
+            # samples and is flagged.
+            quality.degrade(
+                STAGE, DropReason.NO_BOUNDARY,
+                detail=f"probe {result.prb_id}: no usable "
+                "private→public hop pair",
+            )
+    return prb_id, processed, sample_bins, sample_lists
+
+
+def queuing_delay_oracle(series, min_traceroutes=MIN_TRACEROUTES_PER_BIN):
+    """Per-probe queueing delay as the paper states it: valid bins'
+    medians minus their minimum."""
+    valid = series.valid_mask(min_traceroutes)
+    delays = np.where(valid, series.median_rtt_ms, np.nan)
+    if not valid.any():
+        return delays
+    return delays - np.nanmin(delays)
+
+
+def scan_both(results, sample_fn=None):
+    """(flat scan, oracle) outputs plus ledgers for one result list."""
+    flat_quality, oracle_quality = DataQualityReport(), DataQualityReport()
+    flat_counts = np.zeros(GRID.num_bins, dtype=np.int64)
+    oracle_counts = np.zeros(GRID.num_bins, dtype=np.int64)
+    scan = scan_lastmile_flat(
+        results, GRID, None, flat_quality, flat_counts, sample_fn
+    )
+    oracle = _scan_results(
+        results, GRID, None, sample_fn or lastmile_samples,
+        oracle_quality, oracle_counts,
+    )
+    return (scan, flat_quality, flat_counts), (
+        oracle, oracle_quality, oracle_counts
+    )
+
+
 class TestFlatScan:
     def test_samples_match_reference_per_traceroute(self):
         """The flat scan's (bin, value) samples equal the reference
@@ -126,22 +232,50 @@ class TestFlatScan:
         )
 
     def test_quality_ledger_matches_reference_estimation(self):
-        results = dirty_results()
-        ref_quality = DataQualityReport()
-        vec_quality = DataQualityReport()
-        a = estimate_probe_series(
-            results, GRID, kernels="reference", quality=ref_quality
-        )
-        b = estimate_probe_series(
-            results, GRID, kernels="vector", quality=vec_quality
-        )
-        assert vec_quality.to_dict() == ref_quality.to_dict()
-        np.testing.assert_array_equal(
-            a.median_rtt_ms, b.median_rtt_ms
+        """Ledger, counts and per-bin samples equal the oracle scan's."""
+        flat, oracle = scan_both(dirty_results())
+        self.assert_scans_equal(flat, oracle)
+        series = estimate_probe_series(
+            dirty_results(), GRID, kernels="reference"
         )
         np.testing.assert_array_equal(
-            a.traceroute_counts, b.traceroute_counts
+            series.traceroute_counts, oracle[2]
         )
+
+    def test_custom_sample_fn_matches_oracle(self):
+        """``sample_fn=e2e_samples`` swaps only the sampling: gating,
+        binning and the ledger are the oracle's, and the samples are
+        its samples in traceroute order."""
+        flat, oracle = scan_both(dirty_results(), sample_fn=e2e_samples)
+        self.assert_scans_equal(flat, oracle)
+        _prb_id, _processed, bins, lists = oracle[0]
+        np.testing.assert_array_equal(
+            flat[0].sample_bins,
+            np.repeat(bins, [len(samples) for samples in lists]),
+        )
+        np.testing.assert_array_equal(
+            flat[0].sample_values,
+            np.concatenate([np.asarray(x, dtype=float) for x in lists]),
+        )
+
+    @staticmethod
+    def assert_scans_equal(flat, oracle):
+        scan, flat_quality, flat_counts = flat
+        (prb_id, processed, bins, lists), oracle_quality, oracle_counts = (
+            oracle
+        )
+        assert flat_quality.to_dict() == oracle_quality.to_dict()
+        assert (scan.prb_id, scan.processed) == (prb_id, processed)
+        np.testing.assert_array_equal(flat_counts, oracle_counts)
+        per_bin = {}
+        for b, samples in zip(bins, lists):
+            per_bin.setdefault(b, []).extend(samples)
+        assert sorted(per_bin) == sorted(set(scan.sample_bins.tolist()))
+        for b, samples in per_bin.items():
+            np.testing.assert_array_equal(
+                np.sort(scan.sample_values[scan.sample_bins == b]),
+                np.sort(np.asarray(samples, dtype=float)),
+            )
 
     def test_empty_results_with_prb_id(self):
         scan = scan_lastmile_flat([], GRID, prb_id=77)
@@ -171,10 +305,6 @@ class TestFlatBinMedians:
         bins = rng.integers(0, GRID.num_bins, n).astype(np.int64)
         values = rng.normal(5.0, 2.0, n)
         counts = rng.integers(0, 6, GRID.num_bins).astype(np.int64)
-        medians, estimated = flat_bin_medians(
-            bins, values, counts, GRID.num_bins,
-            MIN_TRACEROUTES_PER_BIN,
-        )
         expected = np.full(GRID.num_bins, np.nan)
         n_est = 0
         for b in range(GRID.num_bins):
@@ -182,50 +312,47 @@ class TestFlatBinMedians:
             if len(members) and counts[b] >= MIN_TRACEROUTES_PER_BIN:
                 expected[b] = np.median(members)
                 n_est += 1
-        np.testing.assert_array_equal(medians, expected)
-        assert estimated == n_est
+        for kernels in (REFERENCE, VECTOR):
+            medians, estimated = bin_medians(
+                bins, values, counts, MIN_TRACEROUTES_PER_BIN, kernels
+            )
+            np.testing.assert_array_equal(medians, expected)
+            assert estimated.sum() == n_est
 
     def test_empty_samples(self):
-        medians, estimated = flat_bin_medians(
+        medians, estimated = bin_medians(
             np.zeros(0, dtype=np.int64), np.zeros(0),
             np.zeros(GRID.num_bins, dtype=np.int64),
-            GRID.num_bins, MIN_TRACEROUTES_PER_BIN,
+            MIN_TRACEROUTES_PER_BIN,
         )
         assert np.isnan(medians).all()
-        assert estimated == 0
+        assert not estimated.any()
 
 
 class TestDelayMatrix:
     def test_rows_equal_probe_queuing_delay(self):
         for dataset in (synthetic_dataset(seed=2), degenerate_dataset()):
-            index, medians, counts = dataset_matrices(dataset)
+            ids = dataset.probe_ids()
             delays, dead = delay_matrix(
-                medians, counts, MIN_TRACEROUTES_PER_BIN
+                np.stack([dataset.series[p].median_rtt_ms for p in ids]),
+                np.stack([
+                    dataset.series[p].traceroute_counts for p in ids
+                ]),
+                MIN_TRACEROUTES_PER_BIN,
             )
-            for prb_id, row in index.items():
-                series = dataset.series[prb_id]
-                expected = probe_queuing_delay(
-                    series, MIN_TRACEROUTES_PER_BIN
-                )
+            for row, prb_id in enumerate(ids):
+                expected = queuing_delay_oracle(dataset.series[prb_id])
                 np.testing.assert_array_equal(delays[row], expected)
                 assert dead[row] == bool(np.isnan(expected).all())
 
-    def test_dataset_matrices_row_order_is_sorted_ids(self):
-        dataset = synthetic_dataset(num_ases=3, seed=9)
-        index, medians, counts = dataset_matrices(dataset)
-        ids = dataset.probe_ids()
-        assert list(index) == ids
-        assert [index[p] for p in ids] == list(range(len(ids)))
-        np.testing.assert_array_equal(
-            medians[index[ids[0]]],
-            dataset.series[ids[0]].median_rtt_ms,
-        )
+
+BACKENDS = (REFERENCE, VECTOR)
 
 
 class TestPopulationMedianPass:
     @staticmethod
     def reference_medians(delays, group_rows):
-        """Per-AS nanmedian exactly as ``aggregate_population``."""
+        """Per-AS nanmedian exactly as the paper aggregates."""
         num_bins = delays.shape[1]
         medians = np.empty((len(group_rows), num_bins))
         contributing = np.empty(
@@ -261,49 +388,103 @@ class TestPopulationMedianPass:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_bit_identical_to_nanmedian(self, seed):
         delays, groups = self._random_case(seed)
-        got_m, got_c = population_median_pass(delays, groups)
         exp_m, exp_c = self.reference_medians(delays, groups)
-        np.testing.assert_array_equal(got_m, exp_m)
-        np.testing.assert_array_equal(got_c, exp_c)
-
-    def test_keyed_fallback_bit_identical(self, monkeypatch):
-        """Above the cube cap the keyed grouped-median fallback must
-        produce the same bits."""
-        import repro.core.kernels.flat as flat_mod
-
-        delays, groups = self._random_case(5)
-        cube_m, cube_c = population_median_pass(delays, groups)
-        monkeypatch.setattr(flat_mod, "_CUBE_MAX_ELEMENTS", 0)
-        keyed_m, keyed_c = population_median_pass(delays, groups)
-        np.testing.assert_array_equal(keyed_m, cube_m)
-        np.testing.assert_array_equal(keyed_c, cube_c)
-        exp_m, exp_c = self.reference_medians(delays, groups)
-        np.testing.assert_array_equal(keyed_m, exp_m)
-        np.testing.assert_array_equal(keyed_c, exp_c)
+        for kernels in BACKENDS:
+            got_m, got_c = kernels.population_medians(delays, groups)
+            np.testing.assert_array_equal(got_m, exp_m)
+            np.testing.assert_array_equal(got_c, exp_c)
 
     def test_duplicate_rows_stack_twice(self):
-        """``aggregate_population`` stacks a probe requested twice
-        twice; the flat pass must too."""
+        """A probe requested twice is stacked twice."""
         delays, _ = self._random_case(6, num_probes=4)
         rows = np.array([1, 1, 2], dtype=np.int64)
-        got_m, got_c = population_median_pass(delays, [rows])
         exp_m, exp_c = self.reference_medians(delays, [rows])
-        np.testing.assert_array_equal(got_m, exp_m)
-        np.testing.assert_array_equal(got_c, exp_c)
+        for kernels in BACKENDS:
+            got_m, got_c = kernels.population_medians(delays, [rows])
+            np.testing.assert_array_equal(got_m, exp_m)
+            np.testing.assert_array_equal(got_c, exp_c)
 
     def test_no_groups(self):
         delays = np.zeros((3, 8))
-        medians, contributing = population_median_pass(delays, [])
-        assert medians.shape == (0, 8)
-        assert contributing.shape == (0, 8)
+        for kernels in BACKENDS:
+            medians, contributing = kernels.population_medians(
+                delays, []
+            )
+            assert medians.shape == (0, 8)
+            assert contributing.shape == (0, 8)
 
     def test_all_nan_group_yields_nan(self):
         delays = np.full((2, 6), np.nan)
-        medians, contributing = population_median_pass(
-            delays, [np.array([0, 1], dtype=np.int64)]
-        )
-        assert np.isnan(medians).all()
-        assert (contributing == 0).all()
+        for kernels in BACKENDS:
+            medians, contributing = kernels.population_medians(
+                delays, [np.array([0, 1], dtype=np.int64)]
+            )
+            assert np.isnan(medians).all()
+            assert (contributing == 0).all()
 
-    def test_cube_cap_is_sane(self):
-        assert _CUBE_MAX_ELEMENTS >= 1_000_000
+
+class TestChunkPlanner:
+    @staticmethod
+    def cube(sizes, chunk, width):
+        start, stop = chunk
+        return (stop - start) * max(sizes[start:stop]) * width
+
+    def test_budget_holds(self):
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(1, 30, 400).tolist()
+        chunks = plan_chunks(sizes, 720, budget=1 << 14)
+        assert len(chunks) > 1
+        for chunk in chunks:
+            start, stop = chunk
+            assert self.cube(sizes, chunk, 720) <= 1 << 14 or (
+                stop - start == 1
+            )
+
+    def test_oversized_population_gets_own_chunk(self):
+        sizes = [2, 3, 50, 1, 2]
+        chunks = plan_chunks(sizes, 10, budget=100)
+        assert (2, 3) in chunks
+        for chunk in chunks:
+            if chunk != (2, 3):
+                assert self.cube(sizes, chunk, 10) <= 100
+
+    def test_order_preserved(self):
+        sizes = [4, 1, 9, 2, 2, 7, 3, 1, 1, 8]
+        chunks = plan_chunks(sizes, 3, budget=40)
+        assert chunks[0][0] == 0
+        assert chunks[-1][1] == len(sizes)
+        for (_, stop), (start, _) in zip(chunks, chunks[1:]):
+            assert stop == start
+        assert plan_chunks([], 3) == []
+
+    def test_default_budget_is_the_module_constant(self):
+        assert flat_mod._CHUNK_ELEMENTS == 1 << 14
+        width = GRID.num_bins
+        sizes = [3, 29, 4, 5] * 10
+        assert plan_chunks(sizes, width) == plan_chunks(
+            sizes, width, budget=1 << 14
+        )
+
+    def test_medians_across_chunk_boundaries_equal_reference(
+        self, monkeypatch
+    ):
+        """Chunks of one or two ASes: the classification and every
+        kept signal still equal the reference backend's."""
+        dataset = synthetic_dataset(num_ases=8, seed=4)
+        reference = classify_dataset(
+            dataset, PERIOD, kernels="reference", keep_signals=True
+        )
+        budget = 2 * 4 * dataset.grid.num_bins
+        monkeypatch.setattr(flat_mod, "_CHUNK_ELEMENTS", budget)
+        assert len(plan_chunks([4] * 8, dataset.grid.num_bins)) == 4
+        chunked = classify_dataset(
+            dataset, PERIOD, kernels="vector", keep_signals=True
+        )
+        assert survey_to_dict(chunked) == survey_to_dict(reference)
+        for asn, signal in reference.signals.items():
+            np.testing.assert_array_equal(
+                chunked.signals[asn].delay_ms, signal.delay_ms
+            )
+            np.testing.assert_array_equal(
+                chunked.signals[asn].contributing, signal.contributing
+            )

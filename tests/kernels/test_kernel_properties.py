@@ -4,8 +4,9 @@ Where ``test_differential`` pins equality on curated datasets, these
 properties let hypothesis hunt for inputs where the vectorized math
 drifts from the reference loops: grouped medians vs per-group
 ``numpy.median`` (including NaN propagation), probe-order permutation
-invariance, NaN-placement equivalence, additive-offset behaviour of
-the queueing estimate, and batched vs per-signal Welch markers.
+invariance, NaN-placement equivalence of the stacked delay matrix,
+additive-offset behaviour of the queueing estimate, and batched vs
+per-signal Welch markers.
 """
 
 import datetime as dt
@@ -20,7 +21,8 @@ from repro.core import (
     aggregate_population,
     extract_markers,
 )
-from repro.core.kernels.reference import REFERENCE
+from repro.core.aggregate import probe_queuing_delay
+from repro.core.kernels.flat import delay_matrix
 from repro.core.kernels.vector import VECTOR, grouped_median
 from repro.timebase import MeasurementPeriod, TimeGrid
 
@@ -77,6 +79,15 @@ def datasets(draw, min_probes=2, max_probes=6):
     return dataset
 
 
+def stacked_delays(dataset, ids):
+    """The (probe x bin) queueing-delay matrix of ``ids``."""
+    return delay_matrix(
+        np.stack([dataset.series[p].median_rtt_ms for p in ids]),
+        np.stack([dataset.series[p].traceroute_counts for p in ids]),
+        3,
+    )
+
+
 class TestGroupedMedian:
     @settings(deadline=None, max_examples=100)
     @given(grouped_values())
@@ -117,12 +128,15 @@ class TestStackProbeDelays:
     @settings(deadline=None, max_examples=40)
     @given(datasets())
     def test_matches_reference_any_nan_placement(self, dataset):
-        """The series strategy sprinkles NaN anywhere — both stacks
-        must agree bit for bit."""
+        """The series strategy sprinkles NaN anywhere — the stacked
+        delay matrix must equal the per-probe queueing delays bit for
+        bit."""
         ids = dataset.probe_ids()
-        a = REFERENCE.stack_probe_delays(dataset, ids, 3)
-        b = VECTOR.stack_probe_delays(dataset, ids, 3)
-        assert np.array_equal(a, b, equal_nan=True)
+        delays, dead = stacked_delays(dataset, ids)
+        for row, prb_id in enumerate(ids):
+            expected = probe_queuing_delay(dataset.series[prb_id], 3)
+            assert np.array_equal(delays[row], expected, equal_nan=True)
+            assert dead[row] == bool(np.isnan(expected).all())
 
     @settings(deadline=None, max_examples=30)
     @given(datasets(), st.randoms(use_true_random=False))
@@ -145,8 +159,8 @@ class TestStackProbeDelays:
     )
     def test_additive_offset_cancels(self, series, shift):
         """A constant propagation-delay offset on a probe's medians
-        must cancel in the queueing estimate, identically on both
-        backends."""
+        must cancel in the queueing estimate and in the aggregate,
+        identically on both backends."""
         dataset = LastMileDataset(grid=GRID)
         dataset.add(series)
         shifted = LastMileDataset(grid=GRID)
@@ -155,15 +169,18 @@ class TestStackProbeDelays:
             median_rtt_ms=series.median_rtt_ms + shift,
             traceroute_counts=series.traceroute_counts,
         ))
-        for kernel in (REFERENCE, VECTOR):
-            base = kernel.stack_probe_delays(
-                dataset, [series.prb_id], 3
+        base, _ = stacked_delays(dataset, [series.prb_id])
+        moved, _ = stacked_delays(shifted, [series.prb_id])
+        assert np.allclose(base, moved, equal_nan=True, atol=1e-9)
+        for kernels in ("reference", "vector"):
+            a = aggregate_population(
+                dataset, [series.prb_id], kernels=kernels
             )
-            moved = kernel.stack_probe_delays(
-                shifted, [series.prb_id], 3
+            b = aggregate_population(
+                shifted, [series.prb_id], kernels=kernels
             )
             assert np.allclose(
-                base, moved, equal_nan=True, atol=1e-9
+                a.delay_ms, b.delay_ms, equal_nan=True, atol=1e-9
             )
 
 

@@ -40,76 +40,60 @@ def small_dataset(num_asns=5, probes_per_asn=4, seed=0):
     return dataset
 
 
+def assert_stage_counters_and_spans(kernels):
+    # One span shape for both backends: one classify span per AS
+    # (its aggregate child is the gather), and marker extraction
+    # hoisted into one spectral sibling per chunk — a single one
+    # here, since five small ASes fit one chunk.
+    dataset = small_dataset()
+    with observed() as obs:
+        result = classify_dataset(
+            dataset, PERIOD, kernels=kernels
+        )
+    assert result.monitored_count == 5
+
+    items_in = obs.metrics.get(ITEMS_IN)
+    items_out = obs.metrics.get(ITEMS_OUT)
+    # filter saw every probe, survey classified every AS group.
+    assert items_in.value(stage="core-filtering") == 20
+    assert items_in.value(stage="core-survey") == 5
+    assert items_out.value(stage="core-survey") == 5
+    assert items_in.value(stage="core-aggregate") == 20
+    assert items_in.value(stage="core-spectral") == 5
+
+    duration = obs.metrics.get(DURATION)
+    for stage in (
+        "classify-dataset", "filter", "aggregate", "spectral",
+    ):
+        assert duration.count(stage=stage) >= 1, stage
+
+    roots = obs.tracer.roots
+    assert [r.name for r in roots] == ["classify-dataset"]
+    assert roots[0].attrs["kernel"] == kernels
+    child_names = [c.name for c in roots[0].children]
+    assert "filter" in child_names
+    assert child_names.count("classify") == 5
+    assert child_names.count("spectral") == 1
+    for span in roots[0].children:
+        if span.name == "classify":
+            assert [c.name for c in span.children] == [
+                "aggregate"
+            ]
+    spectral_span = next(
+        c for c in roots[0].children if c.name == "spectral"
+    )
+    assert spectral_span.attrs["signals"] == 5
+    assert spectral_span.attrs["kernel"] == kernels
+
+
 class TestClassifyDatasetInstrumentation:
     def test_stage_counters_and_spans(self):
-        # The per-AS nested span tree is the *reference* backend's
-        # contract; the batched (vector) shape is asserted separately
-        # below, so pin the backend rather than inherit $REPRO_KERNELS.
-        dataset = small_dataset()
-        with observed() as obs:
-            result = classify_dataset(
-                dataset, PERIOD, kernels="reference"
-            )
-        assert result.monitored_count == 5
-
-        items_in = obs.metrics.get(ITEMS_IN)
-        items_out = obs.metrics.get(ITEMS_OUT)
-        # filter saw every probe, survey classified every AS group.
-        assert items_in.value(stage="core-filtering") == 20
-        assert items_in.value(stage="core-survey") == 5
-        assert items_out.value(stage="core-survey") == 5
-        assert items_in.value(stage="core-aggregate") == 20
-        assert items_in.value(stage="core-spectral") == 5
-
-        duration = obs.metrics.get(DURATION)
-        for stage in (
-            "classify-dataset", "filter", "aggregate", "spectral",
-        ):
-            assert duration.count(stage=stage) >= 1, stage
-
-        # Span tree: classify-dataset -> filter + one classify per AS,
-        # each with aggregate and spectral children.
-        roots = obs.tracer.roots
-        assert [r.name for r in roots] == ["classify-dataset"]
-        child_names = [c.name for c in roots[0].children]
-        assert child_names.count("classify") == 5
-        assert "filter" in child_names
-        classify_span = next(
-            c for c in roots[0].children if c.name == "classify"
-        )
-        assert {c.name for c in classify_span.children} == {
-            "aggregate", "spectral",
-        }
+        assert_stage_counters_and_spans("reference")
 
     def test_batched_backend_span_shape(self):
-        # The vector backend hoists marker extraction out of the
-        # per-AS loop, so the spectral span is a single sibling of the
-        # classify spans instead of a child of each — same stage
-        # counters, different (documented) tree.
-        dataset = small_dataset()
-        with observed() as obs:
-            result = classify_dataset(
-                dataset, PERIOD, kernels="vector"
-            )
-        assert result.monitored_count == 5
-
-        items_in = obs.metrics.get(ITEMS_IN)
-        assert items_in.value(stage="core-spectral") == 5
-        assert items_in.value(stage="core-aggregate") == 20
-
-        roots = obs.tracer.roots
-        assert [r.name for r in roots] == ["classify-dataset"]
-        child_names = [c.name for c in roots[0].children]
-        assert child_names.count("classify") == 5
-        assert child_names.count("spectral") == 1
-        for span in roots[0].children:
-            if span.name == "classify":
-                assert {c.name for c in span.children} == {"aggregate"}
-        spectral_span = next(
-            c for c in roots[0].children if c.name == "spectral"
-        )
-        assert spectral_span.attrs["signals"] == 5
-        assert spectral_span.attrs["kernel"] == "vector"
+        # The vector backend batches the per-AS work yet must leave
+        # the same counters and span tree as the reference backend.
+        assert_stage_counters_and_spans("vector")
 
     def test_quality_ledger_mirrored_as_gauges(self):
         dataset = small_dataset()

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import KERNELS_ENV
 from repro.io import survey_to_dict
 from repro.parallel import (
     SHM_ENV,
@@ -65,7 +64,6 @@ def attach_fails(block_name: str) -> bool:
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
     monkeypatch.delenv(SHM_ENV, raising=False)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import classify_dataset
-from repro.core.kernels import KERNELS_ENV
 from repro.faults import BinLoss, NaNBursts, PoisonAS, inject_dataset
 from repro.io import survey_to_dict
 from repro.parallel import WORKERS_ENV
@@ -137,10 +136,9 @@ def stream_replay(
 
 @pytest.fixture(autouse=True)
 def _pin_environment(monkeypatch):
-    """Neutralize the CI matrix knobs: every run in this package
+    """Neutralize the CI matrix knob: every run in this package
     selects its backend and execution mode explicitly."""
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    monkeypatch.delenv(KERNELS_ENV, raising=False)
 
 
 @pytest.fixture(scope="session")

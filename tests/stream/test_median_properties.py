@@ -6,7 +6,8 @@ Three contracts back the streaming engine's equivalence claim:
   the stream, is invariant under within-bin permutation, and handles
   NaN exactly like the batch kernels (propagate, never skip);
 * finalizing a bin through the engine's kernel call
-  (``bin_medians`` over the buffered samples) equals the estimator's
+  (``bin_medians`` over the buffered samples, on either backend)
+  equals the estimator's
   own value — the two routes to a closed bin's median agree;
 * :class:`P2Median` is exact through its first five samples, always
   lies within the observed sample range, is permanently poisoned by
@@ -19,7 +20,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernels.flat import bin_medians
 from repro.core.kernels.reference import REFERENCE
+from repro.core.kernels.vector import VECTOR
 from repro.stream import ExactMedian, P2Median
 
 finite_samples = st.lists(
@@ -71,11 +74,13 @@ class TestExactMedian:
         estimator = ExactMedian()
         estimator.extend(samples)
         count = max(len(samples), 3)  # past the sanity threshold
-        medians, _ = REFERENCE.bin_medians(
-            [0], [estimator.samples()],
-            np.array([count], dtype=np.int64), 1, 3,
-        )
-        assert float(medians[0]) == estimator.value()
+        for kernels in (REFERENCE, VECTOR):
+            medians, _ = bin_medians(
+                np.zeros(len(samples), dtype=np.int64),
+                np.asarray(estimator.samples()),
+                np.array([count], dtype=np.int64), 3, kernels,
+            )
+            assert float(medians[0]) == estimator.value()
 
 
 class TestP2Median:
