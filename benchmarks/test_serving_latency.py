@@ -173,9 +173,10 @@ def test_serving_latency(archive):
 
     assert not_modified
     assert api_rps > 1000          # warm dict hits, generous floor
-    # Keep-alive + mmap-backed segments: at least 2x the committed
-    # serial-urlopen baseline of 1820 req/s.
-    assert http_rps > 3640
+    # The keep-alive socketserver shell read 5960-7396 req/s on a
+    # shared 2-vCPU VM (the http.server shell 4888-5222 on the same
+    # VM); the floor leaves ~20% under the slowest of those runs.
+    assert http_rps > 4800
 
 
 # -- overload: shed rate and served-request p99 under burst --------------

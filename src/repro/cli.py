@@ -1199,9 +1199,11 @@ def cmd_serve(args) -> int:
     # registry even when no obs flag asked for a report at the end.
     report_requested = observer is not None
     if observer is None:
-        from .obs import Observability
+        from .obs import NullTracer, Observability
 
-        observer = Observability()
+        # Nobody reads spans here, and a live tracer keeps one per
+        # cache miss for the server's whole life.
+        observer = Observability(tracer=NullTracer())
 
     def _on_shutdown() -> None:
         # Runs after the last in-flight request drained, so the

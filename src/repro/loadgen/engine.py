@@ -40,6 +40,7 @@ __all__ = [
     "http_transport",
     "api_transport",
     "percentile",
+    "server_app_ms",
 ]
 
 #: A weighted request mix: (target, weight) pairs.
@@ -55,6 +56,9 @@ class Outcome:
     status: int
     retry_after: Optional[str] = None
     error: Optional[str] = None
+    #: The server's own time for the request, from its
+    #: ``Server-Timing: app;dur=<ms>`` header (None when absent).
+    app_ms: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,9 @@ class LoadReport:
     concurrency: int
     warmup_seconds: float
     status_counts: Dict[str, int] = field(default_factory=dict)
+    #: Median server-side app time (``Server-Timing``) beside the
+    #: client's ``p50_ms``; None when no response carried the header.
+    app_p50_ms: Optional[float] = None
 
     def to_dict(self) -> Dict:
         return {
@@ -110,6 +117,10 @@ class LoadReport:
             "duration_seconds": round(self.duration_seconds, 3),
             "rps": round(self.rps, 1),
             "p50_ms": round(self.p50_ms, 3),
+            "app_p50_ms": (
+                None if self.app_p50_ms is None
+                else round(self.app_p50_ms, 3)
+            ),
             "p95_ms": round(self.p95_ms, 3),
             "p99_ms": round(self.p99_ms, 3),
             "mean_ms": round(self.mean_ms, 3),
@@ -129,13 +140,17 @@ class LoadReport:
             f"{status}×{count}"
             for status, count in sorted(self.status_counts.items())
         )
+        app = (
+            "" if self.app_p50_ms is None
+            else f"  (app p50 {self.app_p50_ms:.3f})"
+        )
         return [
             f"{self.requests} requests in "
             f"{self.duration_seconds:.2f}s at concurrency "
             f"{self.concurrency} -> {self.rps:.1f} req/s",
-            f"latency ms: p50 {self.p50_ms:.2f}  p95 {self.p95_ms:.2f}"
-            f"  p99 {self.p99_ms:.2f}  mean {self.mean_ms:.2f}"
-            f"  max {self.max_ms:.2f}",
+            f"latency ms: p50 {self.p50_ms:.2f}{app}  p95 "
+            f"{self.p95_ms:.2f}  p99 {self.p99_ms:.2f}  mean "
+            f"{self.mean_ms:.2f}  max {self.max_ms:.2f}",
             f"errors {self.errors} ({self.error_rate:.1%})  "
             f"shed {self.shed} ({self.shed_rate:.1%})  "
             f"statuses: {statuses or '(none)'}",
@@ -243,6 +258,7 @@ def _distill(
     missing_retry_after = sum(
         1 for o in outcomes if o.status == 503 and not o.retry_after
     )
+    app_times = sorted(o.app_ms for o in outcomes if o.app_ms is not None)
     total = len(samples)
     return LoadReport(
         requests=total,
@@ -261,6 +277,7 @@ def _distill(
         concurrency=config.concurrency,
         warmup_seconds=config.warmup_seconds,
         status_counts=status_counts,
+        app_p50_ms=percentile(app_times, 0.50) if app_times else None,
     )
 
 
@@ -306,6 +323,7 @@ def http_transport(
         return Outcome(
             status=response.status,
             retry_after=response.headers.get("Retry-After"),
+            app_ms=server_app_ms(response.headers.get("Server-Timing")),
         )
 
     def send(target: str) -> Outcome:
@@ -320,6 +338,22 @@ def http_transport(
                 raise
 
     return send
+
+
+def server_app_ms(header: Optional[str]) -> Optional[float]:
+    """The ``app`` duration (ms) of a ``Server-Timing`` header, if any."""
+    for metric in (header or "").split(","):
+        name, _, params = metric.partition(";")
+        if name.strip() != "app":
+            continue
+        for param in params.split(";"):
+            key, _, value = param.partition("=")
+            if key.strip() == "dur":
+                try:
+                    return float(value)
+                except ValueError:
+                    return None
+    return None
 
 
 def api_transport(api) -> Transport:

@@ -32,6 +32,7 @@ Like :mod:`repro.quality`, the whole package is stdlib-only.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Optional
@@ -70,6 +71,7 @@ __all__ = [
     "get_observer",
     "set_observer",
     "observed",
+    "PerObserver",
     "MetricsRegistry",
     "estimate_quantile",
     "parse_prometheus",
@@ -308,6 +310,32 @@ def observed(observer: Optional[Observability] = None):
         yield observer
     finally:
         set_observer(previous)
+
+
+class PerObserver:
+    """``factory(observer)``, rebuilt only when the observer changes.
+
+    A hot path that would look its instruments up in the registry on
+    every call resolves them once through one of these instead (and
+    again after :func:`set_observer` installs a different observer).
+    """
+
+    __slots__ = ("_factory", "_bound", "_lock")
+
+    def __init__(self, factory):
+        self._factory = factory
+        self._bound = (None, None)
+        self._lock = threading.Lock()
+
+    def get(self, observer):
+        bound = self._bound
+        if bound[0] is not observer:
+            with self._lock:
+                bound = self._bound
+                if bound[0] is not observer:
+                    bound = (observer, self._factory(observer))
+                    self._bound = bound
+        return bound[1]
 
 
 from .report import (  # noqa: E402  (needs the names above)

@@ -35,12 +35,14 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 def _label_key(
     label_names: Sequence[str], labels: Dict[str, str]
 ) -> LabelKey:
-    if set(labels) != set(label_names):
-        raise ValueError(
-            f"expected labels {sorted(label_names)}, "
-            f"got {sorted(labels)}"
-        )
-    return tuple((name, str(labels[name])) for name in label_names)
+    if len(labels) == len(label_names):
+        try:
+            return tuple([(name, str(labels[name])) for name in label_names])
+        except KeyError:
+            pass
+    raise ValueError(
+        f"expected labels {sorted(label_names)}, got {sorted(labels)}"
+    )
 
 
 class _Instrument:
@@ -54,6 +56,8 @@ class _Instrument:
         self.label_names = tuple(label_names)
 
     def _key(self, labels: Dict[str, str]) -> LabelKey:
+        if not labels and not self.label_names:
+            return ()
         return _label_key(self.label_names, labels)
 
 
@@ -373,29 +377,24 @@ class MetricsRegistry:
                 )
             lines.append(f"# TYPE {name} {instrument.kind}")
             if isinstance(instrument, Histogram):
+                # Each series' label block is escaped once, not once
+                # per bucket line; ``le`` always comes last.
+                bounds = [
+                    f'le="{_fmt_float(bound)}"}} '
+                    for bound in instrument.buckets
+                ] + ['le="+Inf"} ']
                 for key, series in instrument.samples():
+                    block = _fmt_labels(key)
+                    bucket = f"{name}_bucket{block[:-1]}," if block \
+                        else f"{name}_bucket{{"
                     cumulative = 0
-                    for bound, count in zip(
-                        instrument.buckets, series.bucket_counts
-                    ):
+                    for le, count in zip(bounds, series.bucket_counts):
                         cumulative += count
-                        lines.append(
-                            f"{name}_bucket"
-                            f"{_fmt_labels(key, le=_fmt_float(bound))}"
-                            f" {cumulative}"
-                        )
-                    cumulative += series.bucket_counts[-1]
+                        lines.append(f"{bucket}{le}{cumulative}")
                     lines.append(
-                        f'{name}_bucket{_fmt_labels(key, le="+Inf")}'
-                        f" {cumulative}"
+                        f"{name}_sum{block} {_fmt_float(series.total)}"
                     )
-                    lines.append(
-                        f"{name}_sum{_fmt_labels(key)}"
-                        f" {_fmt_float(series.total)}"
-                    )
-                    lines.append(
-                        f"{name}_count{_fmt_labels(key)} {series.count}"
-                    )
+                    lines.append(f"{name}_count{block} {series.count}")
             else:
                 for key, value in instrument.samples():
                     lines.append(
@@ -640,11 +639,10 @@ def _unescape_help(value: str) -> str:
     return "".join(out)
 
 
-def _fmt_labels(key: LabelKey, **extra: str) -> str:
-    pairs = list(key) + sorted(extra.items())
-    if not pairs:
+def _fmt_labels(key: LabelKey) -> str:
+    if not key:
         return ""
     inner = ",".join(
-        f'{name}="{_escape(str(value))}"' for name, value in pairs
+        f'{name}="{_escape(str(value))}"' for name, value in key
     )
     return "{" + inner + "}"

@@ -8,8 +8,9 @@ survey results:
   routing from request targets to rendered JSON responses with ETags
   and taxonomy-mapped error statuses;
 * :mod:`repro.serve.http`       — :class:`SurveyServer`, the stdlib
-  threaded HTTP shell with conditional (304) responses, in-flight
-  drain and signal-driven graceful shutdown;
+  keep-alive HTTP/1.1 shell (one thread per connection) with
+  conditional (304) responses, in-flight drain and signal-driven
+  graceful shutdown;
 * :mod:`repro.serve.cache`      — :class:`LRUCache`, the thread-safe
   hot-object cache rendered responses sit in;
 * :mod:`repro.serve.resilience` — the overload/corruption middleware:

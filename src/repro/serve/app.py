@@ -74,7 +74,7 @@ from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..netbase.errors import NetbaseError
-from ..obs import get_observer
+from ..obs import PerObserver, get_observer
 from ..store import (
     AnomalyReportNotFoundError,
     ArchiveCorruptionError,
@@ -147,10 +147,53 @@ def _request_id(headers) -> str:
 
 
 def _with_request_id(response: Response, request_id: str) -> Response:
-    return replace(
-        response,
-        headers=response.headers + ((REQUEST_ID_HEADER, request_id),),
+    return Response(
+        response.status, response.body, response.etag,
+        response.content_type,
+        response.headers + ((REQUEST_ID_HEADER, request_id),),
+        response.route,
     )
+
+
+class _Instruments:
+    """One observer's serving instruments, resolved once."""
+
+    __slots__ = (
+        "latency", "requests", "in_flight", "hit_ratio", "cache_hits",
+        "by_status",
+    )
+
+    def __init__(self, obs):
+        self.latency = obs.histogram(
+            "serve_request_seconds", "request latency by route",
+            ("route",),
+        )
+        self.requests = obs.counter(
+            "http_requests_total",
+            "HTTP requests by route and response status",
+            ("route", "status"),
+        )
+        self.in_flight = obs.gauge(
+            "serve_in_flight", "requests currently being handled",
+        )
+        self.hit_ratio = obs.gauge(
+            "serve_cache_hit_ratio",
+            "hot-object cache hit rate since start",
+        )
+        self.cache_hits = obs.counter(
+            "serve_cache_hits_total",
+            "responses served from the hot-object cache",
+        ).labels()
+        #: Bound ``http_requests_total`` handles by (route, status).
+        self.by_status: Dict[Tuple[str, int], object] = {}
+
+    def count(self, route: str, status: int) -> None:
+        handle = self.by_status.get((route, status))
+        if handle is None:
+            handle = self.by_status[route, status] = self.requests.labels(
+                route=route, status=str(status)
+            )
+        handle.inc()
 
 
 def outcome_for(exc: Exception) -> str:
@@ -220,6 +263,7 @@ class SurveyAPI:
         self._local = threading.local()
         self._generation_lock = threading.Lock()
         self._generation = getattr(archive, "generation", 0)
+        self._instruments = PerObserver(_Instruments)
 
     # -- entry point ---------------------------------------------------
 
@@ -264,10 +308,7 @@ class SurveyAPI:
             cached = self.cache.get(target)
             if cached is not None:
                 route, outcome = cached.route, "cached"
-                obs.counter(
-                    "serve_cache_hits_total",
-                    "responses served from the hot-object cache",
-                ).inc()
+                self._instruments.get(obs).cache_hits.inc()
                 response = _with_request_id(cached, request_id)
                 return response
             route, run_handler = self._dispatch(target)
@@ -316,24 +357,14 @@ class SurveyAPI:
         """RED metrics + access-log record for one finished request."""
         elapsed = time.perf_counter() - started
         status = response.status if response is not None else 500
+        instruments = self._instruments.get(obs)
         # The latency histogram books cache hits under ``cached``.
-        timed_route = "cached" if outcome == "cached" else route
-        obs.histogram(
-            "serve_request_seconds", "request latency by route",
-            ("route",),
-        ).observe(elapsed, route=timed_route)
-        obs.counter(
-            "http_requests_total",
-            "HTTP requests by route and response status",
-            ("route", "status"),
-        ).inc(route=route, status=str(status))
-        obs.gauge(
-            "serve_in_flight", "requests currently being handled",
-        ).set(self.limiter.in_flight)
-        obs.gauge(
-            "serve_cache_hit_ratio",
-            "hot-object cache hit rate since start",
-        ).set(self.cache.stats.hit_rate)
+        instruments.latency.observe(
+            elapsed, route="cached" if outcome == "cached" else route
+        )
+        instruments.count(route, status)
+        instruments.in_flight.set(self.limiter.in_flight)
+        instruments.hit_ratio.set(self.cache.stats.hit_rate)
         if self.access_log is not None:
             self.access_log.record(
                 request_id=request_id,

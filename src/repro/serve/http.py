@@ -1,17 +1,45 @@
-"""Threaded HTTP shell over :class:`~repro.serve.app.SurveyAPI`.
+"""Keep-alive HTTP/1.1 shell over :class:`~repro.serve.app.SurveyAPI`.
 
-Stdlib only (:mod:`http.server`), matching the repo's no-dependency
-discipline.  The server is a :class:`ThreadingHTTPServer`: each
-connection gets a thread, the API layer underneath is thread-safe
+Stdlib only (:mod:`socketserver`), matching the repo's no-dependency
+discipline.  The server is a :class:`socketserver.ThreadingTCPServer`:
+each connection gets a thread, the API layer underneath is thread-safe
 (locked LRU, locked segment reads, locked limiter/breaker), and
 writes happen out-of-band (quarantine/fsck bump the archive
 generation, which the API watches), so there is no write contention
 to manage here.
 
-Conditional requests: every 200 carries a strong ETag; a request whose
-``If-None-Match`` lists that ETag (or ``*``) gets a bodyless 304 — the
-survey site's per-AS pages are effectively immutable per period, so
-repeat lookups cost a header exchange.
+Each connection thread runs one loop, a request at a time, in order
+(pipelined requests queue in the socket's read buffer):
+
+* **parse** — the request line and each header line come off
+  ``rfile.readline``; headers land in a :class:`Headers` dict keyed
+  by lower-cased name, whose ``get`` ignores case (all the API reads).
+  A request line over :data:`MAX_LINE` bytes is answered 414, more
+  than :data:`MAX_HEADERS` header lines 431, a malformed line 400,
+  any method but GET/HEAD 501 — each followed by a close;
+* **answer** — ``SurveyAPI.handle`` renders the response; the shell
+  builds the status line and every header as one bytes block and
+  hands block and body to a single ``sendmsg`` (looped only on a
+  short write), so a ~365 KB period body is never copied into a
+  header buffer.  The ``Date`` line is cached per second;
+* **keep or close** — HTTP/1.1 keeps the connection unless the
+  client sent ``Connection: close``; HTTP/1.0 closes unless it asked
+  for ``keep-alive``.  A request that carries a body
+  (``Content-Length`` > 0 or ``Transfer-Encoding``) is answered and
+  the connection closed, since the shell never reads request bodies.
+
+Conditional requests (RFC 9110): every 200 carries a strong ETag; a
+GET or HEAD whose ``If-None-Match`` lists that ETag — compared
+weakly, so ``W/"…"`` matches — or ``*`` gets a 304 with the ETag,
+``Cache-Control`` and ``X-Request-Id`` but no body and no
+Content-Length.  The survey site's per-AS pages are effectively
+immutable per period, so repeat lookups cost a header exchange.
+
+Timing: each response carries ``Server-Timing: app;dur=<ms>`` (the
+``SurveyAPI.handle`` call), and ``serve_http_request_seconds`` times
+the whole request at the shell, from the request line read to the
+last byte sent.  With a log sink installed (``--log-jsonl``) each
+request also logs one ``serve-http`` ``access`` line.
 
 Shutdown is graceful every way in:
 
@@ -31,99 +59,244 @@ Shutdown is graceful every way in:
 from __future__ import annotations
 
 import signal
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Iterable, Optional, Union
+import time
+from typing import Callable, Iterable, Optional, Tuple, Union
 
-from ..obs import get_observer
+from ..obs import PerObserver, get_observer
 from ..store import SurveyArchive
-from .app import Response, SurveyAPI
+from .app import Response, SurveyAPI, _error
 from .resilience import ResilienceConfig
 
 SERVER_NAME = "repro-serve"
 
+#: Longest request or header line accepted, in bytes (414 / 431 past it).
+MAX_LINE = 65536
+#: Most header lines accepted in one request (431 past it).
+MAX_HEADERS = 100
 
-class _Handler(BaseHTTPRequestHandler):
-    """One request: delegate to the API, speak HTTP around it."""
+#: Sub-millisecond resolution: a warm request spends ~0.1 ms here.
+SHELL_BUCKETS = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.1,
+    0.5, 1.0, 5.0,
+)
 
-    server_version = SERVER_NAME
-    protocol_version = "HTTP/1.1"
+_REASONS = {
+    200: "OK", 304: "Not Modified", 400: "Bad Request",
+    404: "Not Found", 414: "URI Too Long",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented",
+    503: "Service Unavailable", 505: "HTTP Version Not Supported",
+}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug",
+           "Sep", "Oct", "Nov", "Dec")
+_date_line: Tuple[int, str] = (-1, "")
+
+
+def _server_and_date() -> str:
+    """The ``Server`` and ``Date`` header lines, rebuilt once a second."""
+    global _date_line
+    now = int(time.time())
+    cached = _date_line
+    if cached[0] != now:
+        t = time.gmtime(now)
+        cached = (now, (
+            f"Server: {SERVER_NAME}\r\n"
+            f"Date: {_DAYS[t.tm_wday]}, {t.tm_mday:02d} "
+            f"{_MONTHS[t.tm_mon]} {t.tm_year} {t.tm_hour:02d}:"
+            f"{t.tm_min:02d}:{t.tm_sec:02d} GMT\r\n"
+        ))
+        _date_line = cached
+    return cached[1]
+
+
+class Headers(dict):
+    """Request headers keyed by lower-cased name; ``get`` ignores case."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+def _etag_matches(header: Optional[str], etag: str) -> bool:
+    """``If-None-Match`` weak comparison (RFC 9110 §13.1.2)."""
+    if not header:
+        return False
+    for tag in header.split(","):
+        tag = tag.strip()
+        if tag == "*" or tag.removeprefix("W/") == etag:
+            return True
+    return False
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: read, answer, repeat until either side closes."""
+
     # Keep-alive clients issue many small request/response rounds on
     # one socket; Nagle + delayed ACK would add ~40ms to each, so
     # flush segments immediately.
     disable_nagle_algorithm = True
 
-    # The server object carries the API (set by SurveyServer).
-    def _api(self) -> SurveyAPI:
-        return self.server.api  # type: ignore[attr-defined]
+    def handle(self) -> None:
+        try:
+            while self._one_request():
+                pass
+        except OSError:
+            pass  # the peer reset or vanished mid-exchange
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server contract
-        with self.server.tracked():  # type: ignore[attr-defined]
-            response = self._api().handle(self.path, headers=self.headers)
-            if response.etag is not None and self._etag_matches(response):
-                # The bodyless 304 keeps the request's id header.
-                self._send(Response(
-                    status=304, body=b"", etag=response.etag,
-                    headers=tuple(
-                        (name, value)
-                        for name, value in response.headers
-                        if name.lower() == "x-request-id"
-                    ),
-                ))
-                get_observer().counter(
-                    "serve_not_modified_total",
-                    "conditional requests answered 304",
-                ).inc()
-                return
-            self._send(response)
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        with self.server.tracked():  # type: ignore[attr-defined]
-            response = self._api().handle(self.path, headers=self.headers)
-            self._send(response, head_only=True)
-
-    def _etag_matches(self, response: Response) -> bool:
-        header = self.headers.get("If-None-Match")
-        if not header:
+    def _one_request(self) -> bool:
+        """Serve one request; False closes the connection."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
             return False
-        candidates = [tag.strip() for tag in header.split(",")]
-        return "*" in candidates or response.etag in candidates
+        started = time.perf_counter()
+        if len(line) > MAX_LINE:
+            return self._refuse(414, "request line too long", started)
+        words = line.decode("iso-8859-1").split()
+        if len(words) != 3:
+            return self._refuse(400, "bad request line", started)
+        method, target, version = words
+        try:
+            if not version.startswith("HTTP/"):
+                raise ValueError(version)
+            major, minor = map(int, version[5:].split("."))
+        except ValueError:
+            return self._refuse(400, "bad HTTP version", started)
+        if major != 1:
+            return self._refuse(505, "only HTTP/1.x is served", started)
+        headers = Headers()
+        for _ in range(MAX_HEADERS + 1):
+            raw = self.rfile.readline(MAX_LINE + 1)
+            if raw in (b"\r\n", b"\n"):
+                break
+            if not raw:
+                return False
+            if len(raw) > MAX_LINE:
+                return self._refuse(431, "header line too long", started)
+            name, colon, value = raw.decode("iso-8859-1").partition(":")
+            if not colon:
+                return self._refuse(400, "bad header line", started)
+            headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            return self._refuse(431, "too many headers", started)
+        if method not in ("GET", "HEAD"):
+            return self._refuse(
+                501, f"unsupported method {method!r}", started
+            )
+        connection = headers.get("connection", "").lower()
+        keep_alive = connection != "close" and (
+            minor >= 1 or connection == "keep-alive"
+        )
+        if "transfer-encoding" in headers or \
+                headers.get("content-length", "0") != "0":
+            keep_alive = False  # its body was never read
+        with self.server.tracked():
+            api_started = time.perf_counter()
+            response = self.server.api.handle(target, headers=headers)
+            app_ms = (time.perf_counter() - api_started) * 1e3
+            status, body = response.status, response.body
+            if response.etag is not None and _etag_matches(
+                headers.get("if-none-match"), response.etag
+            ):
+                status, body = 304, b""
+                self.server.instruments().not_modified.inc()
+            head = _head(
+                response, status, len(body), keep_alive,
+                f"Server-Timing: app;dur={app_ms:.3f}\r\n",
+            )
+            self._send(head, b"" if method == "HEAD" else body)
+            self._finish(started, words, status, len(body))
+        return keep_alive
 
-    def _send(self, response: Response, head_only: bool = False) -> None:
-        body = b"" if response.status == 304 else response.body
-        self.send_response(response.status)
-        if response.status != 304:
-            self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if response.etag is not None:
-            self.send_header("ETag", response.etag)
-        for name, value in response.headers:
-            self.send_header(name, value)
-        if response.status in (200, 304):
-            # Committed periods are immutable; let clients hold on.
-            self.send_header("Cache-Control", "max-age=300")
-        self.end_headers()
-        if body and not head_only:
-            self.wfile.write(body)
+    def _refuse(self, status: int, detail: str, started: float) -> bool:
+        """Answer a request the shell cannot serve, then close."""
+        response = _error(status, _REASONS[status].replace(" ", ""), detail)
+        self._send(_head(response, status, len(response.body), False),
+                   response.body)
+        self._finish(started, (), status, len(response.body))
+        return False
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        # Route access logs through the structured logger instead of
-        # stderr; silent under the no-op observer.
-        get_observer().logger.bind(stage="serve-http").info(
-            "access", message=format % args,
+    def _send(self, head: bytes, body: bytes) -> None:
+        """Write head and body with one ``sendmsg``, copying neither."""
+        buffers = [head, body] if body else [head]
+        while buffers:
+            sent = self.connection.sendmsg(buffers)
+            while buffers and sent >= len(buffers[0]):
+                sent -= len(buffers.pop(0))
+            if sent:
+                buffers[0] = memoryview(buffers[0])[sent:]
+
+    def _finish(self, started: float, words, status: int,
+                length: int) -> None:
+        self.server.instruments().timer.observe(
+            time.perf_counter() - started
+        )
+        logger = get_observer().logger
+        if logger.sink is not None:
+            logger.bind(stage="serve-http").info(
+                "access", message=f'"{" ".join(words)}" {status} {length}',
+            )
+
+
+class _Instruments:
+    """One observer's shell instruments, resolved once."""
+
+    __slots__ = ("timer", "not_modified")
+
+    def __init__(self, obs):
+        self.timer = obs.histogram(
+            "serve_http_request_seconds",
+            "whole-request time at the HTTP shell",
+            buckets=SHELL_BUCKETS,
+        )
+        self.not_modified = obs.counter(
+            "serve_not_modified_total", "conditional requests answered 304",
         )
 
 
-class _TrackedHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that counts in-flight requests for drain."""
+def _head(response: Response, status: int, length: int,
+          keep_alive: bool, timing: str = "") -> bytes:
+    """Status line plus every header, ready for the wire."""
+    lines = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n",
+        _server_and_date(),
+    ]
+    if status != 304:
+        lines.append(
+            f"Content-Type: {response.content_type}\r\n"
+            f"Content-Length: {length}\r\n"
+        )
+    if response.etag is not None:
+        lines.append(f"ETag: {response.etag}\r\n")
+    for name, value in response.headers:
+        lines.append(f"{name}: {value}\r\n")
+    if status in (200, 304):
+        # Committed periods are immutable; let clients hold on.
+        lines.append("Cache-Control: max-age=300\r\n")
+    lines.append(timing)
+    lines.append("\r\n" if keep_alive else "Connection: close\r\n\r\n")
+    return "".join(lines).encode("latin-1")
 
+
+class _TrackedServer(socketserver.ThreadingTCPServer):
+    """Thread-per-connection server that counts in-flight requests."""
+
+    allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, address, api: SurveyAPI):
+        super().__init__(address, _Handler)
+        self.api = api
         self._inflight_lock = threading.Lock()
         self._inflight_idle = threading.Condition(self._inflight_lock)
         self._inflight = 0
+        self._instruments = PerObserver(_Instruments)
+
+    def instruments(self) -> _Instruments:
+        return self._instruments.get(get_observer())
 
     def tracked(self):
         return _InflightGuard(self)
@@ -144,7 +317,7 @@ class _TrackedHTTPServer(ThreadingHTTPServer):
 class _InflightGuard:
     __slots__ = ("_server",)
 
-    def __init__(self, server: _TrackedHTTPServer):
+    def __init__(self, server: _TrackedServer):
         self._server = server
 
     def __enter__(self):
@@ -183,8 +356,7 @@ class SurveyServer:
                 access_log=access_log,
             )
         )
-        self._httpd = _TrackedHTTPServer((host, port), _Handler)
-        self._httpd.api = self.api  # type: ignore[attr-defined]
+        self._httpd = _TrackedServer((host, port), self.api)
         self._thread: Optional[threading.Thread] = None
 
     # -- addressing ----------------------------------------------------

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from ..obs import get_observer
+from ..obs import PerObserver, get_observer
 
 #: ``breaker_state`` gauge values.
 STATE_CLOSED = "closed"
@@ -105,6 +105,9 @@ class ConcurrencyLimiter:
         self._lock = threading.Lock()
         self._in_flight = 0
         self.shed_total = 0
+        self._gauge = PerObserver(lambda obs: obs.gauge(
+            "serve_in_flight", "requests currently being handled",
+        ))
 
     @property
     def in_flight(self) -> int:
@@ -118,9 +121,7 @@ class ConcurrencyLimiter:
                 self.shed_total += 1
                 raise OverloadedError(self.limit)
             self._in_flight += 1
-        get_observer().gauge(
-            "serve_in_flight", "requests currently being handled",
-        ).set(self._in_flight)
+        self._gauge.get(get_observer()).set(self._in_flight)
 
     def release(self) -> None:
         with self._lock:

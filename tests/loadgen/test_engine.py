@@ -11,6 +11,7 @@ from repro.loadgen import (
     percentile,
     run_load,
 )
+from repro.loadgen.engine import server_app_ms
 
 
 class TestLoadConfig:
@@ -148,3 +149,35 @@ class TestRunLoad:
         lines = report.summary_lines()
         assert any("req/s" in line for line in lines)
         assert any("p99" in line for line in lines)
+
+
+class TestServerTiming:
+    @pytest.mark.parametrize("header, expected", [
+        ("app;dur=0.125", 0.125),
+        ("db;dur=3, app;desc=\"x\";dur=2.5", 2.5),
+        ("app", None),
+        ("app;dur=bad", None),
+        ("db;dur=1", None),
+        (None, None),
+    ])
+    def test_parses_app_duration(self, header, expected):
+        assert server_app_ms(header) == expected
+
+    def test_report_takes_percentile_of_reported_app_times(self):
+        times = iter([1.0, 3.0, 2.0] * 10_000)
+
+        def transport(_target):
+            return Outcome(200, app_ms=next(times))
+
+        report = run_load(transport, LoadConfig(
+            concurrency=1, duration_seconds=0.05, warmup_seconds=0.0,
+        ))
+        assert 1.0 <= report.app_p50_ms <= 3.0
+        assert report.to_dict()["app_p50_ms"] == report.app_p50_ms
+
+    def test_absent_header_reports_none(self):
+        report = run_load(lambda _t: Outcome(200), LoadConfig(
+            concurrency=1, duration_seconds=0.05, warmup_seconds=0.0,
+        ))
+        assert report.app_p50_ms is None
+        assert report.to_dict()["app_p50_ms"] is None

@@ -10,6 +10,7 @@ from repro.obs import (
     ITEMS_OUT,
     NOOP,
     Observability,
+    PerObserver,
     ProfileCollector,
     QUALITY_DROPPED,
     QUALITY_INGESTED,
@@ -175,3 +176,24 @@ class TestReport:
         assert "(no spans recorded)" in text
         assert "(no metrics recorded)" in text
         assert "== profile ==" not in text
+
+
+class TestPerObserver:
+    def test_resolves_once_per_observer(self):
+        built = []
+
+        def factory(obs):
+            built.append(obs)
+            return obs.counter("hits_total", "hits")
+
+        per = PerObserver(factory)
+        first, second = Observability(), Observability()
+        assert per.get(first) is per.get(first)
+        per.get(first).inc()
+        assert first.metrics.counter("hits_total").value() == 1
+        assert per.get(second) is not per.get(first)
+        assert built == [first, second, first]
+
+    def test_noop_observer_gets_noop_instruments(self):
+        per = PerObserver(lambda obs: obs.histogram("t_seconds"))
+        per.get(NOOP).observe(1.0)  # no registry, no error

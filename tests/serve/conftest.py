@@ -11,7 +11,13 @@ from tests.store.conftest import make_ranking, make_survey
 
 @pytest.fixture()
 def archive(tmp_path):
-    archive = SurveyArchive(tmp_path / "arc")
+    return make_archive(tmp_path / "arc")
+
+
+def make_archive(root) -> SurveyArchive:
+    """Two periods: 2019-06 (AS100 severe, AS200 low, AS300 none) and
+    2019-09 (AS100 mild, AS300 none, AS400 severe)."""
+    archive = SurveyArchive(root)
     ranking = make_ranking()
     archive.ingest(
         make_survey("2019-06", dt.datetime(2019, 6, 1), {

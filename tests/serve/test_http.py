@@ -127,3 +127,34 @@ class TestLifecycle:
             )
         assert status == 200
         assert json.loads(body)["report"]["severity"] == "severe"
+
+
+class TestShellTiming:
+    def test_server_timing_and_shell_histogram(self, archive):
+        import io
+
+        from repro.obs import Observability, StructuredLogger, observed
+        from repro.obs.log import read_jsonl
+
+        sink = io.StringIO()
+        observer = Observability(logger=StructuredLogger(sink=sink))
+        with observed(observer), SurveyServer(archive) as server:
+            _status, headers, _body = fetch(server.url + "/v1/as/100")
+            status, _headers, _body = fetch(
+                server.url + "/v1/as/100",
+                headers={"If-None-Match": headers["ETag"]},
+            )
+        assert status == 304
+        name, _, duration = headers["Server-Timing"].partition(";dur=")
+        assert name == "app" and float(duration) > 0
+        shell = observer.metrics.get("serve_http_request_seconds")
+        assert shell.count() == 2
+        # The shell's whole-request time contains the app's.
+        assert shell.sum() > float(duration) / 1e3
+        assert observer.metrics.get(
+            "serve_not_modified_total"
+        ).value() == 1
+        access = [r for r in read_jsonl(sink) if r["event"] == "access"]
+        assert [r["stage"] for r in access] == ["serve-http"] * 2
+        assert access[0]["message"] == '"GET /v1/as/100 HTTP/1.1" 200 ' \
+            + headers["Content-Length"]

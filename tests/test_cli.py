@@ -376,6 +376,23 @@ class TestLoadtestCommand:
         assert payload["p99_ms"] > 0
         assert payload["concurrency"] == 2
 
+    def test_http_run_reports_server_app_time(
+        self, tmp_path, archive_dir, capsys
+    ):
+        import json
+
+        report_path = tmp_path / "report.json"
+        code = main([
+            "loadtest", archive_dir, "--concurrency", "2",
+            "--duration", "0.3", "--warmup", "0",
+            "--report", str(report_path),
+        ])
+        assert code == 0
+        assert "app p50" in capsys.readouterr().out
+        payload = json.loads(report_path.read_text())
+        # The server's own time is part of what the client waited.
+        assert 0 < payload["app_p50_ms"] < payload["p50_ms"]
+
     def test_update_bench_upserts_loadtest_section(
         self, tmp_path, archive_dir, capsys
     ):
