@@ -9,18 +9,23 @@ Two fidelity modes share one statistical model (DESIGN.md §5):
   directly from the same per-reply RTT composition, skipping the
   per-hop object construction.  Used for the 646-AS world survey where
   full fidelity would need billions of reply objects.  Each probe draws
-  from its own seeded stream; the draws are combined in place, the
-  pairwise diffs are laid out in whatever order is cheapest (a median
-  ignores order), and each bin's median is a single in-place
-  partition (``_row_medians``) rather than ``np.median``.
+  from its own seeded stream into per-thread scratch buffers; the
+  draws are combined in place, the pairwise diffs are laid out in
+  whatever order is cheapest (a median ignores order), and each bin's
+  median is a single in-place partition (``_row_medians``) rather
+  than ``np.median``.  The probes of a period run on a thread pool
+  (one thread per usable CPU); the output does not depend on it.
 
 ``tests/atlas/test_fidelity_equivalence.py`` asserts the two modes
 agree on small worlds; ``tests/atlas/test_binned_bytes.py`` pins the
-fast path byte for byte to its plain ``np.median`` formulation.
+fast path byte for byte to its plain ``np.median`` formulation, and
+``tests/atlas/test_binned_threads.py`` pins it across thread counts.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -236,6 +241,7 @@ class AtlasPlatform:
         period: MeasurementPeriod,
         probes: Optional[Sequence[Probe]] = None,
         af: int = 4,
+        threads: Optional[int] = None,
     ) -> LastMileDataset:
         """Directly produce per-probe last-mile medians (fast mode).
 
@@ -245,7 +251,21 @@ class AtlasPlatform:
         bin median materially (loss < 2 % of replies, and the pipeline
         only consumes the last-private/first-public hop pair).
         ``af=6`` measures through each line's IPv6 device.
+
+        Probes are simulated on a thread pool: one thread per CPU this
+        process may run on (or at most ``threads``), never more than
+        there are probes.  Each probe draws from its own stream and
+        numpy releases the GIL inside the draws, the ufuncs and the
+        partition, so the probes overlap while the series stay
+        byte-identical for any thread count.  The calling thread adds
+        the series in input order, and the pool is joined before this
+        returns; if a probe raises, the error propagates and no
+        dataset is returned.
         """
+        # Imported here: only the simulator starts threads, and every
+        # other command would pay for the module at start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
         from ..obs import get_observer
 
         probes = list(probes) if probes is not None else list(self.probes)
@@ -254,33 +274,69 @@ class AtlasPlatform:
         grid = TimeGrid(period, DELAY_BIN_SECONDS)
         per_bin = self.schedule.traceroutes_per_bin
         dataset = LastMileDataset(grid=grid)
+        pool_size = max(1, min(
+            threads if threads is not None else _usable_cpus(),
+            len(probes),
+        ))
+        # Fill every device's utilization cache here, so pool threads
+        # only read it.  Any generator turns the jitter on; the jitter
+        # itself comes from the device's own stream.
+        jitter = np.random.default_rng(0)
+        for probe in probes:
+            _access_device(probe, af).device.utilization(grid, jitter)
+
+        # Each pool thread allocates one scratch set when it starts and
+        # reuses it for every probe it simulates.
+        scratch = threading.local()
+
+        def allocate_scratch() -> None:
+            scratch.buffers = _scratch_buffers(grid.num_bins, per_bin)
+
+        def simulate(probe: Probe) -> ProbeBinSeries:
+            self._prepare_probe(probe, period)
+            return self._binned_series(
+                probe, grid, per_bin, scratch.buffers, af=af,
+            )
+
         obs = get_observer()
         # The binned fast path synthesizes the last-mile medians
         # directly, but its time is the simulator's, not the §2.1
-        # estimator's: it is traced as its own stage.
+        # estimator's: it is traced as its own stage.  Pool tasks open
+        # no spans: the tracer nests per thread, so a span opened in a
+        # task would surface as an orphan root.
         with obs.stage_span(
             "simulate", probes=len(probes), period=period.name,
+            threads=pool_size,
         ):
-            for probe in probes:
-                self._prepare_probe(probe, period)
-                series = self._binned_series(probe, grid, per_bin, af=af)
-                dataset.add(series, meta=self.probe_meta(probe))
+            pool = ThreadPoolExecutor(
+                max_workers=pool_size, thread_name_prefix="simulate",
+                initializer=allocate_scratch,
+            )
+            try:
+                simulated = pool.map(simulate, probes)
+                for probe, series in zip(probes, simulated):
+                    dataset.add(series, meta=self.probe_meta(probe))
+            finally:
+                pool.shutdown(cancel_futures=True)
             obs.items_in("simulate", len(probes))
             obs.items_out("simulate", len(dataset.series))
         return dataset
 
     def _binned_series(
         self, probe: Probe, grid: TimeGrid, traceroutes_per_bin: int,
-        af: int = 4,
+        buffers, af: int = 4,
     ) -> ProbeBinSeries:
         """Per-bin last-mile medians for one probe, fully vectorized.
 
         All draws come from the probe's own campaign stream, in a fixed
         shape and order, so a probe's series does not depend on which
-        other probes run or in what order.  The arithmetic runs in
-        place on those draws; the 9 pairwise diffs per traceroute are
-        laid out ``(bins, 3, 3, k)`` because a median ignores order, and
-        each bin's median is one in-place partition (``_row_medians``).
+        other probes run, in what order, or on which thread.  The draws
+        land in ``buffers`` (see ``_scratch_buffers``), which the caller
+        reuses across probes, and the arithmetic runs in place on them;
+        the 9 pairwise diffs per traceroute are laid out
+        ``(bins, 3, 3, k)`` because a median ignores order, filled one
+        block of bins at a time, and each bin's median is one in-place
+        partition (``_row_medians``).
         The result is byte-identical to ``np.median`` over the
         broadcast ``(bins, k, 3, 3)`` diffs.
         """
@@ -289,9 +345,7 @@ class AtlasPlatform:
             tag=2, probe_id=probe.probe_id,
         ))
         subscriber = probe.subscriber
-        device = (
-            subscriber.device if af == 4 else subscriber.device_v6
-        )
+        device = _access_device(probe, af)
         shared = device.device
         link = shared.link
         rho = shared.utilization(grid, rng)
@@ -310,24 +364,25 @@ class AtlasPlatform:
         base_edge = lan_rtt + subscriber.access_rtt_ms
 
         # Per-reply samples: (bins, traceroutes, 3 replies).
-        shape = (num_bins, k, REPLIES_PER_HOP)
-        queue = link.sample_packet_delays_ms(
-            rho, k * REPLIES_PER_HOP, rng
-        ).reshape(shape)
-        edge = rng.normal(size=shape)
+        queue, edge, priv, block = buffers
+        link.sample_packet_delays_ms(
+            rho, k * REPLIES_PER_HOP, rng,
+            out=queue.reshape(num_bins, -1),
+        )
+        rng.standard_normal(out=edge)
         edge *= access_noise
         edge *= mult
         edge += base_edge
         edge += queue
         if subscriber.lan is not None:
-            priv = rng.normal(size=shape)
+            rng.standard_normal(out=priv)
             priv *= lan_noise
             priv *= mult
             priv += lan_rtt
         else:
             # Anchors: no private hop; the pipeline falls back to the
             # first public hop RTT with an implicit zero baseline.
-            priv = np.zeros(shape)
+            priv.fill(0.0)
 
         # PPPoE session rebase: piecewise-constant base-RTT shift.
         if probe.reconnects:
@@ -337,20 +392,31 @@ class AtlasPlatform:
         busy_bins = interference > 0.0
         if busy_bins.any():
             # Both draws span every bin to keep the stream's layout.
-            extra_edge = rng.exponential(1.0, size=shape)
-            extra_priv = rng.exponential(1.0, size=shape)
-            scale = interference[busy_bins][:, None, None]
-            edge[busy_bins] += extra_edge[busy_bins] * scale
-            priv[busy_bins] += extra_priv[busy_bins] * scale
+            # ``queue`` is dead by now, so each lands there in turn;
+            # only busy rows take the scaled extra.
+            busy = busy_bins[:, None, None]
+            scale = interference[:, None, None]
+            for hop in (edge, priv):
+                extra = rng.standard_exponential(out=queue)
+                extra *= scale
+                np.add(hop, extra, out=hop, where=busy)
 
-        # Pairwise subtraction: 3 edge x 3 private = 9 diffs/traceroute.
-        diffs = np.empty((num_bins, REPLIES_PER_HOP, REPLIES_PER_HOP, k))
-        for i in range(REPLIES_PER_HOP):
-            for j in range(REPLIES_PER_HOP):
-                np.subtract(
-                    edge[:, :, i], priv[:, :, j], out=diffs[:, i, j, :]
-                )
-        medians = _row_medians(diffs.reshape(num_bins, -1))
+        # Pairwise subtraction: 3 edge x 3 private = 9 diffs/traceroute,
+        # one block of bins at a time (each row's median is its own).
+        medians = np.empty(num_bins)
+        block_bins = block.shape[0]
+        for start in range(0, num_bins, block_bins):
+            stop = min(start + block_bins, num_bins)
+            diffs = block[: stop - start]
+            for i in range(REPLIES_PER_HOP):
+                for j in range(REPLIES_PER_HOP):
+                    np.subtract(
+                        edge[start:stop, :, i], priv[start:stop, :, j],
+                        out=diffs[:, i, j, :],
+                    )
+            medians[start:stop] = _row_medians(
+                diffs.reshape(stop - start, -1)
+            )
 
         counts = _counts_with_outages(probe, grid, k)
         medians = np.where(counts > 0, medians, np.nan)
@@ -359,6 +425,39 @@ class AtlasPlatform:
             median_rtt_ms=medians,
             traceroute_counts=counts,
         )
+
+
+#: Bins per block of pairwise diffs: three days of 30-minute bins,
+#: ~250 kB at k = 24 instead of ~1.2 MB for a 15-day period.
+_DIFF_BLOCK_BINS = 144
+
+
+def _scratch_buffers(num_bins: int, k: int):
+    """One thread's simulator buffers for ``num_bins`` x ``k`` probes.
+
+    Three ``(bins, k, 3)`` float64 sample buffers (queue, then each
+    interference extra in turn; edge; private hop) and one diffs
+    block, ~1.5 MB at 720 bins and k = 24.
+    """
+    shape = (num_bins, k, REPLIES_PER_HOP)
+    block = (
+        min(num_bins, _DIFF_BLOCK_BINS), REPLIES_PER_HOP, REPLIES_PER_HOP, k,
+    )
+    return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(block)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _access_device(probe: Probe, af: int):
+    """The access device a probe's ``af`` traffic goes through."""
+    subscriber = probe.subscriber
+    return subscriber.device if af == 4 else subscriber.device_v6
 
 
 def _row_medians(rows: np.ndarray) -> np.ndarray:

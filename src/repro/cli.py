@@ -1194,16 +1194,7 @@ def cmd_serve(args) -> int:
         f"on {server.url} (SIGTERM/SIGINT/Ctrl-C drain and stop)",
         flush=True,
     )
-    observer, sink = _make_observer(args)
-    # The server always runs observed — /v1/metrics needs a live
-    # registry even when no obs flag asked for a report at the end.
-    report_requested = observer is not None
-    if observer is None:
-        from .obs import NullTracer, Observability
-
-        # Nobody reads spans here, and a live tracer keeps one per
-        # cache miss for the server's whole life.
-        observer = Observability(tracer=NullTracer())
+    observer, sink, report_requested = _serve_observer(args)
 
     def _on_shutdown() -> None:
         # Runs after the last in-flight request drained, so the
@@ -1226,6 +1217,25 @@ def cmd_serve(args) -> int:
             access_log.close()
     print("shut down cleanly")
     return 0
+
+
+def _serve_observer(args):
+    """The server's observer, its log sink, and whether to report.
+
+    The server always runs observed — /v1/metrics needs a live
+    registry even when no obs flag asked for a report at the end.
+    """
+    from .obs import NullTracer, Observability
+    from .serve import TRACE_RING_ROOTS
+
+    observer, sink = _make_observer(args)
+    if observer is None:
+        # Nobody reads spans here, and a live tracer keeps one per
+        # cache miss.
+        return Observability(tracer=NullTracer()), sink, False
+    # A traced server keeps its most recent roots, not every one.
+    observer.keep_recent_spans(TRACE_RING_ROOTS)
+    return observer, sink, True
 
 
 def cmd_loadtest(args) -> int:

@@ -102,6 +102,7 @@ DURATION = "pipeline_duration_seconds"
 QUALITY_INGESTED = "quality_ingested_total"
 QUALITY_DROPPED = "quality_dropped_total"
 QUALITY_DEGRADED = "quality_degraded_total"
+SPANS_DROPPED = "obs_spans_dropped_total"
 
 
 class _StageSpan:
@@ -159,6 +160,18 @@ class Observability:
     def stage_span(self, stage: str, **attrs) -> _StageSpan:
         """Span that also records ``pipeline_duration_seconds``."""
         return _StageSpan(self, stage, attrs)
+
+    def keep_recent_spans(self, max_roots: int) -> None:
+        """Bound the trace to its ``max_roots`` most recent root spans.
+
+        Every evicted root is counted in ``obs_spans_dropped_total``,
+        so a scrape says what the trace no longer holds.
+        """
+        dropped = self.metrics.counter(
+            SPANS_DROPPED, "root spans evicted from a bounded trace",
+        )
+        dropped.inc(0)  # scrapes show the series before any drop
+        self.tracer.keep_recent(max_roots, on_drop=dropped.inc)
 
     # -- stage accounting ----------------------------------------------
 

@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
@@ -124,7 +124,7 @@ class _SpanContext:
         if stack:
             stack[-1].children.append(span)
         else:
-            self._tracer.roots.append(span)
+            self._tracer._add_root(span)
         stack.append(span)
         span._start_wall = time.perf_counter()
         span._start_cpu = time.process_time()
@@ -148,6 +148,44 @@ class Tracer:
         self.roots: List[Span] = []
         self.trace_id = trace_id if trace_id is not None else _new_id()
         self._local = threading.local()
+        #: Root-count bound (None: unbounded); see :meth:`keep_recent`.
+        self.max_roots: Optional[int] = None
+        self._on_drop: Optional[Callable[[int], None]] = None
+        self._roots_lock = threading.Lock()
+
+    def keep_recent(
+        self,
+        max_roots: int,
+        on_drop: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        """From now on keep only the ``max_roots`` most recent roots.
+
+        For long-lived processes whose every request opens a root span.
+        Each eviction calls ``on_drop(count)`` under the tracer's lock,
+        so a counter fed by it is exact under concurrent threads.
+        """
+        if max_roots < 1:
+            raise ValueError(f"max_roots must be >= 1, got {max_roots}")
+        with self._roots_lock:
+            self.max_roots = max_roots
+            self._on_drop = on_drop
+            self._evict()
+
+    def _add_root(self, span: Span) -> None:
+        if self.max_roots is None:
+            self.roots.append(span)
+            return
+        with self._roots_lock:
+            self.roots.append(span)
+            self._evict()
+
+    def _evict(self) -> None:
+        """Drop the oldest roots past ``max_roots`` (lock held)."""
+        excess = len(self.roots) - self.max_roots
+        if excess > 0:
+            del self.roots[:excess]
+            if self._on_drop is not None:
+                self._on_drop(excess)
 
     @property
     def _stack(self) -> List[Span]:

@@ -184,7 +184,11 @@ def run_survey_shard(task: SurveyShardTask) -> ShardResult:
             for prb_id in probe_ids
         }
         probes = [p for p in platform.probes if p.probe_id in wanted]
-        dataset = platform.run_period_binned(task.period, probes=probes)
+        # One simulate thread: the executor already spends the CPUs
+        # on worker processes.
+        dataset = platform.run_period_binned(
+            task.period, probes=probes, threads=1,
+        )
         fault_log = FaultLog()
         if task.faults:
             from ..faults.dataset import inject_dataset

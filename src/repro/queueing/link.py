@@ -68,15 +68,23 @@ class LinkModel:
         )
 
     def sample_packet_delays_ms(
-        self, rho, samples: int, rng: np.random.Generator
+        self,
+        rho,
+        samples: int,
+        rng: np.random.Generator,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-packet queueing delays (ms).
 
         Sampled from the M/M/1 waiting-time mixture rescaled so its
         mean matches the M/G/1 mean — keeps the sampled and analytic
         paths consistent (used to validate `binned` vs `full` fidelity).
+        ``out`` is an optional buffer for the delays (see
+        :func:`~repro.queueing.models.sample_mm1_waits`).
         """
-        delays = sample_mm1_waits(rho, self.service_time_ms, samples, rng)
+        delays = sample_mm1_waits(
+            rho, self.service_time_ms, samples, rng, out=out
+        )
         delays *= 0.5 * (1.0 + self.scv)
         return np.minimum(delays, self.max_delay_ms, out=delays)
 

@@ -14,6 +14,8 @@ All functions are vectorized over numpy arrays of utilization values.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 #: Utilizations are clipped here before the 1/(1-rho) terms so signals
@@ -82,23 +84,39 @@ def mm1_wait_quantile(rho, service_time: float, q: float) -> np.ndarray:
 
 
 def sample_mm1_waits(
-    rho, service_time: float, samples: int, rng: np.random.Generator
+    rho,
+    service_time: float,
+    samples: int,
+    rng: np.random.Generator,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Draw per-packet waits from the M/M/1 waiting-time mixture.
 
     ``rho`` may be a scalar (returns shape ``(samples,)``) or a vector
     of length B (returns shape ``(B, samples)``) — one row of packet
     waits per time bin.
+
+    ``out``, a C-contiguous float64 array of shape ``(B, samples)``
+    (``(1, samples)`` for a scalar ``rho``), receives the waits in
+    place, so a caller can reuse one buffer across draws.  Without it
+    one is allocated; either way the draws fill the buffer directly
+    (``random(out=)``, ``standard_exponential(out=)``), which gives the
+    same bytes as ``random(size)`` and ``exponential(1.0, size)``.
     """
     rho = _clip_rho(rho)
     scalar = rho.ndim == 0
     rho = np.atleast_1d(rho)
+    shape = (rho.shape[0], samples)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, need {shape}")
     scale = service_time / (1.0 - rho)
-    busy = rng.random((rho.shape[0], samples)) < rho[:, None]
-    waits = rng.exponential(1.0, size=(rho.shape[0], samples))
-    waits *= busy
-    waits *= scale[:, None]
-    return waits[0] if scalar else waits
+    busy = rng.random(out=out) < rho[:, None]
+    rng.standard_exponential(out=out)
+    out *= busy
+    out *= scale[:, None]
+    return out[0] if scalar else out
 
 
 def erlang_loss(rho, servers: int = 1) -> np.ndarray:

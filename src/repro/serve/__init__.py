@@ -46,7 +46,7 @@ from .client import (
     parse_retry_after,
     retry_call,
 )
-from .http import SERVER_NAME, SurveyServer
+from .http import SERVER_NAME, TRACE_RING_ROOTS, SurveyServer
 from .resilience import (
     BreakerOpenError,
     CircuitBreaker,
@@ -66,6 +66,7 @@ __all__ = [
     "SEVERITY_CLASSES",
     "SurveyServer",
     "SERVER_NAME",
+    "TRACE_RING_ROOTS",
     "LRUCache",
     "LRUStats",
     "ResilienceConfig",

@@ -71,6 +71,11 @@ from .resilience import ResilienceConfig
 
 SERVER_NAME = "repro-serve"
 
+#: Root spans a traced server keeps: one opens per cache miss, and a
+#: server runs for days, so older ones fall out of a ring of this size
+#: and are counted in ``obs_spans_dropped_total``.
+TRACE_RING_ROOTS = 1024
+
 #: Longest request or header line accepted, in bytes (414 / 431 past it).
 MAX_LINE = 65536
 #: Most header lines accepted in one request (431 past it).

@@ -84,6 +84,76 @@ class TestTracer:
         assert rebuilt.roots[0].children[0].error == "ValueError"
 
 
+class TestBoundedRoots:
+    def test_unbounded_by_default(self):
+        tracer = Tracer()
+        for i in range(50):
+            with tracer.span(f"r{i}"):
+                pass
+        assert tracer.max_roots is None
+        assert len(tracer.roots) == 50
+
+    def test_ring_keeps_most_recent_and_counts_drops(self):
+        tracer = Tracer()
+        drops = []
+        tracer.keep_recent(4, on_drop=drops.append)
+        for i in range(10):
+            with tracer.span(f"r{i}"):
+                with tracer.span("child"):
+                    pass
+        assert [r.name for r in tracer.roots] == ["r6", "r7", "r8", "r9"]
+        assert sum(drops) == 6
+        # Children never count against the ring.
+        assert all(len(r.children) == 1 for r in tracer.roots)
+
+    def test_existing_roots_trimmed(self):
+        tracer = Tracer()
+        for i in range(5):
+            with tracer.span(f"r{i}"):
+                pass
+        drops = []
+        tracer.keep_recent(2, on_drop=drops.append)
+        assert [r.name for r in tracer.roots] == ["r3", "r4"]
+        assert drops == [3]
+
+    def test_exact_under_threads(self):
+        import sys
+        import threading
+
+        tracer = Tracer()
+        dropped = [0]
+
+        def count(n):
+            dropped[0] += n  # the tracer calls this under its lock
+
+        tracer.keep_recent(16, on_drop=count)
+        barrier = threading.Barrier(8)
+
+        def worker():
+            barrier.wait()
+            for _ in range(500):
+                with tracer.span("req"):
+                    pass
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tracer.roots) == 16
+        assert dropped[0] == 8 * 500 - 16
+
+    def test_bad_size_rejected(self):
+        with pytest.raises(ValueError):
+            Tracer().keep_recent(0)
+
+
 class TestNullTracer:
     def test_span_is_shared_noop(self):
         tracer = NullTracer()

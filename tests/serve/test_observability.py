@@ -267,6 +267,64 @@ class TestConcurrentTelemetry:
         assert NOOP.metrics is None
 
 
+class TestBoundedServerTrace:
+    def test_ring_bounds_roots_and_counts_drops(self, archive):
+        """A traced server past its ring: the root count stays at the
+        ring size and ``obs_spans_dropped_total`` is exact."""
+        import http.client
+
+        from repro.obs import SPANS_DROPPED
+        from repro.serve import TRACE_RING_ROOTS, SurveyServer
+
+        observer = Observability()
+        observer.keep_recent_spans(TRACE_RING_ROOTS)
+        requests = TRACE_RING_ROOTS + 37
+        # A one-entry cache and two alternating targets: every request
+        # misses, and every miss opens one root span.
+        with observed(observer), SurveyServer(
+            archive, cache_size=1
+        ) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            for i in range(requests):
+                connection.request("GET", f"/v1/as/{(100, 300)[i % 2]}")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            connection.request("GET", "/v1/metrics")
+            scrape = connection.getresponse().read().decode()
+            connection.close()
+        roots = observer.tracer.roots
+        assert len(roots) == TRACE_RING_ROOTS
+        assert roots[-1].name == "serve-metrics"
+        assert {root.name for root in roots[:-1]} == {"serve-as"}
+        # The scrape's own root was opened (and counted) before it
+        # rendered the registry.
+        (sample,) = parse_prometheus(scrape)[SPANS_DROPPED]["samples"]
+        assert sample["value"] == requests + 1 - TRACE_RING_ROOTS
+        assert observer.metrics.counter(SPANS_DROPPED).value() == (
+            requests + 1 - TRACE_RING_ROOTS
+        )
+
+    def test_serve_command_bounds_only_live_tracers(self):
+        from repro.cli import _serve_observer, build_parser
+        from repro.obs import NullTracer
+        from repro.serve import TRACE_RING_ROOTS
+
+        parser = build_parser()
+        observer, sink, report = _serve_observer(
+            parser.parse_args(["serve", "arc", "--trace"])
+        )
+        assert report and sink is None
+        assert observer.tracer.max_roots == TRACE_RING_ROOTS
+        observer, _sink, report = _serve_observer(
+            parser.parse_args(["serve", "arc"])
+        )
+        assert not report
+        assert isinstance(observer.tracer, NullTracer)
+
+
 class TestObserverIsolation:
     def test_observed_restores_previous(self, archive):
         outer = Observability()

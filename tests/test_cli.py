@@ -217,6 +217,46 @@ class TestObsFlags:
         prom = capsys.readouterr().out
         assert "# TYPE pipeline_items_in_total counter" in prom
 
+    def test_survey_trace_shape(self, tmp_path, capsys, monkeypatch):
+        # The simulator's thread pool adds a `threads` attribute and
+        # nothing else: same span names and nesting, and no pool thread
+        # opens a span of its own (it would surface as an extra root).
+        import json
+
+        from repro.atlas.platform import _usable_cpus
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        report_path = tmp_path / "metrics.json"
+        assert main([
+            "survey", "--ases", "6", "--countries", "2",
+            "--periods", "1", "--out", str(tmp_path / "site"),
+            "--trace", "--metrics-out", str(report_path),
+        ]) == 0
+        capsys.readouterr()
+        roots = json.loads(report_path.read_text())["trace"]
+
+        def paths(spans, prefix=()):
+            for span in spans:
+                path = prefix + (span["name"],)
+                yield path, span
+                yield from paths(span.get("children", []), path)
+
+        found = list(paths(roots))
+        assert [span["name"] for span in roots] == ["survey-period"]
+        assert {path for path, _ in found} == {
+            ("survey-period",),
+            ("survey-period", "load"),
+            ("survey-period", "load", "simulate"),
+            ("survey-period", "classify-dataset"),
+            ("survey-period", "classify-dataset", "filter"),
+            ("survey-period", "classify-dataset", "classify"),
+            ("survey-period", "classify-dataset", "classify", "aggregate"),
+            ("survey-period", "classify-dataset", "spectral"),
+        }
+        (simulate,) = [span for path, span in found if path[-1] == "simulate"]
+        attrs = simulate["attrs"]
+        assert attrs["threads"] == min(_usable_cpus(), attrs["probes"])
+
     def test_obs_report_missing_file(self, tmp_path, capsys):
         code = main(["obs", "report", str(tmp_path / "nope.json")])
         assert code == 1
