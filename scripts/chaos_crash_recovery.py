@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Crash-recovery chaos leg: SIGKILL an ingest mid-commit, every step.
+"""Crash-recovery chaos leg: SIGKILL a commit at every step.
 
-The CI contract behind DESIGN.md §12: a writer killed at ANY point of
-the journaled commit protocol leaves the archive — after
-recovery-on-open — in exactly the pre-commit or post-commit state,
-with ``repro store fsck`` finding nothing to complain about.
+The CI contract behind DESIGN.md §12 and §13: a writer killed at ANY
+point of a commit leaves the archive — after recovery-on-open — in
+exactly the pre-commit or post-commit state, with ``repro store
+fsck`` finding nothing to complain about.  Three commits are swept:
+a journaled ``ingest``, a live ``commit_partial`` (revision 1 -> 2)
+and a live ``finalize`` (revision 1 -> an ordinary period).
 
 Unlike the in-process property test (tests/store/test_journal.py),
 every crash here is a genuine ``SIGKILL`` delivered to a separate
@@ -44,24 +46,24 @@ from repro.store import (  # noqa: E402
     run_fsck,
 )
 
-# The child re-runs the same ingest under CrashingIO in kill mode.
+# The child re-runs one scenario's commit under CrashingIO in kill mode.
 CHILD = textwrap.dedent("""
     import sys
     sys.path.insert(0, {src!r})
     from repro.faults import CrashingIO, CrashPlan
     from repro.store import SurveyArchive
     sys.path.insert(0, {here!r})
-    from chaos_crash_recovery import make_survey, make_ranking
+    from chaos_crash_recovery import SCENARIOS
 
     io = CrashingIO(CrashPlan({op}, byte_offset={offset}, mode="kill"))
-    archive = SurveyArchive({root!r}, io=io)
-    archive.ingest(make_survey("2019-06"), ranking=make_ranking())
+    SCENARIOS[{name!r}].act(SurveyArchive({root!r}, io=io))
     print("survived", flush=True)  # the plan never fired: a bug
 """)
 
 
-def make_survey(name):
-    """One synthetic committed period (content the checks verify)."""
+def make_survey(name, top=Severity.SEVERE):
+    """One synthetic period (content the checks verify); ``top`` is
+    AS100's class, so two revisions of a period can differ."""
     from repro.core import Classification, SurveyResult
     from repro.core.spectral import SpectralMarkers
     from repro.core.survey import ASReport
@@ -73,7 +75,7 @@ def make_survey(name):
         period=MeasurementPeriod(name, starts[name], 15)
     )
     for asn, severity, amplitude in (
-        (100, Severity.SEVERE, 4.5),
+        (100, top, 4.5),
         (200, Severity.LOW, 0.7),
         (300, Severity.NONE, 0.0),
     ):
@@ -121,20 +123,96 @@ def archive_state(root):
     return {"manifest": manifest, "files": files}
 
 
-def seed_archive(root):
-    """A baseline archive with one already-committed period."""
-    archive = SurveyArchive(root)
-    archive.ingest(make_survey("2019-03"), ranking=make_ranking())
-    archive.close()
+class Scenario:
+    """One commit to crash: how to seed it, run it, and judge it."""
+
+    def __init__(self, name, live, act, check):
+        self.name = name
+        self.live = live      # seed a live 2019-06 at revision 1?
+        self.act = act        # archive -> None: the commit under test
+        self.check = check    # (archive, committed) -> problem or None
+
+    def seed(self, root):
+        """The pre-commit archive: 2019-03 committed, maybe live."""
+        archive = SurveyArchive(root)
+        archive.ingest(make_survey("2019-03"), ranking=make_ranking())
+        if self.live:
+            archive.begin_live_period("2019-06").commit_partial(
+                make_survey("2019-06"), ranking=make_ranking()
+            )
+        archive.close()
 
 
-def crash_schedule(work):
-    """Content-keyed (op, offset) crash points for one ingest."""
-    io = RecordingIO()
-    archive = SurveyArchive(work / "record", io=io)
-    archive.ingest(make_survey("2019-03"), ranking=make_ranking())
-    io.ops.clear()
+def _ingest(archive):
     archive.ingest(make_survey("2019-06"), ranking=make_ranking())
+
+
+def _check_ingest(archive, committed):
+    if "2019-03" not in archive:
+        return "recovery damaged the previously committed period"
+    if not committed:
+        if "2019-06" in archive:
+            return "uncommitted period visible after rollback"
+        return None
+    if "2019-06" not in archive:
+        return "committed period missing after roll-forward"
+    if archive.get(100, "2019-06")["severity"] != "severe":
+        return "committed period content wrong after recovery"
+    return None
+
+
+def _commit_partial(archive):
+    archive.begin_live_period("2019-06").commit_partial(
+        make_survey("2019-06", Severity.MILD), ranking=make_ranking()
+    )
+
+
+def _finalize(archive):
+    archive.begin_live_period("2019-06").finalize(
+        make_survey("2019-06", Severity.MILD), ranking=make_ranking()
+    )
+
+
+def _check_live(want_committed):
+    """Judge a live commit: the previous revision 1 or ``want``."""
+
+    def check(archive, committed):
+        meta = archive.period_meta("2019-06")
+        want = want_committed if committed else {
+            "repr": "live", "revision": 1,
+        }
+        got = {key: meta.get(key) for key in want}
+        if got != want:
+            return f"manifest entry {got}, expected {want}"
+        severity = "mild" if committed else "severe"
+        if archive.get(100, "2019-06")["severity"] != severity:
+            return "period content is neither revision's"
+        if archive.asns_in_country("2019-06", "JP") != [100]:
+            return "country index lost"
+        return None
+
+    return check
+
+
+SCENARIOS = {
+    "ingest": Scenario("ingest", False, _ingest, _check_ingest),
+    "commit-partial": Scenario(
+        "commit-partial", True, _commit_partial,
+        _check_live({"repr": "live", "revision": 2}),
+    ),
+    "finalize": Scenario(
+        "finalize", True, _finalize,
+        _check_live({"repr": "json", "revision": None}),
+    ),
+}
+
+
+def crash_schedule(work, scenario):
+    """Content-keyed (op, offset) crash points for one commit."""
+    root = work / f"record-{scenario.name}"
+    scenario.seed(root)
+    io = RecordingIO()
+    scenario.act(SurveyArchive(root, io=io))
     ops = io.ops
 
     manifest_op = next(
@@ -162,13 +240,13 @@ def crash_schedule(work):
     return cases, manifest_op
 
 
-def run_case(work, case_id, op_index, offset, manifest_op,
-             pre_state_of, post_state_of):
-    root = work / f"case-{case_id}"
-    seed_archive(root)
+def run_case(work, scenario, case_id, op_index, offset, manifest_op,
+             pre_state, post_state):
+    root = work / f"case-{scenario.name}-{case_id}"
+    scenario.seed(root)
     script = CHILD.format(
         src=str(REPO / "src"), here=str(REPO / "scripts"),
-        root=str(root), op=op_index, offset=offset,
+        root=str(root), op=op_index, offset=offset, name=scenario.name,
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -183,22 +261,15 @@ def run_case(work, case_id, op_index, offset, manifest_op,
     reopened = SurveyArchive(root)  # recovery-on-open runs here
     state = archive_state(root)
     committed = op_index > manifest_op
-    expected = post_state_of if committed else pre_state_of
+    expected = post_state if committed else pre_state
     if state != expected:
         return (
             "neither pre- nor post-commit state after crash "
             f"(expected {'post' if committed else 'pre'})"
         )
-    if committed:
-        if "2019-06" not in reopened:
-            return "committed period missing after roll-forward"
-        if reopened.get(100, "2019-06")["severity"] != "severe":
-            return "committed period content wrong after recovery"
-    else:
-        if "2019-06" in reopened:
-            return "uncommitted period visible after rollback"
-        if "2019-03" not in reopened:
-            return "rollback damaged the previously committed period"
+    problem = scenario.check(reopened, committed)
+    if problem:
+        return problem
     report = run_fsck(root, repair=False)
     if report.exit_code != EXIT_CLEAN:
         return "fsck not clean: " + "; ".join(
@@ -208,34 +279,29 @@ def run_case(work, case_id, op_index, offset, manifest_op,
     return None
 
 
-def main(argv):
-    work = Path(
-        argv[1] if len(argv) > 1
-        else tempfile.mkdtemp(prefix="chaos-crash-")
-    )
-    work.mkdir(parents=True, exist_ok=True)
-
-    cases, manifest_op = crash_schedule(work)
+def sweep(work, scenario):
+    """SIGKILL one scenario's commit at every crash point."""
+    cases, manifest_op = crash_schedule(work, scenario)
     print(
-        f"ingest protocol: {len(cases)} crash points "
+        f"{scenario.name} protocol: {len(cases)} crash points "
         f"(manifest flip at op {manifest_op})"
     )
 
     # Reference states the survivors are compared against.
-    pre_root = work / "ref-pre"
-    seed_archive(pre_root)
+    pre_root = work / f"ref-pre-{scenario.name}"
+    scenario.seed(pre_root)
     pre_state = archive_state(pre_root)
-    post_root = work / "ref-post"
-    seed_archive(post_root)
+    post_root = work / f"ref-post-{scenario.name}"
+    scenario.seed(post_root)
     post = SurveyArchive(post_root)
-    post.ingest(make_survey("2019-06"), ranking=make_ranking())
+    scenario.act(post)
     post.close()
     post_state = archive_state(post_root)
 
     failures = []
     for case_id, (op_index, offset) in enumerate(cases):
         problem = run_case(
-            work, case_id, op_index, offset, manifest_op,
+            work, scenario, case_id, op_index, offset, manifest_op,
             pre_state, post_state,
         )
         where = f"op {op_index}" + (
@@ -247,13 +313,28 @@ def main(argv):
         )
         print(f"  SIGKILL at {where}: {verdict}")
         if problem:
-            failures.append((where, problem))
+            failures.append((scenario.name, where, problem))
+    return len(cases), failures
+
+
+def main(argv):
+    work = Path(
+        argv[1] if len(argv) > 1
+        else tempfile.mkdtemp(prefix="chaos-crash-")
+    )
+    work.mkdir(parents=True, exist_ok=True)
+
+    total, failures = 0, []
+    for scenario in SCENARIOS.values():
+        count, failed = sweep(work, scenario)
+        total += count
+        failures.extend(failed)
 
     if failures:
-        print(f"\nFAIL: {len(failures)}/{len(cases)} crash points "
+        print(f"\nFAIL: {len(failures)}/{total} crash points "
               "did not recover cleanly")
         return 1
-    print(f"\nOK: {len(cases)} SIGKILLed writers, every archive "
+    print(f"\nOK: {total} SIGKILLed writers, every archive "
           "recovered to exactly pre- or post-commit, fsck clean")
     return 0
 

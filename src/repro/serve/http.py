@@ -212,16 +212,18 @@ class _Handler(socketserver.StreamRequestHandler):
                 response, status, len(body), keep_alive,
                 f"Server-Timing: app;dur={app_ms:.3f}\r\n",
             )
+            self._log_access(words, status, len(body))
             self._send(head, b"" if method == "HEAD" else body)
-            self._finish(started, words, status, len(body))
+            self._observe(started)
         return keep_alive
 
     def _refuse(self, status: int, detail: str, started: float) -> bool:
         """Answer a request the shell cannot serve, then close."""
         response = _error(status, _REASONS[status].replace(" ", ""), detail)
+        self._log_access((), status, len(response.body))
         self._send(_head(response, status, len(response.body), False),
                    response.body)
-        self._finish(started, (), status, len(response.body))
+        self._observe(started)
         return False
 
     def _send(self, head: bytes, body: bytes) -> None:
@@ -234,16 +236,22 @@ class _Handler(socketserver.StreamRequestHandler):
             if sent:
                 buffers[0] = memoryview(buffers[0])[sent:]
 
-    def _finish(self, started: float, words, status: int,
-                length: int) -> None:
-        self.server.instruments().timer.observe(
-            time.perf_counter() - started
-        )
+    @staticmethod
+    def _log_access(words, status: int, length: int) -> None:
+        """Log the request before its response goes out, so a client
+        that waits for each response sees its requests logged in
+        order."""
         logger = get_observer().logger
         if logger.sink is not None:
             logger.bind(stage="serve-http").info(
                 "access", message=f'"{" ".join(words)}" {status} {length}',
             )
+
+    def _observe(self, started: float) -> None:
+        """Book the whole request, send included, in the histogram."""
+        self.server.instruments().timer.observe(
+            time.perf_counter() - started
+        )
 
 
 class _Instruments:

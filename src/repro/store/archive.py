@@ -13,8 +13,7 @@ Layout under the archive root::
     index/<name>.json    # checksum-wrapped severity/country indexes
     segments/<name>.seg  # packed representation after compaction
     anomalies/<name>.json  # checksum-wrapped per-period AnomalyReport
-    live/<name>.r<k>.json        # in-flight period, checkpoint k
-    live/<name>.r<k>.index.json  # its secondary indexes
+    live/<name>.r<k>.json  # in-flight period, checkpoint k + its indexes
     quarantine/          # corrupted artifacts, moved aside as evidence
 
 Commit discipline (same school as :mod:`repro.parallel.cache`): every
@@ -43,11 +42,15 @@ JSON is dropped), never its content.
 
 The one deliberately mutable state is the *live period*
 (:meth:`SurveyArchive.begin_live_period`): the archive face of a
-streaming survey still in flight.  Each checkpoint commits a whole
-new revision under ``live/`` through the same journal protocol —
-revisions are themselves immutable, the manifest flip just moves the
-period's pointer — and :meth:`LivePeriodWriter.finalize` promotes the
-finished period into the ordinary append-only set.
+streaming survey still in flight.  Each checkpoint writes a whole new
+revision — one file under ``live/`` holding the payload and its
+indexes under one checksum — flips the manifest to it, and removes
+the previous revision.  Revisions are immutable and named by
+(period, revision), so the live path needs no journal: recovery on
+open reconciles ``live/`` against the manifest alone
+(:func:`~repro.store.journal.reconcile_live`).
+:meth:`LivePeriodWriter.finalize` promotes the finished period into
+the ordinary append-only set the same way.
 """
 
 from __future__ import annotations
@@ -74,7 +77,12 @@ from .errors import (
     SchemaVersionError,
 )
 from .io import REAL_IO, StoreIO
-from .journal import CommitJournal, RecoveryReport, recover
+from .journal import (
+    CommitJournal,
+    RecoveryReport,
+    reconcile_live,
+    recover,
+)
 from .segments import SegmentReader, write_segment
 
 PathLike = Union[str, Path]
@@ -105,6 +113,59 @@ def _sha(text: str) -> str:
 def payload_checksum(payload: Dict) -> str:
     """Canonical-JSON SHA-256 of a survey payload."""
     return _sha(canonical_json(payload))
+
+
+def wrap(
+    payload: Dict,
+    checksum: Optional[str] = None,
+    index: Optional[Dict] = None,
+) -> bytes:
+    """One checksum-wrapped artifact, serialized.
+
+    ``checksum`` passes the payload's already-computed checksum
+    through.  With ``index`` (a live revision) the wrapper also
+    carries the payload's secondary indexes, and its checksum covers
+    both.
+    """
+    if checksum is None:
+        checksum = payload_checksum(payload)
+    entry = {"schema": SCHEMA_VERSION, "checksum": checksum,
+             "payload": payload}
+    if index is not None:
+        entry["checksum"] = _sha(checksum + payload_checksum(index))
+        entry["index"] = index
+    return json.dumps(entry, indent=1).encode("ascii")
+
+
+def unwrap(raw: bytes) -> Tuple[Dict, Optional[Dict]]:
+    """Verify one wrapper's bytes; returns ``(payload, index)``.
+
+    ``index`` is None for wrappers that carry none: period, index and
+    anomaly documents, and live revisions of the earlier two-file
+    layout (whose indexes sit in a ``.index.json`` sidecar).  Raises
+    ValueError naming the fault: unparseable bytes, a ``schema``
+    other than :data:`SCHEMA_VERSION`, or a checksum mismatch.
+    """
+    try:
+        entry = json.loads(raw)
+    except ValueError as exc:
+        raise ValueError(f"does not parse: {exc}") from None
+    if not isinstance(entry, dict):
+        raise ValueError("not a checksum wrapper")
+    if entry.get("schema") != SCHEMA_VERSION:
+        raise ValueError(
+            f"wrapper schema {entry.get('schema')!r} is not the "
+            f"archive's {SCHEMA_VERSION!r}"
+        )
+    payload = entry.get("payload")
+    if payload is None:
+        raise ValueError("checksum mismatch")
+    checksum = payload_checksum(payload)
+    if "index" in entry:
+        checksum = _sha(checksum + payload_checksum(entry["index"]))
+    if entry.get("checksum") != checksum:
+        raise ValueError("checksum mismatch")
+    return payload, entry.get("index")
 
 
 @dataclass
@@ -171,7 +232,8 @@ class SurveyArchive:
     def live_path(self, name: str, revision: int) -> Path:
         return self.root / "live" / f"{name}.r{revision}.json"
 
-    def live_index_path(self, name: str, revision: int) -> Path:
+    def legacy_index_path(self, name: str, revision: int) -> Path:
+        """A revision's index sidecar in the earlier two-file layout."""
         return self.root / "live" / f"{name}.r{revision}.index.json"
 
     def anomalies_path(self, name: str) -> Path:
@@ -219,12 +281,16 @@ class SurveyArchive:
 
     def _recover(self) -> RecoveryReport:
         """Replay/roll back a dead writer's leftovers (runs on open)."""
+        periods = self._manifest["periods"]
         report = recover(
-            self.root,
-            lambda period: self._manifest["periods"].get(period),
-            io=self.io,
+            self.root, periods.get, io=self.io,
             quarantine=self._quarantine,
         )
+        live = reconcile_live(self.root, periods, self.io)
+        if live.removed:
+            report.removed.extend(live.removed)
+            if report.outcome in ("clean", "acknowledged"):
+                report.outcome, report.period = live.outcome, live.period
         if report.acted:
             self.generation += 1
             obs = get_observer()
@@ -305,10 +371,9 @@ class SurveyArchive:
                     str(index_file.relative_to(self.root)),
                 ],
             )
-            self._write_wrapped(period_file, payload)
-            self._write_wrapped(
-                index_file,
-                _build_index(payload, ranking),
+            self.io.write_atomic(period_file, wrap(payload, checksum))
+            self.io.write_atomic(
+                index_file, wrap(_build_index(payload, ranking))
             )
             self._manifest["periods"][name] = {
                 "start": payload["period"]["start"],
@@ -369,7 +434,7 @@ class SurveyArchive:
                 "anomaly", name, checksum,
                 [str(report_file.relative_to(self.root))],
             )
-            self._write_wrapped(report_file, payload)
+            self.io.write_atomic(report_file, wrap(payload, checksum))
             entry["anomalies"] = {
                 "checksum": checksum,
                 "links": payload.get("links_total", 0),
@@ -393,10 +458,10 @@ class SurveyArchive:
 
         A live period is the archive face of a running
         :class:`~repro.stream.StreamingSurvey`: checkpoints land as
-        numbered revisions under ``live/`` through the same journaled
-        write-ahead protocol as ingests, so a crash at any byte
-        boundary recovers to exactly the previous or the new
-        checkpoint — and readers see only committed revisions.
+        numbered revisions under ``live/`` with the manifest flip as
+        the commit point, so a crash at any byte boundary recovers to
+        exactly the previous or the new checkpoint — and readers see
+        only committed revisions.
         Reopening an archive whose writer died mid-stream and calling
         ``begin_live_period`` with the same name resumes at the last
         committed revision.  A finished period is promoted to the
@@ -411,34 +476,21 @@ class SurveyArchive:
     def _commit_live(
         self, name: str, payload: Dict, ranking, records: int
     ) -> int:
-        """One journaled checkpoint; returns the committed revision."""
+        """One checkpoint; returns the committed revision.
+
+        Two atomic writes and one remove: the new revision's file
+        (a name no committed state uses), the manifest flip — the
+        commit point — and the previous revision's file.
+        """
         entry = self._manifest["periods"].get(name)
         revision = (entry["revision"] + 1) if entry else 1
         checksum = payload_checksum(payload)
+        index = _build_index(payload, ranking)
         obs = get_observer()
         with obs.span("store-commit-partial", period=name):
-            period_file = self.live_path(name, revision)
-            index_file = self.live_index_path(name, revision)
-            retire = []
-            if entry is not None:
-                retire = [
-                    str(p.relative_to(self.root)) for p in (
-                        self.live_path(name, entry["revision"]),
-                        self.live_index_path(name, entry["revision"]),
-                    )
-                ]
-            self._journal.begin(
-                "commit-partial", name, checksum,
-                [
-                    str(period_file.relative_to(self.root)),
-                    str(index_file.relative_to(self.root)),
-                ],
-                retire=retire or None,
-                revision=revision,
-            )
-            self._write_wrapped(period_file, payload)
-            self._write_wrapped(
-                index_file, _build_index(payload, ranking)
+            self.io.write_atomic(
+                self.live_path(name, revision),
+                wrap(payload, checksum, index),
             )
             self._manifest["periods"][name] = {
                 "start": payload["period"]["start"],
@@ -455,15 +507,12 @@ class SurveyArchive:
                 "records": records,
             }
             self._write_manifest()  # <- the commit point
-            for relative in retire:
-                target = self.root / relative
-                if target.exists():
-                    self.io.remove(target)
-            self._journal.clear()
+            if entry is not None:
+                self._retire_live(name, entry["revision"])
         self.stats.live_commits += 1
         self.generation += 1
         self._payloads[name] = payload
-        self._indexes.pop(name, None)
+        self._indexes[name] = index
         obs.counter(
             "store_live_commit_total",
             "live-period checkpoints committed",
@@ -475,86 +524,78 @@ class SurveyArchive:
     ) -> str:
         """Promote a live period to the durable representation."""
         entry = self._manifest["periods"].get(name)
+        if entry is None:
+            # Never checkpointed: nothing to promote, a plain ingest.
+            return self.ingest(payload, ranking=ranking)
         checksum = payload_checksum(payload)
+        index = _build_index(payload, ranking)
         obs = get_observer()
         with obs.span("store-finalize", period=name):
-            period_file = self.period_path(name)
-            index_file = self.index_path(name)
-            retire = []
-            if entry is not None:
-                retire = [
-                    str(p.relative_to(self.root)) for p in (
-                        self.live_path(name, entry["revision"]),
-                        self.live_index_path(name, entry["revision"]),
-                    )
-                ]
-            self._journal.begin(
-                "finalize", name, checksum,
-                [
-                    str(period_file.relative_to(self.root)),
-                    str(index_file.relative_to(self.root)),
-                ],
-                retire=retire or None,
+            self.io.write_atomic(
+                self.period_path(name), wrap(payload, checksum)
             )
-            self._write_wrapped(period_file, payload)
-            self._write_wrapped(
-                index_file, _build_index(payload, ranking)
-            )
+            self.io.write_atomic(self.index_path(name), wrap(index))
             self._manifest["periods"][name] = {
                 "start": payload["period"]["start"],
                 "days": payload["period"]["days"],
                 "repr": "json",
                 "checksum": checksum,
                 "ases": len(payload.get("reports", {})),
-                "seq": (
-                    entry["seq"] if entry
-                    else len(self._manifest["periods"])
-                ),
+                "seq": entry["seq"],
             }
             self._write_manifest()  # <- the commit point
-            for relative in retire:
-                target = self.root / relative
-                if target.exists():
-                    self.io.remove(target)
-            self._journal.clear()
+            self._retire_live(name, entry["revision"])
         self.stats.ingests += 1
         self.generation += 1
         self._payloads[name] = payload
-        self._indexes.pop(name, None)
+        self._indexes[name] = index
         obs.counter(
             "store_ingest_total", "periods committed to the archive",
         ).inc()
         return name
 
-    def _write_wrapped(self, path: Path, payload: Dict) -> None:
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "checksum": payload_checksum(payload),
-            "payload": payload,
-        }
-        self.io.write_atomic(
-            path, json.dumps(entry, indent=1).encode("ascii")
-        )
+    def _retire_live(self, name: str, revision: int) -> None:
+        """Remove a revision the manifest no longer names."""
+        self.io.remove(self.live_path(name, revision))
+        legacy = self.legacy_index_path(name, revision)
+        if legacy.exists():
+            self.io.remove(legacy)
 
     # -- reads ---------------------------------------------------------
 
-    def _read_wrapped(self, path: Path) -> Dict:
+    def _read_wrapped(self, path: Path) -> Tuple[Dict, Optional[Dict]]:
+        """A verified wrapper's ``(payload, index)``; see :func:`unwrap`."""
         try:
-            entry = json.loads(path.read_text())
+            raw = path.read_bytes()
         except FileNotFoundError:
             raise ArchiveCorruptionError(
                 path, "committed artifact is missing"
             ) from None
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
             self._quarantine(path)
             raise ArchiveCorruptionError(
                 path, f"does not parse: {exc}"
             ) from None
-        payload = entry.get("payload") if isinstance(entry, dict) else None
-        checksum = entry.get("checksum") if isinstance(entry, dict) else None
-        if payload is None or checksum != payload_checksum(payload):
+        try:
+            return unwrap(raw)
+        except ValueError as exc:
             self._quarantine(path)
-            raise ArchiveCorruptionError(path, "checksum mismatch")
+            raise ArchiveCorruptionError(path, str(exc)) from None
+
+    def _load_live(self, name: str, meta: Dict) -> Dict:
+        """Read, verify and cache a live revision's payload + index."""
+        source = self.live_path(name, meta["revision"])
+        payload, index = self._read_wrapped(source)
+        if index is None:  # a revision of the earlier two-file layout
+            index, _ = self._read_wrapped(
+                self.legacy_index_path(name, meta["revision"])
+            )
+        if payload_checksum(payload) != meta["checksum"]:
+            raise ArchiveCorruptionError(
+                source, "payload does not match manifest checksum"
+            )
+        self._payloads[name] = payload
+        self._indexes[name] = index
         return payload
 
     def _quarantine(self, path: Path) -> None:
@@ -614,7 +655,7 @@ class SurveyArchive:
             "segment reads served from the period JSON document "
             "after segment corruption",
         ).inc()
-        payload = self._read_wrapped(source)
+        payload, _ = self._read_wrapped(source)
         if payload_checksum(payload) != meta["checksum"]:
             raise ArchiveCorruptionError(
                 source,
@@ -647,11 +688,10 @@ class SurveyArchive:
                 return fallback
             source = self.segment_path(name)
         elif meta["repr"] == "live":
-            source = self.live_path(name, meta["revision"])
-            payload = self._read_wrapped(source)
+            return self._load_live(name, meta)
         else:
             source = self.period_path(name)
-            payload = self._read_wrapped(source)
+            payload, _ = self._read_wrapped(source)
         if payload_checksum(payload) != meta["checksum"]:
             raise ArchiveCorruptionError(
                 source,
@@ -700,10 +740,9 @@ class SurveyArchive:
         cached = self._indexes.get(name)
         if cached is None:
             if meta["repr"] == "live":
-                path = self.live_index_path(name, meta["revision"])
-            else:
-                path = self.index_path(name)
-            cached = self._read_wrapped(path)
+                self._load_live(name, meta)
+                return self._indexes[name]
+            cached, _ = self._read_wrapped(self.index_path(name))
             self._indexes[name] = cached
         return cached
 
@@ -917,7 +956,7 @@ class SurveyArchive:
             return cached
         self.stats.lookups += 1
         source = self.anomalies_path(name)
-        payload = self._read_wrapped(source)
+        payload, _ = self._read_wrapped(source)
         if payload_checksum(payload) != sub["checksum"]:
             raise ArchiveCorruptionError(
                 source,
@@ -1122,8 +1161,8 @@ class LivePeriodWriter:
     (:meth:`append` — bookkeeping only; record state lives in the
     streaming engine) and commits durable snapshots:
 
-    * :meth:`commit_partial` — journal-protected checkpoint of the
-      period as it stands; readers see it as a ``partial: true``
+    * :meth:`commit_partial` — crash-safe checkpoint of the period
+      as it stands; readers see it as a ``partial: true``
       period at revision *k*.
     * :meth:`finalize` — promote to the ordinary durable
       representation; the period stops being partial.
@@ -1168,11 +1207,10 @@ class LivePeriodWriter:
         return name
 
     def abort(self) -> None:
-        """Drop the live period (manifest first, then artifacts).
+        """Drop the live period (manifest first, then its revision).
 
-        A crash between the manifest rewrite and the file removals
-        leaves orphan live files, which ``repro store fsck`` flags and
-        ``--repair`` sweeps.
+        A crash between the manifest rewrite and the removal leaves
+        an orphan revision, which recovery on the next open deletes.
         """
         self._check_open()
         archive = self.archive
@@ -1180,12 +1218,7 @@ class LivePeriodWriter:
         if entry is not None:
             del archive._manifest["periods"][self.name]
             archive._write_manifest()
-            for path in (
-                archive.live_path(self.name, entry["revision"]),
-                archive.live_index_path(self.name, entry["revision"]),
-            ):
-                if path.exists():
-                    archive.io.remove(path)
+            archive._retire_live(self.name, entry["revision"])
             archive._payloads.pop(self.name, None)
             archive._indexes.pop(self.name, None)
             archive.generation += 1

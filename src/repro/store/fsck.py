@@ -39,13 +39,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from .errors import ArchiveCorruptionError
 from .io import REAL_IO, StoreIO, is_tmp
-from .journal import CommitJournal, TornJournal, recover, sweep_tmp_files
+from .journal import (
+    CommitJournal,
+    TornJournal,
+    committed_revision,
+    recover,
+    sweep_tmp_files,
+)
 from .segments import SegmentReader
 
 PathLike = Union[str, Path]
@@ -362,113 +368,75 @@ class _Fsck:
     # -- periods -------------------------------------------------------
 
     def _check_period(self, name: str, meta: Dict) -> None:
+        index = None
+        index_path = self.root / "index" / f"{name}.json"
         if meta.get("repr") == "segment":
             payload = self._check_segment(name, meta)
-            index_path = self.root / "index" / f"{name}.json"
         elif meta.get("repr") == "live":
-            payload = self._check_live_payload(name, meta)
-            index_path = (
-                self.root / "live"
-                / f"{name}.r{meta.get('revision')}.index.json"
+            revision = meta.get("revision")
+            path = self.root / "live" / f"{name}.r{revision}.json"
+            payload, index = self._check_document(
+                name, meta, path, "committed live revision missing"
             )
+            index_path = path
+            if index is None:  # the earlier two-file layout: a sidecar
+                index_path = (
+                    self.root / "live" / f"{name}.r{revision}.index.json"
+                )
         else:
-            payload = self._check_json_payload(name, meta)
-            index_path = self.root / "index" / f"{name}.json"
+            payload, _ = self._check_document(
+                name, meta, self.root / "periods" / f"{name}.json",
+                "committed period document missing",
+            )
         if payload is not None:
-            self._check_index(name, payload, index_path)
+            self._check_index(name, payload, index_path, index)
         # A period quarantined above took its anomaly report with it;
         # only still-committed periods get their report audited.
         if name in self.manifest["periods"]:
             self._check_anomalies(name, meta)
 
-    def _read_wrapper(self, path: Path) -> Optional[Dict]:
-        """A checksum-verified wrapper payload, or None + finding."""
+    def _read_wrapper(
+        self, path: Path
+    ) -> Tuple[Optional[Dict], Optional[Dict]]:
+        """A verified wrapper's ``(payload, index)``; a failed one
+        records a finding and reads ``(None, None)``."""
+        from .archive import unwrap  # lazy: avoid cycle
+
         try:
-            entry = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            self.report.add(
-                ERROR, "payload", path, f"does not parse: {exc}",
-            )
-            return None
-        payload = (
-            entry.get("payload") if isinstance(entry, dict) else None
-        )
-        checksum = (
-            entry.get("checksum") if isinstance(entry, dict) else None
-        )
-        if (
-            payload is None
-            or checksum != self._payload_checksum(payload)
-        ):
-            self.report.add(
-                ERROR, "payload", path, "checksum mismatch",
-            )
-            return None
-        return payload
+            return unwrap(path.read_bytes())
+        except OSError as exc:
+            detail = f"does not parse: {exc}"
+        except ValueError as exc:
+            detail = str(exc)
+        self.report.add(ERROR, "payload", path, detail)
+        return None, None
 
-    def _check_json_payload(
-        self, name: str, meta: Dict
-    ) -> Optional[Dict]:
-        path = self.root / "periods" / f"{name}.json"
+    def _check_document(
+        self, name: str, meta: Dict, path: Path, missing: str
+    ) -> Tuple[Optional[Dict], Optional[Dict]]:
+        """A committed period's verified ``(payload, index)``; on any
+        failure a finding (the period quarantined on repair) and
+        ``(None, None)``."""
         if not path.exists():
             finding = self.report.add(
-                ERROR, "missing-artifact", path,
-                "committed period document missing", period=name,
+                ERROR, "missing-artifact", path, missing, period=name,
             )
-            if self.report.repair:
-                self._quarantine_period(name, finding)
-            return None
-        payload = self._read_wrapper(path)
-        if payload is None:
-            finding = self.report.findings[-1]
-            finding.period = name
-            if self.report.repair:
-                self._quarantine_period(name, finding)
-            return None
-        if self._payload_checksum(payload) != meta.get("checksum"):
-            finding = self.report.add(
-                ERROR, "payload", path,
-                "payload does not match manifest checksum",
-                period=name,
-            )
-            if self.report.repair:
-                self._quarantine_period(name, finding)
-            return None
-        return payload
-
-    def _check_live_payload(
-        self, name: str, meta: Dict
-    ) -> Optional[Dict]:
-        path = (
-            self.root / "live" / f"{name}.r{meta.get('revision')}.json"
-        )
-        if not path.exists():
-            finding = self.report.add(
-                ERROR, "missing-artifact", path,
-                "committed live revision missing", period=name,
-            )
-            if self.report.repair:
-                self._quarantine_period(name, finding)
-            return None
-        payload = self._read_wrapper(path)
-        if payload is None:
-            finding = self.report.findings[-1]
-            finding.period = name
-            if self.report.repair:
-                self._quarantine_period(name, finding)
-            return None
-        if self._payload_checksum(payload) != meta.get("checksum"):
-            finding = self.report.add(
-                ERROR, "payload", path,
-                "payload does not match manifest checksum",
-                period=name,
-            )
-            if self.report.repair:
-                self._quarantine_period(name, finding)
-            return None
-        return payload
+        else:
+            payload, index = self._read_wrapper(path)
+            if payload is None:
+                finding = self.report.findings[-1]
+                finding.period = name
+            elif self._payload_checksum(payload) != meta.get("checksum"):
+                finding = self.report.add(
+                    ERROR, "payload", path,
+                    "payload does not match manifest checksum",
+                    period=name,
+                )
+            else:
+                return payload, index
+        if self.report.repair:
+            self._quarantine_period(name, finding)
+        return None, None
 
     def _check_segment(
         self, name: str, meta: Dict
@@ -504,41 +472,47 @@ class _Fsck:
         return payload
 
     def _check_index(
-        self, name: str, payload: Dict, path: Optional[Path] = None
+        self,
+        name: str,
+        payload: Dict,
+        path: Path,
+        embedded: Optional[Dict] = None,
     ) -> None:
-        from .archive import _build_index  # lazy: avoid cycle
+        """Audit a period's secondary index against its payload.
 
-        if path is None:
-            path = self.root / "index" / f"{name}.json"
-        index = self._read_wrapper(path) if path.exists() else None
-        detail = None
-        if not path.exists():
-            detail = "secondary index missing"
-        elif index is None:
-            detail = "secondary index corrupt"
-            self.report.findings[-1].period = name
-            self.report.findings[-1].kind = "index"
-        else:
-            mismatch = self._index_mismatch(index, payload)
-            if mismatch:
-                detail = mismatch
-        if detail is None:
-            return
-        if detail != "secondary index corrupt":
+        ``embedded`` is the index a live revision carries in its own
+        wrapper (``path`` is then the revision file, and a repair
+        rewrites the revision with a rebuilt index).
+        """
+        from .archive import _build_index, wrap  # lazy: avoid cycle
+
+        finding = None
+        if embedded is not None:
+            index = embedded
+        elif not path.exists():
             finding = self.report.add(
-                ERROR, "index", path, detail, period=name
+                ERROR, "index", path, "secondary index missing",
+                period=name,
             )
         else:
-            finding = self.report.findings[-1]
+            index, _ = self._read_wrapper(path)
+            if index is None:
+                finding = self.report.findings[-1]
+                finding.period = name
+                finding.kind = "index"
+        if finding is None:
+            mismatch = self._index_mismatch(index, payload)
+            if mismatch is None:
+                return
+            finding = self.report.add(
+                ERROR, "index", path, mismatch, period=name
+            )
         if self.report.repair:
-            from .archive import SCHEMA_VERSION
-
             rebuilt = _build_index(payload, None)
-            self.io.write_atomic(path, json.dumps({
-                "schema": SCHEMA_VERSION,
-                "checksum": self._payload_checksum(rebuilt),
-                "payload": rebuilt,
-            }, indent=1).encode("ascii"))
+            self.io.write_atomic(path, (
+                wrap(payload, index=rebuilt) if embedded is not None
+                else wrap(rebuilt)
+            ))
             finding.repaired = True
             finding.action = (
                 "index rebuilt from payload (country index empty: "
@@ -566,7 +540,7 @@ class _Fsck:
             if self.report.repair:
                 self._drop_anomalies(name, finding, quarantine=False)
             return
-        payload = self._read_wrapper(path)
+        payload, _ = self._read_wrapper(path)
         if payload is None:
             finding = self.report.findings[-1]
             finding.period = name
@@ -606,6 +580,8 @@ class _Fsck:
     @staticmethod
     def _index_mismatch(index: Dict, payload: Dict) -> Optional[str]:
         """Cross-reference the severity/country indexes vs the payload."""
+        if not isinstance(index, dict):
+            return "index structure invalid"
         severity = index.get("severity")
         country = index.get("country")
         if not isinstance(severity, dict) or not isinstance(
@@ -639,7 +615,12 @@ class _Fsck:
     # -- leftovers -----------------------------------------------------
 
     def _check_orphans(self) -> None:
-        committed = set(self.manifest["periods"])
+        # A live period owns only its live revision: a periods/ or
+        # index/ document of one is an uncommitted finalize.
+        committed = {
+            name for name, meta in self.manifest["periods"].items()
+            if committed_revision(meta) is None
+        }
         for sub, suffix in (
             ("periods", ".json"), ("index", ".json"),
             ("segments", ".seg"),
@@ -690,8 +671,8 @@ class _Fsck:
         if live_dir.is_dir():
             expected = set()
             for name, meta in self.manifest["periods"].items():
-                if meta.get("repr") == "live":
-                    revision = meta.get("revision")
+                revision = committed_revision(meta)
+                if revision is not None:
                     expected.add(f"{name}.r{revision}.json")
                     expected.add(f"{name}.r{revision}.index.json")
             for path in sorted(live_dir.iterdir()):

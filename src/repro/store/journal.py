@@ -1,8 +1,9 @@
-"""Write-ahead commit journal for the survey archive.
+"""Write-ahead commit journal and crash recovery for the survey archive.
 
 The archive's manifest rewrite is the commit point; everything before
-it must be undoable and everything after it redoable.  The journal
-makes that mechanical.  An ingest runs::
+it must be undoable and everything after it redoable.  For a plain
+ingest and an anomaly-report attach — one commit per period — the
+journal makes that mechanical.  An ingest runs::
 
     1. JOURNAL.json     <- intent record (period, checksum, file list)
     2. periods/<n>.json <- payload           (atomic write)
@@ -31,20 +32,24 @@ open (:func:`recover`) is then a pure function of on-disk state:
 No reader ever consults anything but the manifest, so mid-commit
 states are invisible to queries even *before* recovery runs.
 
-Live-period checkpoints (``op: commit-partial``) and promotions
-(``op: finalize``) follow the same shape with two extra record keys:
-``revision`` tags which checkpoint the intent belongs to (presence of
-the period in the manifest is no longer proof of the flip — the
-period was already there at the previous revision) and ``retire``
-names the previous revision's files, deleted only *after* the flip.
-Roll-forward therefore finishes the retirement; rollback deletes only
-the new revision's files, never the retired ones the still-committed
-previous revision needs.
+Live-period checkpoints and finalizes run *without* a journal.  Every
+file they create is named by (period, revision) alone and the
+manifest names the committed revision, so the manifest is all
+recovery needs: :func:`reconcile_live` deletes whatever a dead live
+writer left that the manifest does not name.  A checkpoint is then
+two atomic writes (the revision file, the manifest) and one remove
+(the previous revision) — on ext4 the cost of a commit is the files
+it frees, not the bytes it writes.  A pending journal with op
+``commit-partial`` or ``finalize`` (written by the journaled live
+protocol of earlier versions) is acknowledged without acting on its
+file lists: the reconcile decides, and acting on the record's
+``retire`` list could delete a revision the manifest still names.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -75,7 +80,8 @@ class TornJournal(Exception):
 class RecoveryReport:
     """What one recovery pass found and did."""
 
-    outcome: str = "clean"  # clean | roll-forward | rollback | torn-journal
+    #: clean | roll-forward | rollback | torn-journal | acknowledged
+    outcome: str = "clean"
     period: Optional[str] = None
     removed: List[str] = field(default_factory=list)
     swept_tmp: List[str] = field(default_factory=list)
@@ -114,24 +120,9 @@ class CommitJournal:
     # -- writer side ---------------------------------------------------
 
     def begin(
-        self,
-        op: str,
-        period: str,
-        checksum: str,
-        files: List[str],
-        retire: Optional[List[str]] = None,
-        revision: Optional[int] = None,
+        self, op: str, period: str, checksum: str, files: List[str]
     ) -> Dict:
-        """Durably record intent before any data file is touched.
-
-        ``retire`` names files the commit deletes *after* the manifest
-        flip (previous live-revision artifacts); ``revision`` tags a
-        live-period checkpoint so recovery can tell whether the flip
-        for *this* revision happened even when consecutive checkpoints
-        carry the same payload checksum.  Both are omitted from the
-        record when not given, keeping plain-ingest records in their
-        original shape.
-        """
+        """Durably record intent before any data file is touched."""
         record = {
             "format": JOURNAL_FORMAT,
             "schema": JOURNAL_SCHEMA,
@@ -140,10 +131,6 @@ class CommitJournal:
             "checksum": checksum,
             "files": list(files),
         }
-        if retire is not None:
-            record["retire"] = list(retire)
-        if revision is not None:
-            record["revision"] = revision
         record["journal_checksum"] = _record_checksum(record)
         self.io.write_atomic(
             self.path, json.dumps(record, indent=1).encode("ascii")
@@ -202,30 +189,21 @@ def sweep_tmp_files(
     return swept
 
 
+#: Journal ops of the earlier journaled live protocol; recovery
+#: acknowledges them and leaves the files to :func:`reconcile_live`.
+LIVE_OPS = ("commit-partial", "finalize")
+
+
 def _flip_happened(record: Dict, entry: Optional[Dict]) -> bool:
     """Did the manifest flip this intent describes actually land?
 
     Plain ingests create their period's entry, so presence is proof.
-    Live-period checkpoints *replace* an existing entry: the flip for
-    revision ``k`` landed iff the entry is still live and carries that
-    revision.  A finalize flips the live entry to a durable repr, so
-    any non-live repr is proof.  An anomaly-report attach adds an
-    ``anomalies`` sub-entry to an existing period: the flip landed iff
-    the sub-entry is present and names this intent's checksum (the
-    period entry itself predates the intent, so mere presence proves
-    nothing).  Payload checksums otherwise deliberately play no part —
-    consecutive checkpoints may carry identical payloads.
+    An anomaly-report attach adds an ``anomalies`` sub-entry to an
+    existing period: the flip landed iff the sub-entry is present and
+    names this intent's checksum (the period entry itself predates
+    the intent, so mere presence proves nothing).
     """
-    op = record.get("op", "ingest")
-    if op == "commit-partial":
-        return (
-            entry is not None
-            and entry.get("repr") == "live"
-            and entry.get("revision") == record.get("revision")
-        )
-    if op == "finalize":
-        return entry is not None and entry.get("repr") != "live"
-    if op == "anomaly":
+    if record.get("op", "ingest") == "anomaly":
         return (
             entry is not None
             and entry.get("anomalies", {}).get("checksum")
@@ -265,25 +243,17 @@ def recover(
         return report
 
     report.period = record["period"]
-    entry = committed_entry_of(record["period"])
-    if _flip_happened(record, entry):
+    if record.get("op") in LIVE_OPS:
+        report.outcome = "acknowledged"
+    elif _flip_happened(record, committed_entry_of(record["period"])):
         # Crash landed between manifest flip and acknowledgment: the
-        # commit is real; finish its cleanup (retired previous-revision
-        # files the flip obsoleted) and acknowledge.  (The manifest
-        # wins and fsck arbitrates content, so never delete files the
-        # current entry references.)
+        # commit is real, acknowledge it.  (The manifest wins and fsck
+        # arbitrates content, so never delete committed files.)
         report.outcome = "roll-forward"
-        for relative in record.get("retire", []):
-            target = root / relative
-            if target.exists():
-                io.remove(target)
-                report.removed.append(relative)
     else:
         # Crash landed before the flip: the intent names every file
         # this commit may have created; deleting them (idempotently)
-        # restores the exact pre-commit state.  Files it meant to
-        # retire stay — the still-committed previous revision needs
-        # them.
+        # restores the exact pre-commit state.
         report.outcome = "rollback"
         for relative in record["files"]:
             target = root / relative
@@ -292,4 +262,69 @@ def recover(
                 report.removed.append(relative)
     report.swept_tmp = sweep_tmp_files(root, io)
     journal.clear()
+    return report
+
+
+#: A live revision's file: ``<period>.r<k>.json``, or the
+#: ``<period>.r<k>.index.json`` sidecar of the earlier two-file layout.
+LIVE_FILE = re.compile(
+    r"^(?P<period>.+)\.r(?P<revision>\d+)(?:\.index)?\.json$"
+)
+
+
+def committed_revision(entry: Optional[Dict]) -> Optional[int]:
+    """The revision a manifest entry commits; None unless it is live."""
+    if entry is None or entry.get("repr") != "live":
+        return None
+    return entry.get("revision")
+
+
+def reconcile_live(
+    root: Path, periods: Dict[str, Dict], io: StoreIO = REAL_IO
+) -> RecoveryReport:
+    """Delete what a dead live-period writer left, by the manifest.
+
+    ``periods`` is the loaded manifest's period map.  Two rules, both
+    pure functions of disk state (a second pass finds nothing to do):
+
+    * every ``live/`` revision file that is not the committed
+      revision of a ``repr: "live"`` entry goes — a newer one is an
+      uncommitted checkpoint (rollback), an older one a retired
+      revision whose removal the crash cut short (roll-forward);
+    * a period still live in the manifest owns no ``periods/`` or
+      ``index/`` document — one there is an uncommitted finalize
+      (rollback).
+
+    Names that are not live revision files are left for fsck.
+    """
+    report = RecoveryReport()
+
+    def drop(relative: str, period: str, ahead: bool) -> None:
+        io.remove(root / relative)
+        report.removed.append(relative)
+        if report.outcome != "rollback":
+            report.outcome = "rollback" if ahead else "roll-forward"
+            report.period = period
+
+    live_dir = root / "live"
+    if live_dir.is_dir():
+        for path in sorted(live_dir.iterdir()):
+            match = LIVE_FILE.match(path.name)
+            if match is None or not path.is_file() or is_tmp(path):
+                continue
+            entry = periods.get(match["period"])
+            committed = committed_revision(entry)
+            revision = int(match["revision"])
+            if revision == committed:
+                continue
+            ahead = entry is None or (
+                committed is not None and revision > committed
+            )
+            drop(f"live/{path.name}", match["period"], ahead)
+    for name in sorted(periods):
+        if committed_revision(periods[name]) is None:
+            continue
+        for relative in (f"periods/{name}.json", f"index/{name}.json"):
+            if (root / relative).exists():
+                drop(relative, name, ahead=True)
     return report

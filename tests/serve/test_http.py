@@ -158,3 +158,31 @@ class TestShellTiming:
         assert [r["stage"] for r in access] == ["serve-http"] * 2
         assert access[0]["message"] == '"GET /v1/as/100 HTTP/1.1" 200 ' \
             + headers["Content-Length"]
+
+    def test_access_log_follows_request_order(self, archive):
+        """Each request is logged before its response goes out, so a
+        client that waits for every response finds its requests in
+        the log in the order it sent them — even when each request
+        rides a new connection and so a new handler thread."""
+        import io
+
+        from repro.obs import Observability, StructuredLogger, observed
+        from repro.obs.log import read_jsonl
+
+        sink = io.StringIO()
+        observer = Observability(logger=StructuredLogger(sink=sink))
+        pairs = 50
+        with observed(observer), SurveyServer(archive) as server:
+            for _ in range(pairs):
+                _status, headers, _body = fetch(server.url + "/v1/as/100")
+                status, _headers, _body = fetch(
+                    server.url + "/v1/as/100",
+                    headers={"If-None-Match": headers["ETag"]},
+                )
+                assert status == 304
+        access = [
+            r["message"] for r in read_jsonl(sink)
+            if r["event"] == "access"
+        ]
+        assert len(access) == 2 * pairs
+        assert [m.split()[-2] for m in access] == ["200", "304"] * pairs

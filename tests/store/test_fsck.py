@@ -14,6 +14,7 @@ from repro.store import (
     EXIT_ERRORS,
     EXIT_REPAIRED,
     EXIT_UNUSABLE,
+    ArchiveCorruptionError,
     SurveyArchive,
     run_fsck,
 )
@@ -57,12 +58,33 @@ class TestCleanArchive:
         assert report.exit_code == EXIT_CLEAN
 
 
+def flip_keyed(root, relative, seed=11):
+    """Flip one content-keyed bit of ``root / relative``.
+
+    Keyed on the archive-relative path, not the absolute one, so the
+    flip lands on the same bit whatever directory the archive sits in
+    (pytest numbers its base directories per run).
+    """
+    target = root / relative
+    rng = FsFaultKey(seed).rng(relative)
+    return flip_bit(
+        target,
+        offset=int(rng.integers(target.stat().st_size)),
+        bit=int(rng.integers(8)),
+    )
+
+
+def schema_bytes(path):
+    """Offsets of a wrapper's ``schema`` key name and its value."""
+    raw = path.read_bytes()
+    key = raw.index(b'"schema"') + 1
+    value = raw.index(b"1", key + len("schema"))
+    return list(range(key, key + len("schema"))) + [value]
+
+
 class TestJsonPayloadCorruption:
     def test_bit_flip_detected_not_repaired(self, stocked):
-        flip_bit(
-            stocked.root / "periods" / "2019-06.json",
-            key=FsFaultKey(11),
-        )
+        flip_keyed(stocked.root, "periods/2019-06.json")
         report = run_fsck(stocked.root)
         assert not report.clean
         assert report.exit_code == EXIT_ERRORS
@@ -73,10 +95,7 @@ class TestJsonPayloadCorruption:
         assert not (stocked.root / "quarantine").exists()
 
     def test_bit_flip_repair_quarantines_period(self, stocked):
-        flip_bit(
-            stocked.root / "periods" / "2019-06.json",
-            key=FsFaultKey(11),
-        )
+        flip_keyed(stocked.root, "periods/2019-06.json")
         report = run_fsck(stocked.root, repair=True)
         assert report.exit_code == EXIT_REPAIRED
         assert not (stocked.root / "periods" / "2019-06.json").exists()
@@ -92,16 +111,45 @@ class TestJsonPayloadCorruption:
         assert run_fsck(stocked.root).exit_code == EXIT_CLEAN
 
     def test_repair_books_quality_drop(self, stocked):
-        flip_bit(
-            stocked.root / "periods" / "2019-06.json",
-            key=FsFaultKey(11),
-        )
+        flip_keyed(stocked.root, "periods/2019-06.json")
         from repro.quality import DataQualityReport
 
         quality = DataQualityReport()
         run_fsck(stocked.root, repair=True, quality=quality)
         dropped = quality.stages["store-fsck"].dropped
         assert dropped[DropReason.CORRUPT_ARTIFACT] >= 1
+
+
+class TestWrapperSchema:
+    """Every wrapped read requires ``schema`` to be the archive's: a
+    bit flipped anywhere in the key name or its value is flagged."""
+
+    @pytest.mark.parametrize("relative", [
+        "periods/2019-06.json", "index/2019-06.json",
+    ])
+    @pytest.mark.parametrize("byte", range(7))
+    @pytest.mark.parametrize("bit", range(8))
+    def test_schema_flip_flagged(self, stocked, relative, byte, bit):
+        path = stocked.root / relative
+        flip_bit(path, offset=schema_bytes(path)[byte], bit=bit)
+        report = run_fsck(stocked.root)
+        assert report.exit_code == EXIT_ERRORS
+        assert [f.path for f in report.errors] == [str(path)]
+
+    def test_schema_value_checked(self, stocked):
+        path = stocked.root / "periods" / "2019-06.json"
+        path.write_bytes(path.read_bytes().replace(
+            b'"schema": 1', b'"schema": 3', 1
+        ))
+        report = run_fsck(stocked.root)
+        assert [f.detail for f in report.errors] == [
+            "wrapper schema 3 is not the archive's 1"
+        ]
+        # The serving path refuses (and quarantines) it too.
+        archive = SurveyArchive(stocked.root)
+        with pytest.raises(ArchiveCorruptionError, match="schema 3"):
+            archive.get_period("2019-06")
+        assert not path.exists()
 
 
 class TestSegmentCorruption:
@@ -206,10 +254,7 @@ class TestLeftovers:
 class TestArchiveFsckMethod:
     def test_archive_keeps_serving_after_repair(self, stocked):
         archive = SurveyArchive(stocked.root)
-        flip_bit(
-            stocked.root / "periods" / "2019-06.json",
-            key=FsFaultKey(11),
-        )
+        flip_keyed(stocked.root, "periods/2019-06.json")
         generation = archive.generation
         report = archive.fsck(repair=True)
         assert report.repair_count >= 1
@@ -219,10 +264,7 @@ class TestArchiveFsckMethod:
         assert archive.generation > generation
 
     def test_fsck_counters(self, stocked):
-        flip_bit(
-            stocked.root / "periods" / "2019-06.json",
-            key=FsFaultKey(11),
-        )
+        flip_keyed(stocked.root, "periods/2019-06.json")
         with observed() as obs:
             run_fsck(stocked.root)
         runs = obs.metrics.counter(

@@ -25,12 +25,15 @@ from repro.faults import CrashingIO, CrashPlan, RecordingIO, SimulatedCrash
 from repro.obs import observed
 from repro.store import (
     EXIT_CLEAN,
+    ArchiveCorruptionError,
     CommitJournal,
     SurveyArchive,
     TornJournal,
     recover,
     run_fsck,
 )
+from repro.store.archive import wrap
+from repro.store.journal import JOURNAL_FORMAT, _record_checksum
 
 
 def archive_state(root):
@@ -233,8 +236,8 @@ class TestCrashDuringCommitPartial:
     archive on exactly the previous or the new revision — never a
     blend — and fsck stays clean.  The checkpoint deliberately
     carries the *same payload* as the previous one: recovery must
-    tell the revisions apart by the journal's revision number, not
-    by checksum."""
+    tell the revisions apart by the revision number the manifest and
+    the file names carry, not by checksum."""
 
     LIVE = "2019-06"
 
@@ -252,10 +255,29 @@ class TestCrashDuringCommitPartial:
         io.ops.clear()
         writer.commit_partial(survey_june)
         kinds = [op.kind for op in io.ops]
-        # journal, live payload, live index, manifest: four atomic
-        # writes; then retire the two previous-revision files and
-        # acknowledge the journal.
-        assert kinds == ["write", "replace"] * 4 + ["remove"] * 3
+        # The revision file (payload + index) and the manifest: two
+        # atomic writes, then retire the previous revision.  No
+        # journal: the manifest alone tells recovery which revision
+        # is committed.
+        assert kinds == ["write", "replace"] * 2 + ["remove"]
+        assert "r2.json" in io.ops[1].path
+        assert "MANIFEST" in io.ops[3].path
+        assert "r1.json" in io.ops[4].path
+
+    def test_finalize_protocol_shape(self, tmp_path, survey_june):
+        io = RecordingIO()
+        _, writer = self.open_live(tmp_path / "record", io)
+        writer.commit_partial(survey_june)
+        io.ops.clear()
+        writer.finalize(survey_june)
+        kinds = [op.kind for op in io.ops]
+        # Period document, index, manifest flip, then retire the one
+        # live revision.
+        assert kinds == ["write", "replace"] * 3 + ["remove"]
+        assert "periods" in io.ops[1].path
+        assert "index" in io.ops[3].path
+        assert "MANIFEST" in io.ops[5].path
+        assert "r1.json" in io.ops[6].path
 
     def test_every_op_every_offset_pre_or_post(
         self, tmp_path, survey_june
@@ -325,6 +347,259 @@ class TestCrashDuringCommitPartial:
             assert report.exit_code == EXIT_CLEAN, [
                 f.detail for f in report.findings
             ]
+
+
+class TestCrashDuringFinalize:
+    """The finalize twin: a writer killed at ANY byte boundary of a
+    ``finalize`` leaves exactly the live period at its last revision
+    or the finalized period — never both, never neither."""
+
+    LIVE = "2019-06"
+
+    def live(self, root, survey, io=None):
+        archive = (
+            SurveyArchive(root, io=io) if io is not None
+            else SurveyArchive(root)
+        )
+        writer = archive.begin_live_period(self.LIVE)
+        writer.commit_partial(survey)
+        return writer
+
+    def test_every_op_every_offset_pre_or_post(
+        self, tmp_path, survey_june, ranking
+    ):
+        io = RecordingIO()
+        writer = self.live(tmp_path / "record", survey_june, io)
+        base = len(io.ops)
+        writer.finalize(survey_june, ranking=ranking)
+        ops = io.ops[base:]
+        manifest_op = next(
+            i for i, op in enumerate(ops)
+            if op.kind == "replace" and "MANIFEST" in op.path
+        )
+
+        pre_root = tmp_path / "pre"
+        self.live(pre_root, survey_june)
+        pre_state = archive_state(pre_root)
+        post_root = tmp_path / "post"
+        self.live(post_root, survey_june).finalize(
+            survey_june, ranking=ranking
+        )
+        post_state = archive_state(post_root)
+
+        for op_index, op in enumerate(ops):
+            offsets = [None]
+            if op.kind == "write":
+                offsets = [0, op.size // 2, op.size - 1]
+            for offset in offsets:
+                root = tmp_path / f"crash-{op_index}-{offset}"
+                io = CrashingIO(
+                    CrashPlan(base + op_index, byte_offset=offset)
+                )
+                writer = self.live(root, survey_june, io)
+                with pytest.raises(SimulatedCrash):
+                    writer.finalize(survey_june, ranking=ranking)
+
+                reopened = SurveyArchive(root)
+                state = archive_state(root)
+                repr_ = reopened.period_meta(self.LIVE)["repr"]
+                if op_index > manifest_op:
+                    assert state == post_state, (op_index, offset)
+                    assert repr_ == "json"
+                    assert reopened.last_recovery.outcome == (
+                        "roll-forward"
+                    )
+                else:
+                    assert state == pre_state, (op_index, offset)
+                    assert repr_ == "live"
+                assert reopened.get_period(self.LIVE)["period"][
+                    "name"
+                ] == self.LIVE
+                report = run_fsck(root, repair=False)
+                assert report.exit_code == EXIT_CLEAN, [
+                    f.detail for f in report.findings
+                ]
+
+
+def legacy_revision(root, name, revision):
+    """Rewrite a committed live revision in the earlier two-file
+    layout: a payload-only wrapper plus an ``.index.json`` sidecar."""
+    live = root / "live" / f"{name}.r{revision}.json"
+    entry = json.loads(live.read_text())
+    live.write_bytes(wrap(entry["payload"]))
+    sidecar = root / "live" / f"{name}.r{revision}.index.json"
+    sidecar.write_bytes(wrap(entry["index"]))
+    return live, sidecar
+
+
+class TestLiveReconcile:
+    """Recovery on open settles ``live/`` from the manifest alone."""
+
+    LIVE = "2019-06"
+
+    def checkpointed(self, root, survey, ranking, times=1):
+        archive = SurveyArchive(root)
+        writer = archive.begin_live_period(self.LIVE)
+        for _ in range(times):
+            writer.commit_partial(survey, ranking=ranking)
+        return archive
+
+    def test_stray_newer_revision_removed(
+        self, tmp_path, survey_june, ranking
+    ):
+        root = tmp_path / "arc"
+        self.checkpointed(root, survey_june, ranking)
+        before = archive_state(root)
+        stray = root / "live" / f"{self.LIVE}.r2.json"
+        stray.write_bytes((root / "live" / f"{self.LIVE}.r1.json")
+                          .read_bytes())
+        reopened = SurveyArchive(root)
+        assert not stray.exists()
+        assert archive_state(root) == before
+        assert reopened.period_meta(self.LIVE)["revision"] == 1
+        assert reopened.last_recovery.outcome == "rollback"
+        assert reopened.last_recovery.removed == [f"live/{stray.name}"]
+        assert SurveyArchive(root).last_recovery.outcome == "clean"
+
+    def test_stray_older_revision_removed(
+        self, tmp_path, survey_june, ranking
+    ):
+        root = tmp_path / "arc"
+        self.checkpointed(root, survey_june, ranking, times=2)
+        before = archive_state(root)
+        stray = root / "live" / f"{self.LIVE}.r1.json"
+        stray.write_bytes((root / "live" / f"{self.LIVE}.r2.json")
+                          .read_bytes())
+        reopened = SurveyArchive(root)
+        assert not stray.exists()
+        assert archive_state(root) == before
+        assert reopened.period_meta(self.LIVE)["revision"] == 2
+        assert reopened.last_recovery.outcome == "roll-forward"
+
+    def test_uncommitted_finalize_documents_removed(
+        self, tmp_path, survey_june, ranking
+    ):
+        root = tmp_path / "arc"
+        self.checkpointed(root, survey_june, ranking)
+        before = archive_state(root)
+        # Die at the manifest write (op 4, after the period document
+        # and index): both documents are on disk, the flip is not.
+        crashing = SurveyArchive(
+            root, io=CrashingIO(CrashPlan(4))
+        ).begin_live_period(self.LIVE)
+        with pytest.raises(SimulatedCrash):
+            crashing.finalize(survey_june, ranking=ranking)
+        assert (root / "periods" / f"{self.LIVE}.json").exists()
+        assert (root / "index" / f"{self.LIVE}.json").exists()
+        # Even before recovery, fsck calls them orphans, not data.
+        report = run_fsck(root, repair=False)
+        assert {f.kind for f in report.findings} == {"orphan"}
+        reopened = SurveyArchive(root)
+        assert archive_state(root) == before
+        assert reopened.period_meta(self.LIVE)["repr"] == "live"
+        assert reopened.last_recovery.outcome == "rollback"
+        assert reopened.quality.stages["store-archive"].dropped
+
+    def test_legacy_journal_never_deletes_committed_revision(
+        self, tmp_path, survey_june, ranking
+    ):
+        """A pending ``commit-partial`` journal from the journaled
+        live protocol names the committed revision in ``retire``;
+        recovery must acknowledge it without acting on its lists."""
+        root = tmp_path / "arc"
+        self.checkpointed(root, survey_june, ranking)
+        live, sidecar = legacy_revision(root, self.LIVE, 1)
+        record = {
+            "format": JOURNAL_FORMAT, "schema": 1,
+            "op": "commit-partial", "period": self.LIVE,
+            "checksum": "cafe",
+            "files": [f"live/{self.LIVE}.r2.json",
+                      f"live/{self.LIVE}.r2.index.json"],
+            "retire": [f"live/{self.LIVE}.r1.json",
+                       f"live/{self.LIVE}.r1.index.json"],
+            "revision": 2,
+        }
+        record["journal_checksum"] = _record_checksum(record)
+        journal = root / CommitJournal.FILENAME
+        journal.write_text(json.dumps(record))
+        torn = root / "live" / f"{self.LIVE}.r2.json"
+        torn.write_text('{"schema": 1, "chec')
+
+        reopened = SurveyArchive(root)
+        assert live.exists() and sidecar.exists()
+        assert not torn.exists() and not journal.exists()
+        assert reopened.last_recovery.outcome == "rollback"
+        assert reopened.period_meta(self.LIVE)["revision"] == 1
+        assert reopened.asns_in_country(self.LIVE, "JP") == [100]
+        assert run_fsck(root).exit_code == EXIT_CLEAN
+
+    def test_legacy_pending_finalize_acknowledged(
+        self, tmp_path, survey_june, ranking
+    ):
+        """Same for a ``finalize`` intent whose flip landed: the live
+        files it listed to retire are left over, the reconcile
+        removes them, the finalized period is untouched."""
+        root = tmp_path / "arc"
+        archive = self.checkpointed(root, survey_june, ranking)
+        legacy_revision(root, self.LIVE, 1)
+        leftovers = sorted(p.name for p in (root / "live").iterdir())
+        archive.io = CrashingIO(CrashPlan(6))  # dies at the retire
+        writer = archive.begin_live_period(self.LIVE)
+        with pytest.raises(SimulatedCrash):
+            writer.finalize(survey_june, ranking=ranking)
+        record = {
+            "format": JOURNAL_FORMAT, "schema": 1, "op": "finalize",
+            "period": self.LIVE, "checksum": "cafe",
+            "files": [f"periods/{self.LIVE}.json",
+                      f"index/{self.LIVE}.json"],
+            "retire": [f"live/{name}" for name in leftovers],
+        }
+        record["journal_checksum"] = _record_checksum(record)
+        (root / CommitJournal.FILENAME).write_text(json.dumps(record))
+
+        reopened = SurveyArchive(root)
+        assert reopened.last_recovery.outcome == "roll-forward"
+        assert not list((root / "live").iterdir())
+        assert reopened.period_meta(self.LIVE)["repr"] == "json"
+        assert (root / "periods" / f"{self.LIVE}.json").exists()
+        assert run_fsck(root).exit_code == EXIT_CLEAN
+
+    def test_legacy_two_file_revision_read_then_retired(
+        self, tmp_path, survey_june, ranking
+    ):
+        root = tmp_path / "arc"
+        self.checkpointed(root, survey_june, ranking)
+        live, sidecar = legacy_revision(root, self.LIVE, 1)
+        assert run_fsck(root).exit_code == EXIT_CLEAN
+
+        reopened = SurveyArchive(root)
+        assert reopened.last_recovery.outcome == "clean"
+        assert reopened.get_period(self.LIVE)["period"]["name"] == (
+            self.LIVE
+        )
+        assert reopened.asns_in_country(self.LIVE, "JP") == [100]
+        writer = reopened.begin_live_period(self.LIVE)
+        assert writer.commit_partial(survey_june, ranking=ranking) == 2
+        assert not live.exists() and not sidecar.exists()
+        assert sorted(p.name for p in (root / "live").iterdir()) == [
+            f"{self.LIVE}.r2.json"
+        ]
+        assert run_fsck(root).exit_code == EXIT_CLEAN
+
+    def test_legacy_revision_without_sidecar_refused(
+        self, tmp_path, survey_june, ranking
+    ):
+        """A payload-only wrapper is never read as a whole revision:
+        without its sidecar the index read fails loudly."""
+        root = tmp_path / "arc"
+        self.checkpointed(root, survey_june, ranking)
+        _live, sidecar = legacy_revision(root, self.LIVE, 1)
+        sidecar.unlink()
+        reopened = SurveyArchive(root)
+        with pytest.raises(ArchiveCorruptionError, match="missing"):
+            reopened.asns_in_country(self.LIVE, "JP")
+        report = run_fsck(root)
+        assert [f.kind for f in report.errors] == ["index"]
 
 
 @pytest.mark.slow
