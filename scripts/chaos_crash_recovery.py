@@ -4,17 +4,21 @@
 The CI contract behind DESIGN.md §12 and §13: a writer killed at ANY
 point of a commit leaves the archive — after recovery-on-open — in
 exactly the pre-commit or post-commit state, with ``repro store
-fsck`` finding nothing to complain about.  Three commits are swept:
-a journaled ``ingest``, a live ``commit_partial`` (revision 1 -> 2)
-and a live ``finalize`` (revision 1 -> an ordinary period).
+fsck`` finding nothing to complain about.  Five commits are swept: an
+``ingest``, an anomaly-report attach, a live ``commit_partial``
+(revision 1 -> 2), a live ``finalize`` (revision 1 -> an ordinary
+period) and a ``compact`` (JSON document -> segment).  Each writes its
+documents, then the manifest record in place into the older slot (the
+commit point), then retires the other slot.
 
 Unlike the in-process property test (tests/store/test_journal.py),
 every crash here is a genuine ``SIGKILL`` delivered to a separate
 writer process: no ``finally`` blocks, no unwound stack, just a dead
 process and whatever bytes reached the disk.  The crash schedule is
 content-keyed — op indexes come from a dry-run enumeration of the
-protocol, tear offsets are derived from a digest of the payload — so
-reruns are reproducible without hardcoding the protocol's shape.
+protocol, tear offsets of every write (the in-place slot write
+included) are derived from a digest of the op sequence — so reruns
+are reproducible without hardcoding the protocol's shape.
 
 Usage::
 
@@ -43,8 +47,10 @@ from repro.faults import RecordingIO  # noqa: E402
 from repro.store import (  # noqa: E402
     EXIT_CLEAN,
     SurveyArchive,
+    read_manifest,
     run_fsck,
 )
+from repro.store.manifest import SLOT_NAMES  # noqa: E402
 
 # The child re-runs one scenario's commit under CrashingIO in kill mode.
 CHILD = textwrap.dedent("""
@@ -109,37 +115,37 @@ def make_ranking():
 
 
 def archive_state(root):
-    """Manifest + file listing: what pre/post comparison is made of."""
-    manifest_path = root / "MANIFEST.json"
-    manifest = (
-        json.loads(manifest_path.read_text())
-        if manifest_path.exists() else None
-    )
+    """The committed manifest, read through the slot reader, and the
+    files beside the slots: what pre/post comparison is made of."""
     files = sorted(
         str(p.relative_to(root))
         for p in root.rglob("*")
         if p.is_file() and "quarantine" not in p.parts
+        and p.name not in SLOT_NAMES
     )
-    return {"manifest": manifest, "files": files}
+    return {"manifest": read_manifest(root), "files": files}
 
 
 class Scenario:
     """One commit to crash: how to seed it, run it, and judge it."""
 
-    def __init__(self, name, live, act, check):
+    def __init__(self, name, june, act, check):
         self.name = name
-        self.live = live      # seed a live 2019-06 at revision 1?
+        self.june = june      # seed 2019-06: None, "live" or "json"
         self.act = act        # archive -> None: the commit under test
         self.check = check    # (archive, committed) -> problem or None
 
     def seed(self, root):
-        """The pre-commit archive: 2019-03 committed, maybe live."""
+        """The pre-commit archive: 2019-03 committed, maybe 2019-06
+        live at revision 1 or committed as a JSON document."""
         archive = SurveyArchive(root)
         archive.ingest(make_survey("2019-03"), ranking=make_ranking())
-        if self.live:
+        if self.june == "live":
             archive.begin_live_period("2019-06").commit_partial(
                 make_survey("2019-06"), ranking=make_ranking()
             )
+        elif self.june == "json":
+            archive.ingest(make_survey("2019-06"), ranking=make_ranking())
         archive.close()
 
 
@@ -194,16 +200,52 @@ def _check_live(want_committed):
     return check
 
 
+def _attach(archive):
+    archive.ingest_anomalies("2019-06", {
+        "kind": "anomaly-report", "period": "2019-06",
+        "links_total": 0, "links": {}, "events": [],
+    })
+
+
+def _check_attach(archive, committed):
+    if archive.get(100, "2019-06")["severity"] != "severe":
+        return "recovery damaged the period the report belongs to"
+    reported = archive.anomaly_periods() == ["2019-06"]
+    if reported != committed:
+        return f"anomaly report {'missing' if committed else 'visible'}"
+    if committed and archive.get_anomalies("2019-06")["links"] != {}:
+        return "committed report content wrong after recovery"
+    return None
+
+
+def _compact(archive):
+    archive.compact(["2019-06"])
+
+
+def _check_compact(archive, committed):
+    want = "segment" if committed else "json"
+    got = archive.period_meta("2019-06")["repr"]
+    if got != want:
+        return f"representation {got}, expected {want}"
+    if archive.get(100, "2019-06")["severity"] != "severe":
+        return "period content wrong after recovery"
+    return None
+
+
 SCENARIOS = {
-    "ingest": Scenario("ingest", False, _ingest, _check_ingest),
+    "ingest": Scenario("ingest", None, _ingest, _check_ingest),
+    "anomaly-attach": Scenario(
+        "anomaly-attach", "json", _attach, _check_attach,
+    ),
     "commit-partial": Scenario(
-        "commit-partial", True, _commit_partial,
+        "commit-partial", "live", _commit_partial,
         _check_live({"repr": "live", "revision": 2}),
     ),
     "finalize": Scenario(
-        "finalize", True, _finalize,
+        "finalize", "live", _finalize,
         _check_live({"repr": "json", "revision": None}),
     ),
+    "compact": Scenario("compact", "json", _compact, _check_compact),
 }
 
 
@@ -215,9 +257,13 @@ def crash_schedule(work, scenario):
     scenario.act(SurveyArchive(root, io=io))
     ops = io.ops
 
-    manifest_op = next(
+    # The commit point: the op landing the new record in a slot (an
+    # in-place rewrite, or the rename creating the slot), not the
+    # one-byte retire after it.
+    commit_op = max(
         i for i, op in enumerate(ops)
-        if op.kind == "replace" and "MANIFEST" in op.path
+        if Path(op.path).name in SLOT_NAMES
+        and (op.kind == "replace" or op.size > 1)
     )
     # Key the schedule on what the protocol *is* (op kinds, target
     # names, payload sizes), not on run-varying tmp-name PIDs.
@@ -231,16 +277,16 @@ def crash_schedule(work, scenario):
     ).digest()
     cases = []
     for index, op in enumerate(ops):
-        if op.kind == "write" and op.size:
+        if op.kind in ("write", "write-in-place") and op.size:
             # Tear offset keyed on the op sequence itself: stable
             # across reruns, different per op, never hardcoded.
             offset = digest[index % len(digest)] % op.size
             cases.append((index, offset))
         cases.append((index, None))
-    return cases, manifest_op
+    return cases, commit_op
 
 
-def run_case(work, scenario, case_id, op_index, offset, manifest_op,
+def run_case(work, scenario, case_id, op_index, offset, commit_op,
              pre_state, post_state):
     root = work / f"case-{scenario.name}-{case_id}"
     scenario.seed(root)
@@ -256,35 +302,39 @@ def run_case(work, scenario, case_id, op_index, offset, manifest_op,
         return (
             f"writer was not SIGKILLed (rc={proc.returncode}): "
             f"{proc.stderr.strip() or proc.stdout.strip()}"
-        )
+        ), None
 
     reopened = SurveyArchive(root)  # recovery-on-open runs here
     state = archive_state(root)
-    committed = op_index > manifest_op
-    expected = post_state if committed else pre_state
-    if state != expected:
+    committed = state == post_state
+    if not committed and state != pre_state:
+        return "neither pre- nor post-commit state after crash", None
+    # A tear of the commit op itself may land either way: on post
+    # only when the bytes it missed already held the new values.
+    if op_index != commit_op and committed != (op_index > commit_op):
         return (
-            "neither pre- nor post-commit state after crash "
-            f"(expected {'post' if committed else 'pre'})"
-        )
+            f"{'post' if committed else 'pre'}-commit state after a "
+            f"crash {'before' if op_index < commit_op else 'after'} "
+            "the commit op"
+        ), committed
     problem = scenario.check(reopened, committed)
     if problem:
-        return problem
+        return problem, committed
     report = run_fsck(root, repair=False)
     if report.exit_code != EXIT_CLEAN:
         return "fsck not clean: " + "; ".join(
             f.detail for f in report.findings
-        )
+        ), committed
     shutil.rmtree(root)
-    return None
+    return None, committed
 
 
 def sweep(work, scenario):
     """SIGKILL one scenario's commit at every crash point."""
-    cases, manifest_op = crash_schedule(work, scenario)
+    cases, commit_op = crash_schedule(work, scenario)
     print(
         f"{scenario.name} protocol: {len(cases)} crash points "
-        f"(manifest flip at op {manifest_op})"
+        f"(slot commit at op {commit_op})"
     )
 
     # Reference states the survivors are compared against.
@@ -300,16 +350,15 @@ def sweep(work, scenario):
 
     failures = []
     for case_id, (op_index, offset) in enumerate(cases):
-        problem = run_case(
-            work, scenario, case_id, op_index, offset, manifest_op,
+        problem, committed = run_case(
+            work, scenario, case_id, op_index, offset, commit_op,
             pre_state, post_state,
         )
         where = f"op {op_index}" + (
             f" offset {offset}" if offset is not None else ""
         )
         verdict = problem or (
-            "post-commit roll-forward"
-            if op_index > manifest_op else "pre-commit rollback"
+            "post-commit state" if committed else "pre-commit state"
         )
         print(f"  SIGKILL at {where}: {verdict}")
         if problem:

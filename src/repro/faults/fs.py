@@ -61,8 +61,10 @@ class CrashPlan:
     """Where one run dies: operation index + byte boundary + mode.
 
     ``byte_offset`` only applies when the planned operation is a
-    ``write_bytes`` — the write is torn after that many bytes (clamped
-    to the data length).  For ``replace``/``remove`` operations the
+    ``write_bytes`` or a ``write_in_place`` — the write is torn after
+    that many bytes (clamped to the data length; an in-place write's
+    untouched tail keeps its old bytes).  For ``replace``/``remove``
+    operations the
     crash lands *before* the operation; crashing after it is the same
     state as crashing before the next operation, so enumerating op
     indexes covers both sides of every rename.
@@ -81,9 +83,12 @@ class CrashPlan:
 class OpRecord:
     """One IO operation a recorded run performed."""
 
-    kind: str  # "write" | "replace" | "remove"
+    kind: str  # "write" | "write-in-place" | "replace" | "remove"
     path: str
-    size: int  # bytes written ("write" only; 0 otherwise)
+    size: int  # bytes written (the write kinds only; 0 otherwise)
+    #: The op frees blocks: a remove, or a replace over an existing
+    #: file.  Commits must do none of these (DESIGN.md §12).
+    frees: bool = False
 
 
 class RecordingIO(StoreIO):
@@ -101,12 +106,18 @@ class RecordingIO(StoreIO):
         self.ops.append(OpRecord("write", str(path), len(data)))
         super().write_bytes(path, data)
 
+    def write_in_place(self, path: Path, data: bytes) -> None:
+        self.ops.append(OpRecord("write-in-place", str(path), len(data)))
+        super().write_in_place(path, data)
+
     def replace(self, src: Path, dst: Path) -> None:
-        self.ops.append(OpRecord("replace", str(dst), 0))
+        self.ops.append(
+            OpRecord("replace", str(dst), 0, frees=dst.exists())
+        )
         super().replace(src, dst)
 
     def remove(self, path: Path) -> None:
-        self.ops.append(OpRecord("remove", str(path), 0))
+        self.ops.append(OpRecord("remove", str(path), 0, frees=True))
         super().remove(path)
 
 
@@ -126,22 +137,29 @@ class CrashingIO(StoreIO):
         self.op_index = 0
         self.crashed = False
 
-    # -- the three seams ----------------------------------------------
+    # -- the four seams -----------------------------------------------
 
     def write_bytes(self, path: Path, data: bytes) -> None:
+        self._write(path, data, super().write_bytes)
+
+    def write_in_place(self, path: Path, data: bytes) -> None:
+        self._write(path, data, super().write_in_place)
+
+    def _write(self, path: Path, data: bytes, write) -> None:
         if self.op_index == self.plan.op_index:
             torn = data[: self._clamp(len(data))]
             if torn:
-                # The torn prefix really lands on disk — this is the
-                # half-written temp file a dead process leaves.
-                super().write_bytes(path, torn)
+                # The torn prefix really lands on disk: the half-written
+                # temp file a dead process leaves, or a prefix over an
+                # in-place target whose tail keeps its old bytes.
+                write(path, torn)
             self._crash(
                 f"write of {path.name} torn at "
                 f"{len(torn)}/{len(data)} bytes",
                 key=str(path),
             )
         self.op_index += 1
-        super().write_bytes(path, data)
+        write(path, data)
 
     def replace(self, src: Path, dst: Path) -> None:
         if self.op_index == self.plan.op_index:

@@ -10,9 +10,9 @@ package is the reproduction's storage tier for that site:
 * :mod:`repro.store.segments` — the packed-segment format compaction
   folds period JSON into (one seek + one read per point lookup);
 * :mod:`repro.store.io`       — the byte-level write seam (atomic
-  durable writes) production and the chaos harness share;
-* :mod:`repro.store.journal`  — the write-ahead commit journal and
-  the crash-recovery replay the archive runs on open;
+  and in-place durable writes) production and the chaos harness share;
+* :mod:`repro.store.manifest` — the two manifest slots every commit
+  writes in place, and the crash recovery the archive runs on open;
 * :mod:`repro.store.fsck`     — the offline integrity audit/repair
   behind ``repro store fsck``;
 * :mod:`repro.store.errors`   — archive failures, rooted in the
@@ -23,10 +23,8 @@ The serving layer on top is :mod:`repro.serve`.
 """
 
 from .archive import (
-    ARCHIVE_FORMAT,
     ArchiveStats,
     LivePeriodWriter,
-    SCHEMA_VERSION,
     STORE_MMAP_ENV,
     SurveyArchive,
     payload_checksum,
@@ -34,6 +32,7 @@ from .archive import (
 )
 from .errors import (
     AnomalyReportExistsError,
+    ArchiveChangedError,
     AnomalyReportNotFoundError,
     ArchiveCorruptionError,
     ArchiveError,
@@ -53,10 +52,11 @@ from .fsck import (
     run_fsck,
 )
 from .io import REAL_IO, StoreIO
-from .journal import (
-    CommitJournal,
+from .manifest import (
+    ARCHIVE_FORMAT,
+    SCHEMA_VERSION,
     RecoveryReport,
-    TornJournal,
+    read_manifest,
     recover,
     sweep_tmp_files,
 )
@@ -79,15 +79,15 @@ __all__ = [
     "AnomalyReportNotFoundError",
     "LinkNotFoundError",
     "ArchiveCorruptionError",
+    "ArchiveChangedError",
     "SchemaVersionError",
     "SegmentReader",
     "write_segment",
     "MAGIC",
     "StoreIO",
     "REAL_IO",
-    "CommitJournal",
     "RecoveryReport",
-    "TornJournal",
+    "read_manifest",
     "recover",
     "sweep_tmp_files",
     "run_fsck",

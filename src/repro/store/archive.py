@@ -8,23 +8,24 @@ measurement period, with the secondary indexes the serving layer
 
 Layout under the archive root::
 
-    MANIFEST.json        # schema version + the committed-period log
-    periods/<name>.json  # checksum-wrapped survey_to_dict payload
-    index/<name>.json    # checksum-wrapped severity/country indexes
-    segments/<name>.seg  # packed representation after compaction
-    anomalies/<name>.json  # checksum-wrapped per-period AnomalyReport
-    live/<name>.r<k>.json  # in-flight period, checkpoint k + its indexes
-    quarantine/          # corrupted artifacts, moved aside as evidence
+    MANIFEST.a, MANIFEST.b  # two manifest slots: the committed state,
+                            # live periods' payloads and indexes included
+    periods/<name>.json     # checksum-wrapped survey_to_dict payload
+    index/<name>.json       # checksum-wrapped severity/country indexes
+    segments/<name>.seg     # packed representation after compaction
+    anomalies/<name>.json   # checksum-wrapped per-period AnomalyReport
+    quarantine/             # corrupted artifacts, moved aside as evidence
+                            # under their archive-relative paths
 
-Commit discipline (same school as :mod:`repro.parallel.cache`): every
-artifact wraps its payload with a SHA-256 checksum, every write is
-atomic (temp file + fsync + rename), and the *manifest rewrite is the
-commit point*.  Ingests are write-ahead journaled
-(:mod:`repro.store.journal`): an intent record lands durably before
-any data file, so a process killed at any byte boundary is replayed
-on the next open to exactly the pre- or post-commit state — never a
-half-committed period, never an orphan.  A checksum or parse failure
-on read quarantines the artifact, raises
+Commit discipline (:mod:`repro.store.manifest`): every document wraps
+its payload with a SHA-256 checksum and lands under a name no
+committed state uses (temp file + fsync + rename); then the manifest
+record is written in place into the older of the two slots — *the
+commit point* — and the other slot is retired.  No commit frees a
+block.  A process killed at any byte boundary leaves the archive, on
+the next open, in exactly the pre- or post-commit state: recovery
+deletes every document the manifest does not account for.  A checksum
+or parse failure on a document read quarantines it, raises
 :class:`ArchiveCorruptionError`, and books the loss in the archive's
 :class:`~repro.quality.DataQualityReport` ledger: corrupted data is
 reported, never served.  Offline integrity audits and repair live in
@@ -42,15 +43,10 @@ JSON is dropped), never its content.
 
 The one deliberately mutable state is the *live period*
 (:meth:`SurveyArchive.begin_live_period`): the archive face of a
-streaming survey still in flight.  Each checkpoint writes a whole new
-revision — one file under ``live/`` holding the payload and its
-indexes under one checksum — flips the manifest to it, and removes
-the previous revision.  Revisions are immutable and named by
-(period, revision), so the live path needs no journal: recovery on
-open reconciles ``live/`` against the manifest alone
-(:func:`~repro.store.journal.reconcile_live`).
+streaming survey still in flight.  Its payload and indexes ride inside
+the manifest record, so a checkpoint is one in-place slot write.
 :meth:`LivePeriodWriter.finalize` promotes the finished period into
-the ordinary append-only set the same way.
+the ordinary append-only set: its documents, then the slot.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ import datetime as dt
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -74,24 +70,18 @@ from .errors import (
     LinkNotFoundError,
     PeriodExistsError,
     PeriodNotFoundError,
-    SchemaVersionError,
 )
 from .io import REAL_IO, StoreIO
-from .journal import (
-    CommitJournal,
+from .manifest import (
+    SCHEMA_VERSION,
+    ManifestSlots,
     RecoveryReport,
-    reconcile_live,
+    quarantine,
     recover,
 )
 from .segments import SegmentReader, write_segment
 
 PathLike = Union[str, Path]
-
-#: On-disk schema this build reads and writes.  Bump on any layout or
-#: payload change that old readers would misinterpret.
-SCHEMA_VERSION = 1
-
-ARCHIVE_FORMAT = "repro-archive"
 
 STAGE = "store-archive"
 
@@ -115,36 +105,25 @@ def payload_checksum(payload: Dict) -> str:
     return _sha(canonical_json(payload))
 
 
-def wrap(
-    payload: Dict,
-    checksum: Optional[str] = None,
-    index: Optional[Dict] = None,
-) -> bytes:
-    """One checksum-wrapped artifact, serialized.
+def wrap(payload: Dict, checksum: Optional[str] = None) -> bytes:
+    """One checksum-wrapped document, serialized.
 
     ``checksum`` passes the payload's already-computed checksum
-    through.  With ``index`` (a live revision) the wrapper also
-    carries the payload's secondary indexes, and its checksum covers
-    both.
+    through.
     """
     if checksum is None:
         checksum = payload_checksum(payload)
     entry = {"schema": SCHEMA_VERSION, "checksum": checksum,
              "payload": payload}
-    if index is not None:
-        entry["checksum"] = _sha(checksum + payload_checksum(index))
-        entry["index"] = index
     return json.dumps(entry, indent=1).encode("ascii")
 
 
-def unwrap(raw: bytes) -> Tuple[Dict, Optional[Dict]]:
-    """Verify one wrapper's bytes; returns ``(payload, index)``.
+def unwrap(raw: bytes) -> Dict:
+    """Verify one wrapper's bytes; returns its payload.
 
-    ``index`` is None for wrappers that carry none: period, index and
-    anomaly documents, and live revisions of the earlier two-file
-    layout (whose indexes sit in a ``.index.json`` sidecar).  Raises
-    ValueError naming the fault: unparseable bytes, a ``schema``
-    other than :data:`SCHEMA_VERSION`, or a checksum mismatch.
+    Raises ValueError naming the fault: unparseable bytes, a
+    ``schema`` other than :data:`SCHEMA_VERSION`, or a checksum
+    mismatch.
     """
     try:
         entry = json.loads(raw)
@@ -158,14 +137,11 @@ def unwrap(raw: bytes) -> Tuple[Dict, Optional[Dict]]:
             f"archive's {SCHEMA_VERSION!r}"
         )
     payload = entry.get("payload")
-    if payload is None:
+    if payload is None or entry.get("checksum") != payload_checksum(
+        payload
+    ):
         raise ValueError("checksum mismatch")
-    checksum = payload_checksum(payload)
-    if "index" in entry:
-        checksum = _sha(checksum + payload_checksum(entry["index"]))
-    if entry.get("checksum") != checksum:
-        raise ValueError("checksum mismatch")
-    return payload, entry.get("index")
+    return payload
 
 
 @dataclass
@@ -195,8 +171,6 @@ class ArchiveStats:
 class SurveyArchive:
     """Append-only multi-period survey store with secondary indexes."""
 
-    MANIFEST = "MANIFEST.json"
-
     def __init__(self, root: PathLike, io: StoreIO = REAL_IO):
         self.root = Path(root)
         self.io = io
@@ -210,15 +184,17 @@ class SurveyArchive:
         self._indexes: Dict[str, Dict] = {}
         self._anomalies: Dict[str, Dict] = {}
         self.root.mkdir(parents=True, exist_ok=True)
-        self._journal = CommitJournal(self.root, io)
-        self._manifest = self._load_manifest()
-        self.last_recovery = self._recover()
+        self._slots = ManifestSlots(self.root, io)
+        with get_observer().span("store-open", root=str(self.root)):
+            # Recovery only while no commit is in flight elsewhere:
+            # an in-flight commit's documents are not yet accounted.
+            with self._slots.locked(blocking=False) as held:
+                self._manifest = self._slots.load()
+                self.last_recovery = (
+                    self._recover() if held else RecoveryReport()
+                )
 
     # -- paths ---------------------------------------------------------
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
 
     def period_path(self, name: str) -> Path:
         return self.root / "periods" / f"{name}.json"
@@ -229,68 +205,14 @@ class SurveyArchive:
     def segment_path(self, name: str) -> Path:
         return self.root / "segments" / f"{name}.seg"
 
-    def live_path(self, name: str, revision: int) -> Path:
-        return self.root / "live" / f"{name}.r{revision}.json"
-
-    def legacy_index_path(self, name: str, revision: int) -> Path:
-        """A revision's index sidecar in the earlier two-file layout."""
-        return self.root / "live" / f"{name}.r{revision}.index.json"
-
     def anomalies_path(self, name: str) -> Path:
         return self.root / "anomalies" / f"{name}.json"
-
-    # -- manifest ------------------------------------------------------
-
-    def _load_manifest(self) -> Dict:
-        try:
-            raw = self.manifest_path.read_text()
-        except FileNotFoundError:
-            return {
-                "format": ARCHIVE_FORMAT,
-                "schema": SCHEMA_VERSION,
-                "periods": {},
-            }
-        try:
-            manifest = json.loads(raw)
-        except ValueError as exc:
-            self._quarantine(self.manifest_path)
-            raise ArchiveCorruptionError(
-                self.manifest_path, f"manifest does not parse: {exc}"
-            ) from None
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != ARCHIVE_FORMAT
-        ):
-            self._quarantine(self.manifest_path)
-            raise ArchiveCorruptionError(
-                self.manifest_path, "not a survey-archive manifest"
-            )
-        if manifest.get("schema") != SCHEMA_VERSION:
-            raise SchemaVersionError(
-                manifest.get("schema"), SCHEMA_VERSION
-            )
-        return manifest
-
-    def _write_manifest(self) -> None:
-        self.io.write_atomic(
-            self.manifest_path,
-            json.dumps(self._manifest, indent=1).encode("ascii"),
-        )
 
     # -- crash recovery ------------------------------------------------
 
     def _recover(self) -> RecoveryReport:
-        """Replay/roll back a dead writer's leftovers (runs on open)."""
-        periods = self._manifest["periods"]
-        report = recover(
-            self.root, periods.get, io=self.io,
-            quarantine=self._quarantine,
-        )
-        live = reconcile_live(self.root, periods, self.io)
-        if live.removed:
-            report.removed.extend(live.removed)
-            if report.outcome in ("clean", "acknowledged"):
-                report.outcome, report.period = live.outcome, live.period
+        """Delete what a dead writer left (runs on open)."""
+        report = recover(self.root, self._manifest, io=self.io)
         if report.acted:
             self.generation += 1
             obs = get_observer()
@@ -358,22 +280,15 @@ class SurveyArchive:
         if name in self:
             raise PeriodExistsError(name)
         obs = get_observer()
-        with obs.span("store-ingest", period=name):
+        with obs.span("store-ingest", period=name), \
+                self._slots.writing():
             checksum = payload_checksum(payload)
-            period_file = self.period_path(name)
-            index_file = self.index_path(name)
-            # Intent first: after this record is durable, a crash
-            # anywhere below is recoverable to pre- or post-commit.
-            self._journal.begin(
-                "ingest", name, checksum,
-                [
-                    str(period_file.relative_to(self.root)),
-                    str(index_file.relative_to(self.root)),
-                ],
-            )
-            self.io.write_atomic(period_file, wrap(payload, checksum))
             self.io.write_atomic(
-                index_file, wrap(_build_index(payload, ranking))
+                self.period_path(name), wrap(payload, checksum)
+            )
+            self.io.write_atomic(
+                self.index_path(name),
+                wrap(_build_index(payload, ranking)),
             )
             self._manifest["periods"][name] = {
                 "start": payload["period"]["start"],
@@ -383,8 +298,7 @@ class SurveyArchive:
                 "ases": len(payload.get("reports", {})),
                 "seq": len(self._manifest["periods"]),
             }
-            self._write_manifest()  # <- the commit point
-            self._journal.clear()
+            self._slots.commit(self._manifest)  # <- the commit point
         self.stats.ingests += 1
         self.generation += 1
         obs.counter(
@@ -404,14 +318,13 @@ class SurveyArchive:
         """Attach a period's anomaly report, crash-safely.
 
         ``report`` is a :class:`~repro.anomaly.AnomalyReport` or its
-        payload dict.  The report rides the same write-ahead journal
-        protocol as period ingests — intent record, checksum-wrapped
-        artifact, manifest flip as the commit point — so a crash at
-        any byte boundary recovers to exactly the report-less or the
-        reported state.  One report per period, immutable once
-        committed (:class:`AnomalyReportExistsError` on a second
-        attach); the period itself must already be committed and not
-        live.
+        payload dict.  The report rides the same commit rule as period
+        ingests — checksum-wrapped document, then the manifest slot as
+        the commit point — so a crash at any byte boundary recovers to
+        exactly the report-less or the reported state.  One report
+        per period, immutable once committed
+        (:class:`AnomalyReportExistsError` on a second attach); the
+        period itself must already be committed and not live.
         """
         payload = (
             report if isinstance(report, dict) else report.payload
@@ -427,21 +340,18 @@ class SurveyArchive:
         if "anomalies" in entry:
             raise AnomalyReportExistsError(name)
         obs = get_observer()
-        with obs.span("store-ingest-anomalies", period=name):
+        with obs.span("store-ingest-anomalies", period=name), \
+                self._slots.writing():
             checksum = payload_checksum(payload)
-            report_file = self.anomalies_path(name)
-            self._journal.begin(
-                "anomaly", name, checksum,
-                [str(report_file.relative_to(self.root))],
+            self.io.write_atomic(
+                self.anomalies_path(name), wrap(payload, checksum)
             )
-            self.io.write_atomic(report_file, wrap(payload, checksum))
             entry["anomalies"] = {
                 "checksum": checksum,
                 "links": payload.get("links_total", 0),
                 "events": len(payload.get("events", [])),
             }
-            self._write_manifest()  # <- the commit point
-            self._journal.clear()
+            self._slots.commit(self._manifest)  # <- the commit point
         self.stats.anomaly_ingests += 1
         self.generation += 1
         obs.counter(
@@ -457,11 +367,10 @@ class SurveyArchive:
         """Open (or resume) a live period for streaming ingestion.
 
         A live period is the archive face of a running
-        :class:`~repro.stream.StreamingSurvey`: checkpoints land as
-        numbered revisions under ``live/`` with the manifest flip as
-        the commit point, so a crash at any byte boundary recovers to
-        exactly the previous or the new checkpoint — and readers see
-        only committed revisions.
+        :class:`~repro.stream.StreamingSurvey`: each checkpoint is a
+        numbered revision carried in the manifest record itself, so a
+        crash at any byte boundary recovers to exactly the previous or
+        the new checkpoint — and readers see only committed revisions.
         Reopening an archive whose writer died mid-stream and calling
         ``begin_live_period`` with the same name resumes at the last
         committed revision.  A finished period is promoted to the
@@ -478,20 +387,17 @@ class SurveyArchive:
     ) -> int:
         """One checkpoint; returns the committed revision.
 
-        Two atomic writes and one remove: the new revision's file
-        (a name no committed state uses), the manifest flip — the
-        commit point — and the previous revision's file.
+        The payload and its indexes ride in the manifest record, so
+        the checkpoint is one in-place slot write (and the one-byte
+        retire of the other slot).
         """
         entry = self._manifest["periods"].get(name)
         revision = (entry["revision"] + 1) if entry else 1
         checksum = payload_checksum(payload)
         index = _build_index(payload, ranking)
         obs = get_observer()
-        with obs.span("store-commit-partial", period=name):
-            self.io.write_atomic(
-                self.live_path(name, revision),
-                wrap(payload, checksum, index),
-            )
+        with obs.span("store-commit-partial", period=name), \
+                self._slots.writing():
             self._manifest["periods"][name] = {
                 "start": payload["period"]["start"],
                 "days": payload["period"]["days"],
@@ -506,9 +412,10 @@ class SurveyArchive:
                 "partial": True,
                 "records": records,
             }
-            self._write_manifest()  # <- the commit point
-            if entry is not None:
-                self._retire_live(name, entry["revision"])
+            self._manifest["live"][name] = {
+                "payload": payload, "index": index,
+            }
+            self._slots.commit(self._manifest)  # <- the commit point
         self.stats.live_commits += 1
         self.generation += 1
         self._payloads[name] = payload
@@ -530,7 +437,8 @@ class SurveyArchive:
         checksum = payload_checksum(payload)
         index = _build_index(payload, ranking)
         obs = get_observer()
-        with obs.span("store-finalize", period=name):
+        with obs.span("store-finalize", period=name), \
+                self._slots.writing():
             self.io.write_atomic(
                 self.period_path(name), wrap(payload, checksum)
             )
@@ -543,8 +451,8 @@ class SurveyArchive:
                 "ases": len(payload.get("reports", {})),
                 "seq": entry["seq"],
             }
-            self._write_manifest()  # <- the commit point
-            self._retire_live(name, entry["revision"])
+            del self._manifest["live"][name]
+            self._slots.commit(self._manifest)  # <- the commit point
         self.stats.ingests += 1
         self.generation += 1
         self._payloads[name] = payload
@@ -554,17 +462,10 @@ class SurveyArchive:
         ).inc()
         return name
 
-    def _retire_live(self, name: str, revision: int) -> None:
-        """Remove a revision the manifest no longer names."""
-        self.io.remove(self.live_path(name, revision))
-        legacy = self.legacy_index_path(name, revision)
-        if legacy.exists():
-            self.io.remove(legacy)
-
     # -- reads ---------------------------------------------------------
 
-    def _read_wrapped(self, path: Path) -> Tuple[Dict, Optional[Dict]]:
-        """A verified wrapper's ``(payload, index)``; see :func:`unwrap`."""
+    def _read_wrapped(self, path: Path) -> Dict:
+        """A verified wrapper's payload; see :func:`unwrap`."""
         try:
             raw = path.read_bytes()
         except FileNotFoundError:
@@ -582,22 +483,6 @@ class SurveyArchive:
             self._quarantine(path)
             raise ArchiveCorruptionError(path, str(exc)) from None
 
-    def _load_live(self, name: str, meta: Dict) -> Dict:
-        """Read, verify and cache a live revision's payload + index."""
-        source = self.live_path(name, meta["revision"])
-        payload, index = self._read_wrapped(source)
-        if index is None:  # a revision of the earlier two-file layout
-            index, _ = self._read_wrapped(
-                self.legacy_index_path(name, meta["revision"])
-            )
-        if payload_checksum(payload) != meta["checksum"]:
-            raise ArchiveCorruptionError(
-                source, "payload does not match manifest checksum"
-            )
-        self._payloads[name] = payload
-        self._indexes[name] = index
-        return payload
-
     def _quarantine(self, path: Path) -> None:
         self.stats.corrupt += 1
         self.generation += 1
@@ -613,14 +498,9 @@ class SurveyArchive:
         self.quality.drop(
             STAGE, DropReason.CORRUPT_ARTIFACT, detail=str(path)
         )
-        target = self.root / "quarantine" / path.name
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-        except OSError:
-            # Best-effort: reporting the corruption matters more than
-            # relocating the evidence.
-            pass
+        # Best-effort: reporting the corruption matters more than
+        # relocating the evidence.
+        quarantine(self.root, path, self.io)
 
     def _reader(self, name: str) -> SegmentReader:
         reader = self._readers.get(name)
@@ -655,7 +535,7 @@ class SurveyArchive:
             "segment reads served from the period JSON document "
             "after segment corruption",
         ).inc()
-        payload, _ = self._read_wrapped(source)
+        payload = self._read_wrapped(source)
         if payload_checksum(payload) != meta["checksum"]:
             raise ArchiveCorruptionError(
                 source,
@@ -688,10 +568,13 @@ class SurveyArchive:
                 return fallback
             source = self.segment_path(name)
         elif meta["repr"] == "live":
-            return self._load_live(name, meta)
+            # Verified by the manifest record's digest.
+            payload = self._manifest["live"][name]["payload"]
+            self._payloads[name] = payload
+            return payload
         else:
             source = self.period_path(name)
-            payload, _ = self._read_wrapped(source)
+            payload = self._read_wrapped(source)
         if payload_checksum(payload) != meta["checksum"]:
             raise ArchiveCorruptionError(
                 source,
@@ -740,9 +623,9 @@ class SurveyArchive:
         cached = self._indexes.get(name)
         if cached is None:
             if meta["repr"] == "live":
-                self._load_live(name, meta)
-                return self._indexes[name]
-            cached, _ = self._read_wrapped(self.index_path(name))
+                cached = self._manifest["live"][name]["index"]
+            else:
+                cached = self._read_wrapped(self.index_path(name))
             self._indexes[name] = cached
         return cached
 
@@ -956,7 +839,7 @@ class SurveyArchive:
             return cached
         self.stats.lookups += 1
         source = self.anomalies_path(name)
-        payload, _ = self._read_wrapped(source)
+        payload = self._read_wrapped(source)
         if payload_checksum(payload) != sub["checksum"]:
             raise ArchiveCorruptionError(
                 source,
@@ -1045,8 +928,11 @@ class SurveyArchive:
         """Fold period JSON documents into packed segments.
 
         Each segment is verified byte-lossless (full reconstruction
-        checksum) *before* the JSON document is removed, so compaction
-        can never lose a period.  Returns the names compacted.
+        checksum) *before* the manifest flips to it, and the JSON
+        document is removed only after, so compaction can never lose a
+        period.  With ``keep_json`` the manifest entry says so, and the
+        document beside the segment stays committed state (the
+        fallback for a torn segment).  Returns the names compacted.
         """
         obs = get_observer()
         compacted = []
@@ -1058,7 +944,8 @@ class SurveyArchive:
                 # In-flight periods are still changing; only finalized
                 # periods are immutable enough to pack.
                 continue
-            with obs.span("store-compact", period=name):
+            with obs.span("store-compact", period=name), \
+                    self._slots.writing():
                 payload = self.get_period(name)
                 write_segment(
                     self.segment_path(name), payload, io=self.io
@@ -1072,8 +959,11 @@ class SurveyArchive:
                         self.segment_path(name),
                         "segment round-trip diverges from source",
                     )
-                self._manifest["periods"][name]["repr"] = "segment"
-                self._write_manifest()
+                entry = self._manifest["periods"][name]
+                entry["repr"] = "segment"
+                if keep_json:
+                    entry["keep_json"] = True
+                self._slots.commit(self._manifest)  # <- the commit point
                 if not keep_json:
                     self.io.remove(self.period_path(name))
             self.stats.compactions += 1
@@ -1117,10 +1007,10 @@ class SurveyArchive:
     def fsck(self, repair: bool = False):
         """Full integrity walk; see :func:`repro.store.fsck.run_fsck`.
 
-        With ``repair=True``, bad periods are quarantined, secondary
-        indexes rebuilt and the journal replayed; the in-memory view
-        is reloaded afterwards so this archive object keeps serving
-        the repaired state.
+        With ``repair=True``, bad periods are quarantined and
+        secondary indexes rebuilt; the in-memory view is reloaded
+        afterwards so this archive object keeps serving the repaired
+        state.
         """
         from .fsck import run_fsck
 
@@ -1138,7 +1028,7 @@ class SurveyArchive:
         self._payloads.clear()
         self._indexes.clear()
         self._anomalies.clear()
-        self._manifest = self._load_manifest()
+        self._manifest = self._slots.load()
         self.generation += 1
 
     def close(self) -> None:
@@ -1199,7 +1089,7 @@ class LivePeriodWriter:
         return self.revision
 
     def finalize(self, result, ranking=None) -> str:
-        """Commit the finished period and retire its live artifacts."""
+        """Commit the finished period as an ordinary one."""
         self._check_open()
         payload = self._payload_of(result)
         name = self.archive._finalize_live(self.name, payload, ranking)
@@ -1207,18 +1097,14 @@ class LivePeriodWriter:
         return name
 
     def abort(self) -> None:
-        """Drop the live period (manifest first, then its revision).
-
-        A crash between the manifest rewrite and the removal leaves
-        an orphan revision, which recovery on the next open deletes.
-        """
+        """Drop the live period: one slot write, nothing to remove."""
         self._check_open()
         archive = self.archive
-        entry = archive._manifest["periods"].get(self.name)
-        if entry is not None:
-            del archive._manifest["periods"][self.name]
-            archive._write_manifest()
-            archive._retire_live(self.name, entry["revision"])
+        if self.name in archive._manifest["periods"]:
+            with archive._slots.writing():
+                del archive._manifest["periods"][self.name]
+                del archive._manifest["live"][self.name]
+                archive._slots.commit(archive._manifest)
             archive._payloads.pop(self.name, None)
             archive._indexes.pop(self.name, None)
             archive.generation += 1

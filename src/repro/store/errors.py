@@ -81,14 +81,32 @@ class LinkNotFoundError(ArchiveError, LookupError):
 class ArchiveCorruptionError(ArchiveError):
     """A stored artifact failed its checksum or did not parse.
 
-    The offending file has already been quarantined when this is
-    raised — corrupted data is *reported*, never served.
+    An offending document has already been quarantined when this is
+    raised — corrupted data is *reported*, never served.  Manifest
+    slots are never quarantined: "no valid slot" is reported as is.
     """
 
     def __init__(self, path, detail: str):
         self.path = path
         self.detail = detail
         super().__init__(f"{path}: {detail}")
+
+
+class ArchiveChangedError(ArchiveError):
+    """Another writer committed after this archive handle loaded.
+
+    A commit writes the whole manifest, so one from a stale view would
+    drop the other writer's commit (and recovery on the next open
+    would delete its documents).  The stale handle is refused before
+    it writes anything; reopen the archive and retry.
+    """
+
+    def __init__(self, root):
+        self.root = root
+        super().__init__(
+            f"{root}: another writer committed since this archive "
+            "was opened; reopen it"
+        )
 
 
 class SchemaVersionError(ArchiveError):

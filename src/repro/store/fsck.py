@@ -1,17 +1,17 @@
 """Offline integrity audit and repair for survey archives.
 
 ``repro store fsck`` walks everything the archive persists — the
-manifest, the commit journal, per-period JSON documents, secondary
-indexes, packed segments — and verifies every checksum and every
-cross-reference *without* mutating state; with ``--repair`` it makes
-the archive consistent again by quarantining what cannot be trusted
-and rebuilding what can be derived:
+manifest slots, per-period JSON documents, secondary indexes, packed
+segments, anomaly reports, live periods' records — and verifies every
+checksum and every cross-reference *without* mutating state; with
+``--repair`` it makes the archive consistent again by quarantining
+what cannot be trusted and rebuilding what can be derived:
 
-* a pending commit journal is replayed (the same roll-forward /
-  rollback logic the archive runs on open);
-* a period whose payload (JSON or segment) fails its checksum is
-  quarantined: its files move to ``quarantine/`` and its manifest
-  entry is dropped — corrupted data is evidence, never served;
+* a period whose payload (JSON, segment or live record) fails its
+  checksum is quarantined: its files move to ``quarantine/`` under
+  their archive-relative paths, never over evidence already there,
+  and its manifest entry is dropped — corrupted data is evidence,
+  never served;
 * a bad or missing secondary index over a *healthy* payload is
   rebuilt from the payload (the severity index exactly; the country
   index cannot be re-derived without the eyeball ranking and is
@@ -19,9 +19,11 @@ and rebuilding what can be derived:
 * a period's anomaly report that is missing or fails its checksum is
   quarantined and its ``anomalies`` manifest sub-entry dropped — the
   period itself stays committed;
-* orphan period files (no manifest entry), orphan anomaly reports (no
-  ``anomalies`` sub-entry) and stale temp files are quarantined /
-  removed.
+* documents the manifest does not account for — the rule recovery
+  on open applies (:func:`repro.store.manifest.unaccounted`) — are
+  quarantined, and stale temp files removed.
+
+Repairs commit like every archive mutation: one manifest slot write.
 
 Exit codes (also :attr:`FsckReport.exit_code`):
 
@@ -30,27 +32,27 @@ Exit codes (also :attr:`FsckReport.exit_code`):
 1     integrity errors found (read-only run, nothing fixed)
 2     integrity errors found **and repaired**; the archive
       is consistent again (possibly with fewer periods)
-3     the manifest itself is unusable and was not repaired
+3     the manifest is unusable: no valid slot, no slot beside
+      period data, or a layout of an earlier version
 ====  ====================================================
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
-from .errors import ArchiveCorruptionError
+from .errors import ArchiveCorruptionError, SchemaVersionError
 from .io import REAL_IO, StoreIO, is_tmp
-from .journal import (
-    CommitJournal,
-    TornJournal,
-    committed_revision,
-    recover,
+from .manifest import (
+    DATA_DIRS,
+    ManifestSlots,
+    quarantine,
     sweep_tmp_files,
+    unaccounted,
 )
 from .segments import SegmentReader
 
@@ -72,7 +74,7 @@ class FsckFinding:
     """One problem fsck identified (and possibly fixed)."""
 
     severity: str              # ERROR | WARNING
-    kind: str                  # manifest, journal, payload, index, ...
+    kind: str                  # manifest, payload, index, orphan, ...
     path: str
     detail: str
     period: Optional[str] = None
@@ -192,17 +194,14 @@ class _Fsck:
             quality if quality is not None else DataQualityReport()
         )
         self.report = FsckReport(root=str(root), repair=repair)
+        self.slots = ManifestSlots(root, io)
         self.manifest: Optional[Dict] = None
         self.manifest_dirty = False
 
     # -- helpers -------------------------------------------------------
 
     def _quarantine_file(self, path: Path) -> bool:
-        target = self.root / "quarantine" / path.name
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            self.io.replace(path, target)
-        except OSError:
+        if quarantine(self.root, path, self.io) is None:
             return False
         get_observer().counter(
             "store_quarantine_total",
@@ -215,19 +214,15 @@ class _Fsck:
     ) -> None:
         """Drop one bad period: files to quarantine/, entry gone."""
         moved = []
-        live_dir = self.root / "live"
-        candidates = [
-            self.root / "periods" / f"{name}.json",
-            self.root / "index" / f"{name}.json",
-            self.root / "segments" / f"{name}.seg",
-            self.root / "anomalies" / f"{name}.json",
-        ]
-        if live_dir.is_dir():
-            candidates.extend(sorted(live_dir.glob(f"{name}.r*.json")))
-        for path in candidates:
+        for relative in (
+            f"periods/{name}.json", f"index/{name}.json",
+            f"segments/{name}.seg", f"anomalies/{name}.json",
+        ):
+            path = self.root / relative
             if path.exists() and self._quarantine_file(path):
-                moved.append(path.name)
+                moved.append(relative)
         del self.manifest["periods"][name]
+        self.manifest["live"].pop(name, None)
         self.manifest_dirty = True
         finding.repaired = True
         finding.action = (
@@ -245,9 +240,15 @@ class _Fsck:
         from .archive import payload_checksum  # lazy: avoid cycle
 
         self._payload_checksum = payload_checksum
-        if not self._load_manifest():
+        try:
+            self.manifest = self.slots.load()
+        except (ArchiveCorruptionError, SchemaVersionError) as exc:
+            self.report.manifest_usable = False
+            self.report.add(
+                ERROR, "manifest", getattr(exc, "path", self.root),
+                getattr(exc, "detail", str(exc)),
+            )
             return self.report
-        self._check_journal()
         periods = dict(self.manifest["periods"])
         for name in sorted(periods):
             self.report.periods_checked += 1
@@ -255,115 +256,9 @@ class _Fsck:
         self._check_orphans()
         self._check_tmp_files()
         if self.manifest_dirty and self.report.repair:
-            self._write_manifest()
+            with self.slots.writing():
+                self.slots.commit(self.manifest)
         return self.report
-
-    # -- manifest ------------------------------------------------------
-
-    def _load_manifest(self) -> bool:
-        from .archive import (  # lazy: avoid cycle
-            ARCHIVE_FORMAT,
-            SCHEMA_VERSION,
-            SurveyArchive,
-        )
-
-        path = self.root / SurveyArchive.MANIFEST
-        try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            # Empty data directories are benign (a rolled-back first
-            # ingest leaves them); only real artifacts orphaned by a
-            # missing manifest make the archive unusable.
-            orphaned = any(
-                entry.is_file() and not is_tmp(entry)
-                for sub in (
-                    "periods", "index", "segments", "live", "anomalies",
-                )
-                if (self.root / sub).is_dir()
-                for entry in (self.root / sub).iterdir()
-            )
-            if orphaned:
-                self.report.manifest_usable = False
-                self.report.add(
-                    ERROR, "manifest", path,
-                    "manifest missing but period data present",
-                )
-                return False
-            self.manifest = {
-                "format": ARCHIVE_FORMAT,
-                "schema": SCHEMA_VERSION,
-                "periods": {},
-            }
-            return True
-        try:
-            manifest = json.loads(raw)
-            ok = (
-                isinstance(manifest, dict)
-                and manifest.get("format") == ARCHIVE_FORMAT
-                and isinstance(manifest.get("periods"), dict)
-            )
-        except ValueError:
-            ok = False
-        if not ok:
-            finding = self.report.add(
-                ERROR, "manifest", path, "manifest does not parse"
-            )
-            if self.report.repair:
-                self._quarantine_file(path)
-                finding.repaired = True
-                finding.action = "manifest quarantined"
-            self.report.manifest_usable = False
-            return False
-        if manifest.get("schema") != SCHEMA_VERSION:
-            self.report.add(
-                ERROR, "manifest", path,
-                f"schema {manifest.get('schema')!r} unsupported "
-                f"(this build reads {SCHEMA_VERSION!r})",
-            )
-            self.report.manifest_usable = False
-            return False
-        self.manifest = manifest
-        return True
-
-    def _write_manifest(self) -> None:
-        from .archive import SurveyArchive  # lazy: avoid cycle
-
-        self.io.write_atomic(
-            self.root / SurveyArchive.MANIFEST,
-            json.dumps(self.manifest, indent=1).encode("ascii"),
-        )
-        self.manifest_dirty = False
-
-    # -- journal -------------------------------------------------------
-
-    def _check_journal(self) -> None:
-        journal = CommitJournal(self.root, self.io)
-        try:
-            record = journal.pending()
-        except TornJournal as exc:
-            finding = self.report.add(
-                ERROR, "journal", journal.path, str(exc)
-            )
-            if self.report.repair:
-                self._quarantine_file(journal.path)
-                finding.repaired = True
-                finding.action = "journal quarantined"
-            return
-        if record is None:
-            return
-        finding = self.report.add(
-            WARNING, "journal", journal.path,
-            f"commit of period {record['period']!r} still in flight",
-            period=record["period"],
-        )
-        if self.report.repair:
-            outcome = recover(
-                self.root,
-                lambda period: self.manifest["periods"].get(period),
-                io=self.io,
-            )
-            finding.repaired = True
-            finding.action = f"journal replayed: {outcome.outcome}"
 
     # -- periods -------------------------------------------------------
 
@@ -373,18 +268,22 @@ class _Fsck:
         if meta.get("repr") == "segment":
             payload = self._check_segment(name, meta)
         elif meta.get("repr") == "live":
-            revision = meta.get("revision")
-            path = self.root / "live" / f"{name}.r{revision}.json"
-            payload, index = self._check_document(
-                name, meta, path, "committed live revision missing"
-            )
-            index_path = path
-            if index is None:  # the earlier two-file layout: a sidecar
-                index_path = (
-                    self.root / "live" / f"{name}.r{revision}.index.json"
+            # The slot's digest covers the record; cross-check it
+            # against the entry like any other payload.
+            record = self.manifest["live"][name]
+            index_path = self.slots.path(self.slots.current)
+            payload, index = record["payload"], record["index"]
+            if self._payload_checksum(payload) != meta.get("checksum"):
+                finding = self.report.add(
+                    ERROR, "payload", index_path,
+                    "live payload does not match manifest checksum",
+                    period=name,
                 )
+                payload = None
+                if self.report.repair:
+                    self._quarantine_period(name, finding)
         else:
-            payload, _ = self._check_document(
+            payload = self._check_document(
                 name, meta, self.root / "periods" / f"{name}.json",
                 "committed period document missing",
             )
@@ -395,11 +294,9 @@ class _Fsck:
         if name in self.manifest["periods"]:
             self._check_anomalies(name, meta)
 
-    def _read_wrapper(
-        self, path: Path
-    ) -> Tuple[Optional[Dict], Optional[Dict]]:
-        """A verified wrapper's ``(payload, index)``; a failed one
-        records a finding and reads ``(None, None)``."""
+    def _read_wrapper(self, path: Path) -> Optional[Dict]:
+        """A verified wrapper's payload; a failed one records a
+        finding and reads None."""
         from .archive import unwrap  # lazy: avoid cycle
 
         try:
@@ -409,20 +306,19 @@ class _Fsck:
         except ValueError as exc:
             detail = str(exc)
         self.report.add(ERROR, "payload", path, detail)
-        return None, None
+        return None
 
     def _check_document(
         self, name: str, meta: Dict, path: Path, missing: str
-    ) -> Tuple[Optional[Dict], Optional[Dict]]:
-        """A committed period's verified ``(payload, index)``; on any
-        failure a finding (the period quarantined on repair) and
-        ``(None, None)``."""
+    ) -> Optional[Dict]:
+        """A committed period's verified payload; on any failure a
+        finding (the period quarantined on repair) and None."""
         if not path.exists():
             finding = self.report.add(
                 ERROR, "missing-artifact", path, missing, period=name,
             )
         else:
-            payload, index = self._read_wrapper(path)
+            payload = self._read_wrapper(path)
             if payload is None:
                 finding = self.report.findings[-1]
                 finding.period = name
@@ -433,10 +329,10 @@ class _Fsck:
                     period=name,
                 )
             else:
-                return payload, index
+                return payload
         if self.report.repair:
             self._quarantine_period(name, finding)
-        return None, None
+        return None
 
     def _check_segment(
         self, name: str, meta: Dict
@@ -480,9 +376,9 @@ class _Fsck:
     ) -> None:
         """Audit a period's secondary index against its payload.
 
-        ``embedded`` is the index a live revision carries in its own
-        wrapper (``path`` is then the revision file, and a repair
-        rewrites the revision with a rebuilt index).
+        ``embedded`` is the index a live period's manifest record
+        carries (``path`` is then the slot, and a repair puts a
+        rebuilt index into the record).
         """
         from .archive import _build_index, wrap  # lazy: avoid cycle
 
@@ -495,7 +391,7 @@ class _Fsck:
                 period=name,
             )
         else:
-            index, _ = self._read_wrapper(path)
+            index = self._read_wrapper(path)
             if index is None:
                 finding = self.report.findings[-1]
                 finding.period = name
@@ -509,10 +405,11 @@ class _Fsck:
             )
         if self.report.repair:
             rebuilt = _build_index(payload, None)
-            self.io.write_atomic(path, (
-                wrap(payload, index=rebuilt) if embedded is not None
-                else wrap(rebuilt)
-            ))
+            if embedded is not None:
+                self.manifest["live"][name]["index"] = rebuilt
+                self.manifest_dirty = True
+            else:
+                self.io.write_atomic(path, wrap(rebuilt))
             finding.repaired = True
             finding.action = (
                 "index rebuilt from payload (country index empty: "
@@ -540,7 +437,7 @@ class _Fsck:
             if self.report.repair:
                 self._drop_anomalies(name, finding, quarantine=False)
             return
-        payload, _ = self._read_wrapper(path)
+        payload = self._read_wrapper(path)
         if payload is None:
             finding = self.report.findings[-1]
             finding.period = name
@@ -615,83 +512,18 @@ class _Fsck:
     # -- leftovers -----------------------------------------------------
 
     def _check_orphans(self) -> None:
-        # A live period owns only its live revision: a periods/ or
-        # index/ document of one is an uncommitted finalize.
-        committed = {
-            name for name, meta in self.manifest["periods"].items()
-            if committed_revision(meta) is None
-        }
-        for sub, suffix in (
-            ("periods", ".json"), ("index", ".json"),
-            ("segments", ".seg"),
-        ):
-            directory = self.root / sub
-            if not directory.is_dir():
-                continue
-            for path in sorted(directory.iterdir()):
-                if not path.is_file() or is_tmp(path):
-                    continue
-                if path.suffix == suffix and path.stem in committed:
-                    continue
-                finding = self.report.add(
-                    WARNING, "orphan", path,
-                    "file has no manifest entry",
-                )
-                if self.report.repair and self._quarantine_file(path):
-                    finding.repaired = True
-                    finding.action = "orphan quarantined"
-        # Anomaly reports: the file belongs iff its period's entry
-        # carries an "anomalies" sub-entry (the period existing is not
-        # enough — a rolled-back attach leaves the period committed
-        # and the report file orphaned).
-        anomalies_dir = self.root / "anomalies"
-        if anomalies_dir.is_dir():
-            reported = {
-                name
-                for name, meta in self.manifest["periods"].items()
-                if isinstance(meta.get("anomalies"), dict)
-            }
-            for path in sorted(anomalies_dir.iterdir()):
-                if not path.is_file() or is_tmp(path):
-                    continue
-                if path.suffix == ".json" and path.stem in reported:
-                    continue
-                finding = self.report.add(
-                    WARNING, "orphan", path,
-                    "anomaly report has no manifest sub-entry",
-                )
-                if self.report.repair and self._quarantine_file(path):
-                    finding.repaired = True
-                    finding.action = "orphan quarantined"
-        # Live revisions: only the manifest's current revision of each
-        # live period belongs; anything else (an older revision a
-        # crash kept the commit from retiring, or a rolled-forward
-        # leftover) is an orphan.
-        live_dir = self.root / "live"
-        if live_dir.is_dir():
-            expected = set()
-            for name, meta in self.manifest["periods"].items():
-                revision = committed_revision(meta)
-                if revision is not None:
-                    expected.add(f"{name}.r{revision}.json")
-                    expected.add(f"{name}.r{revision}.index.json")
-            for path in sorted(live_dir.iterdir()):
-                if not path.is_file() or is_tmp(path):
-                    continue
-                if path.name in expected:
-                    continue
-                finding = self.report.add(
-                    WARNING, "orphan", path,
-                    "live revision has no manifest entry",
-                )
-                if self.report.repair and self._quarantine_file(path):
-                    finding.repaired = True
-                    finding.action = "orphan quarantined"
+        for relative in unaccounted(self.root, self.manifest):
+            path = self.root / relative
+            finding = self.report.add(
+                WARNING, "orphan", path,
+                "document the manifest does not account for",
+            )
+            if self.report.repair and self._quarantine_file(path):
+                finding.repaired = True
+                finding.action = "orphan quarantined"
 
     def _check_tmp_files(self) -> None:
-        for sub in (
-            "", "periods", "index", "segments", "live", "anomalies",
-        ):
+        for sub in ("",) + DATA_DIRS:
             directory = self.root / sub if sub else self.root
             if not directory.is_dir():
                 continue

@@ -47,6 +47,18 @@ class TestRecordingIO:
         assert io.ops[0].size == 3
         assert (tmp_path / "a.json").exists() is False
 
+    def test_marks_ops_that_free_blocks(self, tmp_path):
+        io = RecordingIO()
+        io.write_atomic(tmp_path / "a.json", b"xyz")    # fresh name
+        io.write_atomic(tmp_path / "a.json", b"xyzw")   # over a.json
+        io.write_in_place(tmp_path / "a.json", b"\0")
+        io.remove(tmp_path / "a.json")
+        assert [(op.kind, op.frees) for op in io.ops] == [
+            ("write", False), ("replace", False),
+            ("write", False), ("replace", True),
+            ("write-in-place", False), ("remove", True),
+        ]
+
     def test_op_record_paths_name_final_target(self, tmp_path):
         io = RecordingIO()
         io.write_atomic(tmp_path / "a.json", b"xyz")
@@ -79,6 +91,23 @@ class TestCrashingIO:
         with pytest.raises(SimulatedCrash):
             io.write_atomic(tmp_path / "a.json", b"0123456789")
         assert list(tmp_path.iterdir()) == []
+
+    def test_in_place_write_torn_at_every_offset(self, tmp_path):
+        target = tmp_path / "slot"
+        old, new = b"abcdefgh-tail", b"01234567"
+        for offset in range(len(new) + 1):
+            target.write_bytes(old)
+            io = CrashingIO(CrashPlan(op_index=0, byte_offset=offset))
+            with pytest.raises(SimulatedCrash):
+                io.write_in_place(target, new)
+            # The prefix landed over the old bytes; nothing truncated.
+            assert target.read_bytes() == new[:offset] + old[offset:]
+
+    def test_in_place_write_never_truncates(self, tmp_path):
+        target = tmp_path / "slot"
+        target.write_bytes(b"0123456789")
+        REAL_IO.write_in_place(target, b"ab")
+        assert target.read_bytes() == b"ab23456789"
 
     def test_plan_beyond_run_never_fires(self, tmp_path):
         io = CrashingIO(CrashPlan(op_index=99))

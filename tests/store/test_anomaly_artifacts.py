@@ -1,7 +1,8 @@
-"""Anomaly-report artifacts: journaled commits, queries, fsck, crashes.
+"""Anomaly-report artifacts: commits, queries, fsck, crashes.
 
-The report artifact rides the archive's existing write-ahead commit
-protocol; these tests pin the artifact-specific contracts — one
+The report artifact rides the archive's one commit rule (document,
+then the manifest slot); these tests pin the artifact-specific
+contracts — one
 immutable report per committed period, crash-at-any-boundary recovery
 to exactly the reported or report-less state, and fsck's surgical
 repair (quarantine the report, keep the period)."""
@@ -24,7 +25,12 @@ from repro.store import (
     SurveyArchive,
     run_fsck,
 )
-from tests.store.test_journal import archive_state
+from tests.store.conftest import (
+    archive_state,
+    commit_op,
+    crash_cases,
+    settled,
+)
 
 LINK = "60.0.0.1--60.0.0.2"
 
@@ -229,12 +235,13 @@ class TestCrashAtEveryBoundary:
     def test_attach_protocol_shape(self, tmp_path, survey_june):
         ops = recorded_ops(tmp_path, survey_june)
         kinds = [op.kind for op in ops]
-        # journal, report, manifest: three atomic writes, then the
-        # journal acknowledgment remove.
-        assert kinds == ["write", "replace"] * 3 + ["remove"]
-        assert "JOURNAL" in ops[1].path
-        assert "anomalies" in ops[3].path
-        assert "MANIFEST" in ops[5].path
+        # The report document, then the slot write (the commit point)
+        # and the retire of the other slot.  Nothing is freed.
+        assert kinds == ["write", "replace"] + ["write-in-place"] * 2
+        assert "anomalies" in ops[1].path
+        assert "MANIFEST" in ops[2].path
+        assert commit_op(ops) == 2
+        assert not any(op.frees for op in ops)
 
     def test_every_op_every_offset_pre_or_post(
         self, tmp_path, survey_june
@@ -252,20 +259,9 @@ class TestCrashAtEveryBoundary:
             "2019-06", make_anomaly_payload("2019-06")
         )
         post_state = archive_state(post_root)
-        manifest_op = next(
-            i for i, op in enumerate(ops)
-            if op.kind == "replace" and "MANIFEST" in op.path
-        )
+        flip = commit_op(ops)
 
-        cases = []
-        for op_index, op in enumerate(ops):
-            offsets = [None]
-            if op.kind == "write":
-                offsets = [0, op.size // 2, op.size - 1]
-            for offset in offsets:
-                cases.append((op_index, offset))
-
-        for op_index, offset in cases:
+        for op_index, offset in crash_cases(ops):
             root = tmp_path / f"crash-{op_index}-{offset}"
             SurveyArchive(root).ingest(survey_june)
             io = CrashingIO(CrashPlan(op_index, byte_offset=offset))
@@ -278,17 +274,9 @@ class TestCrashAtEveryBoundary:
 
             reopened = SurveyArchive(root)
             state = archive_state(root)
-            if op_index > manifest_op:
-                assert state == post_state, (
-                    f"crash at op {op_index} offset {offset}: "
-                    "expected reported state"
-                )
+            if settled(state, pre_state, post_state, op_index, flip):
                 assert reopened.anomaly_periods() == ["2019-06"]
             else:
-                assert state == pre_state, (
-                    f"crash at op {op_index} offset {offset}: "
-                    "expected report-less state"
-                )
                 assert reopened.anomaly_periods() == []
                 assert "2019-06" in reopened  # period untouched
             report = run_fsck(root, repair=False)

@@ -16,6 +16,7 @@ from repro.store import (
     SurveyArchive,
     payload_checksum,
 )
+from repro.store.manifest import SLOT_NAMES, ManifestSlots, encode_record
 
 
 @pytest.fixture()
@@ -213,7 +214,7 @@ class TestCorruption:
         with pytest.raises(ArchiveCorruptionError):
             archive.get_period("2019-06")
         assert archive.stats.corrupt == 1
-        quarantined = archive.root / "quarantine" / "2019-06.json"
+        quarantined = archive.root / "quarantine" / "periods" / "2019-06.json"
         assert quarantined.exists()
         assert not archive.period_path("2019-06").exists()
 
@@ -225,7 +226,7 @@ class TestCorruption:
         with pytest.raises(ArchiveCorruptionError):
             archive.get(400, "2019-09")
         assert (
-            archive.root / "quarantine" / "2019-09.seg"
+            archive.root / "quarantine" / "segments" / "2019-09.seg"
         ).exists()
 
     def test_verify_reports_without_raising(self, archive):
@@ -242,20 +243,24 @@ class TestCorruption:
 
     def test_schema_version_gate(self, archive):
         archive.close()
-        manifest = json.loads(archive.manifest_path.read_text())
+        slots = ManifestSlots(archive.root)
+        manifest = slots.load()
         manifest["schema"] = 99
-        archive.manifest_path.write_text(json.dumps(manifest))
+        slots.path(slots.current).write_bytes(
+            encode_record(slots.seq, manifest)
+        )
         with pytest.raises(SchemaVersionError):
             SurveyArchive(archive.root)
 
     def test_garbage_manifest(self, archive):
+        """No valid slot is the one manifest corruption; slots are
+        never quarantined."""
         archive.close()
-        archive.manifest_path.write_text("{nope")
-        with pytest.raises(ArchiveCorruptionError):
+        for name in SLOT_NAMES:
+            (archive.root / name).write_text("{nope")
+        with pytest.raises(ArchiveCorruptionError, match="no valid"):
             SurveyArchive(archive.root)
-        assert (
-            archive.root / "quarantine" / "MANIFEST.json"
-        ).exists()
+        assert not (archive.root / "quarantine").exists()
 
 
 class TestChecksums:

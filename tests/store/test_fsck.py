@@ -16,8 +16,10 @@ from repro.store import (
     EXIT_UNUSABLE,
     ArchiveCorruptionError,
     SurveyArchive,
+    read_manifest,
     run_fsck,
 )
+from repro.store.manifest import SLOT_NAMES, ManifestSlots, encode_record
 
 from tests.store.conftest import make_ranking, make_survey
 
@@ -100,15 +102,51 @@ class TestJsonPayloadCorruption:
         assert report.exit_code == EXIT_REPAIRED
         assert not (stocked.root / "periods" / "2019-06.json").exists()
         assert (
-            stocked.root / "quarantine" / "2019-06.json"
+            stocked.root / "quarantine" / "periods" / "2019-06.json"
         ).exists()
-        manifest = json.loads(
-            (stocked.root / "MANIFEST.json").read_text()
-        )
+        manifest = read_manifest(stocked.root)
         assert "2019-06" not in manifest["periods"]
         assert "2019-09" in manifest["periods"]
         # Repaired archive is clean on the next pass.
         assert run_fsck(stocked.root).exit_code == EXIT_CLEAN
+
+    def test_quarantine_keeps_every_file_as_evidence(self, stocked):
+        """A quarantined period's documents share a file name; each
+        keeps its archive-relative path under quarantine/, byte for
+        byte, and nothing already quarantined is overwritten."""
+        from tests.store.test_anomaly_artifacts import (
+            make_anomaly_payload,
+        )
+
+        archive = SurveyArchive(stocked.root)
+        archive.ingest_anomalies(
+            "2019-06", make_anomaly_payload("2019-06")
+        )
+        archive.close()
+        earlier = stocked.root / "quarantine" / "periods" / "2019-06.json"
+        earlier.parent.mkdir(parents=True)
+        earlier.write_bytes(b"evidence of an earlier repair")
+        flip_keyed(stocked.root, "periods/2019-06.json")
+        relatives = [
+            "periods/2019-06.json", "index/2019-06.json",
+            "anomalies/2019-06.json",
+        ]
+        before = {
+            relative: (stocked.root / relative).read_bytes()
+            for relative in relatives
+        }
+        report = run_fsck(stocked.root, repair=True)
+        assert report.exit_code == EXIT_REPAIRED
+        (finding,) = report.errors
+        assert finding.action == (
+            "period quarantined (" + ", ".join(relatives) + ")"
+        )
+        quarantined = stocked.root / "quarantine"
+        assert earlier.read_bytes() == b"evidence of an earlier repair"
+        copy = quarantined / "periods" / "2019-06.json.1"
+        assert copy.read_bytes() == before["periods/2019-06.json"]
+        for relative in relatives[1:]:
+            assert (quarantined / relative).read_bytes() == before[relative]
 
     def test_repair_books_quality_drop(self, stocked):
         flip_keyed(stocked.root, "periods/2019-06.json")
@@ -170,9 +208,7 @@ class TestSegmentCorruption:
         report = run_fsck(stocked.root, repair=True)
         assert report.exit_code == EXIT_REPAIRED
         assert run_fsck(stocked.root).exit_code == EXIT_CLEAN
-        manifest = json.loads(
-            (stocked.root / "MANIFEST.json").read_text()
-        )
+        manifest = read_manifest(stocked.root)
         assert "2019-09" not in manifest["periods"]
 
 
@@ -183,9 +219,7 @@ class TestIndexProblems:
         assert report.exit_code == EXIT_REPAIRED
         assert (stocked.root / "index" / "2019-06.json").exists()
         # The period itself survives a rebuildable index problem.
-        manifest = json.loads(
-            (stocked.root / "MANIFEST.json").read_text()
-        )
+        manifest = read_manifest(stocked.root)
         assert "2019-06" in manifest["periods"]
         assert run_fsck(stocked.root).exit_code == EXIT_CLEAN
 
@@ -212,21 +246,33 @@ class TestIndexProblems:
 
 class TestManifestProblems:
     def test_garbage_manifest_unusable(self, stocked):
-        (stocked.root / "MANIFEST.json").write_text("not json{{{")
-        report = run_fsck(stocked.root)
+        """No valid slot: unusable, and even a repair run leaves the
+        slots where they are (a slot is never quarantined)."""
+        for name in SLOT_NAMES:
+            (stocked.root / name).write_text("not json{{{")
+        report = run_fsck(stocked.root, repair=True)
         assert report.exit_code == EXIT_UNUSABLE
         assert not report.manifest_usable
+        assert [f.detail for f in report.findings] == [
+            "no valid manifest slot"
+        ]
+        assert not (stocked.root / "quarantine").exists()
 
     def test_missing_manifest_with_data_unusable(self, stocked):
-        (stocked.root / "MANIFEST.json").unlink()
+        for name in SLOT_NAMES:
+            (stocked.root / name).unlink()
         report = run_fsck(stocked.root)
         assert report.exit_code == EXIT_UNUSABLE
+        with pytest.raises(ArchiveCorruptionError, match="data present"):
+            SurveyArchive(stocked.root)
 
     def test_schema_mismatch_unusable(self, stocked):
-        path = stocked.root / "MANIFEST.json"
-        manifest = json.loads(path.read_text())
+        slots = ManifestSlots(stocked.root)
+        manifest = slots.load()
         manifest["schema"] = 999
-        path.write_text(json.dumps(manifest))
+        slots.path(slots.current).write_bytes(
+            encode_record(slots.seq, manifest)
+        )
         assert run_fsck(stocked.root).exit_code == EXIT_UNUSABLE
 
 
@@ -239,7 +285,9 @@ class TestLeftovers:
         assert any(f.kind == "orphan" for f in report.findings)
         report = run_fsck(stocked.root, repair=True)
         assert not orphan.exists()
-        assert (stocked.root / "quarantine" / "2031-01.json").exists()
+        assert (
+            stocked.root / "quarantine" / "periods" / "2031-01.json"
+        ).exists()
 
     def test_stale_tmp_swept_on_repair(self, stocked):
         stale = stocked.root / "periods" / ".x.json.12345.tmp"

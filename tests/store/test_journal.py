@@ -1,9 +1,12 @@
 """Crash-recovery property test: every commit step, pre or post, never between.
 
 The contract under test (see DESIGN.md §12): an archive writer killed
-at ANY byte boundary of an ingest leaves the archive in exactly the
-pre-commit or post-commit state after recovery-on-open — and fsck
-finds nothing to complain about either way.
+at ANY byte boundary of a commit — an ingest, a live checkpoint, a
+finalize, an abort, a compaction — leaves the archive in exactly the
+pre-commit or post-commit state after recovery-on-open, and fsck finds
+nothing to complain about either way.  Every commit writes its
+documents under fresh names, then one manifest record in place into
+the older slot (the commit point), then retires the other slot.
 
 The op sequence is *measured*, not hardcoded: a dry run under
 :class:`RecordingIO` enumerates the protocol's operations, then one
@@ -13,11 +16,11 @@ also die by real SIGKILL in a subprocess, proving recovery holds
 against a genuinely dead writer, not just an unwound stack.
 """
 
-import json
 import signal
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -25,30 +28,19 @@ from repro.faults import CrashingIO, CrashPlan, RecordingIO, SimulatedCrash
 from repro.obs import observed
 from repro.store import (
     EXIT_CLEAN,
-    ArchiveCorruptionError,
-    CommitJournal,
+    EXIT_UNUSABLE,
+    SchemaVersionError,
     SurveyArchive,
-    TornJournal,
     recover,
     run_fsck,
 )
-from repro.store.archive import wrap
-from repro.store.journal import JOURNAL_FORMAT, _record_checksum
-
-
-def archive_state(root):
-    """Everything that defines archive content, as comparable data."""
-    manifest_path = root / "MANIFEST.json"
-    manifest = (
-        json.loads(manifest_path.read_text())
-        if manifest_path.exists() else None
-    )
-    files = sorted(
-        str(p.relative_to(root))
-        for p in root.rglob("*")
-        if p.is_file() and "quarantine" not in p.parts
-    )
-    return {"manifest": manifest, "files": files}
+from repro.store.manifest import empty_manifest, read_slot
+from tests.store.conftest import (
+    archive_state,
+    commit_op,
+    crash_cases,
+    settled,
+)
 
 
 def recorded_ops(survey, ranking, tmp_path):
@@ -64,12 +56,19 @@ class TestOpEnumeration:
     def test_ingest_protocol_shape(self, tmp_path, survey_june, ranking):
         ops = recorded_ops(survey_june, ranking, tmp_path)
         kinds = [op.kind for op in ops]
-        # journal, period, index, manifest: four atomic writes (write +
-        # replace each), then the journal acknowledgment remove.
-        assert kinds == ["write", "replace"] * 4 + ["remove"]
-        assert "JOURNAL" in ops[1].path
-        assert "MANIFEST" in ops[7].path
-        assert "JOURNAL" in ops[8].path
+        # A new archive's first commit: slot a takes the empty
+        # manifest, then the period document and the index, then the
+        # record creates slot b (the commit point) and slot a retires.
+        assert kinds == ["write", "replace"] * 4 + ["write-in-place"]
+        assert [
+            Path(op.path).relative_to(tmp_path / "record").as_posix()
+            for op in ops if op.kind != "write"
+        ] == [
+            "MANIFEST.a", "periods/2019-06.json", "index/2019-06.json",
+            "MANIFEST.b", "MANIFEST.a",
+        ]
+        assert commit_op(ops) == 7
+        assert not any(op.frees for op in ops)
 
 
 class TestCrashAtEveryBoundary:
@@ -88,21 +87,9 @@ class TestCrashAtEveryBoundary:
         committed = SurveyArchive(post_root)
         committed.ingest(survey_june, ranking=ranking)
         post_state = archive_state(post_root)
-        manifest_op = next(
-            i for i, op in enumerate(ops)
-            if op.kind == "replace" and "MANIFEST" in op.path
-        )
+        flip = commit_op(ops)
 
-        cases = []
-        for op_index, op in enumerate(ops):
-            offsets = [None]
-            if op.kind == "write":
-                # Tear at nothing-written, mid-write, and all-but-end.
-                offsets = [0, op.size // 2, op.size - 1]
-            for offset in offsets:
-                cases.append((op_index, offset))
-
-        for op_index, offset in cases:
+        for op_index, offset in crash_cases(ops):
             root = tmp_path / f"crash-{op_index}-{offset}"
             io = CrashingIO(CrashPlan(op_index, byte_offset=offset))
             archive = SurveyArchive(root, io=io)
@@ -113,24 +100,11 @@ class TestCrashAtEveryBoundary:
             # Reopen with real IO: recovery-on-open runs here.
             reopened = SurveyArchive(root)
             state = archive_state(root)
-            # The crash lands *before* the planned replace, so dying
-            # at the manifest rename itself is still pre-commit; only
-            # ops after it see the flipped manifest.
-            if op_index > manifest_op:
-                assert state == post_state, (
-                    f"crash at op {op_index} offset {offset}: "
-                    "expected post-commit state"
-                )
-                assert reopened.last_recovery.outcome in (
-                    "roll-forward", "clean"
-                )
+            if settled(state, pre_state, post_state, op_index, flip):
+                assert reopened.last_recovery.outcome == "clean"
                 assert "2019-06" in reopened
                 assert reopened.get(100, "2019-06")["severity"] == "severe"
             else:
-                assert state == pre_state, (
-                    f"crash at op {op_index} offset {offset}: "
-                    "expected pre-commit state"
-                )
                 assert "2019-06" not in reopened
             # Either way: nothing half-committed for fsck to find.
             report = run_fsck(root, repair=False)
@@ -140,7 +114,7 @@ class TestCrashAtEveryBoundary:
 
     def test_recovery_is_idempotent(self, tmp_path, survey_june, ranking):
         root = tmp_path / "idem"
-        io = CrashingIO(CrashPlan(op_index=4))  # after journal+period
+        io = CrashingIO(CrashPlan(op_index=4))  # period doc on disk
         archive = SurveyArchive(root, io=io)
         with pytest.raises(SimulatedCrash):
             archive.ingest(survey_june, ranking=ranking)
@@ -160,7 +134,7 @@ class TestCrashAtEveryBoundary:
         archive = SurveyArchive(root, io=io)
         with pytest.raises(SimulatedCrash):
             archive.ingest(survey_june, ranking=ranking)
-        # Data files exist, but the manifest has not flipped...
+        # Data files exist, but the slot has not taken the record...
         assert (root / "periods" / "2019-06.json").exists()
         reader = SurveyArchive(root)
         # ...so the period is simply not there (and rollback cleaned).
@@ -169,7 +143,7 @@ class TestCrashAtEveryBoundary:
 
     def test_recovery_counter_emitted(self, tmp_path, survey_june, ranking):
         root = tmp_path / "obs"
-        io = CrashingIO(CrashPlan(op_index=3))
+        io = CrashingIO(CrashPlan(6))
         archive = SurveyArchive(root, io=io)
         with pytest.raises(SimulatedCrash):
             archive.ingest(survey_june, ranking=ranking)
@@ -183,51 +157,38 @@ class TestCrashAtEveryBoundary:
 
 
 class TestTornJournal:
-    def test_torn_journal_quarantined_and_cleared(
-        self, tmp_path, survey_june, ranking
-    ):
-        root = tmp_path / "torn"
-        io = CrashingIO(CrashPlan(op_index=4))
-        archive = SurveyArchive(root, io=io)
-        with pytest.raises(SimulatedCrash):
-            archive.ingest(survey_june, ranking=ranking)
-        journal_path = root / CommitJournal.FILENAME
-        journal_path.write_text(journal_path.read_text()[:-20])
-        with pytest.raises(TornJournal):
-            CommitJournal(root).pending()
-        reopened = SurveyArchive(root)
-        assert reopened.last_recovery.outcome == "torn-journal"
-        assert not journal_path.exists()
-        assert (root / "quarantine" / CommitJournal.FILENAME).exists()
-        # Idempotent from here on.
-        assert SurveyArchive(root).last_recovery.outcome == "clean"
+    """What replaced the journal's replay: recovery is a pure function
+    of the manifest (:func:`repro.store.recover`)."""
 
     def test_recover_function_directly(self, tmp_path):
         root = tmp_path / "direct"
-        root.mkdir()
-        journal = CommitJournal(root)
-        journal.begin("ingest", "2020-01", "cafe", ["periods/2020-01.json"])
-        (root / "periods").mkdir()
+        (root / "periods").mkdir(parents=True)
         (root / "periods" / "2020-01.json").write_text("{}")
-        report = recover(root, lambda period: None)
+        report = recover(root, empty_manifest())
         assert report.outcome == "rollback"
         assert report.removed == ["periods/2020-01.json"]
         assert not (root / "periods" / "2020-01.json").exists()
 
     def test_roll_forward_never_deletes_committed(self, tmp_path):
+        """A compaction cut short after its commit left the JSON
+        document beside the segment: recovery finishes the removal
+        and touches nothing the manifest commits."""
         root = tmp_path / "forward"
-        root.mkdir()
-        (root / "periods").mkdir()
-        (root / "periods" / "2020-01.json").write_text("{}")
-        journal = CommitJournal(root)
-        journal.begin("ingest", "2020-01", "cafe", ["periods/2020-01.json"])
-        # The manifest says the period is committed.
-        report = recover(
-            root, lambda period: {"checksum": "cafe", "repr": "json"}
-        )
+        for relative in (
+            "periods/2020-01.json", "index/2020-01.json",
+            "segments/2020-01.seg",
+        ):
+            (root / relative).parent.mkdir(parents=True, exist_ok=True)
+            (root / relative).write_text("{}")
+        manifest = empty_manifest()
+        manifest["periods"]["2020-01"] = {
+            "checksum": "cafe", "repr": "segment",
+        }
+        report = recover(root, manifest)
         assert report.outcome == "roll-forward"
-        assert report.removed == []
-        assert (root / "periods" / "2020-01.json").exists()
+        assert report.removed == ["periods/2020-01.json"]
+        assert (root / "segments" / "2020-01.seg").exists()
+        assert (root / "index" / "2020-01.json").exists()
 
 
 class TestCrashDuringCommitPartial:
@@ -236,8 +197,8 @@ class TestCrashDuringCommitPartial:
     archive on exactly the previous or the new revision — never a
     blend — and fsck stays clean.  The checkpoint deliberately
     carries the *same payload* as the previous one: recovery must
-    tell the revisions apart by the revision number the manifest and
-    the file names carry, not by checksum."""
+    tell the revisions apart by the slots' sequence numbers, not by
+    checksum."""
 
     LIVE = "2019-06"
 
@@ -254,15 +215,17 @@ class TestCrashDuringCommitPartial:
         writer.commit_partial(survey_june)
         io.ops.clear()
         writer.commit_partial(survey_june)
-        kinds = [op.kind for op in io.ops]
-        # The revision file (payload + index) and the manifest: two
-        # atomic writes, then retire the previous revision.  No
-        # journal: the manifest alone tells recovery which revision
-        # is committed.
-        assert kinds == ["write", "replace"] * 2 + ["remove"]
-        assert "r2.json" in io.ops[1].path
-        assert "MANIFEST" in io.ops[3].path
-        assert "r1.json" in io.ops[4].path
+        # The payload and its indexes ride in the manifest record:
+        # one in-place slot write (the commit point), then the
+        # one-byte retire of the other slot.  Nothing is freed.
+        assert [
+            (op.kind, op.path.rsplit("/", 1)[-1], op.frees)
+            for op in io.ops
+        ] == [
+            ("write-in-place", "MANIFEST.a", False),
+            ("write-in-place", "MANIFEST.b", False),
+        ]
+        assert io.ops[1].size == 1
 
     def test_finalize_protocol_shape(self, tmp_path, survey_june):
         io = RecordingIO()
@@ -271,13 +234,14 @@ class TestCrashDuringCommitPartial:
         io.ops.clear()
         writer.finalize(survey_june)
         kinds = [op.kind for op in io.ops]
-        # Period document, index, manifest flip, then retire the one
-        # live revision.
-        assert kinds == ["write", "replace"] * 3 + ["remove"]
+        # Period document, index, then the slot write (the commit
+        # point) and the retire; the live record simply leaves the
+        # manifest, so nothing is removed.
+        assert kinds == ["write", "replace"] * 2 + ["write-in-place"] * 2
         assert "periods" in io.ops[1].path
         assert "index" in io.ops[3].path
-        assert "MANIFEST" in io.ops[5].path
-        assert "r1.json" in io.ops[6].path
+        assert commit_op(io.ops) == 4
+        assert not any(op.frees for op in io.ops)
 
     def test_every_op_every_offset_pre_or_post(
         self, tmp_path, survey_june
@@ -288,10 +252,7 @@ class TestCrashDuringCommitPartial:
         base = len(io.ops)
         writer.commit_partial(survey_june)
         ops = io.ops[base:]
-        manifest_op = next(
-            i for i, op in enumerate(ops)
-            if op.kind == "replace" and "MANIFEST" in op.path
-        )
+        flip = commit_op(ops)
 
         # Reference states: revision 1 committed, and revision 2.
         pre_root = tmp_path / "pre"
@@ -304,15 +265,7 @@ class TestCrashDuringCommitPartial:
         post_writer.commit_partial(survey_june)
         post_state = archive_state(post_root)
 
-        cases = []
-        for op_index, op in enumerate(ops):
-            offsets = [None]
-            if op.kind == "write":
-                offsets = [0, op.size // 2, op.size - 1]
-            for offset in offsets:
-                cases.append((op_index, offset))
-
-        for op_index, offset in cases:
+        for op_index, offset in crash_cases(ops):
             root = tmp_path / f"crash-{op_index}-{offset}"
             io = CrashingIO(
                 CrashPlan(base + op_index, byte_offset=offset)
@@ -326,18 +279,10 @@ class TestCrashDuringCommitPartial:
             reopened = SurveyArchive(root)
             state = archive_state(root)
             meta = reopened.period_meta(self.LIVE)
-            if op_index > manifest_op:
-                assert state == post_state, (
-                    f"crash at op {op_index} offset {offset}: "
-                    "expected post-checkpoint state"
-                )
-                assert meta["revision"] == 2
-            else:
-                assert state == pre_state, (
-                    f"crash at op {op_index} offset {offset}: "
-                    "expected pre-checkpoint state"
-                )
-                assert meta["revision"] == 1
+            committed = settled(
+                state, pre_state, post_state, op_index, flip
+            )
+            assert meta["revision"] == (2 if committed else 1)
             # Either revision serves a readable period...
             assert reopened.get_period(self.LIVE)["period"][
                 "name"
@@ -373,10 +318,7 @@ class TestCrashDuringFinalize:
         base = len(io.ops)
         writer.finalize(survey_june, ranking=ranking)
         ops = io.ops[base:]
-        manifest_op = next(
-            i for i, op in enumerate(ops)
-            if op.kind == "replace" and "MANIFEST" in op.path
-        )
+        flip = commit_op(ops)
 
         pre_root = tmp_path / "pre"
         self.live(pre_root, survey_june)
@@ -387,53 +329,145 @@ class TestCrashDuringFinalize:
         )
         post_state = archive_state(post_root)
 
-        for op_index, op in enumerate(ops):
-            offsets = [None]
-            if op.kind == "write":
-                offsets = [0, op.size // 2, op.size - 1]
-            for offset in offsets:
-                root = tmp_path / f"crash-{op_index}-{offset}"
-                io = CrashingIO(
-                    CrashPlan(base + op_index, byte_offset=offset)
-                )
-                writer = self.live(root, survey_june, io)
-                with pytest.raises(SimulatedCrash):
-                    writer.finalize(survey_june, ranking=ranking)
+        for op_index, offset in crash_cases(ops):
+            root = tmp_path / f"crash-{op_index}-{offset}"
+            io = CrashingIO(
+                CrashPlan(base + op_index, byte_offset=offset)
+            )
+            writer = self.live(root, survey_june, io)
+            with pytest.raises(SimulatedCrash):
+                writer.finalize(survey_june, ranking=ranking)
 
-                reopened = SurveyArchive(root)
-                state = archive_state(root)
-                repr_ = reopened.period_meta(self.LIVE)["repr"]
-                if op_index > manifest_op:
-                    assert state == post_state, (op_index, offset)
-                    assert repr_ == "json"
-                    assert reopened.last_recovery.outcome == (
-                        "roll-forward"
-                    )
-                else:
-                    assert state == pre_state, (op_index, offset)
-                    assert repr_ == "live"
-                assert reopened.get_period(self.LIVE)["period"][
-                    "name"
-                ] == self.LIVE
-                report = run_fsck(root, repair=False)
-                assert report.exit_code == EXIT_CLEAN, [
-                    f.detail for f in report.findings
-                ]
+            reopened = SurveyArchive(root)
+            state = archive_state(root)
+            repr_ = reopened.period_meta(self.LIVE)["repr"]
+            if settled(state, pre_state, post_state, op_index, flip):
+                assert repr_ == "json"
+            else:
+                assert repr_ == "live"
+            assert reopened.get_period(self.LIVE)["period"][
+                "name"
+            ] == self.LIVE
+            report = run_fsck(root, repair=False)
+            assert report.exit_code == EXIT_CLEAN, [
+                f.detail for f in report.findings
+            ]
 
 
-def legacy_revision(root, name, revision):
-    """Rewrite a committed live revision in the earlier two-file
-    layout: a payload-only wrapper plus an ``.index.json`` sidecar."""
-    live = root / "live" / f"{name}.r{revision}.json"
-    entry = json.loads(live.read_text())
-    live.write_bytes(wrap(entry["payload"]))
-    sidecar = root / "live" / f"{name}.r{revision}.index.json"
-    sidecar.write_bytes(wrap(entry["index"]))
-    return live, sidecar
+class TestCrashDuringAbort:
+    """An abort is one slot write: the live period is there or gone."""
+
+    LIVE = "2019-06"
+
+    def live(self, root, survey, io=None):
+        archive = (
+            SurveyArchive(root, io=io) if io is not None
+            else SurveyArchive(root)
+        )
+        archive.ingest(survey_march())
+        writer = archive.begin_live_period(self.LIVE)
+        writer.commit_partial(survey)
+        return writer
+
+    def test_every_op_every_offset_pre_or_post(
+        self, tmp_path, survey_june
+    ):
+        io = RecordingIO()
+        writer = self.live(tmp_path / "record", survey_june, io)
+        base = len(io.ops)
+        writer.abort()
+        ops = io.ops[base:]
+        assert not any(op.frees for op in ops)
+        flip = commit_op(ops)
+
+        pre_state = archive_state(
+            self.live(tmp_path / "pre", survey_june).archive.root
+        )
+        post = self.live(tmp_path / "post", survey_june)
+        post.abort()
+        post_state = archive_state(post.archive.root)
+
+        for op_index, offset in crash_cases(ops):
+            root = tmp_path / f"crash-{op_index}-{offset}"
+            io = CrashingIO(
+                CrashPlan(base + op_index, byte_offset=offset)
+            )
+            writer = self.live(root, survey_june, io)
+            with pytest.raises(SimulatedCrash):
+                writer.abort()
+            reopened = SurveyArchive(root)
+            state = archive_state(root)
+            if settled(state, pre_state, post_state, op_index, flip):
+                assert reopened.periods() == ["2019-03"]
+            else:
+                assert reopened.periods() == ["2019-03", self.LIVE]
+            assert run_fsck(root).exit_code == EXIT_CLEAN
+
+
+def survey_march():
+    import datetime as dt
+    from repro.core import Severity
+    from tests.store.conftest import make_survey
+
+    return make_survey(
+        "2019-03", dt.datetime(2019, 3, 1),
+        {100: Severity.MILD, 200: Severity.NONE},
+    )
+
+
+class TestCrashDuringCompaction:
+    """Compaction writes the segment, flips the entry to it, and only
+    then removes the JSON document it retires (unless ``keep_json``
+    keeps it as committed state)."""
+
+    @pytest.mark.parametrize("keep_json", [False, True])
+    def test_every_op_every_offset_pre_or_post(
+        self, tmp_path, survey_june, ranking, keep_json
+    ):
+        def seeded(root, io=None):
+            archive = SurveyArchive(root)
+            archive.ingest(survey_june, ranking=ranking)
+            archive.ingest(survey_march(), ranking=ranking)
+            archive.close()
+            return SurveyArchive(root, io=io) if io else archive
+
+        io = RecordingIO()
+        recorder = seeded(tmp_path / "record", io)
+        recorder.compact(["2019-06"], keep_json=keep_json)
+        ops = io.ops
+        # The only block freed is the retired JSON document's.
+        assert [op.path for op in ops if op.frees] == (
+            [] if keep_json
+            else [str(recorder.period_path("2019-06"))]
+        )
+        flip = commit_op(ops)
+
+        pre_state = archive_state(seeded(tmp_path / "pre").root)
+        post = seeded(tmp_path / "post")
+        post.compact(["2019-06"], keep_json=keep_json)
+        post_state = archive_state(post.root)
+
+        for op_index, offset in crash_cases(ops):
+            root = tmp_path / f"crash-{op_index}-{offset}"
+            io = CrashingIO(CrashPlan(op_index, byte_offset=offset))
+            archive = seeded(root, io)
+            with pytest.raises(SimulatedCrash):
+                archive.compact(["2019-06"], keep_json=keep_json)
+            archive.close()
+            reopened = SurveyArchive(root)
+            repr_ = reopened.period_meta("2019-06")["repr"]
+            state = archive_state(root)
+            if settled(state, pre_state, post_state, op_index, flip):
+                assert repr_ == "segment"
+            else:
+                assert repr_ == "json"
+            assert reopened.get(100, "2019-06")["severity"] == "severe"
+            reopened.close()
+            assert run_fsck(root).exit_code == EXIT_CLEAN
 
 
 class TestLiveReconcile:
-    """Recovery on open settles ``live/`` from the manifest alone."""
+    """Recovery on open settles a live period from the slots alone."""
 
     LIVE = "2019-06"
 
@@ -447,34 +481,69 @@ class TestLiveReconcile:
     def test_stray_newer_revision_removed(
         self, tmp_path, survey_june, ranking
     ):
+        """A checkpoint torn mid-record leaves a newer revision that
+        fails its digest: never served, never quarantined, counted as
+        a fallback, and overwritten by the next checkpoint."""
         root = tmp_path / "arc"
         self.checkpointed(root, survey_june, ranking)
         before = archive_state(root)
-        stray = root / "live" / f"{self.LIVE}.r2.json"
-        stray.write_bytes((root / "live" / f"{self.LIVE}.r1.json")
-                          .read_bytes())
-        reopened = SurveyArchive(root)
-        assert not stray.exists()
+        archive = SurveyArchive(
+            root, io=CrashingIO(CrashPlan(0, byte_offset=200))
+        )
+        with pytest.raises(SimulatedCrash):
+            archive.begin_live_period(self.LIVE).commit_partial(
+                survey_june, ranking=ranking
+            )
+        assert read_slot(root / "MANIFEST.a") == "torn"
+        with observed() as obs:
+            reopened = SurveyArchive(root)
+        assert obs.metrics.counter(
+            "store_manifest_fallback_total", ""
+        ).value() == 1
         assert archive_state(root) == before
         assert reopened.period_meta(self.LIVE)["revision"] == 1
-        assert reopened.last_recovery.outcome == "rollback"
-        assert reopened.last_recovery.removed == [f"live/{stray.name}"]
-        assert SurveyArchive(root).last_recovery.outcome == "clean"
+        assert reopened.last_recovery.outcome == "clean"
+        assert not (root / "quarantine").exists()
+        writer = reopened.begin_live_period(self.LIVE)
+        assert writer.commit_partial(survey_june, ranking=ranking) == 2
+        states = [read_slot(root / name) for name in (
+            "MANIFEST.a", "MANIFEST.b",
+        )]
+        assert states[1] == "retired" and states[0][0] == 3
 
     def test_stray_older_revision_removed(
         self, tmp_path, survey_june, ranking
     ):
+        """A crash between a checkpoint's record and the retire leaves
+        the superseded revision valid beside the new one: the higher
+        sequence number wins, and the next checkpoint overwrites the
+        stale revision."""
         root = tmp_path / "arc"
-        self.checkpointed(root, survey_june, ranking, times=2)
-        before = archive_state(root)
-        stray = root / "live" / f"{self.LIVE}.r1.json"
-        stray.write_bytes((root / "live" / f"{self.LIVE}.r2.json")
-                          .read_bytes())
+        self.checkpointed(root, survey_june, ranking)
+        # Dies after the record, before the retire.
+        archive = SurveyArchive(root, io=CrashingIO(CrashPlan(1)))
+        with pytest.raises(SimulatedCrash):
+            archive.begin_live_period(self.LIVE).commit_partial(
+                survey_june, ranking=ranking
+            )
+        revisions = sorted(
+            read_slot(root / name)[1]["periods"][self.LIVE]["revision"]
+            for name in ("MANIFEST.a", "MANIFEST.b")
+        )
+        assert revisions == [1, 2]
         reopened = SurveyArchive(root)
-        assert not stray.exists()
-        assert archive_state(root) == before
         assert reopened.period_meta(self.LIVE)["revision"] == 2
-        assert reopened.last_recovery.outcome == "roll-forward"
+        assert reopened.last_recovery.outcome == "clean"
+        writer = reopened.begin_live_period(self.LIVE)
+        assert writer.commit_partial(survey_june, ranking=ranking) == 3
+        valid = [
+            state for state in (
+                read_slot(root / "MANIFEST.a"),
+                read_slot(root / "MANIFEST.b"),
+            ) if isinstance(state, tuple)
+        ]
+        assert [s[1]["periods"][self.LIVE]["revision"] for s in valid] == [3]
+        assert run_fsck(root).exit_code == EXIT_CLEAN
 
     def test_uncommitted_finalize_documents_removed(
         self, tmp_path, survey_june, ranking
@@ -482,8 +551,8 @@ class TestLiveReconcile:
         root = tmp_path / "arc"
         self.checkpointed(root, survey_june, ranking)
         before = archive_state(root)
-        # Die at the manifest write (op 4, after the period document
-        # and index): both documents are on disk, the flip is not.
+        # Die at the slot write (op 4, after the period document and
+        # index): both documents are on disk, the record is not.
         crashing = SurveyArchive(
             root, io=CrashingIO(CrashPlan(4))
         ).begin_live_period(self.LIVE)
@@ -503,103 +572,39 @@ class TestLiveReconcile:
     def test_legacy_journal_never_deletes_committed_revision(
         self, tmp_path, survey_june, ranking
     ):
-        """A pending ``commit-partial`` journal from the journaled
-        live protocol names the committed revision in ``retire``;
-        recovery must acknowledge it without acting on its lists."""
+        """A root holding a write-ahead journal of an earlier version
+        is refused by name; nothing on disk is acted on."""
         root = tmp_path / "arc"
         self.checkpointed(root, survey_june, ranking)
-        live, sidecar = legacy_revision(root, self.LIVE, 1)
-        record = {
-            "format": JOURNAL_FORMAT, "schema": 1,
-            "op": "commit-partial", "period": self.LIVE,
-            "checksum": "cafe",
-            "files": [f"live/{self.LIVE}.r2.json",
-                      f"live/{self.LIVE}.r2.index.json"],
-            "retire": [f"live/{self.LIVE}.r1.json",
-                       f"live/{self.LIVE}.r1.index.json"],
-            "revision": 2,
+        (root / "JOURNAL.json").write_text('{"op": "commit-partial"}')
+        before = {
+            p: p.read_bytes() for p in root.rglob("*") if p.is_file()
         }
-        record["journal_checksum"] = _record_checksum(record)
-        journal = root / CommitJournal.FILENAME
-        journal.write_text(json.dumps(record))
-        torn = root / "live" / f"{self.LIVE}.r2.json"
-        torn.write_text('{"schema": 1, "chec')
-
-        reopened = SurveyArchive(root)
-        assert live.exists() and sidecar.exists()
-        assert not torn.exists() and not journal.exists()
-        assert reopened.last_recovery.outcome == "rollback"
-        assert reopened.period_meta(self.LIVE)["revision"] == 1
-        assert reopened.asns_in_country(self.LIVE, "JP") == [100]
-        assert run_fsck(root).exit_code == EXIT_CLEAN
-
-    def test_legacy_pending_finalize_acknowledged(
-        self, tmp_path, survey_june, ranking
-    ):
-        """Same for a ``finalize`` intent whose flip landed: the live
-        files it listed to retire are left over, the reconcile
-        removes them, the finalized period is untouched."""
-        root = tmp_path / "arc"
-        archive = self.checkpointed(root, survey_june, ranking)
-        legacy_revision(root, self.LIVE, 1)
-        leftovers = sorted(p.name for p in (root / "live").iterdir())
-        archive.io = CrashingIO(CrashPlan(6))  # dies at the retire
-        writer = archive.begin_live_period(self.LIVE)
-        with pytest.raises(SimulatedCrash):
-            writer.finalize(survey_june, ranking=ranking)
-        record = {
-            "format": JOURNAL_FORMAT, "schema": 1, "op": "finalize",
-            "period": self.LIVE, "checksum": "cafe",
-            "files": [f"periods/{self.LIVE}.json",
-                      f"index/{self.LIVE}.json"],
-            "retire": [f"live/{name}" for name in leftovers],
-        }
-        record["journal_checksum"] = _record_checksum(record)
-        (root / CommitJournal.FILENAME).write_text(json.dumps(record))
-
-        reopened = SurveyArchive(root)
-        assert reopened.last_recovery.outcome == "roll-forward"
-        assert not list((root / "live").iterdir())
-        assert reopened.period_meta(self.LIVE)["repr"] == "json"
-        assert (root / "periods" / f"{self.LIVE}.json").exists()
-        assert run_fsck(root).exit_code == EXIT_CLEAN
-
-    def test_legacy_two_file_revision_read_then_retired(
-        self, tmp_path, survey_june, ranking
-    ):
-        root = tmp_path / "arc"
-        self.checkpointed(root, survey_june, ranking)
-        live, sidecar = legacy_revision(root, self.LIVE, 1)
-        assert run_fsck(root).exit_code == EXIT_CLEAN
-
-        reopened = SurveyArchive(root)
-        assert reopened.last_recovery.outcome == "clean"
-        assert reopened.get_period(self.LIVE)["period"]["name"] == (
-            self.LIVE
-        )
-        assert reopened.asns_in_country(self.LIVE, "JP") == [100]
-        writer = reopened.begin_live_period(self.LIVE)
-        assert writer.commit_partial(survey_june, ranking=ranking) == 2
-        assert not live.exists() and not sidecar.exists()
-        assert sorted(p.name for p in (root / "live").iterdir()) == [
-            f"{self.LIVE}.r2.json"
-        ]
-        assert run_fsck(root).exit_code == EXIT_CLEAN
+        with pytest.raises(SchemaVersionError, match="JOURNAL.json"):
+            SurveyArchive(root)
+        assert {
+            p: p.read_bytes() for p in root.rglob("*") if p.is_file()
+        } == before
+        report = run_fsck(root)
+        assert report.exit_code == EXIT_UNUSABLE
+        assert "JOURNAL.json" in report.findings[0].detail
 
     def test_legacy_revision_without_sidecar_refused(
         self, tmp_path, survey_june, ranking
     ):
-        """A payload-only wrapper is never read as a whole revision:
-        without its sidecar the index read fails loudly."""
-        root = tmp_path / "arc"
-        self.checkpointed(root, survey_june, ranking)
-        _live, sidecar = legacy_revision(root, self.LIVE, 1)
-        sidecar.unlink()
-        reopened = SurveyArchive(root)
-        with pytest.raises(ArchiveCorruptionError, match="missing"):
-            reopened.asns_in_country(self.LIVE, "JP")
-        report = run_fsck(root)
-        assert [f.kind for f in report.errors] == ["index"]
+        """The earlier layouts — ``live/`` revision files and the
+        single ``MANIFEST.json`` — are refused by name, never read."""
+        for entry in ("live", "MANIFEST.json"):
+            root = tmp_path / entry
+            self.checkpointed(root, survey_june, ranking)
+            if entry == "live":
+                (root / "live").mkdir()
+                (root / "live" / f"{self.LIVE}.r1.json").write_text("{}")
+            else:
+                (root / entry).write_text('{"format": "repro-archive"}')
+            with pytest.raises(SchemaVersionError, match=entry):
+                SurveyArchive(root)
+            assert run_fsck(root).exit_code == EXIT_UNUSABLE
 
 
 @pytest.mark.slow
@@ -628,7 +633,7 @@ class TestSigkillDuringCommitPartial:
     """)
 
     def measured(self, tmp_path):
-        """(ops before checkpoint 2, its op count, its manifest op)."""
+        """(ops before checkpoint 2, its op count, its commit op)."""
         from tests.store.conftest import make_survey
         import datetime as dt
         from repro.core import Severity
@@ -643,16 +648,12 @@ class TestSigkillDuringCommitPartial:
         writer.commit_partial(survey)
         base = len(io.ops)
         writer.commit_partial(survey)
-        manifest_op = next(
-            i for i, op in enumerate(io.ops[base:])
-            if op.kind == "replace" and "MANIFEST" in op.path
-        )
-        return base, len(io.ops) - base, manifest_op
+        return base, len(io.ops) - base, commit_op(io.ops[base:])
 
     @pytest.mark.parametrize("which", ["first-write", "post-manifest"])
     def test_sigkill_mid_checkpoint(self, tmp_path, which):
-        base, count, manifest_op = self.measured(tmp_path)
-        offset = 0 if which == "first-write" else manifest_op + 1
+        base, count, flip = self.measured(tmp_path)
+        offset = 0 if which == "first-write" else flip + 1
         root = tmp_path / "killed"
         repo = __import__("pathlib").Path(__file__).resolve().parents[2]
         script = self.CHILD.format(
@@ -695,10 +696,10 @@ class TestRealSigkill:
     """)
 
     @pytest.mark.parametrize("op_index,offset", [
-        (0, 7),    # torn journal temp write
+        (0, 7),    # torn temp write of the new archive's slot a
         (3, None), # died before the period rename
-        (7, None), # died before the manifest flip
-        (8, None), # died before journal acknowledgment (committed!)
+        (7, None), # died before the rename that commits slot b
+        (8, None), # died before retiring slot a (committed!)
     ])
     def test_sigkill_mid_commit(self, tmp_path, op_index, offset):
         root = tmp_path / "killed"
@@ -716,7 +717,7 @@ class TestRealSigkill:
         reopened = SurveyArchive(root)
         if op_index >= 8:
             assert "2019-06" in reopened
-            assert reopened.last_recovery.outcome == "roll-forward"
+            assert reopened.last_recovery.outcome == "clean"
         else:
             assert "2019-06" not in reopened
         report = run_fsck(root, repair=False)

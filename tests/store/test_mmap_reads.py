@@ -301,7 +301,7 @@ class TestFallback:
         ).value() >= 1
         # The torn segment is evidence now, not a serving source.
         assert not seg.exists()
-        assert (root / "quarantine" / "2019-09.seg").exists()
+        assert (root / "quarantine" / "segments" / "2019-09.seg").exists()
 
     def test_point_lookup_falls_back(self, baseline):
         root, _ = baseline

@@ -1,7 +1,7 @@
 """Live-ingest lifecycle: streamed surveys in the archive.
 
 Covers the store tier's side of streaming: revisioned partial
-commits through the commit journal, resuming a live period across
+commits carried in the manifest slots, resuming a live period across
 process restarts, serving the in-progress period through the
 generation-watching cache, and the acceptance criterion — a
 record-by-record streamed survey interrupted by a simulated crash
@@ -22,6 +22,7 @@ from repro.store import (
     PeriodExistsError,
     SurveyArchive,
     payload_checksum,
+    read_manifest,
     run_fsck,
 )
 from repro.stream import StreamingSurvey, dataset_to_records
@@ -49,15 +50,19 @@ class TestLiveLifecycle:
         assert meta["partial"] is True
         assert meta["revision"] == 1
         assert archive.get_period(LIVE) == survey_to_dict(first)
-        # A second checkpoint is a *new revision*; the old one is
-        # retired only after the manifest flip.
+        # A second checkpoint is a *new revision*, carried by the
+        # manifest record itself: the slots are the only files.
         second = june({100: __import__(
             "repro.core", fromlist=["Severity"]
         ).Severity.MILD})
         assert writer.commit_partial(second) == 2
         assert archive.get_period(LIVE) == survey_to_dict(second)
-        assert archive.live_path(LIVE, 2).exists()
-        assert not archive.live_path(LIVE, 1).exists()
+        assert sorted(p.name for p in archive.root.iterdir()) == [
+            "MANIFEST.a", "MANIFEST.b",
+        ]
+        reopened = SurveyArchive(archive.root)
+        assert reopened.period_meta(LIVE)["revision"] == 2
+        assert reopened.get_period(LIVE) == survey_to_dict(second)
         assert archive.stats.live_commits == 2
         assert run_fsck(archive.root, repair=False).exit_code == EXIT_CLEAN
 
@@ -90,7 +95,7 @@ class TestLiveLifecycle:
         assert meta["repr"] == "json"
         assert "partial" not in meta and "revision" not in meta
         assert meta["checksum"] == payload_checksum(survey_to_dict(final))
-        assert not list((archive.root / "live").glob("*"))
+        assert read_manifest(archive.root)["live"] == {}
         assert archive.get_period(LIVE) == survey_to_dict(final)
         assert run_fsck(archive.root, repair=False).exit_code == EXIT_CLEAN
         with pytest.raises(ValueError, match="finalized"):
@@ -190,8 +195,8 @@ class TestCrashResumeAcceptance:
         start, end = self.second_commit_ops(tmp_path / "probe", streamed)
 
         # Crash at the checkpoint's first write, mid-protocol, and at
-        # its final journal acknowledgment.
-        for op_index in (start, (start + end) // 2, end - 1):
+        # its final op (the retire of the superseded slot).
+        for op_index in sorted({start, (start + end) // 2, end - 1}):
             root = tmp_path / f"crash-{op_index}"
             io = CrashingIO(CrashPlan(op_index))
             archive = SurveyArchive(root, io=io)
