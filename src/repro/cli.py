@@ -767,14 +767,31 @@ def cmd_stream(args) -> int:
 
 
 def _run_stream(args) -> int:
+    from .obs import get_observer
+
+    obs = get_observer()
+    with obs.stage_span("stream") as span:
+        return _stream_period(args, obs, span)
+
+
+def _stream_period(args, obs, root) -> int:
+    """``repro stream``'s work, under its one root span.
+
+    The feed is replayed as column batches.  After each batch the
+    engine closes every bin before the newest one it has seen: both
+    feeds arrive in bin order, so no record goes stale and only the
+    newest bins stay open.  Each checkpoint window is one
+    ``stream-ingest`` and one ``stream-close`` span.
+    """
     from .core import render_survey_headline
-    from .stream import StreamingSurvey, dataset_to_records, micro_batches
+    from .stream import StreamingSurvey, column_batches, decompose
 
     table = None
     if args.dataset:
         from .io import load_lastmile
 
-        dataset = load_lastmile(args.dataset)
+        with obs.stage_span("load", path=args.dataset):
+            dataset = load_lastmile(args.dataset)
         period = dataset.grid.period
     else:
         from .scenarios import build_survey_world, generate_specs
@@ -798,10 +815,15 @@ def _run_stream(args) -> int:
             specs, lockdown=period.name == "2020-04", seed=args.seed,
             period_name=period.name,
         )
-        dataset = platform.run_period_binned(period)
+        with obs.stage_span("load", period=period.name):
+            dataset = platform.run_period_binned(period)
         table = world.table
+    root.set_attr("period", period.name)
 
-    records = dataset_to_records(dataset)
+    with obs.span("stream-decompose") as span:
+        registrations, rows = decompose(dataset)
+        total = len(registrations) + len(rows)
+        span.set_attr("records", total)
     engine = StreamingSurvey(
         period, min_probes=args.min_probes, table=table,
         approximate=args.approximate,
@@ -815,25 +837,38 @@ def _run_stream(args) -> int:
         )
 
     print(
-        f"streaming {len(records)} records into period {period.name} "
+        f"streaming {total} records into period {period.name} "
         f"({engine.kernels.name} kernels, "
         f"{'P²' if args.approximate else 'exact'} medians)",
         flush=True,
     )
-    since_checkpoint = 0
-    for batch in micro_batches(records, args.batch_size):
-        ingested = engine.ingest_many(batch)
+
+    ingest, close = obs.span("stream-ingest"), obs.span("stream-close")
+    since_checkpoint = batches = 0
+    stale_before = engine.stale_records
+    for batch in column_batches(registrations, rows, args.batch_size):
+        with ingest as span:
+            ingested = engine.ingest_many(batch)
+        with close:
+            engine.close_through(engine.newest_bin - 1)
         since_checkpoint += ingested
+        batches += 1
+        span.set_attr("records", since_checkpoint)
+        span.set_attr("batches", batches)
+        span.set_attr("stale", engine.stale_records - stale_before)
         if writer is not None:
             writer.append(ingested)
         if (
             args.checkpoint_every
             and since_checkpoint >= args.checkpoint_every
         ):
-            since_checkpoint = 0
+            since_checkpoint = batches = 0
+            stale_before = engine.stale_records
+            ingest = obs.span("stream-ingest")
+            close = obs.span("stream-close")
             partial = engine.emit_partial()
             line = (
-                f"  [{engine.records_ingested}/{len(records)}] "
+                f"  [{engine.records_ingested}/{total}] "
                 + render_survey_headline(partial)
             )
             if writer is not None:
@@ -842,6 +877,8 @@ def _run_stream(args) -> int:
             if args.emit_partial:
                 print(line, flush=True)
 
+    with close:
+        engine.close_through(engine.grid.num_bins - 1)
     result = engine.finalize()
     print(render_survey_headline(result))
     if result.failures:

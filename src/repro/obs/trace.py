@@ -110,21 +110,29 @@ class Span:
 
 
 class _SpanContext:
-    """Context manager that opens/closes one span on a tracer."""
+    """Context manager that opens/closes one span on a tracer.
 
-    __slots__ = ("_tracer", "_span")
+    It may be entered again after it exits: the span stays where it
+    was first attached and each entry adds to its times, so steps
+    that interleave in one loop can each read as one span.
+    """
+
+    __slots__ = ("_tracer", "_span", "_attached")
 
     def __init__(self, tracer: "Tracer", span: Span):
         self._tracer = tracer
         self._span = span
+        self._attached = False
 
     def __enter__(self) -> Span:
         span = self._span
         stack = self._tracer._stack
-        if stack:
-            stack[-1].children.append(span)
-        else:
-            self._tracer._add_root(span)
+        if not self._attached:
+            self._attached = True
+            if stack:
+                stack[-1].children.append(span)
+            else:
+                self._tracer._add_root(span)
         stack.append(span)
         span._start_wall = time.perf_counter()
         span._start_cpu = time.process_time()
@@ -132,8 +140,8 @@ class _SpanContext:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         span = self._span
-        span.wall_seconds = time.perf_counter() - span._start_wall
-        span.cpu_seconds = time.process_time() - span._start_cpu
+        span.wall_seconds += time.perf_counter() - span._start_wall
+        span.cpu_seconds += time.process_time() - span._start_cpu
         if exc_type is not None:
             span.error = exc_type.__name__
         popped = self._tracer._stack.pop()

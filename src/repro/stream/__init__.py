@@ -3,21 +3,26 @@
 The batch pipeline (``repro.core``) analyzes a finished period in one
 pass.  This package is its incremental twin for continuous operation:
 :class:`StreamingSurvey` ingests records one at a time or in
-micro-batches, keeps exact (or opt-in P² approximate) medians for the
-bins still open, finalizes bins as the watermark passes them through
-the selected kernel backend, and reclassifies only the ASes whose
-inputs changed.  ``tests/stream`` holds the differential harness that
-proves a finalized streaming survey bit-identical to the batch run.
+micro-batches of column batches (:class:`SampleBatch`, the unit
+:func:`decompose` splits a dataset into), keeps every open sample in
+one columnar store (or, opt-in, one P² estimator per open bin),
+finalizes bins as the watermark passes them through the selected
+kernel backend, and reclassifies only the ASes whose inputs changed.
+``tests/stream`` holds the differential harness that proves a
+finalized streaming survey bit-identical to the batch run.
 """
 
 from .engine import STAGE, StreamingSurvey
-from .median import ExactMedian, P2Median
+from .median import P2Median
 from .records import (
     ProbeRecord,
+    SampleBatch,
     SampleRecord,
     StreamRecord,
     TraceRecord,
+    column_batches,
     dataset_to_records,
+    decompose,
     micro_batches,
     shuffle_within_bins,
 )
@@ -25,13 +30,15 @@ from .records import (
 __all__ = [
     "STAGE",
     "StreamingSurvey",
-    "ExactMedian",
     "P2Median",
     "ProbeRecord",
+    "SampleBatch",
     "SampleRecord",
     "StreamRecord",
     "TraceRecord",
+    "column_batches",
     "dataset_to_records",
+    "decompose",
     "micro_batches",
     "shuffle_within_bins",
 ]

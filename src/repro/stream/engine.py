@@ -2,10 +2,12 @@
 
 :class:`StreamingSurvey` is the streaming twin of
 :func:`repro.core.survey.classify_dataset`: records are ingested one
-at a time (or in micro-batches), per-probe per-bin medians are
-maintained online while bins are open, bins are finalized as the
-watermark passes them, and AS-level aggregates plus daily-pattern
-classifications are recomputed *only for ASes whose inputs changed*.
+at a time or in micro-batches, whose unit is the column batch
+:class:`~repro.stream.records.SampleBatch` (ingested with array
+operations); every open sample is kept in one columnar store, bins
+are finalized as the watermark passes them, and AS-level aggregates
+plus daily-pattern classifications are recomputed *only for ASes
+whose inputs changed*.
 
 Equivalence contract (enforced by ``tests/stream``): with exact
 medians, a finalized streaming survey is **bit-identical** — under
@@ -18,17 +20,18 @@ numeric decision is delegated to the same code the batch path runs:
   make the decisions of the batch scan
   (:func:`repro.core.kernels.flat.scan_lastmile_flat`), one record at
   a time (same quality-ledger entries included);
-* bin finalization runs the batch estimator's
+* bin finalization sorts the closing bins' samples out of the store
+  with one ``lexsort`` and runs the batch estimator's
   :func:`~repro.core.kernels.flat.bin_medians` — the same mask and
-  the same ``group_medians`` kernel call — over the closing bins'
-  pooled samples, in chunks under the survey's chunk budget, so
-  ``reference``/``vector`` selection applies to streaming runs too;
+  the same ``group_medians`` kernel call — over them, in chunks under
+  the survey's chunk budget, so ``reference``/``vector`` selection
+  applies to streaming runs too;
 * classification runs :func:`repro.core.survey.classify_asn_batch`
   over the changed ASes with per-AS quality fragments, and the final
   ledger is assembled in the batch pipeline's stage order.
 
 The opt-in approximate mode (``approximate=True``) swaps the open-bin
-buffer for the constant-memory P² estimator
+store for one constant-memory P² estimator per open (probe, bin)
 (:class:`repro.stream.median.P2Median`); finalized medians then agree
 with the exact ones only within a tolerance (see DESIGN.md §13), so
 approximate surveys are *not* bit-identical — they trade exactness
@@ -48,7 +51,6 @@ equivalence contract is over the survey ledger.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -75,10 +77,13 @@ from ..core.survey import (
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import MeasurementPeriod, TimeGrid
-from .median import ExactMedian, P2Median
-from .records import ProbeRecord, SampleRecord, TraceRecord
+from .median import P2Median
+from .records import ProbeRecord, SampleBatch, SampleRecord, TraceRecord
 
 STAGE = "stream-engine"
+
+_EMPTY_INT = np.zeros(0, dtype=np.int64)
+_EMPTY_FLOAT = np.zeros(0, dtype=np.float64)
 
 
 @dataclass
@@ -128,11 +133,30 @@ class StreamingSurvey:
         #: Streaming-only accounting (stale records, sparse bins);
         #: deliberately *not* part of the survey ledger.
         self.engine_quality = DataQualityReport()
-        self._medians: Dict[int, np.ndarray] = {}
-        self._counts: Dict[int, np.ndarray] = {}
+        #: Per-probe series: row ``_slots[prb_id]`` of the median and
+        #: count matrices, whose probe is ``_slot_prb[row]``.
+        self._slots: Dict[int, int] = {}
+        self._slot_prb = np.zeros(0, dtype=np.int64)
+        #: ``grid.num_bins`` is computed on each read; the per-record
+        #: path reads this copy.
+        self._num_bins = self.grid.num_bins
+        self._medians = np.zeros((0, self.grid.num_bins))
+        self._counts = np.zeros((0, self.grid.num_bins), dtype=np.int64)
         self._meta: Dict[int, object] = {}
-        self._open: Dict[Tuple[int, int], object] = {}
+        #: Exact mode's open bins, one columnar store: chunks of
+        #: ``(slot, bin, sample)`` arrays in arrival order, and the
+        #: samples of single records not yet moved into a chunk.
+        #: Single records' counts wait in ``_row_counts`` (flat
+        #: matrix indexes) until :meth:`_flush_rows`.
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._row_counts: List[int] = []
+        self._row_slots: List[int] = []
+        self._row_bins: List[int] = []
+        self._row_values: List[float] = []
+        #: Approximate mode's open bins: one P² estimator per key.
+        self._estimators: Dict[Tuple[int, int], P2Median] = {}
         self._closed_through = -1
+        self._newest_bin = -1
         self._dirty: Set[int] = set()
         self._cache: Dict[int, _CachedAS] = {}
         self._final: Optional[SurveyResult] = None
@@ -142,50 +166,60 @@ class StreamingSurvey:
 
     # -- ingest --------------------------------------------------------
 
-    def ingest(self, record) -> None:
-        """Append one record to the survey."""
+    def ingest(self, record) -> int:
+        """Append one record (or one :class:`SampleBatch`) to the
+        survey; returns how many records it held."""
         if self._final is not None:
             raise ValueError(
                 "survey already finalized; no further records accepted"
             )
-        self.records_ingested += 1
-        if isinstance(record, ProbeRecord):
+        held = 1
+        if isinstance(record, SampleRecord):
+            self._observe(record.prb_id, record.bin_index, record.samples)
+        elif isinstance(record, SampleBatch):
+            self._ingest_batch(record)
+            held = len(record)
+        elif isinstance(record, ProbeRecord):
             self._register(record)
-        elif isinstance(record, SampleRecord):
-            self._observe(
-                record.prb_id, record.bin_index, record.samples,
-                trusted=True,
-            )
         elif isinstance(record, TraceRecord):
             self._ingest_trace(record)
         else:
             raise TypeError(
                 f"not a stream record: {type(record).__name__}"
             )
+        self.records_ingested += held
+        return held
 
     def ingest_many(self, records: Iterable) -> int:
         """Append a micro-batch; returns how many records it held."""
         n = 0
         for record in records:
-            self.ingest(record)
-            n += 1
+            n += self.ingest(record)
         return n
 
     def _register(self, record: ProbeRecord) -> None:
         if record.meta is not None:
             self._meta[record.prb_id] = record.meta
         if record.tracked:
-            self._ensure_series(record.prb_id)
+            self._slot(record.prb_id)
         self._dirty.add(record.prb_id)
 
-    def _ensure_series(self, prb_id: int) -> None:
-        if prb_id not in self._medians:
-            self._medians[prb_id] = np.full(
-                self.grid.num_bins, np.nan, dtype=np.float64
-            )
-            self._counts[prb_id] = np.zeros(
-                self.grid.num_bins, dtype=np.int64
-            )
+    def _slot(self, prb_id: int) -> int:
+        """The probe's row in the series matrices (created on demand)."""
+        slot = self._slots.get(prb_id)
+        if slot is None:
+            slot = len(self._slots)
+            if slot == len(self._slot_prb):
+                grown = max(16, 2 * slot)
+                medians = np.full((grown, self.grid.num_bins), np.nan)
+                counts = np.zeros((grown, self.grid.num_bins), np.int64)
+                medians[:slot] = self._medians
+                counts[:slot] = self._counts
+                self._medians, self._counts = medians, counts
+                self._slot_prb = np.resize(self._slot_prb, grown)
+            self._slots[prb_id] = slot
+            self._slot_prb[slot] = prb_id
+        return slot
 
     def _ingest_trace(self, record: TraceRecord) -> None:
         """Stages 1–3 of the paper for one arriving traceroute —
@@ -213,9 +247,7 @@ class StreamingSurvey:
             return
         bin_index = int(self.grid.bin_index(timestamp))
         samples = lastmile_samples(result)
-        counted = self._observe(
-            result.prb_id, bin_index, samples, trusted=False
-        )
+        counted = self._observe(result.prb_id, bin_index, samples)
         if counted and not samples:
             # Counted toward bin sanity, but flagged: the probe was
             # measuring yet produced no usable boundary pair.
@@ -225,40 +257,115 @@ class StreamingSurvey:
                 "private→public hop pair",
             )
 
-    def _observe(
-        self,
-        prb_id: int,
-        bin_index: int,
-        samples: Iterable[float],
-        trusted: bool,
-    ) -> bool:
-        if not 0 <= bin_index < self.grid.num_bins:
+    def _stale(self, prb_id: int, bin_index: int) -> None:
+        self.stale_records += 1
+        self.engine_quality.drop(
+            STAGE, DropReason.STALE_RECORD,
+            detail=f"probe {prb_id}: bin {bin_index} already "
+            f"closed (watermark {self._closed_through})",
+        )
+
+    def _observe(self, prb_id: int, bin_index: int, samples) -> bool:
+        """One sampled traceroute; False when its bin already closed
+        (the record is then dropped as stale)."""
+        if not 0 <= bin_index < self._num_bins:
             raise ValueError(
                 f"bin index {bin_index} outside grid "
-                f"0..{self.grid.num_bins - 1}"
+                f"0..{self._num_bins - 1}"
             )
         if bin_index <= self._closed_through:
-            self.stale_records += 1
-            self.engine_quality.drop(
-                STAGE, DropReason.STALE_RECORD,
-                detail=f"probe {prb_id}: bin {bin_index} already "
-                f"closed (watermark {self._closed_through})",
-            )
+            self._stale(prb_id, bin_index)
             return False
-        self._ensure_series(prb_id)
-        self._counts[prb_id][bin_index] += 1
-        samples = list(samples)
+        slot = self._slot(prb_id)
+        self._row_counts.append(slot * self._num_bins + bin_index)
+        if bin_index > self._newest_bin:
+            self._newest_bin = bin_index
         if samples:
-            key = (prb_id, bin_index)
-            estimator = self._open.get(key)
-            if estimator is None:
-                estimator = (
-                    P2Median() if self.approximate else ExactMedian()
-                )
-                self._open[key] = estimator
-            estimator.extend(samples)
+            if self.approximate:
+                key = (prb_id, bin_index)
+                if key not in self._estimators:
+                    self._estimators[key] = P2Median()
+                self._estimators[key].extend(samples)
+            else:
+                self._row_values.extend(samples)
+                self._row_slots.extend([slot] * len(samples))
+                self._row_bins.extend([bin_index] * len(samples))
         self._dirty.add(prb_id)
         return True
+
+    def _ingest_batch(self, batch: SampleBatch) -> None:
+        """:meth:`_observe` for every row of a batch, in array ops.
+
+        The grid check covers the whole batch before any state
+        changes, so a rejected batch leaves the engine as it was.
+        """
+        bins = batch.bin_indexes
+        outside = (bins < 0) | (bins >= self.grid.num_bins)
+        if outside.any():
+            raise ValueError(
+                f"bin index {bins[outside.argmax()]} outside grid "
+                f"0..{self.grid.num_bins - 1}"
+            )
+        if self.approximate:
+            # P² estimators take one sample at a time anyway.
+            for record in batch.records():
+                self._observe(
+                    record.prb_id, record.bin_index, record.samples
+                )
+            return
+        fresh = bins > self._closed_through
+        for row in np.flatnonzero(~fresh).tolist():
+            self._stale(int(batch.prb_ids[row]), int(bins[row]))
+        if not fresh.any():
+            return
+        probes, inverse = np.unique(
+            batch.prb_ids[fresh], return_inverse=True
+        )
+        probes = probes.tolist()
+        row_slots = np.zeros(len(batch), dtype=np.int64)
+        row_slots[fresh] = np.array([self._slot(p) for p in probes])[inverse]
+        np.add.at(self._counts, (row_slots[fresh], bins[fresh]), 1)
+        self._newest_bin = max(self._newest_bin, int(bins[fresh].max()))
+        self._dirty.update(probes)
+        sample_rows = batch.sample_rows()
+        kept = fresh[sample_rows]
+        sample_rows = sample_rows[kept]
+        if len(sample_rows):
+            self._flush_rows()
+            self._chunks.append((
+                row_slots[sample_rows], bins[sample_rows],
+                batch.samples[kept],
+            ))
+
+    def _flush_rows(self) -> None:
+        """Apply single records' pending counts and move their
+        samples into a chunk."""
+        if self._row_counts:
+            self._counts += np.bincount(
+                self._row_counts, minlength=self._counts.size
+            ).reshape(self._counts.shape)
+            self._row_counts = []
+        if self._row_values:
+            self._chunks.append((
+                np.array(self._row_slots, dtype=np.int64),
+                np.array(self._row_bins, dtype=np.int64),
+                np.array(self._row_values, dtype=np.float64),
+            ))
+            self._row_slots, self._row_bins, self._row_values = [], [], []
+
+    def _open_samples(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact mode's open samples as one ``(slots, bins, values)``
+        chunk, in arrival order."""
+        self._flush_rows()
+        if len(self._chunks) != 1:
+            # The empty chunk keeps the dtypes when there is no other.
+            self._chunks = [tuple(
+                np.concatenate(column) for column in zip(
+                    *self._chunks,
+                    (_EMPTY_INT, _EMPTY_INT, _EMPTY_FLOAT),
+                )
+            )]
+        return self._chunks[0]
 
     # -- bin lifecycle -------------------------------------------------
 
@@ -267,9 +374,18 @@ class StreamingSurvey:
         """Highest finalized bin index (-1: every bin still open)."""
         return self._closed_through
 
+    @property
+    def newest_bin(self) -> int:
+        """Highest bin index an accepted record has reached (-1:
+        none yet)."""
+        return self._newest_bin
+
     def open_bins(self) -> int:
         """Open (probe, bin) buffers currently held."""
-        return len(self._open)
+        if self.approximate:
+            return len(self._estimators)
+        slots, bins, _values = self._open_samples()
+        return len(np.unique(slots * self.grid.num_bins + bins))
 
     def advance_watermark(self, seconds: float) -> int:
         """Close every bin that ends at or before ``seconds``.
@@ -286,62 +402,78 @@ class StreamingSurvey:
     def close_through(self, bin_index: int) -> int:
         """Finalize all open bins with index ≤ ``bin_index``.
 
-        Exact mode computes the medians of the closing buffers through
-        :func:`~repro.core.kernels.flat.bin_medians` — the batch
-        estimator's own mask and ``group_medians`` call, so finalized
-        bins are bit-identical to it — in chunks whose padded sample
-        matrix stays within the survey's chunk budget.  Approximate
-        mode reads the P² marker.  Bins under the sanity threshold
-        stay NaN and are booked ``SPARSE_BIN`` on
+        Exact mode sorts the closing samples of the columnar store by
+        (probe, bin) with one ``lexsort`` and computes their medians
+        through :func:`~repro.core.kernels.flat.bin_medians` — the
+        batch estimator's own mask and ``group_medians`` call, so
+        finalized bins are bit-identical to it — in chunks whose
+        padded sample matrix stays within the survey's chunk budget.
+        Approximate mode reads the P² marker.  Bins under the sanity
+        threshold stay NaN and are booked ``SPARSE_BIN`` on
         :attr:`engine_quality`.
         """
         bin_index = min(bin_index, self.grid.num_bins - 1)
         if bin_index <= self._closed_through:
             return 0
-        closing = sorted(k for k in self._open if k[1] <= bin_index)
-        sizes = [self._open[key].n for key in closing]
-        for start, stop in plan_chunks(sizes, 1):
-            # Pop one chunk at a time, so closed buffers are freed
-            # before the next chunk's arrays are built.
-            chunk = closing[start:stop]
-            estimators = [self._open.pop(key) for key in chunk]
-            counts = np.fromiter(
-                (self._counts[prb_id][b] for prb_id, b in chunk),
-                dtype=np.int64, count=len(chunk),
+        self._flush_rows()
+        if self.approximate:
+            closing = sorted(
+                key for key in self._estimators if key[1] <= bin_index
             )
-            if self.approximate:
-                values = [
-                    estimator.value() if count >= self.min_traceroutes
-                    else math.nan
-                    for estimator, count in zip(estimators, counts)
-                ]
-            else:
-                values, _estimated = bin_medians(
+            keys = np.array(closing, dtype=np.int64).reshape(-1, 2)
+            key_prb, key_bins = keys[:, 0], keys[:, 1]
+            key_slots = np.array(
+                [self._slots[p] for p in key_prb.tolist()], dtype=np.int64
+            )
+            counts = self._counts[key_slots, key_bins]
+            estimators = [self._estimators.pop(key) for key in closing]
+            values = np.array([
+                estimator.value()
+                if count >= self.min_traceroutes else math.nan
+                for estimator, count in zip(estimators, counts.tolist())
+            ])
+        else:
+            slots, bins, samples = self._open_samples()
+            closes = bins <= bin_index
+            self._chunks = [
+                (slots[~closes], bins[~closes], samples[~closes])
+            ]
+            slots, bins, samples = slots[closes], bins[closes], samples[closes]
+            order = np.lexsort((bins, self._slot_prb[slots]))
+            slots, bins, samples = slots[order], bins[order], samples[order]
+            new_key = np.ones(len(slots), dtype=bool)
+            new_key[1:] = (slots[1:] != slots[:-1]) | (bins[1:] != bins[:-1])
+            starts = np.flatnonzero(new_key)
+            key_slots, key_bins = slots[starts], bins[starts]
+            key_prb = self._slot_prb[key_slots]
+            counts = self._counts[key_slots, key_bins]
+            bounds = np.append(starts, len(samples))
+            sizes = np.diff(bounds)
+            values = np.full(len(starts), np.nan)
+            for start, stop in plan_chunks(sizes.tolist(), 1):
+                values[start:stop], _estimated = bin_medians(
                     np.repeat(
-                        np.arange(len(chunk), dtype=np.int64),
+                        np.arange(stop - start, dtype=np.int64),
                         sizes[start:stop],
                     ),
-                    np.fromiter(
-                        itertools.chain.from_iterable(
-                            estimator.samples() for estimator in estimators
-                        ),
-                        dtype=np.float64, count=sum(sizes[start:stop]),
-                    ),
-                    counts, self.min_traceroutes, self.kernels,
+                    samples[bounds[start]:bounds[stop]],
+                    counts[start:stop], self.min_traceroutes,
+                    self.kernels,
                 )
-            for (prb_id, b), count, value in zip(chunk, counts, values):
-                if count < self.min_traceroutes:
-                    self.sparse_bins += 1
-                    self.engine_quality.degrade(
-                        STAGE, DropReason.SPARSE_BIN,
-                        detail=f"probe {prb_id}: bin {b} closed with "
-                        f"{count} < {self.min_traceroutes} traceroutes",
-                    )
-                if not math.isnan(value):
-                    self._medians[prb_id][b] = value
-                    self._dirty.add(prb_id)
+        for i in np.flatnonzero(counts < self.min_traceroutes).tolist():
+            self.sparse_bins += 1
+            self.engine_quality.degrade(
+                STAGE, DropReason.SPARSE_BIN,
+                detail=f"probe {key_prb[i]}: bin {key_bins[i]} closed "
+                f"with {counts[i]} < {self.min_traceroutes} traceroutes",
+            )
+        estimated = ~np.isnan(values)
+        self._medians[key_slots[estimated], key_bins[estimated]] = (
+            values[estimated]
+        )
+        self._dirty.update(np.unique(key_prb[estimated]).tolist())
         self._closed_through = bin_index
-        return len(closing)
+        return len(key_bins)
 
     # -- classification ------------------------------------------------
 
@@ -364,13 +496,15 @@ class StreamingSurvey:
     def dataset(self) -> LastMileDataset:
         """The current finalized view as a batch dataset (open bins
         render as NaN)."""
+        self._flush_rows()
         dataset = LastMileDataset(grid=self.grid)
-        for prb_id in sorted(self._medians):
+        for prb_id in sorted(self._slots):
+            slot = self._slots[prb_id]
             dataset.add(
                 ProbeBinSeries(
                     prb_id=prb_id,
-                    median_rtt_ms=self._medians[prb_id],
-                    traceroute_counts=self._counts[prb_id],
+                    median_rtt_ms=self._medians[slot],
+                    traceroute_counts=self._counts[slot],
                 ),
                 meta=self._meta.get(prb_id),
             )
@@ -453,9 +587,9 @@ class StreamingSurvey:
             "mode": "p2" if self.approximate else "exact",
             "kernel": self.kernels.name,
             "records_ingested": self.records_ingested,
-            "probes": len(self._medians),
+            "probes": len(self._slots),
             "registered": len(self._meta),
-            "open_bins": len(self._open),
+            "open_bins": self.open_bins(),
             "closed_through": self._closed_through,
             "num_bins": self.grid.num_bins,
             "stale_records": self.stale_records,

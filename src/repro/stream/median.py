@@ -1,28 +1,22 @@
-"""Online median estimators for open streaming bins.
+"""The approximate median estimator for open streaming bins.
 
 An open bin accumulates last-mile RTT samples until its wall-clock
-window closes.  Two estimators back it:
+window closes.  In exact mode the engine keeps every open sample in
+one columnar store and finalizes closing bins through the batch
+kernels (:mod:`repro.stream.engine`), so a closed bin's estimate is
+bit-identical to the batch pipeline's.  Approximate mode keeps one
+:class:`P2Median` per open (probe, bin) instead: the P² (P-squared)
+algorithm of Jain & Chlamtac (CACM 1985) — five markers, constant
+memory, no buffer — for deployments where buffering every sample is
+too expensive.  Its accuracy is within a few percent of the exact
+median on unimodal data (the differential harness documents the
+tolerance it holds the seeded worlds to).
 
-* :class:`ExactMedian` — a bounded buffer holding every sample of the
-  *open* bin (bounded because a bin only lives for ``bin_seconds``;
-  memory is proportional to open bins, never the whole period).  Its
-  value is exactly ``numpy.median`` over the samples seen so far, so
-  a closed bin's estimate is bit-identical to the batch pipeline's
-  (:meth:`repro.core.kernels.reference.ReferenceKernels.group_medians`
-  pools the same samples and calls ``numpy.median`` once).
-* :class:`P2Median` — the P² (P-squared) algorithm of Jain & Chlamtac
-  (CACM 1985): five markers, constant memory, no buffer.  Opt-in
-  approximate mode for deployments where per-bin buffers are too
-  expensive; accuracy is within a few percent of the exact median on
-  unimodal data (the differential harness documents the tolerance it
-  holds the seeded worlds to).
-
-Both share the same interface — ``add``/``extend``/``value``/``n`` —
-and the same NaN discipline as the kernels: NaN samples *propagate*
-(``numpy.median`` over a set containing NaN is NaN), they are not
-silently skipped.  Upstream stages are expected to have filtered
-insane replies already (:func:`repro.core.lastmile.lastmile_samples`);
-an estimator that hid a NaN would mask a pipeline bug.
+NaN samples *propagate*, as in the kernels (``numpy.median`` over a
+set containing NaN is NaN): they are not silently skipped.  Upstream
+stages are expected to have filtered insane replies already
+(:func:`repro.core.lastmile.lastmile_samples`); an estimator that hid
+a NaN would mask a pipeline bug.
 """
 
 from __future__ import annotations
@@ -31,43 +25,6 @@ import math
 from typing import Iterable, List
 
 import numpy as np
-
-
-class ExactMedian:
-    """Exact online median: buffer the open bin, ``numpy.median`` it."""
-
-    __slots__ = ("_samples", "_has_nan")
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-        self._has_nan = False
-
-    @property
-    def n(self) -> int:
-        """Samples seen so far."""
-        return len(self._samples)
-
-    def add(self, sample: float) -> None:
-        """Accumulate one sample (NaN propagates, like the kernels)."""
-        sample = float(sample)
-        if math.isnan(sample):
-            self._has_nan = True
-        self._samples.append(sample)
-
-    def extend(self, samples: Iterable[float]) -> None:
-        """Accumulate many samples."""
-        for sample in samples:
-            self.add(sample)
-
-    def value(self) -> float:
-        """The median of everything seen; NaN when empty or poisoned."""
-        if not self._samples or self._has_nan:
-            return float("nan")
-        return float(np.median(self._samples))
-
-    def samples(self) -> List[float]:
-        """The buffered samples (the finalization kernel consumes them)."""
-        return self._samples
 
 
 class P2Median:

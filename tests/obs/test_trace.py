@@ -57,6 +57,21 @@ class TestTracer:
             pass
         assert [r.name for r in tracer.roots] == ["outer", "after"]
 
+    def test_reentered_context_accumulates_one_span(self):
+        tracer = Tracer()
+        with tracer.span("window"):
+            ingest, close = tracer.span("ingest"), tracer.span("close")
+            for _ in range(3):
+                with ingest as first:
+                    pass
+                with close:
+                    pass
+        (window,) = tracer.roots
+        assert [c.name for c in window.children] == ["ingest", "close"]
+        assert window.children[0] is first
+        walls = [c.wall_seconds for c in window.children]
+        assert 0.0 < sum(walls) <= window.wall_seconds
+
     def test_set_attr_after_start(self):
         tracer = Tracer()
         with tracer.span("stage") as span:

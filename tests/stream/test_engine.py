@@ -228,6 +228,9 @@ class TestRecordsAndErrors:
         engine = StreamingSurvey(DAY)
         with pytest.raises(ValueError, match="outside grid"):
             engine.ingest(SampleRecord(1, DAY_GRID.num_bins, (1.0,)))
+        # A rejected record is not counted as ingested.
+        assert engine.records_ingested == 0
+        assert engine.status()["probes"] == 0
 
     def test_micro_batch_size_validated(self):
         with pytest.raises(ValueError, match="positive"):

@@ -2,9 +2,11 @@
 
 Three contracts back the streaming engine's equivalence claim:
 
-* :class:`ExactMedian` equals ``numpy.median`` on **every prefix** of
-  the stream, is invariant under within-bin permutation, and handles
-  NaN exactly like the batch kernels (propagate, never skip);
+* :class:`ExactMedian` — the per-key buffer of the per-record oracle
+  in ``test_batch_ingest.py`` — equals ``numpy.median`` on **every
+  prefix** of the stream, is invariant under within-bin permutation,
+  and handles NaN exactly like the batch kernels (propagate, never
+  skip);
 * finalizing a bin through the engine's kernel call
   (``bin_medians`` over the buffered samples, on either backend)
   equals the estimator's
@@ -23,7 +25,8 @@ from hypothesis import strategies as st
 from repro.core.kernels.flat import bin_medians
 from repro.core.kernels.reference import REFERENCE
 from repro.core.kernels.vector import VECTOR
-from repro.stream import ExactMedian, P2Median
+from repro.stream import P2Median
+from tests.stream.test_batch_ingest import ExactMedian
 
 finite_samples = st.lists(
     st.floats(min_value=0.1, max_value=1e6, allow_nan=False,

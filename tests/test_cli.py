@@ -257,6 +257,57 @@ class TestObsFlags:
         attrs = simulate["attrs"]
         assert attrs["threads"] == min(_usable_cpus(), attrs["probes"])
 
+    def test_stream_trace_shape(self, tmp_path, capsys):
+        # One root, `stream`; its children say where a run's time went:
+        # load (with the simulator under it), decompose, and one
+        # ingest and one close span per checkpoint window.
+        import json
+
+        report_path = tmp_path / "metrics.json"
+        assert main([
+            "stream", "--ases", "4", "--seed", "5",
+            "--checkpoint-every", "10000",
+            "--metrics-out", str(report_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        roots = json.loads(report_path.read_text())["trace"]
+
+        def paths(spans, prefix=()):
+            for span in spans:
+                path = prefix + (span["name"],)
+                yield path, span
+                yield from paths(span.get("children", []), path)
+
+        found = list(paths(roots))
+        assert [span["name"] for span in roots] == ["stream"]
+        assert {path for path, _ in found} == {
+            ("stream",),
+            ("stream", "load"),
+            ("stream", "load", "simulate"),
+            ("stream", "stream-decompose"),
+            ("stream", "stream-ingest"),
+            ("stream", "stream-close"),
+            ("stream", "stream-classify"),
+            ("stream", "stream-classify", "filter"),
+            ("stream", "stream-classify", "classify"),
+            ("stream", "stream-classify", "classify", "aggregate"),
+            ("stream", "stream-classify", "spectral"),
+        }
+        by_name = {}
+        for path, span in found:
+            by_name.setdefault(path[-1], []).append(span)
+        checkpoints = len(by_name["stream-classify"]) - 1
+        windows = by_name["stream-ingest"]
+        assert len(windows) == checkpoints + 1
+        assert len(by_name["stream-close"]) == checkpoints + 1
+        total = int(out.split()[1])  # "streaming N records ..."
+        assert sum(w["attrs"]["records"] for w in windows) == total
+        assert all(w["attrs"]["stale"] == 0 for w in windows)
+        assert all(
+            w["attrs"]["records"] >= 10000 for w in windows[:-1]
+        )
+        assert windows[0]["attrs"]["batches"] == 10
+
     def test_obs_report_missing_file(self, tmp_path, capsys):
         code = main(["obs", "report", str(tmp_path / "nope.json")])
         assert code == 1
@@ -484,3 +535,64 @@ class TestLoadtestCommand:
         code = main(["loadtest", str(tmp_path / "empty")])
         assert code == 1
         assert "no committed periods" in capsys.readouterr().err
+
+
+class TestStreamCommand:
+    """``repro stream`` closes bins as the feed passes them."""
+
+    def test_watermark_closes_bins_and_partials_see_them(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import json
+
+        from repro.core import classify_dataset
+        from repro.io import save_lastmile, survey_to_dict
+        from repro.scenarios import generate_specs
+        from repro.store import SurveyArchive
+        from repro.stream import StreamingSurvey
+        from tests.stream.conftest import PERIOD, seeded_dataset
+
+        specs = generate_specs(num_ases=4, num_countries=4, seed=5)
+        dataset, _table = seeded_dataset(specs)
+        base = tmp_path / "period"
+        save_lastmile(dataset, base)
+
+        open_after_close = []
+        close_through = StreamingSurvey.close_through
+
+        def spy(engine, bin_index):
+            closed = close_through(engine, bin_index)
+            open_after_close.append(
+                (engine.open_bins(), engine.status()["probes"])
+            )
+            return closed
+
+        monkeypatch.setattr(StreamingSurvey, "close_through", spy)
+        assert main([
+            "stream", "--dataset", str(base), "--batch-size", "1000",
+            "--checkpoint-every", "20000", "--emit-partial",
+            "--archive", str(tmp_path / "arc"),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        (summary,) = [line for line in lines if line.startswith("stream:")]
+        assert ", 0 stale," in summary
+        assert len(open_after_close) > 300
+        assert all(
+            open_bins <= 2 * probes for open_bins, probes in open_after_close
+        )
+        partials = [line for line in lines if line.startswith("  [")]
+        (final,) = [line for line in lines if line.startswith("period ")]
+        assert "severe=1" in final
+        assert "severe=1" in partials[-1]
+        assert "(committed r" in partials[-1]
+
+        archive = SurveyArchive(tmp_path / "arc")
+        batch = classify_dataset(dataset, PERIOD, min_probes=3)
+
+        def canonical(document):
+            return json.dumps(document, sort_keys=True)
+
+        assert canonical(archive.get_period(PERIOD.name)) == canonical(
+            survey_to_dict(batch)
+        )
