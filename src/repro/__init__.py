@@ -18,32 +18,15 @@ Typical use::
     dataset = study.dataset_for("ISP_A")
     signal = aggregate_population(dataset)
     result = classify_signal(signal.delay_ms, dataset.grid.bin_seconds)
+
+Importing :mod:`repro` loads no subpackage: each one loads on first
+access (``repro.core``, ``import repro.serve``), so a command pays
+only for the stack it runs.
 """
 
-__version__ = "1.0.0"
+from ._lazy import lazy_exports
 
-from . import (  # noqa: F401
-    apnic,
-    atlas,
-    bgp,
-    cdn,
-    core,
-    faults,
-    io,
-    loadgen,
-    netbase,
-    obs,
-    parallel,
-    quality,
-    queueing,
-    raclette,
-    scenarios,
-    serve,
-    store,
-    timebase,
-    topology,
-    traffic,
-)
+__version__ = "1.0.0"
 
 __all__ = [
     "__version__",
@@ -68,3 +51,7 @@ __all__ = [
     "serve",
     "loadgen",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__, {name: (name,) for name in __all__[1:]}
+)

@@ -51,6 +51,53 @@ from typing import List, Optional
 
 import numpy as np
 
+# The batch subcommands' stacks load with the CLI: the e2e benchmark
+# ends set-up when ``import repro.cli`` returns, so deferring them
+# would only move their import into the timed run.  Tools (serve,
+# loadtest, inject, anomaly, raclette, store fsck) import inside their
+# commands and load on first use.
+from .apnic import EyeballRanking
+from .core import (
+    SurveySuite,
+    aggregate_population,
+    classify_dataset,
+    render_failure_log,
+    render_quality_report,
+    render_survey_headline,
+    render_throughput_summary,
+)
+from .io import (
+    export_site,
+    load_lastmile,
+    load_traceroutes,
+    save_lastmile,
+    save_traceroutes,
+)
+from .obs import (
+    MetricsRegistry,
+    NullTracer,
+    Observability,
+    StructuredLogger,
+    get_observer,
+    load_report,
+    observed,
+    open_jsonl_sink,
+    render_report,
+    render_trace,
+    write_report,
+)
+from .scenarios import build_survey_world, generate_specs, run_survey_period
+from .store import STORE_MMAP_ENV, SurveyArchive
+from .stream import StreamingSurvey, column_batches, decompose
+from .timebase import (
+    ALL_SURVEY_PERIODS,
+    COVID_PERIOD,
+    LONGITUDINAL_PERIODS,
+    SECONDS_PER_DAY,
+    MeasurementPeriod,
+    TimeGrid,
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -512,13 +559,16 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _as_dir(path: str) -> str:
+    """``path`` ending in one separator, for messages naming a directory."""
+    return os.path.join(path, "")
+
+
 # -- observability plumbing ----------------------------------------------
 
 
 def _make_observer(args):
     """Build the run's observer from the obs flags (or None)."""
-    from .obs import Observability, StructuredLogger, open_jsonl_sink
-
     if not (args.trace or args.metrics_out or args.log_jsonl):
         return None, None
     sink = open_jsonl_sink(args.log_jsonl) if args.log_jsonl else None
@@ -530,8 +580,6 @@ def _make_observer(args):
 
 def _finish_observer(args, observer) -> None:
     """Print/persist what the run's observer collected."""
-    from .obs import render_trace, write_report
-
     if args.trace:
         print()
         print("trace:")
@@ -545,8 +593,6 @@ def _finish_observer(args, observer) -> None:
 
 
 def cmd_survey(args) -> int:
-    from .obs import observed
-
     observer, sink = _make_observer(args)
     if observer is None:
         return _run_survey(args)
@@ -561,12 +607,6 @@ def cmd_survey(args) -> int:
 
 
 def _run_survey(args) -> int:
-    from .apnic import EyeballRanking
-    from .core import SurveySuite, render_survey_headline
-    from .io import export_site
-    from .scenarios import generate_specs, run_survey_period
-    from .timebase import COVID_PERIOD, LONGITUDINAL_PERIODS
-
     if args.full:
         args.ases, args.countries = 646, 98
         args.periods, args.covid = 6, True
@@ -594,12 +634,8 @@ def _run_survey(args) -> int:
         suite.add(result)
         print("  " + render_survey_headline(result))
         if result.failures:
-            from .core import render_failure_log
-
             print("  " + render_failure_log(result).replace("\n", "\n  "))
         if not result.quality.clean:
-            from .core import render_quality_report
-
             print(
                 "  "
                 + render_quality_report(result.quality).replace(
@@ -619,15 +655,13 @@ def _run_survey(args) -> int:
         world.registry, rng=np.random.default_rng(args.seed)
     )
     written = export_site(suite, args.out, ranking)
-    print(f"\nexported {len(written)} artifacts to {args.out}/")
+    print(f"\nexported {len(written)} artifacts to {_as_dir(args.out)}")
 
     if args.archive:
-        from .store import SurveyArchive
-
         archive = SurveyArchive(args.archive)
         committed = suite.ingest_into(archive, ranking)
         print(
-            f"archived {len(committed)} period(s) to {args.archive}/ "
+            f"archived {len(committed)} period(s) to {_as_dir(args.archive)} "
             f"({', '.join(committed)})"
         )
     return 0
@@ -635,10 +669,8 @@ def _run_survey(args) -> int:
 
 def cmd_tokyo(args) -> int:
     from .core import (
-        aggregate_population,
         filter_requests,
         per_asn_throughput,
-        render_throughput_summary,
         spearman_delay_throughput,
     )
     from .scenarios import (
@@ -647,7 +679,6 @@ def cmd_tokyo(args) -> int:
         ISP_C_ASN,
         build_tokyo_case_study,
     )
-    from .timebase import TimeGrid
 
     study = build_tokyo_case_study(
         seed=args.seed, client_scale=args.client_scale
@@ -659,8 +690,6 @@ def cmd_tokyo(args) -> int:
     for name in ("ISP_A", "ISP_B", "ISP_C"):
         dataset = study.dataset_for(name)
         if args.save_lastmile:
-            from .io import save_lastmile
-
             save_lastmile(
                 dataset, Path(args.save_lastmile + f".{name}")
             )
@@ -695,9 +724,7 @@ def cmd_simulate(args) -> int:
     import datetime as dt
 
     from .atlas import AtlasPlatform
-    from .io import save_traceroutes
     from .netbase import AccessTechnology, ASInfo, ASRole
-    from .timebase import MeasurementPeriod
     from .topology import ProvisioningPolicy, World
 
     world = World(seed=args.seed)
@@ -731,9 +758,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .core import classify_dataset
-    from .io import load_lastmile
-
     dataset = load_lastmile(args.dataset)
     result = classify_dataset(
         dataset, dataset.grid.period, min_probes=args.min_probes,
@@ -751,8 +775,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    from .obs import observed
-
     observer, sink = _make_observer(args)
     if observer is None:
         return _run_stream(args)
@@ -767,8 +789,6 @@ def cmd_stream(args) -> int:
 
 
 def _run_stream(args) -> int:
-    from .obs import get_observer
-
     obs = get_observer()
     with obs.stage_span("stream") as span:
         return _stream_period(args, obs, span)
@@ -783,20 +803,12 @@ def _stream_period(args, obs, root) -> int:
     newest bins stay open.  Each checkpoint window is one
     ``stream-ingest`` and one ``stream-close`` span.
     """
-    from .core import render_survey_headline
-    from .stream import StreamingSurvey, column_batches, decompose
-
     table = None
     if args.dataset:
-        from .io import load_lastmile
-
         with obs.stage_span("load", path=args.dataset):
             dataset = load_lastmile(args.dataset)
         period = dataset.grid.period
     else:
-        from .scenarios import build_survey_world, generate_specs
-        from .timebase import ALL_SURVEY_PERIODS, LONGITUDINAL_PERIODS
-
         wanted = args.period or LONGITUDINAL_PERIODS[-1].name
         by_name = {p.name: p for p in ALL_SURVEY_PERIODS}
         period = by_name.get(wanted)
@@ -830,8 +842,6 @@ def _stream_period(args, obs, root) -> int:
     )
     writer = None
     if args.archive:
-        from .store import SurveyArchive
-
         writer = SurveyArchive(args.archive).begin_live_period(
             period.name
         )
@@ -882,12 +892,8 @@ def _stream_period(args, obs, root) -> int:
     result = engine.finalize()
     print(render_survey_headline(result))
     if result.failures:
-        from .core import render_failure_log
-
         print(render_failure_log(result))
     if not result.quality.clean:
-        from .core import render_quality_report
-
         print(render_quality_report(result.quality))
     status = engine.status()
     print(
@@ -898,13 +904,11 @@ def _stream_period(args, obs, root) -> int:
     )
     if writer is not None:
         writer.finalize(result)
-        print(f"finalized period {period.name} in {args.archive}/")
+        print(f"finalized period {period.name} in {_as_dir(args.archive)}")
     return 0
 
 
 def cmd_inject(args) -> int:
-    from .obs import observed
-
     observer, sink = _make_observer(args)
     if observer is None:
         return _run_inject(args)
@@ -921,7 +925,6 @@ def cmd_inject(args) -> int:
 def _run_inject(args) -> int:
     import json
 
-    from .obs import get_observer
     from .faults import (
         ClockSkew,
         CorruptLines,
@@ -997,9 +1000,6 @@ def _run_inject(args) -> int:
 
 
 def cmd_quality(args) -> int:
-    from .core import render_quality_report
-    from .io import load_traceroutes
-
     try:
         dataset = load_traceroutes(args.src, strict=False)
     except (OSError, ValueError) as exc:
@@ -1013,8 +1013,6 @@ def cmd_quality(args) -> int:
 
 
 def cmd_obs(args) -> int:
-    from .obs import MetricsRegistry, load_report, render_report
-
     if args.obs_command == "report":
         if args.diff is not None:
             from .obs.metrics import diff_counters
@@ -1069,7 +1067,6 @@ def cmd_obs(args) -> int:
 
 def cmd_store(args) -> int:
     from .netbase.errors import NetbaseError
-    from .store import SurveyArchive
 
     if args.store_command == "fsck":
         # fsck never goes through SurveyArchive: it must audit
@@ -1189,9 +1186,7 @@ def _store_query(archive, args) -> int:
 
 def cmd_serve(args) -> int:
     from .netbase.errors import NetbaseError
-    from .obs import observed
     from .serve import ResilienceConfig, SurveyServer
-    from .store import STORE_MMAP_ENV, SurveyArchive
 
     if args.no_mmap:
         os.environ[STORE_MMAP_ENV] = "0"
@@ -1262,7 +1257,6 @@ def _serve_observer(args):
     The server always runs observed — /v1/metrics needs a live
     registry even when no obs flag asked for a report at the end.
     """
-    from .obs import NullTracer, Observability
     from .serve import TRACE_RING_ROOTS
 
     observer, sink = _make_observer(args)
@@ -1289,15 +1283,12 @@ def cmd_loadtest(args) -> int:
         upsert_bench_section,
     )
     from .netbase.errors import NetbaseError
-    from .obs import Observability, observed
 
     if args.archive is None and args.url is None:
         print("error: need an archive directory or --url",
               file=sys.stderr)
         return 2
     if args.no_mmap:
-        from .store import STORE_MMAP_ENV
-
         os.environ[STORE_MMAP_ENV] = "0"
     try:
         spec = (
@@ -1310,8 +1301,6 @@ def cmd_loadtest(args) -> int:
 
     archive = None
     if args.archive is not None:
-        from .store import SurveyArchive
-
         try:
             archive = SurveyArchive(args.archive)
         except (NetbaseError, OSError) as exc:
@@ -1394,8 +1383,6 @@ def cmd_loadtest(args) -> int:
 
 
 def cmd_anomaly(args) -> int:
-    from .obs import observed
-
     observer, sink = _make_observer(args)
     if observer is None:
         return _run_anomaly(args)
@@ -1424,7 +1411,6 @@ def _run_anomaly(args) -> int:
         reference_from_payload,
     )
     from .netbase.errors import NetbaseError
-    from .timebase import SECONDS_PER_DAY, MeasurementPeriod, TimeGrid
 
     if args.reference_periods and not args.archive:
         print("error: --reference-periods requires --archive",
@@ -1433,8 +1419,6 @@ def _run_anomaly(args) -> int:
 
     archive = None
     if args.archive:
-        from .store import SurveyArchive
-
         try:
             archive = SurveyArchive(args.archive)
         except (NetbaseError, OSError) as exc:
@@ -1442,8 +1426,6 @@ def _run_anomaly(args) -> int:
             return 1
 
     if args.dataset:
-        from .io import load_traceroutes
-
         dataset = load_traceroutes(args.dataset, strict=False)
         if not len(dataset):
             print(f"error: no traceroutes in {args.dataset}",

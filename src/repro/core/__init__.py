@@ -1,7 +1,13 @@
 """Core analysis pipeline: the paper's methodology (§2–§4).
 
 See DESIGN.md §3 for the stage map.
+
+The CDN-throughput side (:mod:`~repro.core.throughput`,
+:mod:`~repro.core.correlation`) loads on first use: it pulls in
+:mod:`repro.cdn`, which no survey, classify or stream run needs.
 """
+
+from .._lazy import lazy_exports
 
 from .aggregate import (
     AggregatedSignal,
@@ -50,11 +56,6 @@ from .report import (
     render_weekly_overlay,
     weekly_delay_overlay,
 )
-from .correlation import (
-    CorrelationResult,
-    align_series,
-    spearman_delay_throughput,
-)
 from .pipeline import ASAnalysis, analyze_asn
 from .series import LastMileDataset, ProbeBinSeries
 from .spectral import (
@@ -91,14 +92,6 @@ from .survey import (
     classify_asn_batch,
     classify_dataset,
     geographic_distribution,
-)
-from .throughput import (
-    MIN_OBJECT_BYTES,
-    ThroughputSeries,
-    filter_requests,
-    median_throughput_series,
-    per_asn_throughput,
-    resolve_client_asns,
 )
 
 __all__ = [
@@ -181,3 +174,14 @@ __all__ = [
     "classify_markers",
     "classify_signal",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "correlation": (
+        "CorrelationResult", "align_series", "spearman_delay_throughput",
+    ),
+    "throughput": (
+        "MIN_OBJECT_BYTES", "ThroughputSeries", "filter_requests",
+        "median_throughput_series", "per_asn_throughput",
+        "resolve_client_asns",
+    ),
+})

@@ -9,7 +9,9 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -19,7 +21,9 @@ from .aggregate import AggregatedSignal
 from .classify import ClassificationThresholds, DEFAULT_THRESHOLDS, Severity
 from .spectral import Periodogram
 from .survey import SurveyResult
-from .throughput import ThroughputSeries
+
+if TYPE_CHECKING:
+    from .throughput import ThroughputSeries
 
 
 def weekly_delay_overlay(

@@ -9,8 +9,8 @@ multiple series with a legend, and NaN-gap handling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from html import escape
 from typing import Dict, List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class _SVGBuilder:
             f'<text x="{x:.1f}" y="{y:.1f}" text-anchor="{anchor}" '
             f'font-family="{self.style.font_family}" '
             f'font-size="{size}" fill="{color}"{weight}>'
-            f"{escape(str(content))}</text>"
+            f"{escape(str(content), quote=False)}</text>"
         )
 
     def line(self, x1, y1, x2, y2, color, width=1.0, dash=None):
@@ -159,7 +159,7 @@ def _axes(builder: _SVGBuilder, style: ChartStyle,
             f'text-anchor="middle" font-family="{style.font_family}" '
             f'font-size="{style.font_size}" fill="#222222" '
             f'transform="rotate(-90 14 {y0 + ph / 2:.1f})">'
-            f"{escape(y_label)}</text>"
+            f"{escape(y_label, quote=False)}</text>"
         )
     return map_x, map_y
 

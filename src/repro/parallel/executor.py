@@ -33,7 +33,6 @@ equivalence suite compares against.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,7 +53,7 @@ from .cache import (
     dataset_as_fingerprint,
     survey_as_fingerprint,
 )
-from .sharding import shard_groups
+from .sharding import resolve_workers, shard_groups
 from .transport import (
     pack_dataset,
     shm_enabled,
@@ -71,28 +70,6 @@ from .worker import (
 )
 
 STAGE = "core-survey"
-
-#: Environment knob consulted when ``workers`` is not given explicitly
-#: (used by CI to route the whole test suite through the executor).
-WORKERS_ENV = "REPRO_WORKERS"
-
-
-def resolve_workers(workers: Optional[int]) -> Optional[int]:
-    """Effective worker count: explicit arg > env var > None (serial).
-
-    ``0`` (from either source) expands to the machine's CPU count.
-    """
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if not env:
-            return None
-        workers = int(env)
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    return workers
-
 
 def run_survey_period_parallel(
     specs: Sequence,
@@ -221,7 +198,8 @@ def run_survey_period_parallel(
             )
             if fault_log is not None:
                 for shard_result in shard_results:
-                    fault_log.merge(shard_result.fault_log)
+                    if shard_result.fault_log is not None:
+                        fault_log.merge(shard_result.fault_log)
 
             obs.items_out(STAGE, len(result.reports))
             _record_shard_metrics(obs, period, shard_results)
@@ -429,8 +407,6 @@ def _run_guarded(shard_fn, task) -> ShardResult:
 
 def _failed_shard(task, exc: Exception) -> ShardResult:
     """A whole shard died: isolate it as per-AS failures."""
-    from ..faults.base import FaultLog
-
     outcomes = []
     for asn in sorted(task.groups):
         quality = DataQualityReport()
@@ -451,7 +427,7 @@ def _failed_shard(task, exc: Exception) -> ShardResult:
             quality=quality,
         ))
     return ShardResult(
-        index=task.index, outcomes=outcomes, fault_log=FaultLog(),
+        index=task.index, outcomes=outcomes, fault_log=None,
         wall_seconds=0.0,
     )
 

@@ -13,11 +13,15 @@ the way down (campaign seeds, fault draws), so *any* partition of the
 same population merges to the same :class:`SurveyResult`.  The merge
 itself happens in the executor, in sorted-ASN order, which is also
 what makes it deterministic.
+
+:func:`resolve_workers` lives here, not in the executor, so a serial
+survey can ask whether to shard without loading the pool machinery.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import os
+from typing import Dict, List, Optional, Sequence
 
 
 def partition_asns(
@@ -43,3 +47,25 @@ def shard_groups(
         {asn: groups[asn] for asn in part}
         for part in partition_asns(list(groups), shards)
     ]
+
+
+#: Environment knob consulted when ``workers`` is not given explicitly
+#: (used by CI to route the whole test suite through the executor).
+WORKERS_ENV = "REPRO_WORKERS"
+
+
+def resolve_workers(workers: Optional[int]) -> Optional[int]:
+    """Effective worker count: explicit arg > env var > None (serial).
+
+    ``0`` (from either source) expands to the machine's CPU count.
+    """
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV, "").strip()
+        if not env:
+            return None
+        workers = int(env)
+    if workers == 0:
+        workers = os.cpu_count() or 1
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    return workers

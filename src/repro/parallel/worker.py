@@ -36,15 +36,17 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..core.classify import ClassificationThresholds, DEFAULT_THRESHOLDS
 from ..core.kernels import DEFAULT_KERNELS
 from ..core.series import LastMileDataset
 from ..core.survey import ASFailure, ASReport, classify_asn_batch
-from ..faults.base import FaultLog
 from ..quality import DataQualityReport
 from ..timebase import MeasurementPeriod
+
+if TYPE_CHECKING:
+    from ..faults.base import FaultLog
 
 
 @dataclass
@@ -64,7 +66,8 @@ class ShardResult:
 
     index: int
     outcomes: List[ASOutcome]
-    fault_log: FaultLog
+    #: Injections made (None when the task carried no faults).
+    fault_log: Optional[FaultLog]
     wall_seconds: float
     #: Worker-side metrics + spans (None when the parent ran un-observed).
     telemetry: Optional[object] = None
@@ -189,10 +192,12 @@ def run_survey_shard(task: SurveyShardTask) -> ShardResult:
         dataset = platform.run_period_binned(
             task.period, probes=probes, threads=1,
         )
-        fault_log = FaultLog()
+        fault_log = None
         if task.faults:
+            from ..faults.base import FaultLog
             from ..faults.dataset import inject_dataset
 
+            fault_log = FaultLog()
             inject_dataset(
                 dataset, task.faults, seed=task.fault_seed,
                 log=fault_log,
@@ -251,7 +256,7 @@ def run_dataset_shard(task: DatasetShardTask) -> ShardResult:
     return ShardResult(
         index=task.index,
         outcomes=outcomes,
-        fault_log=FaultLog(),
+        fault_log=None,
         wall_seconds=time.perf_counter() - started,
         telemetry=telemetry,
         packed_signals=packed_signals,

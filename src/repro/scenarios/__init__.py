@@ -1,21 +1,11 @@
-"""Configured worlds reproducing each of the paper's experiments."""
+"""Configured worlds reproducing each of the paper's experiments.
 
-from .exemplars import (
-    ISP_DE_ASN,
-    ISP_US_ASN,
-    PROBE_COUNTS,
-    ExemplarRun,
-    build_exemplar_run,
-)
-from .japan import (
-    ISP_A_ASN,
-    ISP_A_MOBILE_ASN,
-    ISP_B_ASN,
-    ISP_C_ASN,
-    ISP_D_ASN,
-    TokyoCaseStudy,
-    build_tokyo_case_study,
-)
+The survey world (:mod:`~repro.scenarios.worldsurvey`) loads with the
+package; the Tokyo case study (:mod:`~repro.scenarios.japan`, which
+needs :mod:`repro.cdn`) and the exemplar runs load on first use.
+"""
+
+from .._lazy import lazy_exports
 from .worldsurvey import (
     SurveyASSpec,
     build_survey_world,
@@ -43,3 +33,14 @@ __all__ = [
     "run_survey",
     "run_survey_period",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "exemplars": (
+        "ISP_DE_ASN", "ISP_US_ASN", "PROBE_COUNTS", "ExemplarRun",
+        "build_exemplar_run",
+    ),
+    "japan": (
+        "ISP_A_ASN", "ISP_A_MOBILE_ASN", "ISP_B_ASN", "ISP_C_ASN",
+        "ISP_D_ASN", "TokyoCaseStudy", "build_tokyo_case_study",
+    ),
+})

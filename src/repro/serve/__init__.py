@@ -18,7 +18,8 @@ survey results:
   circuit breaker, cooperative request deadlines;
 * :mod:`repro.serve.client`     — :class:`RetryingClient`, the
   matching client discipline (jittered exponential backoff honoring
-  ``Retry-After``);
+  ``Retry-After``), loaded on first use so a server never imports
+  :mod:`urllib.request`;
 * :mod:`repro.serve.accesslog`  — :class:`AccessLog`, the structured
   JSONL per-request log (request id, route, status, duration,
   cache/shed/breaker outcome) flushed on graceful shutdown.
@@ -36,16 +37,10 @@ Standalone: ``python -m repro serve archive/ --port 8080``
 (SIGTERM/SIGINT drain in-flight requests and flush metrics).
 """
 
+from .._lazy import lazy_exports
 from .accesslog import AccessLog, read_access_log
 from .app import Response, SEVERITY_CLASSES, SurveyAPI, status_for
 from .cache import LRUCache, LRUStats
-from .client import (
-    ClientResult,
-    RetriesExhausted,
-    RetryingClient,
-    parse_retry_after,
-    retry_call,
-)
 from .http import SERVER_NAME, TRACE_RING_ROOTS, SurveyServer
 from .resilience import (
     BreakerOpenError,
@@ -82,3 +77,10 @@ __all__ = [
     "retry_call",
     "parse_retry_after",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "client": (
+        "ClientResult", "RetriesExhausted", "RetryingClient",
+        "parse_retry_after", "retry_call",
+    ),
+})

@@ -59,7 +59,11 @@ archive is append-only while healthy, but quarantine, fsck repair and
 re-ingest all bump :attr:`SurveyArchive.generation` — the API watches
 that counter and clears the whole cache when it moves
 (``serve_cache_invalidations_total``), so a repaired or re-ingested
-period is re-rendered with a *new* ETag, never served stale.
+period is re-rendered with a *new* ETag, never served stale.  At
+most once per :data:`REFRESH_INTERVAL_S` of monotonic time a request
+first calls :meth:`SurveyArchive.refresh`, so commits made through
+another handle (a concurrent ``repro stream --archive``) are served
+within about a second.
 """
 
 from __future__ import annotations
@@ -102,6 +106,11 @@ SEVERITY_CLASSES = ("none", "low", "mild", "severe")
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 REQUEST_ID_HEADER = "X-Request-Id"
+
+#: Seconds between checks for commits made through other archive
+#: handles: a request pays the 56-byte slot-header read at most once
+#: per interval, not once per request.
+REFRESH_INTERVAL_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -263,6 +272,8 @@ class SurveyAPI:
         self._local = threading.local()
         self._generation_lock = threading.Lock()
         self._generation = getattr(archive, "generation", 0)
+        self._refresh_lock = threading.Lock()
+        self._refresh_due = time.monotonic() + REFRESH_INTERVAL_S
         self._instruments = PerObserver(_Instruments)
 
     # -- entry point ---------------------------------------------------
@@ -304,6 +315,7 @@ class SurveyAPI:
                 self.resilience.deadline_seconds, self._clock
             )
             self._local.headers = headers
+            self._refresh_if_due()
             self._invalidate_if_stale(obs)
             cached = self.cache.get(target)
             if cached is not None:
@@ -381,6 +393,20 @@ class SurveyAPI:
             response,
             headers=response.headers + (("Retry-After", value),),
         )
+
+    def _refresh_if_due(self) -> None:
+        """Let the archive catch up with other handles' commits, at
+        most once per interval and on one thread at a time."""
+        now = time.monotonic()
+        if now < self._refresh_due or not self._refresh_lock.acquire(
+            blocking=False
+        ):
+            return
+        try:
+            self._refresh_due = now + REFRESH_INTERVAL_S
+            self.archive.refresh()
+        finally:
+            self._refresh_lock.release()
 
     def _invalidate_if_stale(self, obs) -> None:
         """Drop the response cache when the archive's content moved.

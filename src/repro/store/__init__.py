@@ -14,7 +14,7 @@ package is the reproduction's storage tier for that site:
 * :mod:`repro.store.manifest` — the two manifest slots every commit
   writes in place, and the crash recovery the archive runs on open;
 * :mod:`repro.store.fsck`     — the offline integrity audit/repair
-  behind ``repro store fsck``;
+  behind ``repro store fsck`` (loaded on first use);
 * :mod:`repro.store.errors`   — archive failures, rooted in the
   :mod:`repro.netbase.errors` taxonomy so the CLI and
   :mod:`repro.serve` map them to exit codes / HTTP statuses.
@@ -22,6 +22,7 @@ package is the reproduction's storage tier for that site:
 The serving layer on top is :mod:`repro.serve`.
 """
 
+from .._lazy import lazy_exports
 from .archive import (
     ArchiveStats,
     LivePeriodWriter,
@@ -41,15 +42,6 @@ from .errors import (
     PeriodExistsError,
     PeriodNotFoundError,
     SchemaVersionError,
-)
-from .fsck import (
-    EXIT_CLEAN,
-    EXIT_ERRORS,
-    EXIT_REPAIRED,
-    EXIT_UNUSABLE,
-    FsckFinding,
-    FsckReport,
-    run_fsck,
 )
 from .io import REAL_IO, StoreIO
 from .manifest import (
@@ -98,3 +90,10 @@ __all__ = [
     "EXIT_REPAIRED",
     "EXIT_UNUSABLE",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "fsck": (
+        "EXIT_CLEAN", "EXIT_ERRORS", "EXIT_REPAIRED", "EXIT_UNUSABLE",
+        "FsckFinding", "FsckReport", "run_fsck",
+    ),
+})

@@ -32,9 +32,10 @@ reported, never served.  Offline integrity audits and repair live in
 :mod:`repro.store.fsck` (``repro store fsck``).
 
 Readers can detect mutation: :attr:`SurveyArchive.generation` bumps on
-every ingest, quarantine, recovery action and repair, so caches keyed
-on archive content (the serving layer's LRU) know when to drop their
-entries.
+every ingest, quarantine, recovery action and repair, and when
+:meth:`SurveyArchive.refresh` finds a commit made through another
+handle, so caches keyed on archive content (the serving layer's LRU)
+know when to drop their entries.
 
 Append-only: a committed period is immutable.  Compaction
 (:meth:`SurveyArchive.compact`) changes a period's *representation*
@@ -177,11 +178,15 @@ class SurveyArchive:
         self.stats = ArchiveStats()
         self.quality = DataQualityReport()
         #: Bumps on every mutation (ingest, quarantine, recovery,
-        #: repair) — content-derived caches key off it.
+        #: repair, another handle's commit seen by :meth:`refresh`) —
+        #: content-derived caches key off it.
         self.generation = 0
         self._readers: Dict[str, SegmentReader] = {}
-        self._payloads: Dict[str, Dict] = {}
-        self._indexes: Dict[str, Dict] = {}
+        #: Warm payloads and indexes, each with the manifest checksum
+        #: it was read under; a cached value is used only while its
+        #: period's manifest entry still carries that checksum.
+        self._payloads: Dict[str, Tuple[str, Dict]] = {}
+        self._indexes: Dict[str, Tuple[str, Dict]] = {}
         self._anomalies: Dict[str, Dict] = {}
         self.root.mkdir(parents=True, exist_ok=True)
         self._slots = ManifestSlots(self.root, io)
@@ -304,7 +309,7 @@ class SurveyArchive:
         obs.counter(
             "store_ingest_total", "periods committed to the archive",
         ).inc()
-        self._payloads[name] = payload
+        self._payloads[name] = (checksum, payload)
         return name
 
     def ingest_suite(self, suite, ranking=None) -> List[str]:
@@ -418,8 +423,8 @@ class SurveyArchive:
             self._slots.commit(self._manifest)  # <- the commit point
         self.stats.live_commits += 1
         self.generation += 1
-        self._payloads[name] = payload
-        self._indexes[name] = index
+        self._payloads[name] = (checksum, payload)
+        self._indexes[name] = (checksum, index)
         obs.counter(
             "store_live_commit_total",
             "live-period checkpoints committed",
@@ -455,8 +460,8 @@ class SurveyArchive:
             self._slots.commit(self._manifest)  # <- the commit point
         self.stats.ingests += 1
         self.generation += 1
-        self._payloads[name] = payload
-        self._indexes[name] = index
+        self._payloads[name] = (checksum, payload)
+        self._indexes[name] = (checksum, index)
         obs.counter(
             "store_ingest_total", "periods committed to the archive",
         ).inc()
@@ -541,7 +546,7 @@ class SurveyArchive:
                 source,
                 "payload does not match manifest checksum",
             )
-        self._payloads[name] = payload
+        self._payloads[name] = (meta["checksum"], payload)
         return payload
 
     def get_period(self, name: str) -> Dict:
@@ -553,8 +558,8 @@ class SurveyArchive:
         """
         meta = self.period_meta(name)
         cached = self._payloads.get(name)
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] == meta["checksum"]:
+            return cached[1]
         self.stats.lookups += 1
         if meta["repr"] == "segment":
             self.stats.segment_lookups += 1
@@ -569,9 +574,11 @@ class SurveyArchive:
             source = self.segment_path(name)
         elif meta["repr"] == "live":
             # Verified by the manifest record's digest.
-            payload = self._manifest["live"][name]["payload"]
-            self._payloads[name] = payload
-            return payload
+            live = self._manifest["live"].get(name)
+            if live is None:  # finalized by a refresh since ``meta``
+                return self.get_period(name)
+            self._payloads[name] = (meta["checksum"], live["payload"])
+            return live["payload"]
         else:
             source = self.period_path(name)
             payload = self._read_wrapped(source)
@@ -580,7 +587,7 @@ class SurveyArchive:
                 source,
                 "payload does not match manifest checksum",
             )
-        self._payloads[name] = payload
+        self._payloads[name] = (meta["checksum"], payload)
         return payload
 
     def get(self, asn: int, period: Optional[str] = None) -> Dict:
@@ -621,13 +628,16 @@ class SurveyArchive:
     def _index(self, name: str) -> Dict:
         meta = self.period_meta(name)
         cached = self._indexes.get(name)
-        if cached is None:
+        if cached is None or cached[0] != meta["checksum"]:
             if meta["repr"] == "live":
-                cached = self._manifest["live"][name]["index"]
+                live = self._manifest["live"].get(name)
+                if live is None:  # finalized by a refresh since ``meta``
+                    return self._index(name)
+                index = live["index"]
             else:
-                cached = self._read_wrapped(self.index_path(name))
-            self._indexes[name] = cached
-        return cached
+                index = self._read_wrapped(self.index_path(name))
+            cached = self._indexes[name] = (meta["checksum"], index)
+        return cached[1]
 
     def _segment_columns(self, name: str) -> Optional[SegmentReader]:
         """The period's segment reader when its columns are usable.
@@ -1021,6 +1031,23 @@ class SurveyArchive:
         if repair and report.repair_count:
             self.reload()
         return report
+
+    def refresh(self) -> bool:
+        """Catch up with commits made through other handles.
+
+        Re-reads the current manifest slot's header; when another
+        handle (another process's ``repro stream --archive``, say) has
+        committed since this one last loaded or wrote, loads the new
+        manifest and bumps :attr:`generation`.  Returns whether it
+        did.  Threads may read while this runs: warm caches are
+        checked against the manifest checksum on use, so none outlives
+        the revision it was read under.  Calls must not overlap.
+        """
+        if not self._slots.changed():
+            return False
+        self._manifest = self._slots.load()
+        self.generation += 1
+        return True
 
     def reload(self) -> None:
         """Re-read the manifest and drop warm caches (post-repair)."""

@@ -243,19 +243,22 @@ class ManifestSlots:
                 self.header = record[:HEADER.size]
             yield
 
+    def changed(self) -> bool:
+        """Whether another handle has committed since this one last
+        loaded or wrote: any commit retires or rewrites the slot this
+        handle holds as current, so its header no longer matches."""
+        if self.current is None:
+            return any(self.path(i).exists() for i in (0, 1))
+        try:
+            with open(self.path(self.current), "rb") as handle:
+                return handle.read(HEADER.size) != self.header
+        except FileNotFoundError:
+            return True
+
     def _refuse_if_changed(self) -> None:
         """Raise :class:`ArchiveChangedError` when another writer has
-        committed since this handle loaded: any commit retires or
-        rewrites the slot this handle holds as current."""
-        if self.current is None:
-            changed = any(self.path(i).exists() for i in (0, 1))
-        else:
-            try:
-                with open(self.path(self.current), "rb") as handle:
-                    changed = handle.read(HEADER.size) != self.header
-            except FileNotFoundError:
-                changed = True
-        if changed:
+        committed since this handle loaded."""
+        if self.changed():
             raise ArchiveChangedError(self.root)
 
     def commit(self, manifest: Dict) -> None:

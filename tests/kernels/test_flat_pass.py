@@ -458,11 +458,12 @@ class TestChunkPlanner:
         assert plan_chunks([], 3) == []
 
     def test_default_budget_is_the_module_constant(self):
-        assert flat_mod._CHUNK_ELEMENTS == 1 << 14
+        assert flat_mod._CHUNK_ELEMENTS == 1 << 17
         width = GRID.num_bins
-        sizes = [3, 29, 4, 5] * 10
+        sizes = [3, 29, 4, 5] * 40
+        assert len(plan_chunks(sizes, width)) > 1
         assert plan_chunks(sizes, width) == plan_chunks(
-            sizes, width, budget=1 << 14
+            sizes, width, budget=1 << 17
         )
 
     def test_medians_across_chunk_boundaries_equal_reference(

@@ -151,3 +151,66 @@ class TestCachingAndETags:
         api.cache.clear()
         payload = body(api.handle("/v1/as/400?period=2019-09"))
         assert payload["report"]["severity"] == "severe"
+
+
+class TestRefreshUnderLoad:
+    def test_readers_end_on_the_last_revision(self, tmp_path, monkeypatch):
+        """Handler threads read a live period while another handle
+        commits revisions and finalizes it; once the writer stops and
+        one refresh runs, every route serves the final revision, and
+        no request failed on the way."""
+        import datetime as dt
+        import sys
+        import threading
+
+        from repro.core import Severity
+        from repro.serve import app as app_module
+        from repro.store import SurveyArchive
+        from tests.store.conftest import make_ranking, make_survey
+
+        monkeypatch.setattr(app_module, "REFRESH_INTERVAL_S", 0.0)
+        root = tmp_path / "arc"
+        api = SurveyAPI(SurveyArchive(root), cache_size=32)
+        writer = SurveyArchive(root).begin_live_period("2019-12")
+        ranking = make_ranking()
+        targets = (
+            "/v1/period/2019-12", "/v1/as/100?period=2019-12",
+            "/v1/period/2019-12/severe", "/v1/periods",
+        )
+        stop = threading.Event()
+        failures = []
+
+        def read():
+            while not stop.is_set():
+                for target in targets:
+                    status = api.handle(target).status
+                    if status not in (200, 404):
+                        failures.append((target, status))
+
+        classes = [Severity.LOW, Severity.SEVERE] * 15 + [Severity.MILD]
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for severity in classes:
+                writer.commit_partial(make_survey(
+                    "2019-12", dt.datetime(2019, 12, 1), {100: severity},
+                ), ranking=ranking)
+            writer.finalize(make_survey(
+                "2019-12", dt.datetime(2019, 12, 1), {100: Severity.MILD},
+            ), ranking=ranking)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        report = body(api.handle("/v1/as/100?period=2019-12"))
+        assert report["report"]["severity"] == "mild"
+        assert body(api.handle("/v1/period/2019-12/severe"))["asns"] == []
+        assert body(api.handle("/v1/periods"))["periods"][0]["repr"] == (
+            "json"
+        )

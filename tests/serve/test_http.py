@@ -186,3 +186,39 @@ class TestShellTiming:
         ]
         assert len(access) == 2 * pairs
         assert [m.split()[-2] for m in access] == ["200", "304"] * pairs
+
+
+class TestOtherHandlesCommits:
+    def test_period_committed_elsewhere_is_served(self, archive):
+        """A running server picks up another handle's commit within
+        about a second, and re-renders it under a new ETag."""
+        import datetime as dt
+        import time
+
+        from repro.core import Severity
+        from repro.store import SurveyArchive
+        from tests.store.conftest import make_ranking, make_survey
+
+        with SurveyServer(SurveyArchive(archive.root)) as server:
+            _status, headers, body = fetch(server.url + "/v1/as/100")
+            assert json.loads(body)["period"] == "2019-09"
+            archive.ingest(
+                make_survey("2019-12", dt.datetime(2019, 12, 1), {
+                    100: Severity.SEVERE,
+                }),
+                ranking=make_ranking(),
+            )
+            committed = time.monotonic()
+            while True:
+                status, fresh, body = fetch(server.url + "/v1/as/100")
+                if json.loads(body)["period"] == "2019-12":
+                    break
+                assert time.monotonic() - committed < 3.0
+                time.sleep(0.02)
+            assert status == 200
+            assert fresh["ETag"] != headers["ETag"]
+            assert json.loads(body)["report"]["severity"] == "severe"
+            status, _headers, _body = fetch(
+                server.url + "/v1/period/2019-12"
+            )
+            assert status == 200

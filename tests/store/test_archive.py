@@ -1,5 +1,6 @@
 """Tests for the longitudinal survey archive."""
 
+import datetime as dt
 import json
 
 import pytest
@@ -268,3 +269,52 @@ class TestChecksums:
         payload = survey_to_dict(survey_june)
         shuffled = json.loads(json.dumps(payload))
         assert payload_checksum(payload) == payload_checksum(shuffled)
+
+
+class TestRefresh:
+    """A long-lived handle catches up with another handle's commits."""
+
+    def test_reader_lists_period_after_refresh(
+        self, tmp_path, survey_june, survey_september, ranking
+    ):
+        reader = SurveyArchive(tmp_path / "arc")
+        writer = SurveyArchive(tmp_path / "arc")
+        assert reader.refresh() is False
+        writer.ingest(survey_june, ranking=ranking)
+        assert reader.periods() == []
+        generation = reader.generation
+        assert reader.refresh() is True
+        assert reader.generation == generation + 1
+        assert reader.periods() == ["2019-06"]
+        assert canonical_json(reader.get_period("2019-06")) == (
+            canonical_json(survey_to_dict(survey_june))
+        )
+        assert reader.refresh() is False
+        # Caught up, the reader may commit again.
+        reader.ingest(survey_september, ranking=ranking)
+        assert writer.refresh() is True
+        assert writer.periods() == ["2019-06", "2019-09"]
+
+    def test_live_revision_replaces_warm_cache(self, tmp_path, ranking):
+        from repro.core import Severity
+
+        from .conftest import make_survey
+
+        def partial(severity):
+            return make_survey(
+                "2019-12", dt.datetime(2019, 12, 1), {100: severity},
+            )
+
+        reader = SurveyArchive(tmp_path / "arc")
+        live = SurveyArchive(tmp_path / "arc").begin_live_period("2019-12")
+        live.commit_partial(partial(Severity.LOW), ranking=ranking)
+        assert reader.refresh() is True
+        assert reader.get(100, "2019-12")["severity"] == "low"
+        assert reader.severe_asns("2019-12") == []
+
+        live.commit_partial(partial(Severity.SEVERE), ranking=ranking)
+        assert reader.get(100, "2019-12")["severity"] == "low"
+        assert reader.refresh() is True
+        assert reader.get(100, "2019-12")["severity"] == "severe"
+        assert reader.severe_asns("2019-12") == [100]
+        assert reader.period_meta("2019-12")["revision"] == 2

@@ -596,3 +596,12 @@ class TestStreamCommand:
         assert canonical(archive.get_period(PERIOD.name)) == canonical(
             survey_to_dict(batch)
         )
+
+    def test_archive_path_printed_once(self, tmp_path, capsys):
+        # A directory given with its trailing slash is printed with one.
+        archive = f"{tmp_path / 'arc'}/"
+        assert main([
+            "stream", "--ases", "4", "--seed", "5", "--archive", archive,
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"finalized period 2019-09 in {archive}"
