@@ -22,7 +22,12 @@ import numpy as np
 import pytest
 
 from conftest import write_report
-from repro.anomaly import LinkObservations, detect_anomalies, link_bin_medians
+from repro.anomaly import (
+    LinkObservations,
+    detect_anomalies,
+    link_bin_medians,
+    link_id,
+)
 from repro.core.kernels.reference import REFERENCE
 from repro.core.kernels.vector import VECTOR
 from repro.timebase import MeasurementPeriod, TimeGrid
@@ -60,20 +65,36 @@ def record_anomaly_bench(section: str, payload: dict) -> None:
 def observations():
     """Survey-scale per-link differential samples, pre-scanned."""
     rng = np.random.default_rng(0)
-    obs = LinkObservations(grid=GRID)
+    drawn = {}
     for i in range(NUM_LINKS):
         key = (f"10.{i // 250}.{i % 250}.1", f"10.{i // 250}.{i % 250}.2")
         base = rng.uniform(0.5, 4.0)
-        samples = obs.samples.setdefault(key, {})
-        counts = obs.counts.setdefault(key, {})
-        for bin_index in range(GRID.num_bins):
-            samples[bin_index] = list(rng.normal(
+        drawn[key] = [
+            rng.normal(
                 base, 0.4,
                 TRACEROUTES_PER_BIN * SAMPLES_PER_TRACEROUTE,
-            ))
-            counts[bin_index] = TRACEROUTES_PER_BIN
-        obs.processed += GRID.num_bins * TRACEROUTES_PER_BIN
-    return obs
+            )
+            for _bin in range(GRID.num_bins)
+        ]
+    links = sorted(drawn, key=lambda key: link_id(*key))
+    per_link = TRACEROUTES_PER_BIN * SAMPLES_PER_TRACEROUTE
+    return LinkObservations(
+        grid=GRID,
+        processed=NUM_LINKS * GRID.num_bins * TRACEROUTES_PER_BIN,
+        links=links,
+        counts=np.full(
+            (NUM_LINKS, GRID.num_bins), TRACEROUTES_PER_BIN,
+            dtype=np.int64,
+        ),
+        keys=np.repeat(
+            np.arange(NUM_LINKS * GRID.num_bins, dtype=np.int64),
+            per_link,
+        ),
+        values=np.concatenate([
+            samples for key in links for samples in drawn[key]
+        ]),
+        next_hops={},
+    )
 
 
 def test_perf_link_medians_3x(observations):

@@ -88,15 +88,16 @@ def test_perf_estimation_backends(one_probe_day):
     """The estimator's flat scan vs the per-traceroute loop it
     replaced, recorded into the BENCH_kernels.json perf trajectory
     alongside the kernel benches.  The reference row runs that loop —
-    kept as the scan oracle in ``tests/kernels/test_flat_pass.py`` —
-    plus the reference kernel's per-bin medians; the vector row is
+    kept as the scan oracle in ``tests/kernels/test_flat_pass.py``,
+    with the per-traceroute sampler of ``tests/core/lastmile_oracle.py``
+    — plus the reference kernel's per-bin medians; the vector row is
     ``estimate_probe_series`` as the pipeline runs it."""
     import time
 
     from conftest import record_kernel_bench
     from repro.core.kernels.flat import bin_medians
     from repro.core.kernels.reference import REFERENCE
-    from repro.core.lastmile import lastmile_samples
+    from tests.core.lastmile_oracle import lastmile_samples
     from tests.kernels.test_flat_pass import _scan_results
 
     _platform, _probes, results = one_probe_day

@@ -9,8 +9,10 @@ misbehaved, *when*, and *how* — a delay surge or a routing change.
 Stages:
 
 1. :mod:`repro.anomaly.links` scans traceroutes once into per-link
-   differential-RTT observations (pairwise reply subtraction across
-   each adjacent responding hop pair) plus next-hop counts.
+   differential-RTT observations plus next-hop counts: the last-mile
+   scan of :mod:`repro.core.kernels.flat` (same gate, hop walk, sane
+   filter and pairwise reply subtraction) selecting every adjacent
+   responding hop pair instead of the private→public boundary.
 2. :mod:`repro.anomaly.detect` routes the per-(link, bin) medians
    through the shared :mod:`repro.core.kernels` backends, wraps each
    bin in a Wilson rank band, learns a per-link per-time-of-day
@@ -27,8 +29,6 @@ fsck, served on ``/v1/period/<p>/anomalies`` and
 from .links import (
     LinkObservations,
     link_id,
-    link_samples,
-    next_hop_pairs,
     scan_links,
     split_link_id,
 )
@@ -48,8 +48,6 @@ from .detect import (
 __all__ = [
     "LinkObservations",
     "link_id",
-    "link_samples",
-    "next_hop_pairs",
     "scan_links",
     "split_link_id",
     "DEFAULT_CONFIDENCE",

@@ -32,7 +32,7 @@ from ..core.stats import churn_jaccard, wilson_score_interval
 from ..obs import get_observer
 from ..quality import DataQualityReport
 from ..timebase import TimeGrid
-from .links import LinkObservations, link_id, scan_links, split_link_id
+from .links import LinkObservations, link_id, scan_links
 
 STAGE = "anomaly"
 
@@ -67,34 +67,19 @@ def link_bin_medians(
 ) -> Tuple[List[str], np.ndarray, np.ndarray]:
     """Kernel-routed per-(link, bin) differential medians.
 
-    Links are rows (sorted id order), bins are columns — the same flat
-    ``(row * num_bins + bin, sample)`` shape the last-mile estimator
-    feeds the kernels, so one
+    Links are rows (sorted id order), bins are columns: the scan's
+    flat ``(row * num_bins + bin, sample)`` arrays are the shape the
+    last-mile estimator feeds the kernels, so one
     :func:`~repro.core.kernels.flat.bin_medians` call computes the
     whole matrix.  Returns ``(link_ids, median_matrix,
     counts_matrix)``; bins under ``min_samples`` observing
     traceroutes stay NaN.
     """
-    grid = observations.grid
-    num_bins = grid.num_bins
-    keyed = {link_id(*key): key for key in observations.counts}
-    link_ids = sorted(keyed)
-    counts_matrix = np.zeros((len(link_ids), num_bins), dtype=np.int64)
-    keys: List[int] = []
-    values: List[float] = []
-    for row, name in enumerate(link_ids):
-        for bin_index, n in observations.counts[keyed[name]].items():
-            counts_matrix[row, bin_index] = n
-        bins = observations.samples.get(keyed[name], {})
-        for bin_index in sorted(bins):
-            keys.extend([row * num_bins + bin_index] * len(bins[bin_index]))
-            values.extend(bins[bin_index])
     medians, _estimated = bin_medians(
-        np.asarray(keys, dtype=np.int64),
-        np.asarray(values, dtype=np.float64),
-        counts_matrix, min_samples, kernels,
+        observations.keys, observations.values, observations.counts,
+        min_samples, kernels,
     )
-    return link_ids, medians, counts_matrix
+    return observations.link_ids(), medians, observations.counts
 
 
 def _learn_reference(
@@ -253,21 +238,30 @@ def detect_anomalies(
         link_ids, medians, counts = link_bin_medians(
             scan, min_samples=min_samples, kernels=kern
         )
-        keyed = {name: split_link_id(name) for name in link_ids}
         num_links, num_bins = len(link_ids), grid.num_bins
+        # Samples grouped by (link, bin) cell; a link's cells are
+        # contiguous.
+        order = np.argsort(scan.keys, kind="stable")
+        keys, values = scan.keys[order], scan.values[order]
+        cells, starts = np.unique(keys, return_index=True)
+        bounds = np.append(starts, len(keys)).tolist()
+        link_bounds = np.searchsorted(
+            keys, np.arange(num_links + 1) * num_bins
+        ).tolist()
 
         lows = np.full((num_links, num_bins), np.nan)
         highs = np.full((num_links, num_bins), np.nan)
-        for row, name in enumerate(link_ids):
-            bins = scan.samples.get(keyed[name], {})
-            for bin_index, values in bins.items():
-                if (
-                    counts[row, bin_index] >= min_samples
-                    and np.isfinite(medians[row, bin_index])
-                ):
-                    lo, hi = wilson_score_interval(values, confidence)
-                    lows[row, bin_index] = lo
-                    highs[row, bin_index] = hi
+        for i, cell in enumerate(cells.tolist()):
+            row, bin_index = divmod(cell, num_bins)
+            if (
+                counts[row, bin_index] >= min_samples
+                and np.isfinite(medians[row, bin_index])
+            ):
+                lo, hi = wilson_score_interval(
+                    values[bounds[i]:bounds[i + 1]], confidence
+                )
+                lows[row, bin_index] = lo
+                highs[row, bin_index] = hi
 
         if reference is not None:
             bands = reference.get("bands", {})
@@ -346,10 +340,8 @@ def detect_anomalies(
 
         links_payload: Dict[str, Dict] = {}
         for row, name in enumerate(link_ids):
-            near, far = keyed[name]
-            all_samples: List[float] = []
-            for values in scan.samples.get(keyed[name], {}).values():
-                all_samples.extend(values)
+            near, far = scan.links[row]
+            all_samples = values[link_bounds[row]:link_bounds[row + 1]]
             finite = medians[row][np.isfinite(medians[row])]
             band = (
                 wilson_score_interval(all_samples, confidence)

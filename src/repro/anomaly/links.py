@@ -5,14 +5,16 @@ A *link* is an ordered pair of consecutive responding hop addresses
 out are skipped, exactly as in the source paper — the link spans the
 silent middle.  Each traceroute contributes up to 9 differential
 samples per link (pairwise ``far_rtt - near_rtt`` over the ≤3 sane
-replies on each side), the same subtraction
-:func:`repro.core.lastmile.lastmile_samples` applies to the last-mile
-boundary, generalized to every adjacent pair on the path.
+replies on each side).
 
-The scan shares the edge semantics of the last-mile scan — NaN
-timestamps are malformed, out-of-period clocks are dropped, and a
-traceroute with no usable adjacent pair still counts toward nothing
-but is flagged — and its output is *mergeable*: observations from
+The scan is the last-mile scan with its other selection:
+:func:`repro.core.kernels.flat.gate` bins each record (NaN timestamps
+are malformed, out-of-period clocks dropped), and
+:func:`~repro.core.kernels.flat.walk_hops` with ``links=True`` takes
+every adjacent responding pair where the last-mile estimate takes the
+private→public boundary — the same sane filter and the same pairwise
+subtraction.  A traceroute with no adjacent pair still counts toward
+nothing but is flagged.  Its output is *mergeable*: observations from
 probe shards combine additively, and every downstream aggregate
 (median, sorted Wilson band, next-hop distribution) is invariant to
 sample order, which is what makes anomaly reports byte-identical
@@ -21,14 +23,14 @@ across serial and sharded execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..atlas.traceroute import TracerouteResult
-from ..core.lastmile import classify_hop_address
-from ..quality import DataQualityReport, DropReason
+from ..core.kernels.flat import book, gate, walk_hops
+from ..quality import DataQualityReport
 from ..timebase import TimeGrid
 
 STAGE = "anomaly-links"
@@ -54,107 +56,54 @@ def split_link_id(link: str) -> LinkKey:
     return (parts[0], parts[1])
 
 
-def _sane(rtt: float) -> bool:
-    return bool(np.isfinite(rtt)) and rtt >= 0.0
-
-
-def _responding_hops(result: TracerouteResult):
-    """Hops with a responding address, in path order."""
-    hops = []
-    for hop in result.hops:
-        address = hop.responding_address
-        if address is not None:
-            hops.append((address, hop))
-    return hops
-
-
-def link_samples(
-    result: TracerouteResult,
-) -> List[Tuple[LinkKey, List[float]]]:
-    """Differential RTT samples for every link of one traceroute.
-
-    Pairwise subtraction of the near hop's sane replies from the far
-    hop's sane replies (≤ 3 × 3 = 9 samples per link).  A link whose
-    near or far side has only insane replies yields an empty sample
-    list but is still *observed* (it appears with ``[]``), so it
-    counts toward bin sanity exactly like a sample-less last-mile
-    traceroute.
-    """
-    hops = _responding_hops(result)
-    out: List[Tuple[LinkKey, List[float]]] = []
-    for (near_addr, near_hop), (far_addr, far_hop) in zip(
-        hops, hops[1:]
-    ):
-        if near_addr == far_addr:
-            continue  # routing loop artifact, not a link
-        near_rtts = [r for r in near_hop.rtts if _sane(r)]
-        far_rtts = [r for r in far_hop.rtts if _sane(r)]
-        samples = [
-            far_rtt - near_rtt
-            for far_rtt in far_rtts
-            for near_rtt in near_rtts
-        ]
-        out.append(((near_addr, far_addr), samples))
-    return out
-
-
-def next_hop_pairs(result: TracerouteResult) -> List[Tuple[str, str, str]]:
-    """(near, dst, far) forwarding observations of one traceroute.
-
-    Forwarding patterns are keyed per *route* — (hop address,
-    traceroute destination) — not per hop alone: a router legitimately
-    forwards different destinations to different next hops, so only
-    the per-destination pattern is expected to be stable and only its
-    shift is an anomaly.  Private near addresses are excluded: RFC
-    1918 space aliases across vantage points (every home gateway is
-    192.168.1.1), so an aggregated "next hop pattern" for a private
-    address mixes unrelated households and is noise, not routing.
-    """
-    hops = _responding_hops(result)
-    dst = result.dst_address
-    return [
-        (near, dst, far)
-        for (near, _h1), (far, _h2) in zip(hops, hops[1:])
-        if near != far and classify_hop_address(near) == "public"
-    ]
-
-
 @dataclass
 class LinkObservations:
     """Accumulated per-link, per-bin observations from one scan.
 
-    ``samples[link][bin]`` is the flat differential-sample list,
-    ``counts[link][bin]`` the number of traceroutes that observed the
-    link in the bin (the sanity denominator), and
-    ``next_hops[(near, dst)][bin][far]`` the forwarding observation
-    counts per route.  All three merge additively across shards.
+    ``links`` holds the observed links in canonical id order; link
+    ``links[i]`` is row ``i`` of ``counts`` (traceroutes that observed
+    it, per bin: the sanity denominator) and owns every differential
+    sample ``values[j]`` whose ``keys[j]`` is ``i * num_bins + bin`` —
+    the flat layout :func:`~repro.core.kernels.flat.bin_medians`
+    takes.  ``next_hops[(near, dst)][bin][far]`` counts the forwarding
+    observations per route.  All of it merges additively across
+    shards.
     """
 
     grid: TimeGrid
+    links: List[LinkKey]
+    counts: np.ndarray
+    keys: np.ndarray
+    values: np.ndarray
+    next_hops: Dict[Tuple[str, str], Dict[int, Dict[str, int]]]
     processed: int = 0
-    samples: Dict[LinkKey, Dict[int, List[float]]] = field(
-        default_factory=dict
-    )
-    counts: Dict[LinkKey, Dict[int, int]] = field(default_factory=dict)
-    next_hops: Dict[Tuple[str, str], Dict[int, Dict[str, int]]] = field(
-        default_factory=dict
-    )
 
     def link_ids(self) -> List[str]:
-        """Sorted canonical link ids — the deterministic row order."""
-        return sorted(link_id(*key) for key in self.counts)
+        """Canonical link ids, in row order (sorted)."""
+        return [link_id(*key) for key in self.links]
 
     def merge(self, other: "LinkObservations") -> None:
         """Fold another shard's observations into this one."""
+        num_bins = self.grid.num_bins
+        links = sorted(
+            set(self.links) | set(other.links), key=lambda k: link_id(*k)
+        )
+        row = {key: i for i, key in enumerate(links)}
+        counts = np.zeros((len(links), num_bins), dtype=np.int64)
+        keys = []
+        for part in (self, other):
+            rows = np.array(
+                [row[key] for key in part.links], dtype=np.int64
+            )
+            counts[rows] += part.counts
+            keys.append(
+                rows[part.keys // num_bins] * num_bins
+                + part.keys % num_bins
+            )
         self.processed += other.processed
-        for key, bins in other.samples.items():
-            mine = self.samples.setdefault(key, {})
-            for bin_index, values in bins.items():
-                mine.setdefault(bin_index, []).extend(values)
-        for key, bins in other.counts.items():
-            mine = self.counts.setdefault(key, {})
-            for bin_index, n in bins.items():
-                mine[bin_index] = mine.get(bin_index, 0) + n
+        self.links, self.counts = links, counts
+        self.keys = np.concatenate(keys)
+        self.values = np.concatenate((self.values, other.values))
         for route, bins in other.next_hops.items():
             mine = self.next_hops.setdefault(route, {})
             for bin_index, fars in bins.items():
@@ -162,63 +111,56 @@ class LinkObservations:
                 for far, n in fars.items():
                     counter[far] = counter.get(far, 0) + n
 
-    def observe(self, result: TracerouteResult, bin_index: int) -> bool:
-        """Record one in-period traceroute; True if any link matched."""
-        matched = False
-        for key, values in link_samples(result):
-            matched = True
-            bins = self.counts.setdefault(key, {})
-            bins[bin_index] = bins.get(bin_index, 0) + 1
-            if values:
-                self.samples.setdefault(key, {}).setdefault(
-                    bin_index, []
-                ).extend(values)
-        for near, dst, far in next_hop_pairs(result):
-            counter = self.next_hops.setdefault(
-                (near, dst), {}
-            ).setdefault(bin_index, {})
-            counter[far] = counter.get(far, 0) + 1
-        return matched
 
-
-def _scan_shard(
-    results_by_probe: Dict[int, List[TracerouteResult]],
+def _scan(
+    results: List[TracerouteResult],
     grid: TimeGrid,
     quality: Optional[DataQualityReport],
 ) -> LinkObservations:
-    obs = LinkObservations(grid=grid)
-    duration = grid.num_bins * grid.bin_seconds
-    for prb_id, results in results_by_probe.items():
-        for result in results:
-            obs.processed += 1
-            if quality is not None:
-                quality.ingest(STAGE)
-            timestamp = result.timestamp
-            if not np.isfinite(timestamp):
-                if quality is not None:
-                    quality.drop(
-                        STAGE, DropReason.MALFORMED_RECORD,
-                        detail=f"probe {result.prb_id}: timestamp "
-                        f"{timestamp!r}",
-                    )
-                continue
-            if timestamp < 0 or timestamp > duration:
-                if quality is not None:
-                    quality.drop(
-                        STAGE, DropReason.OUT_OF_PERIOD,
-                        detail=f"probe {result.prb_id}: timestamp "
-                        f"{timestamp:.0f}s outside 0..{duration}s",
-                    )
-                continue
-            bin_index = int(grid.bin_index(timestamp))
-            if not obs.observe(result, bin_index):
-                if quality is not None:
-                    quality.degrade(
-                        STAGE, DropReason.NO_BOUNDARY,
-                        detail=f"probe {result.prb_id}: no adjacent "
-                        "responding hop pair",
-                    )
-    return obs
+    """One shard: gate, walk every adjacent pair, book, then lay the
+    pairs out by link."""
+    num_bins = grid.num_bins
+    bins = gate(results, grid)
+    gated = np.flatnonzero(bins >= 0)
+    kept = [results[row] for row in gated.tolist()]
+    pairs = walk_hops(kept, links=True)
+    unmatched = np.zeros(len(results), dtype=bool)
+    unmatched[gated] = np.bincount(pairs.rows, minlength=len(kept)) == 0
+    book(
+        quality, STAGE, results, bins, grid, unmatched,
+        "no adjacent responding hop pair",
+    )
+    index: Dict[LinkKey, int] = {}
+    pair_links = np.fromiter(
+        (index.setdefault(key, len(index))
+         for key in zip(pairs.near, pairs.far)),
+        dtype=np.int64, count=len(pairs.far),
+    )
+    links = sorted(index, key=lambda k: link_id(*k))
+    rank = np.zeros(len(links), dtype=np.int64)
+    rank[[index[key] for key in links]] = np.arange(len(links))
+    pair_rows = rank[pair_links]
+    pair_bins = bins[gated][pairs.rows]
+    counts = np.zeros((len(links), num_bins), dtype=np.int64)
+    np.add.at(counts, (pair_rows, pair_bins), 1)
+    next_hops: Dict[Tuple[str, str], Dict[int, Dict[str, int]]] = {}
+    for i in np.flatnonzero(pairs.routed).tolist():
+        route = (pairs.near[i], kept[pairs.rows[i]].dst_address)
+        counter = next_hops.setdefault(route, {}).setdefault(
+            int(pair_bins[i]), {}
+        )
+        counter[pairs.far[i]] = counter.get(pairs.far[i], 0) + 1
+    return LinkObservations(
+        grid=grid,
+        processed=len(results),
+        links=links,
+        counts=counts,
+        keys=np.repeat(
+            pair_rows * num_bins + pair_bins, np.diff(pairs.offsets)
+        ),
+        values=pairs.samples,
+        next_hops=next_hops,
+    )
 
 
 def scan_links(
@@ -235,24 +177,20 @@ def scan_links(
     operationally identical to the serial scan; tests pin the stronger
     property that the final *report* is byte-identical.
     """
-    if shards <= 1:
-        return _scan_shard(results_by_probe, grid, quality)
-    probe_ids = sorted(results_by_probe)
-    merged = LinkObservations(grid=grid)
+    if shards < 1:
+        raise ValueError(f"shards must be at least 1, got {shards}")
+    probe_ids = (
+        list(results_by_probe) if shards == 1 else sorted(results_by_probe)
+    )
+    merged: Optional[LinkObservations] = None
     for shard in range(shards):
-        slice_ids = probe_ids[shard::shards]
-        part = _scan_shard(
-            {pid: results_by_probe[pid] for pid in slice_ids},
+        part = _scan(
+            [r for pid in probe_ids[shard::shards]
+             for r in results_by_probe[pid]],
             grid, quality,
         )
-        merged.merge(part)
+        if merged is None:
+            merged = part
+        else:
+            merged.merge(part)
     return merged
-
-
-def iter_link_rows(
-    observations: LinkObservations,
-) -> Iterable[Tuple[str, LinkKey]]:
-    """(link_id, link_key) pairs in canonical row order."""
-    keyed = {link_id(*key): key for key in observations.counts}
-    for name in sorted(keyed):
-        yield name, keyed[name]

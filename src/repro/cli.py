@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="band separation below this is noise (default 2.0)",
     )
     anomaly.add_argument(
-        "--shards", type=int, default=1, metavar="N",
+        "--shards", type=_positive_int, default=1, metavar="N",
         help="scan probes in N shards (same report byte-for-byte)",
     )
     anomaly.add_argument(
@@ -541,6 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="print version and package layout")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:

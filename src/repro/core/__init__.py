@@ -34,11 +34,9 @@ from .filtering import (
 )
 from .lastmile import (
     MIN_TRACEROUTES_PER_BIN,
-    BoundaryHops,
     classify_hop_address,
     estimate_dataset,
     estimate_probe_series,
-    find_boundary,
     lastmile_samples,
 )
 from .report import (
@@ -145,9 +143,7 @@ __all__ = [
     "LastMileDataset",
     "ProbeBinSeries",
     "MIN_TRACEROUTES_PER_BIN",
-    "BoundaryHops",
     "classify_hop_address",
-    "find_boundary",
     "lastmile_samples",
     "estimate_probe_series",
     "estimate_dataset",

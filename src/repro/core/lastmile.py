@@ -3,7 +3,8 @@
 Stages, exactly as the paper describes:
 
 1. Identify the boundary: the last RFC 1918 (private) hop and the
-   first public hop of each traceroute.
+   first public hop of each traceroute
+   (:func:`repro.core.kernels.flat.walk_hops`).
 2. Pairwise-subtract the private hop's replies from the public hop's
    replies: 3 × 3 = 9 last-mile RTT samples per traceroute.
 3. Group each probe's traceroutes into 30-minute bins; discard bins
@@ -17,36 +18,26 @@ control analysis) the first public hop RTT itself is the sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..netbase import is_private, is_public, parse_address
-from ..atlas.traceroute import Hop, TracerouteResult
+from ..atlas.traceroute import TracerouteResult
 from ..obs import get_observer, maybe_profiled
 from ..quality import DataQualityReport
 from ..timebase import TimeGrid
 from .kernels import resolve_kernels
-from .kernels.flat import bin_medians, scan_lastmile_flat
+from .kernels.flat import (
+    LASTMILE_STAGE as STAGE,
+    bin_medians,
+    scan_lastmile_flat,
+    walk_hops,
+)
 from .series import LastMileDataset, ProbeBinSeries
 
 #: The paper's disconnected-probe sanity threshold.
 MIN_TRACEROUTES_PER_BIN = 3
-
-STAGE = "core-lastmile"
-
-
-@dataclass(frozen=True)
-class BoundaryHops:
-    """The last private and first public hops of one traceroute.
-
-    ``last_private`` is None for vantage points with no private hop
-    (datacenter hosts / anchors).
-    """
-
-    last_private: Optional[Hop]
-    first_public: Hop
 
 
 def classify_hop_address(address: str) -> str:
@@ -67,35 +58,15 @@ def classify_hop_address(address: str) -> str:
     return "other"
 
 
-def find_boundary(result: TracerouteResult) -> Optional[BoundaryHops]:
-    """Locate the private→public boundary of one traceroute.
-
-    Scans hops in order: remembers the most recent private hop, stops
-    at the first public hop.  Hops whose replies all timed out (or are
-    anomalous) are skipped.  Returns None when no public hop ever
-    responds (fully broken traceroute).
-    """
-    last_private: Optional[Hop] = None
-    for hop in result.hops:
-        address = hop.responding_address
-        if address is None:
-            continue
-        kind = classify_hop_address(address)
-        if kind == "private":
-            last_private = hop
-        elif kind == "public":
-            return BoundaryHops(last_private=last_private, first_public=hop)
-    return None
-
-
 @maybe_profiled("core-lastmile.lastmile_samples")
 def lastmile_samples(result: TracerouteResult) -> List[float]:
     """Per-traceroute last-mile RTT samples (up to 9).
 
-    Pairwise subtraction of the last private hop's RTTs from the first
-    public hop's RTTs.  With no private hop the public hop's RTTs are
-    used directly (anchor case).  Timeout replies simply yield fewer
-    samples.
+    The one-traceroute case of the scan's hop walk
+    (:func:`~repro.core.kernels.flat.walk_hops`): pairwise subtraction
+    of the last private hop's RTTs from the first public hop's RTTs.
+    With no private hop the public hop's RTTs are used directly
+    (anchor case).  Timeout replies simply yield fewer samples.
 
     Replies whose RTT is non-finite (NaN/inf from a corrupt record)
     or negative are discarded by the same sanity filter.  When *every*
@@ -105,25 +76,7 @@ def lastmile_samples(result: TracerouteResult) -> List[float]:
     never responded; the scan then counts it toward bin sanity but
     flags it as degraded.
     """
-    boundary = find_boundary(result)
-    if boundary is None:
-        return []
-    public_rtts = [r for r in boundary.first_public.rtts if _sane(r)]
-    if boundary.last_private is None:
-        return list(public_rtts)
-    private_rtts = [
-        r for r in boundary.last_private.rtts if _sane(r)
-    ]
-    return [
-        public_rtt - private_rtt
-        for public_rtt in public_rtts
-        for private_rtt in private_rtts
-    ]
-
-
-def _sane(rtt: float) -> bool:
-    """Defense in depth against garbage RTTs that bypassed parsing."""
-    return np.isfinite(rtt) and rtt >= 0.0
+    return walk_hops([result]).samples.tolist()
 
 
 def e2e_samples(result: TracerouteResult) -> List[float]:

@@ -16,6 +16,7 @@ run per link per time bin where a bootstrap would not be.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,6 +171,14 @@ def bootstrap_spearman(
     )
 
 
+@lru_cache(maxsize=None)
+def _wilson_z(confidence: float) -> float:
+    """The two-sided normal quantile of ``confidence``, once per value."""
+    from scipy import stats as sp_stats     # off the import path
+
+    return float(sp_stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+
+
 def wilson_rank_bounds(n: int, confidence: float = 0.95) -> Tuple[float, float]:
     """Wilson score bounds on the median's *rank proportion*.
 
@@ -185,9 +194,7 @@ def wilson_rank_bounds(n: int, confidence: float = 0.95) -> Tuple[float, float]:
         raise ValueError(f"confidence {confidence} outside (0,1)")
     if n < 2:
         return (float("nan"), float("nan"))
-    from scipy import stats as sp_stats     # off the import path
-
-    z = float(sp_stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+    z = _wilson_z(confidence)
     p = 0.5
     z2 = z * z
     denom = 1.0 + z2 / n

@@ -16,10 +16,12 @@ same data, for any arrival order within a bin and any micro-batch
 split, on either kernel backend.  The contract holds because every
 numeric decision is delegated to the same code the batch path runs:
 
-* timestamp gating, binning and boundary sampling of raw traceroutes
-  make the decisions of the batch scan
-  (:func:`repro.core.kernels.flat.scan_lastmile_flat`), one record at
-  a time (same quality-ledger entries included);
+* raw traceroutes ride the batch scan: a run of raw traceroutes
+  (:class:`~repro.stream.records.TraceRecord`) goes through its
+  :func:`~repro.core.kernels.flat.gate`, a stale drop against the
+  watermark and its last-mile walk and ledger
+  (:func:`~repro.core.kernels.flat.sample_lastmile`, same
+  quality-ledger entries), and lands as one column batch;
 * bin finalization sorts the closing bins' samples out of the store
   with one ``lexsort`` and runs the batch estimator's
   :func:`~repro.core.kernels.flat.bin_medians` — the same mask and
@@ -53,18 +55,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..core.filtering import asns_with_min_probes
 from ..core.kernels import resolve_kernels
-from ..core.kernels.flat import bin_medians, plan_chunks
-from ..core.lastmile import (
-    MIN_TRACEROUTES_PER_BIN,
-    STAGE as LASTMILE_STAGE,
-    lastmile_samples,
+from ..core.kernels.flat import (
+    bin_medians,
+    gate,
+    plan_chunks,
+    sample_lastmile,
 )
+from ..core.lastmile import MIN_TRACEROUTES_PER_BIN
 from ..core.series import LastMileDataset, ProbeBinSeries
 from ..core.survey import (
     ASFailure,
@@ -169,10 +173,31 @@ class StreamingSurvey:
     def ingest(self, record) -> int:
         """Append one record (or one :class:`SampleBatch`) to the
         survey; returns how many records it held."""
+        return self.ingest_many((record,))
+
+    def ingest_many(self, records: Iterable) -> int:
+        """Append a micro-batch; returns how many records it held.
+
+        Each run of consecutive raw traceroutes is scanned as one
+        column batch (:meth:`_ingest_traces`).
+        """
         if self._final is not None:
             raise ValueError(
                 "survey already finalized; no further records accepted"
             )
+        n = 0
+        for traces, run in groupby(
+            records, key=lambda record: isinstance(record, TraceRecord)
+        ):
+            if traces:
+                n += self._ingest_traces(list(run))
+                continue
+            for record in run:
+                n += self._ingest_record(record)
+        return n
+
+    def _ingest_record(self, record) -> int:
+        """One record that is not a :class:`TraceRecord`."""
         held = 1
         if isinstance(record, SampleRecord):
             self._observe(record.prb_id, record.bin_index, record.samples)
@@ -181,21 +206,12 @@ class StreamingSurvey:
             held = len(record)
         elif isinstance(record, ProbeRecord):
             self._register(record)
-        elif isinstance(record, TraceRecord):
-            self._ingest_trace(record)
         else:
             raise TypeError(
                 f"not a stream record: {type(record).__name__}"
             )
         self.records_ingested += held
         return held
-
-    def ingest_many(self, records: Iterable) -> int:
-        """Append a micro-batch; returns how many records it held."""
-        n = 0
-        for record in records:
-            n += self.ingest(record)
-        return n
 
     def _register(self, record: ProbeRecord) -> None:
         if record.meta is not None:
@@ -221,41 +237,34 @@ class StreamingSurvey:
             self._slot_prb[slot] = prb_id
         return slot
 
-    def _ingest_trace(self, record: TraceRecord) -> None:
-        """Stages 1–3 of the paper for one arriving traceroute —
-        the same decisions
-        :func:`repro.core.kernels.flat.scan_lastmile_flat` makes, one
-        record at a time."""
-        result = record.result
-        quality = self.scan_quality
-        quality.ingest(LASTMILE_STAGE)
-        timestamp = result.timestamp
-        if not np.isfinite(timestamp):
-            quality.drop(
-                LASTMILE_STAGE, DropReason.MALFORMED_RECORD,
-                detail=f"probe {result.prb_id}: timestamp "
-                f"{timestamp!r}",
-            )
-            return
-        duration = self.grid.num_bins * self.grid.bin_seconds
-        if timestamp < 0 or timestamp > duration:
-            quality.drop(
-                LASTMILE_STAGE, DropReason.OUT_OF_PERIOD,
-                detail=f"probe {result.prb_id}: timestamp "
-                f"{timestamp:.0f}s outside 0..{duration}s",
-            )
-            return
-        bin_index = int(self.grid.bin_index(timestamp))
-        samples = lastmile_samples(result)
-        counted = self._observe(result.prb_id, bin_index, samples)
-        if counted and not samples:
-            # Counted toward bin sanity, but flagged: the probe was
-            # measuring yet produced no usable boundary pair.
-            quality.degrade(
-                LASTMILE_STAGE, DropReason.NO_BOUNDARY,
-                detail=f"probe {result.prb_id}: no usable "
-                "private→public hop pair",
-            )
+    def _ingest_traces(self, records: List[TraceRecord]) -> int:
+        """Stages 1–3 of the paper for a run of arriving traceroutes:
+        the batch scan's :func:`~repro.core.kernels.flat.gate`, a stale
+        drop against the watermark, its
+        :func:`~repro.core.kernels.flat.sample_lastmile` over the fresh
+        records, then the columnar :meth:`_ingest_batch`.  A stale
+        record is never walked, so it is never booked ``NO_BOUNDARY``.
+        """
+        results = [record.result for record in records]
+        bins = gate(results, self.grid)
+        prb_ids = np.fromiter(
+            (result.prb_id for result in results), dtype=np.int64,
+            count=len(results),
+        )
+        stale = (bins >= 0) & (bins <= self._closed_through)
+        for row in np.flatnonzero(stale).tolist():
+            self._stale(int(prb_ids[row]), int(bins[row]))
+        fresh = np.flatnonzero(bins > self._closed_through)
+        sizes, samples = sample_lastmile(
+            results, bins, fresh, self.grid, self.scan_quality
+        )
+        offsets = np.zeros(len(fresh) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        self._ingest_batch(
+            SampleBatch(prb_ids[fresh], bins[fresh], offsets, samples)
+        )
+        self.records_ingested += len(records)
+        return len(records)
 
     def _stale(self, prb_id: int, bin_index: int) -> None:
         self.stale_records += 1

@@ -15,7 +15,7 @@ tolerance it holds the seeded worlds to).
 NaN samples *propagate*, as in the kernels (``numpy.median`` over a
 set containing NaN is NaN): they are not silently skipped.  Upstream
 stages are expected to have filtered insane replies already
-(:func:`repro.core.lastmile.lastmile_samples`); an estimator that hid
+(:func:`repro.core.kernels.flat.walk_hops`); an estimator that hid
 a NaN would mask a pipeline bug.
 """
 

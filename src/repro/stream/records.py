@@ -11,9 +11,9 @@ three record granularities and one column batch:
   whose series was lost (``tracked=False`` — the PoisonAS fault shape)
   reproduces the batch pipeline's metadata-without-data accounting.
 * :class:`TraceRecord` — one raw traceroute, the engine's native
-  arrival unit.  Timestamp gating, binning and boundary sampling
-  mirror :func:`repro.core.kernels.flat.scan_lastmile_flat` decision
-  for decision.
+  arrival unit.  A run of them rides the batch scan of
+  :mod:`repro.core.kernels.flat` — the same gate, hop walk and ledger
+  — into one column batch.
 * :class:`SampleRecord` — one already-sampled traceroute: a bin index
   plus its last-mile samples (possibly empty: a boundary-less
   traceroute that still counts toward bin sanity).

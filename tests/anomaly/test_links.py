@@ -1,16 +1,14 @@
-"""Unit tests for per-link differential extraction on hand-built paths."""
+"""Unit tests for per-link differential extraction on hand-built paths.
+
+``link_samples`` and ``next_hop_pairs`` read one traceroute's links
+and forwarding observations back out of :func:`scan_links`."""
 
 import datetime as dt
 
+import numpy as np
 import pytest
 
-from repro.anomaly import (
-    link_id,
-    link_samples,
-    next_hop_pairs,
-    scan_links,
-    split_link_id,
-)
+from repro.anomaly import link_id, scan_links, split_link_id
 from repro.atlas.traceroute import Hop, Reply, TracerouteResult
 from repro.quality import DataQualityReport, DropReason
 from repro.timebase import MeasurementPeriod, TimeGrid
@@ -35,6 +33,28 @@ def trace(timestamp, path, prb_id=1, dst="9.9.9.9"):
 GRID = TimeGrid(
     MeasurementPeriod("links", dt.datetime(2019, 9, 2), 1), 1800
 )
+
+
+def link_samples(result):
+    """``(link, samples)`` of every link one traceroute observed, in
+    link-id order, samples in scan order."""
+    scan = scan_links({1: [result]}, GRID)
+    rows = scan.keys // GRID.num_bins
+    return [
+        (key, scan.values[rows == row].tolist())
+        for row, key in enumerate(scan.links)
+    ]
+
+
+def next_hop_pairs(result):
+    """``(near, dst, far)`` forwarding observations of one traceroute."""
+    scan = scan_links({1: [result]}, GRID)
+    return [
+        (near, dst, far)
+        for (near, dst), bins in scan.next_hops.items()
+        for fars in bins.values()
+        for far in fars
+    ]
 
 
 class TestLinkId:
@@ -124,22 +144,28 @@ class TestScan:
         ]}
         scan = scan_links(results, GRID, quality=quality)
         assert scan.processed == 4
-        assert scan.counts[("10.0.0.1", "10.0.0.2")] == {0: 1}
+        assert scan.links == [("10.0.0.1", "10.0.0.2")]
+        assert scan.counts[0, 0] == scan.counts.sum() == 1
         counted = quality.stages["anomaly-links"]
         assert counted.dropped[DropReason.MALFORMED_RECORD] == 1
         assert counted.dropped[DropReason.OUT_OF_PERIOD] == 1
         assert counted.degraded[DropReason.NO_BOUNDARY] == 1
 
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_non_positive_shards_rejected(self, shards):
+        with pytest.raises(ValueError, match="shards must be at least 1"):
+            scan_links({1: []}, GRID, shards=shards)
+
     def test_sharded_scan_merges_to_serial(self, sim, grid):
         serial = scan_links(sim[0].results, grid)
         sharded = scan_links(sim[0].results, grid, shards=3)
         assert sharded.processed == serial.processed
-        assert sharded.counts == serial.counts
+        assert sharded.links == serial.links
+        assert np.array_equal(sharded.counts, serial.counts)
         assert sharded.next_hops == serial.next_hops
         # Sample multisets match per (link, bin); order may differ.
-        assert sharded.samples.keys() == serial.samples.keys()
-        for key, bins in serial.samples.items():
-            assert sharded.samples[key].keys() == bins.keys()
-            for bin_index, values in bins.items():
-                assert sorted(sharded.samples[key][bin_index]) == \
-                    sorted(values)
+        for scan in (serial, sharded):
+            order = np.lexsort((scan.values, scan.keys))
+            scan.keys, scan.values = scan.keys[order], scan.values[order]
+        assert np.array_equal(sharded.keys, serial.keys)
+        assert np.array_equal(sharded.values, serial.values)

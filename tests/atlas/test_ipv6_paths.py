@@ -114,11 +114,10 @@ class TestV6Measurements:
         assert ":" in first.dst_address
         assert first.msm_id >= 6001  # offset series
         # Boundary detection works on the v6 hops.
-        from repro.core.lastmile import find_boundary
+        from repro.core.kernels.flat import walk_hops
 
-        boundary = find_boundary(first)
-        assert boundary is not None
-        assert boundary.last_private is not None
+        [last_private] = walk_hops([first]).near
+        assert last_private is not None
 
     def test_v6_delay_flat_while_v4_congested(self, legacy_world):
         """The future-work experiment in miniature: same probes, same

@@ -12,7 +12,7 @@ from repro.core import (
     estimate_dataset,
     probe_queuing_delay,
 )
-from repro.core.lastmile import find_boundary
+from repro.core.kernels.flat import walk_hops
 from repro.netbase import AccessTechnology, ASInfo, ASRole
 from repro.timebase import MeasurementPeriod, TimeGrid
 from repro.topology import ProvisioningPolicy, World
@@ -110,8 +110,8 @@ class TestEngineEffects:
         target = world.targets[0]
         before = engine.measure(probe, target, half - 3600, 5001)
         after = engine.measure(probe, target, half + 3600, 5001)
-        addr_before = find_boundary(before).first_public.responding_address
-        addr_after = find_boundary(after).first_public.responding_address
+        [addr_before] = walk_hops([before]).far
+        [addr_after] = walk_hops([after]).far
         assert addr_before != addr_after
         # Both aliases belong to the same device's alias set.
         aliases = {

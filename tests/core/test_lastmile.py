@@ -9,9 +9,9 @@ from repro.atlas import Hop, Reply, TracerouteResult
 from repro.core import (
     classify_hop_address,
     estimate_probe_series,
-    find_boundary,
     lastmile_samples,
 )
+from repro.core.kernels.flat import walk_hops
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 
@@ -62,11 +62,21 @@ class TestClassifyHopAddress:
         assert classify_hop_address("garbage") == "other"
 
 
+def find_boundary(result):
+    """``(last private, first public)`` addresses of the boundary pair
+    the scan's hop walk selects (last private None for an anchor), or
+    None when no public hop responds."""
+    pairs = walk_hops([result])
+    if not pairs.far:
+        return None
+    [near], [far] = pairs.near, pairs.far
+    return near, far
+
+
 class TestFindBoundary:
     def test_typical(self):
         boundary = find_boundary(typical_traceroute())
-        assert boundary.last_private.responding_address == "192.168.1.1"
-        assert boundary.first_public.responding_address == "60.0.0.1"
+        assert boundary == ("192.168.1.1", "60.0.0.1")
 
     def test_two_private_hops_takes_last(self):
         result = traceroute([
@@ -75,7 +85,7 @@ class TestFindBoundary:
             hop(3, "60.0.0.1", [4.0] * 3),
         ])
         boundary = find_boundary(result)
-        assert boundary.last_private.responding_address == "192.168.1.1"
+        assert boundary[0] == "192.168.1.1"
 
     def test_no_private_hops_anchor_case(self):
         result = traceroute([
@@ -83,8 +93,7 @@ class TestFindBoundary:
             hop(2, "80.0.0.1", [2.0] * 3),
         ])
         boundary = find_boundary(result)
-        assert boundary.last_private is None
-        assert boundary.first_public.responding_address == "60.0.0.1"
+        assert boundary == (None, "60.0.0.1")
 
     def test_all_timeouts_returns_none(self):
         result = traceroute([
@@ -100,7 +109,7 @@ class TestFindBoundary:
             hop(3, "60.0.0.1", [4.0] * 3),
         ])
         boundary = find_boundary(result)
-        assert boundary.first_public.responding_address == "60.0.0.1"
+        assert boundary[1] == "60.0.0.1"
 
     def test_loopback_hop_not_treated_as_public(self):
         result = traceroute([
@@ -109,7 +118,7 @@ class TestFindBoundary:
             hop(3, "60.0.0.1", [4.0] * 3),
         ])
         boundary = find_boundary(result)
-        assert boundary.first_public.responding_address == "60.0.0.1"
+        assert boundary == ("192.168.1.1", "60.0.0.1")
 
 
 class TestLastmileSamples:

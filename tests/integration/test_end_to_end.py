@@ -96,13 +96,11 @@ class TestResolution:
         assert len(hot_probes) == 4
         # First public hop of a HotNet traceroute is NOT in the RIB.
         result = raw.for_probe(hot_probes[0])[0]
-        from repro.core.lastmile import find_boundary
+        from repro.core.kernels.flat import walk_hops
         from repro.netbase import parse_address
 
-        boundary = find_boundary(result)
-        value, version = parse_address(
-            boundary.first_public.responding_address
-        )
+        [first_public] = walk_hops([result]).far
+        value, version = parse_address(first_public)
         assert world.table.resolve_asn(value, version) is None
 
 

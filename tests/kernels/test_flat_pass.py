@@ -32,12 +32,12 @@ from repro.core.lastmile import (
     STAGE,
     e2e_samples,
     estimate_probe_series,
-    lastmile_samples,
 )
 from repro.io import survey_to_dict
 from repro.quality import DataQualityReport, DropReason
 from repro.timebase import MeasurementPeriod, TimeGrid
 
+from tests.core.lastmile_oracle import lastmile_samples
 from tests.core.test_lastmile import hop, traceroute, typical_traceroute
 from tests.kernels.test_differential import (
     PERIOD,
@@ -201,7 +201,7 @@ class TestFlatScan:
 
         expected_bins, expected_values = [], []
         duration = GRID.num_bins * GRID.bin_seconds
-        pair_chunks, anchor_chunks = [], []
+        chunks = []
         for r in results:
             ts = r.timestamp
             if not np.isfinite(ts) or ts < 0 or ts > duration:
@@ -210,16 +210,9 @@ class TestFlatScan:
             if not samples:
                 continue
             b = int(GRID.bin_index(ts))
-            has_private = any(
-                h.responding_address
-                and h.responding_address.startswith(("192.168", "10."))
-                for h in r.hops
-            )
-            (pair_chunks if has_private else anchor_chunks).append(
-                (b, samples)
-            )
-        # Flat layout: all pairwise chunks first, anchors after.
-        for b, samples in pair_chunks + anchor_chunks:
+            chunks.append((b, samples))
+        # Flat layout: traceroute order, pairwise and anchor alike.
+        for b, samples in chunks:
             expected_bins.extend([b] * len(samples))
             expected_values.extend(samples)
 

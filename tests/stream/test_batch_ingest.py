@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels.flat import bin_medians, plan_chunks
-from repro.core.lastmile import STAGE as LASTMILE_STAGE, lastmile_samples
+from repro.core.lastmile import STAGE as LASTMILE_STAGE
 from repro.core.series import LastMileDataset, ProbeBinSeries
 from repro.quality import DropReason
 from repro.scenarios import generate_specs
@@ -46,6 +46,7 @@ from repro.stream import (
 )
 from repro.stream.engine import STAGE
 from repro.timebase import MeasurementPeriod
+from tests.core.lastmile_oracle import lastmile_samples
 from tests.kernels.test_differential import degenerate_dataset
 from tests.stream.conftest import (
     WORLD_SEED,
