@@ -81,7 +81,7 @@ class TestMainGuard:
         written = {p.name for p in out_dir.glob("*.json")}
         assert written == {
             "survey_golden.json", "survey_streamed_golden.json",
-            "anomaly_golden.json",
+            "anomaly_golden.json", "raclette_golden.json",
         }
 
     def test_clean_tree_regenerates(self, repo, tmp_path):
