@@ -12,7 +12,7 @@ Run the CLI on an Atlas-schema JSON-lines file::
 
 from .alerts import Alert, AlertSink, ListSink, PrintSink
 from .monitor import LastMileMonitor, MonitorConfig
-from .sketch import ExactMedian, P2Quantile, RollingMinimum
+from .sketch import RollingMinimum
 
 __all__ = [
     "Alert",
@@ -21,7 +21,5 @@ __all__ = [
     "PrintSink",
     "LastMileMonitor",
     "MonitorConfig",
-    "ExactMedian",
-    "P2Quantile",
     "RollingMinimum",
 ]

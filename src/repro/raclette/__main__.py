@@ -11,6 +11,12 @@ prefix convention used by the simulator's exports; with a RIB dump
 (the :meth:`repro.bgp.RoutingTable.to_text` format) probes are mapped
 to ASes by longest-prefix match of their public address, as in the
 paper.
+
+The input must be roughly in timestamp order, as the Atlas result
+stream is: a bin closes once the stream head is more than two bins
+past it, and a result that arrives for a closed bin is dropped and
+counted as ``stale-record`` in the summary's ``dropped:`` section.
+Lines are fed to the monitor in runs of :data:`RUN_LINES`.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from ..obs import Observability, observed, render_trace, write_report
 from ..quality import DropReason
 from .alerts import PrintSink
 from .monitor import STAGE, LastMileMonitor, MonitorConfig
+
+#: Parsed results handed to the monitor per call.
+RUN_LINES = 1024
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +121,9 @@ def run(argv=None) -> int:
     return code
 
 
-def _run_stream(args) -> int:
+def monitor_stream(args, sink=None) -> LastMileMonitor:
+    """Feed the parsed ``results`` file (or stdin) through a monitor
+    built from ``args``, flush it, and return it."""
     from ..obs import get_observer
 
     obs = get_observer()
@@ -124,13 +135,14 @@ def _run_stream(args) -> int:
             alert_min_bins=args.min_bins,
             baseline_window_bins=args.baseline_bins,
         ),
-        sink=PrintSink(),
+        sink=sink,
     )
 
     handle = sys.stdin if args.results == "-" else open(args.results)
     try:
         with obs.stage_span("monitor-stream", src=args.results) as span:
             lines_read = 0
+            run = []
             for line in handle:
                 line = line.strip()
                 if not line:
@@ -154,7 +166,11 @@ def _run_stream(args) -> int:
                     )
                     continue
                 note_address(result.prb_id, result.from_address)
-                monitor.ingest(result)
+                run.append(result)
+                if len(run) == RUN_LINES:
+                    monitor.ingest_many(run)
+                    run = []
+            monitor.ingest_many(run)
             monitor.flush()
             obs.items_in(STAGE, lines_read)
             obs.items_out(STAGE, monitor.results_seen)
@@ -163,6 +179,11 @@ def _run_stream(args) -> int:
         if handle is not sys.stdin:
             handle.close()
     obs.record_quality(monitor.quality)
+    return monitor
+
+
+def _run_stream(args) -> int:
+    monitor = monitor_stream(args, sink=PrintSink())
 
     print()
     print(monitor.summary())

@@ -1,41 +1,68 @@
 """Streaming last-mile monitor (the paper's *raclette* artifact).
 
-Consumes traceroute results as they arrive (roughly timestamp-ordered,
-as the Atlas result stream is), maintains per-probe 30-minute bins,
+Consumes traceroute results as they arrive, one at a time or in runs,
 and — as bins close — updates per-AS aggregated queueing-delay state
 with a rolling propagation-delay baseline.  Sustained deviations raise
 :class:`~repro.raclette.alerts.Alert` records.
 
-The streaming estimates match the batch pipeline's (same bin width,
-same median semantics, same sanity threshold); the only difference is
-the baseline, which is a rolling-window minimum instead of a
-whole-period minimum — the right choice for an unbounded stream.
+A run of results goes through the batch scan
+(:func:`~repro.core.kernels.flat.gate`, one
+:func:`~repro.core.kernels.flat.sample_lastmile` walk) into the stream
+engine's open-bin store (:class:`~repro.stream.openbins.OpenBins`),
+which closes each probe's bin with the batch estimator: same bin
+width, median and sanity threshold.  The monitor adds duplicate
+suppression, the per-AS median of probe medians, the rolling baseline
+(rather than a whole-period minimum: the stream is unbounded) and the
+alert rule.
+
+Bins close at one watermark, the stream head (the highest bin seen so
+far) minus :data:`MAX_OPEN_BINS`; a result for a bin below it is
+dropped as ``STALE_RECORD``, so the input must arrive roughly in
+timestamp order.  The head is a running maximum, so the output does
+not depend on how the stream is split into runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..atlas.traceroute import TracerouteResult
-from ..core.lastmile import MIN_TRACEROUTES_PER_BIN, lastmile_samples
+from ..core.kernels.flat import MALFORMED, gate, sample_lastmile
+from ..core.lastmile import MIN_TRACEROUTES_PER_BIN
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
+from ..stream.openbins import OpenBins
 from ..timebase import DELAY_BIN_SECONDS
 from .alerts import Alert, AlertSink, ListSink
-from .sketch import ExactMedian, RollingMinimum
+from .sketch import RollingMinimum
 
 STAGE = "raclette-monitor"
+
+#: Bins an open bin may lag the stream head before it closes: the
+#: out-of-order tolerance.
+MAX_OPEN_BINS = 2
+
+
+class _StreamGrid:
+    """The stream's bin grid for :func:`gate`: 30-minute bins from the
+    epoch of the result timestamps, with no end."""
+
+    bin_seconds = DELAY_BIN_SECONDS
+    num_bins = math.inf
+
+    @staticmethod
+    def bin_index(seconds: np.ndarray) -> np.ndarray:
+        return np.floor_divide(seconds, DELAY_BIN_SECONDS).astype(np.int64)
 
 
 @dataclass
 class MonitorConfig:
     """Tunables of the streaming monitor."""
 
-    bin_seconds: int = DELAY_BIN_SECONDS
-    min_traceroutes: int = MIN_TRACEROUTES_PER_BIN
     #: Rolling-baseline window, in bins (336 = one week of 30-min bins).
     baseline_window_bins: int = 336
     #: Aggregated delay above baseline that arms an alert (the paper's
@@ -44,41 +71,15 @@ class MonitorConfig:
     #: Consecutive elevated bins required before an alert fires — the
     #: streaming analogue of "persistent" (4 bins = 2 hours).
     alert_min_bins: int = 4
-    #: Bins a probe may lag behind the stream head before its open bin
-    #: is force-closed (out-of-order tolerance).
-    max_open_bins: int = 2
-
-
-class _ProbeState:
-    """Open-bin accumulator for one probe."""
-
-    __slots__ = ("current_bin", "median", "count", "seen")
-
-    def __init__(self):
-        self.current_bin: Optional[int] = None
-        self.median = ExactMedian()
-        self.count = 0
-        #: (msm_id, timestamp) keys seen in the open bin — duplicate
-        #: suppression bounded to one bin's worth of memory.
-        self.seen = set()
-
-    def reset(self, bin_index: int) -> None:
-        self.current_bin = bin_index
-        self.median = ExactMedian()
-        self.count = 0
-        self.seen = set()
 
 
 class _ASState:
     """Aggregation state for one AS."""
 
-    __slots__ = ("baseline", "pending", "elevated_bins", "history",
-                 "alerting")
+    __slots__ = ("baseline", "elevated_bins", "history", "alerting")
 
     def __init__(self, window: int):
         self.baseline = RollingMinimum(window)
-        #: bin index -> list of per-probe medians awaiting aggregation.
-        self.pending: Dict[int, List[float]] = {}
         self.elevated_bins = 0
         #: closed (bin_index, aggregated_delay) pairs, newest last.
         self.history: List[tuple] = []
@@ -102,9 +103,17 @@ class LastMileMonitor:
         self.asn_of = asn_of
         self.config = config or MonitorConfig()
         self.sink = sink if sink is not None else ListSink()
-        self._probes: Dict[int, _ProbeState] = {}
+        self._store = OpenBins()
+        #: Store slot of each probe, and each slot's probe.
+        self._slots: Dict[int, int] = {}
+        self._slot_prb: List[int] = []
+        #: Open bin -> ``(slot, msm_id, timestamp)`` of its accepted
+        #: results: duplicate suppression bounded to the open bins, and
+        #: their traceroute counts.
+        self._seen: Dict[int, Set[Tuple[int, int, float]]] = {}
         self._ases: Dict[int, _ASState] = {}
         self._head_bin = -1
+        self._closed_through = -1
         self.results_seen = 0
         self.bins_closed = 0
         self.alerts_emitted = 0
@@ -155,142 +164,159 @@ class LastMileMonitor:
     # -- ingestion -------------------------------------------------------
 
     def ingest(self, result: TracerouteResult) -> None:
-        """Feed one traceroute result.
+        """Feed one traceroute result: a run of one."""
+        self.ingest_many((result,))
+
+    def ingest_many(self, results) -> None:
+        """Feed a run of results, then close the bins it left behind
+        the watermark.
 
         Tolerates what live streams do: duplicated results are dropped,
         stale stragglers (bins already closed) are dropped, records
-        with non-finite timestamps or malformed hop data are dropped —
-        each with a reason code on :attr:`quality` — and gaps simply
-        leave bins unclosed, which the rolling baseline rides out.
+        with non-finite or pre-epoch timestamps are dropped — each with
+        a reason code on :attr:`quality` — and gaps simply leave bins
+        unfilled, which the rolling baseline rides out.
         """
-        self.results_seen += 1
-        self._m_results.inc()
-        self.quality.ingest(STAGE)
-        timestamp = result.timestamp
-        if not np.isfinite(timestamp):
-            self._drop_record(
-                DropReason.MALFORMED_RECORD,
-                f"probe {result.prb_id}: timestamp {timestamp!r}",
-            )
+        results = list(results)
+        if not results:
             return
-        bin_index = int(timestamp // self.config.bin_seconds)
-        if bin_index > self._head_bin:
-            self._head_bin = bin_index
-            self._expire_lagging_probes()
-
-        state = self._probes.get(result.prb_id)
-        if state is None:
-            state = _ProbeState()
-            state.reset(bin_index)
-            self._probes[result.prb_id] = state
-        elif state.current_bin is None:
-            state.reset(bin_index)
-        elif bin_index != state.current_bin:
-            if bin_index < state.current_bin:
+        self.results_seen += len(results)
+        self._m_results.inc(len(results))
+        self.quality.ingest(STAGE, len(results))
+        bins = gate(results, _StreamGrid)
+        heads = np.maximum.accumulate(np.maximum(bins, self._head_bin))
+        closed = np.maximum(heads - MAX_OPEN_BINS - 1, self._closed_through)
+        kept: List[int] = []
+        slots: List[int] = []
+        for row, (result, bin_index, closed_through) in enumerate(
+            zip(results, bins.tolist(), closed.tolist())
+        ):
+            prb_id = result.prb_id
+            if bin_index < 0:
+                reason = (
+                    DropReason.MALFORMED_RECORD if bin_index == MALFORMED
+                    else DropReason.OUT_OF_PERIOD
+                )
+                self._drop_record(
+                    reason, f"probe {prb_id}: timestamp {result.timestamp!r}"
+                )
+            elif bin_index <= closed_through:
                 self._drop_record(
                     DropReason.STALE_RECORD,
-                    f"probe {result.prb_id}: bin {bin_index} "
-                    f"already closed (open bin {state.current_bin})",
+                    f"probe {prb_id}: bin {bin_index} already closed "
+                    f"(watermark {closed_through + 1})",
                 )
-                return  # stale straggler: already closed that bin
-            self._close_probe_bin(result.prb_id, state)
-            state.reset(bin_index)
+            else:
+                slot = self._slot(prb_id)
+                key = (slot, result.msm_id, result.timestamp)
+                seen = self._seen.setdefault(bin_index, set())
+                if key in seen:
+                    self._drop_record(
+                        DropReason.DUPLICATE_RECORD,
+                        f"probe {prb_id}: msm {result.msm_id} "
+                        f"@{result.timestamp:.0f}s repeated",
+                    )
+                    continue
+                seen.add(key)
+                kept.append(row)
+                slots.append(slot)
+        rows = np.asarray(kept, dtype=np.int64)
+        sizes, samples = sample_lastmile(
+            results, bins, rows, _StreamGrid, None
+        )
+        self._store.extend(
+            np.repeat(np.asarray(slots, dtype=np.int64), sizes),
+            np.repeat(bins[rows], sizes), samples,
+        )
+        self._head_bin = int(heads[-1])
+        self._close_through(self._head_bin - MAX_OPEN_BINS - 1)
 
-        key = (result.msm_id, timestamp)
-        if key in state.seen:
-            self._drop_record(
-                DropReason.DUPLICATE_RECORD,
-                f"probe {result.prb_id}: msm {result.msm_id} "
-                f"@{timestamp:.0f}s repeated",
-            )
-            return
-        state.seen.add(key)
-
-        state.count += 1
-        try:
-            samples = lastmile_samples(result)
-        except (ValueError, TypeError) as exc:
-            self._drop_record(
-                DropReason.MALFORMED_RECORD,
-                f"probe {result.prb_id}: {exc}",
-            )
-            return
-        if samples:
-            state.median.extend(samples)
-
-    def ingest_many(self, results) -> None:
-        """Feed an iterable of results."""
-        for result in results:
-            self.ingest(result)
+    def _slot(self, prb_id: int) -> int:
+        slot = self._slots.get(prb_id)
+        if slot is None:
+            slot = self._slots[prb_id] = len(self._slot_prb)
+            self._slot_prb.append(prb_id)
+        return slot
 
     def flush(self) -> None:
         """Close every open bin (end of stream)."""
-        for prb_id, state in self._probes.items():
-            if state.current_bin is not None:
-                self._close_probe_bin(prb_id, state)
-                state.current_bin = None
-        for asn in list(self._ases):
-            self._aggregate_ready(asn, up_to_bin=None)
+        self._close_through(self._head_bin)
 
     # -- bin closing -------------------------------------------------------
 
-    def _expire_lagging_probes(self) -> None:
-        horizon = self._head_bin - self.config.max_open_bins
-        for prb_id, state in self._probes.items():
-            if state.current_bin is not None and state.current_bin < horizon:
-                self._close_probe_bin(prb_id, state)
-                state.current_bin = None
-        for asn in list(self._ases):
-            self._aggregate_ready(asn, up_to_bin=horizon)
-
-    def _close_probe_bin(self, prb_id: int, state: _ProbeState) -> None:
-        self.bins_closed += 1
-        self._m_bins_closed.inc()
-        if state.count < self.config.min_traceroutes:
-            # The paper's disconnected-probe sanity check.
-            self._skip_bin(
-                DropReason.SPARSE_BIN,
-                f"probe {prb_id}: bin {state.current_bin} closed with "
-                f"{state.count} < {self.config.min_traceroutes} "
-                "traceroutes",
-            )
+    def _close_through(self, bin_index: int) -> None:
+        """Close every open bin ≤ ``bin_index``: probe medians from the
+        store, sanity and mapping checks, then per-AS aggregation in
+        bin order."""
+        if bin_index <= self._closed_through:
             return
-        median = state.median.median()
-        if median is None:
-            self._skip_bin(
-                DropReason.NO_VALID_BINS,
-                f"probe {prb_id}: bin {state.current_bin} had no "
-                "usable last-mile samples",
-            )
+        self._closed_through = bin_index
+        counts: Dict[Tuple[int, int], int] = {}
+        for closing in sorted(b for b in self._seen if b <= bin_index):
+            for slot, _msm, _timestamp in self._seen.pop(closing):
+                counts[slot, closing] = counts.get((slot, closing), 0) + 1
+        if not counts:
             return
-        asn = self.asn_of(prb_id)
-        if asn is None:
-            self._skip_bin(
-                DropReason.UNRESOLVED_ASN,
-                f"probe {prb_id}: no AS mapping; bin "
-                f"{state.current_bin} discarded",
-            )
-            return
-        as_state = self._ases.get(asn)
-        if as_state is None:
-            as_state = _ASState(self.config.baseline_window_bins)
-            self._ases[asn] = as_state
-            self._m_asns.set(len(self._ases))
-        as_state.pending.setdefault(state.current_bin, []).append(median)
-
-    def _aggregate_ready(self, asn: int, up_to_bin: Optional[int]) -> None:
-        state = self._ases[asn]
-        ready = sorted(
-            b for b in state.pending
-            if up_to_bin is None or b < up_to_bin
+        key_slots, key_bins, _counts, medians = self._store.close_through(
+            bin_index, np.asarray(self._slot_prb, dtype=np.int64),
+            lambda slots, bins: np.array([
+                counts[key] for key in zip(slots.tolist(), bins.tolist())
+            ], dtype=np.int64),
+            MIN_TRACEROUTES_PER_BIN, None,
         )
-        for bin_index in ready:
-            medians = state.pending.pop(bin_index)
-            raw = float(np.median(medians))
-            baseline = state.baseline.push(raw)
-            delay = max(raw - baseline, 0.0)
-            state.history.append((bin_index, delay))
-            self._evaluate_alert(asn, state, bin_index, delay)
+        median_of = dict(zip(
+            zip(key_slots.tolist(), key_bins.tolist()), medians.tolist()
+        ))
+        self.bins_closed += len(counts)
+        self._m_bins_closed.inc(len(counts))
+        #: (bin, AS) -> probe medians, in bin order.
+        ready: Dict[Tuple[int, int], List[float]] = {}
+        for slot, closing in sorted(
+            counts, key=lambda key: (key[1], self._slot_prb[key[0]])
+        ):
+            prb_id = self._slot_prb[slot]
+            count = counts[slot, closing]
+            if count < MIN_TRACEROUTES_PER_BIN:
+                # The paper's disconnected-probe sanity check.
+                self._skip_bin(
+                    DropReason.SPARSE_BIN,
+                    f"probe {prb_id}: bin {closing} closed with "
+                    f"{count} < {MIN_TRACEROUTES_PER_BIN} traceroutes",
+                )
+                continue
+            median = median_of.get((slot, closing))
+            if median is None:
+                self._skip_bin(
+                    DropReason.NO_VALID_BINS,
+                    f"probe {prb_id}: bin {closing} had no "
+                    "usable last-mile samples",
+                )
+                continue
+            asn = self.asn_of(prb_id)
+            if asn is None:
+                self._skip_bin(
+                    DropReason.UNRESOLVED_ASN,
+                    f"probe {prb_id}: no AS mapping; bin "
+                    f"{closing} discarded",
+                )
+                continue
+            ready.setdefault((closing, asn), []).append(median)
+        for (closing, asn), probe_medians in ready.items():
+            self._aggregate(asn, closing, probe_medians)
+
+    def _aggregate(
+        self, asn: int, bin_index: int, probe_medians: List[float]
+    ) -> None:
+        state = self._ases.get(asn)
+        if state is None:
+            state = _ASState(self.config.baseline_window_bins)
+            self._ases[asn] = state
+            self._m_asns.set(len(self._ases))
+        raw = float(np.median(probe_medians))
+        baseline = state.baseline.push(raw)
+        delay = max(raw - baseline, 0.0)
+        state.history.append((bin_index, delay))
+        self._evaluate_alert(asn, state, bin_index, delay)
 
     # -- alerting -----------------------------------------------------------
 
@@ -310,7 +336,7 @@ class LastMileMonitor:
                 self.sink.emit(Alert(
                     asn=asn,
                     start_bin=bin_index - cfg.alert_min_bins + 1,
-                    bin_seconds=cfg.bin_seconds,
+                    bin_seconds=DELAY_BIN_SECONDS,
                     delay_ms=delay,
                     kind="congestion-start",
                 ))
@@ -321,7 +347,7 @@ class LastMileMonitor:
                 self.sink.emit(Alert(
                     asn=asn,
                     start_bin=bin_index,
-                    bin_seconds=cfg.bin_seconds,
+                    bin_seconds=DELAY_BIN_SECONDS,
                     delay_ms=delay,
                     kind="congestion-end",
                 ))

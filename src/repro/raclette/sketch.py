@@ -1,164 +1,17 @@
-"""Online statistics sketches for streaming RTT analysis.
+"""The streaming propagation-delay baseline.
 
-The batch pipeline keeps every sample of a bin in memory before taking
-the median.  A monitoring deployment (the paper's released *raclette*
-tool watches the whole Atlas firehose) cannot: it needs bounded-memory
-estimators.  This module provides:
-
-* :class:`ExactMedian` — keeps samples; reference implementation and
-  the right choice for per-probe bins (≤ a few hundred samples).
-* :class:`P2Quantile` — the Jain & Chlamtac (1985) P² algorithm:
-  estimates a quantile with five markers, O(1) memory and update.
-* :class:`RollingMinimum` — sliding-window minimum over the last N
-  values in amortized O(1) (monotonic deque), used for the streaming
-  propagation-delay baseline.
+The batch pipeline subtracts each probe's whole-period minimum; an
+unbounded stream has no period.  :class:`RollingMinimum` is the
+streaming stand-in: a sliding-window minimum over the last N values
+in amortized O(1) (monotonic deque).  Per-probe bin medians come from
+the stream engine's exact open-bin store
+(:class:`~repro.stream.openbins.OpenBins`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
-
-
-class ExactMedian:
-    """Exact median accumulator (stores samples)."""
-
-    __slots__ = ("_samples",)
-
-    def __init__(self):
-        self._samples: List[float] = []
-
-    def add(self, value: float) -> None:
-        """Insert one sample."""
-        self._samples.append(float(value))
-
-    def extend(self, values) -> None:
-        """Insert many samples."""
-        self._samples.extend(float(v) for v in values)
-
-    @property
-    def count(self) -> int:
-        """Number of samples seen."""
-        return len(self._samples)
-
-    def median(self) -> Optional[float]:
-        """Current median, or None when empty."""
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-class P2Quantile:
-    """P² streaming quantile estimator (Jain & Chlamtac, 1985).
-
-    Tracks one quantile ``q`` using five markers whose heights are
-    adjusted with piecewise-parabolic interpolation.  Exact until five
-    samples have arrived.
-    """
-
-    def __init__(self, q: float = 0.5):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile {q} outside (0,1)")
-        self.q = q
-        self._initial: List[float] = []
-        # Marker heights, positions, and desired positions.
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._increments: List[float] = []
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Number of samples seen."""
-        return self._count
-
-    def add(self, value: float) -> None:
-        """Insert one sample."""
-        value = float(value)
-        self._count += 1
-        if self._heights:
-            self._update(value)
-            return
-        self._initial.append(value)
-        if len(self._initial) == 5:
-            self._initialize()
-
-    def extend(self, values) -> None:
-        """Insert many samples."""
-        for value in values:
-            self.add(value)
-
-    def _initialize(self) -> None:
-        q = self.q
-        self._heights = sorted(self._initial)
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [
-            1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0,
-        ]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._initial = []
-
-    def _update(self, value: float) -> None:
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        for index in range(5):
-            self._desired[index] += self._increments[index]
-
-        for index in (1, 2, 3):
-            delta = self._desired[index] - positions[index]
-            right_gap = positions[index + 1] - positions[index]
-            left_gap = positions[index - 1] - positions[index]
-            if (delta >= 1.0 and right_gap > 1.0) or (
-                delta <= -1.0 and left_gap < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if not heights[index - 1] < candidate < heights[index + 1]:
-                    candidate = self._linear(index, step)
-                heights[index] = candidate
-                positions[index] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> Optional[float]:
-        """Current quantile estimate, or None when empty."""
-        if self._heights:
-            return self._heights[2]
-        if not self._initial:
-            return None
-        ordered = sorted(self._initial)
-        index = min(
-            len(ordered) - 1, int(round(self.q * (len(ordered) - 1)))
-        )
-        return ordered[index]
+from typing import Deque, Optional, Tuple
 
 
 class RollingMinimum:

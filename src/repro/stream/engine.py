@@ -4,7 +4,9 @@
 :func:`repro.core.survey.classify_dataset`: records are ingested one
 at a time or in micro-batches, whose unit is the column batch
 :class:`~repro.stream.records.SampleBatch` (ingested with array
-operations); every open sample is kept in one columnar store, bins
+operations); every open sample is kept in one columnar store
+(:class:`~repro.stream.openbins.OpenBins`, which the raclette monitor
+shares), bins
 are finalized as the watermark passes them, and AS-level aggregates
 plus daily-pattern classifications are recomputed *only for ASes
 whose inputs changed*.
@@ -22,8 +24,9 @@ numeric decision is delegated to the same code the batch path runs:
   watermark and its last-mile walk and ledger
   (:func:`~repro.core.kernels.flat.sample_lastmile`, same
   quality-ledger entries), and lands as one column batch;
-* bin finalization sorts the closing bins' samples out of the store
-  with one ``lexsort`` and runs the batch estimator's
+* bin finalization (:meth:`~repro.stream.openbins.OpenBins.close_through`)
+  sorts the closing bins' samples out of the store with one
+  ``lexsort`` and runs the batch estimator's
   :func:`~repro.core.kernels.flat.bin_medians` — the same mask and
   the same ``group_medians`` kernel call — over them, in chunks under
   the survey's chunk budget, so ``reference``/``vector`` selection
@@ -62,12 +65,7 @@ import numpy as np
 
 from ..core.filtering import asns_with_min_probes
 from ..core.kernels import resolve_kernels
-from ..core.kernels.flat import (
-    bin_medians,
-    gate,
-    plan_chunks,
-    sample_lastmile,
-)
+from ..core.kernels.flat import gate, sample_lastmile
 from ..core.lastmile import MIN_TRACEROUTES_PER_BIN
 from ..core.series import LastMileDataset, ProbeBinSeries
 from ..core.survey import (
@@ -82,12 +80,10 @@ from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import MeasurementPeriod, TimeGrid
 from .median import P2Median
+from .openbins import OpenBins
 from .records import ProbeRecord, SampleBatch, SampleRecord, TraceRecord
 
 STAGE = "stream-engine"
-
-_EMPTY_INT = np.zeros(0, dtype=np.int64)
-_EMPTY_FLOAT = np.zeros(0, dtype=np.float64)
 
 
 @dataclass
@@ -147,16 +143,11 @@ class StreamingSurvey:
         self._medians = np.zeros((0, self.grid.num_bins))
         self._counts = np.zeros((0, self.grid.num_bins), dtype=np.int64)
         self._meta: Dict[int, object] = {}
-        #: Exact mode's open bins, one columnar store: chunks of
-        #: ``(slot, bin, sample)`` arrays in arrival order, and the
-        #: samples of single records not yet moved into a chunk.
-        #: Single records' counts wait in ``_row_counts`` (flat
-        #: matrix indexes) until :meth:`_flush_rows`.
-        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: Exact mode's open bins, the shared columnar store.  Single
+        #: records' counts wait in ``_row_counts`` (flat matrix
+        #: indexes) until :meth:`_flush_counts`.
+        self._store = OpenBins()
         self._row_counts: List[int] = []
-        self._row_slots: List[int] = []
-        self._row_bins: List[int] = []
-        self._row_values: List[float] = []
         #: Approximate mode's open bins: one P² estimator per key.
         self._estimators: Dict[Tuple[int, int], P2Median] = {}
         self._closed_through = -1
@@ -296,9 +287,7 @@ class StreamingSurvey:
                     self._estimators[key] = P2Median()
                 self._estimators[key].extend(samples)
             else:
-                self._row_values.extend(samples)
-                self._row_slots.extend([slot] * len(samples))
-                self._row_bins.extend([bin_index] * len(samples))
+                self._store.add(slot, bin_index, samples)
         self._dirty.add(prb_id)
         return True
 
@@ -339,42 +328,17 @@ class StreamingSurvey:
         sample_rows = batch.sample_rows()
         kept = fresh[sample_rows]
         sample_rows = sample_rows[kept]
-        if len(sample_rows):
-            self._flush_rows()
-            self._chunks.append((
-                row_slots[sample_rows], bins[sample_rows],
-                batch.samples[kept],
-            ))
+        self._store.extend(
+            row_slots[sample_rows], bins[sample_rows], batch.samples[kept]
+        )
 
-    def _flush_rows(self) -> None:
-        """Apply single records' pending counts and move their
-        samples into a chunk."""
+    def _flush_counts(self) -> None:
+        """Apply single records' pending counts."""
         if self._row_counts:
             self._counts += np.bincount(
                 self._row_counts, minlength=self._counts.size
             ).reshape(self._counts.shape)
             self._row_counts = []
-        if self._row_values:
-            self._chunks.append((
-                np.array(self._row_slots, dtype=np.int64),
-                np.array(self._row_bins, dtype=np.int64),
-                np.array(self._row_values, dtype=np.float64),
-            ))
-            self._row_slots, self._row_bins, self._row_values = [], [], []
-
-    def _open_samples(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact mode's open samples as one ``(slots, bins, values)``
-        chunk, in arrival order."""
-        self._flush_rows()
-        if len(self._chunks) != 1:
-            # The empty chunk keeps the dtypes when there is no other.
-            self._chunks = [tuple(
-                np.concatenate(column) for column in zip(
-                    *self._chunks,
-                    (_EMPTY_INT, _EMPTY_INT, _EMPTY_FLOAT),
-                )
-            )]
-        return self._chunks[0]
 
     # -- bin lifecycle -------------------------------------------------
 
@@ -393,7 +357,7 @@ class StreamingSurvey:
         """Open (probe, bin) buffers currently held."""
         if self.approximate:
             return len(self._estimators)
-        slots, bins, _values = self._open_samples()
+        slots, bins, _values = self._store.samples()
         return len(np.unique(slots * self.grid.num_bins + bins))
 
     def advance_watermark(self, seconds: float) -> int:
@@ -411,20 +375,17 @@ class StreamingSurvey:
     def close_through(self, bin_index: int) -> int:
         """Finalize all open bins with index ≤ ``bin_index``.
 
-        Exact mode sorts the closing samples of the columnar store by
-        (probe, bin) with one ``lexsort`` and computes their medians
-        through :func:`~repro.core.kernels.flat.bin_medians` — the
+        Exact mode closes them in the shared store
+        (:meth:`~repro.stream.openbins.OpenBins.close_through`: the
         batch estimator's own mask and ``group_medians`` call, so
-        finalized bins are bit-identical to it — in chunks whose
-        padded sample matrix stays within the survey's chunk budget.
-        Approximate mode reads the P² marker.  Bins under the sanity
-        threshold stay NaN and are booked ``SPARSE_BIN`` on
-        :attr:`engine_quality`.
+        finalized bins are bit-identical to it).  Approximate mode
+        reads the P² marker.  Bins under the sanity threshold stay NaN
+        and are booked ``SPARSE_BIN`` on :attr:`engine_quality`.
         """
         bin_index = min(bin_index, self.grid.num_bins - 1)
         if bin_index <= self._closed_through:
             return 0
-        self._flush_rows()
+        self._flush_counts()
         if self.approximate:
             closing = sorted(
                 key for key in self._estimators if key[1] <= bin_index
@@ -442,33 +403,12 @@ class StreamingSurvey:
                 for estimator, count in zip(estimators, counts.tolist())
             ])
         else:
-            slots, bins, samples = self._open_samples()
-            closes = bins <= bin_index
-            self._chunks = [
-                (slots[~closes], bins[~closes], samples[~closes])
-            ]
-            slots, bins, samples = slots[closes], bins[closes], samples[closes]
-            order = np.lexsort((bins, self._slot_prb[slots]))
-            slots, bins, samples = slots[order], bins[order], samples[order]
-            new_key = np.ones(len(slots), dtype=bool)
-            new_key[1:] = (slots[1:] != slots[:-1]) | (bins[1:] != bins[:-1])
-            starts = np.flatnonzero(new_key)
-            key_slots, key_bins = slots[starts], bins[starts]
+            key_slots, key_bins, counts, values = self._store.close_through(
+                bin_index, self._slot_prb,
+                lambda slots, bins: self._counts[slots, bins],
+                self.min_traceroutes, self.kernels,
+            )
             key_prb = self._slot_prb[key_slots]
-            counts = self._counts[key_slots, key_bins]
-            bounds = np.append(starts, len(samples))
-            sizes = np.diff(bounds)
-            values = np.full(len(starts), np.nan)
-            for start, stop in plan_chunks(sizes.tolist(), 1):
-                values[start:stop], _estimated = bin_medians(
-                    np.repeat(
-                        np.arange(stop - start, dtype=np.int64),
-                        sizes[start:stop],
-                    ),
-                    samples[bounds[start]:bounds[stop]],
-                    counts[start:stop], self.min_traceroutes,
-                    self.kernels,
-                )
         for i in np.flatnonzero(counts < self.min_traceroutes).tolist():
             self.sparse_bins += 1
             self.engine_quality.degrade(
@@ -505,7 +445,7 @@ class StreamingSurvey:
     def dataset(self) -> LastMileDataset:
         """The current finalized view as a batch dataset (open bins
         render as NaN)."""
-        self._flush_rows()
+        self._flush_counts()
         dataset = LastMileDataset(grid=self.grid)
         for prb_id in sorted(self._slots):
             slot = self._slots[prb_id]

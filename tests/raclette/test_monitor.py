@@ -12,8 +12,6 @@ from repro.raclette import LastMileMonitor, ListSink, MonitorConfig
 from repro.timebase import MeasurementPeriod
 from repro.topology import ProvisioningPolicy, World
 
-PERIOD = MeasurementPeriod("stream", dt.datetime(2019, 9, 2), 3)
-
 
 def synthetic_result(prb_id, timestamp, lastmile_ms):
     """A minimal two-hop traceroute with a known last-mile RTT."""
@@ -29,6 +27,48 @@ def synthetic_result(prb_id, timestamp, lastmile_ms):
             Hop(2, (Reply("60.0.0.1", 0.5 + lastmile_ms),) * 3),
         ),
     )
+
+
+def run_world(seed=55, days=3):
+    """Three probes of one congested ISP (AS64500) with no outages
+    or session churn; returns the raw measurement and its period."""
+    period = MeasurementPeriod("stream", dt.datetime(2019, 9, 2), days)
+    world = World(seed=seed)
+    isp = world.add_isp(
+        ASInfo(
+            64500, "S", "JP", ASRole.EYEBALL,
+            access_technologies=[AccessTechnology.FTTH_PPPOE_LEGACY],
+        ),
+        provisioning=ProvisioningPolicy(
+            peak_utilization={
+                AccessTechnology.FTTH_PPPOE_LEGACY: 0.95
+            },
+            device_spread=0.0,
+            load_jitter_std=0.0,
+        ),
+    )
+    world.add_default_targets()
+    world.finalize()
+    platform = AtlasPlatform(world)
+    platform.config.outage_rate_per_day = 0.0
+    # Session churn shifts baselines differently under the batch and
+    # streaming baseline definitions; it is exercised elsewhere.
+    platform.config.reconnect_rate_per_day = 0.0
+    probes = platform.deploy_probes_on_isp(
+        isp, 3, version=ProbeVersion.V3
+    )
+    return platform.run_period(period, probes), period
+
+
+def world_stream(seed=55, days=3):
+    """:func:`run_world`'s results in timestamp order, and the
+    probe-to-AS map."""
+    raw, _period = run_world(seed, days)
+    stream = sorted(
+        (r for results in raw.results.values() for r in results),
+        key=lambda r: r.timestamp,
+    )
+    return stream, lambda prb_id: 64500
 
 
 def feed_constant_bins(monitor, prb_id, values_per_bin, per_bin=4):
@@ -67,8 +107,9 @@ class TestBinning:
 
     def test_stale_straggler_dropped(self):
         monitor = LastMileMonitor(asn_of=lambda p: 1)
-        feed_constant_bins(monitor, 1, [3.0, 3.0])
-        # A result from bin 0 after bin 1 started: ignored, no crash.
+        feed_constant_bins(monitor, 1, [3.0] * 4)
+        # A result from bin 0 once the head is MAX_OPEN_BINS + 1 bins
+        # past it: ignored, no crash.
         monitor.ingest(synthetic_result(1, 10.0, 50.0))
         monitor.flush()
         series = monitor.delay_series(1)
@@ -133,38 +174,13 @@ class TestStreamingMatchesBatch:
     def test_against_batch_pipeline(self):
         """Streaming per-bin delays equal the batch pipeline's
         (same bins, same medians; baseline differs only in window)."""
-        world = World(seed=55)
-        isp = world.add_isp(
-            ASInfo(
-                64500, "S", "JP", ASRole.EYEBALL,
-                access_technologies=[AccessTechnology.FTTH_PPPOE_LEGACY],
-            ),
-            provisioning=ProvisioningPolicy(
-                peak_utilization={
-                    AccessTechnology.FTTH_PPPOE_LEGACY: 0.95
-                },
-                device_spread=0.0,
-                load_jitter_std=0.0,
-            ),
-        )
-        world.add_default_targets()
-        world.finalize()
-        platform = AtlasPlatform(world)
-        platform.config.outage_rate_per_day = 0.0
-        # This test is about batch/streaming equivalence; session
-        # churn (which shifts baselines differently under the two
-        # baseline definitions) is exercised elsewhere.
-        platform.config.reconnect_rate_per_day = 0.0
-        probes = platform.deploy_probes_on_isp(
-            isp, 3, version=ProbeVersion.V3
-        )
-        raw = platform.run_period(PERIOD, probes)
+        raw, period = run_world()
 
         # Batch side.
         from repro.core import estimate_dataset
         from repro.timebase import TimeGrid
 
-        grid = TimeGrid(PERIOD)
+        grid = TimeGrid(period)
         batch = aggregate_population(estimate_dataset(
             raw.results, grid, probe_meta=raw.probe_meta
         ))
@@ -208,21 +224,34 @@ class TestStreamFaultTolerance:
         assert monitor.quality.dropped_count(
             DropReason.DUPLICATE_RECORD
         ) == 2
-        # Only one result counted toward the bin.
-        assert monitor._probes[1].count == 1
+        # Only one result counted toward the bin: it closes sparse.
+        monitor.flush()
+        assert monitor.bins_skipped == {"sparse-bin": 1}
+        assert monitor.delay_series(1) == []
 
     def test_duplicate_suppression_bounded_to_open_bin(self):
+        from repro.quality import DropReason
+
         monitor = LastMileMonitor(asn_of=lambda p: 1)
         feed_constant_bins(monitor, 1, [3.0])
-        # Bin 1 opens; bin 0's keys are forgotten.
-        monitor.ingest(synthetic_result(1, 1800.0, 3.0))
-        assert len(monitor._probes[1].seen) == 1
+        repeat = synthetic_result(1, 0.0, 3.0)
+        monitor.ingest(repeat)   # bin 0 still open: a duplicate
+        # The head reaches bin 3, closing bin 0 and forgetting its
+        # keys: the same record is now stale, not a duplicate.
+        feed_constant_bins(monitor, 2, [3.0] * 4)
+        monitor.ingest(repeat)
+        assert monitor.quality.dropped_count(
+            DropReason.DUPLICATE_RECORD
+        ) == 1
+        assert monitor.quality.dropped_count(
+            DropReason.STALE_RECORD
+        ) == 1
 
     def test_stale_straggler_counted(self):
         from repro.quality import DropReason
 
         monitor = LastMileMonitor(asn_of=lambda p: 1)
-        feed_constant_bins(monitor, 1, [3.0, 3.0])
+        feed_constant_bins(monitor, 1, [3.0] * 4)
         monitor.ingest(synthetic_result(1, 10.0, 50.0))
         assert monitor.quality.dropped_count(
             DropReason.STALE_RECORD
@@ -277,6 +306,89 @@ class TestStreamFaultTolerance:
         assert "dropped" in summary
 
 
+class TestWatermark:
+    """Bins close once, in order, when the stream head leaves them
+    ``MAX_OPEN_BINS`` behind; later records for them are stale."""
+
+    def test_late_records_for_a_closed_bin_are_stale(self):
+        from repro.quality import DropReason
+
+        monitor = LastMileMonitor(asn_of=lambda p: 1)
+        feed_constant_bins(monitor, 1, [3.0] * 4)      # bins 0-3
+        for k in range(4):                             # head -> bin 10
+            monitor.ingest(synthetic_result(
+                2, 10 * 1800.0 + k * 300.0, 3.0
+            ))
+        for k in range(4):                             # late, bin 1
+            monitor.ingest(synthetic_result(
+                1, 1800.0 + k * 300.0 + 7.0, 40.0
+            ))
+        monitor.flush()
+        assert monitor.delay_series(1) == [
+            (0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0), (10, 0.0),
+        ]
+        assert monitor.quality.dropped_count(
+            DropReason.STALE_RECORD
+        ) == 4
+
+    def test_cli_on_probe_major_simulator_output(self, tmp_path, capsys):
+        """``repro simulate`` writes one probe's results after
+        another: every probe after the first is far behind the head,
+        so its records are dropped as stale instead of reopening
+        bins."""
+        from repro.cli import main
+        from repro.raclette.__main__ import build_parser, run
+
+        results, rib = tmp_path / "sim.jsonl", tmp_path / "rib.txt"
+        assert main([
+            "simulate", str(results), "--probes", "3", "--days", "1",
+            "--seed", "0", "--rib-out", str(rib),
+        ]) == 0
+        argv = [str(results), "--rib", str(rib)]
+        capsys.readouterr()
+        assert run(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        [summary] = [line for line in out if line.startswith("raclette:")]
+        assert "dropped:" in summary
+        assert "stale-record=" in summary
+        [top] = [line for line in out if line.startswith("AS64500:")]
+        assert int(top.split()[1]) <= 48   # one day of 30-minute bins
+
+        from repro.raclette.__main__ import monitor_stream
+
+        monitor = monitor_stream(build_parser().parse_args(argv))
+        assert monitor.monitored_asns() == [64500]
+        for asn in monitor.monitored_asns():
+            bins = [b for b, _delay in monitor.delay_series(asn)]
+            assert all(a < b for a, b in zip(bins, bins[1:]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_stream_never_reaggregates_a_bin(self, seed):
+        """Each probe's results for one bin arrive together, the
+        (probe, bin) groups in random order."""
+        rng = np.random.default_rng(seed)
+        groups = [
+            [
+                synthetic_result(
+                    prb, bin_index * 1800.0 + k * 300.0 + prb,
+                    3.0 + (prb + bin_index) % 4,
+                )
+                for k in range(4)
+            ]
+            for bin_index in range(12)
+            for prb in (1, 2, 3)
+        ]
+        rng.shuffle(groups)
+        stream = [result for group in groups for result in group]
+        monitor = LastMileMonitor(asn_of=lambda p: p % 2)
+        for start in range(0, len(stream), 5):
+            monitor.ingest_many(stream[start:start + 5])
+        monitor.flush()
+        for asn in monitor.monitored_asns():
+            bins = [b for b, _delay in monitor.delay_series(asn)]
+            assert all(a < b for a, b in zip(bins, bins[1:]))
+
+
 class TestReasonCodedSkips:
     def test_sparse_bin_recorded_with_reason(self):
         from repro.quality import DropReason
@@ -303,7 +415,7 @@ class TestReasonCodedSkips:
 
     def test_summary_breaks_drops_down_by_reason(self):
         monitor = LastMileMonitor(asn_of=lambda p: 1)
-        feed_constant_bins(monitor, 1, [3.0, 3.0])
+        feed_constant_bins(monitor, 1, [3.0] * 4)
         monitor.ingest(synthetic_result(1, 10.0, 50.0))  # stale
         monitor.ingest(synthetic_result(1, float("nan"), 3.0))
         monitor.flush()
@@ -325,7 +437,7 @@ class TestMonitorMetrics:
 
         with observed() as obs:
             monitor = LastMileMonitor(asn_of=lambda p: 1)
-            feed_constant_bins(monitor, 1, [3.0, 3.0, 3.0])
+            feed_constant_bins(monitor, 1, [3.0] * 4)
             monitor.ingest(synthetic_result(1, 10.0, 50.0))  # stale
             monitor.flush()
         assert obs.metrics.get("raclette_results_total").value() == (

@@ -102,6 +102,23 @@ check("SurveyServer(...)", [
 print("ok")
 """
 
+RACLETTE_PROGRAM = """
+import sys
+
+import repro.cli
+
+start_up = set(sys.modules)
+import repro.raclette
+
+extra = sorted(
+    name for name in set(sys.modules) - start_up
+    if name != "repro.raclette" and not name.startswith("repro.raclette.")
+)
+if extra:
+    sys.exit(f"import repro.raclette loaded {extra[:5]}")
+print("ok")
+"""
+
 LAZY_NAMES_PROGRAM = """
 import repro
 from repro.core import ThroughputSeries
@@ -158,6 +175,13 @@ def test_start_up_and_batch_runs_load_no_tools(tmp_path, monkeypatch):
 
 def test_server_loads_no_client_or_pipeline_tools(tmp_path):
     run_fresh(SERVER_PROGRAM, tmp_path / "arc")
+
+
+def test_raclette_loads_only_itself_past_start_up():
+    """The monitor runs on the shared scan and the stream engine's
+    open-bin store, both in the start-up set: importing it adds no
+    module outside ``repro.raclette``."""
+    run_fresh(RACLETTE_PROGRAM)
 
 
 def test_lazy_names_resolve():
