@@ -16,7 +16,7 @@ total-variation distance from its reference pattern.
 Everything downstream of the scan is deterministic: link rows are
 processed in sorted id order, events are emitted in sorted order, and
 payload floats are rounded once at serialization — the properties the
-byte-identical cross-kernel/cross-shard contract rests on.
+byte-identical cross-kernel contract rests on.
 """
 
 from __future__ import annotations
@@ -215,7 +215,6 @@ def detect_anomalies(
     min_gap_ms: float = DEFAULT_MIN_GAP_MS,
     reference: Optional[Dict] = None,
     quality: Optional[DataQualityReport] = None,
-    shards: int = 1,
 ) -> AnomalyReport:
     """Run the full anomaly pipeline over one period's traceroutes.
 
@@ -223,17 +222,14 @@ def detect_anomalies(
     :func:`reference_from_payload` / :func:`merge_references`); when
     absent the period self-references per time-of-day slot.  The
     returned report's payload is deterministic: byte-identical across
-    kernel backends and across ``shards`` values.
+    kernel backends.
     """
     kern = resolve_kernels(kernels)
     obs = get_observer()
     with obs.stage_span(
         STAGE, probes=len(results_by_probe), kernel=kern.name,
-        shards=shards,
     ):
-        scan = scan_links(
-            results_by_probe, grid, quality=quality, shards=shards
-        )
+        scan = scan_links(results_by_probe, grid, quality=quality)
         obs.items_in(STAGE, scan.processed)
         link_ids, medians, counts = link_bin_medians(
             scan, min_samples=min_samples, kernels=kern

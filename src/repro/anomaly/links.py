@@ -14,11 +14,9 @@ are malformed, out-of-period clocks dropped), and
 every adjacent responding pair where the last-mile estimate takes the
 private→public boundary — the same sane filter and the same pairwise
 subtraction.  A traceroute with no adjacent pair still counts toward
-nothing but is flagged.  Its output is *mergeable*: observations from
-probe shards combine additively, and every downstream aggregate
-(median, sorted Wilson band, next-hop distribution) is invariant to
-sample order, which is what makes anomaly reports byte-identical
-across serial and sharded execution.
+nothing but is flagged.  Every downstream aggregate (median, sorted
+Wilson band, next-hop distribution) is invariant to sample order, so
+the report does not depend on the order probes arrive in.
 """
 
 from __future__ import annotations
@@ -66,8 +64,7 @@ class LinkObservations:
     sample ``values[j]`` whose ``keys[j]`` is ``i * num_bins + bin`` —
     the flat layout :func:`~repro.core.kernels.flat.bin_medians`
     takes.  ``next_hops[(near, dst)][bin][far]`` counts the forwarding
-    observations per route.  All of it merges additively across
-    shards.
+    observations per route.
     """
 
     grid: TimeGrid
@@ -82,43 +79,18 @@ class LinkObservations:
         """Canonical link ids, in row order (sorted)."""
         return [link_id(*key) for key in self.links]
 
-    def merge(self, other: "LinkObservations") -> None:
-        """Fold another shard's observations into this one."""
-        num_bins = self.grid.num_bins
-        links = sorted(
-            set(self.links) | set(other.links), key=lambda k: link_id(*k)
-        )
-        row = {key: i for i, key in enumerate(links)}
-        counts = np.zeros((len(links), num_bins), dtype=np.int64)
-        keys = []
-        for part in (self, other):
-            rows = np.array(
-                [row[key] for key in part.links], dtype=np.int64
-            )
-            counts[rows] += part.counts
-            keys.append(
-                rows[part.keys // num_bins] * num_bins
-                + part.keys % num_bins
-            )
-        self.processed += other.processed
-        self.links, self.counts = links, counts
-        self.keys = np.concatenate(keys)
-        self.values = np.concatenate((self.values, other.values))
-        for route, bins in other.next_hops.items():
-            mine = self.next_hops.setdefault(route, {})
-            for bin_index, fars in bins.items():
-                counter = mine.setdefault(bin_index, {})
-                for far, n in fars.items():
-                    counter[far] = counter.get(far, 0) + n
 
-
-def _scan(
-    results: List[TracerouteResult],
+def scan_links(
+    results_by_probe: Dict[int, List[TracerouteResult]],
     grid: TimeGrid,
-    quality: Optional[DataQualityReport],
+    quality: Optional[DataQualityReport] = None,
 ) -> LinkObservations:
-    """One shard: gate, walk every adjacent pair, book, then lay the
-    pairs out by link."""
+    """Scan a whole dataset into :class:`LinkObservations`: gate,
+    walk every adjacent pair, book, then lay the pairs out by link."""
+    results = [
+        result for probe_results in results_by_probe.values()
+        for result in probe_results
+    ]
     num_bins = grid.num_bins
     bins = gate(results, grid)
     gated = np.flatnonzero(bins >= 0)
@@ -161,36 +133,3 @@ def _scan(
         values=pairs.samples,
         next_hops=next_hops,
     )
-
-
-def scan_links(
-    results_by_probe: Dict[int, List[TracerouteResult]],
-    grid: TimeGrid,
-    quality: Optional[DataQualityReport] = None,
-    shards: int = 1,
-) -> LinkObservations:
-    """Scan a whole dataset into :class:`LinkObservations`.
-
-    ``shards > 1`` splits probes round-robin (by sorted probe id),
-    scans each slice independently and merges — the execution shape
-    the parallel executor would use.  The merged result is
-    operationally identical to the serial scan; tests pin the stronger
-    property that the final *report* is byte-identical.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
-    probe_ids = (
-        list(results_by_probe) if shards == 1 else sorted(results_by_probe)
-    )
-    merged: Optional[LinkObservations] = None
-    for shard in range(shards):
-        part = _scan(
-            [r for pid in probe_ids[shard::shards]
-             for r in results_by_probe[pid]],
-            grid, quality,
-        )
-        if merged is None:
-            merged = part
-        else:
-            merged.merge(part)
-    return merged

@@ -215,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="commit checkpoints into a live archive period at DIR "
         "and finalize it when the stream ends",
     )
-    stream.add_argument(
-        "--approximate", action="store_true",
-        help="use the constant-memory P² median for open bins "
-        "instead of exact buffered medians (results approximate)",
-    )
     _add_obs_flags(stream)
 
     inject = sub.add_parser(
@@ -518,10 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="band separation below this is noise (default 2.0)",
     )
     anomaly.add_argument(
-        "--shards", type=_positive_int, default=1, metavar="N",
-        help="scan probes in N shards (same report byte-for-byte)",
-    )
-    anomaly.add_argument(
         "--archive", default=None, metavar="DIR",
         help="commit the report into the archive at DIR under "
         "--period (the period must already be committed)",
@@ -541,14 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="print version and package layout")
     return parser
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -845,8 +828,7 @@ def _stream_period(args, obs, root) -> int:
         total = len(registrations) + len(rows)
         span.set_attr("records", total)
     engine = StreamingSurvey(
-        period, min_probes=args.min_probes, table=table,
-        approximate=args.approximate,
+        period, min_probes=args.min_probes, table=table
     )
     writer = None
     if args.archive:
@@ -856,8 +838,7 @@ def _stream_period(args, obs, root) -> int:
 
     print(
         f"streaming {total} records into period {period.name} "
-        f"({engine.kernels.name} kernels, "
-        f"{'P²' if args.approximate else 'exact'} medians)",
+        f"({engine.kernels.name} kernels, exact medians)",
         flush=True,
     )
 
@@ -1518,7 +1499,6 @@ def _run_anomaly(args) -> int:
             ),
             reference=reference,
             quality=dataset.quality,
-            shards=args.shards,
         )
     except (NetbaseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,17 +3,17 @@
 The batch pipeline (``repro.core``) analyzes a finished period in one
 pass.  This package is its incremental twin for continuous operation:
 :class:`StreamingSurvey` ingests records one at a time or in
-micro-batches of column batches (:class:`SampleBatch`, the unit
-:func:`decompose` splits a dataset into), keeps every open sample in
-one columnar store (or, opt-in, one P² estimator per open bin),
-finalizes bins as the watermark passes them through the selected
-kernel backend, and reclassifies only the ASes whose inputs changed.
+micro-batches, every sampled input as a column batch
+(:class:`SampleBatch`, the unit :func:`decompose` splits a dataset
+into), keeps every open sample in one columnar store, finalizes bins
+as the watermark passes them through the selected kernel backend
+with the batch pipeline's exact per-bin median, and reclassifies only
+the ASes whose inputs changed.
 ``tests/stream`` holds the differential harness that proves a
 finalized streaming survey bit-identical to the batch run.
 """
 
 from .engine import STAGE, StreamingSurvey
-from .median import P2Median
 from .records import (
     ProbeRecord,
     SampleBatch,
@@ -30,7 +30,6 @@ from .records import (
 __all__ = [
     "STAGE",
     "StreamingSurvey",
-    "P2Median",
     "ProbeRecord",
     "SampleBatch",
     "SampleRecord",

@@ -2,17 +2,17 @@
 
 :class:`StreamingSurvey` is the streaming twin of
 :func:`repro.core.survey.classify_dataset`: records are ingested one
-at a time or in micro-batches, whose unit is the column batch
-:class:`~repro.stream.records.SampleBatch` (ingested with array
-operations); every open sample is kept in one columnar store
-(:class:`~repro.stream.openbins.OpenBins`, which the raclette monitor
-shares), bins
-are finalized as the watermark passes them, and AS-level aggregates
-plus daily-pattern classifications are recomputed *only for ASes
-whose inputs changed*.
+at a time or in micro-batches, and every sampled input — a run of
+raw traceroutes, a run of :class:`~repro.stream.records.SampleRecord`
+objects, a :class:`~repro.stream.records.SampleBatch` — enters as one
+column batch, ingested with array operations into one columnar store
+of open samples (:class:`~repro.stream.openbins.OpenBins`, which the
+raclette monitor shares).  Bins are finalized as the watermark
+passes them, and AS-level aggregates plus daily-pattern
+classifications are recomputed *only for ASes whose inputs changed*.
 
-Equivalence contract (enforced by ``tests/stream``): with exact
-medians, a finalized streaming survey is **bit-identical** — under
+Equivalence contract (enforced by ``tests/stream``): a finalized
+streaming survey is **bit-identical** — under
 :func:`repro.io.survey_to_dict` — to the batch pipeline run over the
 same data, for any arrival order within a bin and any micro-batch
 split, on either kernel backend.  The contract holds because every
@@ -24,6 +24,9 @@ numeric decision is delegated to the same code the batch path runs:
   watermark and its last-mile walk and ledger
   (:func:`~repro.core.kernels.flat.sample_lastmile`, same
   quality-ledger entries), and lands as one column batch;
+* a run of sampled records becomes one column batch
+  (:meth:`~repro.stream.records.SampleBatch.from_records`), so a run
+  with an out-of-grid bin is rejected whole, as a batch is;
 * bin finalization (:meth:`~repro.stream.openbins.OpenBins.close_through`)
   sorts the closing bins' samples out of the store with one
   ``lexsort`` and runs the batch estimator's
@@ -34,13 +37,6 @@ numeric decision is delegated to the same code the batch path runs:
 * classification runs :func:`repro.core.survey.classify_asn_batch`
   over the changed ASes with per-AS quality fragments, and the final
   ledger is assembled in the batch pipeline's stage order.
-
-The opt-in approximate mode (``approximate=True``) swaps the open-bin
-store for one constant-memory P² estimator per open (probe, bin)
-(:class:`repro.stream.median.P2Median`); finalized medians then agree
-with the exact ones only within a tolerance (see DESIGN.md §13), so
-approximate surveys are *not* bit-identical — they trade exactness
-for bounded memory.
 
 Ledger fine print: the survey-facing ledger (``result.quality``)
 matches a batch run's **counts exactly**; quarantine *samples* (the
@@ -56,7 +52,6 @@ equivalence contract is over the survey ledger.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -79,11 +74,19 @@ from ..core.survey import (
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import MeasurementPeriod, TimeGrid
-from .median import P2Median
 from .openbins import OpenBins
 from .records import ProbeRecord, SampleBatch, SampleRecord, TraceRecord
 
 STAGE = "stream-engine"
+
+
+def _sampled_kind(record):
+    """The run key of :meth:`StreamingSurvey.ingest_many`: the record
+    kinds that are ingested as column batches, else None."""
+    for kind in (TraceRecord, SampleRecord):
+        if isinstance(record, kind):
+            return kind
+    return None
 
 
 @dataclass
@@ -114,7 +117,6 @@ class StreamingSurvey:
         thresholds=DEFAULT_THRESHOLDS,
         table=None,
         kernels=None,
-        approximate: bool = False,
         min_traceroutes: int = MIN_TRACEROUTES_PER_BIN,
         max_attempts: int = 2,
     ):
@@ -124,7 +126,6 @@ class StreamingSurvey:
         self.thresholds = thresholds
         self.table = table
         self.kernels = resolve_kernels(kernels)
-        self.approximate = approximate
         self.min_traceroutes = min_traceroutes
         self.max_attempts = max_attempts
         #: Quality fragment of the raw-traceroute scan (core-lastmile
@@ -137,19 +138,11 @@ class StreamingSurvey:
         #: count matrices, whose probe is ``_slot_prb[row]``.
         self._slots: Dict[int, int] = {}
         self._slot_prb = np.zeros(0, dtype=np.int64)
-        #: ``grid.num_bins`` is computed on each read; the per-record
-        #: path reads this copy.
-        self._num_bins = self.grid.num_bins
         self._medians = np.zeros((0, self.grid.num_bins))
         self._counts = np.zeros((0, self.grid.num_bins), dtype=np.int64)
         self._meta: Dict[int, object] = {}
-        #: Exact mode's open bins, the shared columnar store.  Single
-        #: records' counts wait in ``_row_counts`` (flat matrix
-        #: indexes) until :meth:`_flush_counts`.
+        #: The open bins' samples, the shared columnar store.
         self._store = OpenBins()
-        self._row_counts: List[int] = []
-        #: Approximate mode's open bins: one P² estimator per key.
-        self._estimators: Dict[Tuple[int, int], P2Median] = {}
         self._closed_through = -1
         self._newest_bin = -1
         self._dirty: Set[int] = set()
@@ -170,29 +163,29 @@ class StreamingSurvey:
         """Append a micro-batch; returns how many records it held.
 
         Each run of consecutive raw traceroutes is scanned as one
-        column batch (:meth:`_ingest_traces`).
+        column batch (:meth:`_ingest_traces`), and each run of
+        consecutive :class:`SampleRecord` objects is ingested as one
+        (:meth:`SampleBatch.from_records`).
         """
         if self._final is not None:
             raise ValueError(
                 "survey already finalized; no further records accepted"
             )
         n = 0
-        for traces, run in groupby(
-            records, key=lambda record: isinstance(record, TraceRecord)
-        ):
-            if traces:
+        for kind, run in groupby(records, key=_sampled_kind):
+            if kind is TraceRecord:
                 n += self._ingest_traces(list(run))
                 continue
+            if kind is SampleRecord:
+                run = (SampleBatch.from_records(list(run)),)
             for record in run:
                 n += self._ingest_record(record)
         return n
 
     def _ingest_record(self, record) -> int:
-        """One record that is not a :class:`TraceRecord`."""
+        """One :class:`SampleBatch` or :class:`ProbeRecord`."""
         held = 1
-        if isinstance(record, SampleRecord):
-            self._observe(record.prb_id, record.bin_index, record.samples)
-        elif isinstance(record, SampleBatch):
+        if isinstance(record, SampleBatch):
             self._ingest_batch(record)
             held = len(record)
         elif isinstance(record, ProbeRecord):
@@ -265,34 +258,10 @@ class StreamingSurvey:
             f"closed (watermark {self._closed_through})",
         )
 
-    def _observe(self, prb_id: int, bin_index: int, samples) -> bool:
-        """One sampled traceroute; False when its bin already closed
-        (the record is then dropped as stale)."""
-        if not 0 <= bin_index < self._num_bins:
-            raise ValueError(
-                f"bin index {bin_index} outside grid "
-                f"0..{self._num_bins - 1}"
-            )
-        if bin_index <= self._closed_through:
-            self._stale(prb_id, bin_index)
-            return False
-        slot = self._slot(prb_id)
-        self._row_counts.append(slot * self._num_bins + bin_index)
-        if bin_index > self._newest_bin:
-            self._newest_bin = bin_index
-        if samples:
-            if self.approximate:
-                key = (prb_id, bin_index)
-                if key not in self._estimators:
-                    self._estimators[key] = P2Median()
-                self._estimators[key].extend(samples)
-            else:
-                self._store.add(slot, bin_index, samples)
-        self._dirty.add(prb_id)
-        return True
-
     def _ingest_batch(self, batch: SampleBatch) -> None:
-        """:meth:`_observe` for every row of a batch, in array ops.
+        """Every row of a batch, in array ops: rows whose bin already
+        closed are dropped as stale, the rest count toward their
+        (probe, bin) and their samples join the open-bin store.
 
         The grid check covers the whole batch before any state
         changes, so a rejected batch leaves the engine as it was.
@@ -304,13 +273,6 @@ class StreamingSurvey:
                 f"bin index {bins[outside.argmax()]} outside grid "
                 f"0..{self.grid.num_bins - 1}"
             )
-        if self.approximate:
-            # P² estimators take one sample at a time anyway.
-            for record in batch.records():
-                self._observe(
-                    record.prb_id, record.bin_index, record.samples
-                )
-            return
         fresh = bins > self._closed_through
         for row in np.flatnonzero(~fresh).tolist():
             self._stale(int(batch.prb_ids[row]), int(bins[row]))
@@ -332,14 +294,6 @@ class StreamingSurvey:
             row_slots[sample_rows], bins[sample_rows], batch.samples[kept]
         )
 
-    def _flush_counts(self) -> None:
-        """Apply single records' pending counts."""
-        if self._row_counts:
-            self._counts += np.bincount(
-                self._row_counts, minlength=self._counts.size
-            ).reshape(self._counts.shape)
-            self._row_counts = []
-
     # -- bin lifecycle -------------------------------------------------
 
     @property
@@ -355,8 +309,6 @@ class StreamingSurvey:
 
     def open_bins(self) -> int:
         """Open (probe, bin) buffers currently held."""
-        if self.approximate:
-            return len(self._estimators)
         slots, bins, _values = self._store.samples()
         return len(np.unique(slots * self.grid.num_bins + bins))
 
@@ -375,40 +327,22 @@ class StreamingSurvey:
     def close_through(self, bin_index: int) -> int:
         """Finalize all open bins with index ≤ ``bin_index``.
 
-        Exact mode closes them in the shared store
+        They close in the shared store
         (:meth:`~repro.stream.openbins.OpenBins.close_through`: the
         batch estimator's own mask and ``group_medians`` call, so
-        finalized bins are bit-identical to it).  Approximate mode
-        reads the P² marker.  Bins under the sanity threshold stay NaN
-        and are booked ``SPARSE_BIN`` on :attr:`engine_quality`.
+        finalized bins are bit-identical to it).  Bins under the
+        sanity threshold stay NaN and are booked ``SPARSE_BIN`` on
+        :attr:`engine_quality`.
         """
         bin_index = min(bin_index, self.grid.num_bins - 1)
         if bin_index <= self._closed_through:
             return 0
-        self._flush_counts()
-        if self.approximate:
-            closing = sorted(
-                key for key in self._estimators if key[1] <= bin_index
-            )
-            keys = np.array(closing, dtype=np.int64).reshape(-1, 2)
-            key_prb, key_bins = keys[:, 0], keys[:, 1]
-            key_slots = np.array(
-                [self._slots[p] for p in key_prb.tolist()], dtype=np.int64
-            )
-            counts = self._counts[key_slots, key_bins]
-            estimators = [self._estimators.pop(key) for key in closing]
-            values = np.array([
-                estimator.value()
-                if count >= self.min_traceroutes else math.nan
-                for estimator, count in zip(estimators, counts.tolist())
-            ])
-        else:
-            key_slots, key_bins, counts, values = self._store.close_through(
-                bin_index, self._slot_prb,
-                lambda slots, bins: self._counts[slots, bins],
-                self.min_traceroutes, self.kernels,
-            )
-            key_prb = self._slot_prb[key_slots]
+        key_slots, key_bins, counts, values = self._store.close_through(
+            bin_index, self._slot_prb,
+            lambda slots, bins: self._counts[slots, bins],
+            self.min_traceroutes, self.kernels,
+        )
+        key_prb = self._slot_prb[key_slots]
         for i in np.flatnonzero(counts < self.min_traceroutes).tolist():
             self.sparse_bins += 1
             self.engine_quality.degrade(
@@ -445,7 +379,6 @@ class StreamingSurvey:
     def dataset(self) -> LastMileDataset:
         """The current finalized view as a batch dataset (open bins
         render as NaN)."""
-        self._flush_counts()
         dataset = LastMileDataset(grid=self.grid)
         for prb_id in sorted(self._slots):
             slot = self._slots[prb_id]
@@ -533,7 +466,6 @@ class StreamingSurvey:
         """A machine-readable snapshot of engine state for operators."""
         return {
             "period": self.period.name,
-            "mode": "p2" if self.approximate else "exact",
             "kernel": self.kernels.name,
             "records_ingested": self.records_ingested,
             "probes": len(self._slots),

@@ -3,9 +3,9 @@
 Both streaming consumers — :class:`~repro.stream.StreamingSurvey` and
 :class:`~repro.raclette.LastMileMonitor` — hold the last-mile samples
 of every open (probe, bin) in one columnar store: chunks of
-``(slot, bin, sample)`` arrays in arrival order, plus the samples of
-single records not yet moved into a chunk.  A *slot* is the caller's
-row for a probe.  Closing sorts the closing samples by (probe, bin)
+``(slot, bin, sample)`` arrays in arrival order, one chunk per
+ingested column batch.  A *slot* is the caller's row for a probe.
+Closing sorts the closing samples by (probe, bin)
 with one ``lexsort`` and computes each key's median with the batch
 estimator's :func:`~repro.core.kernels.flat.bin_medians` — the same
 mask and ``group_medians`` kernel call — in chunks under the survey's
@@ -35,38 +35,17 @@ class OpenBins:
 
     def __init__(self):
         self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._row_slots: List[int] = []
-        self._row_bins: List[int] = []
-        self._row_values: List[float] = []
-
-    def add(self, slot: int, bin_index: int, samples) -> None:
-        """One record's samples; moved into a chunk on the next
-        :meth:`extend` or read."""
-        self._row_values.extend(samples)
-        self._row_slots.extend([slot] * len(samples))
-        self._row_bins.extend([bin_index] * len(samples))
 
     def extend(
         self, slots: np.ndarray, bins: np.ndarray, samples: np.ndarray
     ) -> None:
         """A column chunk of samples, one ``(slot, bin)`` per sample."""
         if len(samples):
-            self._flush_rows()
             self._chunks.append((slots, bins, samples))
-
-    def _flush_rows(self) -> None:
-        if self._row_values:
-            self._chunks.append((
-                np.array(self._row_slots, dtype=np.int64),
-                np.array(self._row_bins, dtype=np.int64),
-                np.array(self._row_values, dtype=np.float64),
-            ))
-            self._row_slots, self._row_bins, self._row_values = [], [], []
 
     def samples(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every open sample as one ``(slots, bins, values)`` chunk,
         in arrival order."""
-        self._flush_rows()
         if len(self._chunks) != 1:
             # The empty chunk keeps the dtypes when there is no other.
             self._chunks = [tuple(

@@ -16,7 +16,9 @@ three record granularities and one column batch:
   — into one column batch.
 * :class:`SampleRecord` — one already-sampled traceroute: a bin index
   plus its last-mile samples (possibly empty: a boundary-less
-  traceroute that still counts toward bin sanity).
+  traceroute that still counts toward bin sanity).  The engine
+  ingests a run of them as one :class:`SampleBatch`
+  (:meth:`SampleBatch.from_records`).
 * :class:`SampleBatch` — many sampled traceroutes as columns: one row
   per traceroute (probe id, bin index) and its samples in CSR form
   (row ``i`` owns ``samples[offsets[i]:offsets[i + 1]]``).  A batch of
@@ -40,7 +42,8 @@ in the same order, one :class:`SampleRecord` per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -109,6 +112,35 @@ class SampleBatch:
         self.bin_indexes = bin_indexes
         self.offsets = offsets
         self.samples = samples
+
+    @classmethod
+    def from_records(cls, records: Sequence[SampleRecord]) -> "SampleBatch":
+        """The records as rows, in order: the inverse of
+        :meth:`records`."""
+        n = len(records)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(
+                (len(record.samples) for record in records),
+                dtype=np.int64, count=n,
+            ),
+            out=offsets[1:],
+        )
+        return cls(
+            prb_ids=np.fromiter(
+                (record.prb_id for record in records),
+                dtype=np.int64, count=n,
+            ),
+            bin_indexes=np.fromiter(
+                (record.bin_index for record in records),
+                dtype=np.int64, count=n,
+            ),
+            offsets=offsets,
+            samples=np.fromiter(
+                chain.from_iterable(record.samples for record in records),
+                dtype=np.float64, count=int(offsets[-1]),
+            ),
+        )
 
     def __len__(self) -> int:
         return len(self.prb_ids)

@@ -95,7 +95,7 @@ class LinkObservations:
     ``counts[link][bin]`` the number of traceroutes that observed the
     link in the bin (the sanity denominator), and
     ``next_hops[(near, dst)][bin][far]`` the forwarding observation
-    counts per route.  All three merge additively across shards.
+    counts per route.
     """
 
     grid: TimeGrid
@@ -111,24 +111,6 @@ class LinkObservations:
     def link_ids(self) -> List[str]:
         """Sorted canonical link ids — the deterministic row order."""
         return sorted(link_id(*key) for key in self.counts)
-
-    def merge(self, other: "LinkObservations") -> None:
-        """Fold another shard's observations into this one."""
-        self.processed += other.processed
-        for key, bins in other.samples.items():
-            mine = self.samples.setdefault(key, {})
-            for bin_index, values in bins.items():
-                mine.setdefault(bin_index, []).extend(values)
-        for key, bins in other.counts.items():
-            mine = self.counts.setdefault(key, {})
-            for bin_index, n in bins.items():
-                mine[bin_index] = mine.get(bin_index, 0) + n
-        for route, bins in other.next_hops.items():
-            mine = self.next_hops.setdefault(route, {})
-            for bin_index, fars in bins.items():
-                counter = mine.setdefault(bin_index, {})
-                for far, n in fars.items():
-                    counter[far] = counter.get(far, 0) + n
 
     def observe(self, result: TracerouteResult, bin_index: int) -> bool:
         """Record one in-period traceroute; True if any link matched."""

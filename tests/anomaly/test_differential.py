@@ -1,5 +1,5 @@
 """The tentpole determinism contract: anomaly reports are
-byte-identical across kernel backends and across shard counts."""
+byte-identical across kernel backends."""
 
 import numpy as np
 
@@ -18,18 +18,6 @@ class TestByteIdentity:
     def test_reference_vs_vector(self, sim, grid):
         assert report_bytes(sim, grid, kernels="reference") == \
             report_bytes(sim, grid, kernels="vector")
-
-    def test_serial_vs_sharded(self, sim, grid):
-        serial = report_bytes(sim, grid, kernels="reference")
-        for shards in (2, 3):
-            assert report_bytes(
-                sim, grid, kernels="reference", shards=shards
-            ) == serial
-
-    def test_sharded_vector_vs_serial_reference(self, sim, grid):
-        # The full cross: both axes at once.
-        assert report_bytes(sim, grid, kernels="reference") == \
-            report_bytes(sim, grid, kernels="vector", shards=3)
 
 
 class TestKernelMedians:

@@ -5,7 +5,6 @@ and forwarding observations back out of :func:`scan_links`."""
 
 import datetime as dt
 
-import numpy as np
 import pytest
 
 from repro.anomaly import link_id, scan_links, split_link_id
@@ -150,22 +149,3 @@ class TestScan:
         assert counted.dropped[DropReason.MALFORMED_RECORD] == 1
         assert counted.dropped[DropReason.OUT_OF_PERIOD] == 1
         assert counted.degraded[DropReason.NO_BOUNDARY] == 1
-
-    @pytest.mark.parametrize("shards", [0, -1])
-    def test_non_positive_shards_rejected(self, shards):
-        with pytest.raises(ValueError, match="shards must be at least 1"):
-            scan_links({1: []}, GRID, shards=shards)
-
-    def test_sharded_scan_merges_to_serial(self, sim, grid):
-        serial = scan_links(sim[0].results, grid)
-        sharded = scan_links(sim[0].results, grid, shards=3)
-        assert sharded.processed == serial.processed
-        assert sharded.links == serial.links
-        assert np.array_equal(sharded.counts, serial.counts)
-        assert sharded.next_hops == serial.next_hops
-        # Sample multisets match per (link, bin); order may differ.
-        for scan in (serial, sharded):
-            order = np.lexsort((scan.values, scan.keys))
-            scan.keys, scan.values = scan.keys[order], scan.values[order]
-        assert np.array_equal(sharded.keys, serial.keys)
-        assert np.array_equal(sharded.values, serial.values)

@@ -165,7 +165,7 @@ def build_anomaly_dataset():
     return dataset
 
 
-def build_anomaly_report(kernels="reference", shards=1):
+def build_anomaly_report(kernels="reference"):
     """The frozen campaign's anomaly-report payload."""
     import datetime as dt
 
@@ -181,7 +181,7 @@ def build_anomaly_report(kernels="reference", shards=1):
     report = detect_anomalies(
         dataset.results,
         TimeGrid(period, ANOMALY_BIN_SECONDS),
-        period_name=period.name, kernels=kernels, shards=shards,
+        period_name=period.name, kernels=kernels,
     )
     return report.payload
 

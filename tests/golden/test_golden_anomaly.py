@@ -4,7 +4,7 @@
 hand-built traceroute campaign in :mod:`tests.golden.regenerate` — a
 day-2 delay surge, a day-3 next-hop flip, and a periodically silent
 hop so link spanning is part of the frozen output.  Both kernel
-backends and a sharded run are checked byte-for-byte (the payload is
+backends are checked byte-for-byte (the payload is
 already JSON-safe, so canonical bytes are the equality that the
 serving layer's ETags rest on).  If a change is intentional,
 regenerate with::
@@ -33,12 +33,6 @@ def test_reference_matches_golden(golden_bytes):
 def test_vector_matches_golden(golden_bytes):
     assert canonical_json(
         build_anomaly_report(kernels="vector")
-    ) == golden_bytes
-
-
-def test_sharded_matches_golden(golden_bytes):
-    assert canonical_json(
-        build_anomaly_report(shards=2)
     ) == golden_bytes
 
 

@@ -32,7 +32,6 @@ from repro.timebase import MeasurementPeriod, TimeGrid
 from tests.anomaly.links_oracle import _scan_shard
 from tests.core.lastmile_oracle import lastmile_samples
 from tests.kernels.test_flat_pass import _scan_results
-from tests.stream.conftest import quality_counts
 from tests.stream.test_batch_ingest import OracleSurvey, assert_same_state
 
 DAY = MeasurementPeriod("scan-day", dt.datetime(2019, 9, 2), 1)
@@ -143,11 +142,11 @@ def by_probe(results):
 
 class TestLinks:
     @SETTINGS
-    @given(st.lists(traceroutes, max_size=20), st.sampled_from([1, 2, 3]))
-    def test_scan_equals_the_per_traceroute_scan(self, results, shards):
+    @given(st.lists(traceroutes, max_size=20))
+    def test_scan_equals_the_per_traceroute_scan(self, results):
         grouped = by_probe(results)
         quality, oracle_quality = DataQualityReport(), DataQualityReport()
-        scan = scan_links(grouped, GRID, quality=quality, shards=shards)
+        scan = scan_links(grouped, GRID, quality=quality)
         oracle = _scan_shard(grouped, GRID, oracle_quality)
 
         assert scan.processed == oracle.processed
@@ -168,10 +167,7 @@ class TestLinks:
             len(values) for bins in oracle.samples.values()
             for values in bins.values()
         )
-        if shards == 1:
-            assert quality.to_dict() == oracle_quality.to_dict()
-        else:
-            assert quality_counts(quality) == quality_counts(oracle_quality)
+        assert quality.to_dict() == oracle_quality.to_dict()
 
 
 class TestStream:

@@ -4,9 +4,12 @@ The worlds replayed here are the *same* seeded worlds the kernel
 differential suite (``tests/kernels``) pins the backends on: the
 10-AS generated survey world, the synthetic sinusoid dataset, and
 the degenerate-corner dataset — plus their fault-injected variants.
-Every helper funnels through :func:`repro.stream.dataset_to_records`
-so a batch dataset and its record-stream replay are comparable
-byte-for-byte.
+Every replay funnels through :func:`repro.stream.decompose` and
+:func:`repro.stream.column_batches` — the path ``repro stream``
+runs — or, on request, through their record-object view
+(:func:`repro.stream.dataset_to_records` /
+:func:`repro.stream.micro_batches`), so a batch dataset and its
+stream replay are comparable byte-for-byte.
 """
 
 import datetime as dt
@@ -21,7 +24,13 @@ from repro.io import survey_to_dict
 from repro.parallel import WORKERS_ENV
 from repro.quality import DataQualityReport
 from repro.scenarios import build_survey_world, generate_specs
-from repro.stream import StreamingSurvey, dataset_to_records, micro_batches
+from repro.stream import (
+    StreamingSurvey,
+    column_batches,
+    dataset_to_records,
+    decompose,
+    micro_batches,
+)
 from repro.timebase import MeasurementPeriod, TimeGrid
 
 PERIOD = MeasurementPeriod("2019-09", dt.datetime(2019, 9, 2), 4)
@@ -102,35 +111,37 @@ def stream_replay(
     shuffle_seed=None,
     batch_size=None,
     emit_every=0,
-    approximate=False,
+    record_objects=False,
     **kwargs,
 ):
     """Replay a batch dataset through the streaming engine.
 
     ``shuffle_seed`` permutes observations within each bin;
-    ``batch_size`` feeds the stream in micro-batches; ``emit_every``
-    snapshots a partial survey every N batches (exercising the
-    incremental-reclassification cache mid-stream).  Returns
-    ``(engine, finalized_result)``.
+    ``batch_size`` feeds the stream in micro-batches (default: one
+    batch); ``emit_every`` snapshots a partial survey every N batches
+    (exercising the incremental-reclassification cache mid-stream).
+    The batches hold column batches, as ``repro stream`` feeds them,
+    or with ``record_objects`` one record object per traceroute.
+    Returns ``(engine, finalized_result)``.
     """
     rng = (
         np.random.default_rng(shuffle_seed)
         if shuffle_seed is not None else None
     )
-    records = dataset_to_records(dataset, rng=rng)
     engine = StreamingSurvey(
-        PERIOD, table=table, kernels=kernels,
-        approximate=approximate, **kwargs,
+        PERIOD, table=table, kernels=kernels, **kwargs,
     )
-    if batch_size is None:
-        engine.ingest_many(records)
+    if record_objects:
+        records = dataset_to_records(dataset, rng=rng)
+        batches = micro_batches(records, batch_size or max(len(records), 1))
     else:
-        for index, batch in enumerate(
-            micro_batches(records, batch_size), start=1
-        ):
-            engine.ingest_many(batch)
-            if emit_every and index % emit_every == 0:
-                engine.emit_partial()
+        registrations, rows = decompose(dataset, rng=rng)
+        size = batch_size or max(len(registrations) + len(rows), 1)
+        batches = column_batches(registrations, rows, size)
+    for index, batch in enumerate(batches, start=1):
+        engine.ingest_many(batch)
+        if emit_every and index % emit_every == 0:
+            engine.emit_partial()
     return engine, engine.finalize()
 
 

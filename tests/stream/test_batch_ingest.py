@@ -2,17 +2,20 @@
 
 ``repro.stream`` decomposes a dataset into one
 :class:`~repro.stream.SampleBatch` and ingests micro-batches of it
-with array operations into one columnar open-bin store.  The oracle
-below is the earlier path, kept verbatim: ``dataset_to_records`` /
-``shuffle_within_bins`` building one :class:`SampleRecord` per
-traceroute, and the engine's record-at-a-time ``_observe`` feeding a
-per-(probe, bin) :class:`ExactMedian` (or P²) buffer.  Every replay
-here runs both routes over the same stream, batch boundaries and
-watermark, and asserts byte-equal partial and final surveys and equal
-quality-ledger counts: on the seeded, faulted, degenerate,
-single-probe and empty worlds, in order and shuffled within bins, at
-batch sizes 1, 7, 997/1000 and the whole stream, on both kernel
-backends, and in P² mode.
+with array operations into one columnar open-bin store; a run of
+:class:`SampleRecord` objects enters the same way, as one batch
+(``SampleBatch.from_records``).  The oracle below is the earlier
+path, kept verbatim: ``dataset_to_records`` / ``shuffle_within_bins``
+building one :class:`SampleRecord` per traceroute, and a
+record-at-a-time ``_observe`` feeding a per-(probe, bin)
+:class:`ExactMedian` buffer.  Every replay here runs both routes over
+the same stream, batch boundaries and watermark, and asserts
+byte-equal partial and final surveys and equal quality-ledger counts:
+on the seeded, faulted, degenerate, single-probe and empty worlds, in
+order and shuffled within bins, at batch sizes 1, 7, 997/1000 and the
+whole stream, on both kernel backends.  Mixed streams — registrations,
+raw traceroutes, record runs and column batches in one
+``ingest_many`` — are held to the same oracle.
 
 Like ``test_differential.py``, this file runs in the CI chaos leg
 under ``-W error::RuntimeWarning``.
@@ -32,7 +35,6 @@ from repro.core.series import LastMileDataset, ProbeBinSeries
 from repro.quality import DropReason
 from repro.scenarios import generate_specs
 from repro.stream import (
-    P2Median,
     ProbeRecord,
     SampleBatch,
     SampleRecord,
@@ -47,6 +49,7 @@ from repro.stream import (
 from repro.stream.engine import STAGE
 from repro.timebase import MeasurementPeriod
 from tests.core.lastmile_oracle import lastmile_samples
+from tests.core.test_lastmile import hop, traceroute
 from tests.kernels.test_differential import degenerate_dataset
 from tests.stream.conftest import (
     WORLD_SEED,
@@ -282,9 +285,7 @@ class OracleSurvey(StreamingSurvey):
             key = (prb_id, bin_index)
             estimator = self._open.get(key)
             if estimator is None:
-                estimator = (
-                    P2Median() if self.approximate else ExactMedian()
-                )
+                estimator = ExactMedian()
                 self._open[key] = estimator
             estimator.extend(samples)
         self._dirty.add(prb_id)
@@ -297,13 +298,12 @@ class OracleSurvey(StreamingSurvey):
     def close_through(self, bin_index: int) -> int:
         """Finalize all open bins with index ≤ ``bin_index``.
 
-        Exact mode computes the medians of the closing buffers through
+        Computes the medians of the closing buffers through
         :func:`~repro.core.kernels.flat.bin_medians` — the batch
         estimator's own mask and ``group_medians`` call, so finalized
         bins are bit-identical to it — in chunks whose padded sample
-        matrix stays within the survey's chunk budget.  Approximate
-        mode reads the P² marker.  Bins under the sanity threshold
-        stay NaN and are booked ``SPARSE_BIN`` on
+        matrix stays within the survey's chunk budget.  Bins under the
+        sanity threshold stay NaN and are booked ``SPARSE_BIN`` on
         :attr:`engine_quality`.
         """
         bin_index = min(bin_index, self.grid.num_bins - 1)
@@ -320,26 +320,19 @@ class OracleSurvey(StreamingSurvey):
                 (self._counts[prb_id][b] for prb_id, b in chunk),
                 dtype=np.int64, count=len(chunk),
             )
-            if self.approximate:
-                values = [
-                    estimator.value() if count >= self.min_traceroutes
-                    else math.nan
-                    for estimator, count in zip(estimators, counts)
-                ]
-            else:
-                values, _estimated = bin_medians(
-                    np.repeat(
-                        np.arange(len(chunk), dtype=np.int64),
-                        sizes[start:stop],
+            values, _estimated = bin_medians(
+                np.repeat(
+                    np.arange(len(chunk), dtype=np.int64),
+                    sizes[start:stop],
+                ),
+                np.fromiter(
+                    itertools.chain.from_iterable(
+                        estimator.samples() for estimator in estimators
                     ),
-                    np.fromiter(
-                        itertools.chain.from_iterable(
-                            estimator.samples() for estimator in estimators
-                        ),
-                        dtype=np.float64, count=sum(sizes[start:stop]),
-                    ),
-                    counts, self.min_traceroutes, self.kernels,
-                )
+                    dtype=np.float64, count=sum(sizes[start:stop]),
+                ),
+                counts, self.min_traceroutes, self.kernels,
+            )
             for (prb_id, b), count, value in zip(chunk, counts, values):
                 if count < self.min_traceroutes:
                     self.sparse_bins += 1
@@ -379,7 +372,6 @@ class OracleSurvey(StreamingSurvey):
         """A machine-readable snapshot of engine state for operators."""
         return {
             "period": self.period.name,
-            "mode": "p2" if self.approximate else "exact",
             "kernel": self.kernels.name,
             "records_ingested": self.records_ingested,
             "probes": len(self._medians),
@@ -427,7 +419,6 @@ def replay_both(
     shuffle_seed=None,
     batch_size=None,
     watermark=True,
-    approximate=False,
     emits=3,
     **kwargs,
 ):
@@ -440,10 +431,7 @@ def replay_both(
     period = dataset.grid.period
     records = oracle_dataset_to_records(dataset, rng=rng())
     size = batch_size or max(len(records), 1)
-    oracle = OracleSurvey(
-        period, table=table, kernels=kernels, approximate=approximate,
-        **kwargs,
-    )
+    oracle = OracleSurvey(period, table=table, kernels=kernels, **kwargs)
     seen = [-1]
 
     def oracle_newest(batch):
@@ -457,10 +445,7 @@ def replay_both(
         emits,
     )
     registrations, rows = decompose(dataset, rng=rng())
-    engine = StreamingSurvey(
-        period, table=table, kernels=kernels, approximate=approximate,
-        **kwargs,
-    )
+    engine = StreamingSurvey(period, table=table, kernels=kernels, **kwargs)
     got = run(
         engine, column_batches(registrations, rows, size),
         lambda _batch: engine.newest_bin, watermark, emits,
@@ -488,6 +473,15 @@ def assert_same_state(engine, oracle):
         assert np.array_equal(
             series.traceroute_counts, other.traceroute_counts
         )
+
+
+def expanded(items):
+    """The object view of ``items``: column batches as records."""
+    return [
+        record for item in items for record in (
+            item.records() if isinstance(item, SampleBatch) else [item]
+        )
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -554,13 +548,7 @@ class TestDecomposition:
         got = list(column_batches(registrations, rows, size))
         assert len(got) == len(want)
         for ours, theirs in zip(got, want):
-            expanded = [
-                record for item in ours for record in (
-                    item.records() if isinstance(item, SampleBatch)
-                    else [item]
-                )
-            ]
-            assert expanded == theirs
+            assert expanded(ours) == theirs
 
     def test_batch_slices_and_records(self):
         batch = SampleBatch(
@@ -584,6 +572,25 @@ class TestDecomposition:
         assert batch[1:1].records() == []
         with pytest.raises(ValueError, match="step 1"):
             batch[::2]
+
+    def test_from_records_inverts_records(self):
+        """Multi-sample, empty and signed-zero rows come back column
+        for column, dtypes included."""
+        batch = SampleBatch(
+            prb_ids=np.array([1, 2, 1, 1, 1, 3], dtype=np.int64),
+            bin_indexes=np.array([0, 0, 1, 1, 1, 2], dtype=np.int64),
+            offsets=np.array([0, 2, 2, 3, 4, 4, 7], dtype=np.int64),
+            samples=np.array([1.0, 2.0, -0.0, 0.0, 5.0, np.nan, 4.0]),
+        )
+        rebuilt = SampleBatch.from_records(batch.records())
+        for column in ("prb_ids", "bin_indexes", "offsets", "samples"):
+            ours, theirs = getattr(rebuilt, column), getattr(batch, column)
+            assert ours.dtype == theirs.dtype, column
+            assert ours.tobytes() == theirs.tobytes(), column
+        empty = SampleBatch.from_records([])
+        assert len(empty) == 0
+        assert empty.offsets.tolist() == [0]
+        assert empty.samples.dtype == np.float64
 
 
 # -- whole-survey replays --------------------------------------------------
@@ -650,14 +657,6 @@ class TestReplayEquivalence:
         engine, _ = replay_both(empty, batch_size=batch_size)
         assert engine.records_ingested == 0
 
-    @pytest.mark.parametrize("batch_size", [1000, None])
-    def test_p2_mode(self, seeded, batch_size):
-        dataset, table = seeded
-        engine, _ = replay_both(
-            dataset, table=table, approximate=True, shuffle_seed=5,
-            batch_size=batch_size,
-        )
-        assert engine.status()["mode"] == "p2"
 
 
 # -- mixed rows, stale rows, rejected batches ------------------------------
@@ -677,24 +676,24 @@ def mixed_batch(seed=0, probes=4, bins=6, rows=400):
 
 
 class TestMixedRows:
-    @pytest.mark.parametrize("approximate", [False, True])
+    @pytest.mark.parametrize("as_records", [False, True])
     @pytest.mark.parametrize("kernels", ["reference", "vector"])
-    def test_multi_sample_rows_match_oracle(self, approximate, kernels):
-        """Many samples per row, several rows per key: the exact store
-        and the P² estimators see each key's samples in row order."""
+    def test_multi_sample_rows_match_oracle(self, as_records, kernels):
+        """Many samples per row, several rows per key, fed as column
+        batches or as runs of record objects: the store sees each
+        key's samples in row order."""
         batch = mixed_batch()
         oracle = OracleSurvey(
             MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1),
-            kernels=kernels, approximate=approximate, min_traceroutes=1,
+            kernels=kernels, min_traceroutes=1,
         )
         engine = StreamingSurvey(
-            oracle.period, kernels=kernels, approximate=approximate,
-            min_traceroutes=1,
+            oracle.period, kernels=kernels, min_traceroutes=1,
         )
         for start in range(0, len(batch), 57):
             piece = batch[start:start + 57]
             oracle.ingest_many(piece.records())
-            engine.ingest(piece)
+            engine.ingest_many(piece.records() if as_records else [piece])
             assert engine.open_bins() == oracle.open_bins()
             newest = int(piece.bin_indexes.max())
             oracle.close_through(newest - 2)
@@ -738,6 +737,22 @@ class TestMixedRows:
         assert late.status()["probes"] == 0
 
     @pytest.mark.parametrize("bad_bin", [-1, 48])
+    def test_out_of_grid_record_rejects_its_run(self, bad_bin):
+        """A run of sampled records is one batch: an out-of-grid bin
+        anywhere in it rejects the whole run."""
+        period = MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1)
+        engine = StreamingSurvey(period)
+        engine.ingest(ProbeRecord(10))
+        engine.ingest_many(mixed_batch(seed=2)[:50].records())
+        engine.close_through(0)
+        before = (engine.status(), engine.open_bins())
+        run = mixed_batch(seed=3)[:40].records()
+        run[17] = SampleRecord(20, bad_bin, (1.0,))
+        with pytest.raises(ValueError, match="outside grid"):
+            engine.ingest_many(run)
+        assert (engine.status(), engine.open_bins()) == before
+
+    @pytest.mark.parametrize("bad_bin", [-1, 48])
     def test_out_of_grid_batch_rejected_whole(self, bad_bin):
         period = MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1)
         engine = StreamingSurvey(period)
@@ -759,3 +774,72 @@ class TestMixedRows:
             canonical_bytes(engine.emit_partial()),
         )
         assert after == before
+
+
+# -- mixed record kinds in one ingest_many ---------------------------------
+
+
+def trace_record(prb_id, timestamp, public_rtt):
+    """A raw traceroute for ``prb_id``; a NaN ``public_rtt`` leaves it
+    without a usable boundary."""
+    return TraceRecord(traceroute([
+        hop(1, "192.168.1.1", [0.5] * 3),
+        hop(2, "60.0.0.1", [public_rtt] * 3),
+        hop(3, "80.0.0.1", [10.0] * 3),
+    ], timestamp=timestamp, prb_id=prb_id))
+
+
+def mixed_stream(seed=4):
+    """Registrations, then bin-ordered pieces of a mixed batch, each
+    as a column batch, a run of record objects, or a run of records
+    with raw traceroutes of the same bins among them."""
+    batch = mixed_batch(seed=seed, rows=240)
+    rng = np.random.default_rng(seed)
+    items: list = [ProbeRecord(prb_id) for prb_id in (10, 20, 30, 40, 50)]
+    for index, start in enumerate(range(0, len(batch), 20)):
+        piece = batch[start:start + 20]
+        if index % 3 == 0:
+            items.append(piece)
+            continue
+        for row, record in enumerate(piece.records()):
+            if index % 3 == 2 and row % 4 == 0:
+                rtt = float(rng.normal(4.0, 1.0))
+                items.append(trace_record(
+                    record.prb_id,
+                    (record.bin_index + rng.random()) * 1800.0,
+                    rtt if rng.random() > 0.2 else float("nan"),
+                ))
+            items.append(record)
+    return items
+
+
+class TestMixedKinds:
+    @pytest.mark.parametrize("size", [1, 7, None])
+    def test_mixed_ingest_matches_oracle(self, size):
+        items = mixed_stream()
+        kinds = {type(item) for item in items}
+        assert kinds == {ProbeRecord, SampleRecord, TraceRecord, SampleBatch}
+        period = MeasurementPeriod("d", dt.datetime(2019, 9, 2), 1)
+        engine = StreamingSurvey(period, kernels="reference")
+        oracle = OracleSurvey(period, kernels="reference")
+        batches = list(micro_batches(items, size or len(items)))
+        middle = len(batches) // 2
+        for index, batch in enumerate(batches):
+            if index == middle:
+                # Later records of the newest bin so far arrive stale.
+                assert_same_state(engine, oracle)
+                newest = engine.newest_bin
+                engine.close_through(newest)
+                oracle.close_through(newest)
+            held = engine.ingest_many(batch)
+            assert held == oracle.ingest_many(expanded(batch))
+        assert_same_state(engine, oracle)
+        if size is not None:
+            assert engine.stale_records > 0
+        assert engine.scan_quality.degraded_count(
+            DropReason.NO_BOUNDARY
+        ) > 0
+        assert canonical_bytes(engine.finalize()) == canonical_bytes(
+            oracle.finalize()
+        )
+        assert_same_state(engine, oracle)

@@ -7,9 +7,10 @@ any arrival order within a bin, any micro-batch split, on either
 kernel backend.  This file proves it by replaying every seeded world
 the kernel differential suite pins the backends on: the 10-AS survey
 world, the synthetic sinusoid dataset, the degenerate corners, and
-the fault-injected variants — in order, shuffled within bins,
-micro-batched with mid-stream partial emits, and in approximate
-mode where decomposed replays stay exact by construction.
+the fault-injected variants — in order, shuffled within bins, and
+micro-batched with mid-stream partial emits, as column batches (the
+path ``repro stream`` runs) and, once, as record objects (the path
+``benchmarks/e2e``'s traced stream job runs).
 
 Like ``tests/kernels/test_differential.py``, this file runs in the
 CI chaos leg under ``-W error::RuntimeWarning``.
@@ -81,6 +82,22 @@ class TestSeededWorldReplay:
         engine, stream = stream_replay(
             dataset, table=table, shuffle_seed=23,
             batch_size=509, emit_every=3,
+        )
+        assert canonical_bytes(stream) == canonical_bytes(batch)
+        status = engine.status()
+        assert status["finalized"]
+        assert status["closed_through"] == GRID.num_bins - 1
+        assert status["open_bins"] == 0
+
+    def test_record_object_replay(self, seeded, batch_reference):
+        """The record-object view, micro-batched with partial emits:
+        each batch's run of sampled records is ingested as one column
+        batch, to the same bytes."""
+        dataset, table = seeded
+        batch, _ = batch_reference
+        engine, stream = stream_replay(
+            dataset, table=table, shuffle_seed=23,
+            batch_size=509, emit_every=3, record_objects=True,
         )
         assert canonical_bytes(stream) == canonical_bytes(batch)
         status = engine.status()
@@ -179,20 +196,3 @@ class TestCuratedDatasetReplay:
         assert canonical_bytes(stream) == canonical_bytes(batch)
         assert stream.reports == {}
         assert engine.records_ingested == 0
-
-
-class TestApproximateModeReplay:
-    def test_p2_exact_on_decomposed_replays(self, seeded, batch_reference):
-        """``dataset_to_records`` emits each bin as ``c`` copies of
-        its median, and P² over identical samples collapses to that
-        value — so approximate replays of *decomposed* datasets are
-        still bit-identical.  (Genuine approximation error, on mixed
-        samples within a bin, is pinned with its tolerance in
-        ``test_engine.py`` / ``test_median_properties.py``.)"""
-        dataset, table = seeded
-        batch, _ = batch_reference
-        engine, stream = stream_replay(
-            dataset, table=table, approximate=True, shuffle_seed=5
-        )
-        assert engine.status()["mode"] == "p2"
-        assert canonical_bytes(stream) == canonical_bytes(batch)

@@ -4,8 +4,8 @@ The differential harness proves whole-survey equivalence; this file
 pins the engine's own mechanics: the raw-traceroute ingest path
 against :func:`repro.core.lastmile.estimate_probe_series`, watermark
 and bin-close bookkeeping, stale/sparse accounting on the engine
-ledger, incremental reclassification (only dirty ASes re-run), the
-P² mode's tolerance on mixed bins, and the error paths.
+ledger, incremental reclassification (only dirty ASes re-run), and the
+error paths.
 """
 
 import datetime as dt
@@ -183,29 +183,6 @@ class TestIncrementalReclassification:
         assert set(final.reports) | set(final.failures) == {100, 200}
 
 
-class TestApproximateTolerance:
-    def test_p2_bin_median_within_one_sd_of_exact(self):
-        """On mixed samples within a bin (the case decomposed replays
-        never produce) the P² estimate stays within the documented
-        one-standard-deviation tolerance of the exact median."""
-        rng = np.random.default_rng(42)
-        sd = 2.0
-        exact = StreamingSurvey(DAY)
-        approx = StreamingSurvey(DAY, approximate=True)
-        for bin_index in range(4):
-            samples = rng.normal(10.0, sd, 60)
-            for value in samples:
-                record = SampleRecord(1, bin_index, (float(value),))
-                exact.ingest(record)
-                approx.ingest(record)
-        exact.close_through(3)
-        approx.close_through(3)
-        a = exact.dataset().series[1].median_rtt_ms[:4]
-        b = approx.dataset().series[1].median_rtt_ms[:4]
-        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-        assert np.max(np.abs(a - b)) <= sd
-
-
 class TestRecordsAndErrors:
     def test_untracked_probe_visible_to_filter_only(self):
         engine = StreamingSurvey(DAY)
@@ -242,7 +219,6 @@ class TestRecordsAndErrors:
         engine.ingest(SampleRecord(1, 0, (1.0,)))
         status = engine.status()
         assert status["period"] == PERIOD.name
-        assert status["mode"] == "exact"
         assert status["kernel"] == "reference"
         assert status["records_ingested"] == 2
         assert status["probes"] == 1

@@ -1,6 +1,6 @@
-"""Property-based guarantees of the online median estimators.
+"""Property-based guarantees of the oracle's online median.
 
-Three contracts back the streaming engine's equivalence claim:
+Two contracts back the streaming engine's equivalence claim:
 
 * :class:`ExactMedian` — the per-key buffer of the per-record oracle
   in ``test_batch_ingest.py`` — equals ``numpy.median`` on **every
@@ -10,22 +10,16 @@ Three contracts back the streaming engine's equivalence claim:
 * finalizing a bin through the engine's kernel call
   (``bin_medians`` over the buffered samples, on either backend)
   equals the estimator's
-  own value — the two routes to a closed bin's median agree;
-* :class:`P2Median` is exact through its first five samples, always
-  lies within the observed sample range, is permanently poisoned by
-  NaN, and tracks the exact median within the documented tolerance
-  (≤ 1 standard deviation on unimodal data — empirically ≲ 0.4 sd;
-  see DESIGN.md §13) while holding five markers regardless of n.
+  own value — the two routes to a closed bin's median agree.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.kernels.flat import bin_medians
 from repro.core.kernels.reference import REFERENCE
 from repro.core.kernels.vector import VECTOR
-from repro.stream import P2Median
 from tests.stream.test_batch_ingest import ExactMedian
 
 finite_samples = st.lists(
@@ -84,59 +78,3 @@ class TestExactMedian:
                 np.array([count], dtype=np.int64), 3, kernels,
             )
             assert float(medians[0]) == estimator.value()
-
-
-class TestP2Median:
-    @given(st.lists(
-        st.floats(min_value=0.1, max_value=1e6, allow_nan=False,
-                  allow_infinity=False),
-        min_size=1, max_size=5,
-    ))
-    def test_exact_through_five_samples(self, samples):
-        estimator = P2Median()
-        estimator.extend(samples)
-        assert estimator.value() == float(np.median(samples))
-
-    @given(finite_samples)
-    def test_estimate_within_sample_range(self, samples):
-        estimator = P2Median()
-        estimator.extend(samples)
-        assert min(samples) <= estimator.value() <= max(samples)
-
-    @given(finite_samples, finite_samples)
-    def test_nan_poisons_permanently(self, before, after):
-        estimator = P2Median()
-        estimator.extend(before)
-        estimator.add(float("nan"))
-        estimator.extend(after)
-        assert np.isnan(estimator.value())
-        assert estimator.n == len(before) + len(after) + 1
-
-    @settings(max_examples=200)
-    @given(
-        st.integers(min_value=20, max_value=400),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    def test_tracks_median_within_one_sd_on_unimodal_data(
-        self, n, seed
-    ):
-        """The documented P² tolerance: within one standard deviation
-        of the exact median on unimodal data (observed worst case is
-        ≈ 0.4 sd; the bound leaves 2× headroom against unlucky
-        draws)."""
-        sd = 2.0
-        rng = np.random.default_rng(seed)
-        data = rng.normal(10.0, sd, n)
-        estimator = P2Median()
-        estimator.extend(data)
-        assert abs(estimator.value() - float(np.median(data))) <= sd
-
-    def test_constant_memory_markers(self):
-        """Past five samples the estimator holds exactly five markers
-        — no buffer growth with n."""
-        estimator = P2Median()
-        rng = np.random.default_rng(0)
-        estimator.extend(rng.normal(5.0, 1.0, 10_000))
-        assert estimator.n == 10_000
-        assert len(estimator._q) == 5
-        assert len(estimator._initial) == 5

@@ -140,15 +140,6 @@ class TestKernelsFlag:
                 build_parser().parse_args(argv + ["--kernels", "vector"])
 
 
-class TestAnomalyShards:
-    @pytest.mark.parametrize("shards", ["0", "-2"])
-    def test_non_positive_shards_is_a_usage_error(self, shards, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["anomaly", "--shards", shards])
-        assert exit_info.value.code == 2
-        assert "--shards: must be at least 1" in capsys.readouterr().err
-
-
 class TestTokyoCommand:
     def test_prints_digests(self, capsys):
         code = main(["tokyo", "--client-scale", "0.1"])
