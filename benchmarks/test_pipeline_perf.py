@@ -311,7 +311,7 @@ def test_perf_parallel_speedup(monkeypatch):
     """
     import time
 
-    from repro.atlas.platform import _usable_cpus
+    from repro.atlas.platform import usable_cpus
     from repro.io import survey_to_dict
     from repro.scenarios import run_survey_period
 
@@ -331,7 +331,7 @@ def test_perf_parallel_speedup(monkeypatch):
 
     pooled_speedup = one_thread_s / pooled_s
     sharded_speedup = one_thread_s / sharded_s
-    cores = _usable_cpus()
+    cores = usable_cpus()
     write_report(
         "parallel_speedup",
         f"world survey, {len(specs)} ASes x {period.days} days, "

@@ -275,7 +275,7 @@ class AtlasPlatform:
         per_bin = self.schedule.traceroutes_per_bin
         dataset = LastMileDataset(grid=grid)
         pool_size = max(1, min(
-            threads if threads is not None else _usable_cpus(),
+            threads if threads is not None else usable_cpus(),
             len(probes),
         ))
         # Fill every device's utilization cache here, so pool threads
@@ -446,8 +446,13 @@ def _scratch_buffers(num_bins: int, k: int):
     return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(block)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask, not the machine's CPU count: under ``taskset``
+    or a cpuset cgroup the process may use fewer.  The simulator's
+    thread pool and ``--workers 0`` both size themselves by it.
+    """
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform

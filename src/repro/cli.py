@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="shard the survey across N worker processes (0 = one "
-        "per CPU; default: serial, or $REPRO_WORKERS if set)",
+        "per usable CPU; default: serial, or $REPRO_WORKERS if set)",
     )
     survey.add_argument(
         "--cache-dir", default=None, metavar="DIR",

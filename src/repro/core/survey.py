@@ -293,8 +293,6 @@ def classify_dataset(
     keep_signals: bool = False,
     quality: Optional[DataQualityReport] = None,
     max_attempts: int = 2,
-    workers: Optional[int] = None,
-    cache=None,
     kernels=None,
 ) -> SurveyResult:
     """Classify every qualifying AS of one period's dataset.
@@ -310,27 +308,10 @@ def classify_dataset(
     continues — one poisoned AS yields a partial result with a failure
     log, never a crashed survey.
 
-    An explicit ``workers`` (or a ``cache``) routes through the
-    sharded executor (:func:`repro.parallel.classify_dataset_sharded`),
-    which produces identical results for any worker count.  Unlike the
-    scenario entry points, ``workers=None`` here always means the
-    in-process :func:`classify_asn_batch` — the environment knob is
-    not consulted, so instrumentation-sensitive callers keep their
-    span structure.
-
     ``kernels`` selects the analysis backend
     (:func:`repro.core.kernels.resolve_kernels`); results are
     numerically identical on either by contract.
     """
-    if workers is not None or cache is not None:
-        from ..parallel import classify_dataset_sharded
-
-        return classify_dataset_sharded(
-            dataset, period, workers=workers or 1,
-            min_probes=min_probes, thresholds=thresholds, table=table,
-            keep_signals=keep_signals, quality=quality,
-            max_attempts=max_attempts, cache=cache, kernels=kernels,
-        )
     kern = resolve_kernels(kernels)
     obs = get_observer()
     log = obs.logger.bind(stage=STAGE, period=period.name)

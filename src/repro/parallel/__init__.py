@@ -1,4 +1,4 @@
-"""Sharded parallel survey execution with content-addressed caching.
+"""Sharded world-survey execution with content-addressed caching.
 
 The world survey is embarrassingly parallel across ASes *provided*
 every random draw is content-keyed rather than sequence-dependent —
@@ -8,22 +8,27 @@ and the fault injectors all guarantee.  This package exploits that:
 * :mod:`repro.parallel.sharding`  — round-robin AS partitioning and
   the worker-count rule (:func:`resolve_workers`);
 * :mod:`repro.parallel.worker`    — per-shard compute (pure functions
-  of a picklable task, observability silenced);
+  of a picklable task, telemetry captured or silenced per task);
 * :mod:`repro.parallel.executor`  — parent-side orchestration: filter,
   fault pinning, cache lookup, pool dispatch, sorted merge, obs
   re-emission;
 * :mod:`repro.parallel.cache`     — per-AS results keyed by a digest
   of everything that can change them.
 
+The one entry point is :func:`run_survey_period_parallel`, which
+:func:`repro.scenarios.run_survey_period` calls when given ``workers``
+or a ``cache`` (``repro survey --workers N --cache-dir DIR``).
+Classifying a dataset already in memory
+(:func:`repro.core.classify_dataset`) always runs in process.
+
 The contract, enforced by ``tests/parallel/``: for any worker count
 and any cache temperature, ``survey_to_dict`` output is byte-identical
 to the serial path — classifications, failures, and quality-ledger
 counts included.
 
-Every name loads its submodule on first use: the archive needs only
-:func:`canonical_json`, and a serial survey only
-:func:`resolve_workers`, so neither pays for the executor, the pools
-or :mod:`multiprocessing`.
+Every name loads its submodule on first use: a serial survey needs
+only :func:`resolve_workers`, so it pays for neither the executor,
+the pools nor :mod:`multiprocessing`.
 """
 
 from .._lazy import lazy_exports
@@ -33,52 +38,28 @@ __all__ = [
     "WORKERS_ENV",
     "CacheStats",
     "ResultCache",
-    "canonical_json",
     "fingerprint_digest",
     "survey_as_fingerprint",
-    "dataset_as_fingerprint",
     "resolve_workers",
     "run_survey_period_parallel",
-    "classify_dataset_sharded",
     "partition_asns",
     "shard_groups",
     "ASOutcome",
     "ShardResult",
     "SurveyShardTask",
-    "DatasetShardTask",
     "run_survey_shard",
-    "run_dataset_shard",
-    "slice_dataset",
-    "SHM_ENV",
-    "ShmBlockRef",
-    "PackedDataset",
-    "PackedSignals",
-    "pack_arrays",
-    "unpack_arrays",
-    "pack_dataset",
-    "unpack_dataset",
-    "pack_signals",
-    "unpack_signals",
-    "shm_enabled",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "cache": (
-        "CacheStats", "PIPELINE_SALT", "ResultCache", "canonical_json",
-        "dataset_as_fingerprint", "fingerprint_digest",
+        "CacheStats", "PIPELINE_SALT", "ResultCache", "fingerprint_digest",
         "survey_as_fingerprint",
     ),
-    "executor": ("classify_dataset_sharded", "run_survey_period_parallel"),
+    "executor": ("run_survey_period_parallel",),
     "sharding": (
         "WORKERS_ENV", "partition_asns", "resolve_workers", "shard_groups",
     ),
-    "transport": (
-        "PackedDataset", "PackedSignals", "SHM_ENV", "ShmBlockRef",
-        "pack_arrays", "pack_dataset", "pack_signals", "shm_enabled",
-        "unpack_arrays", "unpack_dataset", "unpack_signals",
-    ),
     "worker": (
-        "ASOutcome", "DatasetShardTask", "ShardResult", "SurveyShardTask",
-        "run_dataset_shard", "run_survey_shard", "slice_dataset",
+        "ASOutcome", "ShardResult", "SurveyShardTask", "run_survey_shard",
     ),
 })

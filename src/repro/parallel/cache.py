@@ -7,17 +7,13 @@ pipeline parameters, and a code-version salt.  Touch one AS's spec or
 one threshold and exactly the invalidated keys change; everything else
 is served warm.
 
-Two fingerprint recipes cover the two execution paths:
-
-* :func:`survey_as_fingerprint` — the generative world-survey path,
-  where an AS's dataset slice is fully determined by (world seed, the
-  AS's position in the spec list, the spec's fields, the probe
-  (id, version) pairs, the deployment config, the period and the
-  provisioning wobble).  The position index matters: the world spawns
-  per-ISP seed sequences in spec order, so reordering specs really
-  does change the data.
-* :func:`dataset_as_fingerprint` — the in-memory classify path, where
-  the slice is hashed directly from the per-probe bin arrays.
+The fingerprint recipe, :func:`survey_as_fingerprint`, keys the
+generative world survey, where an AS's dataset slice is fully
+determined by (world seed, the AS's position in the spec list, the
+spec's fields, the probe (id, version) pairs, the deployment config,
+the period and the provisioning wobble).  The position index matters:
+the world spawns per-ISP seed sequences in spec order, so reordering
+specs really does change the data.
 
 Entries are JSON files under ``<dir>/<key[:2]>/<key>.json`` wrapping
 the payload with its own checksum.  A corrupted or truncated entry is
@@ -37,6 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Union
 
+from ..store.segments import canonical_json
+
 #: Code-version salt baked into every cache key.  Bump whenever the
 #: aggregate → spectral → classify chain changes behaviour: old
 #: entries become unreachable (and eventually garbage-collectable)
@@ -44,17 +42,6 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 PIPELINE_SALT = "repro-pipeline-v1"
 
 PathLike = Union[str, Path]
-
-
-def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, no whitespace.
-
-    Dict insertion order never reaches the digest, so fingerprints
-    built in any order collide exactly when their *content* does.
-    """
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
 
 
 def fingerprint_digest(fingerprint: Mapping) -> str:
@@ -233,45 +220,6 @@ def survey_as_fingerprint(
         },
         "pipeline": _pipeline_fingerprint(thresholds, max_attempts),
     }
-
-
-def dataset_as_fingerprint(
-    dataset,
-    asn: int,
-    probe_ids: Sequence[int],
-    thresholds,
-    max_attempts: int,
-) -> Dict:
-    """Key one AS of an in-memory dataset by hashing its bin arrays."""
-    probes = []
-    for prb_id in sorted(probe_ids):
-        series = dataset.series.get(prb_id)
-        meta = dataset.probe_meta.get(prb_id)
-        probes.append({
-            "prb_id": int(prb_id),
-            "series": _series_digest(series),
-            "asn": getattr(meta, "asn", None),
-        })
-    return {
-        "kind": "dataset-as",
-        "asn": int(asn),
-        "probes": probes,
-        "period": _period_fingerprint(
-            dataset.grid.period, dataset.grid.bin_seconds
-        ),
-        "pipeline": _pipeline_fingerprint(thresholds, max_attempts),
-    }
-
-
-def _series_digest(series) -> Optional[str]:
-    if series is None:
-        return None
-    digest = hashlib.sha256()
-    for array in (series.median_rtt_ms, series.traceroute_counts):
-        digest.update(str(array.dtype).encode("ascii"))
-        digest.update(str(array.shape).encode("ascii"))
-        digest.update(array.tobytes())
-    return digest.hexdigest()
 
 
 def _period_fingerprint(period, bin_seconds) -> Dict:

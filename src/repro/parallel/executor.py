@@ -25,7 +25,7 @@ draining the other shards either way.
 ``workers`` resolution: an explicit int wins; ``None`` consults the
 ``REPRO_WORKERS`` environment variable (the CI matrix job's knob) and
 falls back to the legacy serial path when that is unset too; ``0``
-means one worker per CPU.  ``workers=1`` runs the full shard/merge
+means one worker per usable CPU.  ``workers=1`` runs the full shard/merge
 machinery in-process — the deterministic fallback for platforms
 without working process pools, and the reference point the
 equivalence suite compares against.
@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.classify import ClassificationThresholds, DEFAULT_THRESHOLDS
 from ..core.filtering import asns_with_min_probes
 from ..core.kernels import resolve_kernels
-from ..core.series import LastMileDataset
 from ..core.survey import (
     ASFailure,
     SurveyResult,
@@ -48,25 +47,13 @@ from ..core.survey import (
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
 from ..timebase import DELAY_BIN_SECONDS, MeasurementPeriod
-from .cache import (
-    ResultCache,
-    dataset_as_fingerprint,
-    survey_as_fingerprint,
-)
+from .cache import ResultCache, survey_as_fingerprint
 from .sharding import resolve_workers, shard_groups
-from .transport import (
-    pack_dataset,
-    shm_enabled,
-    unpack_signals,
-)
 from .worker import (
     ASOutcome,
-    DatasetShardTask,
     ShardResult,
     SurveyShardTask,
-    run_dataset_shard,
     run_survey_shard,
-    slice_dataset,
 )
 
 STAGE = "core-survey"
@@ -189,9 +176,7 @@ def run_survey_period_parallel(
                     shard_groups(pending, workers)
                 )
             ]
-            shard_results = _execute_shards(
-                tasks, run_survey_shard, workers
-            )
+            shard_results = _execute_shards(tasks, workers)
             _merge_outcomes(
                 result, groups, cached, shard_results,
                 cache=cache if use_cache else None, keys=keys,
@@ -223,160 +208,23 @@ def run_survey_period_parallel(
     return result, world
 
 
-def classify_dataset_sharded(
-    dataset: LastMileDataset,
-    period: MeasurementPeriod,
-    workers: int = 1,
-    min_probes: int = 3,
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS,
-    table=None,
-    keep_signals: bool = False,
-    quality: Optional[DataQualityReport] = None,
-    max_attempts: int = 2,
-    cache=None,
-    kernels=None,
-) -> SurveyResult:
-    """Sharded equivalent of :func:`repro.core.classify_dataset`.
-
-    The dataset already exists in memory, so each shard task carries
-    its slice of it (series are shared in-process, pickled per shard
-    under a pool).  Caching keys hash the per-probe bin arrays
-    (:func:`repro.parallel.cache.dataset_as_fingerprint`) and is
-    bypassed when ``keep_signals`` is set — signals are not part of
-    cache payloads, so serving a hit would silently drop them.
-    ``kernels`` is resolved here and its name rides in each task (see
-    :func:`run_survey_period_parallel`).
-    """
-    workers = resolve_workers(workers) or 1
-    kern = resolve_kernels(kernels)
-    obs = get_observer()
-    log = obs.logger.bind(stage=STAGE, period=period.name)
-    cache = ResultCache.ensure(cache)
-    use_cache = cache is not None and not keep_signals
-
-    result = SurveyResult(
-        period=period,
-        quality=quality if quality is not None else DataQualityReport(),
-    )
-    quality = result.quality
-    with obs.stage_span(
-        "classify-dataset", period=period.name, workers=workers,
-        kernel=kern.name,
-    ) as outer:
-        groups = asns_with_min_probes(
-            dataset.probe_meta, min_probes=min_probes, table=table,
-            quality=quality,
-        )
-        obs.items_in(STAGE, len(groups))
-        log.info("classify-start", ases=len(groups), workers=workers)
-
-        keys: Dict[int, str] = {}
-        cached: Dict[int, Dict] = {}
-        pending: Dict[int, List[int]] = {}
-        for asn, probe_ids in groups.items():
-            if use_cache:
-                keys[asn] = cache.key(dataset_as_fingerprint(
-                    dataset, asn, probe_ids,
-                    thresholds=thresholds, max_attempts=max_attempts,
-                ))
-                payload = cache.get(keys[asn])
-                if payload is not None:
-                    cached[asn] = payload
-                    continue
-            pending[asn] = list(probe_ids)
-
-        # Zero-copy boundary: with a real pool, each shard's numeric
-        # payload rides in a shared-memory block the parent owns (and
-        # unlinks, success or crash); in-process shards skip packing.
-        use_shm = workers > 1 and shm_enabled()
-        tasks = [
-            DatasetShardTask(
-                index=index,
-                dataset=pack_dataset(
-                    slice_dataset(dataset, [
-                        prb_id for probe_ids in shard.values()
-                        for prb_id in probe_ids
-                    ]),
-                    use_shm=use_shm,
-                ),
-                groups=shard, thresholds=thresholds,
-                max_attempts=max_attempts, keep_signals=keep_signals,
-                kernels=kern.name,
-                capture_telemetry=obs.enabled,
-                trace_context=obs.tracer.context(),
-            )
-            for index, shard in enumerate(shard_groups(pending, workers))
-        ]
-        try:
-            shard_results = _execute_shards(
-                tasks, run_dataset_shard, workers
-            )
-        finally:
-            for task in tasks:
-                task.dataset.release()
-        _restore_packed_signals(shard_results, dataset.grid)
-        _merge_outcomes(
-            result, groups, cached, shard_results,
-            cache=cache if use_cache else None, keys=keys,
-            keep_signals=keep_signals,
-        )
-
-        obs.items_out(STAGE, len(result.reports))
-        _record_shard_metrics(obs, period, shard_results)
-        if cache is not None:
-            _record_cache_metrics(
-                obs, period, hits=len(cached), misses=len(pending),
-                corrupt=cache.stats.corrupt,
-            )
-        _record_survey_metrics(obs, result)
-        outer.set_attr("reported", len(result.reported_asns()))
-        outer.set_attr("failures", len(result.failures))
-        log.info(
-            "classify-done",
-            monitored=result.monitored_count,
-            reported=len(result.reported_asns()),
-            failures=len(result.failures),
-        )
-    return result
-
-
 # -- internals -------------------------------------------------------------
 
 
-def _restore_packed_signals(shard_results, grid) -> None:
-    """Reattach signals that traveled via shared memory.
-
-    The parent copies each signal out of the worker-created block and
-    unlinks it immediately — blocks never outlive this call, even if
-    reassembly fails halfway.
-    """
-    for shard_result in shard_results:
-        packed = shard_result.packed_signals
-        if packed is None:
-            continue
-        try:
-            signals = unpack_signals(packed, grid)
-            for outcome in shard_result.outcomes:
-                if outcome.asn in signals:
-                    outcome.signal = signals[outcome.asn]
-        finally:
-            packed.release()
-            shard_result.packed_signals = None
-
-
-def _execute_shards(tasks, shard_fn, workers: int) -> List[ShardResult]:
+def _execute_shards(tasks, workers: int) -> List[ShardResult]:
     """Run shard tasks, in-process or across a pool, isolating crashes."""
     if not tasks:
         return []
     if workers <= 1 or len(tasks) == 1:
-        return [_run_guarded(shard_fn, task) for task in tasks]
+        return [_run_guarded(task) for task in tasks]
     try:
         results: List[ShardResult] = []
         with ProcessPoolExecutor(
             max_workers=min(workers, len(tasks))
         ) as pool:
             futures = {
-                pool.submit(shard_fn, task): task for task in tasks
+                pool.submit(run_survey_shard, task): task
+                for task in tasks
             }
             remaining = set(futures)
             while remaining:
@@ -395,12 +243,12 @@ def _execute_shards(tasks, shard_fn, workers: int) -> List[ShardResult]:
         # No working process pool on this platform: deterministic
         # in-process fallback (identical by construction — workers are
         # pure functions of their task).
-        return [_run_guarded(shard_fn, task) for task in tasks]
+        return [_run_guarded(task) for task in tasks]
 
 
-def _run_guarded(shard_fn, task) -> ShardResult:
+def _run_guarded(task) -> ShardResult:
     try:
-        return shard_fn(task)
+        return run_survey_shard(task)
     except Exception as exc:  # noqa: BLE001 — shard isolation
         return _failed_shard(task, exc)
 
@@ -439,7 +287,6 @@ def _merge_outcomes(
     shard_results: List[ShardResult],
     cache: Optional[ResultCache],
     keys: Dict[int, str],
-    keep_signals: bool = False,
 ) -> None:
     """Fold cached payloads and shard outcomes into the result.
 
@@ -469,8 +316,6 @@ def _merge_outcomes(
             result.failures[asn] = outcome.failure
         else:
             result.reports[asn] = outcome.report
-            if keep_signals and outcome.signal is not None:
-                result.signals[asn] = outcome.signal
             if cache is not None:
                 cache.put(keys[asn], {
                     "report": report_to_dict(outcome.report),

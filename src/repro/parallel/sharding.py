@@ -23,6 +23,8 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence
 
+from ..atlas.platform import usable_cpus
+
 
 def partition_asns(
     asns: Sequence[int], shards: int
@@ -57,7 +59,9 @@ WORKERS_ENV = "REPRO_WORKERS"
 def resolve_workers(workers: Optional[int]) -> Optional[int]:
     """Effective worker count: explicit arg > env var > None (serial).
 
-    ``0`` (from either source) expands to the machine's CPU count.
+    ``0`` (from either source) expands to the CPUs this process may
+    run on (:func:`repro.atlas.platform.usable_cpus`), the count the
+    simulator sizes its thread pool by.
     """
     if workers is None:
         env = os.environ.get(WORKERS_ENV, "").strip()
@@ -65,7 +69,7 @@ def resolve_workers(workers: Optional[int]) -> Optional[int]:
             return None
         workers = int(env)
     if workers == 0:
-        workers = os.cpu_count() or 1
+        workers = usable_cpus()
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers

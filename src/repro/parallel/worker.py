@@ -1,20 +1,16 @@
 """Shard workers: the unit of work one pool process executes.
 
-Two worker entry points, both module-level (so they pickle by
-reference into pool processes):
-
-* :func:`run_survey_shard` — generative path.  The worker rebuilds the
-  *full* world and platform from the spec list (cheap — seconds per
-  hundred ASes), then generates measurement series only for its
-  shard's probes.  Rebuilding everything is what keeps sharding exact:
-  world construction consumes order-dependent RNG (per-ISP seed
-  spawning, platform-wide version sampling, sequential probe ids), so
-  the only way a worker sees bit-identical probes is to replay the
-  identical build; per-probe *measurement* randomness is content-keyed
-  (:func:`repro.atlas.platform._campaign_seed`), so generating a
-  subset yields the same series the full run would.
-* :func:`run_dataset_shard` — in-memory path over a pre-built
-  :class:`~repro.core.series.LastMileDataset` slice.
+The entry point, :func:`run_survey_shard`, is module-level, so it
+pickles by reference into pool processes.  The worker rebuilds the
+*full* world and platform from the spec list (cheap — seconds per
+hundred ASes), then generates measurement series only for its shard's
+probes.  Rebuilding everything is what keeps sharding exact: world
+construction consumes order-dependent RNG (per-ISP seed spawning,
+platform-wide version sampling, sequential probe ids), so the only way
+a worker sees bit-identical probes is to replay the identical build;
+per-probe *measurement* randomness is content-keyed
+(:func:`repro.atlas.platform._campaign_seed`), so generating a subset
+yields the same series the full run would.
 
 Workers observe their own work: when the parent runs under a live
 observer, each task carries ``capture_telemetry=True`` plus the
@@ -36,7 +32,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..core.classify import ClassificationThresholds, DEFAULT_THRESHOLDS
 from ..core.kernels import DEFAULT_KERNELS
@@ -57,7 +53,6 @@ class ASOutcome:
     report: Optional[ASReport]
     failure: Optional[ASFailure]
     quality: DataQualityReport
-    signal: Optional[object] = None
 
 
 @dataclass
@@ -71,10 +66,6 @@ class ShardResult:
     wall_seconds: float
     #: Worker-side metrics + spans (None when the parent ran un-observed).
     telemetry: Optional[object] = None
-    #: Kept signals shipped via shared memory instead of pickling
-    #: (None when ``keep_signals`` is off or the shm path is down —
-    #: signals then stay on their outcomes).
-    packed_signals: Optional[object] = None
 
 
 @dataclass
@@ -102,31 +93,6 @@ class SurveyShardTask:
     #: metrics/spans and ships them back as a TelemetrySnapshot.
     capture_telemetry: bool = False
     #: The parent's trace identity (trace id + dispatching span id).
-    trace_context: Optional[object] = None
-
-
-@dataclass
-class DatasetShardTask:
-    """Inputs of one in-memory classify shard.
-
-    ``dataset`` is either the sliced :class:`LastMileDataset` itself
-    (pickle boundary) or a
-    :class:`~repro.parallel.transport.PackedDataset` whose numeric
-    payload rides in shared memory (zero-copy boundary); the worker
-    handles both.
-    """
-
-    index: int
-    dataset: object
-    groups: Dict[int, List[int]]
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS
-    max_attempts: int = 2
-    keep_signals: bool = False
-    #: See :class:`SurveyShardTask.kernels`.
-    kernels: str = DEFAULT_KERNELS
-    #: See :class:`SurveyShardTask.capture_telemetry`.
-    capture_telemetry: bool = False
-    #: See :class:`SurveyShardTask.trace_context`.
     trace_context: Optional[object] = None
 
 
@@ -216,91 +182,23 @@ def run_survey_shard(task: SurveyShardTask) -> ShardResult:
     )
 
 
-def run_dataset_shard(task: DatasetShardTask) -> ShardResult:
-    """Classify one shard of an already-built dataset."""
-    from .transport import PackedDataset, pack_signals, unpack_dataset
-
-    started = time.perf_counter()
-    with _shard_observer(task) as snapshot:
-        if isinstance(task.dataset, PackedDataset):
-            dataset, close_dataset = unpack_dataset(task.dataset)
-        else:
-            dataset, close_dataset = task.dataset, lambda: None
-        try:
-            outcomes = _classify_groups(
-                dataset, task.groups, task.thresholds,
-                task.max_attempts, keep_signals=task.keep_signals,
-                kernels=task.kernels,
-            )
-        finally:
-            close_dataset()
-        packed_signals = None
-        if task.keep_signals:
-            kept = {
-                outcome.asn: outcome.signal
-                for outcome in outcomes
-                if outcome.signal is not None
-            }
-            packed_signals = pack_signals(kept)
-        try:
-            if packed_signals is not None:
-                for outcome in outcomes:
-                    outcome.signal = None
-            telemetry = snapshot()
-        except BaseException:
-            # The worker created the block; if the result never makes
-            # it back, the worker must unlink it.
-            if packed_signals is not None:
-                packed_signals.release()
-            raise
-    return ShardResult(
-        index=task.index,
-        outcomes=outcomes,
-        fault_log=None,
-        wall_seconds=time.perf_counter() - started,
-        telemetry=telemetry,
-        packed_signals=packed_signals,
-    )
-
-
-def slice_dataset(
-    dataset: LastMileDataset, probe_ids: Sequence[int]
-) -> LastMileDataset:
-    """A shard-sized view of a dataset (series/meta for given probes).
-
-    Series objects are shared, not copied — safe because
-    classification only reads them.
-    """
-    subset = LastMileDataset(grid=dataset.grid)
-    for prb_id in probe_ids:
-        meta = dataset.probe_meta.get(prb_id)
-        if meta is not None:
-            subset.probe_meta[prb_id] = meta
-        series = dataset.series.get(prb_id)
-        if series is not None:
-            subset.series[prb_id] = series
-    return subset
-
-
 def _classify_groups(
     dataset: LastMileDataset,
     groups: Dict[int, List[int]],
     thresholds: ClassificationThresholds,
     max_attempts: int,
-    keep_signals: bool = False,
     kernels: str = DEFAULT_KERNELS,
 ) -> List[ASOutcome]:
     ledgers = {asn: DataQualityReport() for asn in groups}
     batch = classify_asn_batch(
         dataset, [(asn, groups[asn]) for asn in sorted(groups)],
         thresholds=thresholds, max_attempts=max_attempts,
-        keep_signals=keep_signals, kernels=kernels,
-        quality_for=ledgers.__getitem__,
+        kernels=kernels, quality_for=ledgers.__getitem__,
     )
     return [
         ASOutcome(
             asn=asn, report=report, failure=failure,
-            quality=ledgers[asn], signal=signal,
+            quality=ledgers[asn],
         )
-        for asn, report, failure, signal in batch
+        for asn, report, failure, _signal in batch
     ]

@@ -314,7 +314,7 @@ def run_survey_period(
 
     ``workers`` routes the period through the sharded executor
     (:mod:`repro.parallel`): an explicit count, ``0`` for one worker
-    per CPU, or ``None`` to consult ``REPRO_WORKERS`` and otherwise
+    per usable CPU, or ``None`` to consult ``REPRO_WORKERS`` and otherwise
     stay on the serial path below.  ``cache`` (a
     :class:`repro.parallel.ResultCache` or directory path) enables the
     content-addressed per-AS result cache; it implies the executor

@@ -52,7 +52,7 @@ from .manifest import (
     recover,
     sweep_tmp_files,
 )
-from .segments import MAGIC, SegmentReader, write_segment
+from .segments import MAGIC, SegmentReader, canonical_json, write_segment
 
 __all__ = [
     "SurveyArchive",
@@ -75,6 +75,7 @@ __all__ = [
     "SchemaVersionError",
     "SegmentReader",
     "write_segment",
+    "canonical_json",
     "MAGIC",
     "StoreIO",
     "REAL_IO",

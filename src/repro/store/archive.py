@@ -61,7 +61,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..obs import get_observer
-from ..parallel.cache import canonical_json
 from ..quality import DataQualityReport, DropReason
 from .errors import (
     AnomalyReportExistsError,
@@ -80,7 +79,7 @@ from .manifest import (
     quarantine,
     recover,
 )
-from .segments import SegmentReader, write_segment
+from .segments import SegmentReader, canonical_json, write_segment
 
 PathLike = Union[str, Path]
 

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..parallel.cache import canonical_json
 from .errors import ArchiveCorruptionError
 from .io import REAL_IO, StoreIO
 
@@ -59,6 +58,17 @@ _COLUMN_DTYPES = (
     ("severity", "|u1"),
     ("daily_amplitude_ms", "<f8"),
 )
+
+
+def canonical_json(value) -> str:
+    """Deterministic JSON: sorted keys, no whitespace.
+
+    Dict insertion order never reaches the text, so checksums and
+    cache keys built from it collide exactly when the *content* does.
+    """
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+    )
 
 
 def _sha(data: bytes) -> str:

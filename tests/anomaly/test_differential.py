@@ -4,7 +4,7 @@ byte-identical across kernel backends."""
 import numpy as np
 
 from repro.anomaly import detect_anomalies, link_bin_medians, scan_links
-from repro.parallel.cache import canonical_json
+from repro.store import canonical_json
 
 
 def report_bytes(sim, grid, **kwargs):

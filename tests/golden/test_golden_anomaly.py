@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.parallel.cache import canonical_json
+from repro.store import canonical_json
 
 from .regenerate import ANOMALY_FIXTURE, build_anomaly_report
 

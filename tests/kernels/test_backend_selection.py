@@ -14,7 +14,7 @@ from repro.core.kernels import (
 from repro.core.kernels.reference import REFERENCE, ReferenceKernels
 from repro.core.kernels.vector import VECTOR, VectorKernels
 from repro.obs import observed
-from repro.parallel.worker import DatasetShardTask, SurveyShardTask
+from repro.parallel.worker import SurveyShardTask
 from repro.scenarios import generate_specs
 from repro.timebase import MeasurementPeriod
 
@@ -90,12 +90,6 @@ class TestShardTaskCarriesBackend:
             seed=1, groups={}, kernels="vector",
         )
         assert resolve_kernels(task.kernels) is VECTOR
-
-    def test_dataset_task_field_default(self):
-        assert (
-            DatasetShardTask.__dataclass_fields__["kernels"].default
-            == DEFAULT_KERNELS
-        )
 
 
 class TestKernelOpCounter:

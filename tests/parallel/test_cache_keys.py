@@ -2,7 +2,7 @@
 
 The digest must be a pure function of fingerprint *content*: dict
 insertion order and cache-directory location never reach it, while any
-change to a parameter, the dataset fingerprint, or the code salt
+change to a parameter, the survey fingerprint, or the code salt
 yields a different key.  Entries on disk are checksummed: a corrupted
 or truncated entry is detected, quarantined and recomputed — never
 silently served.
@@ -12,24 +12,20 @@ import datetime as dt
 import json
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.atlas import ProbeMeta, ProbeVersion
-from repro.core import LastMileDataset, ProbeBinSeries
+from repro.atlas import ProbeVersion
 from repro.core.classify import ClassificationThresholds
 from repro.netbase import AccessTechnology
 from repro.parallel import (
     ResultCache,
-    canonical_json,
-    classify_dataset_sharded,
-    dataset_as_fingerprint,
     fingerprint_digest,
     survey_as_fingerprint,
 )
-from repro.timebase import MeasurementPeriod, TimeGrid
+from repro.store import canonical_json
+from repro.timebase import MeasurementPeriod
 
 # -- strategies ------------------------------------------------------------
 
@@ -168,52 +164,6 @@ class TestSurveyFingerprintSensitivity:
         ) != baseline
 
 
-PERIOD = MeasurementPeriod("2019-09", dt.datetime(2019, 9, 2), 2)
-
-
-def tiny_dataset(seed=0, asn=100, probes=3):
-    grid = TimeGrid(PERIOD)
-    rng = np.random.default_rng(seed)
-    dataset = LastMileDataset(grid=grid)
-    for prb_id in range(1, probes + 1):
-        dataset.add(
-            ProbeBinSeries(
-                prb_id=prb_id,
-                median_rtt_ms=rng.uniform(1, 3, grid.num_bins),
-                traceroute_counts=np.full(grid.num_bins, 24),
-            ),
-            meta=ProbeMeta(
-                prb_id=prb_id, asn=asn, is_anchor=False,
-                public_address="20.0.0.1",
-            ),
-        )
-    return dataset
-
-
-class TestDatasetFingerprintSensitivity:
-    def test_single_bin_change_reaches_digest(self):
-        dataset = tiny_dataset()
-        args = ([1, 2, 3], ClassificationThresholds(), 2)
-        baseline = fingerprint_digest(
-            dataset_as_fingerprint(dataset, 100, *args)
-        )
-        dataset.series[2].median_rtt_ms[17] += 1e-9
-        assert fingerprint_digest(
-            dataset_as_fingerprint(dataset, 100, *args)
-        ) != baseline
-
-    def test_probe_membership_reaches_digest(self):
-        dataset = tiny_dataset()
-        thresholds = ClassificationThresholds()
-        full = fingerprint_digest(
-            dataset_as_fingerprint(dataset, 100, [1, 2, 3], thresholds, 2)
-        )
-        partial = fingerprint_digest(
-            dataset_as_fingerprint(dataset, 100, [1, 2], thresholds, 2)
-        )
-        assert full != partial
-
-
 # -- entry integrity -------------------------------------------------------
 
 
@@ -286,31 +236,36 @@ class TestEntryIntegrity:
 
 class TestEndToEndRecompute:
     def test_corrupted_entry_recomputed_identically(self, tmp_path):
-        """Classify with a cache, corrupt one entry on disk, re-run:
+        """Survey with a cache, corrupt one entry on disk, re-run:
         the damaged AS is recomputed (not served) and the survey is
         byte-identical to the cold run."""
         from repro.io import survey_to_dict
+        from repro.scenarios import generate_specs, run_survey_period
 
-        dataset = tiny_dataset(probes=4)
+        specs = generate_specs(num_ases=3, num_countries=2, seed=5)
+        period = MeasurementPeriod("2019-09", dt.datetime(2019, 9, 2), 2)
         cache = ResultCache(tmp_path / "cache")
-        cold = classify_dataset_sharded(
-            dataset, PERIOD, workers=1, cache=cache,
+        cold, _ = run_survey_period(
+            specs, period, seed=7, workers=1, cache=cache,
         )
-        assert cache.stats.writes == 1
+        assert cache.stats.writes == len(cold.reports) > 0
 
-        entries = [
+        entries = sorted(
             path
             for path in cache.directory.rglob("*.json")
             if path.parent.name != "quarantine"
-        ]
-        assert len(entries) == 1
+        )
+        assert len(entries) == len(cold.reports)
         entries[0].write_text(entries[0].read_text()[:40])
 
         before = cache.stats.as_dict()
-        warm = classify_dataset_sharded(
-            dataset, PERIOD, workers=1, cache=cache,
+        warm, _ = run_survey_period(
+            specs, period, seed=7, workers=1, cache=cache,
         )
         after = cache.stats.as_dict()
         assert after["corrupt"] == before["corrupt"] + 1
         assert after["writes"] == before["writes"] + 1
-        assert survey_to_dict(warm) == survey_to_dict(cold)
+        assert after["hits"] == before["hits"] + len(entries) - 1
+        assert canonical_json(survey_to_dict(warm)) == canonical_json(
+            survey_to_dict(cold)
+        )

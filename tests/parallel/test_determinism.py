@@ -14,7 +14,13 @@ import json
 import pytest
 
 from repro.io import survey_to_dict
-from repro.parallel import ResultCache, partition_asns, shard_groups
+from repro.parallel import (
+    WORKERS_ENV,
+    ResultCache,
+    partition_asns,
+    resolve_workers,
+    shard_groups,
+)
 from repro.scenarios import generate_specs, run_survey, run_survey_period
 from repro.timebase import MeasurementPeriod
 
@@ -107,3 +113,16 @@ class TestShardingDeterminism:
             merged.update(shard)
         assert merged == groups
         assert all(shard for shard in shards)  # no empty shards
+
+
+class TestWorkerCount:
+    def test_zero_means_cpus_this_process_may_use(self, monkeypatch):
+        """``--workers 0`` counts the affinity mask, as the simulator's
+        thread pool does: a process pinned to one CPU gets one worker,
+        however many the machine has.  Starts no process."""
+        monkeypatch.setattr(
+            "os.sched_getaffinity", lambda pid: {0}, raising=False,
+        )
+        assert resolve_workers(0) == 1
+        monkeypatch.setenv(WORKERS_ENV, "0")
+        assert resolve_workers(None) == 1

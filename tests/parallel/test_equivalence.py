@@ -9,26 +9,20 @@ that shard's ASes only, never kill the run.
 """
 
 import datetime as dt
+import functools
 import json
 import os
 
-import numpy as np
 import pytest
 
-from repro.atlas import ProbeMeta
-from repro.core import (
-    LastMileDataset,
-    ProbeBinSeries,
-    classify_dataset,
-)
 from repro.faults import BinLoss, FaultLog, NaNBursts, PoisonAS
 from repro.io import survey_to_dict
-from repro.parallel import WORKERS_ENV, classify_dataset_sharded
+from repro.parallel import WORKERS_ENV
 from repro.parallel import executor as executor_mod
-from repro.parallel.worker import run_dataset_shard
+from repro.parallel.worker import run_survey_shard
 from repro.quality import DropReason
 from repro.scenarios import generate_specs, run_survey_period
-from repro.timebase import MeasurementPeriod, TimeGrid
+from repro.timebase import MeasurementPeriod
 
 PERIOD = MeasurementPeriod("2019-09", dt.datetime(2019, 9, 2), 4)
 
@@ -59,35 +53,6 @@ def specs():
 def serial_baseline(specs):
     result, _world = run_serial(specs, PERIOD, seed=7)
     return canonical_bytes(result)
-
-
-def synthetic_dataset(num_ases=8, probes_per_asn=4, seed=0):
-    grid = TimeGrid(PERIOD)
-    rng = np.random.default_rng(seed)
-    dataset = LastMileDataset(grid=grid)
-    t = np.arange(grid.num_bins) / grid.bins_per_day
-    prb_id = 1
-    for asn in range(100, 100 + num_ases):
-        amplitude = rng.uniform(0.0, 2.5)
-        for _ in range(probes_per_asn):
-            medians = (
-                rng.uniform(1.0, 3.0)
-                + rng.normal(0, 0.05, grid.num_bins)
-                + amplitude * (1 + np.sin(2 * np.pi * t))
-            )
-            dataset.add(
-                ProbeBinSeries(
-                    prb_id=prb_id,
-                    median_rtt_ms=medians,
-                    traceroute_counts=np.full(grid.num_bins, 24),
-                ),
-                meta=ProbeMeta(
-                    prb_id=prb_id, asn=asn, is_anchor=False,
-                    public_address="20.0.0.1",
-                ),
-            )
-            prb_id += 1
-    return dataset
 
 
 class TestWorldSurveyEquivalence:
@@ -158,61 +123,62 @@ class TestFaultedEquivalence:
             assert parallel.failures[asn].error == failure.error
 
 
-class TestClassifyDatasetEquivalence:
-    def test_workers_match_serial(self):
-        dataset = synthetic_dataset()
-        serial = classify_dataset(dataset, PERIOD)
-        parallel = classify_dataset(dataset, PERIOD, workers=3)
-        assert canonical_bytes(parallel) == canonical_bytes(serial)
-
-    def test_sharded_entrypoint_matches(self):
-        dataset = synthetic_dataset(seed=2)
-        serial = classify_dataset(dataset, PERIOD)
-        parallel = classify_dataset_sharded(dataset, PERIOD, workers=2)
-        assert canonical_bytes(parallel) == canonical_bytes(serial)
-
-
-def _crash_shard_one(task):
-    """Module-level (hence picklable) shard runner that dies on shard 1."""
-    if task.index == 1:
+def _crash_shard(doomed, task):
+    """Module-level (hence picklable) shard runner that dies on one
+    shard index."""
+    if task.index == doomed:
         raise RuntimeError("simulated worker crash")
-    return run_dataset_shard(task)
+    return run_survey_shard(task)
+
+
+def _as_failure_drops(result):
+    return sum(
+        stage.dropped.get(DropReason.AS_FAILURE, 0)
+        for stage in result.quality.stages.values()
+    )
 
 
 class TestShardFailureIsolation:
-    def test_crashed_shard_degrades_to_per_as_failures(self, monkeypatch):
+    def test_crashed_shard_degrades_to_per_as_failures(
+        self, monkeypatch, specs, serial_baseline
+    ):
         """One shard blowing up must not kill the others: its ASes
         come back as ShardExecutionError failures, the rest classify
         normally, and the ledger records the drops."""
         monkeypatch.setattr(
-            executor_mod, "run_dataset_shard", _crash_shard_one
+            executor_mod, "run_survey_shard",
+            functools.partial(_crash_shard, 1),
         )
-        dataset = synthetic_dataset()
-        result = classify_dataset_sharded(dataset, PERIOD, workers=2)
+        result, _ = run_survey_period(specs, PERIOD, seed=7, workers=2)
 
-        asns = sorted(range(100, 108))
+        asns = sorted(map(int, json.loads(serial_baseline)["reports"]))
         doomed = set(asns[1::2])  # round-robin shard 1
+        assert doomed
         assert set(result.failures) == doomed
         assert set(result.reports) == set(asns) - doomed
         for failure in result.failures.values():
             assert failure.error == "ShardExecutionError"
             assert "simulated worker crash" in failure.message
-        dropped = sum(
-            stage.dropped.get(DropReason.AS_FAILURE, 0)
-            for stage in result.quality.stages.values()
-        )
-        assert dropped == len(doomed)
+        assert _as_failure_drops(result) == len(doomed)
 
-    def test_inprocess_guard_isolates_too(self, monkeypatch):
-        """The workers=1 fallback uses the same guard."""
+    def test_inprocess_guard_isolates_too(self, monkeypatch, specs):
+        """The workers=1 fallback uses the same guard: its one shard
+        (index 0) crashing turns every AS into a failure instead of
+        raising, and a runner that spares shard 0 changes nothing."""
         monkeypatch.setattr(
-            executor_mod, "run_dataset_shard", _crash_shard_one
+            executor_mod, "run_survey_shard",
+            functools.partial(_crash_shard, 1),
         )
-        dataset = synthetic_dataset()
-        # workers=1 collapses to a single shard (index 0) which
-        # survives; force two shards through the pool-free path by
-        # patching after sharding is impossible, so assert the guarded
-        # single-shard run simply succeeds.
-        result = classify_dataset_sharded(dataset, PERIOD, workers=1)
-        assert not result.failures
-        assert len(result.reports) == 8
+        spared, _ = run_survey_period(specs, PERIOD, seed=7, workers=1)
+        assert not spared.failures
+
+        monkeypatch.setattr(
+            executor_mod, "run_survey_shard",
+            functools.partial(_crash_shard, 0),
+        )
+        crashed, _ = run_survey_period(specs, PERIOD, seed=7, workers=1)
+        assert not crashed.reports
+        assert set(crashed.failures) == set(spared.reports)
+        for failure in crashed.failures.values():
+            assert failure.error == "ShardExecutionError"
+        assert _as_failure_drops(crashed) == len(spared.reports)

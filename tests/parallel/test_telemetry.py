@@ -16,16 +16,14 @@ from repro.obs import (
     get_observer,
     observed,
 )
-from repro.parallel import classify_dataset_sharded
-from repro.parallel.worker import DatasetShardTask, run_dataset_shard
-from repro.scenarios import run_survey_period
-
-from .test_equivalence import (
-    PERIOD,
-    canonical_bytes,
-    run_serial,
-    synthetic_dataset,
+from repro.parallel.worker import SurveyShardTask, run_survey_shard
+from repro.scenarios import (
+    build_survey_world,
+    generate_specs,
+    run_survey_period,
 )
+
+from .test_equivalence import PERIOD, canonical_bytes, run_serial
 
 STAGE_COUNTERS = ("pipeline_items_in_total", "pipeline_items_out_total")
 
@@ -50,11 +48,8 @@ class TestSurveyTelemetryEquivalence:
             result, _ = run_serial(specs, PERIOD, seed=7)
         return canonical_bytes(result), _stage_totals(obs.metrics)
 
-    # The module-scoped specs fixture lives in test_equivalence.
     @pytest.fixture(scope="class")
     def specs(self):
-        from .test_equivalence import generate_specs
-
         return generate_specs(num_ases=10, num_countries=6, seed=5)
 
     def test_workers_two_matches_serial_stage_totals(
@@ -95,25 +90,31 @@ class TestSurveyTelemetryEquivalence:
         assert {"simulate", "spectral", "survey-period"} <= stages
 
 
-class TestDatasetShardTelemetry:
+def shard_task(**kwargs):
+    """One shard holding every probe of a two-AS world."""
+    specs = generate_specs(num_ases=2, num_countries=2, seed=5)
+    _world, platform = build_survey_world(
+        specs, lockdown=False, seed=7, period_name=PERIOD.name,
+    )
+    groups = {}
+    for probe in platform.probes:
+        groups.setdefault(probe.asn, []).append(probe.probe_id)
+    return SurveyShardTask(
+        specs=specs, period=PERIOD, lockdown=False, seed=7,
+        groups=groups, **kwargs,
+    )
+
+
+class TestShardTelemetry:
     def test_unobserved_parent_ships_no_telemetry(self):
-        task = DatasetShardTask(
-            index=0,
-            dataset=synthetic_dataset(num_ases=2),
-            groups={100: [1, 2, 3, 4], 101: [5, 6, 7, 8]},
-        )
-        result = run_dataset_shard(task)
+        result = run_survey_shard(shard_task(index=0))
         assert result.telemetry is None
 
     def test_capturing_task_ships_snapshot_and_restores_observer(self):
-        task = DatasetShardTask(
-            index=1,
-            dataset=synthetic_dataset(num_ases=2),
-            groups={100: [1, 2, 3, 4], 101: [5, 6, 7, 8]},
-            capture_telemetry=True,
-        )
         before = get_observer()
-        result = run_dataset_shard(task)
+        result = run_survey_shard(
+            shard_task(index=1, capture_telemetry=True)
+        )
         assert result.telemetry is not None
         assert result.telemetry.shard == 1
         totals = _stage_totals(
@@ -123,11 +124,11 @@ class TestDatasetShardTelemetry:
         # The worker's observer never leaks into this process.
         assert get_observer() is before
 
-    def test_sharded_classify_merges_like_survey(self):
-        dataset = synthetic_dataset()
+    def test_sharded_survey_merges_like_one_shard(self):
+        specs = generate_specs(num_ases=6, num_countries=3, seed=5)
         with observed() as obs:
-            classify_dataset_sharded(dataset, PERIOD, workers=2)
+            run_survey_period(specs, PERIOD, seed=7, workers=2)
         totals = _stage_totals(obs.metrics)
-        with observed(Observability()) as serial_obs:
-            classify_dataset_sharded(dataset, PERIOD, workers=1)
-        assert totals == _stage_totals(serial_obs.metrics)
+        with observed(Observability()) as single_obs:
+            run_survey_period(specs, PERIOD, seed=7, workers=1)
+        assert totals == _stage_totals(single_obs.metrics)

@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from repro.parallel.cache import canonical_json
 from repro.serve import SurveyAPI, SurveyServer, status_for
 from repro.store import (
     AnomalyReportNotFoundError,
     LinkNotFoundError,
+    canonical_json,
 )
 from tests.store.test_anomaly_artifacts import LINK, make_anomaly_payload
 

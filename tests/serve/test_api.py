@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from repro.parallel.cache import canonical_json
 from repro.serve import SEVERITY_CLASSES, SurveyAPI, status_for
 from repro.store import (
     ArchiveCorruptionError,
     ASNotFoundError,
     PeriodNotFoundError,
+    canonical_json,
 )
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import SurveySuite
 from repro.io import survey_to_dict
-from repro.parallel.cache import canonical_json
 from repro.store import (
     ArchiveCorruptionError,
     ASNotFoundError,
@@ -15,6 +14,7 @@ from repro.store import (
     PeriodNotFoundError,
     SchemaVersionError,
     SurveyArchive,
+    canonical_json,
     payload_checksum,
 )
 from repro.store.manifest import SLOT_NAMES, ManifestSlots, encode_record

@@ -131,7 +131,7 @@ def strip_columns(path):
     footer_length = int(trailer[20:40])
     footer = json.loads(raw[footer_offset:footer_offset + footer_length])
     assert footer.pop("columns", None) is not None
-    from repro.parallel.cache import canonical_json
+    from repro.store import canonical_json
 
     footer_bytes = canonical_json(footer).encode("ascii")
     new_trailer = (

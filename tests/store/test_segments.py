@@ -3,8 +3,7 @@
 import pytest
 
 from repro.io import survey_to_dict
-from repro.parallel.cache import canonical_json
-from repro.store import ArchiveCorruptionError
+from repro.store import ArchiveCorruptionError, canonical_json
 from repro.store.segments import MAGIC, SegmentReader, write_segment
 
 

@@ -223,7 +223,7 @@ class TestObsFlags:
         # opens a span of its own (it would surface as an extra root).
         import json
 
-        from repro.atlas.platform import _usable_cpus
+        from repro.atlas.platform import usable_cpus
 
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         report_path = tmp_path / "metrics.json"
@@ -255,7 +255,7 @@ class TestObsFlags:
         }
         (simulate,) = [span for path, span in found if path[-1] == "simulate"]
         attrs = simulate["attrs"]
-        assert attrs["threads"] == min(_usable_cpus(), attrs["probes"])
+        assert attrs["threads"] == min(usable_cpus(), attrs["probes"])
 
     def test_stream_trace_shape(self, tmp_path, capsys):
         # One root, `stream`; its children say where a run's time went:

@@ -136,6 +136,12 @@ for name in repro.__all__:
 print("ok")
 """
 
+STORE_PROGRAM = PRELUDE + """
+import repro.store
+check("import repro.store", ["repro.parallel"])
+print("ok")
+"""
+
 WORKERS_PROGRAM = """
 import sys
 
@@ -182,6 +188,12 @@ def test_raclette_loads_only_itself_past_start_up():
     open-bin store, both in the start-up set: importing it adds no
     module outside ``repro.raclette``."""
     run_fresh(RACLETTE_PROGRAM)
+
+
+def test_store_loads_no_parallel_module():
+    """The archive's checksums need only ``canonical_json``, which the
+    store owns: the executor package never loads with it."""
+    run_fresh(STORE_PROGRAM)
 
 
 def test_lazy_names_resolve():
