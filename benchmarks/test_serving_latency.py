@@ -67,7 +67,6 @@ def archive(tmp_path_factory):
         archive.ingest(synthetic_survey(
             name, dt.datetime(2019, 3 * (offset + 1), 1)
         ))
-    archive.compact()
     assert len(archive.periods()) >= 4
     assert len(archive.asns(PERIODS[0])) >= 100
     return archive

@@ -4,12 +4,13 @@
 The CI contract behind DESIGN.md §12 and §13: a writer killed at ANY
 point of a commit leaves the archive — after recovery-on-open — in
 exactly the pre-commit or post-commit state, with ``repro store
-fsck`` finding nothing to complain about.  Five commits are swept: an
+fsck`` finding nothing to complain about.  Four commits are swept: an
 ``ingest``, an anomaly-report attach, a live ``commit_partial``
-(revision 1 -> 2), a live ``finalize`` (revision 1 -> an ordinary
-period) and a ``compact`` (JSON document -> segment).  Each writes its
-documents, then the manifest record in place into the older slot (the
-commit point), then retires the other slot.
+(revision 1 -> 2) and a live ``finalize`` (revision 1 -> a packed
+segment).  Each writes its files (the period's segment, the anomaly
+report), then the manifest record in place into the older slot (the
+commit point), then retires the other slot; the tears of the ingest's
+and the finalize's segment write must recover like any other.
 
 Unlike the in-process property test (tests/store/test_journal.py),
 every crash here is a genuine ``SIGKILL`` delivered to a separate
@@ -131,20 +132,20 @@ class Scenario:
 
     def __init__(self, name, june, act, check):
         self.name = name
-        self.june = june      # seed 2019-06: None, "live" or "json"
+        self.june = june      # seed 2019-06: None, "live" or "segment"
         self.act = act        # archive -> None: the commit under test
         self.check = check    # (archive, committed) -> problem or None
 
     def seed(self, root):
         """The pre-commit archive: 2019-03 committed, maybe 2019-06
-        live at revision 1 or committed as a JSON document."""
+        live at revision 1 or committed as its segment."""
         archive = SurveyArchive(root)
         archive.ingest(make_survey("2019-03"), ranking=make_ranking())
         if self.june == "live":
             archive.begin_live_period("2019-06").commit_partial(
                 make_survey("2019-06"), ranking=make_ranking()
             )
-        elif self.june == "json":
+        elif self.june == "segment":
             archive.ingest(make_survey("2019-06"), ranking=make_ranking())
         archive.close()
 
@@ -161,7 +162,7 @@ def _check_ingest(archive, committed):
             return "uncommitted period visible after rollback"
         return None
     if "2019-06" not in archive:
-        return "committed period missing after roll-forward"
+        return "committed period missing after recovery"
     if archive.get(100, "2019-06")["severity"] != "severe":
         return "committed period content wrong after recovery"
     return None
@@ -218,24 +219,10 @@ def _check_attach(archive, committed):
     return None
 
 
-def _compact(archive):
-    archive.compact(["2019-06"])
-
-
-def _check_compact(archive, committed):
-    want = "segment" if committed else "json"
-    got = archive.period_meta("2019-06")["repr"]
-    if got != want:
-        return f"representation {got}, expected {want}"
-    if archive.get(100, "2019-06")["severity"] != "severe":
-        return "period content wrong after recovery"
-    return None
-
-
 SCENARIOS = {
     "ingest": Scenario("ingest", None, _ingest, _check_ingest),
     "anomaly-attach": Scenario(
-        "anomaly-attach", "json", _attach, _check_attach,
+        "anomaly-attach", "segment", _attach, _check_attach,
     ),
     "commit-partial": Scenario(
         "commit-partial", "live", _commit_partial,
@@ -243,9 +230,8 @@ SCENARIOS = {
     ),
     "finalize": Scenario(
         "finalize", "live", _finalize,
-        _check_live({"repr": "json", "revision": None}),
+        _check_live({"repr": "segment", "revision": None}),
     ),
-    "compact": Scenario("compact", "json", _compact, _check_compact),
 }
 
 

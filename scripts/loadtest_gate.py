@@ -89,8 +89,8 @@ def main() -> int:
             report = run_load(http_transport(server.url), config)
 
         # The gate measures the mmap serving path: every period must
-        # be segment-backed and mapped, and no request may have
-        # fallen back to the parsed-JSON document.
+        # be segment-backed and mapped, and no request may have found
+        # a segment it had to quarantine.
         for name in archive.periods():
             meta = archive.period_meta(name)
             if meta["repr"] != "segment":
@@ -101,12 +101,12 @@ def main() -> int:
                 print(f"GATE FAIL: period {name} segment not "
                       "memory-mapped")
                 return 1
-        fallbacks = obs.metrics.counter(
-            "store_fallback_total", ""
+        corrupt = obs.metrics.counter(
+            "store_corrupt_total", ""
         ).value()
-        if fallbacks:
-            print(f"GATE FAIL: {fallbacks:g} segment reads fell "
-                  "back to parsed JSON during the run")
+        if corrupt:
+            print(f"GATE FAIL: {corrupt:g} archive reads found a "
+                  "corrupt artifact during the run")
             return 1
 
     for line in report.summary_lines():

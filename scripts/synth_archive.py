@@ -86,16 +86,14 @@ def build_anomaly_payload(period: str, offset: int = 0) -> dict:
 
 def build_archive(
     root, ases_per_period: int = 8, with_anomalies: bool = True,
-    compacted: bool = True,
 ) -> SurveyArchive:
     """A committed archive with three periods and mixed severities.
 
     ``with_anomalies`` also attaches a synthetic anomaly report to
     each period, so the ``/v1/period/<p>/anomalies`` and
-    ``/v1/link/<link>/history`` routes have content to serve.
-    ``compacted`` folds the periods into packed segments, the
-    production steady state, so the harnesses exercise the mmap read
-    path rather than parsed JSON documents.
+    ``/v1/link/<link>/history`` routes have content to serve.  Every
+    period is committed as its packed segment, so the harnesses
+    exercise the mmap read path.
     """
     archive = SurveyArchive(root)
     severities = (Severity.NONE, Severity.LOW, Severity.SEVERE)
@@ -122,6 +120,4 @@ def build_archive(
             archive.ingest_anomalies(
                 name, build_anomaly_payload(name, offset)
             )
-    if compacted:
-        archive.compact()
     return archive

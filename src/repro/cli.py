@@ -16,7 +16,7 @@
 * ``obs``      — render a saved observability report (trace tree,
   metrics, profile);
 * ``store``    — manage the longitudinal survey archive
-  (``ingest`` / ``compact`` / ``query`` / ``fsck``);
+  (``ingest`` / ``query`` / ``fsck``);
 * ``serve``    — serve an archive over HTTP (the paper's public
   lookup site) with bounded concurrency, per-request deadlines and
   per-period circuit breakers; SIGTERM/SIGINT drain in-flight
@@ -87,7 +87,7 @@ from .obs import (
     write_report,
 )
 from .scenarios import build_survey_world, generate_specs, run_survey_period
-from .store import STORE_MMAP_ENV, SurveyArchive
+from .store import SurveyArchive
 from .stream import StreamingSurvey, column_batches, decompose
 from .timebase import (
     ALL_SURVEY_PERIODS,
@@ -287,15 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="survey JSON files: a suite (surveys.json from the site "
         "export) or a single survey_to_dict document",
     )
-    store_compact = store_sub.add_parser(
-        "compact",
-        help="fold committed period JSON into packed segments",
-    )
-    store_compact.add_argument("archive", help="archive directory")
-    store_compact.add_argument(
-        "--keep-json", action="store_true",
-        help="keep the period JSON documents next to the segments",
-    )
     store_query = store_sub.add_parser(
         "query",
         help="query an archive (point lookups, indexes, longitudinal)",
@@ -387,11 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(request id, route, status, duration, outcome); flushed on "
         "graceful shutdown",
     )
-    serve.add_argument(
-        "--no-mmap", action="store_true",
-        help="read packed segments via seek+read file handles "
-        "instead of memory-mapping them (REPRO_STORE_MMAP=0)",
-    )
     _add_obs_flags(serve)
 
     loadtest = sub.add_parser(
@@ -447,11 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--max-concurrency", type=int, default=64, metavar="N",
         help="server-side in-flight ceiling for the ephemeral server",
-    )
-    loadtest.add_argument(
-        "--no-mmap", action="store_true",
-        help="read packed segments via seek+read file handles "
-        "instead of memory-mapping them (REPRO_STORE_MMAP=0)",
     )
 
     quality = sub.add_parser(
@@ -740,6 +721,8 @@ def cmd_simulate(args) -> int:
         "simulated", dt.datetime(2019, 9, 2), args.days
     )
     dataset = platform.run_period(period, probes)
+    # Time-ordered per probe, the saved stream is timestamp-ordered.
+    dataset.sort_results()
     rows = save_traceroutes(dataset, args.out)
     print(f"wrote {rows} traceroutes to {args.out}")
     if args.rib_out:
@@ -1065,14 +1048,6 @@ def cmd_store(args) -> int:
         archive = SurveyArchive(args.archive)
         if args.store_command == "ingest":
             return _store_ingest(archive, args)
-        if args.store_command == "compact":
-            compacted = archive.compact(keep_json=args.keep_json)
-            if compacted:
-                print(f"compacted {len(compacted)} period(s): "
-                      + ", ".join(compacted))
-            else:
-                print("nothing to compact")
-            return 0
         if args.store_command == "query":
             return _store_query(archive, args)
     except (NetbaseError, OSError) as exc:
@@ -1177,8 +1152,6 @@ def cmd_serve(args) -> int:
     from .netbase.errors import NetbaseError
     from .serve import ResilienceConfig, SurveyServer
 
-    if args.no_mmap:
-        os.environ[STORE_MMAP_ENV] = "0"
     try:
         resilience = ResilienceConfig(
             max_concurrency=args.max_concurrency,
@@ -1277,8 +1250,6 @@ def cmd_loadtest(args) -> int:
         print("error: need an archive directory or --url",
               file=sys.stderr)
         return 2
-    if args.no_mmap:
-        os.environ[STORE_MMAP_ENV] = "0"
     try:
         spec = (
             parse_mix_spec(args.mix) if args.mix

@@ -10,6 +10,7 @@ Formats are deliberately boring and inspectable:
 
 from __future__ import annotations
 
+import heapq
 import json
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -35,16 +36,25 @@ LOAD_STAGE = "io-load-traceroutes"
 def save_traceroutes(dataset: MeasurementDataset, path: PathLike) -> int:
     """Write every traceroute result as Atlas-schema JSON lines.
 
-    Returns the number of rows written.  Probe metadata goes to a
-    ``<path>.meta.json`` sidecar.
+    Lines are a stable merge of the per-probe sequences on timestamp:
+    each probe's results keep their stored order (so a load restores
+    them exactly) and equal timestamps go in probe-id order.  When
+    every probe's results are in time order
+    (:meth:`MeasurementDataset.sort_results`), the file is a
+    timestamp-ordered stream, as a live feed is.  Returns the number
+    of rows written.  Probe metadata goes to a ``<path>.meta.json``
+    sidecar.
     """
     path = Path(path)
     rows = 0
+    merged = heapq.merge(
+        *(dataset.for_probe(prb_id) for prb_id in dataset.probe_ids()),
+        key=lambda result: result.timestamp,
+    )
     with path.open("w") as handle:
-        for prb_id in dataset.probe_ids():
-            for result in dataset.for_probe(prb_id):
-                handle.write(json.dumps(result.to_json()) + "\n")
-                rows += 1
+        for result in merged:
+            handle.write(json.dumps(result.to_json()) + "\n")
+            rows += 1
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     meta_path.write_text(json.dumps({
         str(prb_id): _meta_to_dict(meta)

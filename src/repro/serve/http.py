@@ -3,8 +3,8 @@
 Stdlib only (:mod:`socketserver`), matching the repo's no-dependency
 discipline.  The server is a :class:`socketserver.ThreadingTCPServer`:
 each connection gets a thread, the API layer underneath is thread-safe
-(locked LRU, locked segment reads, locked limiter/breaker), and
-writes happen out-of-band (quarantine/fsck bump the archive
+(locked LRU, lock-free mapped segment reads, locked limiter/breaker),
+and writes happen out-of-band (quarantine/fsck bump the archive
 generation, which the API watches), so there is no write contention
 to manage here.
 

@@ -7,8 +7,8 @@ package is the reproduction's storage tier for that site:
   append-only, schema-versioned multi-period store with atomic
   commits, checksum/quarantine discipline, secondary indexes (ASN /
   country / severity) and longitudinal queries;
-* :mod:`repro.store.segments` — the packed-segment format compaction
-  folds period JSON into (one seek + one read per point lookup);
+* :mod:`repro.store.segments` — the packed-segment format, the one
+  form of a finalized period (one mapped slice per point lookup);
 * :mod:`repro.store.io`       — the byte-level write seam (atomic
   and in-place durable writes) production and the chaos harness share;
 * :mod:`repro.store.manifest` — the two manifest slots every commit
@@ -26,10 +26,8 @@ from .._lazy import lazy_exports
 from .archive import (
     ArchiveStats,
     LivePeriodWriter,
-    STORE_MMAP_ENV,
     SurveyArchive,
     payload_checksum,
-    store_mmap_enabled,
 )
 from .errors import (
     AnomalyReportExistsError,
@@ -61,8 +59,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "ARCHIVE_FORMAT",
     "payload_checksum",
-    "STORE_MMAP_ENV",
-    "store_mmap_enabled",
     "ArchiveError",
     "PeriodExistsError",
     "PeriodNotFoundError",

@@ -10,22 +10,20 @@ Layout under the archive root::
 
     MANIFEST.a, MANIFEST.b  # two manifest slots: the committed state,
                             # live periods' payloads and indexes included
-    periods/<name>.json     # checksum-wrapped survey_to_dict payload
-    index/<name>.json       # checksum-wrapped severity/country indexes
-    segments/<name>.seg     # packed representation after compaction
+    segments/<name>.seg     # a finalized period: packed reports, hot
+                            # columns, country index (repro.store.segments)
     anomalies/<name>.json   # checksum-wrapped per-period AnomalyReport
     quarantine/             # corrupted artifacts, moved aside as evidence
                             # under their archive-relative paths
 
-Commit discipline (:mod:`repro.store.manifest`): every document wraps
-its payload with a SHA-256 checksum and lands under a name no
-committed state uses (temp file + fsync + rename); then the manifest
-record is written in place into the older of the two slots — *the
-commit point* — and the other slot is retired.  No commit frees a
-block.  A process killed at any byte boundary leaves the archive, on
-the next open, in exactly the pre- or post-commit state: recovery
-deletes every document the manifest does not account for.  A checksum
-or parse failure on a document read quarantines it, raises
+Commit discipline (:mod:`repro.store.manifest`): every file lands,
+checksummed, under a name no committed state uses (temp file + fsync +
+rename); then the manifest record is written in place into the older
+of the two slots — *the commit point* — and the other slot is retired.
+No commit frees a block.  A process killed at any byte boundary leaves
+the archive, on the next open, in exactly the pre- or post-commit
+state: recovery deletes every file the manifest does not account for.
+A checksum or parse failure on a read quarantines the file, raises
 :class:`ArchiveCorruptionError`, and books the loss in the archive's
 :class:`~repro.quality.DataQualityReport` ledger: corrupted data is
 reported, never served.  Offline integrity audits and repair live in
@@ -37,17 +35,15 @@ every ingest, quarantine, recovery action and repair, and when
 handle, so caches keyed on archive content (the serving layer's LRU)
 know when to drop their entries.
 
-Append-only: a committed period is immutable.  Compaction
-(:meth:`SurveyArchive.compact`) changes a period's *representation*
-(JSON document → packed segment, verified byte-lossless before the
-JSON is dropped), never its content.
+Append-only: a committed period is immutable, and a finalized period
+has one form, its packed segment, from the commit on.
 
 The one deliberately mutable state is the *live period*
 (:meth:`SurveyArchive.begin_live_period`): the archive face of a
 streaming survey still in flight.  Its payload and indexes ride inside
 the manifest record, so a checkpoint is one in-place slot write.
 :meth:`LivePeriodWriter.finalize` promotes the finished period into
-the ordinary append-only set: its documents, then the slot.
+the ordinary append-only set: its segment, then the slot.
 """
 
 from __future__ import annotations
@@ -55,10 +51,19 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..obs import get_observer
 from ..quality import DataQualityReport, DropReason
@@ -82,18 +87,9 @@ from .manifest import (
 from .segments import SegmentReader, canonical_json, write_segment
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 STAGE = "store-archive"
-
-#: Environment knob: ``0``/``off``/``false``/``no``/``json`` makes
-#: segment readers use seek+read file handles instead of mmap.
-STORE_MMAP_ENV = "REPRO_STORE_MMAP"
-
-
-def store_mmap_enabled() -> bool:
-    """True when segment readers should memory-map their files."""
-    env = os.environ.get(STORE_MMAP_ENV, "").strip().lower()
-    return env not in {"0", "off", "false", "no", "json"}
 
 
 def _sha(text: str) -> str:
@@ -152,7 +148,6 @@ class ArchiveStats:
     lookups: int = 0
     segment_lookups: int = 0
     corrupt: int = 0
-    compactions: int = 0
     live_commits: int = 0
     anomaly_ingests: int = 0
 
@@ -162,7 +157,6 @@ class ArchiveStats:
             "lookups": self.lookups,
             "segment_lookups": self.segment_lookups,
             "corrupt": self.corrupt,
-            "compactions": self.compactions,
             "live_commits": self.live_commits,
             "anomaly_ingests": self.anomaly_ingests,
         }
@@ -181,11 +175,10 @@ class SurveyArchive:
         #: content-derived caches key off it.
         self.generation = 0
         self._readers: Dict[str, SegmentReader] = {}
-        #: Warm payloads and indexes, each with the manifest checksum
-        #: it was read under; a cached value is used only while its
-        #: period's manifest entry still carries that checksum.
+        #: Warm payloads, each with the manifest checksum it was read
+        #: under; a cached payload is used only while its period's
+        #: manifest entry still carries that checksum.
         self._payloads: Dict[str, Tuple[str, Dict]] = {}
-        self._indexes: Dict[str, Tuple[str, Dict]] = {}
         self._anomalies: Dict[str, Dict] = {}
         self.root.mkdir(parents=True, exist_ok=True)
         self._slots = ManifestSlots(self.root, io)
@@ -199,12 +192,6 @@ class SurveyArchive:
                 )
 
     # -- paths ---------------------------------------------------------
-
-    def period_path(self, name: str) -> Path:
-        return self.root / "periods" / f"{name}.json"
-
-    def index_path(self, name: str) -> Path:
-        return self.root / "index" / f"{name}.json"
 
     def segment_path(self, name: str) -> Path:
         return self.root / "segments" / f"{name}.seg"
@@ -283,25 +270,36 @@ class SurveyArchive:
         name = payload["period"]["name"]
         if name in self:
             raise PeriodExistsError(name)
+        return self._commit_segment(
+            "store-ingest", name, payload, ranking,
+            len(self._manifest["periods"]),
+        )
+
+    def _commit_segment(
+        self, span: str, name: str, payload: Dict, ranking, seq: int
+    ) -> str:
+        """Commit a finalized period: its segment, then the slot.
+
+        A live record of the same name leaves the manifest in the
+        same commit.
+        """
+        checksum = payload_checksum(payload)
         obs = get_observer()
-        with obs.span("store-ingest", period=name), \
-                self._slots.writing():
-            checksum = payload_checksum(payload)
-            self.io.write_atomic(
-                self.period_path(name), wrap(payload, checksum)
-            )
-            self.io.write_atomic(
-                self.index_path(name),
-                wrap(_build_index(payload, ranking)),
+        with obs.span(span, period=name), self._slots.writing():
+            write_segment(
+                self.segment_path(name), payload, io=self.io,
+                countries=_country_index(payload, ranking),
+                checksum=checksum,
             )
             self._manifest["periods"][name] = {
                 "start": payload["period"]["start"],
                 "days": payload["period"]["days"],
-                "repr": "json",
+                "repr": "segment",
                 "checksum": checksum,
                 "ases": len(payload.get("reports", {})),
-                "seq": len(self._manifest["periods"]),
+                "seq": seq,
             }
+            self._manifest["live"].pop(name, None)
             self._slots.commit(self._manifest)  # <- the commit point
         self.stats.ingests += 1
         self.generation += 1
@@ -423,7 +421,6 @@ class SurveyArchive:
         self.stats.live_commits += 1
         self.generation += 1
         self._payloads[name] = (checksum, payload)
-        self._indexes[name] = (checksum, index)
         obs.counter(
             "store_live_commit_total",
             "live-period checkpoints committed",
@@ -433,38 +430,14 @@ class SurveyArchive:
     def _finalize_live(
         self, name: str, payload: Dict, ranking
     ) -> str:
-        """Promote a live period to the durable representation."""
+        """Promote a live period to its packed segment."""
         entry = self._manifest["periods"].get(name)
         if entry is None:
             # Never checkpointed: nothing to promote, a plain ingest.
             return self.ingest(payload, ranking=ranking)
-        checksum = payload_checksum(payload)
-        index = _build_index(payload, ranking)
-        obs = get_observer()
-        with obs.span("store-finalize", period=name), \
-                self._slots.writing():
-            self.io.write_atomic(
-                self.period_path(name), wrap(payload, checksum)
-            )
-            self.io.write_atomic(self.index_path(name), wrap(index))
-            self._manifest["periods"][name] = {
-                "start": payload["period"]["start"],
-                "days": payload["period"]["days"],
-                "repr": "json",
-                "checksum": checksum,
-                "ases": len(payload.get("reports", {})),
-                "seq": entry["seq"],
-            }
-            del self._manifest["live"][name]
-            self._slots.commit(self._manifest)  # <- the commit point
-        self.stats.ingests += 1
-        self.generation += 1
-        self._payloads[name] = (checksum, payload)
-        self._indexes[name] = (checksum, index)
-        obs.counter(
-            "store_ingest_total", "periods committed to the archive",
-        ).inc()
-        return name
+        return self._commit_segment(
+            "store-finalize", name, payload, ranking, entry["seq"],
+        )
 
     # -- reads ---------------------------------------------------------
 
@@ -509,81 +482,56 @@ class SurveyArchive:
     def _reader(self, name: str) -> SegmentReader:
         reader = self._readers.get(name)
         if reader is None:
-            path = self.segment_path(name)
-            try:
-                reader = SegmentReader(
-                    path, use_mmap=store_mmap_enabled()
-                )
-            except ArchiveCorruptionError:
-                self._quarantine(path)
-                raise
-            self._readers[name] = reader
+            reader = self._readers[name] = SegmentReader(
+                self.segment_path(name)
+            )
         return reader
 
-    def _segment_fallback(
-        self, name: str, meta: Dict
-    ) -> Optional[Dict]:
-        """Serve a period's JSON document after its segment failed.
+    def _segment(self, name: str, read: Callable[[SegmentReader], T]) -> T:
+        """``read`` applied to the period's segment reader.
 
-        ``compact(keep_json=True)`` leaves the JSON next to the
-        segment; a torn segment then degrades to the slower parsed
-        path — booked in ``store_fallback_total`` — instead of an
-        error.  Returns the verified (and cached) payload, or None
-        when no JSON document survives.
+        A corrupt segment is quarantined and raises
+        :class:`ArchiveCorruptionError`; a missing one raises it
+        without a quarantine.
         """
-        source = self.period_path(name)
-        if not source.exists():
-            return None
-        get_observer().counter(
-            "store_fallback_total",
-            "segment reads served from the period JSON document "
-            "after segment corruption",
-        ).inc()
-        payload = self._read_wrapped(source)
-        if payload_checksum(payload) != meta["checksum"]:
-            raise ArchiveCorruptionError(
-                source,
-                "payload does not match manifest checksum",
-            )
-        self._payloads[name] = (meta["checksum"], payload)
-        return payload
+        try:
+            return read(self._reader(name))
+        except ArchiveCorruptionError:
+            reader = self._readers.pop(name, None)
+            if reader is not None:
+                reader.close()
+            path = self.segment_path(name)
+            if not path.exists():
+                raise ArchiveCorruptionError(
+                    path, "committed artifact is missing"
+                ) from None
+            self._quarantine(path)
+            raise
 
     def get_period(self, name: str) -> Dict:
         """One period's full ``survey_to_dict`` payload.
 
         Byte-lossless: the canonical JSON of the returned dict is
-        identical to what was ingested, whichever representation
-        (JSON document or packed segment) currently backs the period.
+        identical to what was ingested, whether the period is live or
+        finalized into its segment.
         """
         meta = self.period_meta(name)
         cached = self._payloads.get(name)
         if cached is not None and cached[0] == meta["checksum"]:
             return cached[1]
         self.stats.lookups += 1
-        if meta["repr"] == "segment":
-            self.stats.segment_lookups += 1
-            try:
-                payload = self._reader(name).payload()
-            except ArchiveCorruptionError:
-                self._drop_reader(name, quarantine=True)
-                fallback = self._segment_fallback(name, meta)
-                if fallback is None:
-                    raise
-                return fallback
-            source = self.segment_path(name)
-        elif meta["repr"] == "live":
+        if meta["repr"] == "live":
             # Verified by the manifest record's digest.
             live = self._manifest["live"].get(name)
             if live is None:  # finalized by a refresh since ``meta``
                 return self.get_period(name)
             self._payloads[name] = (meta["checksum"], live["payload"])
             return live["payload"]
-        else:
-            source = self.period_path(name)
-            payload = self._read_wrapped(source)
+        self.stats.segment_lookups += 1
+        payload = self._segment(name, SegmentReader.payload)
         if payload_checksum(payload) != meta["checksum"]:
             raise ArchiveCorruptionError(
-                source,
+                self.segment_path(name),
                 "payload does not match manifest checksum",
             )
         self._payloads[name] = (meta["checksum"], payload)
@@ -601,85 +549,51 @@ class SurveyArchive:
         self.stats.lookups += 1
         if meta["repr"] == "segment" and name not in self._payloads:
             self.stats.segment_lookups += 1
-            try:
-                entry = self._reader(name).get(int(asn))
-            except ArchiveCorruptionError:
-                self._drop_reader(name, quarantine=True)
-                fallback = self._segment_fallback(name, meta)
-                if fallback is None:
-                    raise
-                entry = fallback["reports"].get(str(int(asn)))
+            entry = self._segment(
+                name, lambda reader: reader.get(int(asn))
+            )
         else:
             entry = self.get_period(name)["reports"].get(str(int(asn)))
         if entry is None:
             raise ASNotFoundError(int(asn), name)
         return entry
 
-    def _drop_reader(self, name: str, quarantine: bool = False) -> None:
-        reader = self._readers.pop(name, None)
-        if reader is not None:
-            reader.close()
-        if quarantine:
-            self._quarantine(self.segment_path(name))
-
     # -- secondary indexes ---------------------------------------------
 
-    def _index(self, name: str) -> Dict:
-        meta = self.period_meta(name)
-        cached = self._indexes.get(name)
-        if cached is None or cached[0] != meta["checksum"]:
-            if meta["repr"] == "live":
-                live = self._manifest["live"].get(name)
-                if live is None:  # finalized by a refresh since ``meta``
-                    return self._index(name)
-                index = live["index"]
-            else:
-                index = self._read_wrapped(self.index_path(name))
-            cached = self._indexes[name] = (meta["checksum"], index)
-        return cached[1]
-
-    def _segment_columns(self, name: str) -> Optional[SegmentReader]:
-        """The period's segment reader when its columns are usable.
-
-        None sends the caller down the JSON-index path: non-segment
-        representations, pre-columns segments, and unreadable segments
-        (which the slow path will quarantine and report properly).
-        """
-        meta = self.period_meta(name)
-        if meta["repr"] != "segment":
-            return None
-        try:
-            reader = self._reader(name)
-            if not reader.has_columns():
-                return None
-            reader.columns()
-        except ArchiveCorruptionError:
-            return None
-        return reader
+    def _lookup(
+        self,
+        name: str,
+        live: Callable[[Dict], T],
+        segment: Callable[[SegmentReader], T],
+    ) -> T:
+        """Answer from a live period's index or a finalized period's
+        segment."""
+        self.period_meta(name)  # PeriodNotFoundError for unknown names
+        record = self._manifest["live"].get(name)
+        if record is not None:
+            return live(record["index"])
+        self.stats.segment_lookups += 1
+        return self._segment(name, segment)
 
     def asns(self, period: Optional[str] = None) -> List[int]:
         """Monitored ASNs of one period, sorted."""
-        name = period if period is not None else self.latest()
-        reader = self._segment_columns(name)
-        if reader is not None:
-            self.stats.segment_lookups += 1
-            return reader.asns()
-        index = self._index(name)
-        return sorted(
-            asn for asns in index["severity"].values() for asn in asns
+        return self._lookup(
+            period if period is not None else self.latest(),
+            lambda index: sorted(
+                asn for asns in index["severity"].values() for asn in asns
+            ),
+            SegmentReader.asns,
         )
 
     def asns_with_severity(
         self, period: str, severity: str
     ) -> List[int]:
         """ASNs of one period carrying exactly ``severity``."""
-        reader = self._segment_columns(period)
-        if reader is not None:
-            fast = reader.asns_with_severity(severity)
-            if fast is not None:
-                self.stats.segment_lookups += 1
-                return fast
-        return sorted(self._index(period)["severity"].get(severity, []))
+        return self._lookup(
+            period,
+            lambda index: sorted(index["severity"].get(severity, [])),
+            lambda reader: reader.asns_with_severity(severity),
+        )
 
     def severe_asns(self, period: str) -> List[int]:
         """The period's Severe-class ASNs (the headline lookup)."""
@@ -687,18 +601,15 @@ class SurveyArchive:
 
     def reported_asns(self, period: str) -> List[int]:
         """Congested (non-None) ASNs of one period, sorted."""
-        reader = self._segment_columns(period)
-        if reader is not None:
-            fast = reader.reported_asns()
-            if fast is not None:
-                self.stats.segment_lookups += 1
-                return fast
-        index = self._index(period)["severity"]
-        return sorted(
-            asn
-            for severity, asns in index.items()
-            if severity != "none"
-            for asn in asns
+        return self._lookup(
+            period,
+            lambda index: sorted(
+                asn
+                for severity, asns in index["severity"].items()
+                if severity != "none"
+                for asn in asns
+            ),
+            SegmentReader.reported_asns,
         )
 
     def asns_in_country(self, period: str, country: str) -> List[int]:
@@ -706,13 +617,19 @@ class SurveyArchive:
 
         Empty when the period was ingested without an eyeball ranking.
         """
-        return sorted(
-            self._index(period)["country"].get(country.upper(), [])
+        return self._lookup(
+            period,
+            lambda index: sorted(index["country"].get(country.upper(), [])),
+            lambda reader: reader.asns_in_country(country),
         )
 
     def countries(self, period: str) -> List[str]:
         """Countries with at least one monitored AS, sorted."""
-        return sorted(self._index(period)["country"])
+        return self._lookup(
+            period,
+            lambda index: sorted(index["country"]),
+            SegmentReader.countries,
+        )
 
     # -- longitudinal queries ------------------------------------------
 
@@ -726,49 +643,27 @@ class SurveyArchive:
         asn = int(asn)
         entries = []
         for name in self.periods():
-            if name not in self._payloads:
-                reader = self._segment_columns(name)
-                if reader is not None:
-                    # Columnar fast path: severity/count/amplitude
-                    # straight from the mapped arrays, bit-identical
-                    # to deriving them from the JSON blob.
-                    self.stats.lookups += 1
-                    self.stats.segment_lookups += 1
-                    hot = reader.column_entry(asn)
-                    if hot is None:
-                        entries.append({
-                            "period": name, "monitored": False,
-                            "severity": None,
-                        })
-                    else:
-                        entries.append({
-                            "period": name,
-                            "monitored": True,
-                            "severity": hot["severity"],
-                            "probe_count": hot["probe_count"],
-                            "daily_amplitude_ms": (
-                                hot["daily_amplitude_ms"]
-                            ),
-                        })
-                    continue
-            try:
-                report = self.get(asn, name)
-            except ASNotFoundError:
-                entries.append({
-                    "period": name, "monitored": False,
-                    "severity": None,
-                })
-                continue
-            markers = report.get("markers")
-            entries.append({
-                "period": name,
-                "monitored": True,
-                "severity": report["severity"],
-                "probe_count": report["probe_count"],
-                "daily_amplitude_ms": (
-                    markers["daily_amplitude_ms"] if markers else 0.0
-                ),
-            })
+            if (
+                name not in self._payloads
+                and self.period_meta(name)["repr"] == "segment"
+            ):
+                # Columnar fast path: severity/count/amplitude
+                # straight from the mapped arrays, bit-identical to
+                # deriving them from the JSON blob.
+                self.stats.lookups += 1
+                self.stats.segment_lookups += 1
+                hot = self._segment(
+                    name, lambda reader: reader.column_entry(asn)
+                )
+            else:
+                hot = _hot_fields(
+                    self.get_period(name)["reports"].get(str(asn))
+                )
+            entries.append(
+                {"period": name, "monitored": False, "severity": None}
+                if hot is None
+                else dict(period=name, monitored=True, **hot)
+            )
         return entries
 
     def scan(
@@ -927,62 +822,14 @@ class SurveyArchive:
             suite.add(survey_from_dict(self.get_period(name)))
         return suite
 
-    # -- compaction ----------------------------------------------------
+    def compact(self) -> List[str]:
+        """A no-op, kept for callers written when a period was first
+        stored as a JSON document and packed into a segment later.
 
-    def compact(
-        self,
-        names: Optional[Sequence[str]] = None,
-        keep_json: bool = False,
-    ) -> List[str]:
-        """Fold period JSON documents into packed segments.
-
-        Each segment is verified byte-lossless (full reconstruction
-        checksum) *before* the manifest flips to it, and the JSON
-        document is removed only after, so compaction can never lose a
-        period.  With ``keep_json`` the manifest entry says so, and the
-        document beside the segment stays committed state (the
-        fallback for a torn segment).  Returns the names compacted.
+        Every finalized period is a packed segment from its commit
+        on, so there is nothing to compact; returns ``[]``.
         """
-        obs = get_observer()
-        compacted = []
-        for name in (names if names is not None else self.periods()):
-            meta = self.period_meta(name)
-            if meta["repr"] == "segment":
-                continue
-            if meta["repr"] == "live":
-                # In-flight periods are still changing; only finalized
-                # periods are immutable enough to pack.
-                continue
-            with obs.span("store-compact", period=name), \
-                    self._slots.writing():
-                payload = self.get_period(name)
-                write_segment(
-                    self.segment_path(name), payload, io=self.io
-                )
-                # Round-trip proof before the JSON goes away.
-                reader = self._reader(name)
-                reconstructed = reader.payload()
-                if payload_checksum(reconstructed) != meta["checksum"]:
-                    self._drop_reader(name, quarantine=True)
-                    raise ArchiveCorruptionError(
-                        self.segment_path(name),
-                        "segment round-trip diverges from source",
-                    )
-                entry = self._manifest["periods"][name]
-                entry["repr"] = "segment"
-                if keep_json:
-                    entry["keep_json"] = True
-                self._slots.commit(self._manifest)  # <- the commit point
-                if not keep_json:
-                    self.io.remove(self.period_path(name))
-            self.stats.compactions += 1
-            compacted.append(name)
-        if compacted:
-            obs.counter(
-                "store_compactions_total",
-                "periods folded into packed segments",
-            ).inc(len(compacted))
-        return compacted
+        return []
 
     # -- maintenance ---------------------------------------------------
 
@@ -1016,8 +863,8 @@ class SurveyArchive:
     def fsck(self, repair: bool = False):
         """Full integrity walk; see :func:`repro.store.fsck.run_fsck`.
 
-        With ``repair=True``, bad periods are quarantined and
-        secondary indexes rebuilt; the in-memory view is reloaded
+        With ``repair=True``, bad periods are quarantined and live
+        periods' indexes rebuilt; the in-memory view is reloaded
         afterwards so this archive object keeps serving the repaired
         state.
         """
@@ -1052,15 +899,14 @@ class SurveyArchive:
         """Re-read the manifest and drop warm caches (post-repair)."""
         self.close()
         self._payloads.clear()
-        self._indexes.clear()
         self._anomalies.clear()
         self._manifest = self._slots.load()
         self.generation += 1
 
     def close(self) -> None:
         """Release open segment handles (caches stay warm)."""
-        for name in list(self._readers):
-            self._drop_reader(name)
+        while self._readers:
+            self._readers.popitem()[1].close()
 
     def __enter__(self) -> "SurveyArchive":
         return self
@@ -1132,7 +978,6 @@ class LivePeriodWriter:
                 del archive._manifest["live"][self.name]
                 archive._slots.commit(archive._manifest)
             archive._payloads.pop(self.name, None)
-            archive._indexes.pop(self.name, None)
             archive.generation += 1
         self._done = True
 
@@ -1158,20 +1003,40 @@ class LivePeriodWriter:
             )
 
 
-def _build_index(payload: Dict, ranking) -> Dict:
-    """Severity + country secondary indexes for one period."""
-    severity: Dict[str, List[int]] = {}
+def _hot_fields(report: Optional[Dict]) -> Optional[Dict]:
+    """The history fields of one report entry (None stays None)."""
+    if report is None:
+        return None
+    markers = report.get("markers")
+    return {
+        "severity": report["severity"],
+        "probe_count": report["probe_count"],
+        "daily_amplitude_ms": (
+            markers["daily_amplitude_ms"] if markers else 0.0
+        ),
+    }
+
+
+def _country_index(payload: Dict, ranking) -> Dict[str, List[int]]:
+    """Country code -> sorted monitored ASNs; empty without a ranking."""
     country: Dict[str, List[int]] = {}
-    for asn_text, report in payload.get("reports", {}).items():
-        asn = int(asn_text)
-        severity.setdefault(report["severity"], []).append(asn)
-        if ranking is not None:
-            estimate = ranking.get(asn)
+    if ranking is not None:
+        for asn_text in payload.get("reports", {}):
+            estimate = ranking.get(int(asn_text))
             if estimate is not None:
                 country.setdefault(
                     estimate.country.upper(), []
-                ).append(asn)
+                ).append(int(asn_text))
+    return {k: sorted(v) for k, v in sorted(country.items())}
+
+
+def _build_index(payload: Dict, ranking) -> Dict:
+    """Severity + country secondary indexes for one period (a live
+    period's manifest record carries them)."""
+    severity: Dict[str, List[int]] = {}
+    for asn_text, report in payload.get("reports", {}).items():
+        severity.setdefault(report["severity"], []).append(int(asn_text))
     return {
         "severity": {k: sorted(v) for k, v in sorted(severity.items())},
-        "country": {k: sorted(v) for k, v in sorted(country.items())},
+        "country": _country_index(payload, ranking),
     }

@@ -1,25 +1,25 @@
 """Offline integrity audit and repair for survey archives.
 
 ``repro store fsck`` walks everything the archive persists — the
-manifest slots, per-period JSON documents, secondary indexes, packed
-segments, anomaly reports, live periods' records — and verifies every
-checksum and every cross-reference *without* mutating state; with
-``--repair`` it makes the archive consistent again by quarantining
-what cannot be trusted and rebuilding what can be derived:
+manifest slots, finalized periods' packed segments, anomaly reports,
+live periods' records — and verifies every checksum and every
+cross-reference *without* mutating state; with ``--repair`` it makes
+the archive consistent again by quarantining what cannot be trusted
+and rebuilding what can be derived:
 
-* a period whose payload (JSON, segment or live record) fails its
-  checksum is quarantined: its files move to ``quarantine/`` under
-  their archive-relative paths, never over evidence already there,
-  and its manifest entry is dropped — corrupted data is evidence,
-  never served;
-* a bad or missing secondary index over a *healthy* payload is
+* a period whose payload (segment or live record) fails its checksum
+  is quarantined: its files move to ``quarantine/`` under their
+  archive-relative paths, never over evidence already there, and its
+  manifest entry is dropped — corrupted data is evidence, never
+  served;
+* a live period's bad secondary index over a *healthy* payload is
   rebuilt from the payload (the severity index exactly; the country
   index cannot be re-derived without the eyeball ranking and is
   rebuilt empty, which the finding records);
 * a period's anomaly report that is missing or fails its checksum is
   quarantined and its ``anomalies`` manifest sub-entry dropped — the
   period itself stays committed;
-* documents the manifest does not account for — the rule recovery
+* files the manifest does not account for — the rule recovery
   on open applies (:func:`repro.store.manifest.unaccounted`) — are
   quarantined, and stale temp files removed.
 
@@ -215,7 +215,6 @@ class _Fsck:
         """Drop one bad period: files to quarantine/, entry gone."""
         moved = []
         for relative in (
-            f"periods/{name}.json", f"index/{name}.json",
             f"segments/{name}.seg", f"anomalies/{name}.json",
         ):
             path = self.root / relative
@@ -263,32 +262,10 @@ class _Fsck:
     # -- periods -------------------------------------------------------
 
     def _check_period(self, name: str, meta: Dict) -> None:
-        index = None
-        index_path = self.root / "index" / f"{name}.json"
-        if meta.get("repr") == "segment":
-            payload = self._check_segment(name, meta)
-        elif meta.get("repr") == "live":
-            # The slot's digest covers the record; cross-check it
-            # against the entry like any other payload.
-            record = self.manifest["live"][name]
-            index_path = self.slots.path(self.slots.current)
-            payload, index = record["payload"], record["index"]
-            if self._payload_checksum(payload) != meta.get("checksum"):
-                finding = self.report.add(
-                    ERROR, "payload", index_path,
-                    "live payload does not match manifest checksum",
-                    period=name,
-                )
-                payload = None
-                if self.report.repair:
-                    self._quarantine_period(name, finding)
+        if meta.get("repr") == "live":
+            self._check_live(name, meta)
         else:
-            payload = self._check_document(
-                name, meta, self.root / "periods" / f"{name}.json",
-                "committed period document missing",
-            )
-        if payload is not None:
-            self._check_index(name, payload, index_path, index)
+            self._check_segment(name, meta)
         # A period quarantined above took its anomaly report with it;
         # only still-committed periods get their report audited.
         if name in self.manifest["periods"]:
@@ -308,113 +285,65 @@ class _Fsck:
         self.report.add(ERROR, "payload", path, detail)
         return None
 
-    def _check_document(
-        self, name: str, meta: Dict, path: Path, missing: str
-    ) -> Optional[Dict]:
-        """A committed period's verified payload; on any failure a
-        finding (the period quarantined on repair) and None."""
-        if not path.exists():
-            finding = self.report.add(
-                ERROR, "missing-artifact", path, missing, period=name,
-            )
-        else:
-            payload = self._read_wrapper(path)
-            if payload is None:
-                finding = self.report.findings[-1]
-                finding.period = name
-            elif self._payload_checksum(payload) != meta.get("checksum"):
-                finding = self.report.add(
-                    ERROR, "payload", path,
-                    "payload does not match manifest checksum",
-                    period=name,
-                )
-            else:
-                return payload
-        if self.report.repair:
-            self._quarantine_period(name, finding)
-        return None
-
-    def _check_segment(
-        self, name: str, meta: Dict
-    ) -> Optional[Dict]:
+    def _check_segment(self, name: str, meta: Dict) -> None:
         path = self.root / "segments" / f"{name}.seg"
         if not path.exists():
             finding = self.report.add(
                 ERROR, "missing-artifact", path,
                 "committed segment missing", period=name,
             )
-            if self.report.repair:
-                self._quarantine_period(name, finding)
-            return None
-        try:
-            with SegmentReader(path) as reader:
-                payload = reader.payload()
-        except ArchiveCorruptionError as exc:
-            finding = self.report.add(
-                ERROR, "segment", path, exc.detail, period=name,
-            )
-            if self.report.repair:
-                self._quarantine_period(name, finding)
-            return None
+        else:
+            try:
+                with SegmentReader(path) as reader:
+                    payload = reader.payload()
+                    reader.columns()
+            except ArchiveCorruptionError as exc:
+                finding = self.report.add(
+                    ERROR, "segment", path, exc.detail, period=name,
+                )
+            else:
+                if self._payload_checksum(payload) == meta.get("checksum"):
+                    return
+                finding = self.report.add(
+                    ERROR, "segment", path,
+                    "segment payload does not match manifest checksum",
+                    period=name,
+                )
+        if self.report.repair:
+            self._quarantine_period(name, finding)
+
+    def _check_live(self, name: str, meta: Dict) -> None:
+        """Audit a live period's record: the slot's digest covers it,
+        so cross-check the payload against the entry and the index
+        against the payload; a repair puts a rebuilt index into the
+        record."""
+        from .archive import _build_index  # lazy: avoid cycle
+
+        record = self.manifest["live"][name]
+        path = self.slots.path(self.slots.current)
+        payload = record["payload"]
         if self._payload_checksum(payload) != meta.get("checksum"):
             finding = self.report.add(
-                ERROR, "segment", path,
-                "segment payload does not match manifest checksum",
+                ERROR, "payload", path,
+                "live payload does not match manifest checksum",
                 period=name,
             )
             if self.report.repair:
                 self._quarantine_period(name, finding)
-            return None
-        return payload
-
-    def _check_index(
-        self,
-        name: str,
-        payload: Dict,
-        path: Path,
-        embedded: Optional[Dict] = None,
-    ) -> None:
-        """Audit a period's secondary index against its payload.
-
-        ``embedded`` is the index a live period's manifest record
-        carries (``path`` is then the slot, and a repair puts a
-        rebuilt index into the record).
-        """
-        from .archive import _build_index, wrap  # lazy: avoid cycle
-
-        finding = None
-        if embedded is not None:
-            index = embedded
-        elif not path.exists():
-            finding = self.report.add(
-                ERROR, "index", path, "secondary index missing",
-                period=name,
-            )
-        else:
-            index = self._read_wrapper(path)
-            if index is None:
-                finding = self.report.findings[-1]
-                finding.period = name
-                finding.kind = "index"
-        if finding is None:
-            mismatch = self._index_mismatch(index, payload)
-            if mismatch is None:
-                return
-            finding = self.report.add(
-                ERROR, "index", path, mismatch, period=name
-            )
+            return
+        mismatch = self._index_mismatch(record["index"], payload)
+        if mismatch is None:
+            return
+        finding = self.report.add(
+            ERROR, "index", path, mismatch, period=name
+        )
         if self.report.repair:
-            rebuilt = _build_index(payload, None)
-            if embedded is not None:
-                self.manifest["live"][name]["index"] = rebuilt
-                self.manifest_dirty = True
-            else:
-                self.io.write_atomic(path, wrap(rebuilt))
+            record["index"] = _build_index(payload, None)
+            self.manifest_dirty = True
             finding.repaired = True
             finding.action = (
                 "index rebuilt from payload (country index empty: "
                 "eyeball ranking not on disk)"
-                if rebuilt.get("country") == {} else "index rebuilt"
             )
 
     def _check_anomalies(self, name: str, meta: Dict) -> None:

@@ -1,9 +1,10 @@
 """The archive's committed state: two manifest slots rewritten in place.
 
 One commit rule holds for every archive mutation — ingest, anomaly
-attach, live checkpoint, finalize, abort, compaction and fsck repair:
-new documents land under names no committed state uses, then the
-manifest record is written in place into the older of two slot files.
+attach, live checkpoint, finalize, abort and fsck repair: new files
+(a period's segment, an anomaly report) land under names no committed
+state uses, then the manifest record is written in place into the
+older of two slot files.
 That in-place write is the commit point.  A commit renames only onto
 fresh names and never truncates, so it frees no blocks (DESIGN.md §12
 has the measured cost of freeing).
@@ -28,12 +29,13 @@ mid-rewrite and the older one just retired; it re-reads a bounded
 number of times before calling the manifest corrupt.
 
 Recovery on open is one rule, shared with fsck's orphan check so the
-two cannot disagree: every document under ``periods/``, ``index/``,
-``segments/`` and ``anomalies/`` that the manifest does not account
-for (:func:`accounted`) is deleted, and stale temp files are swept.
-Recovery runs only under the archive lock, which a writer holds for
-the whole of each commit, so an opener never deletes the documents of
-a commit still in flight in another process.  Under the same lock a
+two cannot disagree: every file under ``segments/`` and
+``anomalies/`` that the manifest does not account for
+(:func:`accounted`) is deleted — a commit that never reached its slot
+rolls back — and stale temp files are swept.  Recovery runs only
+under the archive lock, which a writer holds for the whole of each
+commit, so an opener never deletes the files of a commit still in
+flight in another process.  Under the same lock a
 commit first checks that the slot it holds as current is unchanged:
 a record carries the whole manifest, so a handle that loaded before
 another writer's commit would drop that commit, and is refused
@@ -62,8 +64,10 @@ from .errors import (
 from .io import REAL_IO, StoreIO, is_tmp
 
 #: On-disk schema this build reads and writes.  Bump on any layout or
-#: payload change that old readers would misinterpret.
-SCHEMA_VERSION = 1
+#: payload change that old readers would misinterpret.  2: a finalized
+#: period is its packed segment only (no ``periods/``/``index/``
+#: documents).
+SCHEMA_VERSION = 2
 
 ARCHIVE_FORMAT = "repro-archive"
 
@@ -83,9 +87,9 @@ RETIRED = b"\x00"
 READ_ATTEMPTS = 5
 RETRY_S = 0.002
 
-#: Directories holding committed documents; their file names are
-#: derived from the period name.
-DATA_DIRS = ("periods", "index", "segments", "anomalies")
+#: Directories holding committed files; their file names are derived
+#: from the period name.
+DATA_DIRS = ("segments", "anomalies")
 
 #: Layouts of earlier versions, refused on open: (root entry, name).
 OLDER_LAYOUTS = (
@@ -163,7 +167,7 @@ class ManifestSlots:
 
         Raises :class:`SchemaVersionError` for an older layout or
         schema, and :class:`ArchiveCorruptionError` when no slot is
-        valid — or no slot exists but documents do.
+        valid — or no slot exists but data files do.
         """
         for entry, layout in OLDER_LAYOUTS:
             if (self.root / entry).exists():
@@ -231,7 +235,7 @@ class ManifestSlots:
         """Hold the lock for one commit.
 
         The first commit of a new archive first writes the empty
-        manifest into slot a, so documents never exist on disk
+        manifest into slot a, so data files never exist on disk
         without a slot to say whether they are committed.
         """
         with self.locked():
@@ -280,30 +284,25 @@ class ManifestSlots:
 
 
 def accounted(manifest: Dict) -> Set[str]:
-    """Archive-relative paths of every document the manifest commits.
+    """Archive-relative paths of every file the manifest commits.
 
-    A live period owns no document (its payload and index ride in the
-    manifest record).  A compacted period owns its segment and index,
-    and its JSON document only when compacted with ``keep_json``.
+    A live period owns no file (its payload and index ride in the
+    manifest record); a finalized period owns its segment and, once
+    attached, its anomaly report.
     """
     paths: Set[str] = set()
     for name, entry in manifest["periods"].items():
-        representation = entry.get("repr")
-        if representation == "live":
+        if entry.get("repr") == "live":
             continue
-        paths.add(f"index/{name}.json")
-        if representation == "json" or entry.get("keep_json"):
-            paths.add(f"periods/{name}.json")
-        if representation == "segment":
-            paths.add(f"segments/{name}.seg")
+        paths.add(f"segments/{name}.seg")
         if "anomalies" in entry:
             paths.add(f"anomalies/{name}.json")
     return paths
 
 
 def unaccounted(root: Path, manifest: Dict) -> List[str]:
-    """Documents under the data directories the manifest does not
-    account for, archive-relative, sorted."""
+    """Files under the data directories the manifest does not account
+    for, archive-relative, sorted."""
     expected = accounted(manifest)
     found = []
     for sub in DATA_DIRS:
@@ -342,7 +341,7 @@ def sweep_tmp_files(
 class RecoveryReport:
     """What one recovery pass found and did."""
 
-    #: clean | rollback | roll-forward
+    #: clean | rollback
     outcome: str = "clean"
     period: Optional[str] = None
     removed: List[str] = field(default_factory=list)
@@ -366,25 +365,17 @@ def recover(
 ) -> RecoveryReport:
     """Delete what a dead writer left that ``manifest`` does not commit.
 
-    A commit writes its documents before its slot, so everything
-    unaccounted is either an uncommitted commit's output (rollback)
-    or, for a JSON document beside a committed segment, the one a
-    compaction had not yet removed (roll-forward).  Idempotent.
+    A commit writes its files before its slot, so everything
+    unaccounted is an uncommitted commit's output: the commit rolls
+    back.  Idempotent.
     """
     report = RecoveryReport()
-    periods = manifest["periods"]
     for relative in unaccounted(root, manifest):
         io.remove(root / relative)
         report.removed.append(relative)
-        sub, name = relative.split("/", 1)
-        name = name.rsplit(".", 1)[0]
-        forward = (
-            sub == "periods"
-            and periods.get(name, {}).get("repr") == "segment"
-        )
-        if report.outcome != "rollback":
-            report.outcome = "roll-forward" if forward else "rollback"
-            report.period = name
+        if report.outcome == "clean":
+            report.outcome = "rollback"
+            report.period = relative.split("/", 1)[1].rsplit(".", 1)[0]
     report.swept_tmp = sweep_tmp_files(root, io)
     return report
 

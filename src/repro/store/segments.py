@@ -1,23 +1,27 @@
-"""Packed survey segments — the archive's compacted representation.
+"""Packed survey segments — the archive's one finalized-period form.
 
-A segment folds one committed period's JSON document into a single
-flat file optimized for point lookups:
+A segment holds one committed period in a single flat file optimized
+for point lookups:
 
 * a magic header line;
 * the data section — each AS's report entry as one canonical-JSON
   blob, concatenated;
+* the columns section — the hot per-AS fields (ASN, probe count,
+  severity code, daily amplitude) as packed arrays;
 * a JSON footer carrying everything that is not a per-AS report (the
   period header, the failure log, the quality counts), the per-AS
-  index (``asn -> [offset, length, sha256]``) and a checksum of the
-  whole reconstructed payload;
+  index (``asn -> [offset, length, sha256]``), the columns' layout and
+  checksum, the country index (``country -> sorted ASNs``, empty when
+  the period was committed without an eyeball ranking) and a checksum
+  of the whole reconstructed payload;
 * a fixed-width trailer locating and checksumming the footer.
 
-A reader memory-maps nothing and parses nothing it does not need: the
-footer (a few KB) loads once per open and the per-AS index lives in
-memory, so ``get(asn)`` is one seek + one small read + one SHA-256
-over the blob.  Every byte served is checksum-verified — a flipped
-bit anywhere surfaces as :class:`ArchiveCorruptionError`, never as a
-silently wrong answer.
+A reader maps the file once and parses nothing it does not need: the
+footer (a few KB) loads once per open, so ``get(asn)`` is one buffer
+slice + one SHA-256 over the blob, and the columns are served as
+zero-copy numpy views over the mapping.  Every byte served is
+checksum-verified — a flipped bit anywhere surfaces as
+:class:`ArchiveCorruptionError`, never as a silently wrong answer.
 
 The reconstruction contract: ``SegmentReader.payload()`` returns a
 dict whose canonical JSON is byte-identical to the ingested
@@ -31,7 +35,6 @@ import hashlib
 import json
 import mmap
 import os
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -43,7 +46,7 @@ from .io import REAL_IO, StoreIO
 PathLike = Union[str, Path]
 
 #: First bytes of every segment file; bump with the format.
-MAGIC = b"REPROSEG1\n"
+MAGIC = b"REPROSEG2\n"
 
 #: Trailer layout: footer offset (20 ascii digits) + footer length
 #: (20 ascii digits) + footer SHA-256 (64 hex chars).
@@ -76,13 +79,20 @@ def _sha(data: bytes) -> str:
 
 
 def write_segment(
-    path: PathLike, payload: Dict, io: StoreIO = REAL_IO
+    path: PathLike,
+    payload: Dict,
+    io: StoreIO = REAL_IO,
+    countries: Optional[Dict[str, List[int]]] = None,
+    checksum: Optional[str] = None,
 ) -> Path:
     """Pack one period's ``survey_to_dict`` payload into a segment.
 
-    The write is atomic (temp file + fsync + rename through the store
-    IO seam), so a crashed compaction leaves either no segment or a
-    complete one.
+    ``countries`` maps country codes to sorted monitored ASNs (the
+    country index; empty by default).  ``checksum`` passes the
+    payload's already-computed canonical-JSON SHA-256 through.  The
+    write is atomic (temp file + fsync + rename through the store IO
+    seam), so a crashed commit leaves either no segment or a complete
+    one.
     """
     path = Path(path)
     reports: Dict[str, Dict] = payload.get("reports", {})
@@ -107,7 +117,8 @@ def write_segment(
         "quality": payload.get("quality", {}),
         "reports_index": index,
         "columns": columns_meta,
-        "payload_checksum": _sha(
+        "countries": countries or {},
+        "payload_checksum": checksum or _sha(
             canonical_json(payload).encode("ascii")
         ),
     }
@@ -184,39 +195,32 @@ def _pack_columns(reports, base_offset: int):
 class SegmentReader:
     """Point-lookup view over one packed segment.
 
-    Two read modes:
-
-    * ``use_mmap=True`` (default) maps the file once; every read is a
-      buffer slice — no seeks, no locks, and the hot columns are
-      served as zero-copy numpy views over the mapping.
-    * ``use_mmap=False`` keeps the historical shared-handle mode,
-      thread-safe via a lock around each seek+read pair.
-
-    Both modes verify every byte they serve; queries are
-    byte-identical across modes by construction (same blobs, same
-    checksums).
+    The file is mapped once after its size check; every read is a
+    buffer slice — no seeks, no locks — so one reader serves many
+    threads.  A file that cannot be opened or mapped is
+    :class:`ArchiveCorruptionError`.
     """
 
-    def __init__(self, path: PathLike, use_mmap: bool = True):
+    def __init__(self, path: PathLike):
         self.path = Path(path)
-        self._lock = threading.Lock()
-        self._map: Optional[mmap.mmap] = None
         self._columns: Optional[Dict[str, np.ndarray]] = None
         try:
-            self._handle = open(self.path, "rb")
-        except OSError as exc:
+            with open(self.path, "rb") as handle:
+                # fstat, not stat: the open handle stays valid even if
+                # a concurrent quarantine renames the file away.
+                size = os.fstat(handle.fileno()).st_size
+                if size >= len(MAGIC) + _TRAILER_LEN:
+                    self._map = mmap.mmap(
+                        handle.fileno(), 0, access=mmap.ACCESS_READ
+                    )
+        except (OSError, ValueError) as exc:
             raise ArchiveCorruptionError(
                 self.path, f"segment unreadable: {exc}"
             ) from None
-        if use_mmap:
-            try:
-                self._map = mmap.mmap(
-                    self._handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-            except (OSError, ValueError):
-                # Zero-length or unmappable file: the handle path
-                # still works and reports corruption properly.
-                self._map = None
+        if size < len(MAGIC) + _TRAILER_LEN:
+            raise ArchiveCorruptionError(
+                self.path, f"file too short ({size} bytes)"
+            )
         try:
             self._footer = self._load_footer()
         except ArchiveCorruptionError:
@@ -231,20 +235,17 @@ class SegmentReader:
 
     @property
     def mapped(self) -> bool:
-        """True when reads are served from the memory mapping."""
-        return self._map is not None
+        """True while reads are served from the open mapping."""
+        return not self._map.closed
 
     def close(self) -> None:
         self._columns = None
-        if self._map is not None:
-            try:
-                self._map.close()
-            except BufferError:
-                # Column views still alive somewhere; the mapping is
-                # reclaimed when the last view dies.
-                pass
-            self._map = None
-        self._handle.close()
+        try:
+            self._map.close()
+        except BufferError:
+            # Column views still alive somewhere; the mapping is
+            # reclaimed when the last view dies.
+            pass
 
     def __enter__(self) -> "SegmentReader":
         return self
@@ -256,15 +257,9 @@ class SegmentReader:
 
     def _read_at(self, offset: int, length: int) -> bytes:
         try:
-            if self._map is not None:
-                data = self._map[offset:offset + length]
-            else:
-                with self._lock:
-                    self._handle.seek(offset)
-                    data = self._handle.read(length)
+            data = self._map[offset:offset + length]
         except ValueError:
-            # A concurrent quarantine closed this reader mid-read;
-            # surface it as corruption so callers fall back cleanly.
+            # A concurrent quarantine closed this reader mid-read.
             raise ArchiveCorruptionError(
                 self.path, "segment reader closed mid-read"
             ) from None
@@ -275,30 +270,22 @@ class SegmentReader:
         return data
 
     def _load_footer(self) -> Dict:
-        # fstat, not stat: the open handle stays valid even if a
-        # concurrent quarantine renames the file away mid-open.
-        size = os.fstat(self._handle.fileno()).st_size
-        if size < len(MAGIC) + _TRAILER_LEN:
-            raise ArchiveCorruptionError(
-                self.path, f"file too short ({size} bytes)"
-            )
+        size = len(self._map)
         if self._read_at(0, len(MAGIC)) != MAGIC:
             raise ArchiveCorruptionError(self.path, "bad magic")
         trailer = self._read_at(size - _TRAILER_LEN, _TRAILER_LEN)
-        try:
-            footer_offset = int(trailer[:20])
-            footer_length = int(trailer[20:40])
-            footer_sha = trailer[40:].decode("ascii")
-        except (ValueError, UnicodeDecodeError) as exc:
+        if not trailer[:40].isdigit():
             raise ArchiveCorruptionError(
-                self.path, f"unreadable trailer: {exc}"
-            ) from None
+                self.path, "unreadable trailer"
+            )
+        footer_offset = int(trailer[:20])
+        footer_length = int(trailer[20:40])
         if footer_offset + footer_length + _TRAILER_LEN != size:
             raise ArchiveCorruptionError(
                 self.path, "trailer does not span the file"
             )
         footer_bytes = self._read_at(footer_offset, footer_length)
-        if _sha(footer_bytes) != footer_sha:
+        if _sha(footer_bytes).encode("ascii") != trailer[40:]:
             raise ArchiveCorruptionError(
                 self.path, "footer checksum mismatch"
             )
@@ -308,9 +295,12 @@ class SegmentReader:
             raise ArchiveCorruptionError(
                 self.path, f"footer does not parse: {exc}"
             ) from None
-        if not isinstance(footer, dict) or "reports_index" not in footer:
+        if not isinstance(footer, dict) or not all(
+            isinstance(footer.get(key), dict)
+            for key in ("reports_index", "columns", "countries")
+        ):
             raise ArchiveCorruptionError(
-                self.path, "footer missing reports index"
+                self.path, "footer missing a section"
             )
         return footer
 
@@ -325,54 +315,36 @@ class SegmentReader:
         """Monitored ASNs, sorted."""
         return sorted(self._index)
 
-    def has_columns(self) -> bool:
-        """True when the segment carries the binary hot columns."""
-        return isinstance(self._footer.get("columns"), dict)
-
-    def columns(self) -> Optional[Dict[str, np.ndarray]]:
-        """Hot-field arrays, checksum-verified once then cached.
-
-        Zero-copy views over the mapping when mapped; materialized
-        reads otherwise.  None for segments written before the
-        columns section existed.
-        """
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Hot-field arrays as zero-copy views over the mapping,
+        checksum-verified once then cached."""
         if self._columns is not None:
             return self._columns
-        meta = self._footer.get("columns")
-        if not isinstance(meta, dict):
-            return None
+        meta = self._footer["columns"]
         base = int(meta["offset"])
         nbytes = int(meta["nbytes"])
-        if self._map is not None:
-            try:
-                buffer: Union[bytes, mmap.mmap] = self._map
-                blob = memoryview(self._map)[base:base + nbytes]
-            except ValueError:
-                raise ArchiveCorruptionError(
-                    self.path, "segment reader closed mid-read"
-                ) from None
-            section_base = base
-        else:
-            blob = buffer = self._read_at(base, nbytes)
-            section_base = 0
+        try:
+            blob = memoryview(self._map)[base:base + nbytes]
+        except ValueError:
+            raise ArchiveCorruptionError(
+                self.path, "segment reader closed mid-read"
+            ) from None
         if len(blob) != nbytes or _sha(blob) != meta.get("checksum"):
             raise ArchiveCorruptionError(
                 self.path, "columns section fails checksum"
             )
-        arrays: Dict[str, np.ndarray] = {}
-        for name, (offset, count, dtype) in meta["arrays"].items():
-            view = np.frombuffer(
-                buffer, dtype=np.dtype(dtype), count=int(count),
-                offset=section_base + int(offset) - base,
+        self._columns = {
+            name: np.frombuffer(
+                self._map, dtype=np.dtype(dtype), count=int(count),
+                offset=int(offset),
             )
-            arrays[name] = view
-        self._columns = arrays
-        return arrays
+            for name, (offset, count, dtype) in meta["arrays"].items()
+        }
+        return self._columns
 
     def severity_codes(self) -> List[str]:
         """Severity strings indexed by the ``severity`` column codes."""
-        meta = self._footer.get("columns") or {}
-        return list(meta.get("severity_codes", []))
+        return list(self._footer["columns"].get("severity_codes", []))
 
     def column_entry(self, asn: int) -> Optional[Dict]:
         """One AS's hot fields straight from the columns.
@@ -380,12 +352,9 @@ class SegmentReader:
         Byte-identical to deriving the same fields from the JSON blob:
         severity strings come from the footer's code table, counts are
         exact int64, and the amplitude is the stored float64 (0.0 when
-        the report had no markers).  None when the segment has no
-        columns section or the AS is absent.
+        the report had no markers).  None when the AS is absent.
         """
         arrays = self.columns()
-        if arrays is None:
-            return None
         asns = arrays["asn"]
         pos = int(np.searchsorted(asns, int(asn)))
         if pos >= len(asns) or int(asns[pos]) != int(asn):
@@ -404,33 +373,31 @@ class SegmentReader:
             ),
         }
 
-    def asns_with_severity(self, severity: str) -> Optional[List[int]]:
-        """Sorted ASNs whose report carries ``severity``.
-
-        Columnar scan; None when the segment predates the columns
-        section (caller falls back to the JSON index).
-        """
+    def asns_with_severity(self, severity: str) -> List[int]:
+        """Sorted ASNs whose report carries ``severity``."""
         arrays = self.columns()
-        if arrays is None:
-            return None
         codes = self.severity_codes()
-        try:
-            code = codes.index(severity)
-        except ValueError:
+        if severity not in codes:
             return []
-        mask = arrays["severity"] == np.uint8(code)
+        mask = arrays["severity"] == np.uint8(codes.index(severity))
         return [int(asn) for asn in arrays["asn"][mask]]
 
-    def reported_asns(self) -> Optional[List[int]]:
+    def reported_asns(self) -> List[int]:
         """Sorted ASNs with a non-``none`` severity (congested set)."""
         arrays = self.columns()
-        if arrays is None:
-            return None
         codes = self.severity_codes()
         if "none" not in codes:
             return [int(asn) for asn in arrays["asn"]]
         mask = arrays["severity"] != np.uint8(codes.index("none"))
         return [int(asn) for asn in arrays["asn"][mask]]
+
+    def countries(self) -> List[str]:
+        """Countries with at least one monitored AS, sorted."""
+        return sorted(self._footer["countries"])
+
+    def asns_in_country(self, country: str) -> List[int]:
+        """Sorted monitored ASNs hosted in ``country``."""
+        return list(self._footer["countries"].get(country.upper(), []))
 
     def __contains__(self, asn: int) -> bool:
         return int(asn) in self._index

@@ -332,10 +332,12 @@ class TestWatermark:
         ) == 4
 
     def test_cli_on_probe_major_simulator_output(self, tmp_path, capsys):
-        """``repro simulate`` writes one probe's results after
-        another: every probe after the first is far behind the head,
-        so its records are dropped as stale instead of reopening
-        bins."""
+        """The simulator's results regrouped one probe after another
+        (``repro simulate`` itself writes them in timestamp order):
+        every probe after the first is far behind the head, so its
+        records are dropped as stale instead of reopening bins."""
+        import json
+
         from repro.cli import main
         from repro.raclette.__main__ import build_parser, run
 
@@ -344,6 +346,10 @@ class TestWatermark:
             "simulate", str(results), "--probes", "3", "--days", "1",
             "--seed", "0", "--rib-out", str(rib),
         ]) == 0
+        lines = results.read_text().splitlines()
+        results.write_text("\n".join(sorted(
+            lines, key=lambda line: json.loads(line)["prb_id"]
+        )) + "\n")
         argv = [str(results), "--rib", str(rib)]
         capsys.readouterr()
         assert run(argv) == 0

@@ -105,7 +105,7 @@ class TestErrorMapping:
         assert response.status == 400
 
     def test_corruption_503_never_served(self, api, archive):
-        path = archive.period_path("2019-06")
+        path = archive.segment_path("2019-06")
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
@@ -146,11 +146,12 @@ class TestCachingAndETags:
         assert latest.etag != pinned.etag
 
     def test_serves_from_compacted_archive(self, api, archive):
-        archive.compact()
+        """Served from the packed segment, not the warm payload."""
         archive._payloads.clear()
         api.cache.clear()
         payload = body(api.handle("/v1/as/400?period=2019-09"))
         assert payload["report"]["severity"] == "severe"
+        assert archive.stats.segment_lookups >= 1
 
 
 class TestRefreshUnderLoad:
@@ -212,5 +213,5 @@ class TestRefreshUnderLoad:
         assert report["report"]["severity"] == "mild"
         assert body(api.handle("/v1/period/2019-12/severe"))["asns"] == []
         assert body(api.handle("/v1/periods"))["periods"][0]["repr"] == (
-            "json"
+            "segment"
         )

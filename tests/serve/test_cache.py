@@ -164,7 +164,7 @@ class TestNoStaleEntries:
 
         # The period rots on disk; fsck --repair quarantines it.
         flip_bit(
-            archive.period_path("2019-06"), key=FsFaultKey(3)
+            archive.segment_path("2019-06"), key=FsFaultKey(3)
         )
         report = archive.fsck(repair=True)
         assert report.repair_count >= 1
@@ -202,7 +202,7 @@ class TestNoStaleEntries:
         # no longer holds).
         assert (repeat.body, repeat.etag) == (cached.body, cached.etag)
 
-        archive.period_path("2019-09").write_bytes(b"rot")
+        archive.segment_path("2019-09").write_bytes(b"rot")
         failed = api.handle("/v1/period/2019-09")
         assert failed.status == 503  # quarantined on read
 

@@ -1,22 +1,21 @@
 """Serving over mmap-backed segments: concurrency, staleness, tears.
 
-The serving layer's contract does not change when the archive flips
-periods from JSON documents to mapped segments: identical bytes and
-ETags, coherent responses while a re-ingest bumps the generation
-mid-flight, and a torn segment degrading to the JSON document (with
-``store_fallback_total`` booked) instead of a 500.
+A finalized period is a mapped segment; the serving layer's contract
+over it: the bytes and ETags a live period's JSON record serves,
+coherent responses while a re-ingest bumps the generation mid-flight,
+and a torn segment answered with a 503 (quarantined, booked in
+``store_corrupt_total``) while the healthy period keeps serving —
+never a 500.
 """
 
 import datetime as dt
 import json
 import threading
 
-import pytest
-
 from repro.core import Severity
 from repro.obs import Observability, observed
 from repro.serve import SurveyAPI
-from repro.store import STORE_MMAP_ENV, SurveyArchive
+from repro.store import SurveyArchive
 from tests.store.conftest import make_ranking, make_survey
 
 THREADS = 8
@@ -33,30 +32,35 @@ HOT_PATHS = (
 )
 
 
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    monkeypatch.delenv(STORE_MMAP_ENV, raising=False)
-
-
-def build_archive(root, ranking=None):
-    """The conftest two-period archive, buildable at any path."""
+def build_archive(root, ranking=None, live=False):
+    """The conftest two-period archive, buildable at any path; with
+    ``live`` both periods stay live records (payload and index in the
+    manifest) instead of segments."""
     archive = SurveyArchive(root)
     ranking = ranking if ranking is not None else make_ranking()
-    archive.ingest(
+    for result in (
         make_survey("2019-06", dt.datetime(2019, 6, 1), {
             100: Severity.SEVERE, 200: Severity.LOW,
             300: Severity.NONE,
         }),
-        ranking=ranking,
-    )
-    archive.ingest(
         make_survey("2019-09", dt.datetime(2019, 9, 1), {
             100: Severity.MILD, 300: Severity.NONE,
             400: Severity.SEVERE,
         }),
-        ranking=ranking,
-    )
+    ):
+        if live:
+            archive.begin_live_period(result.period.name).commit_partial(
+                result, ranking=ranking
+            )
+        else:
+            archive.ingest(result, ranking=ranking)
     return archive
+
+
+def tear(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(raw)
 
 
 def serve_all(api, paths=HOT_PATHS):
@@ -71,7 +75,6 @@ def serve_all(api, paths=HOT_PATHS):
 class TestConcurrentMmapReads:
     def test_eight_threads_byte_identical(self, tmp_path):
         with build_archive(tmp_path / "arc") as archive:
-            archive.compact()
             api = SurveyAPI(archive, cache_size=8)
             expected = serve_all(api)
             assert all(
@@ -107,7 +110,6 @@ class TestConcurrentMmapReads:
     def test_generation_bump_mid_flight(self, tmp_path):
         ranking = make_ranking()
         with build_archive(tmp_path / "arc", ranking) as archive:
-            archive.compact()
             api = SurveyAPI(archive, cache_size=8)
             path = "/v1/as/400/history"
             first = api.handle(path)
@@ -179,53 +181,57 @@ class TestConcurrentMmapReads:
                     assert observation in (before, after)
                 assert slot_observations[-1] == after
 
-    def test_mmap_and_json_modes_serve_identical_bytes(
-        self, tmp_path, monkeypatch
-    ):
-        with build_archive(tmp_path / "mapped") as archive:
-            archive.compact()
+    def test_mmap_and_json_modes_serve_identical_bytes(self, tmp_path):
+        """Mapped segments serve what the same periods' live JSON
+        records (payload + ``_build_index`` index) serve."""
+        build_archive(tmp_path / "mapped").close()
+        with SurveyArchive(tmp_path / "mapped") as archive:
             mapped = serve_all(SurveyAPI(archive, cache_size=8))
-        monkeypatch.setenv(STORE_MMAP_ENV, "0")
-        with build_archive(tmp_path / "plain") as archive:
-            archive.compact()
+            assert archive.stats.segment_lookups > 0
+        with build_archive(tmp_path / "plain", live=True) as archive:
+            assert archive.period_meta("2019-06")["repr"] == "live"
             plain = serve_all(SurveyAPI(archive, cache_size=8))
         assert mapped == plain
 
 
 class TestTornSegmentServing:
-    def test_torn_segment_falls_back_not_500(self, tmp_path):
-        with build_archive(tmp_path / "pristine") as archive:
+    def test_torn_segment_is_503_not_500(self, tmp_path):
+        build_archive(tmp_path / "pristine").close()
+        with SurveyArchive(tmp_path / "pristine") as archive:
             expected = serve_all(SurveyAPI(archive, cache_size=8))
 
         root = tmp_path / "arc"
-        with build_archive(root) as archive:
-            archive.compact(keep_json=True)
+        build_archive(root).close()
         seg = root / "segments" / "2019-06.seg"
-        raw = bytearray(seg.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        seg.write_bytes(raw)
+        tear(seg)
 
         with observed(Observability()) as obs:
             with SurveyArchive(root) as archive:
                 api = SurveyAPI(archive, cache_size=8)
-                served = serve_all(api)
-        for path, (status, body, etag) in served.items():
-            assert status < 500, path
-        # Byte-identical to a never-compacted archive's serving.
-        assert served == expected
+                torn = api.handle("/v1/period/2019-06")
+                served = serve_all(api, [
+                    path for path in HOT_PATHS if "2019-06" not in path
+                    and "history" not in path
+                ])
+        assert torn.status == 503
+        assert json.loads(torn.body)["error"] == "ArchiveCorruptionError"
+        assert not seg.exists()
+        # The healthy period serves exactly what it served before.
+        assert served == {
+            path: expected[path] for path in served
+        }
+        assert served and all(
+            status == 200 for status, _, _ in served.values()
+        )
         assert obs.metrics.counter(
-            "store_fallback_total", ""
+            "store_corrupt_total", ""
         ).value() >= 1
 
     def test_torn_segment_under_concurrency(self, tmp_path):
         root = tmp_path / "arc"
-        with build_archive(root) as archive:
-            archive.compact(keep_json=True)
+        build_archive(root).close()
         for name in ("2019-06", "2019-09"):
-            seg = root / "segments" / f"{name}.seg"
-            raw = bytearray(seg.read_bytes())
-            raw[len(raw) // 2] ^= 0xFF
-            seg.write_bytes(raw)
+            tear(root / "segments" / f"{name}.seg")
 
         with observed(Observability()) as obs:
             with SurveyArchive(root) as archive:
@@ -254,9 +260,9 @@ class TestTornSegmentServing:
                 for thread in threads:
                     thread.join()
         assert not errors
-        assert statuses and all(
-            status < 500 for status in statuses
-        )
+        # Both periods are torn: every read is a 503 (corruption,
+        # then the open circuit), never a 500.
+        assert statuses and set(statuses) == {503}
         assert obs.metrics.counter(
-            "store_fallback_total", ""
+            "store_corrupt_total", ""
         ).value() >= 1

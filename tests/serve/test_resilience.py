@@ -268,7 +268,7 @@ class TestBreakerIntegration:
             ),
             clock=clock,
         )
-        period_file = archive.period_path("2019-06")
+        period_file = archive.segment_path("2019-06")
         pristine = period_file.read_bytes()
         period_file.write_bytes(pristine[:-40] + b"x" * 40)
 
@@ -312,7 +312,7 @@ class TestBreakerIntegration:
                 resilience=ResilienceConfig(breaker_threshold=1),
                 clock=FakeClock(),
             )
-            period_file = archive.period_path("2019-06")
+            period_file = archive.segment_path("2019-06")
             period_file.write_bytes(b"garbage")
             api.handle("/v1/period/2019-06")
         gauge = obs.metrics.gauge("breaker_state", "", ("period",))

@@ -8,6 +8,7 @@ import pytest
 from repro.core import SurveySuite
 from repro.io import survey_to_dict
 from repro.store import (
+    MAGIC,
     ArchiveCorruptionError,
     ASNotFoundError,
     PeriodExistsError,
@@ -17,6 +18,7 @@ from repro.store import (
     canonical_json,
     payload_checksum,
 )
+from repro.store.archive import _build_index
 from repro.store.manifest import SLOT_NAMES, ManifestSlots, encode_record
 
 
@@ -56,7 +58,7 @@ class TestIngest:
 
     def test_manifest_records_meta(self, archive):
         meta = archive.period_meta("2019-06")
-        assert meta["repr"] == "json"
+        assert meta["repr"] == "segment"
         assert meta["ases"] == 3
         assert meta["start"].startswith("2019-06-01")
 
@@ -81,7 +83,9 @@ class TestRoundtrip:
 
     def test_lossless_after_compaction(self, archive, survey_june,
                                        survey_september):
-        archive.compact()
+        """``compact()`` is a kept no-op: the segments it once
+        produced are what ingest writes, and reads stay lossless."""
+        assert archive.compact() == []
         for name, original in (
             ("2019-06", survey_june), ("2019-09", survey_september),
         ):
@@ -109,7 +113,6 @@ class TestPointLookup:
             archive.get(100, "2024-01")
 
     def test_segment_point_lookup(self, archive):
-        archive.compact()
         archive._payloads.clear()
         entry = archive.get(400, "2019-09")
         assert entry["severity"] == "severe"
@@ -140,6 +143,23 @@ class TestSecondaryIndexes:
 
     def test_asns(self, archive):
         assert archive.asns("2019-06") == [100, 200, 300]
+
+    def test_country_index_after_reopen_matches_oracle(
+        self, archive, survey_june, survey_september, ranking
+    ):
+        """A reopened archive answers country queries from the
+        segments' footers exactly as ``_build_index`` would."""
+        archive.close()
+        reopened = SurveyArchive(archive.root)
+        for result in (survey_june, survey_september):
+            want = _build_index(survey_to_dict(result), ranking)["country"]
+            name = result.period.name
+            assert reopened.countries(name) == sorted(want)
+            for country in ("JP", "us", "DE", "FR"):
+                assert reopened.asns_in_country(name, country) == (
+                    want.get(country.upper(), [])
+                )
+            assert reopened.stats.segment_lookups > 0
 
 
 class TestLongitudinal:
@@ -177,24 +197,50 @@ class TestLongitudinal:
         assert suite.results["2019-06"].reported_asns() == [100, 200]
 
 
-class TestCompaction:
-    def test_repr_flips_and_json_removed(self, archive):
-        compacted = archive.compact()
-        assert compacted == ["2019-06", "2019-09"]
+def data_files(root):
+    """Archive-relative paths of every file beside the slots."""
+    return sorted(
+        str(p.relative_to(root)) for p in root.rglob("*")
+        if p.is_file() and p.name not in SLOT_NAMES
+    )
+
+
+class TestOneForm:
+    """A finalized period is its packed segment, nothing else."""
+
+    def test_ingest_writes_segment_only(self, archive):
+        assert data_files(archive.root) == [
+            "segments/2019-06.seg", "segments/2019-09.seg",
+        ]
+
+    def test_finalize_writes_segment_only(self, tmp_path, survey_june,
+                                          ranking):
+        archive = SurveyArchive(tmp_path / "live")
+        writer = archive.begin_live_period("2019-06")
+        writer.commit_partial(survey_june, ranking=ranking)
+        assert data_files(archive.root) == []
+        writer.finalize(survey_june, ranking=ranking)
+        assert data_files(archive.root) == ["segments/2019-06.seg"]
         assert archive.period_meta("2019-06")["repr"] == "segment"
-        assert not archive.period_path("2019-06").exists()
-        assert archive.segment_path("2019-06").exists()
 
-    def test_keep_json(self, archive):
-        archive.compact(keep_json=True)
-        assert archive.period_path("2019-06").exists()
+    def test_schema_1_archive_refused(self, archive):
+        archive.close()
+        slots = ManifestSlots(archive.root)
+        manifest = slots.load()
+        manifest["schema"] = 1
+        slots.path(slots.current).write_bytes(
+            encode_record(slots.seq, manifest)
+        )
+        with pytest.raises(SchemaVersionError):
+            SurveyArchive(archive.root)
 
+
+class TestCompaction:
     def test_recompaction_is_noop(self, archive):
-        archive.compact()
+        assert archive.compact() == []
         assert archive.compact() == []
 
     def test_survives_reopen(self, archive, survey_june):
-        archive.compact()
         archive.close()
         reopened = SurveyArchive(archive.root)
         assert reopened.period_meta("2019-06")["repr"] == "segment"
@@ -204,23 +250,37 @@ class TestCompaction:
 
 
 class TestCorruption:
-    def _corrupt(self, path):
+    def _corrupt(self, path, offset=None):
         data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
+        data[len(data) // 2 if offset is None else offset] ^= 0xFF
         path.write_bytes(bytes(data))
 
     def test_corrupt_period_json_quarantined(self, archive):
-        self._corrupt(archive.period_path("2019-06"))
+        """A flipped byte in a report blob (canonical JSON inside the
+        segment) fails the read, once, and quarantines the segment."""
+        self._corrupt(archive.segment_path("2019-06"), len(MAGIC) + 2)
         archive._payloads.clear()
-        with pytest.raises(ArchiveCorruptionError):
+        with pytest.raises(ArchiveCorruptionError, match="AS100"):
             archive.get_period("2019-06")
         assert archive.stats.corrupt == 1
-        quarantined = archive.root / "quarantine" / "periods" / "2019-06.json"
+        quarantined = (
+            archive.root / "quarantine" / "segments" / "2019-06.seg"
+        )
         assert quarantined.exists()
-        assert not archive.period_path("2019-06").exists()
+        assert not archive.segment_path("2019-06").exists()
+
+    def test_torn_segment_quarantined(self, archive):
+        data = archive.segment_path("2019-09").read_bytes()
+        archive.segment_path("2019-09").write_bytes(data[:len(data) // 2])
+        archive._payloads.clear()
+        with pytest.raises(ArchiveCorruptionError, match="2019-09.seg"):
+            archive.get(400, "2019-09")
+        assert archive.stats.corrupt == 1
+        assert (
+            archive.root / "quarantine" / "segments" / "2019-09.seg"
+        ).exists()
 
     def test_corrupt_segment_quarantined(self, archive):
-        archive.compact()
         archive.close()
         archive._payloads.clear()
         self._corrupt(archive.segment_path("2019-09"))
@@ -231,16 +291,17 @@ class TestCorruption:
         ).exists()
 
     def test_verify_reports_without_raising(self, archive):
-        self._corrupt(archive.period_path("2019-06"))
+        self._corrupt(archive.segment_path("2019-06"))
         outcome = archive.verify()
         assert outcome["2019-09"] == "ok"
         assert outcome["2019-06"].startswith("corrupt:")
 
     def test_missing_committed_artifact(self, archive):
-        archive.period_path("2019-06").unlink()
+        archive.segment_path("2019-06").unlink()
         archive._payloads.clear()
-        with pytest.raises(ArchiveCorruptionError):
+        with pytest.raises(ArchiveCorruptionError, match="missing"):
             archive.get_period("2019-06")
+        assert archive.stats.corrupt == 0
 
     def test_schema_version_gate(self, archive):
         archive.close()

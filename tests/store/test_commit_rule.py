@@ -102,22 +102,6 @@ class TestCommitsFreeNothing:
         assert archive.periods() == ["2019-03", LIVE, "2019-09"]
         assert run_fsck(root).exit_code == EXIT_CLEAN
 
-    def test_compaction_frees_only_the_json_it_retires(self, tmp_path):
-        root = tmp_path / "arc"
-        io = RecordingIO()
-        archive = SurveyArchive(root, io=io)
-        archive.ingest(survey("2019-03"), ranking=make_ranking())
-        archive.ingest(survey("2019-09"), ranking=make_ranking())
-        io.ops.clear()
-        archive.compact(["2019-03"], keep_json=True)
-        assert [op for op in io.ops if op.frees] == []
-        io.ops.clear()
-        archive.compact(["2019-09"])
-        assert [op.path for op in io.ops if op.frees] == [
-            str(archive.period_path("2019-09"))
-        ]
-        assert len(valid_slots(root)) == 1
-
     def test_finished_stream_leaves_slots_and_documents(self, tmp_path):
         from repro.stream import StreamingSurvey, dataset_to_records
         from repro.scenarios import generate_specs
@@ -139,8 +123,7 @@ class TestCommitsFreeNothing:
             str(p.relative_to(root)) for p in root.rglob("*")
             if p.is_file()
         ) == [
-            "MANIFEST.a", "MANIFEST.b",
-            f"index/{PERIOD.name}.json", f"periods/{PERIOD.name}.json",
+            "MANIFEST.a", "MANIFEST.b", f"segments/{PERIOD.name}.seg",
         ]
 
 
@@ -211,10 +194,10 @@ class TestOpenObservability:
         assert len(obs.tracer.find("store-open")) == 1
         assert obs.metrics.counter(fallback, "").value() == 0
 
-        # Second ingest: period and index documents (ops 0-3), then
-        # the record torn 100 bytes into the older slot.
+        # Second ingest: the segment (ops 0-1), then the record torn
+        # 100 bytes into the older slot.
         crashing = SurveyArchive(
-            root, io=CrashingIO(CrashPlan(4, byte_offset=100))
+            root, io=CrashingIO(CrashPlan(2, byte_offset=100))
         )
         with pytest.raises(SimulatedCrash):
             crashing.ingest(survey("2019-09"))

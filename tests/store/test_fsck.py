@@ -1,7 +1,6 @@
 """fsck: detection and repair of every corruption class it audits."""
 
 import datetime as dt
-import json
 
 import pytest
 
@@ -10,6 +9,7 @@ from repro.faults import FsFaultKey, flip_bit, tear_file
 from repro.obs import observed
 from repro.quality import DropReason
 from repro.store import (
+    SCHEMA_VERSION,
     EXIT_CLEAN,
     EXIT_ERRORS,
     EXIT_REPAIRED,
@@ -26,7 +26,7 @@ from tests.store.conftest import make_ranking, make_survey
 
 @pytest.fixture()
 def stocked(tmp_path):
-    """Two committed periods, one compacted to a segment."""
+    """Two committed periods, each its packed segment."""
     archive = SurveyArchive(tmp_path / "arc")
     ranking = make_ranking()
     archive.ingest(
@@ -41,7 +41,17 @@ def stocked(tmp_path):
         }),
         ranking=ranking,
     )
-    archive.compact(["2019-09"])
+    archive.close()
+    return archive
+
+
+@pytest.fixture()
+def reported(stocked):
+    """``stocked`` with an anomaly report attached to 2019-06."""
+    from tests.store.test_anomaly_artifacts import make_anomaly_payload
+
+    archive = SurveyArchive(stocked.root)
+    archive.ingest_anomalies("2019-06", make_anomaly_payload("2019-06"))
     archive.close()
     return archive
 
@@ -80,57 +90,50 @@ def schema_bytes(path):
     """Offsets of a wrapper's ``schema`` key name and its value."""
     raw = path.read_bytes()
     key = raw.index(b'"schema"') + 1
-    value = raw.index(b"1", key + len("schema"))
+    value = raw.index(str(SCHEMA_VERSION).encode(), key + len("schema"))
     return list(range(key, key + len("schema"))) + [value]
 
 
+SEGMENT = "segments/2019-06.seg"
+
+
 class TestJsonPayloadCorruption:
+    """A bit flipped anywhere in a period's payload — the canonical-
+    JSON report blobs, hot columns and footer packed in its segment —
+    is found; a repair quarantines the period."""
+
     def test_bit_flip_detected_not_repaired(self, stocked):
-        flip_keyed(stocked.root, "periods/2019-06.json")
+        flip_keyed(stocked.root, SEGMENT)
         report = run_fsck(stocked.root)
         assert not report.clean
         assert report.exit_code == EXIT_ERRORS
-        kinds = {f.kind for f in report.errors}
-        assert kinds <= {"payload", "index"}
+        assert {f.kind for f in report.errors} == {"segment"}
         # Read-only: nothing moved, nothing deleted.
-        assert (stocked.root / "periods" / "2019-06.json").exists()
+        assert (stocked.root / SEGMENT).exists()
         assert not (stocked.root / "quarantine").exists()
 
     def test_bit_flip_repair_quarantines_period(self, stocked):
-        flip_keyed(stocked.root, "periods/2019-06.json")
+        flip_keyed(stocked.root, SEGMENT)
         report = run_fsck(stocked.root, repair=True)
         assert report.exit_code == EXIT_REPAIRED
-        assert not (stocked.root / "periods" / "2019-06.json").exists()
-        assert (
-            stocked.root / "quarantine" / "periods" / "2019-06.json"
-        ).exists()
+        assert not (stocked.root / SEGMENT).exists()
+        assert (stocked.root / "quarantine" / SEGMENT).exists()
         manifest = read_manifest(stocked.root)
         assert "2019-06" not in manifest["periods"]
         assert "2019-09" in manifest["periods"]
         # Repaired archive is clean on the next pass.
         assert run_fsck(stocked.root).exit_code == EXIT_CLEAN
 
-    def test_quarantine_keeps_every_file_as_evidence(self, stocked):
-        """A quarantined period's documents share a file name; each
-        keeps its archive-relative path under quarantine/, byte for
-        byte, and nothing already quarantined is overwritten."""
-        from tests.store.test_anomaly_artifacts import (
-            make_anomaly_payload,
-        )
-
-        archive = SurveyArchive(stocked.root)
-        archive.ingest_anomalies(
-            "2019-06", make_anomaly_payload("2019-06")
-        )
-        archive.close()
-        earlier = stocked.root / "quarantine" / "periods" / "2019-06.json"
+    def test_quarantine_keeps_every_file_as_evidence(self, reported):
+        """A quarantined period's files share a file name; each keeps
+        its archive-relative path under quarantine/, byte for byte,
+        and nothing already quarantined is overwritten."""
+        stocked = reported
+        earlier = stocked.root / "quarantine" / SEGMENT
         earlier.parent.mkdir(parents=True)
         earlier.write_bytes(b"evidence of an earlier repair")
-        flip_keyed(stocked.root, "periods/2019-06.json")
-        relatives = [
-            "periods/2019-06.json", "index/2019-06.json",
-            "anomalies/2019-06.json",
-        ]
+        flip_keyed(stocked.root, SEGMENT)
+        relatives = [SEGMENT, "anomalies/2019-06.json"]
         before = {
             relative: (stocked.root / relative).read_bytes()
             for relative in relatives
@@ -143,13 +146,13 @@ class TestJsonPayloadCorruption:
         )
         quarantined = stocked.root / "quarantine"
         assert earlier.read_bytes() == b"evidence of an earlier repair"
-        copy = quarantined / "periods" / "2019-06.json.1"
-        assert copy.read_bytes() == before["periods/2019-06.json"]
+        copy = quarantined / "segments" / "2019-06.seg.1"
+        assert copy.read_bytes() == before[SEGMENT]
         for relative in relatives[1:]:
             assert (quarantined / relative).read_bytes() == before[relative]
 
     def test_repair_books_quality_drop(self, stocked):
-        flip_keyed(stocked.root, "periods/2019-06.json")
+        flip_keyed(stocked.root, SEGMENT)
         from repro.quality import DataQualityReport
 
         quality = DataQualityReport()
@@ -159,34 +162,33 @@ class TestJsonPayloadCorruption:
 
 
 class TestWrapperSchema:
-    """Every wrapped read requires ``schema`` to be the archive's: a
-    bit flipped anywhere in the key name or its value is flagged."""
+    """Every wrapped read (an anomaly report) requires ``schema`` to be
+    the archive's: a bit flipped anywhere in the key name or its value
+    is flagged."""
 
-    @pytest.mark.parametrize("relative", [
-        "periods/2019-06.json", "index/2019-06.json",
-    ])
+    @pytest.mark.parametrize("relative", ["anomalies/2019-06.json"])
     @pytest.mark.parametrize("byte", range(7))
     @pytest.mark.parametrize("bit", range(8))
-    def test_schema_flip_flagged(self, stocked, relative, byte, bit):
-        path = stocked.root / relative
+    def test_schema_flip_flagged(self, reported, relative, byte, bit):
+        path = reported.root / relative
         flip_bit(path, offset=schema_bytes(path)[byte], bit=bit)
-        report = run_fsck(stocked.root)
+        report = run_fsck(reported.root)
         assert report.exit_code == EXIT_ERRORS
         assert [f.path for f in report.errors] == [str(path)]
 
-    def test_schema_value_checked(self, stocked):
-        path = stocked.root / "periods" / "2019-06.json"
+    def test_schema_value_checked(self, reported):
+        path = reported.root / "anomalies" / "2019-06.json"
         path.write_bytes(path.read_bytes().replace(
-            b'"schema": 1', b'"schema": 3', 1
+            f'"schema": {SCHEMA_VERSION}'.encode(), b'"schema": 3', 1
         ))
-        report = run_fsck(stocked.root)
+        report = run_fsck(reported.root)
         assert [f.detail for f in report.errors] == [
-            "wrapper schema 3 is not the archive's 1"
+            f"wrapper schema 3 is not the archive's {SCHEMA_VERSION}"
         ]
         # The serving path refuses (and quarantines) it too.
-        archive = SurveyArchive(stocked.root)
+        archive = SurveyArchive(reported.root)
         with pytest.raises(ArchiveCorruptionError, match="schema 3"):
-            archive.get_period("2019-06")
+            archive.get_anomalies("2019-06")
         assert not path.exists()
 
 
@@ -212,31 +214,73 @@ class TestSegmentCorruption:
         assert "2019-09" not in manifest["periods"]
 
 
+LIVE = "2019-12"
+
+
+def tamper_live_index(root, change):
+    """Commit a live period, then rewrite its record's index with
+    ``change`` under a valid slot digest (a writer bug, not rot)."""
+    writer = SurveyArchive(root).begin_live_period(LIVE)
+    writer.commit_partial(
+        make_survey(LIVE, dt.datetime(2019, 12, 1), {
+            100: Severity.SEVERE, 200: Severity.LOW,
+        }),
+        ranking=make_ranking(),
+    )
+    slots = ManifestSlots(root)
+    manifest = slots.load()
+    change(manifest["live"][LIVE]["index"])
+    with slots.writing():
+        slots.commit(manifest)
+
+
+class TestColumnsCorruption:
+    def test_columns_flip_detected_and_repaired(self, stocked):
+        """The hot columns sit outside the report blobs and footer;
+        fsck verifies their checksum too."""
+        from repro.store.segments import SegmentReader
+
+        path = stocked.root / SEGMENT
+        with SegmentReader(path) as reader:
+            offset = int(reader._footer["columns"]["offset"])
+        flip_bit(path, offset=offset, bit=0)
+        report = run_fsck(stocked.root)
+        assert [(f.kind, f.detail) for f in report.errors] == [
+            ("segment", "columns section fails checksum")
+        ]
+        assert run_fsck(stocked.root, repair=True).exit_code == (
+            EXIT_REPAIRED
+        )
+        assert (stocked.root / "quarantine" / SEGMENT).exists()
+
+
 class TestIndexProblems:
+    """A live period's secondary index rides in its manifest record;
+    fsck cross-checks it against the payload and rebuilds it."""
+
     def test_missing_index_rebuilt(self, stocked):
-        (stocked.root / "index" / "2019-06.json").unlink()
+        tamper_live_index(stocked.root, dict.clear)
         report = run_fsck(stocked.root, repair=True)
         assert report.exit_code == EXIT_REPAIRED
-        assert (stocked.root / "index" / "2019-06.json").exists()
+        index = read_manifest(stocked.root)["live"][LIVE]["index"]
+        assert index["severity"] == {"low": [200], "severe": [100]}
         # The period itself survives a rebuildable index problem.
-        manifest = read_manifest(stocked.root)
-        assert "2019-06" in manifest["periods"]
+        assert LIVE in read_manifest(stocked.root)["periods"]
         assert run_fsck(stocked.root).exit_code == EXIT_CLEAN
 
     def test_rebuilt_index_notes_empty_country(self, stocked):
-        (stocked.root / "index" / "2019-06.json").unlink()
+        tamper_live_index(stocked.root, dict.clear)
         report = run_fsck(stocked.root, repair=True)
         (finding,) = [f for f in report.findings if f.kind == "index"]
         assert "country index empty" in finding.action
+        index = read_manifest(stocked.root)["live"][LIVE]["index"]
+        assert index["country"] == {}
 
     def test_severity_index_cross_reference(self, stocked):
-        index_path = stocked.root / "index" / "2019-06.json"
-        entry = json.loads(index_path.read_text())
-        entry["payload"]["severity"]["severe"] = [999]
-        from repro.store import payload_checksum
+        def plant(index):
+            index["severity"]["severe"] = [999]
 
-        entry["checksum"] = payload_checksum(entry["payload"])
-        index_path.write_text(json.dumps(entry))
+        tamper_live_index(stocked.root, plant)
         report = run_fsck(stocked.root)
         assert any(
             "severity index disagrees" in f.detail
@@ -278,7 +322,7 @@ class TestManifestProblems:
 
 class TestLeftovers:
     def test_orphan_warned_and_quarantined(self, stocked):
-        orphan = stocked.root / "periods" / "2031-01.json"
+        orphan = stocked.root / "segments" / "2031-01.seg"
         orphan.write_text("{}")
         report = run_fsck(stocked.root)
         assert report.exit_code == EXIT_CLEAN  # warnings stay clean
@@ -286,11 +330,11 @@ class TestLeftovers:
         report = run_fsck(stocked.root, repair=True)
         assert not orphan.exists()
         assert (
-            stocked.root / "quarantine" / "periods" / "2031-01.json"
+            stocked.root / "quarantine" / "segments" / "2031-01.seg"
         ).exists()
 
     def test_stale_tmp_swept_on_repair(self, stocked):
-        stale = stocked.root / "periods" / ".x.json.12345.tmp"
+        stale = stocked.root / "segments" / ".x.seg.12345.tmp"
         stale.write_text("partial")
         report = run_fsck(stocked.root)
         assert any(f.kind == "stale-tmp" for f in report.findings)
@@ -302,7 +346,7 @@ class TestLeftovers:
 class TestArchiveFsckMethod:
     def test_archive_keeps_serving_after_repair(self, stocked):
         archive = SurveyArchive(stocked.root)
-        flip_keyed(stocked.root, "periods/2019-06.json")
+        flip_keyed(stocked.root, SEGMENT)
         generation = archive.generation
         report = archive.fsck(repair=True)
         assert report.repair_count >= 1
@@ -312,7 +356,7 @@ class TestArchiveFsckMethod:
         assert archive.generation > generation
 
     def test_fsck_counters(self, stocked):
-        flip_keyed(stocked.root, "periods/2019-06.json")
+        flip_keyed(stocked.root, SEGMENT)
         with observed() as obs:
             run_fsck(stocked.root)
         runs = obs.metrics.counter(
@@ -322,4 +366,4 @@ class TestArchiveFsckMethod:
         findings = obs.metrics.counter(
             "store_fsck_findings_total", "", ("kind",)
         )
-        assert findings.value(kind="payload") >= 1
+        assert findings.value(kind="segment") >= 1

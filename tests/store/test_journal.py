@@ -2,11 +2,12 @@
 
 The contract under test (see DESIGN.md §12): an archive writer killed
 at ANY byte boundary of a commit — an ingest, a live checkpoint, a
-finalize, an abort, a compaction — leaves the archive in exactly the
-pre-commit or post-commit state after recovery-on-open, and fsck finds
-nothing to complain about either way.  Every commit writes its
-documents under fresh names, then one manifest record in place into
-the older slot (the commit point), then retires the other slot.
+finalize, an abort — leaves the archive in exactly the pre-commit or
+post-commit state after recovery-on-open, and fsck finds nothing to
+complain about either way.  Every commit writes its files (a
+finalized period's segment) under fresh names, then one manifest
+record in place into the older slot (the commit point), then retires
+the other slot.
 
 The op sequence is *measured*, not hardcoded: a dry run under
 :class:`RecordingIO` enumerates the protocol's operations, then one
@@ -57,17 +58,17 @@ class TestOpEnumeration:
         ops = recorded_ops(survey_june, ranking, tmp_path)
         kinds = [op.kind for op in ops]
         # A new archive's first commit: slot a takes the empty
-        # manifest, then the period document and the index, then the
-        # record creates slot b (the commit point) and slot a retires.
-        assert kinds == ["write", "replace"] * 4 + ["write-in-place"]
+        # manifest, then the period's segment, then the record creates
+        # slot b (the commit point) and slot a retires.
+        assert kinds == ["write", "replace"] * 3 + ["write-in-place"]
         assert [
             Path(op.path).relative_to(tmp_path / "record").as_posix()
             for op in ops if op.kind != "write"
         ] == [
-            "MANIFEST.a", "periods/2019-06.json", "index/2019-06.json",
-            "MANIFEST.b", "MANIFEST.a",
+            "MANIFEST.a", "segments/2019-06.seg", "MANIFEST.b",
+            "MANIFEST.a",
         ]
-        assert commit_op(ops) == 7
+        assert commit_op(ops) == 5
         assert not any(op.frees for op in ops)
 
 
@@ -114,7 +115,7 @@ class TestCrashAtEveryBoundary:
 
     def test_recovery_is_idempotent(self, tmp_path, survey_june, ranking):
         root = tmp_path / "idem"
-        io = CrashingIO(CrashPlan(op_index=4))  # period doc on disk
+        io = CrashingIO(CrashPlan(op_index=4))  # segment on disk
         archive = SurveyArchive(root, io=io)
         with pytest.raises(SimulatedCrash):
             archive.ingest(survey_june, ranking=ranking)
@@ -130,12 +131,12 @@ class TestCrashAtEveryBoundary:
         """Mid-commit state is invisible even *before* recovery: a
         reader opening the same directory sees only the manifest."""
         root = tmp_path / "reader"
-        io = CrashingIO(CrashPlan(op_index=6))  # period+index on disk
+        io = CrashingIO(CrashPlan(op_index=4))  # segment on disk
         archive = SurveyArchive(root, io=io)
         with pytest.raises(SimulatedCrash):
             archive.ingest(survey_june, ranking=ranking)
-        # Data files exist, but the slot has not taken the record...
-        assert (root / "periods" / "2019-06.json").exists()
+        # The segment exists, but the slot has not taken the record...
+        assert (root / "segments" / "2019-06.seg").exists()
         reader = SurveyArchive(root)
         # ...so the period is simply not there (and rollback cleaned).
         assert "2019-06" not in reader
@@ -143,7 +144,7 @@ class TestCrashAtEveryBoundary:
 
     def test_recovery_counter_emitted(self, tmp_path, survey_june, ranking):
         root = tmp_path / "obs"
-        io = CrashingIO(CrashPlan(6))
+        io = CrashingIO(CrashPlan(4))
         archive = SurveyArchive(root, io=io)
         with pytest.raises(SimulatedCrash):
             archive.ingest(survey_june, ranking=ranking)
@@ -162,33 +163,35 @@ class TestTornJournal:
 
     def test_recover_function_directly(self, tmp_path):
         root = tmp_path / "direct"
-        (root / "periods").mkdir(parents=True)
-        (root / "periods" / "2020-01.json").write_text("{}")
+        (root / "segments").mkdir(parents=True)
+        (root / "segments" / "2020-01.seg").write_text("{}")
         report = recover(root, empty_manifest())
         assert report.outcome == "rollback"
-        assert report.removed == ["periods/2020-01.json"]
-        assert not (root / "periods" / "2020-01.json").exists()
+        assert report.period == "2020-01"
+        assert report.removed == ["segments/2020-01.seg"]
+        assert not (root / "segments" / "2020-01.seg").exists()
 
-    def test_roll_forward_never_deletes_committed(self, tmp_path):
-        """A compaction cut short after its commit left the JSON
-        document beside the segment: recovery finishes the removal
-        and touches nothing the manifest commits."""
-        root = tmp_path / "forward"
+    def test_rollback_never_deletes_committed(self, tmp_path):
+        """An uncommitted ingest's segment beside committed files:
+        recovery removes it and touches nothing the manifest
+        commits."""
+        root = tmp_path / "back"
         for relative in (
-            "periods/2020-01.json", "index/2020-01.json",
-            "segments/2020-01.seg",
+            "segments/2020-01.seg", "anomalies/2020-01.json",
+            "segments/2020-02.seg",
         ):
             (root / relative).parent.mkdir(parents=True, exist_ok=True)
             (root / relative).write_text("{}")
         manifest = empty_manifest()
         manifest["periods"]["2020-01"] = {
             "checksum": "cafe", "repr": "segment",
+            "anomalies": {"checksum": "beef"},
         }
         report = recover(root, manifest)
-        assert report.outcome == "roll-forward"
-        assert report.removed == ["periods/2020-01.json"]
+        assert report.outcome == "rollback"
+        assert report.removed == ["segments/2020-02.seg"]
         assert (root / "segments" / "2020-01.seg").exists()
-        assert (root / "index" / "2020-01.json").exists()
+        assert (root / "anomalies" / "2020-01.json").exists()
 
 
 class TestCrashDuringCommitPartial:
@@ -234,13 +237,12 @@ class TestCrashDuringCommitPartial:
         io.ops.clear()
         writer.finalize(survey_june)
         kinds = [op.kind for op in io.ops]
-        # Period document, index, then the slot write (the commit
-        # point) and the retire; the live record simply leaves the
-        # manifest, so nothing is removed.
-        assert kinds == ["write", "replace"] * 2 + ["write-in-place"] * 2
-        assert "periods" in io.ops[1].path
-        assert "index" in io.ops[3].path
-        assert commit_op(io.ops) == 4
+        # The period's segment, then the slot write (the commit point)
+        # and the retire; the live record simply leaves the manifest,
+        # so nothing is removed.
+        assert kinds == ["write", "replace"] + ["write-in-place"] * 2
+        assert "segments" in io.ops[1].path
+        assert commit_op(io.ops) == 2
         assert not any(op.frees for op in io.ops)
 
     def test_every_op_every_offset_pre_or_post(
@@ -342,7 +344,7 @@ class TestCrashDuringFinalize:
             state = archive_state(root)
             repr_ = reopened.period_meta(self.LIVE)["repr"]
             if settled(state, pre_state, post_state, op_index, flip):
-                assert repr_ == "json"
+                assert repr_ == "segment"
             else:
                 assert repr_ == "live"
             assert reopened.get_period(self.LIVE)["period"][
@@ -413,57 +415,6 @@ def survey_march():
         "2019-03", dt.datetime(2019, 3, 1),
         {100: Severity.MILD, 200: Severity.NONE},
     )
-
-
-class TestCrashDuringCompaction:
-    """Compaction writes the segment, flips the entry to it, and only
-    then removes the JSON document it retires (unless ``keep_json``
-    keeps it as committed state)."""
-
-    @pytest.mark.parametrize("keep_json", [False, True])
-    def test_every_op_every_offset_pre_or_post(
-        self, tmp_path, survey_june, ranking, keep_json
-    ):
-        def seeded(root, io=None):
-            archive = SurveyArchive(root)
-            archive.ingest(survey_june, ranking=ranking)
-            archive.ingest(survey_march(), ranking=ranking)
-            archive.close()
-            return SurveyArchive(root, io=io) if io else archive
-
-        io = RecordingIO()
-        recorder = seeded(tmp_path / "record", io)
-        recorder.compact(["2019-06"], keep_json=keep_json)
-        ops = io.ops
-        # The only block freed is the retired JSON document's.
-        assert [op.path for op in ops if op.frees] == (
-            [] if keep_json
-            else [str(recorder.period_path("2019-06"))]
-        )
-        flip = commit_op(ops)
-
-        pre_state = archive_state(seeded(tmp_path / "pre").root)
-        post = seeded(tmp_path / "post")
-        post.compact(["2019-06"], keep_json=keep_json)
-        post_state = archive_state(post.root)
-
-        for op_index, offset in crash_cases(ops):
-            root = tmp_path / f"crash-{op_index}-{offset}"
-            io = CrashingIO(CrashPlan(op_index, byte_offset=offset))
-            archive = seeded(root, io)
-            with pytest.raises(SimulatedCrash):
-                archive.compact(["2019-06"], keep_json=keep_json)
-            archive.close()
-            reopened = SurveyArchive(root)
-            repr_ = reopened.period_meta("2019-06")["repr"]
-            state = archive_state(root)
-            if settled(state, pre_state, post_state, op_index, flip):
-                assert repr_ == "segment"
-            else:
-                assert repr_ == "json"
-            assert reopened.get(100, "2019-06")["severity"] == "severe"
-            reopened.close()
-            assert run_fsck(root).exit_code == EXIT_CLEAN
 
 
 class TestLiveReconcile:
@@ -551,16 +502,15 @@ class TestLiveReconcile:
         root = tmp_path / "arc"
         self.checkpointed(root, survey_june, ranking)
         before = archive_state(root)
-        # Die at the slot write (op 4, after the period document and
-        # index): both documents are on disk, the record is not.
+        # Die at the slot write (op 2, after the segment): the
+        # segment is on disk, the record is not.
         crashing = SurveyArchive(
-            root, io=CrashingIO(CrashPlan(4))
+            root, io=CrashingIO(CrashPlan(2))
         ).begin_live_period(self.LIVE)
         with pytest.raises(SimulatedCrash):
             crashing.finalize(survey_june, ranking=ranking)
-        assert (root / "periods" / f"{self.LIVE}.json").exists()
-        assert (root / "index" / f"{self.LIVE}.json").exists()
-        # Even before recovery, fsck calls them orphans, not data.
+        assert (root / "segments" / f"{self.LIVE}.seg").exists()
+        # Even before recovery, fsck calls it an orphan, not data.
         report = run_fsck(root, repair=False)
         assert {f.kind for f in report.findings} == {"orphan"}
         reopened = SurveyArchive(root)
@@ -697,9 +647,9 @@ class TestRealSigkill:
 
     @pytest.mark.parametrize("op_index,offset", [
         (0, 7),    # torn temp write of the new archive's slot a
-        (3, None), # died before the period rename
-        (7, None), # died before the rename that commits slot b
-        (8, None), # died before retiring slot a (committed!)
+        (3, None), # died before the segment rename
+        (5, None), # died before the rename that commits slot b
+        (6, None), # died before retiring slot a (committed!)
     ])
     def test_sigkill_mid_commit(self, tmp_path, op_index, offset):
         root = tmp_path / "killed"
@@ -715,7 +665,7 @@ class TestRealSigkill:
         assert proc.returncode == -signal.SIGKILL, proc.stderr
 
         reopened = SurveyArchive(root)
-        if op_index >= 8:
+        if op_index >= 6:
             assert "2019-06" in reopened
             assert reopened.last_recovery.outcome == "clean"
         else:

@@ -1,12 +1,11 @@
-"""Differential suite: mmap segment reads vs parsed-JSON reads.
+"""Differential suite: mapped segment reads vs the payload oracle.
 
-The serving contract of the mmap path is byte-identity: every archive
-query — point lookup, range scan, per-AS history, severity/country
-indexes, anomaly reports — must return exactly the same canonical
-JSON whichever representation (JSON document vs packed segment) and
-read mode (mmap vs seek+read handle) currently backs the period.
-These tests pin that across a seeded multi-period archive, including
-after compaction, after fsck repair, and for pre-columns segments.
+The serving contract of the segment path is byte-identity: every
+archive query — point lookup, range scan, per-AS history,
+severity/country indexes, anomaly reports — must return exactly the
+canonical JSON the ingested ``survey_to_dict`` payloads and their
+``_build_index`` indexes say it should, whether a period is a mapped
+segment or a live record, after a reopen and after fsck repair.
 """
 
 import datetime as dt
@@ -15,12 +14,10 @@ import json
 import pytest
 
 from repro.core import Severity
-from repro.store import (
-    ASNotFoundError,
-    STORE_MMAP_ENV,
-    SurveyArchive,
-    store_mmap_enabled,
-)
+from repro.core.stats import churn_jaccard
+from repro.io import survey_to_dict
+from repro.store import ArchiveCorruptionError, ASNotFoundError, SurveyArchive
+from repro.store.archive import _build_index
 from repro.store.segments import SegmentReader, _TRAILER_LEN, _sha
 from tests.store.conftest import make_ranking, make_survey
 from tests.store.test_anomaly_artifacts import LINK, make_anomaly_payload
@@ -36,28 +33,30 @@ PERIODS = [
     ("2020-03", dt.datetime(2020, 3, 1),
      {200: Severity.NONE, 400: Severity.SEVERE}),
 ]
+REPORTED = ("2019-06", "2019-09")
 ALL_ASNS = (100, 200, 300, 400, 999)
 SEVERITIES = ("none", "low", "mild", "severe")
 
 
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    monkeypatch.delenv(STORE_MMAP_ENV, raising=False)
+def survey(name):
+    (start, classes), = [(s, c) for n, s, c in PERIODS if n == name]
+    return make_survey(name, start, classes)
 
 
-def seed_archive(root):
+def seed_archive(root, live=()):
+    """Every period committed; those named in ``live`` stay live
+    records (payload + index in the manifest), the rest segments."""
     archive = SurveyArchive(root)
     ranking = make_ranking()
-    for name, start, classes in PERIODS:
-        archive.ingest(
-            make_survey(name, start, classes), ranking=ranking
-        )
-    archive.ingest_anomalies(
-        "2019-06", make_anomaly_payload("2019-06")
-    )
-    archive.ingest_anomalies(
-        "2019-09", make_anomaly_payload("2019-09")
-    )
+    for name, _, _ in PERIODS:
+        if name in live:
+            archive.begin_live_period(name).commit_partial(
+                survey(name), ranking=ranking
+            )
+        else:
+            archive.ingest(survey(name), ranking=ranking)
+    for name in REPORTED:
+        archive.ingest_anomalies(name, make_anomaly_payload(name))
     return archive
 
 
@@ -108,22 +107,98 @@ def query_snapshot(archive):
     return json.dumps(snap, sort_keys=True)
 
 
-@pytest.fixture()
-def baseline(tmp_path):
-    """(root, snapshot) with every period still a JSON document."""
-    root = tmp_path / "arc"
-    archive = seed_archive(root)
-    snapshot = query_snapshot(archive)
-    archive.close()
-    return root, snapshot
+def oracle_snapshot(names=tuple(name for name, _, _ in PERIODS)):
+    """``query_snapshot``'s answers derived from the ingested payloads
+    (``survey_to_dict``) and their indexes (``_build_index``) alone."""
+    ranking = make_ranking()
+    payloads = {name: survey_to_dict(survey(name)) for name in names}
+    indexes = {
+        name: _build_index(payload, ranking)
+        for name, payload in payloads.items()
+    }
+    reported_periods = [name for name in names if name in REPORTED]
+    anomalies = {name: make_anomaly_payload(name) for name in REPORTED}
+
+    def reported(name):
+        return sorted(
+            asn for severity, asns in indexes[name]["severity"].items()
+            if severity != "none" for asn in asns
+        )
+
+    def history(name, asn):
+        report = payloads[name]["reports"].get(str(asn))
+        if report is None:
+            return {"period": name, "monitored": False, "severity": None}
+        markers = report["markers"]
+        return {
+            "period": name, "monitored": True,
+            "severity": report["severity"],
+            "probe_count": report["probe_count"],
+            "daily_amplitude_ms": (
+                markers["daily_amplitude_ms"] if markers else 0.0
+            ),
+        }
+
+    def deltas(before, after):
+        old, new = set(reported(before)), set(reported(after))
+        return {
+            "before": before, "after": after,
+            "jaccard": churn_jaccard(old, new),
+            "new": sorted(new - old), "gone": sorted(old - new),
+            "persisting": sorted(old & new),
+        }
+
+    def link_entry(name):
+        entry = anomalies[name]["links"].get(LINK)
+        if entry is None:
+            return {"period": name, "observed": False,
+                    "anomalous_bins": []}
+        return {"period": name, "observed": True, **{
+            key: entry[key] for key in (
+                "samples", "bins", "median_ms", "band_ms",
+                "anomalous_bins",
+            )
+        }}
+
+    snap = {"periods": list(names)}
+    for asn in ALL_ASNS:
+        snap[f"history:{asn}"] = [history(name, asn) for name in names]
+    for name in names:
+        severity, country = (
+            indexes[name]["severity"], indexes[name]["country"]
+        )
+        snap[f"asns:{name}"] = sorted(map(int, payloads[name]["reports"]))
+        snap[f"countries:{name}"] = sorted(country)
+        snap[f"severe:{name}"] = severity.get("severe", [])
+        snap[f"reported:{name}"] = reported(name)
+        for klass in SEVERITIES:
+            snap[f"severity:{name}:{klass}"] = severity.get(klass, [])
+        for code, asns in country.items():
+            snap[f"country:{name}:{code}"] = asns
+        for asn in ALL_ASNS:
+            snap[f"get:{name}:{asn}"] = (
+                payloads[name]["reports"].get(str(asn))
+            )
+        snap[f"payload:{name}"] = payloads[name]
+    snap["scan"] = [(name, payloads[name]) for name in names]
+    snap["scan:bounded"] = [
+        (name, payloads[name]) for name in names
+        if "2019-08-01" <= payloads[name]["period"]["start"] <= "2020-01-01"
+    ]
+    if "2019-06" in names and "2019-09" in names:
+        snap["deltas"] = deltas("2019-06", "2019-09")
+    snap["churn"] = [deltas(a, b) for a, b in zip(names, names[1:])]
+    snap["anomalies"] = {name: anomalies[name] for name in reported_periods}
+    snap["link_history"] = [link_entry(name) for name in reported_periods]
+    return json.dumps(snap, sort_keys=True)
 
 
 def strip_columns(path):
-    """Rewrite a segment as if written before the columns section.
+    """Rewrite a segment without its columns section's footer entry.
 
-    Drops the ``columns`` footer key and re-seals the trailer; blob
-    offsets are untouched, so the file reads exactly like an
-    old-format segment (the orphaned column bytes are unreachable).
+    Drops the ``columns`` footer key and re-seals the trailer, as a
+    segment written before the columns section existed; blob offsets
+    are untouched.
     """
     raw = path.read_bytes()
     trailer = raw[-_TRAILER_LEN:]
@@ -141,78 +216,79 @@ def strip_columns(path):
     path.write_bytes(raw[:footer_offset] + footer_bytes + new_trailer)
 
 
+def flip_middle(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(raw)
+
+
 class TestCompactedEquivalence:
-    def test_mmap_reads_match_json_documents(self, baseline):
-        root, expected = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact()
+    """Every finalized period is a packed segment from its commit on;
+    its reads equal the payload oracle's."""
+
+    def test_mmap_reads_match_json_documents(self, tmp_path):
+        expected = oracle_snapshot()
+        with seed_archive(tmp_path / "arc") as archive:
             assert query_snapshot(archive) == expected
-        # A fresh process over the compacted archive agrees too.
-        with SurveyArchive(root) as fresh:
+        # A fresh process over the archive agrees too.
+        with SurveyArchive(tmp_path / "arc") as fresh:
             assert query_snapshot(fresh) == expected
             for name, _, _ in PERIODS:
                 assert fresh._reader(name).mapped
 
-    def test_handle_mode_matches(self, baseline, monkeypatch):
-        root, expected = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact()
-        monkeypatch.setenv(STORE_MMAP_ENV, "0")
-        assert not store_mmap_enabled()
-        with SurveyArchive(root) as archive:
-            assert query_snapshot(archive) == expected
-            for name, _, _ in PERIODS:
-                assert not archive._reader(name).mapped
-
-    def test_mixed_representation_matches(self, baseline):
-        root, expected = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact(names=["2019-09", "2020-03"])
+    def test_mixed_representation_matches(self, tmp_path):
+        """Live records (JSON payload + index in the manifest) beside
+        mapped segments, then the same periods finalized."""
+        expected = oracle_snapshot()
+        live = ("2019-12", "2020-03")
+        root = tmp_path / "arc"
+        with seed_archive(root, live=live) as archive:
+            assert [
+                archive.period_meta(name)["repr"] for name in live
+            ] == ["live", "live"]
             assert query_snapshot(archive) == expected
         with SurveyArchive(root) as fresh:
             assert query_snapshot(fresh) == expected
+            ranking = make_ranking()
+            for name in live:
+                fresh.begin_live_period(name).finalize(
+                    survey(name), ranking=ranking
+                )
+        with SurveyArchive(root) as finalized:
+            assert query_snapshot(finalized) == expected
 
-    def test_segment_without_columns_matches(self, baseline):
-        root, expected = baseline
+    def test_segment_without_columns_is_refused(self, tmp_path):
+        root = tmp_path / "arc"
+        seed_archive(root).close()
+        strip_columns(root / "segments" / "2019-09.seg")
         with SurveyArchive(root) as archive:
-            archive.compact()
-        for name, _, _ in PERIODS:
-            strip_columns(root / "segments" / f"{name}.seg")
-        with SurveyArchive(root) as archive:
-            for name, _, _ in PERIODS:
-                reader = archive._reader(name)
-                assert not reader.has_columns()
-                assert reader.columns() is None
-                assert reader.column_entry(100) is None
-            assert query_snapshot(archive) == expected
+            with pytest.raises(
+                ArchiveCorruptionError, match="missing a section"
+            ):
+                archive.asns("2019-09")
+            assert archive.stats.corrupt == 1
+        assert (root / "quarantine" / "segments" / "2019-09.seg").exists()
 
-    def test_post_fsck_repair_matches(self, baseline, monkeypatch):
-        root, expected = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact()
+    def test_post_fsck_repair_matches(self, tmp_path):
+        expected = oracle_snapshot()
+        root = tmp_path / "arc"
+        with seed_archive(root) as archive:
             report = archive.fsck(repair=True)
             assert report.clean
             assert query_snapshot(archive) == expected
-        monkeypatch.setenv(STORE_MMAP_ENV, "off")
         with SurveyArchive(root) as archive:
             assert query_snapshot(archive) == expected
 
-    def test_fsck_repair_of_torn_segment_keeps_modes_agreeing(
-        self, baseline, monkeypatch
-    ):
-        root, _ = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact()
-        seg = root / "segments" / "2019-09.seg"
-        raw = bytearray(seg.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        seg.write_bytes(raw)
+    def test_fsck_repair_of_torn_segment_matches_oracle(self, tmp_path):
+        root = tmp_path / "arc"
+        seed_archive(root).close()
+        flip_middle(root / "segments" / "2019-09.seg")
         with SurveyArchive(root) as archive:
             report = archive.fsck(repair=True)
             assert report.repair_count >= 1
             assert "2019-09" not in archive.periods()
             repaired = query_snapshot(archive)
-        monkeypatch.setenv(STORE_MMAP_ENV, "0")
+        assert repaired == oracle_snapshot(("2019-06", "2019-12", "2020-03"))
         with SurveyArchive(root) as archive:
             assert query_snapshot(archive) == repaired
 
@@ -220,9 +296,7 @@ class TestCompactedEquivalence:
 class TestColumnIntegrity:
     def make_segment(self, tmp_path):
         root = tmp_path / "arc"
-        archive = seed_archive(root)
-        archive.compact()
-        archive.close()
+        seed_archive(root).close()
         return root / "segments" / "2019-06.seg"
 
     def test_column_entry_values(self, tmp_path):
@@ -240,10 +314,8 @@ class TestColumnIntegrity:
             assert reader.reported_asns() == [100, 200]
 
     def test_corrupt_columns_fail_checksum(self, tmp_path):
-        from repro.store import ArchiveCorruptionError
-
         path = self.make_segment(tmp_path)
-        with SegmentReader(path, use_mmap=False) as probe:
+        with SegmentReader(path) as probe:
             meta = probe._footer["columns"]
         raw = bytearray(path.read_bytes())
         raw[int(meta["offset"])] ^= 0xFF
@@ -256,18 +328,34 @@ class TestColumnIntegrity:
             with pytest.raises(ArchiveCorruptionError):
                 reader.columns()
 
-    def test_mmap_and_handle_columns_identical(self, tmp_path):
+    def test_columns_match_payload(self, tmp_path):
         path = self.make_segment(tmp_path)
-        with SegmentReader(path, use_mmap=True) as fast, \
-                SegmentReader(path, use_mmap=False) as slow:
-            fast_cols = fast.columns()
-            slow_cols = slow.columns()
-            assert fast_cols.keys() == slow_cols.keys()
-            for name in fast_cols:
-                assert fast_cols[name].tobytes() == \
-                    slow_cols[name].tobytes()
+        reports = survey_to_dict(survey("2019-06"))["reports"]
+        ordered = sorted(reports, key=int)
+        with SegmentReader(path) as reader:
+            columns = reader.columns()
+            codes = reader.severity_codes()
+            assert [int(a) for a in columns["asn"]] == list(
+                map(int, ordered)
+            )
+            assert [int(n) for n in columns["probe_count"]] == [
+                reports[a]["probe_count"] for a in ordered
+            ]
+            assert [codes[int(c)] for c in columns["severity"]] == [
+                reports[a]["severity"] for a in ordered
+            ]
             for asn in ALL_ASNS:
-                assert fast.column_entry(asn) == slow.column_entry(asn)
+                report = reports.get(str(asn))
+                want = None if report is None else {
+                    "severity": report["severity"],
+                    "probe_count": report["probe_count"],
+                    "daily_amplitude_ms": (
+                        (report["markers"] or {}).get(
+                            "daily_amplitude_ms", 0.0
+                        )
+                    ),
+                }
+                assert reader.column_entry(asn) == want
 
     def test_close_tolerates_outstanding_views(self, tmp_path):
         path = self.make_segment(tmp_path)
@@ -279,64 +367,16 @@ class TestColumnIntegrity:
 
 
 class TestFallback:
-    def test_torn_segment_serves_json_and_counts(
-        self, baseline
-    ):
-        from repro.obs import Observability, observed
+    """There is no second copy to fall back to: a torn segment raises
+    and is quarantined, never served."""
 
-        root, expected = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact(keep_json=True)
-        seg = root / "segments" / "2019-09.seg"
-        raw = bytearray(seg.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        seg.write_bytes(raw)
-        with observed(Observability()) as obs:
-            with SurveyArchive(root) as archive:
-                generation = archive.generation
-                assert query_snapshot(archive) == expected
-                assert archive.generation > generation
-        assert obs.metrics.counter(
-            "store_fallback_total", ""
-        ).value() >= 1
-        # The torn segment is evidence now, not a serving source.
-        assert not seg.exists()
-        assert (root / "quarantine" / "segments" / "2019-09.seg").exists()
-
-    def test_point_lookup_falls_back(self, baseline):
-        root, _ = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact(keep_json=True)
-            want = archive.get_period("2019-06")["reports"]["100"]
+    def test_no_json_left_still_raises(self, tmp_path):
+        root = tmp_path / "arc"
+        seed_archive(root).close()
         seg = root / "segments" / "2019-06.seg"
-        raw = bytearray(seg.read_bytes())
-        raw[len(raw) // 3] ^= 0xFF
-        seg.write_bytes(raw)
-        with SurveyArchive(root) as archive:
-            assert archive.get(100, "2019-06") == want
-
-    def test_no_json_left_still_raises(self, baseline):
-        from repro.store import ArchiveCorruptionError
-
-        root, _ = baseline
-        with SurveyArchive(root) as archive:
-            archive.compact()  # keep_json=False: segment is the only copy
-        seg = root / "segments" / "2019-06.seg"
-        raw = bytearray(seg.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        seg.write_bytes(raw)
+        flip_middle(seg)
         with SurveyArchive(root) as archive:
             with pytest.raises(ArchiveCorruptionError):
                 archive.get_period("2019-06")
-
-
-class TestEnvKnob:
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", "json"])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(STORE_MMAP_ENV, value)
-        assert not store_mmap_enabled()
-
-    @pytest.mark.parametrize("value", ["", "1", "on", "mmap"])
-    def test_enabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(STORE_MMAP_ENV, value)
-        assert store_mmap_enabled()
+        assert not seg.exists()
+        assert (root / "quarantine" / "segments" / "2019-06.seg").exists()

@@ -4,7 +4,12 @@ import pytest
 
 from repro.io import survey_to_dict
 from repro.store import ArchiveCorruptionError, canonical_json
-from repro.store.segments import MAGIC, SegmentReader, write_segment
+from repro.store.segments import (
+    _TRAILER_LEN,
+    MAGIC,
+    SegmentReader,
+    write_segment,
+)
 
 
 @pytest.fixture()
@@ -79,6 +84,15 @@ class TestCorruption:
         with pytest.raises(ArchiveCorruptionError):
             reader.payload()
         reader.close()
+
+    def test_trailer_digit_flipped_to_space(self, segment):
+        """``int`` would read ``" 0...0N"`` as the same offset; the
+        trailer must be all digits."""
+        data = bytearray(segment.read_bytes())
+        data[-_TRAILER_LEN] ^= 0x10  # "0" -> " "
+        segment.write_bytes(bytes(data))
+        with pytest.raises(ArchiveCorruptionError, match="trailer"):
+            SegmentReader(segment)
 
     def test_flipped_footer_bit(self, segment):
         data = bytearray(segment.read_bytes())

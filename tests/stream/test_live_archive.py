@@ -92,7 +92,7 @@ class TestLiveLifecycle:
         final = june()
         assert writer.finalize(final, ranking=make_ranking()) == LIVE
         meta = archive.period_meta(LIVE)
-        assert meta["repr"] == "json"
+        assert meta["repr"] == "segment"
         assert "partial" not in meta and "revision" not in meta
         assert meta["checksum"] == payload_checksum(survey_to_dict(final))
         assert read_manifest(archive.root)["live"] == {}
@@ -174,7 +174,7 @@ class TestCrashResumeAcceptance:
         writer.commit_partial(p1)
         writer.commit_partial(p2)
         writer.finalize(final)
-        return (root / "periods" / f"{self.NAME}.json").read_bytes()
+        return (root / "segments" / f"{self.NAME}.seg").read_bytes()
 
     def second_commit_ops(self, root, streamed):
         """Measure the op window of the *second* checkpoint."""
@@ -224,6 +224,6 @@ class TestCrashResumeAcceptance:
             resumed = reopened.begin_live_period(self.NAME)
             assert resumed.revision == meta["revision"]
             resumed.finalize(final)
-            got = (root / "periods" / f"{self.NAME}.json").read_bytes()
+            got = (root / "segments" / f"{self.NAME}.seg").read_bytes()
             assert got == want
             assert run_fsck(root, repair=False).exit_code == EXIT_CLEAN

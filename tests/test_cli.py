@@ -53,6 +53,40 @@ class TestSimulateAndClassify:
         result = TracerouteResult.from_json(json.loads(first))
         assert result.hops
 
+    def test_simulate_stream_is_live_like_for_raclette(
+        self, tmp_path, capsys
+    ):
+        """simulate writes results in timestamp order, so raclette on
+        the clean stream drops nothing as stale and sees congestion."""
+        import json
+
+        from repro.quality import DropReason
+        from repro.raclette.__main__ import build_parser, monitor_stream
+        from repro.raclette.alerts import ListSink
+
+        out = tmp_path / "campaign.jsonl"
+        rib = tmp_path / "rib.txt"
+        assert main([
+            "simulate", str(out), "--probes", "4", "--days", "2",
+            "--seed", "0", "--rib-out", str(rib),
+        ]) == 0
+        capsys.readouterr()
+        records = [
+            json.loads(line) for line in out.read_text().splitlines()
+        ]
+        stamps = [record["timestamp"] for record in records]
+        assert stamps == sorted(stamps)
+        assert len({record["prb_id"] for record in records}) == 4
+
+        sink = ListSink()
+        monitor = monitor_stream(
+            build_parser().parse_args([str(out), "--rib", str(rib)]),
+            sink=sink,
+        )
+        assert monitor.results_seen == len(records)
+        assert monitor.quality.dropped_count(DropReason.STALE_RECORD) == 0
+        assert sink.starts()
+
     def test_classify_roundtrip(self, tmp_path, capsys):
         """simulate -> binned dataset -> classify via the CLI."""
         import datetime as dt
@@ -506,20 +540,6 @@ class TestLoadtestCommand:
     def test_requires_archive_or_url(self, capsys):
         assert main(["loadtest"]) == 2
         assert "archive directory or --url" in capsys.readouterr().err
-
-    def test_no_mmap_flag_disables_segment_mapping(
-        self, archive_dir, capsys, monkeypatch
-    ):
-        from repro.store import STORE_MMAP_ENV, store_mmap_enabled
-
-        monkeypatch.delenv(STORE_MMAP_ENV, raising=False)
-        code = main([
-            "loadtest", archive_dir, "--in-process", "--no-mmap",
-            "--concurrency", "2", "--duration", "0.2", "--warmup", "0",
-        ])
-        assert code == 0
-        capsys.readouterr()
-        assert not store_mmap_enabled()
 
     def test_rejects_bad_mix_entry(self, archive_dir, capsys):
         code = main([
