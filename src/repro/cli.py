@@ -14,7 +14,7 @@
 * ``quality``  — leniently load a traceroute JSONL and print its
   data-quality report;
 * ``obs``      — render a saved observability report (trace tree,
-  metrics, profile);
+  metrics);
 * ``store``    — manage the longitudinal survey archive
   (``ingest`` / ``query`` / ``fsck``);
 * ``serve``    — serve an archive over HTTP (the paper's public
@@ -126,16 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="shard the survey across N worker processes (0 = one "
-        "per usable CPU; default: serial, or $REPRO_WORKERS if set)",
+        "per usable CPU; default and 1: in process, simulating on "
+        "one thread per usable CPU)",
     )
     survey.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="content-addressed per-AS result cache directory; "
         "re-runs recompute only invalidated ASes",
-    )
-    survey.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache-dir (neither read nor write entries)",
     )
     survey.add_argument(
         "--archive", default=None, metavar="DIR",
@@ -522,8 +519,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="write the observability report (metrics + trace + "
-        "profile) as JSON",
+        help="write the observability report (metrics + trace) as "
+        "JSON",
     )
     parser.add_argument(
         "--log-jsonl", default=None, metavar="PATH",
@@ -590,7 +587,7 @@ def _run_survey(args) -> int:
         periods.append(COVID_PERIOD)
 
     cache = None
-    if args.cache_dir and not args.no_cache:
+    if args.cache_dir:
         from .parallel import ResultCache
 
         cache = ResultCache(args.cache_dir)
@@ -692,14 +689,16 @@ def cmd_tokyo(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    import datetime as dt
-
+def _single_isp_world(seed: int, peak_utilization: float, probes: int):
+    """The one-ISP world ``simulate`` and ``anomaly`` measure: AS64500
+    "SimNet" (JP, legacy FTTH PPPoE) at ``peak_utilization``, with
+    ``probes`` probes deployed.  Returns ``(world, platform, probes)``.
+    """
     from .atlas import AtlasPlatform
     from .netbase import AccessTechnology, ASInfo, ASRole
     from .topology import ProvisioningPolicy, World
 
-    world = World(seed=args.seed)
+    world = World(seed=seed)
     isp = world.add_isp(
         ASInfo(
             64500, "SimNet", "JP", ASRole.EYEBALL,
@@ -707,7 +706,7 @@ def cmd_simulate(args) -> int:
         ),
         provisioning=ProvisioningPolicy(
             peak_utilization={
-                AccessTechnology.FTTH_PPPOE_LEGACY: args.peak_utilization
+                AccessTechnology.FTTH_PPPOE_LEGACY: peak_utilization
             },
             device_spread=0.01,
             load_jitter_std=0.008,
@@ -716,7 +715,15 @@ def cmd_simulate(args) -> int:
     world.add_default_targets()
     world.finalize()
     platform = AtlasPlatform(world)
-    probes = platform.deploy_probes_on_isp(isp, args.probes)
+    return world, platform, platform.deploy_probes_on_isp(isp, probes)
+
+
+def cmd_simulate(args) -> int:
+    import datetime as dt
+
+    world, platform, probes = _single_isp_world(
+        args.seed, args.peak_utilization, args.probes,
+    )
     period = MeasurementPeriod(
         "simulated", dt.datetime(2019, 9, 2), args.days
     )
@@ -1404,31 +1411,9 @@ def _run_anomaly(args) -> int:
             args.period, dt.datetime(2019, 9, 2), days
         )
     else:
-        from .atlas import AtlasPlatform
-        from .netbase import AccessTechnology, ASInfo, ASRole
-        from .topology import ProvisioningPolicy, World
-
-        world = World(seed=args.seed)
-        isp = world.add_isp(
-            ASInfo(
-                64500, "SimNet", "JP", ASRole.EYEBALL,
-                access_technologies=[
-                    AccessTechnology.FTTH_PPPOE_LEGACY
-                ],
-            ),
-            provisioning=ProvisioningPolicy(
-                peak_utilization={
-                    AccessTechnology.FTTH_PPPOE_LEGACY:
-                        args.peak_utilization
-                },
-                device_spread=0.01,
-                load_jitter_std=0.008,
-            ),
+        _world, platform, probes = _single_isp_world(
+            args.seed, args.peak_utilization, args.probes,
         )
-        world.add_default_targets()
-        world.finalize()
-        platform = AtlasPlatform(world)
-        probes = platform.deploy_probes_on_isp(isp, args.probes)
         period = MeasurementPeriod(
             args.period, dt.datetime(2019, 9, 2), args.days or 3
         )

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..netbase import is_private, is_public, parse_address
 from ..atlas.traceroute import TracerouteResult
-from ..obs import get_observer, maybe_profiled
+from ..obs import get_observer
 from ..quality import DataQualityReport
 from ..timebase import TimeGrid
 from .kernels import resolve_kernels
@@ -58,7 +58,6 @@ def classify_hop_address(address: str) -> str:
     return "other"
 
 
-@maybe_profiled("core-lastmile.lastmile_samples")
 def lastmile_samples(result: TracerouteResult) -> List[float]:
     """Per-traceroute last-mile RTT samples (up to 9).
 

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 import numpy.fft  # noqa: F401 -- loaded at import, not on first use
 
-from ..obs import get_observer, maybe_profiled
+from ..obs import get_observer
 from ..timebase import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 STAGE = "core-spectral"
@@ -122,7 +122,6 @@ def welch_power(
     return frequencies, power.mean(axis=-1)
 
 
-@maybe_profiled("core-spectral.welch_periodogram")
 def welch_periodogram(
     values: np.ndarray,
     bin_seconds: int,

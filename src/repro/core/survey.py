@@ -158,8 +158,9 @@ def classify_asn_batch(
                 Optional[object]]]:
     """Run the aggregate → spectral → classify chain for many ASes.
 
-    The one classify orchestration: the serial survey, shard workers
-    (:mod:`repro.parallel`) and the streaming engine all call it.  The
+    The one classify orchestration: the survey slice (in process and
+    in shard workers), :func:`classify_dataset` and the streaming
+    engine all call it.  The
     ASes are walked in input order, in chunks whose padded population
     cube stays within :data:`~repro.core.kernels.flat._CHUNK_ELEMENTS`
     (see :func:`~repro.core.kernels.flat.plan_chunks`), so memory is
@@ -175,8 +176,8 @@ def classify_asn_batch(
     :func:`~repro.core.spectral.welch_power` per signal length.
 
     ``quality_for(asn)`` supplies the ledger each AS's accounting
-    lands on (the serial survey shares one, shard workers keep one
-    per AS); None means no accounting.  Returns
+    lands on (:func:`classify_dataset` shares one, the survey slice
+    keeps one per AS); None means no accounting.  Returns
     ``(asn, report, failure, signal)`` tuples in input order, with
     ``signal`` retained only when ``keep_signals``.
     """

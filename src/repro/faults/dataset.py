@@ -14,11 +14,11 @@ Fault randomness is **content-keyed**: every draw comes from an RNG
 derived from ``(run seed, injector position, injector name, probe
 id)`` rather than from one sequential stream.  A probe therefore
 receives exactly the same faults whether the dataset holds the whole
-survey population or just one shard of it — the property the parallel
-executor's serial/parallel equivalence contract rests on.  Injectors
-whose *targets* are random (``PoisonAS`` without explicit ASNs)
-resolve them through :meth:`DatasetInjector.pin` against the full
-probe population before sharding.
+survey population or just one slice of it — the property the survey's
+equivalence contract (any worker count, any cache temperature) rests
+on.  Injectors whose *targets* are random (``PoisonAS`` without
+explicit ASNs) resolve them through :meth:`DatasetInjector.pin`
+against the full probe population before any slice runs.
 
 Injectors mutate the dataset in place and return it; run them on a
 dataset you built for the chaos run, not on a shared fixture.
@@ -80,8 +80,9 @@ class DatasetInjector:
     ) -> "DatasetInjector":
         """Resolve any random targets against the *full* population.
 
-        The parallel executor pins injectors once in the parent before
-        sharding, so every shard faults the same targets.  Injectors
+        The survey pins injectors once against the whole population
+        before simulating a slice of it, so every slice (and every
+        shard) faults the same targets.  Injectors
         without random targets return themselves; pinning is
         idempotent.
         """

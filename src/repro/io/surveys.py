@@ -29,7 +29,7 @@ def survey_to_dict(result: SurveyResult) -> Dict:
 
     Besides the classifications, the dump carries the failure log and
     the counts-only quality ledger, so two runs compare byte-for-byte
-    on everything the pipeline decided — the serial/parallel
+    on everything the pipeline decided — the worker-count and cache
     equivalence suite relies on that.  Quarantine *samples* are
     excluded: their retention order is an artifact of processing
     order, not an analysis outcome.

@@ -1,13 +1,12 @@
-"""Pipeline-wide observability: metrics, tracing, logging, profiling.
+"""Pipeline-wide observability: metrics, tracing, logging.
 
-One :class:`Observability` object bundles the four concerns the
+One :class:`Observability` object bundles the three concerns the
 analysis pipeline reports through:
 
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with labels,
   JSON and Prometheus export;
 * :mod:`repro.obs.trace`   — nested wall/CPU spans per stage and AS;
-* :mod:`repro.obs.log`     — structured JSONL event logging;
-* :mod:`repro.obs.profile` — env-gated sampling of hot functions.
+* :mod:`repro.obs.log`     — structured JSONL event logging.
 
 Instrumented code never receives an observer argument; it asks for the
 process-wide active one (:func:`get_observer`) exactly like stages ask
@@ -48,14 +47,6 @@ from .metrics import (
     parse_prometheus,
 )
 from .snapshot import TelemetrySnapshot
-from .profile import (
-    ProfileCollector,
-    get_collector,
-    maybe_profiled,
-    profiled,
-    profiling_enabled,
-    reset_collector,
-)
 from .trace import (
     NullTracer,
     Span,
@@ -88,12 +79,6 @@ __all__ = [
     "render_trace_dict",
     "StructuredLogger",
     "open_jsonl_sink",
-    "ProfileCollector",
-    "profiled",
-    "maybe_profiled",
-    "profiling_enabled",
-    "get_collector",
-    "reset_collector",
 ]
 
 ITEMS_IN = "pipeline_items_in_total"

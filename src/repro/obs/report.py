@@ -1,7 +1,7 @@
 """Observability report: one JSON artifact per run, rendered on demand.
 
 ``--metrics-out PATH`` on the CLIs serializes the active observer —
-metrics registry, span tree, sampling profile — into one JSON file;
+metrics registry and span tree — into one JSON file;
 ``repro obs report PATH`` renders it back as text.  Decoupling
 collection from rendering keeps runs headless (CI archives the JSON)
 while still giving operators a readable tree afterwards.
@@ -11,21 +11,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from .metrics import MetricsRegistry
-from .profile import ProfileCollector, get_collector
 from .trace import render_trace_dict
 
 #: Report schema version, bumped on incompatible layout changes.
 SCHEMA = 1
 
 
-def build_report(observer, profile: Optional[ProfileCollector] = None
-                 ) -> Dict:
+def build_report(observer) -> Dict:
     """Snapshot an observer into a JSON-serializable report."""
-    if profile is None:
-        profile = get_collector()
     return {
         "schema": SCHEMA,
         "metrics": (
@@ -33,19 +29,13 @@ def build_report(observer, profile: Optional[ProfileCollector] = None
             if observer.metrics is not None else {}
         ),
         "trace": observer.tracer.to_dict(),
-        "profile": profile.to_dict(),
     }
 
 
-def write_report(
-    observer, path: Union[str, Path],
-    profile: Optional[ProfileCollector] = None,
-) -> Path:
+def write_report(observer, path: Union[str, Path]) -> Path:
     """Write the observer's report JSON; returns the path written."""
     path = Path(path)
-    path.write_text(
-        json.dumps(build_report(observer, profile), indent=1) + "\n"
-    )
+    path.write_text(json.dumps(build_report(observer), indent=1) + "\n")
     return path
 
 
@@ -66,7 +56,7 @@ def load_report(path: Union[str, Path]) -> Dict:
 
 
 def render_report(data: Dict) -> str:
-    """Human-readable rendering: trace tree, metrics, profile."""
+    """Human-readable rendering: trace tree, then metrics."""
     sections: List[str] = []
 
     trace = data.get("trace") or []
@@ -84,19 +74,4 @@ def render_report(data: Dict) -> str:
         sections.extend(registry.summary_lines())
     else:
         sections.append("(no metrics recorded)")
-
-    profile = data.get("profile") or {}
-    if profile:
-        sections.append("")
-        sections.append("== profile ==")
-        for name, entry in sorted(
-            profile.items(),
-            key=lambda kv: -kv[1]["estimated_total_seconds"],
-        ):
-            sections.append(
-                f"{name}: {entry['calls']} calls, "
-                f"~{entry['estimated_total_seconds']:.3f}s total "
-                f"(mean {entry['mean_seconds'] * 1e6:.1f}µs, "
-                f"{entry['sampled']} sampled)"
-            )
     return "\n".join(sections)

@@ -10,7 +10,7 @@ and the parent folds the snapshot in:
 * metrics merge into the parent registry with *identical* schemas
   (:meth:`~repro.obs.metrics.MetricsRegistry.merge` sums per series),
   so per-stage ``items_in``/``items_out`` totals for a ``--workers N``
-  run equal the serial run's exactly;
+  run equal the in-process run's exactly;
 * spans are grafted under the parent's ``survey-shard`` marker span
   (their roots tagged with a ``shard`` attribute), so ``repro obs
   report`` renders one coherent tree instead of a trace that goes

@@ -1,4 +1,4 @@
-"""AS-population sharding for the parallel survey executor.
+"""AS-population sharding for the survey's process pool.
 
 Shards are round-robin slices of the *sorted* ASN list: shard ``i`` of
 ``n`` holds ``sorted(asns)[i::n]``.  Round-robin beats contiguous
@@ -11,16 +11,15 @@ into one slow shard.
 The partition is pure bookkeeping — per-AS work is content-keyed all
 the way down (campaign seeds, fault draws), so *any* partition of the
 same population merges to the same :class:`SurveyResult`.  The merge
-itself happens in the executor, in sorted-ASN order, which is also
-what makes it deterministic.
+itself happens in :func:`repro.scenarios.run_survey_period`, in
+sorted-ASN order, which is also what makes it deterministic.
 
-:func:`resolve_workers` lives here, not in the executor, so a serial
-survey can ask whether to shard without loading the pool machinery.
+:func:`resolve_workers` lives here, not in the executor, so an
+in-process survey can ask whether to use the pool without loading it.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 from ..atlas.platform import usable_cpus
@@ -51,23 +50,15 @@ def shard_groups(
     ]
 
 
-#: Environment knob consulted when ``workers`` is not given explicitly
-#: (used by CI to route the whole test suite through the executor).
-WORKERS_ENV = "REPRO_WORKERS"
+def resolve_workers(workers: Optional[int]) -> int:
+    """Effective worker count: ``None`` means 1 (in process).
 
-
-def resolve_workers(workers: Optional[int]) -> Optional[int]:
-    """Effective worker count: explicit arg > env var > None (serial).
-
-    ``0`` (from either source) expands to the CPUs this process may
-    run on (:func:`repro.atlas.platform.usable_cpus`), the count the
+    ``0`` expands to the CPUs this process may run on
+    (:func:`repro.atlas.platform.usable_cpus`), the count the
     simulator sizes its thread pool by.
     """
     if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if not env:
-            return None
-        workers = int(env)
+        return 1
     if workers == 0:
         workers = usable_cpus()
     if workers < 0:

@@ -3,8 +3,10 @@
 The entry point, :func:`run_survey_shard`, is module-level, so it
 pickles by reference into pool processes.  The worker rebuilds the
 *full* world and platform from the spec list (cheap — seconds per
-hundred ASes), then generates measurement series only for its shard's
-probes.  Rebuilding everything is what keeps sharding exact: world
+hundred ASes), then runs
+:func:`~repro.scenarios.worldsurvey.survey_slice`, the same slice the
+in-process survey runs, over its shard's ASes on one simulate thread.
+Rebuilding everything is what keeps sharding exact: world
 construction consumes order-dependent RNG (per-ISP seed spawning,
 platform-wide version sampling, sequential probe ids), so the only way
 a worker sees bit-identical probes is to replay the identical build;
@@ -17,14 +19,11 @@ observer, each task carries ``capture_telemetry=True`` plus the
 parent's :class:`~repro.obs.TraceContext`, and the worker installs a
 fresh capturing observer whose metrics and span subtree come back as
 a :class:`~repro.obs.TelemetrySnapshot` on the shard result — the
-parent merges the metrics (per-stage totals then equal the serial
+parent merges the metrics (per-stage totals then equal the in-process
 run's) and grafts the spans under its ``survey-shard`` marker.  Under
-a no-op parent the worker keeps the old NOOP path, so the silenced
-fast case pays nothing.  Either way, per-AS quality is recorded on
-fresh per-AS ledgers that the parent merges in sorted order,
-reproducing the serial ledger's counts; telemetry never touches the
-classification output, so byte-equivalence and the content-addressed
-cache are unaffected.
+a no-op parent the worker runs silenced, so the fast case pays
+nothing.  Telemetry never touches the classification output, so
+byte-equivalence and the content-addressed cache are unaffected.
 """
 
 from __future__ import annotations
@@ -34,25 +33,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..core.classify import ClassificationThresholds, DEFAULT_THRESHOLDS
 from ..core.kernels import DEFAULT_KERNELS
-from ..core.series import LastMileDataset
-from ..core.survey import ASFailure, ASReport, classify_asn_batch
-from ..quality import DataQualityReport
+from ..scenarios.worldsurvey import (
+    ASOutcome,
+    build_survey_world,
+    survey_slice,
+)
 from ..timebase import MeasurementPeriod
 
 if TYPE_CHECKING:
     from ..faults.base import FaultLog
-
-
-@dataclass
-class ASOutcome:
-    """One AS's result as computed inside a shard."""
-
-    asn: int
-    report: Optional[ASReport]
-    failure: Optional[ASFailure]
-    quality: DataQualityReport
 
 
 @dataclass
@@ -81,8 +71,6 @@ class SurveyShardTask:
     seed: int
     #: This shard's slice of the filtered population.
     groups: Dict[int, List[int]]
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS
-    max_attempts: int = 2
     #: Dataset injectors with targets already pinned by the parent.
     faults: List = field(default_factory=list)
     fault_seed: int = 0
@@ -104,8 +92,8 @@ def _shard_observer(task):
     recorded, nothing shipped).  On: a fresh capturing observer whose
     tracer adopts the parent's trace id; yields a snapshot callback so
     the caller can freeze it after the work.  Always restores the
-    previous process-wide observer — the in-process ``workers=1``
-    fallback runs this in the parent.
+    previous process-wide observer, so a task run directly in the
+    calling process leaves its observer as it was.
     """
     from ..obs import (
         NOOP,
@@ -137,40 +125,18 @@ def _shard_observer(task):
 
 
 def run_survey_shard(task: SurveyShardTask) -> ShardResult:
-    """Rebuild the world, generate this shard's probes, classify."""
-    from ..scenarios.worldsurvey import build_survey_world
-
+    """Rebuild the world, then run the survey slice of this shard."""
     started = time.perf_counter()
     with _shard_observer(task) as snapshot:
-        world, platform = build_survey_world(
+        _world, platform = build_survey_world(
             task.specs, lockdown=task.lockdown, seed=task.seed,
             period_name=task.period.name,
         )
-        del world  # classification needs only the dataset
-        wanted = {
-            prb_id
-            for probe_ids in task.groups.values()
-            for prb_id in probe_ids
-        }
-        probes = [p for p in platform.probes if p.probe_id in wanted]
-        # One simulate thread: the executor already spends the CPUs
-        # on worker processes.
-        dataset = platform.run_period_binned(
-            task.period, probes=probes, threads=1,
-        )
-        fault_log = None
-        if task.faults:
-            from ..faults.base import FaultLog
-            from ..faults.dataset import inject_dataset
-
-            fault_log = FaultLog()
-            inject_dataset(
-                dataset, task.faults, seed=task.fault_seed,
-                log=fault_log,
-            )
-        outcomes = _classify_groups(
-            dataset, task.groups, task.thresholds, task.max_attempts,
-            kernels=task.kernels,
+        # One simulate thread: the pool already spends the CPUs on
+        # worker processes.
+        outcomes, fault_log = survey_slice(
+            platform, task.period, task.groups, faults=task.faults,
+            fault_seed=task.fault_seed, kernels=task.kernels, threads=1,
         )
         telemetry = snapshot()
     return ShardResult(
@@ -180,25 +146,3 @@ def run_survey_shard(task: SurveyShardTask) -> ShardResult:
         wall_seconds=time.perf_counter() - started,
         telemetry=telemetry,
     )
-
-
-def _classify_groups(
-    dataset: LastMileDataset,
-    groups: Dict[int, List[int]],
-    thresholds: ClassificationThresholds,
-    max_attempts: int,
-    kernels: str = DEFAULT_KERNELS,
-) -> List[ASOutcome]:
-    ledgers = {asn: DataQualityReport() for asn in groups}
-    batch = classify_asn_batch(
-        dataset, [(asn, groups[asn]) for asn in sorted(groups)],
-        thresholds=thresholds, max_attempts=max_attempts,
-        kernels=kernels, quality_for=ledgers.__getitem__,
-    )
-    return [
-        ASOutcome(
-            asn=asn, report=report, failure=failure,
-            quality=ledgers[asn],
-        )
-        for asn, report, failure, _signal in batch
-    ]

@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics-out", metavar="PATH",
-        help="write the observability report (metrics + trace + "
-        "profile) as JSON; render with 'repro obs report PATH'",
+        help="write the observability report (metrics + trace) as "
+        "JSON; render with 'repro obs report PATH'",
     )
     return parser
 

@@ -22,21 +22,35 @@ fractions survive scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.random  # noqa: F401 -- loaded at import, not on first use
 
 from ..apnic import EyeballRanking, zipf_user_counts
 from ..atlas import AtlasPlatform
-from ..core import SurveyResult, SurveySuite, classify_dataset
+from ..core import SurveyResult, SurveySuite
+from ..core.classify import DEFAULT_THRESHOLDS
+from ..core.filtering import asns_with_min_probes
+from ..core.kernels import resolve_kernels
+from ..core.survey import STAGE as SURVEY_STAGE
+from ..core.survey import (
+    ASFailure,
+    ASReport,
+    _record_survey_metrics,
+    classify_asn_batch,
+)
 from ..netbase import AccessTechnology, ASInfo, ASRole
+from ..quality import DataQualityReport
 from ..queueing import LinkModel
-from ..timebase import MeasurementPeriod
+from ..timebase import DELAY_BIN_SECONDS, MeasurementPeriod
 from ..topology import ProvisioningPolicy, World
 from ..topology.access import AccessTechSpec, default_specs
 from ..topology.geo import COUNTRY_UTC_OFFSETS
 from ..traffic import LockdownModifier, ModifierStack
+
+if TYPE_CHECKING:
+    from ..faults.base import FaultLog
 
 #: Intent → (probability, technologies, peak-utilization range,
 #: service-time override range or None).  Calibrated against the
@@ -290,6 +304,68 @@ def build_survey_world(
     return world, platform
 
 
+@dataclass
+class ASOutcome:
+    """One AS's result from a survey slice, on its own quality ledger."""
+
+    asn: int
+    report: Optional[ASReport]
+    failure: Optional[ASFailure]
+    quality: DataQualityReport
+
+
+def survey_slice(
+    platform: AtlasPlatform,
+    period: MeasurementPeriod,
+    groups: Dict[int, List[int]],
+    faults: Sequence = (),
+    fault_seed: int = 0,
+    kernels=None,
+    threads: Optional[int] = None,
+) -> Tuple[List[ASOutcome], Optional[FaultLog]]:
+    """Simulate, fault and classify one slice of a period's ASes.
+
+    ``groups`` maps each ASN to its filtered probe ids; only those
+    probes are simulated.  A probe's series is content-keyed
+    (:func:`repro.atlas.platform._campaign_seed`), so it does not
+    depend on which other probes run, and ``faults`` are pinned
+    against the whole population
+    (:func:`repro.faults.dataset.pin_dataset_faults`), so any slice
+    faults exactly as the whole period would.  Each AS's accounting
+    lands on a ledger of its own; the caller merges them in sorted-ASN
+    order.  Returns the per-AS outcomes in sorted-ASN order and the
+    injected ground truth (None without faults).
+
+    The in-process survey runs it on the simulator's thread pool
+    (``threads=None``); shard workers run it with ``threads=1``.
+    """
+    wanted = {prb_id for probe_ids in groups.values() for prb_id in probe_ids}
+    dataset = platform.run_period_binned(
+        period, probes=[p for p in platform.probes if p.probe_id in wanted],
+        threads=threads,
+    )
+    fault_log = None
+    if faults:
+        from ..faults.base import FaultLog
+        from ..faults.dataset import inject_dataset
+
+        fault_log = FaultLog()
+        inject_dataset(dataset, faults, seed=fault_seed, log=fault_log)
+    ledgers = {asn: DataQualityReport() for asn in groups}
+    batch = classify_asn_batch(
+        dataset, [(asn, groups[asn]) for asn in sorted(groups)],
+        kernels=kernels, quality_for=ledgers.__getitem__,
+    )
+    outcomes = [
+        ASOutcome(
+            asn=asn, report=report, failure=failure,
+            quality=ledgers[asn],
+        )
+        for asn, report, failure, _signal in batch
+    ]
+    return outcomes, fault_log
+
+
 def run_survey_period(
     specs: Sequence[SurveyASSpec],
     period: MeasurementPeriod,
@@ -306,19 +382,27 @@ def run_survey_period(
 ) -> Tuple[SurveyResult, World]:
     """Run one period of the world survey end to end.
 
+    The period is computed in one order whatever the options: build
+    the world, filter the population (ASes with at least
+    ``min_probes`` probes), serve cached ASes, then
+    :func:`survey_slice` over the rest, and merge every AS in
+    sorted-ASN order.  Output is byte-identical under
+    :func:`repro.io.survey_to_dict` for any worker count, cache
+    temperature and kernel backend.
+
     ``dataset_faults`` (a sequence of
     :class:`repro.faults.DatasetInjector`) corrupts the binned dataset
     before classification — chaos-mode surveys exercise the pipeline's
     isolation and quality accounting.  ``fault_log`` collects the
     injected ground truth.
 
-    ``workers`` routes the period through the sharded executor
-    (:mod:`repro.parallel`): an explicit count, ``0`` for one worker
-    per usable CPU, or ``None`` to consult ``REPRO_WORKERS`` and otherwise
-    stay on the serial path below.  ``cache`` (a
-    :class:`repro.parallel.ResultCache` or directory path) enables the
-    content-addressed per-AS result cache; it implies the executor
-    path, whose output is bit-identical to the serial one.
+    ``workers`` (``None`` or ``1``: in process; ``0``: one per usable
+    CPU) of two or more runs the slice in a pool of worker processes
+    (:mod:`repro.parallel`), one round-robin shard of the pending ASes
+    each.  ``cache`` (a :class:`repro.parallel.ResultCache` or
+    directory path) enables the content-addressed per-AS result cache;
+    it is bypassed on faulted runs, so a corrupted dataset never
+    populates, or is served from, the clean cache.
 
     ``archive`` (a :class:`repro.store.SurveyArchive` or directory
     path) commits the period's result into the longitudinal archive
@@ -327,51 +411,192 @@ def run_survey_period(
 
     ``kernels`` selects the analysis backend (see
     :mod:`repro.core.kernels`): ``"reference"``, ``"vector"``, or
-    ``None`` for the default (``vector``).  Survey output is
-    numerically identical across backends by contract.
+    ``None`` for the default (``vector``).  Cache keys leave the
+    backend out: outputs are identical by contract.
     """
     from ..obs import get_observer
-    from ..parallel import resolve_workers
+    from ..parallel.sharding import resolve_workers
 
-    resolved = resolve_workers(workers)
-    if resolved is not None or cache is not None:
-        from ..parallel import run_survey_period_parallel
-
-        result, world = run_survey_period_parallel(
-            specs, period, workers=resolved or 1, lockdown=lockdown,
-            seed=seed, min_probes=min_probes,
-            dataset_faults=dataset_faults, fault_seed=fault_seed,
-            fault_log=fault_log, cache=cache, kernels=kernels,
-        )
-        if archive is not None:
-            _ensure_archive(archive).ingest(result)
-        return result, world
+    workers = resolve_workers(workers)
+    kern = resolve_kernels(kernels)
     if lockdown is None:
         lockdown = period.name == "2020-04"
+    if cache is not None:
+        from ..parallel.cache import ResultCache
+
+        cache = ResultCache.ensure(cache)
     obs = get_observer()
+    log = obs.logger.bind(stage=SURVEY_STAGE, period=period.name)
+
     with obs.stage_span(
         "survey-period", period=period.name, ases=len(specs),
-    ):
+        workers=workers, kernel=kern.name,
+    ) as outer:
         with obs.stage_span("load", period=period.name):
             world, platform = build_survey_world(
                 specs, lockdown=lockdown, seed=seed,
                 period_name=period.name,
             )
-            dataset = platform.run_period_binned(period)
-            if dataset_faults:
-                from ..faults import inject_dataset
+        result = SurveyResult(period=period)
+        with obs.stage_span(
+            "classify-dataset", period=period.name, kernel=kern.name,
+        ):
+            probe_meta = {
+                probe.probe_id: platform.probe_meta(probe)
+                for probe in platform.probes
+            }
+            groups = asns_with_min_probes(
+                probe_meta, min_probes=min_probes, table=world.table,
+                quality=result.quality,
+            )
+            obs.items_in(SURVEY_STAGE, len(groups))
+            log.info("classify-start", ases=len(groups), workers=workers)
 
-                inject_dataset(
-                    dataset, dataset_faults, seed=fault_seed,
-                    log=fault_log,
+            pinned: List = []
+            if dataset_faults:
+                from ..faults.dataset import pin_dataset_faults
+
+                pinned = pin_dataset_faults(
+                    dataset_faults, probe_meta, seed=fault_seed
                 )
-        result = classify_dataset(
-            dataset, period, min_probes=min_probes, table=world.table,
-            kernels=kernels,
+            if pinned:
+                cache = None
+            keys = _cache_keys(
+                cache, specs, platform, groups, period, seed, lockdown,
+            ) if cache is not None else {}
+            cached = {}
+            for asn, key in keys.items():
+                payload = cache.get(key)
+                if payload is not None:
+                    cached[asn] = payload
+            pending = {
+                asn: probe_ids for asn, probe_ids in groups.items()
+                if asn not in cached
+            }
+
+            outcomes = None
+            if workers >= 2 and len(pending) >= 2:
+                from ..parallel.executor import run_shards
+
+                try:
+                    outcomes, fault_logs = run_shards(
+                        specs, period, pending, workers,
+                        lockdown=lockdown, seed=seed, faults=pinned,
+                        fault_seed=fault_seed, kernels=kern.name,
+                    )
+                except OSError:
+                    # No working process pool on this platform: the
+                    # slice is a pure function of its inputs, so the
+                    # in-process run below gives the same bytes.
+                    outcomes = None
+            if outcomes is None:
+                outcomes, sliced = survey_slice(
+                    platform, period, pending, faults=pinned,
+                    fault_seed=fault_seed, kernels=kern,
+                ) if pending else ([], None)
+                fault_logs = [] if sliced is None else [sliced]
+            _merge_outcomes(result, groups, cached, outcomes, cache, keys)
+            if fault_log is not None:
+                for part in fault_logs:
+                    fault_log.merge(part)
+
+            obs.items_out(SURVEY_STAGE, len(result.reports))
+            if cache is not None:
+                _record_cache_metrics(
+                    obs, period, hits=len(cached), misses=len(pending),
+                    corrupt=cache.stats.corrupt,
+                )
+            _record_survey_metrics(obs, result)
+        outer.set_attr("reported", len(result.reported_asns()))
+        outer.set_attr("failures", len(result.failures))
+        outer.set_attr("cache_hits", len(cached))
+        log.info(
+            "classify-done",
+            monitored=result.monitored_count,
+            reported=len(result.reported_asns()),
+            failures=len(result.failures),
+            cache_hits=len(cached),
         )
     if archive is not None:
         _ensure_archive(archive).ingest(result)
     return result, world
+
+
+def _cache_keys(cache, specs, platform, groups, period, seed, lockdown):
+    """Each filtered AS's cache key (see
+    :func:`repro.parallel.cache.survey_as_fingerprint`), keyed on the
+    thresholds and retry budget :func:`survey_slice` classifies with."""
+    from ..parallel.cache import survey_as_fingerprint
+
+    pairs_by_asn: Dict[int, List[Tuple[int, int]]] = {}
+    for probe in platform.probes:
+        pairs_by_asn.setdefault(probe.asn, []).append(
+            (probe.probe_id, probe.version.value)
+        )
+    spec_by_asn = {
+        spec.asn: (index, spec) for index, spec in enumerate(specs)
+    }
+    keys = {}
+    for asn in groups:
+        index, spec = spec_by_asn[asn]
+        keys[asn] = cache.key(survey_as_fingerprint(
+            asn=asn, spec=spec, spec_index=index,
+            probe_pairs=pairs_by_asn.get(asn, []),
+            period=period, world_seed=seed, lockdown=lockdown,
+            thresholds=DEFAULT_THRESHOLDS, max_attempts=2,
+            deployment=platform.config, bin_seconds=DELAY_BIN_SECONDS,
+        ))
+    return keys
+
+
+def _merge_outcomes(result, groups, cached, outcomes, cache, keys) -> None:
+    """Fold cached payloads and fresh outcomes into the result.
+
+    Iterates in sorted-ASN order (``groups`` is sorted by the filter),
+    so report insertion order, quality-ledger merge order — and hence
+    the serialized survey — are independent of shard scheduling.
+    Fresh reports are stored in the cache; failures never are, so a
+    transient fault is not pinned into every later run.
+    """
+    from ..io.surveys import report_from_dict, report_to_dict
+
+    fresh = {outcome.asn: outcome for outcome in outcomes}
+    for asn in groups:
+        payload = cached.get(asn)
+        if payload is not None:
+            result.reports[asn] = report_from_dict(
+                asn, payload["report"]
+            )
+            result.quality.merge(
+                DataQualityReport.from_dict(payload["quality"])
+            )
+            continue
+        outcome = fresh[asn]
+        if outcome.failure is not None:
+            result.failures[asn] = outcome.failure
+        else:
+            result.reports[asn] = outcome.report
+            if cache is not None:
+                cache.put(keys[asn], {
+                    "report": report_to_dict(outcome.report),
+                    "quality": outcome.quality.to_dict(),
+                })
+        result.quality.merge(outcome.quality)
+
+
+def _record_cache_metrics(obs, period, hits, misses, corrupt) -> None:
+    if not obs.enabled:
+        return
+    for name, help_text, value in (
+        ("survey_cache_hits_total", "per-AS cache hits", hits),
+        ("survey_cache_misses_total", "per-AS cache misses", misses),
+        ("survey_cache_corrupt_total",
+         "quarantined cache entries", corrupt),
+    ):
+        if value:
+            obs.counter(name, help_text, ("period",)).inc(
+                value, period=period.name
+            )
 
 
 def _ensure_archive(archive):

@@ -638,33 +638,54 @@ class SurveyArchive:
 
         Every committed period contributes one entry; periods where
         the AS was not monitored are marked ``monitored: false`` so
-        operators can tell "not congested" from "not measured".
+        operators can tell "not congested" from "not measured".  A
+        period whose artifact cannot be read (corrupt, quarantined,
+        missing) is also ``monitored: false``, with ``unreadable:
+        true``: one bad period does not hide the others.  When no
+        readable period has the AS, the unreadable period's
+        :class:`ArchiveCorruptionError` is raised instead.
         """
         asn = int(asn)
         entries = []
+        unreadable = None
         for name in self.periods():
-            if (
-                name not in self._payloads
-                and self.period_meta(name)["repr"] == "segment"
-            ):
-                # Columnar fast path: severity/count/amplitude
-                # straight from the mapped arrays, bit-identical to
-                # deriving them from the JSON blob.
-                self.stats.lookups += 1
-                self.stats.segment_lookups += 1
-                hot = self._segment(
-                    name, lambda reader: reader.column_entry(asn)
-                )
-            else:
-                hot = _hot_fields(
-                    self.get_period(name)["reports"].get(str(asn))
-                )
+            try:
+                hot = self._hot_entry(name, asn)
+            except ArchiveCorruptionError as exc:
+                unreadable = exc
+                entries.append({
+                    "period": name, "monitored": False,
+                    "severity": None, "unreadable": True,
+                })
+                continue
             entries.append(
                 {"period": name, "monitored": False, "severity": None}
                 if hot is None
                 else dict(period=name, monitored=True, **hot)
             )
+        if unreadable is not None and not any(
+            entry["monitored"] for entry in entries
+        ):
+            # No readable period has the AS, and an unreadable one
+            # might: that is no answer.
+            raise unreadable
         return entries
+
+    def _hot_entry(self, name: str, asn: int) -> Optional[Dict]:
+        """One AS's severity/count/amplitude in one period, or None."""
+        if (
+            name not in self._payloads
+            and self.period_meta(name)["repr"] == "segment"
+        ):
+            # Columnar fast path: severity/count/amplitude straight
+            # from the mapped arrays, bit-identical to deriving them
+            # from the JSON blob.
+            self.stats.lookups += 1
+            self.stats.segment_lookups += 1
+            return self._segment(
+                name, lambda reader: reader.column_entry(asn)
+            )
+        return _hot_fields(self.get_period(name)["reports"].get(str(asn)))
 
     def scan(
         self,
@@ -758,17 +779,29 @@ class SurveyArchive:
         Every period with a committed anomaly report contributes an
         entry; periods where the link was not observed are marked
         ``observed: false``, mirroring :meth:`history`'s
-        monitored-vs-measured distinction.  Raises
-        :class:`LinkNotFoundError` when no report ever observed the
-        link and ValueError for malformed link ids.
+        monitored-vs-measured distinction; a report that cannot be
+        read is ``observed: false`` with ``unreadable: true``.  Raises
+        :class:`LinkNotFoundError` when no report observed the link,
+        the unreadable report's :class:`ArchiveCorruptionError` when
+        only an unreadable one might have, and ValueError for
+        malformed link ids.
         """
         from ..anomaly import split_link_id
 
         split_link_id(link)  # validates; ValueError -> HTTP 400
         entries = []
         observed = False
+        unreadable = None
         for name in self.anomaly_periods():
-            payload = self.get_anomalies(name)
+            try:
+                payload = self.get_anomalies(name)
+            except ArchiveCorruptionError as exc:
+                unreadable = exc
+                entries.append({
+                    "period": name, "observed": False,
+                    "anomalous_bins": [], "unreadable": True,
+                })
+                continue
             entry = payload["links"].get(link)
             if entry is None:
                 entries.append({
@@ -787,6 +820,8 @@ class SurveyArchive:
                 "anomalous_bins": entry["anomalous_bins"],
             })
         if not observed:
+            if unreadable is not None:
+                raise unreadable
             raise LinkNotFoundError(link)
         return entries
 

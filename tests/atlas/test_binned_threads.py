@@ -5,7 +5,9 @@ thread pool, each thread drawing into its own reused scratch buffers.
 Every probe draws from its own stream, so the dataset must be the same
 bytes whatever the pool size: here the default pool, an oversubscribed
 one and the one-thread pool that shard workers use are compared
-field by field, series order included.
+field by field, series order included.  It must also be the same
+bytes whatever other probes run: the survey simulates only the ASes
+it classifies.
 """
 
 import datetime as dt
@@ -139,17 +141,72 @@ class TestThreadInvariance:
         alone = platform.run_period_binned(PERIOD, threads=1)
         assert_same_dataset(pooled, alone)
 
+    def test_subset_matches_full_run(self):
+        # A fresh world simulating only some probes (what the survey
+        # does for the ASes it must classify) gives each of them the
+        # bytes a full run gives it.
+        specs = generate_specs(5, 2, seed=202)
+
+        def fresh_platform():
+            return build_survey_world(
+                specs, lockdown=False, seed=202, period_name=PERIOD.name,
+            )[1]
+
+        full = fresh_platform().run_period_binned(PERIOD)
+        platform = fresh_platform()
+        subset = platform.probes[1::3]
+        assert 0 < len(subset) < len(platform.probes)
+        sliced = platform.run_period_binned(PERIOD, probes=subset)
+        assert list(sliced.series) == [p.probe_id for p in subset]
+        for prb_id, series in sliced.series.items():
+            want = full.series[prb_id]
+            assert (
+                series.median_rtt_ms.tobytes()
+                == want.median_rtt_ms.tobytes()
+            ), f"probe {prb_id} medians differ"
+            assert (
+                series.traceroute_counts.tobytes()
+                == want.traceroute_counts.tobytes()
+            ), f"probe {prb_id} counts differ"
+            assert sliced.probe_meta[prb_id] == full.probe_meta[prb_id]
+
     def test_survey_matches_one_thread_shards(self):
-        # Default workers: the pooled serial path, or the sharded one
-        # where REPRO_WORKERS asks for it; workers=1 runs the shard
-        # worker in-process, simulating on one thread.
+        # The in-process survey simulates on the thread pool; with
+        # workers=2 each shard worker simulates on one thread.
         from repro.io import survey_to_dict
         from repro.scenarios import run_survey_period
 
         specs = generate_specs(5, 2, seed=202)
         default, _ = run_survey_period(specs, PERIOD, seed=202)
-        one, _ = run_survey_period(specs, PERIOD, seed=202, workers=1)
-        assert survey_to_dict(default) == survey_to_dict(one)
+        sharded, _ = run_survey_period(specs, PERIOD, seed=202, workers=2)
+        assert survey_to_dict(default) == survey_to_dict(sharded)
+
+    def test_cached_survey_simulates_on_the_pool(self, tmp_path):
+        # A --cache-dir run without --workers is the in-process body:
+        # the cold run simulates its misses on the thread pool, and
+        # the warm run serves every AS and simulates nothing.
+        from repro.atlas.platform import usable_cpus
+        from repro.parallel import ResultCache
+        from repro.scenarios import run_survey_period
+
+        specs = generate_specs(5, 2, seed=202)
+        cache = ResultCache(tmp_path / "cache")
+        cold_obs = Observability()
+        with observed(cold_obs):
+            cold, _ = run_survey_period(specs, PERIOD, seed=202, cache=cache)
+        (simulate,) = cold_obs.tracer.find("simulate")
+        assert simulate.attrs["threads"] == min(
+            usable_cpus(), simulate.attrs["probes"]
+        )
+        assert not cold_obs.tracer.find("survey-shard")
+        assert cache.stats.writes == len(cold.reports) > 0
+
+        warm_obs = Observability()
+        with observed(warm_obs):
+            warm, _ = run_survey_period(specs, PERIOD, seed=202, cache=cache)
+        assert cache.stats.hits == len(warm.reports) == len(cold.reports)
+        assert not warm_obs.tracer.find("simulate")
+        assert warm.reports == cold.reports
 
 
 def _walk(span):

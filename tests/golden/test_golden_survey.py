@@ -15,20 +15,17 @@ import math
 import pytest
 
 from repro.io import survey_to_dict
-from repro.parallel import WORKERS_ENV
 
 from .regenerate import (
     FIXTURE,
     PERIOD_DAYS,
     STREAMED_FIXTURE,
+    SURVEY_SEED,
+    _period,
+    _specs,
     build_streamed_survey,
     build_survey,
 )
-
-
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +99,22 @@ def test_survey_matches_golden_fixture(golden, backend):
         "survey_golden.json:\n  " + "\n  ".join(problems)
         + "\nIf intentional: PYTHONPATH=src:. "
         "python -m tests.golden.regenerate"
+    )
+
+
+def test_pooled_survey_matches_golden_fixture(golden):
+    """Two shard workers, each simulating on one thread, reproduce
+    the fixture the in-process survey does."""
+    from repro.scenarios import run_survey_period
+
+    result, _ = run_survey_period(
+        _specs(), _period(), seed=SURVEY_SEED, workers=2,
+    )
+    recomputed = survey_to_dict(result)
+    problems = diff_fields(golden, recomputed)
+    assert not problems, (
+        "[workers=2] survey drifted from tests/golden/"
+        "survey_golden.json:\n  " + "\n  ".join(problems)
     )
 
 

@@ -4,8 +4,8 @@ The backend contract (``repro.core.kernels``): both backends produce
 *numerically identical* survey output — bit-for-bit under
 ``survey_to_dict`` — on every input.  This harness proves it over
 seeded worlds, fault-injected datasets, and degenerate inputs
-(all-NaN bins, single-probe ASes, empty periods), on the serial path
-and through the sharded executor.  This file also runs in the CI
+(all-NaN bins, single-probe ASes, empty periods), in process and
+through the sharded executor.  This file also runs in the CI
 chaos leg under ``-W error::RuntimeWarning``: the vector kernels must
 stay warning-silent on degenerate data, like the reference loops.
 """
@@ -26,7 +26,6 @@ from repro.core import (
 )
 from repro.faults import BinLoss, FaultLog, NaNBursts, PoisonAS
 from repro.io import survey_to_dict
-from repro.parallel import WORKERS_ENV
 from repro.quality import DataQualityReport
 from repro.scenarios import generate_specs, run_survey_period
 from repro.timebase import MeasurementPeriod, TimeGrid
@@ -40,13 +39,6 @@ def canonical_bytes(result):
     return json.dumps(
         survey_to_dict(result), sort_keys=True
     ).encode("ascii")
-
-
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    """Neutralize the CI matrix knob: every run in this file selects
-    its backend and execution mode explicitly."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
 
 
 @pytest.fixture(scope="module")

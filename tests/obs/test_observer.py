@@ -11,7 +11,6 @@ from repro.obs import (
     NOOP,
     Observability,
     PerObserver,
-    ProfileCollector,
     QUALITY_DROPPED,
     QUALITY_INGESTED,
     StructuredLogger,
@@ -134,20 +133,17 @@ class TestReport:
         return obs
 
     def test_build_report_shape(self):
-        profile = ProfileCollector()
-        report = build_report(
-            self._observer_with_data(), profile=profile
-        )
+        report = build_report(self._observer_with_data())
+        assert set(report) == {"schema", "metrics", "trace"}
         assert report["schema"] == 1
         assert ITEMS_IN in report["metrics"]
         assert report["trace"][0]["name"] == "load"
-        assert report["profile"] == {}
 
     def test_write_and_load_round_trip(self, tmp_path):
         obs = self._observer_with_data()
         path = write_report(obs, tmp_path / "metrics.json")
         data = load_report(path)
-        assert data == build_report(obs, profile=ProfileCollector())
+        assert data == build_report(obs)
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -156,26 +152,15 @@ class TestReport:
             load_report(path)
 
     def test_render_report_sections(self):
-        profile = ProfileCollector()
-        entry = profile.profile("hot.fn")
-        entry.calls = 4
-        entry.sampled = 1
-        entry.sampled_seconds = 0.001
-        report = build_report(
-            self._observer_with_data(), profile=profile
-        )
-        text = render_report(report)
+        text = render_report(build_report(self._observer_with_data()))
         assert "== trace ==" in text
         assert "== metrics ==" in text
-        assert "== profile ==" in text
         assert "load" in text
-        assert "hot.fn" in text
 
     def test_render_empty_report(self):
         text = render_report({"schema": 1})
         assert "(no spans recorded)" in text
         assert "(no metrics recorded)" in text
-        assert "== profile ==" not in text
 
 
 class TestPerObserver:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.io import survey_to_dict
 from repro.parallel import (
-    WORKERS_ENV,
     ResultCache,
     partition_asns,
     resolve_workers,
@@ -62,13 +61,16 @@ class TestRunToRunDeterminism:
 
     def test_worker_count_never_reaches_output(self, specs):
         """Different shard counts partition differently but must merge
-        to the same bytes."""
+        to the same bytes, as must one worker per usable CPU."""
         period = PERIODS[0]
         two, _ = run_survey_period(specs, period, seed=7, workers=2)
         five, _ = run_survey_period(specs, period, seed=7, workers=5)
+        every_cpu, _ = run_survey_period(specs, period, seed=7, workers=0)
+        expected = json.dumps(survey_to_dict(two), sort_keys=True)
+        assert json.dumps(survey_to_dict(five), sort_keys=True) == expected
         assert json.dumps(
-            survey_to_dict(two), sort_keys=True
-        ) == json.dumps(survey_to_dict(five), sort_keys=True)
+            survey_to_dict(every_cpu), sort_keys=True
+        ) == expected
 
     def test_seed_reaches_output(self, specs):
         """The complement: a different seed must actually change the
@@ -124,5 +126,6 @@ class TestWorkerCount:
             "os.sched_getaffinity", lambda pid: {0}, raising=False,
         )
         assert resolve_workers(0) == 1
-        monkeypatch.setenv(WORKERS_ENV, "0")
+        # Unset, or one: in process.
         assert resolve_workers(None) == 1
+        assert resolve_workers(1) == 1

@@ -1,27 +1,35 @@
-"""Serial/parallel equivalence: the executor's core contract.
+"""One survey body, any worker count: the executor's core contract.
 
-For any worker count — including the in-process ``workers=1``
-fallback — and with or without injected faults, the sharded executor
-must produce ``survey_to_dict`` output byte-identical to the legacy
-serial path: classifications, amplitudes, failures, and quality-ledger
-counts included.  A shard crash must degrade to per-AS failures for
-that shard's ASes only, never kill the run.
+:func:`repro.scenarios.run_survey_period` filters first and simulates
+only the ASes it must classify, in process or on a pool of shard
+workers.  Either way, with or without injected faults, its
+``survey_to_dict`` output must be byte-identical to the reference:
+every probe simulated, the whole dataset faulted, then
+:func:`repro.core.classify_dataset` — classifications, amplitudes,
+failures, and quality-ledger counts included.  A shard crash must
+degrade to per-AS failures for that shard's ASes only, never kill the
+run.
 """
 
 import datetime as dt
 import functools
 import json
-import os
 
 import pytest
 
+from repro.atlas import AtlasPlatform
+from repro.core import classify_dataset
 from repro.faults import BinLoss, FaultLog, NaNBursts, PoisonAS
+from repro.faults.dataset import inject_dataset
 from repro.io import survey_to_dict
-from repro.parallel import WORKERS_ENV
 from repro.parallel import executor as executor_mod
 from repro.parallel.worker import run_survey_shard
 from repro.quality import DropReason
-from repro.scenarios import generate_specs, run_survey_period
+from repro.scenarios import (
+    build_survey_world,
+    generate_specs,
+    run_survey_period,
+)
 from repro.timebase import MeasurementPeriod
 
 PERIOD = MeasurementPeriod("2019-09", dt.datetime(2019, 9, 2), 4)
@@ -34,14 +42,23 @@ def canonical_bytes(result):
     ).encode("ascii")
 
 
-def run_serial(specs, period, **kwargs):
-    """The legacy serial path, immune to the CI ``REPRO_WORKERS`` leg."""
-    saved = os.environ.pop(WORKERS_ENV, None)
-    try:
-        return run_survey_period(specs, period, **kwargs)
-    finally:
-        if saved is not None:
-            os.environ[WORKERS_ENV] = saved
+def run_serial(specs, period, seed=7, dataset_faults=None, fault_seed=0,
+               fault_log=None):
+    """The reference: simulate every probe, fault the whole dataset,
+    classify it with :func:`classify_dataset`."""
+    world, platform = build_survey_world(
+        specs, lockdown=period.name == "2020-04", seed=seed,
+        period_name=period.name,
+    )
+    dataset = platform.run_period_binned(period)
+    if dataset_faults:
+        inject_dataset(
+            dataset, dataset_faults, seed=fault_seed, log=fault_log,
+        )
+    result = classify_dataset(
+        dataset, period, min_probes=3, table=world.table,
+    )
+    return result, world
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +74,13 @@ def serial_baseline(specs):
 
 class TestWorldSurveyEquivalence:
     def test_workers_one_matches_serial(self, specs, serial_baseline):
-        """The deterministic in-process fallback is bit-faithful."""
-        result, _ = run_survey_period(specs, PERIOD, seed=7, workers=1)
-        assert canonical_bytes(result) == serial_baseline
+        """The in-process body (``workers`` None or 1) is
+        bit-faithful."""
+        for workers in (None, 1):
+            result, _ = run_survey_period(
+                specs, PERIOD, seed=7, workers=workers,
+            )
+            assert canonical_bytes(result) == serial_baseline
 
     def test_pool_matches_serial(self, specs, serial_baseline):
         """A real process pool (more shards than ASes are balanced
@@ -88,22 +109,30 @@ class TestFaultedEquivalence:
     def test_faulted_pool_matches_faulted_serial(self, specs):
         """Content-keyed injection makes chaos runs shard-invariant:
         same corrupted bins, same poisoned AS, same failures."""
-        serial_log, parallel_log = FaultLog(), FaultLog()
+        self.assert_faulted_matches(specs, workers=4)
+
+    def test_faulted_in_process_matches_faulted_serial(self, specs):
+        """Faults pinned against the whole population strike a slice
+        of it exactly as they strike the whole dataset."""
+        self.assert_faulted_matches(specs, workers=None)
+
+    def assert_faulted_matches(self, specs, workers):
+        serial_log, survey_log = FaultLog(), FaultLog()
         serial, _ = run_serial(
             specs, PERIOD, seed=7,
             dataset_faults=self.FAULTS(), fault_seed=3,
             fault_log=serial_log,
         )
-        parallel, _ = run_survey_period(
-            specs, PERIOD, seed=7, workers=4,
+        survey, _ = run_survey_period(
+            specs, PERIOD, seed=7, workers=workers,
             dataset_faults=self.FAULTS(), fault_seed=3,
-            fault_log=parallel_log,
+            fault_log=survey_log,
         )
-        assert canonical_bytes(parallel) == canonical_bytes(serial)
-        assert parallel_log.counts == serial_log.counts
+        assert canonical_bytes(survey) == canonical_bytes(serial)
+        assert survey_log.counts == serial_log.counts
         for injector in ("bin-loss", "nan-bursts", "poison-as"):
             assert sorted(
-                parallel_log.keys(injector), key=repr
+                survey_log.keys(injector), key=repr
             ) == sorted(serial_log.keys(injector), key=repr)
 
     def test_poisoned_as_fails_identically(self, specs):
@@ -161,24 +190,27 @@ class TestShardFailureIsolation:
             assert "simulated worker crash" in failure.message
         assert _as_failure_drops(result) == len(doomed)
 
-    def test_inprocess_guard_isolates_too(self, monkeypatch, specs):
-        """The workers=1 fallback uses the same guard: its one shard
-        (index 0) crashing turns every AS into a failure instead of
-        raising, and a runner that spares shard 0 changes nothing."""
-        monkeypatch.setattr(
-            executor_mod, "run_survey_shard",
-            functools.partial(_crash_shard, 1),
-        )
-        spared, _ = run_survey_period(specs, PERIOD, seed=7, workers=1)
-        assert not spared.failures
+    def test_no_pool_falls_back_in_process(
+        self, monkeypatch, specs, serial_baseline
+    ):
+        """A platform that cannot start a process pool runs the same
+        slice in process, to the same bytes."""
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
 
-        monkeypatch.setattr(
-            executor_mod, "run_survey_shard",
-            functools.partial(_crash_shard, 0),
-        )
-        crashed, _ = run_survey_period(specs, PERIOD, seed=7, workers=1)
-        assert not crashed.reports
-        assert set(crashed.failures) == set(spared.reports)
-        for failure in crashed.failures.values():
-            assert failure.error == "ShardExecutionError"
-        assert _as_failure_drops(crashed) == len(spared.reports)
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", no_pool)
+        result, _ = run_survey_period(specs, PERIOD, seed=7, workers=2)
+        assert canonical_bytes(result) == serial_baseline
+
+    def test_in_process_simulator_error_propagates(
+        self, monkeypatch, specs
+    ):
+        """In process there is no shard to isolate: a simulator error
+        raises, as a probe error in
+        :meth:`AtlasPlatform.run_period_binned` always does."""
+        def failing(self, probe, *args, **kwargs):
+            raise RuntimeError("simulated probe failure")
+
+        monkeypatch.setattr(AtlasPlatform, "_binned_series", failing)
+        with pytest.raises(RuntimeError, match="simulated probe failure"):
+            run_survey_period(specs, PERIOD, seed=7, workers=1)

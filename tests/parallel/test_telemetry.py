@@ -1,11 +1,11 @@
 """Cross-process telemetry: worker metrics/spans merged into the parent.
 
-The tentpole acceptance: a ``--workers 2`` survey under a live
-observer must leave the parent registry with per-stage
-``items_in``/``items_out`` totals *equal to the serial run's* (shards
-partition the work, merge sums it back), with every worker span
-grafted under a ``survey-shard`` marker so the report renders one
-coherent tree — and none of it may perturb the classification bytes.
+A ``--workers 2`` survey under a live observer must leave the parent
+registry with per-stage ``items_in``/``items_out`` totals *equal to
+the in-process run's* (shards partition the work, merge sums it
+back), with every worker span grafted under a ``survey-shard`` marker
+so the report renders one coherent tree — and none of it may perturb
+the classification bytes.
 """
 
 import pytest
@@ -23,7 +23,7 @@ from repro.scenarios import (
     run_survey_period,
 )
 
-from .test_equivalence import PERIOD, canonical_bytes, run_serial
+from .test_equivalence import PERIOD, canonical_bytes
 
 STAGE_COUNTERS = ("pipeline_items_in_total", "pipeline_items_out_total")
 
@@ -45,7 +45,7 @@ class TestSurveyTelemetryEquivalence:
     @pytest.fixture(scope="class")
     def serial_run(self, specs):
         with observed() as obs:
-            result, _ = run_serial(specs, PERIOD, seed=7)
+            result, _ = run_survey_period(specs, PERIOD, seed=7)
         return canonical_bytes(result), _stage_totals(obs.metrics)
 
     @pytest.fixture(scope="class")

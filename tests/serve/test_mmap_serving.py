@@ -227,6 +227,35 @@ class TestTornSegmentServing:
             "store_corrupt_total", ""
         ).value() >= 1
 
+    def test_history_serves_the_readable_periods(self, tmp_path):
+        """One torn period of two: every AS history still answers 200,
+        the torn period's entry marked unreadable and the healthy
+        period's entry as it was, on the first read (which
+        quarantines) and on every read after; the torn period's own
+        route stays a 503."""
+        with build_archive(tmp_path / "pristine") as archive:
+            expected = json.loads(
+                SurveyAPI(archive).handle("/v1/as/100/history").body
+            )["history"]
+
+        root = tmp_path / "arc"
+        build_archive(root).close()
+        tear(root / "segments" / "2019-06.seg")
+        with SurveyArchive(root) as archive:
+            api = SurveyAPI(archive, cache_size=8)
+            for _ in range(2):
+                response = api.handle("/v1/as/100/history")
+                assert response.status == 200
+                torn, healthy = json.loads(response.body)["history"]
+                assert torn == {
+                    "period": "2019-06", "monitored": False,
+                    "severity": None, "unreadable": True,
+                }
+                assert healthy == expected[1]
+            assert api.handle("/v1/period/2019-06").status == 503
+            # AS200 is in the torn period only: no answer, not a 404.
+            assert api.handle("/v1/as/200/history").status == 503
+
     def test_torn_segment_under_concurrency(self, tmp_path):
         root = tmp_path / "arc"
         build_archive(root).close()

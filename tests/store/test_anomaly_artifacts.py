@@ -190,6 +190,37 @@ class TestLinkHistory:
             "anomalous_bins": [],
         }
 
+    def test_unreadable_report_spares_the_others(self, reported):
+        """A corrupt report is one unreadable entry, on every read,
+        not a failed history; a link only it could hold raises the
+        corruption."""
+        from repro.faults import FsFaultKey, flip_bit
+
+        reported.ingest_anomalies(
+            "2019-09", make_anomaly_payload("2019-09")
+        )
+        expected = reported.link_history(LINK)[1]
+        flip_bit(
+            reported.anomalies_path("2019-06"), key=FsFaultKey(5)
+        )
+        reopened = SurveyArchive(reported.root)
+        for _ in range(2):
+            torn, healthy = reopened.link_history(LINK)
+            assert torn == {
+                "period": "2019-06", "observed": False,
+                "anomalous_bins": [], "unreadable": True,
+            }
+            assert healthy == expected
+
+    def test_link_only_in_unreadable_report_raises(self, reported):
+        from repro.faults import FsFaultKey, flip_bit
+
+        flip_bit(
+            reported.anomalies_path("2019-06"), key=FsFaultKey(5)
+        )
+        with pytest.raises(ArchiveCorruptionError):
+            SurveyArchive(reported.root).link_history(LINK)
+
     def test_unknown_link_raises(self, reported):
         with pytest.raises(LinkNotFoundError):
             reported.link_history("9.9.9.9--8.8.8.8")

@@ -21,7 +21,6 @@ import pytest
 from repro.core import classify_dataset
 from repro.faults import BinLoss, NaNBursts, PoisonAS, inject_dataset
 from repro.io import survey_to_dict
-from repro.parallel import WORKERS_ENV
 from repro.quality import DataQualityReport
 from repro.scenarios import build_survey_world, generate_specs
 from repro.stream import (
@@ -143,13 +142,6 @@ def stream_replay(
         if emit_every and index % emit_every == 0:
             engine.emit_partial()
     return engine, engine.finalize()
-
-
-@pytest.fixture(autouse=True)
-def _pin_environment(monkeypatch):
-    """Neutralize the CI matrix knob: every run in this package
-    selects its backend and execution mode explicitly."""
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -197,12 +197,7 @@ class TestObsFlags:
         assert args.path == "metrics.json"
         assert not args.prometheus
 
-    def test_survey_with_metrics_out(self, tmp_path, capsys, monkeypatch):
-        # The full worker-level span tree (simulate/aggregate/spectral)
-        # is a serial-path contract: sharded workers run silenced and
-        # the parent re-emits shard-level spans instead.  Pin serial so
-        # the CI REPRO_WORKERS matrix leg exercises the same assertions.
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_survey_with_metrics_out(self, tmp_path, capsys):
         report_path = tmp_path / "metrics.json"
         code = main([
             "survey", "--ases", "12", "--countries", "4",
@@ -251,15 +246,17 @@ class TestObsFlags:
         prom = capsys.readouterr().out
         assert "# TYPE pipeline_items_in_total counter" in prom
 
-    def test_survey_trace_shape(self, tmp_path, capsys, monkeypatch):
-        # The simulator's thread pool adds a `threads` attribute and
-        # nothing else: same span names and nesting, and no pool thread
-        # opens a span of its own (it would surface as an extra root).
+    def test_survey_trace_shape(self, tmp_path, capsys):
+        # One survey-period root.  The population is filtered before
+        # anything is simulated, so `simulate` runs inside
+        # classify-dataset, after `filter`.  The simulator's thread
+        # pool adds a `threads` attribute and nothing else: no pool
+        # thread opens a span of its own (it would surface as an extra
+        # root).
         import json
 
         from repro.atlas.platform import usable_cpus
 
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         report_path = tmp_path / "metrics.json"
         assert main([
             "survey", "--ases", "6", "--countries", "2",
@@ -280,9 +277,9 @@ class TestObsFlags:
         assert {path for path, _ in found} == {
             ("survey-period",),
             ("survey-period", "load"),
-            ("survey-period", "load", "simulate"),
             ("survey-period", "classify-dataset"),
             ("survey-period", "classify-dataset", "filter"),
+            ("survey-period", "classify-dataset", "simulate"),
             ("survey-period", "classify-dataset", "classify"),
             ("survey-period", "classify-dataset", "classify", "aggregate"),
             ("survey-period", "classify-dataset", "spectral"),

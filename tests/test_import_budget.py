@@ -83,6 +83,13 @@ code = repro.cli.main([
 assert code == 0, code
 check("repro survey", tools)
 
+code = repro.cli.main([
+    "survey", "--ases", "8", "--periods", "1", "--out", out,
+    "--cache-dir", out + "-cache",
+])
+assert code == 0, code
+check("repro survey --cache-dir", tools)
+
 code = repro.cli.main(["stream", "--dataset", base])
 assert code == 0, code
 check("repro stream --dataset", tools)
@@ -122,13 +129,13 @@ print("ok")
 LAZY_NAMES_PROGRAM = """
 import repro
 from repro.core import ThroughputSeries
-from repro.parallel import run_survey_period_parallel
+from repro.parallel import run_survey_shard
 from repro.scenarios import build_tokyo_case_study
 from repro.serve import RetryingClient
 
 assert repro.faults.FaultLog.__name__ == "FaultLog"
 assert ThroughputSeries.__module__ == "repro.core.throughput"
-assert run_survey_period_parallel.__module__ == "repro.parallel.executor"
+assert run_survey_shard.__module__ == "repro.parallel.worker"
 assert build_tokyo_case_study.__module__ == "repro.scenarios.japan"
 assert RetryingClient.__module__ == "repro.serve.client"
 for name in repro.__all__:
@@ -149,6 +156,7 @@ import repro.cli
 
 code = repro.cli.main([
     "survey", "--ases", "8", "--periods", "1", "--out", sys.argv[1],
+    "--workers", "2",
 ])
 assert code == 0, code
 assert "repro.parallel.executor" in sys.modules
@@ -156,11 +164,11 @@ print("ok")
 """
 
 
-def run_fresh(program, *args, env=None):
+def run_fresh(program, *args):
     result = subprocess.run(
         [sys.executable, "-c", program, *map(str, args)],
         capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": str(SRC), **(env or {})},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.rstrip().endswith("ok")
@@ -172,8 +180,7 @@ def test_cli_paths_do_not_import_scipy(tmp_path):
     run_fresh(SCIPY_PROGRAM, base, tmp_path / "site")
 
 
-def test_start_up_and_batch_runs_load_no_tools(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def test_start_up_and_batch_runs_load_no_tools(tmp_path):
     base = tmp_path / "lastmile"
     save_lastmile(synthetic_dataset(num_ases=3), base)
     run_fresh(STARTUP_PROGRAM, base, tmp_path / "site", ",".join(TOOLS))
@@ -200,6 +207,5 @@ def test_lazy_names_resolve():
     run_fresh(LAZY_NAMES_PROGRAM)
 
 
-def test_workers_env_still_routes_surveys_through_executor(tmp_path):
-    run_fresh(WORKERS_PROGRAM, tmp_path / "site",
-              env={"REPRO_WORKERS": "2"})
+def test_workers_flag_routes_surveys_through_executor(tmp_path):
+    run_fresh(WORKERS_PROGRAM, tmp_path / "site")
