@@ -558,21 +558,27 @@ def _finish_observer(args, observer) -> None:
         print(f"wrote observability report to {path}")
 
 
-# -- commands ------------------------------------------------------------
-
-
-def cmd_survey(args) -> int:
+def _run_observed(args, run) -> int:
+    """``run(args)`` under the observer the obs flags ask for, if any,
+    then print/persist what it collected and close the log sink."""
     observer, sink = _make_observer(args)
     if observer is None:
-        return _run_survey(args)
+        return run(args)
     try:
         with observed(observer):
-            code = _run_survey(args)
+            code = run(args)
         _finish_observer(args, observer)
         return code
     finally:
         if sink is not None:
             sink.close()
+
+
+# -- commands ------------------------------------------------------------
+
+
+def cmd_survey(args) -> int:
+    return _run_observed(args, _run_survey)
 
 
 def _run_survey(args) -> int:
@@ -756,17 +762,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    observer, sink = _make_observer(args)
-    if observer is None:
-        return _run_stream(args)
-    try:
-        with observed(observer):
-            code = _run_stream(args)
-        _finish_observer(args, observer)
-        return code
-    finally:
-        if sink is not None:
-            sink.close()
+    return _run_observed(args, _run_stream)
 
 
 def _run_stream(args) -> int:
@@ -888,17 +884,7 @@ def _stream_period(args, obs, root) -> int:
 
 
 def cmd_inject(args) -> int:
-    observer, sink = _make_observer(args)
-    if observer is None:
-        return _run_inject(args)
-    try:
-        with observed(observer):
-            code = _run_inject(args)
-        _finish_observer(args, observer)
-        return code
-    finally:
-        if sink is not None:
-            sink.close()
+    return _run_observed(args, _run_inject)
 
 
 def _run_inject(args) -> int:
@@ -1350,17 +1336,7 @@ def cmd_loadtest(args) -> int:
 
 
 def cmd_anomaly(args) -> int:
-    observer, sink = _make_observer(args)
-    if observer is None:
-        return _run_anomaly(args)
-    try:
-        with observed(observer):
-            code = _run_anomaly(args)
-        _finish_observer(args, observer)
-        return code
-    finally:
-        if sink is not None:
-            sink.close()
+    return _run_observed(args, _run_anomaly)
 
 
 def _run_anomaly(args) -> int:
@@ -1529,7 +1505,20 @@ COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        code = COMMANDS[args.command](args)
+        # Flush here, so a reader that closed early is met inside the
+        # try rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`repro obs report m.json | head`).
+        # As the signal module's notes on SIGPIPE advise: point stdout
+        # at devnull so the flush at exit cannot raise again, and exit
+        # 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

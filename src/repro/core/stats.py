@@ -173,10 +173,14 @@ def bootstrap_spearman(
 
 @lru_cache(maxsize=None)
 def _wilson_z(confidence: float) -> float:
-    """The two-sided normal quantile of ``confidence``, once per value."""
-    from scipy import stats as sp_stats     # off the import path
+    """The two-sided normal quantile of ``confidence``, once per value.
 
-    return float(sp_stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+    ``ndtri`` is the inverse normal CDF ``scipy.stats.norm.ppf``
+    evaluates, bit for bit, without importing ``scipy.stats``.
+    """
+    from scipy.special import ndtri     # off the import path
+
+    return float(ndtri(1.0 - (1.0 - confidence) / 2.0))
 
 
 def wilson_rank_bounds(n: int, confidence: float = 0.95) -> Tuple[float, float]:

@@ -214,10 +214,13 @@ def _classify_chunk(
         for (asn, _), (present, failure) in zip(groups, gathered)
         if failure is None
     ]
-    signals = population_signals(
-        dataset, [present for _, present in survivors],
-        [quality_for(asn) for asn, _ in survivors], kern,
-    ) if survivors else []
+    with obs.span(
+        "population-signals", kernel=kern.name, populations=len(survivors)
+    ):
+        signals = population_signals(
+            dataset, [present for _, present in survivors],
+            [quality_for(asn) for asn, _ in survivors], kern,
+        ) if survivors else []
     with obs.stage_span(
         "spectral", kernel=kern.name, signals=len(signals)
     ):

@@ -32,9 +32,8 @@ Like :mod:`repro.quality`, the whole package is stdlib-only.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
-from typing import Optional
+from typing import Dict, Optional
 
 from .log import StructuredLogger, open_jsonl_sink
 from .metrics import (
@@ -90,24 +89,16 @@ QUALITY_DEGRADED = "quality_degraded_total"
 SPANS_DROPPED = "obs_spans_dropped_total"
 
 
-class _StageSpan:
-    """Span context that also feeds the stage duration histogram."""
+def _bound(handles, instrument, stage: str):
+    """``instrument``'s handle bound to ``stage``, made on first use.
 
-    __slots__ = ("_obs", "_stage", "_span_context", "_start")
-
-    def __init__(self, obs: "Observability", stage: str, attrs):
-        self._obs = obs
-        self._stage = stage
-        self._span_context = obs.tracer.span(stage, **attrs)
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self._span_context.__enter__()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = time.perf_counter() - self._start
-        self._obs._duration.observe(elapsed, stage=self._stage)
-        return self._span_context.__exit__(exc_type, exc, tb)
+    The stage accounting runs once per AS; a bound handle skips the
+    label-key build a labelled call pays each time.
+    """
+    handle = handles.get(stage)
+    if handle is None:
+        handle = handles[stage] = instrument.labels(stage=stage)
+    return handle
 
 
 class Observability:
@@ -131,6 +122,9 @@ class Observability:
         self._duration = self.metrics.histogram(
             DURATION, "stage wall-clock latency", ("stage",)
         )
+        self._in_by_stage: Dict = {}
+        self._out_by_stage: Dict = {}
+        self._duration_by_stage: Dict = {}
 
     @property
     def enabled(self) -> bool:
@@ -142,9 +136,10 @@ class Observability:
         """Plain span (no stage accounting)."""
         return self.tracer.span(name, **attrs)
 
-    def stage_span(self, stage: str, **attrs) -> _StageSpan:
+    def stage_span(self, stage: str, **attrs):
         """Span that also records ``pipeline_duration_seconds``."""
-        return _StageSpan(self, stage, attrs)
+        duration = _bound(self._duration_by_stage, self._duration, stage)
+        return self.tracer.timed_span(duration.observe, stage, attrs)
 
     def keep_recent_spans(self, max_roots: int) -> None:
         """Bound the trace to its ``max_roots`` most recent root spans.
@@ -161,10 +156,10 @@ class Observability:
     # -- stage accounting ----------------------------------------------
 
     def items_in(self, stage: str, n: int = 1) -> None:
-        self._items_in.inc(n, stage=stage)
+        _bound(self._in_by_stage, self._items_in, stage).inc(n)
 
     def items_out(self, stage: str, n: int = 1) -> None:
-        self._items_out.inc(n, stage=stage)
+        _bound(self._out_by_stage, self._items_out, stage).inc(n)
 
     def counter(self, name: str, help: str = "",
                 label_names=()) -> Counter:

@@ -136,6 +136,18 @@ class _HistogramSeries:
         self.minimum = float("inf")
         self.maximum = float("-inf")
 
+    def observe(self, value: float, buckets: Tuple[float, ...]) -> None:
+        index = len(buckets)  # +Inf slot
+        for i, bound in enumerate(buckets):
+            if value <= bound:
+                index = i
+                break
+        self.bucket_counts[index] += 1
+        self.total += value
+        self.count += 1
+        self.minimum = min(self.minimum, value)
+        self.maximum = max(self.maximum, value)
+
 
 class Histogram(_Instrument):
     """Fixed-bucket histogram (cumulative buckets, Prometheus-style)."""
@@ -158,17 +170,11 @@ class Histogram(_Instrument):
         return series
 
     def observe(self, value: float, **labels: str) -> None:
-        series = self._get(self._key(labels))
-        index = len(self.buckets)  # +Inf slot
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        series.bucket_counts[index] += 1
-        series.total += value
-        series.count += 1
-        series.minimum = min(series.minimum, value)
-        series.maximum = max(series.maximum, value)
+        self._get(self._key(labels)).observe(value, self.buckets)
+
+    def labels(self, **labels: str) -> "BoundHistogram":
+        """Pre-resolve a label set for hot loops."""
+        return BoundHistogram(self._get(self._key(labels)), self.buckets)
 
     def count(self, **labels: str) -> int:
         series = self._series.get(self._key(labels))
@@ -180,6 +186,20 @@ class Histogram(_Instrument):
 
     def samples(self) -> Iterator[Tuple[LabelKey, _HistogramSeries]]:
         yield from sorted(self._series.items())
+
+
+class BoundHistogram:
+    """A histogram bound to one label set — the hot-loop handle."""
+
+    __slots__ = ("_series", "_buckets")
+
+    def __init__(self, series: _HistogramSeries,
+                 buckets: Tuple[float, ...]):
+        self._series = series
+        self._buckets = buckets
+
+    def observe(self, value: float) -> None:
+        self._series.observe(value, self._buckets)
 
 
 class MetricsRegistry:

@@ -56,7 +56,7 @@ class Span:
     """One timed, attributed node of the trace tree."""
 
     __slots__ = (
-        "name", "attrs", "children", "error", "span_id",
+        "name", "attrs", "children", "error", "_span_id",
         "_start_wall", "_start_cpu", "wall_seconds", "cpu_seconds",
     )
 
@@ -65,11 +65,19 @@ class Span:
         self.attrs = attrs
         self.children: List["Span"] = []
         self.error: Optional[str] = None
-        self.span_id = _new_id()
+        self._span_id: Optional[str] = None
         self._start_wall = 0.0
         self._start_cpu = 0.0
         self.wall_seconds = 0.0
         self.cpu_seconds = 0.0
+
+    @property
+    def span_id(self) -> str:
+        """The span's id, drawn on first read: most spans are never
+        exported or propagated, and each draw is a syscall."""
+        if self._span_id is None:
+            self._span_id = _new_id()
+        return self._span_id
 
     def set_attr(self, key: str, value) -> None:
         """Attach an attribute after the span has started."""
@@ -99,7 +107,7 @@ class Span:
     @classmethod
     def from_dict(cls, data: Dict) -> "Span":
         span = cls(data["name"], dict(data.get("attrs", {})))
-        span.span_id = data.get("span_id", span.span_id)
+        span._span_id = data.get("span_id")
         span.wall_seconds = float(data.get("wall_seconds", 0.0))
         span.cpu_seconds = float(data.get("cpu_seconds", 0.0))
         span.error = data.get("error")
@@ -114,19 +122,27 @@ class _SpanContext:
 
     It may be entered again after it exits: the span stays where it
     was first attached and each entry adds to its times, so steps
-    that interleave in one loop can each read as one span.
+    that interleave in one loop can each read as one span.  Each exit
+    hands that entry's wall seconds to ``on_exit``, if given.
     """
 
-    __slots__ = ("_tracer", "_span", "_attached")
+    __slots__ = ("_tracer", "_span", "_attached", "_stack", "_on_exit")
 
-    def __init__(self, tracer: "Tracer", span: Span):
+    def __init__(
+        self,
+        tracer: "Tracer",
+        span: Span,
+        on_exit: Optional[Callable[[float], None]] = None,
+    ):
         self._tracer = tracer
         self._span = span
         self._attached = False
+        self._on_exit = on_exit
 
     def __enter__(self) -> Span:
         span = self._span
-        stack = self._tracer._stack
+        # Exit runs on the entering thread, so it pops this same stack.
+        stack = self._stack = self._tracer._stack
         if not self._attached:
             self._attached = True
             if stack:
@@ -140,12 +156,15 @@ class _SpanContext:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         span = self._span
-        span.wall_seconds += time.perf_counter() - span._start_wall
+        wall = time.perf_counter() - span._start_wall
+        span.wall_seconds += wall
         span.cpu_seconds += time.process_time() - span._start_cpu
         if exc_type is not None:
             span.error = exc_type.__name__
-        popped = self._tracer._stack.pop()
+        popped = self._stack.pop()
         assert popped is span, "span stack corrupted"
+        if self._on_exit is not None:
+            self._on_exit(wall)
         return False  # never swallow
 
 
@@ -212,6 +231,13 @@ class Tracer:
         """Open a child span of whatever span is currently active."""
         return _SpanContext(self, Span(name, attrs))
 
+    def timed_span(
+        self, on_exit: Callable[[float], None], name: str, attrs: Dict
+    ) -> _SpanContext:
+        """:meth:`span` that also hands its wall seconds to
+        ``on_exit`` when it closes (a stage's duration histogram)."""
+        return _SpanContext(self, Span(name, attrs), on_exit)
+
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
@@ -264,6 +290,23 @@ class _NullSpan:
         pass
 
 
+class _WallClock:
+    """Times a block for ``on_exit`` where no span is recorded."""
+
+    __slots__ = ("_on_exit", "_start")
+
+    def __init__(self, on_exit: Callable[[float], None]):
+        self._on_exit = on_exit
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+        return _NULL_SPAN
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._on_exit(time.perf_counter() - self._start)
+        return False
+
+
 _NULL_CONTEXT = _NullSpanContext()
 _NULL_SPAN = _NullSpan()
 
@@ -280,6 +323,11 @@ class NullTracer:
 
     def span(self, name: str, **attrs) -> _NullSpanContext:
         return _NULL_CONTEXT
+
+    def timed_span(
+        self, on_exit: Callable[[float], None], name: str, attrs: Dict
+    ) -> _WallClock:
+        return _WallClock(on_exit)
 
     def current(self) -> None:
         return None

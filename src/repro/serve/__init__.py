@@ -16,10 +16,6 @@ survey results:
 * :mod:`repro.serve.resilience` — the overload/corruption middleware:
   concurrency limiter (shed with 503 + Retry-After), per-period
   circuit breaker, cooperative request deadlines;
-* :mod:`repro.serve.client`     — :class:`RetryingClient`, the
-  matching client discipline (jittered exponential backoff honoring
-  ``Retry-After``), loaded on first use so a server never imports
-  :mod:`urllib.request`;
 * :mod:`repro.serve.accesslog`  — :class:`AccessLog`, the structured
   JSONL per-request log (request id, route, status, duration,
   cache/shed/breaker outcome) flushed on graceful shutdown.
@@ -37,7 +33,6 @@ Standalone: ``python -m repro serve archive/ --port 8080``
 (SIGTERM/SIGINT drain in-flight requests and flush metrics).
 """
 
-from .._lazy import lazy_exports
 from .accesslog import AccessLog, read_access_log
 from .app import Response, SEVERITY_CLASSES, SurveyAPI, status_for
 from .cache import LRUCache, LRUStats
@@ -71,16 +66,4 @@ __all__ = [
     "OverloadedError",
     "BreakerOpenError",
     "DeadlineExceeded",
-    "RetryingClient",
-    "ClientResult",
-    "RetriesExhausted",
-    "retry_call",
-    "parse_retry_after",
 ]
-
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "client": (
-        "ClientResult", "RetriesExhausted", "RetryingClient",
-        "parse_retry_after", "retry_call",
-    ),
-})

@@ -73,6 +73,7 @@ def assert_stage_counters_and_spans(kernels):
     child_names = [c.name for c in roots[0].children]
     assert "filter" in child_names
     assert child_names.count("classify") == 5
+    assert child_names.count("population-signals") == 1
     assert child_names.count("spectral") == 1
     for span in roots[0].children:
         if span.name == "classify":
@@ -84,6 +85,12 @@ def assert_stage_counters_and_spans(kernels):
     )
     assert spectral_span.attrs["signals"] == 5
     assert spectral_span.attrs["kernel"] == kernels
+    populations_span = next(
+        c for c in roots[0].children if c.name == "population-signals"
+    )
+    assert populations_span.attrs == {
+        "kernel": kernels, "populations": 5,
+    }
 
 
 class TestClassifyDatasetInstrumentation:

@@ -5,12 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.stats import wilson_rank_bounds, wilson_score_interval
+from repro.core.stats import (
+    _wilson_z,
+    wilson_rank_bounds,
+    wilson_score_interval,
+)
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6,
     allow_nan=False, allow_infinity=False,
 )
+
+
+def test_wilson_z_is_norm_ppf_bit_for_bit():
+    """``ndtri`` stands in for ``scipy.stats.norm.ppf`` so the anomaly
+    detector never imports ``scipy.stats``; the two must agree on
+    every bit, or the anomaly goldens move."""
+    from scipy.stats import norm
+
+    confidences = np.concatenate([
+        np.linspace(1e-6, 1.0 - 1e-6, 50_000),
+        [0.5, 0.9, 0.95, 0.99],
+    ])
+    expected = norm.ppf(1.0 - (1.0 - confidences) / 2.0)
+    got = np.array([_wilson_z.__wrapped__(c) for c in confidences])
+    assert np.array_equal(got, expected)
 
 
 class TestRankBounds:

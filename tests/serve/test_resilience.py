@@ -1,4 +1,4 @@
-"""Resilience middleware: shedding, breaker, deadlines, retry client."""
+"""Resilience middleware: shedding, breaker, deadlines."""
 
 import json
 import threading
@@ -16,14 +16,9 @@ from repro.serve import (
     DeadlineExceeded,
     OverloadedError,
     ResilienceConfig,
-    RetriesExhausted,
-    RetryingClient,
     SurveyAPI,
     SurveyServer,
-    parse_retry_after,
-    retry_call,
 )
-from repro.serve.client import ClientResult
 
 
 class FakeClock:
@@ -355,89 +350,10 @@ class TestDeadlineIntegration:
         assert json.loads(response.body)["error"] == "DeadlineExceeded"
 
 
-class TestRetryingClient:
-    def scripted(self, replies):
-        """A fetch stub that pops scripted (status, headers) replies."""
-        calls = []
-
-        def fetch(url, timeout):
-            calls.append(url)
-            status, headers = replies.pop(0)
-            return status, b'{"ok": true}', headers
-
-        return fetch, calls
-
-    def test_retries_until_success(self):
-        fetch, calls = self.scripted([
-            (503, {"Retry-After": "3"}),
-            (503, {}),
-            (200, {}),
-        ])
-        waits = []
-        client = RetryingClient(
-            "http://x", fetch=fetch, sleep=waits.append,
-            backoff_base=0.1,
-        )
-        result = client.get("/v1/healthz")
-        assert result.status == 200
-        assert result.attempts == 3
-        assert len(calls) == 3
-        # First wait honors the server's Retry-After ask.
-        assert waits[0] >= 3.0
-        # Second wait is pure jittered backoff: base*2 scaled by
-        # jitter in [0.5, 1.5).
-        assert 0.1 <= waits[1] < 0.3
-
-    def test_non_retryable_returns_immediately(self):
-        fetch, calls = self.scripted([(404, {})])
-        client = RetryingClient("http://x", fetch=fetch,
-                                sleep=lambda s: None)
-        result = client.get("/v1/nope")
-        assert result.status == 404
-        assert result.attempts == 1
-        assert len(calls) == 1
-
-    def test_exhaustion_raises(self):
-        fetch, calls = self.scripted([(503, {})] * 3)
-        client = RetryingClient(
-            "http://x", max_attempts=3, fetch=fetch,
-            sleep=lambda s: None,
-        )
-        with pytest.raises(RetriesExhausted) as excinfo:
-            client.get("/v1/periods")
-        assert len(calls) == 3
-        assert "HTTP 503" in str(excinfo.value)
-
-    def test_backoff_grows_exponentially(self):
-        fetch, _ = self.scripted([(503, {})] * 4 + [(200, {})])
-        waits = []
-        client = RetryingClient(
-            "http://x", fetch=fetch, sleep=waits.append,
-            backoff_base=1.0, max_attempts=5,
-        )
-        client.get("/")
-        # Jitter scales by [0.5, 1.5), so consecutive doublings still
-        # satisfy waits[i+1] > waits[i] * 2 * (0.5/1.5) bounds; check
-        # the envelope rather than exact values.
-        for i, wait in enumerate(waits):
-            assert 0.5 * 2 ** i <= wait < 1.5 * 2 ** i
-
-    def test_transport_errors_retried(self):
-        attempts = []
-
-        def fetch(url, timeout):
-            attempts.append(url)
-            if len(attempts) < 3:
-                raise ConnectionResetError("peer vanished")
-            return 200, b"{}", {}
-
-        client = RetryingClient("http://x", fetch=fetch,
-                                sleep=lambda s: None)
-        assert client.get("/").status == 200
-        assert len(attempts) == 3
-
+class TestLiveShedding:
     def test_against_live_server_shed_then_served(self, archive):
-        """A shed client retries after the 503 and lands a 200."""
+        """A request shed at the limit gets 503 + Retry-After; once the
+        slot frees, the same request is served."""
         api = SurveyAPI(
             archive,
             resilience=ResilienceConfig(
@@ -463,50 +379,13 @@ class TestRetryingClient:
             occupant.start()
             assert gate.wait(timeout=30)
 
-            waits = []
+            url = server.url + "/v1/healthz"
+            with pytest.raises(urllib.error.HTTPError) as shed:
+                urllib.request.urlopen(url, timeout=30)
+            assert shed.value.code == 503
+            assert shed.value.headers["Retry-After"] == "0"
 
-            def sleeper(seconds):
-                waits.append(seconds)
-                release.set()  # free the slot while "sleeping"
-                occupant.join(timeout=30)
-
-            client = RetryingClient(
-                server.url, sleep=sleeper, backoff_base=0.01,
-            )
-            result = client.get("/v1/healthz")
-            assert result.status == 200
-            assert result.attempts >= 2
-            assert waits  # it really backed off
-
-
-class TestRetryCall:
-    def test_honors_retry_after_header(self):
-        replies = [
-            ClientResult(503, b"", {"Retry-After": "5"}),
-            ClientResult(200, b"{}"),
-        ]
-        waits = []
-        result = retry_call(
-            lambda: replies.pop(0), sleep=waits.append,
-            backoff_base=0.01,
-        )
-        assert result.status == 200
-        assert result.attempts == 2
-        assert waits[0] >= 5.0
-
-    def test_returns_last_result_when_exhausted(self):
-        result = retry_call(
-            lambda: ClientResult(503, b""),
-            max_attempts=3, sleep=lambda s: None,
-        )
-        assert result.status == 503
-        assert result.attempts == 3
-
-
-class TestParseRetryAfter:
-    def test_forms(self):
-        assert parse_retry_after("3") == 3.0
-        assert parse_retry_after("0.5") == 0.5
-        assert parse_retry_after("-1") == 0.0
-        assert parse_retry_after(None) is None
-        assert parse_retry_after("Wed, 21 Oct 2015") is None
+            release.set()
+            occupant.join(timeout=30)
+            with urllib.request.urlopen(url, timeout=30) as response:
+                assert response.status == 200

@@ -282,6 +282,7 @@ class TestObsFlags:
             ("survey-period", "classify-dataset", "simulate"),
             ("survey-period", "classify-dataset", "classify"),
             ("survey-period", "classify-dataset", "classify", "aggregate"),
+            ("survey-period", "classify-dataset", "population-signals"),
             ("survey-period", "classify-dataset", "spectral"),
         }
         (simulate,) = [span for path, span in found if path[-1] == "simulate"]
@@ -322,6 +323,7 @@ class TestObsFlags:
             ("stream", "stream-classify", "filter"),
             ("stream", "stream-classify", "classify"),
             ("stream", "stream-classify", "classify", "aggregate"),
+            ("stream", "stream-classify", "population-signals"),
             ("stream", "stream-classify", "spectral"),
         }
         by_name = {}
@@ -355,6 +357,39 @@ class TestObsFlags:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: cannot read")
+
+
+    def test_obs_report_into_closed_pipe(self, tmp_path):
+        """`repro obs report m.json | true`: the reader is gone before
+        the report is written; the CLI exits 1 with no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.obs import Observability
+        from repro.obs.report import write_report
+
+        obs = Observability()
+        obs.items_in("survey-period", 6)
+        report = tmp_path / "m.json"
+        write_report(obs, report)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "obs", "report",
+                 str(report)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": os.path.dirname(
+                    os.path.dirname(repro.__file__)
+                )},
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == ""
 
 
 class TestQualityErrorPaths:

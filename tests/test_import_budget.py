@@ -71,6 +71,15 @@ for kernels in ("reference", "vector"):
 print("ok")
 """
 
+ANOMALY_PROGRAM = PRELUDE + """
+import repro.cli
+
+code = repro.cli.main(["anomaly", "--probes", "2", "--days", "1"])
+assert code == 0, code
+check("repro anomaly", ["scipy.stats"])
+print("ok")
+"""
+
 STARTUP_PROGRAM = PRELUDE + """
 tools = sys.argv[3].split(",")
 import repro.cli
@@ -131,13 +140,13 @@ import repro
 from repro.core import ThroughputSeries
 from repro.parallel import run_survey_shard
 from repro.scenarios import build_tokyo_case_study
-from repro.serve import RetryingClient
+from repro.store import run_fsck
 
 assert repro.faults.FaultLog.__name__ == "FaultLog"
 assert ThroughputSeries.__module__ == "repro.core.throughput"
 assert run_survey_shard.__module__ == "repro.parallel.worker"
 assert build_tokyo_case_study.__module__ == "repro.scenarios.japan"
-assert RetryingClient.__module__ == "repro.serve.client"
+assert run_fsck.__module__ == "repro.store.fsck"
 for name in repro.__all__:
     assert name in dir(repro), name
 print("ok")
@@ -178,6 +187,13 @@ def test_cli_paths_do_not_import_scipy(tmp_path):
     base = tmp_path / "lastmile"
     save_lastmile(synthetic_dataset(num_ases=3), base)
     run_fresh(SCIPY_PROGRAM, base, tmp_path / "site")
+
+
+def test_anomaly_loads_no_scipy_stats():
+    """The Wilson band needs one normal quantile: ``scipy.special``
+    gives it, bit-identical, at a fraction of the ``scipy.stats``
+    import."""
+    run_fresh(ANOMALY_PROGRAM)
 
 
 def test_start_up_and_batch_runs_load_no_tools(tmp_path):
