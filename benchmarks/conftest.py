@@ -130,26 +130,3 @@ def tokyo_datasets(tokyo_study):
         name: tokyo_study.dataset_for(name)
         for name in ("ISP_A", "ISP_B", "ISP_C", "ISP_D")
     }
-
-
-# -- machine-readable serving trajectory (BENCH_serving.json) ------------
-
-BENCH_SERVING_JSON = Path(__file__).parent.parent / "BENCH_serving.json"
-
-
-def record_serving_bench(section: str, payload: dict) -> None:
-    """Upsert one section of BENCH_serving.json.
-
-    The file maps section name ("warm_lookup", "overload") to that
-    bench's numbers — re-running either bench refreshes only its own
-    section.
-    """
-    import json
-
-    data = {}
-    if BENCH_SERVING_JSON.exists():
-        data = json.loads(BENCH_SERVING_JSON.read_text())
-    data[section] = payload
-    BENCH_SERVING_JSON.write_text(
-        json.dumps(data, indent=1, sort_keys=True) + "\n"
-    )

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import write_report
-from repro.atlas import AtlasPlatform, ProbeVersion, TracerouteResult
+from repro.atlas import AtlasPlatform, ProbeVersion, parse_result
 from repro.bgp import RoutingTable
 from repro.core import estimate_probe_series, lastmile_samples
 from repro.netbase import AccessTechnology, ASInfo, ASRole, IPAddress, Prefix
@@ -87,7 +87,7 @@ def test_perf_json_roundtrip(benchmark, one_probe_day):
     payload = [r.to_json() for r in results]
 
     def parse_all():
-        return [TracerouteResult.from_json(d) for d in payload]
+        return [parse_result(d) for d in payload]
 
     parsed = benchmark(parse_all)
     assert len(parsed) == len(results)

@@ -18,13 +18,15 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.atlas import AtlasPlatform, ProbeVersion, TracerouteResult
+from repro.atlas import AtlasPlatform, ProbeVersion
 from repro.core import (
     aggregate_population,
     classify_signal,
     estimate_dataset,
 )
+from repro.io import read_traceroutes
 from repro.netbase import AccessTechnology, ASInfo, ASRole
+from repro.quality import DataQualityReport
 from repro.timebase import MeasurementPeriod, TimeGrid
 import datetime as dt
 
@@ -70,15 +72,18 @@ def World_with_congested_isp():
 def analyze(path: Path) -> None:
     """Phases 2+3: parse JSON lines and run the paper's pipeline.
 
-    Nothing here touches the simulator — this function would work
-    unchanged on a file of real Atlas results.
+    Nothing here touches the simulator, and the reader is the lenient
+    one the CLIs use: a corrupt line or an unusable record is dropped
+    and counted, a garbage RTT becomes a timeout.  So this function
+    works unchanged on a file of real Atlas results.
     """
+    quality = DataQualityReport()
     results_by_probe = {}
     with path.open() as handle:
-        for line in handle:
-            result = TracerouteResult.from_json(json.loads(line))
+        for result in read_traceroutes(handle, quality, "example-read"):
             results_by_probe.setdefault(result.prb_id, []).append(result)
-    print(f"parsed results for {len(results_by_probe)} probes")
+    print(f"parsed results for {len(results_by_probe)} probes "
+          f"({quality.total_dropped} lines dropped)")
 
     grid = TimeGrid(PERIOD)
     dataset = estimate_dataset(results_by_probe, grid)

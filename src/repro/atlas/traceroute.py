@@ -1,12 +1,13 @@
 """Traceroute result data model, Atlas-JSON compatible.
 
 The analysis pipeline consumes these records exactly as it would
-consume results fetched from the RIPE Atlas API: the :meth:`to_json` /
-:meth:`from_json` round-trip uses the same field names as Atlas
-traceroute results (``prb_id``, ``msm_id``, ``timestamp``, ``result``
-with per-hop ``hop``/``result`` lists of ``from``/``rtt`` replies, and
-``"x": "*"`` entries for timeouts), so the core pipeline would run
-unmodified on real downloaded measurement data.
+consume results fetched from the RIPE Atlas API: the
+:meth:`TracerouteResult.to_json` / :func:`parse_result` round-trip
+uses the same field names as Atlas traceroute results (``prb_id``,
+``msm_id``, ``timestamp``, ``result`` with per-hop ``hop``/``result``
+lists of ``from``/``rtt`` replies, and ``"x": "*"`` entries for
+timeouts), so the core pipeline would run unmodified on real
+downloaded measurement data.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..netbase.errors import GarbageRTTError, MalformedRecordError
+from ..netbase.errors import MalformedRecordError
 from ..quality import DataQualityReport, DropReason
 
 REPLIES_PER_HOP = 3
@@ -120,54 +121,23 @@ class TracerouteResult:
             "result": result,
         }
 
-    @classmethod
-    def from_json(cls, data: Dict) -> "TracerouteResult":
-        """Parse an Atlas-schema dict (as returned by the Atlas API)."""
-        hops = []
-        for hop_entry in data.get("result", []):
-            replies = []
-            for reply_entry in hop_entry.get("result", []):
-                if "x" in reply_entry or "from" not in reply_entry:
-                    replies.append(Reply.timeout())
-                else:
-                    rtt = reply_entry.get("rtt")
-                    if rtt is None:
-                        replies.append(Reply.timeout())
-                    else:
-                        replies.append(
-                            Reply(reply_entry["from"], float(rtt))
-                        )
-            hops.append(Hop(hop=hop_entry["hop"], replies=tuple(replies)))
-        return cls(
-            prb_id=data["prb_id"],
-            msm_id=data["msm_id"],
-            timestamp=float(data["timestamp"]),
-            src_address=data.get("src_addr", ""),
-            from_address=data.get("from", ""),
-            dst_address=data.get("dst_addr", ""),
-            hops=tuple(hops),
-            af=data.get("af", 4),
-        )
-
 
 def parse_result(
     data: Dict,
-    lenient: bool = False,
     quality: Optional[DataQualityReport] = None,
     stage: str = "atlas.parse",
 ) -> "TracerouteResult":
-    """Parse an Atlas-schema dict with explicit strict/lenient modes.
+    """Parse one Atlas-schema dict (as the Atlas API serves it).
 
-    Strict mode raises :class:`MalformedRecordError` (schema problems)
-    or :class:`GarbageRTTError` (bad RTT values) instead of the mixed
-    ``KeyError``/``ValueError`` soup raw construction produces.
-
-    Lenient mode repairs what it can and records the repairs on
-    ``quality``: garbage RTTs (NaN, negative, non-numeric, absurd)
-    become ``*`` timeouts, out-of-order hop lists are re-sorted.  Only
-    structurally unusable records (missing identity fields, non-finite
-    timestamps) still raise :class:`MalformedRecordError` — callers
-    drop those with a reason code.
+    The one parser of Atlas results.  It repairs what it can and
+    records each repair on ``quality``: a garbage RTT (NaN, negative,
+    non-numeric or absurd) becomes a ``*`` timeout, and an
+    out-of-order hop list is re-sorted.  A reply with an address but
+    no RTT is a timeout too, as Atlas "late" packets are.  Only a
+    structurally unusable record (missing identity fields, a
+    non-finite timestamp, a hop that is not a hop) raises
+    :class:`MalformedRecordError`, which callers drop with its reason
+    code.
     """
     if not isinstance(data, dict):
         raise MalformedRecordError(f"not a JSON object: {type(data).__name__}")
@@ -187,15 +157,19 @@ def parse_result(
     for hop_entry in raw_hops:
         try:
             hop_number = int(hop_entry["hop"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedRecordError(f"bad hop entry: {exc}") from None
+            raw_replies = hop_entry.get("result", [])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecordError(f"bad hop entry: {exc!r}") from None
+        if not isinstance(raw_replies, list) or not all(
+            isinstance(entry, dict) for entry in raw_replies
+        ):
+            raise MalformedRecordError(
+                f"probe {prb_id} hop {hop_number}: replies are not objects"
+            )
         replies = []
-        for reply_entry in hop_entry.get("result", []):
-            if "x" in reply_entry or "from" not in reply_entry:
-                replies.append(Reply.timeout())
-                continue
+        for reply_entry in raw_replies:
             rtt = reply_entry.get("rtt")
-            if rtt is None:
+            if "x" in reply_entry or "from" not in reply_entry or rtt is None:
                 replies.append(Reply.timeout())
                 continue
             try:
@@ -203,11 +177,6 @@ def parse_result(
             except (TypeError, ValueError):
                 rtt = float("nan")
             if not math.isfinite(rtt) or rtt < 0 or rtt > MAX_SANE_RTT_MS:
-                if not lenient:
-                    raise GarbageRTTError(
-                        f"probe {prb_id} hop {hop_number}: rtt "
-                        f"{reply_entry.get('rtt')!r}"
-                    )
                 if quality is not None:
                     quality.degrade(
                         stage, DropReason.GARBAGE_RTT,
@@ -224,8 +193,6 @@ def parse_result(
 
     numbers = [h.hop for h in hops]
     if numbers != sorted(numbers):
-        if not lenient:
-            raise MalformedRecordError("hops out of order")
         hops.sort(key=lambda h: h.hop)
         if quality is not None:
             quality.degrade(

@@ -77,14 +77,14 @@ from .obs import (
     MetricsRegistry,
     NullTracer,
     Observability,
-    StructuredLogger,
+    add_obs_flags,
+    finish_observer,
     get_observer,
     load_report,
+    make_observer,
     observed,
-    open_jsonl_sink,
     render_report,
-    render_trace,
-    write_report,
+    run_observed,
 )
 from .scenarios import build_survey_world, generate_specs, run_survey_period
 from .store import SurveyArchive
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also commit every period into the longitudinal survey "
         "archive at DIR (servable with `repro serve DIR`)",
     )
-    _add_obs_flags(survey)
+    add_obs_flags(survey)
 
     tokyo = sub.add_parser(
         "tokyo", help="run the Tokyo case study (§4) and print digests"
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="commit checkpoints into a live archive period at DIR "
         "and finalize it when the stream ends",
     )
-    _add_obs_flags(stream)
+    add_obs_flags(stream)
 
     inject = sub.add_parser(
         "inject",
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="uniform record-loss rate")
     inject.add_argument("--corrupt-lines", type=float, default=0.01,
                         help="per-line JSONL corruption rate")
-    _add_obs_flags(inject)
+    add_obs_flags(inject)
 
     obs = sub.add_parser(
         "obs",
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(request id, route, status, duration, outcome); flushed on "
         "graceful shutdown",
     )
-    _add_obs_flags(serve)
+    add_obs_flags(serve)
 
     loadtest = sub.add_parser(
         "loadtest",
@@ -506,26 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="write the report payload JSON to PATH",
     )
-    _add_obs_flags(anomaly)
+    add_obs_flags(anomaly)
 
     sub.add_parser("info", help="print version and package layout")
     return parser
-
-
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="collect spans and print the trace tree at the end",
-    )
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the observability report (metrics + trace) as "
-        "JSON",
-    )
-    parser.add_argument(
-        "--log-jsonl", default=None, metavar="PATH",
-        help="append structured JSONL event logs to PATH",
-    )
 
 
 def _as_dir(path: str) -> str:
@@ -533,52 +517,11 @@ def _as_dir(path: str) -> str:
     return os.path.join(path, "")
 
 
-# -- observability plumbing ----------------------------------------------
-
-
-def _make_observer(args):
-    """Build the run's observer from the obs flags (or None)."""
-    if not (args.trace or args.metrics_out or args.log_jsonl):
-        return None, None
-    sink = open_jsonl_sink(args.log_jsonl) if args.log_jsonl else None
-    observer = Observability(
-        logger=StructuredLogger(sink=sink) if sink else None
-    )
-    return observer, sink
-
-
-def _finish_observer(args, observer) -> None:
-    """Print/persist what the run's observer collected."""
-    if args.trace:
-        print()
-        print("trace:")
-        print(render_trace(observer.tracer))
-    if args.metrics_out:
-        path = write_report(observer, args.metrics_out)
-        print(f"wrote observability report to {path}")
-
-
-def _run_observed(args, run) -> int:
-    """``run(args)`` under the observer the obs flags ask for, if any,
-    then print/persist what it collected and close the log sink."""
-    observer, sink = _make_observer(args)
-    if observer is None:
-        return run(args)
-    try:
-        with observed(observer):
-            code = run(args)
-        _finish_observer(args, observer)
-        return code
-    finally:
-        if sink is not None:
-            sink.close()
-
-
 # -- commands ------------------------------------------------------------
 
 
 def cmd_survey(args) -> int:
-    return _run_observed(args, _run_survey)
+    return run_observed(args, _run_survey)
 
 
 def _run_survey(args) -> int:
@@ -762,7 +705,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    return _run_observed(args, _run_stream)
+    return run_observed(args, _run_stream)
 
 
 def _run_stream(args) -> int:
@@ -884,7 +827,7 @@ def _stream_period(args, obs, root) -> int:
 
 
 def cmd_inject(args) -> int:
-    return _run_observed(args, _run_inject)
+    return run_observed(args, _run_inject)
 
 
 def _run_inject(args) -> int:
@@ -910,11 +853,12 @@ def _run_inject(args) -> int:
     STAGE = "cli-inject"
     with obs.stage_span("inject", src=args.src) as span:
         with obs.span("inject-read"):
-            records = [
-                json.loads(line)
-                for line in Path(args.src).read_text().splitlines()
-                if line.strip()
-            ]
+            try:
+                records = _read_json_lines(args.src)
+            except (OSError, ValueError) as exc:
+                print(f"error: cannot read {args.src}: {exc}",
+                      file=sys.stderr)
+                return 1
         obs.items_in(STAGE, len(records))
         injectors = []
         for rate, cls in (
@@ -964,9 +908,27 @@ def _run_inject(args) -> int:
     return 0
 
 
+def _read_json_lines(path) -> list:
+    """The JSON value of each non-blank line of ``path``; a line that
+    does not decode raises ``ValueError`` naming its line number."""
+    import json
+
+    records = []
+    for number, line in enumerate(
+        Path(path).read_text().splitlines(), start=1
+    ):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    return records
+
+
 def cmd_quality(args) -> int:
     try:
-        dataset = load_traceroutes(args.src, strict=False)
+        dataset = load_traceroutes(args.src)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read {args.src}: {exc}", file=sys.stderr)
         return 1
@@ -1188,7 +1150,7 @@ def cmd_serve(args) -> int:
         # report and access log see every finished request — a
         # SIGTERM'd server still writes its --metrics-out file.
         if report_requested:
-            _finish_observer(args, observer)
+            finish_observer(args, observer)
         if access_log is not None:
             access_log.close()
             print(f"wrote access log to {access_log.path} "
@@ -1214,7 +1176,7 @@ def _serve_observer(args):
     """
     from .serve import TRACE_RING_ROOTS
 
-    observer, sink = _make_observer(args)
+    observer, sink = make_observer(args)
     if observer is None:
         # Nobody reads spans here, and a live tracer keeps one per
         # cache miss.
@@ -1336,7 +1298,7 @@ def cmd_loadtest(args) -> int:
 
 
 def cmd_anomaly(args) -> int:
-    return _run_observed(args, _run_anomaly)
+    return run_observed(args, _run_anomaly)
 
 
 def _run_anomaly(args) -> int:
@@ -1369,7 +1331,7 @@ def _run_anomaly(args) -> int:
             return 1
 
     if args.dataset:
-        dataset = load_traceroutes(args.dataset, strict=False)
+        dataset = load_traceroutes(args.dataset)
         if not len(dataset):
             print(f"error: no traceroutes in {args.dataset}",
                   file=sys.stderr)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import heapq
 import json
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from ..atlas.traceroute import (
     MeasurementDataset,
     ProbeMeta,
+    TracerouteResult,
     parse_result,
 )
 from ..netbase.errors import MeasurementDataError
@@ -37,11 +38,11 @@ def save_traceroutes(dataset: MeasurementDataset, path: PathLike) -> int:
     """Write every traceroute result as Atlas-schema JSON lines.
 
     Lines are a stable merge of the per-probe sequences on timestamp:
-    each probe's results keep their stored order (so a load restores
-    them exactly) and equal timestamps go in probe-id order.  When
-    every probe's results are in time order
-    (:meth:`MeasurementDataset.sort_results`), the file is a
-    timestamp-ordered stream, as a live feed is.  Returns the number
+    each probe's results keep their stored order and equal timestamps
+    go in probe-id order.  When every probe's results are in time
+    order (:meth:`MeasurementDataset.sort_results`), the file is a
+    timestamp-ordered stream, as a live feed is, and a load restores
+    the dataset exactly.  Returns the number
     of rows written.  Probe metadata goes to a ``<path>.meta.json``
     sidecar.
     """
@@ -63,84 +64,93 @@ def save_traceroutes(dataset: MeasurementDataset, path: PathLike) -> int:
     return rows
 
 
+def read_traceroutes(
+    lines: Iterable[str], quality: DataQualityReport, stage: str,
+) -> Iterator[TracerouteResult]:
+    """Parse Atlas-schema JSON lines, yielding one result per usable
+    line.
+
+    The one line reader: each non-blank line is decoded and parsed by
+    :func:`~repro.atlas.traceroute.parse_result`, which turns garbage
+    RTTs into timeouts and books them as degrades on ``stage``.  A
+    line that is not JSON, or whose record is structurally unusable,
+    is dropped as ``corrupt-line`` or with the parser's reason code.
+
+    The reader counts a line as ingested on ``stage`` only when it
+    drops it; the caller counts the results it receives, so that
+    ``ingested == kept + dropped`` holds for the stage however the
+    caller filters further.
+    """
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            result = parse_result(
+                json.loads(line), quality=quality, stage=stage
+            )
+        except json.JSONDecodeError as exc:
+            quality.ingest(stage)
+            quality.drop(
+                stage, DropReason.CORRUPT_LINE,
+                detail=f"line {number}: {exc}",
+            )
+            continue
+        except MeasurementDataError as exc:
+            quality.ingest(stage)
+            quality.drop(
+                stage, exc.reason, detail=f"line {number}: {exc.detail}"
+            )
+            continue
+        yield result
+
+
 def load_traceroutes(
     path: PathLike,
-    strict: bool = True,
     quality: Optional[DataQualityReport] = None,
 ) -> MeasurementDataset:
     """Read a JSON-lines traceroute file (sidecar optional).
 
-    Strict mode (the default) fails on the first bad line — right for
-    trusted, locally-written files.  ``strict=False`` is the mode for
-    real downloaded corpora: corrupt lines and malformed records are
-    skipped, duplicate ``(prb_id, msm_id, timestamp)`` records dropped,
-    garbage RTTs coerced to timeouts, and out-of-order streams
-    re-sorted — every repair and drop counted on ``quality`` (one is
-    created if not supplied; it is returned on ``dataset.quality``).
+    Lines go through :func:`read_traceroutes`, so corrupt lines and
+    malformed records are skipped and garbage RTTs become timeouts.
+    On top of that, duplicate ``(prb_id, msm_id, timestamp)`` records
+    are dropped and each probe's results re-sorted by time.  Every
+    repair and drop is counted on ``quality`` (one is created if not
+    supplied; it is returned on ``dataset.quality``).
     """
     path = Path(path)
     obs = get_observer()
     if quality is None:
         quality = DataQualityReport()
     dataset = MeasurementDataset(quality=quality)
+    ledger = quality.stage(LOAD_STAGE)
+    ingested_before = ledger.ingested
     seen: set = set()
-    lines_read = 0
-    with obs.stage_span(
-        "load", path=str(path), strict=strict
-    ) as span, path.open() as handle:
-        for number, line in enumerate(handle, start=1):
-            lines_read += 1
-            line = line.strip()
-            if not line:
-                continue
+    with obs.stage_span("load", path=str(path)) as span, \
+            path.open() as handle:
+        for result in read_traceroutes(handle, quality, LOAD_STAGE):
             quality.ingest(LOAD_STAGE)
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise
+            key = (result.prb_id, result.msm_id, result.timestamp)
+            if key in seen:
                 quality.drop(
-                    LOAD_STAGE, DropReason.CORRUPT_LINE,
-                    detail=f"line {number}: {exc}",
+                    LOAD_STAGE, DropReason.DUPLICATE_RECORD,
+                    detail=f"duplicate {key}",
                 )
                 continue
-            try:
-                result = parse_result(
-                    data, lenient=not strict,
-                    quality=quality, stage=LOAD_STAGE,
-                )
-            except MeasurementDataError as exc:
-                if strict:
-                    raise
-                quality.drop(
-                    LOAD_STAGE, exc.reason,
-                    detail=f"line {number}: {exc.detail}",
-                )
-                continue
-            if not strict:
-                key = (result.prb_id, result.msm_id, result.timestamp)
-                if key in seen:
-                    quality.drop(
-                        LOAD_STAGE, DropReason.DUPLICATE_RECORD,
-                        detail=f"line {number}: duplicate {key}",
-                    )
-                    continue
-                seen.add(key)
+            seen.add(key)
             dataset.add(result)
-        if not strict:
-            resorted = dataset.sort_results()
-            if resorted:
-                quality.degrade(
-                    LOAD_STAGE, DropReason.OUT_OF_ORDER, n=resorted,
-                    detail=f"{resorted} probe streams re-sorted",
-                )
+        resorted = dataset.sort_results()
+        if resorted:
+            quality.degrade(
+                LOAD_STAGE, DropReason.OUT_OF_ORDER, n=resorted,
+                detail=f"{resorted} probe streams re-sorted",
+            )
         meta_path = path.with_suffix(path.suffix + ".meta.json")
         if meta_path.exists():
             for key, entry in json.loads(meta_path.read_text()).items():
                 dataset.probe_meta[int(key)] = _meta_from_dict(entry)
-        kept = sum(
-            len(results) for results in dataset.results.values()
-        )
+        lines_read = ledger.ingested - ingested_before
+        kept = len(seen)
         obs.items_in(LOAD_STAGE, lines_read)
         obs.items_out(LOAD_STAGE, kept)
         span.set_attr("records", kept)

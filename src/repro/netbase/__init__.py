@@ -26,7 +26,6 @@ from .errors import (
     CorruptLineError,
     DegenerateSignalError,
     EmptyPopulationError,
-    GarbageRTTError,
     MalformedRecordError,
     MeasurementDataError,
     NetbaseError,
@@ -66,7 +65,6 @@ __all__ = [
     "MeasurementDataError",
     "CorruptLineError",
     "MalformedRecordError",
-    "GarbageRTTError",
     "EmptyPopulationError",
     "DegenerateSignalError",
     "TransientFaultError",

@@ -81,12 +81,6 @@ class MalformedRecordError(MeasurementDataError):
     default_reason = DropReason.MALFORMED_RECORD
 
 
-class GarbageRTTError(MeasurementDataError):
-    """A reply RTT that is NaN, negative, non-numeric or absurd."""
-
-    default_reason = DropReason.GARBAGE_RTT
-
-
 class EmptyPopulationError(MeasurementDataError):
     """An aggregation was asked to run over zero probe series."""
 

@@ -332,10 +332,17 @@ class PerObserver:
 
 
 from .report import (  # noqa: E402  (needs the names above)
+    add_obs_flags,
     build_report,
+    finish_observer,
     load_report,
+    make_observer,
     render_report,
+    run_observed,
     write_report,
 )
 
-__all__ += ["build_report", "write_report", "load_report", "render_report"]
+__all__ += [
+    "build_report", "write_report", "load_report", "render_report",
+    "add_obs_flags", "make_observer", "finish_observer", "run_observed",
+]

@@ -432,11 +432,16 @@ class MetricsRegistry:
                     if not series.count:
                         continue
                     mean = series.total / series.count
-                    p50 = estimate_quantile(
-                        instrument.buckets, series.bucket_counts, 0.50
-                    )
-                    p99 = estimate_quantile(
-                        instrument.buckets, series.bucket_counts, 0.99
+                    # Interpolating inside a bucket can land outside
+                    # the samples: clamp to the series' own range.
+                    p50, p99 = (
+                        min(max(estimate, series.minimum), series.maximum)
+                        for estimate in (
+                            estimate_quantile(
+                                instrument.buckets, series.bucket_counts, q
+                            )
+                            for q in (0.50, 0.99)
+                        )
                     )
                     lines.append(
                         f"{name}{_fmt_labels(key)}: "

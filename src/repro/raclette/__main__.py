@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.raclette results.jsonl [--rib rib.txt]
         [--threshold-ms 1.0] [--min-bins 4] [--summary-top 10]
+        [--trace] [--metrics-out PATH] [--log-jsonl PATH]
 
 ``results.jsonl`` holds one Atlas traceroute result per line (``-``
 reads stdin).  Without ``--rib``, probes are grouped by the ``prb_id``
@@ -16,21 +17,24 @@ The input must be roughly in timestamp order, as the Atlas result
 stream is: a bin closes once the stream head is more than two bins
 past it, and a result that arrives for a closed bin is dropped and
 counted as ``stale-record`` in the summary's ``dropped:`` section.
-Lines are fed to the monitor in runs of :data:`RUN_LINES`.
+Lines are read by :func:`repro.io.read_traceroutes`, the reader
+``repro quality`` and the batch loader use: a corrupt line or an
+unusable record is dropped with its reason code, a garbage RTT
+becomes a ``*`` timeout, and the parsed results are fed to the
+monitor in runs of :data:`RUN_LINES`.  ``--trace``, ``--metrics-out``
+and ``--log-jsonl`` work as on every observed ``repro`` command.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Dict, Optional
 
-from ..atlas.traceroute import TracerouteResult
 from ..bgp import RoutingTable
+from ..io import read_traceroutes
 from ..netbase import parse_address
-from ..obs import Observability, observed, render_trace, write_report
-from ..quality import DropReason
+from ..obs import add_obs_flags, get_observer, run_observed
 from .alerts import PrintSink
 from .monitor import STAGE, LastMileMonitor, MonitorConfig
 
@@ -60,15 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--summary-top", type=int, default=10,
         help="ASes to list in the final summary",
     )
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="print the span tree after the stream ends",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="PATH",
-        help="write the observability report (metrics + trace) as "
-        "JSON; render with 'repro obs report PATH'",
-    )
+    add_obs_flags(parser)
     return parser
 
 
@@ -106,26 +102,14 @@ def make_asn_resolver(rib_path: Optional[str]):
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not (args.trace or args.metrics_out):
-        return _run_stream(args)
     # The monitor binds its metric handles at construction, so the
     # observer has to be live before _run_stream builds it.
-    with observed(Observability()) as obs:
-        code = _run_stream(args)
-    if args.trace:
-        print()
-        print(render_trace(obs.tracer))
-    if args.metrics_out:
-        write_report(obs, args.metrics_out)
-        print(f"wrote observability report to {args.metrics_out}")
-    return code
+    return run_observed(args, _run_stream)
 
 
 def monitor_stream(args, sink=None) -> LastMileMonitor:
     """Feed the parsed ``results`` file (or stdin) through a monitor
     built from ``args``, flush it, and return it."""
-    from ..obs import get_observer
-
     obs = get_observer()
     note_address, resolve = make_asn_resolver(args.rib)
     monitor = LastMileMonitor(
@@ -141,30 +125,8 @@ def monitor_stream(args, sink=None) -> LastMileMonitor:
     handle = sys.stdin if args.results == "-" else open(args.results)
     try:
         with obs.stage_span("monitor-stream", src=args.results) as span:
-            lines_read = 0
             run = []
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                lines_read += 1
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    monitor.quality.ingest(STAGE)
-                    monitor.quality.drop(
-                        STAGE, DropReason.CORRUPT_LINE, detail=str(exc)
-                    )
-                    continue
-                try:
-                    result = TracerouteResult.from_json(record)
-                except (KeyError, TypeError, ValueError) as exc:
-                    monitor.quality.ingest(STAGE)
-                    monitor.quality.drop(
-                        STAGE, DropReason.MALFORMED_RECORD,
-                        detail=str(exc),
-                    )
-                    continue
+            for result in read_traceroutes(handle, monitor.quality, STAGE):
                 note_address(result.prb_id, result.from_address)
                 run.append(result)
                 if len(run) == RUN_LINES:
@@ -172,6 +134,9 @@ def monitor_stream(args, sink=None) -> LastMileMonitor:
                     run = []
             monitor.ingest_many(run)
             monitor.flush()
+            # The reader books the lines it drops, the monitor the
+            # results it receives: together, every non-blank line.
+            lines_read = monitor.quality.stage(STAGE).ingested
             obs.items_in(STAGE, lines_read)
             obs.items_out(STAGE, monitor.results_seen)
             span.set_attr("lines", lines_read)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.atlas import Hop, MeasurementDataset, Reply, TracerouteResult
+from repro.atlas import (
+    Hop,
+    MeasurementDataset,
+    Reply,
+    TracerouteResult,
+    parse_result,
+)
+from repro.netbase import MalformedRecordError
 
 
 def make_result(prb_id=1, timestamp=0.0, hops=None):
@@ -79,16 +86,38 @@ class TestTracerouteResult:
         assert data["type"] == "traceroute"
         assert data["prb_id"] == 1
         assert data["result"][0]["result"][2] == {"x": "*"}
-        restored = TracerouteResult.from_json(data)
+        restored = parse_result(data)
         assert restored == result
 
-    def test_from_json_handles_missing_rtt(self):
+    def test_parse_result_handles_missing_rtt(self):
         data = make_result().to_json()
         # Atlas sometimes emits entries with 'from' but no 'rtt'
         # (e.g. "late" packets); these must become timeouts.
         data["result"][0]["result"][0] = {"from": "192.168.1.1"}
-        restored = TracerouteResult.from_json(data)
+        restored = parse_result(data)
         assert restored.hops[0].replies[0].timed_out
+
+    @pytest.mark.parametrize("replies", [None, 5, [5], ["junk"]])
+    def test_parse_result_rejects_replies_that_are_not_objects(
+        self, replies
+    ):
+        data = make_result().to_json()
+        data["result"][0]["result"] = replies
+        with pytest.raises(MalformedRecordError):
+            parse_result(data)
+
+    def test_parse_result_turns_garbage_rtts_into_timeouts(self):
+        from repro.quality import DataQualityReport, DropReason
+
+        data = make_result().to_json()
+        for reply, rtt in zip(
+            data["result"][1]["result"], (float("nan"), -3.0, 1e9)
+        ):
+            reply.update({"from": "10.0.0.1", "rtt": rtt})
+        quality = DataQualityReport()
+        restored = parse_result(data, quality=quality, stage="s")
+        assert all(reply.timed_out for reply in restored.hops[1].replies)
+        assert quality.degraded_count(DropReason.GARBAGE_RTT) == 3
 
 
 class TestMeasurementDataset:

@@ -98,7 +98,7 @@ class TestExactAccounting:
         lines = [json.dumps(r) for r in records]
         corrupted, log = inject_lines(lines, [CorruptLines(0.05)], seed=21)
         path = write_jsonl(tmp_path / "corrupt.jsonl", corrupted)
-        dataset = load_traceroutes(path, strict=False)
+        dataset = load_traceroutes(path)
         assert log.count("corrupt-lines") > 0
         assert dataset.quality.dropped_count(
             DropReason.CORRUPT_LINE
@@ -112,7 +112,7 @@ class TestExactAccounting:
         path = write_jsonl(
             tmp_path / "dup.jsonl", [json.dumps(r) for r in out]
         )
-        dataset = load_traceroutes(path, strict=False)
+        dataset = load_traceroutes(path)
         assert log.count("duplicates") > 0
         assert dataset.quality.dropped_count(
             DropReason.DUPLICATE_RECORD
@@ -126,7 +126,7 @@ class TestExactAccounting:
         path = write_jsonl(
             tmp_path / "garbage.jsonl", [json.dumps(r) for r in out]
         )
-        dataset = load_traceroutes(path, strict=False)
+        dataset = load_traceroutes(path)
         assert log.count("garbage-rtt") > 0
         assert dataset.quality.degraded_count(
             DropReason.GARBAGE_RTT
@@ -140,7 +140,7 @@ class TestExactAccounting:
         path = write_jsonl(
             tmp_path / "loss.jsonl", [json.dumps(r) for r in out]
         )
-        dataset = load_traceroutes(path, strict=False)
+        dataset = load_traceroutes(path)
         assert len(dataset) == len(records) - log.count("drop-records")
         # Loss is invisible to the loader (nothing to drop) — the
         # ledger stays clean; the gap shows up downstream as bins with
@@ -177,7 +177,7 @@ class TestStreamChaos:
         path = write_jsonl(
             tmp_path_factory.mktemp("chaos") / "storm.jsonl", lines
         )
-        dataset = load_traceroutes(path, strict=False)
+        dataset = load_traceroutes(path)
         return records, log, dataset, clean
 
     def test_loss_is_realistic(self, chaotic_load):

@@ -201,3 +201,21 @@ class TestSummaryLines:
         assert any(
             "count=2" in line and "mean=2" in line for line in lines
         )
+
+    def test_quantiles_stay_within_the_samples(self):
+        """Seven samples inside the one 10-30 s bucket: interpolating
+        there would read p50~20, above every sample."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("period_seconds")
+        samples = [12.88, 13.02, 13.15, 13.3, 13.47, 13.61, 13.89]
+        for value in samples:
+            histogram.observe(value)
+        restored = MetricsRegistry.from_dict(registry.to_dict())
+        [line] = restored.summary_lines()
+        fields = dict(
+            part.replace("~", "=").split("=")
+            for part in line.split(": ", 1)[1].split()
+        )
+        for name in ("p50", "p99"):
+            assert min(samples) <= float(fields[name]) <= max(samples)
+        assert float(fields["p99"]) == max(samples)

@@ -1,11 +1,24 @@
 """Tests for the raclette CLI."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
 
 from repro.atlas import Hop, Reply, TracerouteResult
-from repro.raclette.__main__ import build_parser, make_asn_resolver, run
+from repro.atlas.traceroute import MAX_SANE_RTT_MS
+from repro.io import load_traceroutes
+from repro.quality import DropReason
+from repro.raclette import LastMileMonitor
+from repro.raclette.__main__ import (
+    build_parser,
+    make_asn_resolver,
+    monitor_stream,
+    run,
+)
+from repro.raclette.monitor import STAGE
 
 
 def result_line(prb_id, timestamp, lastmile_ms, from_address="20.0.0.5"):
@@ -40,6 +53,15 @@ class TestParser:
         assert args.threshold_ms == 1.0
         assert args.min_bins == 4
         assert args.baseline_bins == 336
+
+    def test_takes_the_shared_obs_flags(self):
+        args = build_parser().parse_args([
+            "results.jsonl", "--trace", "--metrics-out", "m.json",
+            "--log-jsonl", "events.jsonl",
+        ])
+        assert args.trace
+        assert args.metrics_out == "m.json"
+        assert args.log_jsonl == "events.jsonl"
 
 
 class TestResolver:
@@ -93,3 +115,121 @@ class TestRun:
         write_stream(stream, [3.0] * 6)
         stream.write_text(stream.read_text() + "\n\n")
         assert run([str(stream)]) == 0
+
+    def test_observed_run_reports_the_written_path(self, tmp_path, capsys):
+        stream = tmp_path / "results.jsonl"
+        write_stream(stream, [3.0] * 6)
+        report = tmp_path / "m.json"
+        events = tmp_path / "events.jsonl"
+        assert run([
+            str(stream), "--trace", "--metrics-out", str(report),
+            "--log-jsonl", str(events),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "trace:" in out
+        assert "monitor-stream" in out
+        assert f"wrote observability report to {report}" in out
+        metrics = json.loads(report.read_text())["metrics"]
+        assert metrics["raclette_results_total"]["samples"]
+        assert events.exists()
+
+
+@pytest.fixture(scope="module")
+def faulted_stream(tmp_path_factory):
+    """``repro simulate`` then ``repro inject`` with garbage RTTs at
+    five times the default rate, and the RIB."""
+    from repro.cli import main
+
+    workdir = tmp_path_factory.mktemp("faulted")
+    clean = workdir / "clean.jsonl"
+    dirty = workdir / "dirty.jsonl"
+    rib = workdir / "rib.txt"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([
+            "simulate", str(clean), "--probes", "2", "--days", "1",
+            "--rib-out", str(rib),
+        ]) == 0
+        assert main([
+            "inject", str(clean), str(dirty), "--seed", "7",
+            "--garbage-rtt", "0.05",
+        ]) == 0
+    return dirty, rib
+
+
+def monitor_with_runs(monkeypatch, dirty, rib):
+    """raclette's monitor over ``dirty``, and every result it was fed."""
+    fed = []
+    ingest_many = LastMileMonitor.ingest_many
+
+    def recording(self, results):
+        results = list(results)
+        fed.extend(results)
+        ingest_many(self, results)
+
+    monkeypatch.setattr(LastMileMonitor, "ingest_many", recording)
+    monitor = monitor_stream(
+        build_parser().parse_args([str(dirty), "--rib", str(rib)])
+    )
+    return monitor, fed
+
+
+class TestOneReader:
+    """raclette and the batch loader read lines through one reader."""
+
+    def test_raclette_and_loader_keep_the_same_traceroutes(
+        self, faulted_stream, monkeypatch
+    ):
+        dirty, rib = faulted_stream
+        monitor, fed = monitor_with_runs(monkeypatch, dirty, rib)
+        dataset = load_traceroutes(dirty)
+        loaded = dataset.quality
+
+        kept = {}
+        for result in fed:
+            kept.setdefault(
+                (result.prb_id, result.msm_id, result.timestamp), result
+            )
+        assert len(kept) == len(dataset)
+        for prb_id in dataset.probe_ids():
+            ours = sorted(
+                (r for r in kept.values() if r.prb_id == prb_id),
+                key=lambda r: r.timestamp,
+            )
+            assert ours == dataset.for_probe(prb_id)
+
+        ledger = monitor.quality
+        assert ledger.dropped_count(DropReason.STALE_RECORD) == 0
+        for reason in (
+            DropReason.CORRUPT_LINE, DropReason.DUPLICATE_RECORD,
+            DropReason.MALFORMED_RECORD,
+        ):
+            assert ledger.dropped_count(reason) == (
+                loaded.dropped_count(reason)
+            ), reason
+        garbage = ledger.degraded_count(DropReason.GARBAGE_RTT)
+        assert garbage > 0
+        assert garbage == loaded.degraded_count(DropReason.GARBAGE_RTT)
+
+        # Each non-blank line is ingested once per stage.
+        lines = sum(1 for line in dirty.open() if line.strip())
+        assert ledger.stage(STAGE).ingested == lines
+        load = loaded.stage("io-load-traceroutes")
+        assert load.ingested == lines
+        assert load.ingested == len(dataset) + load.dropped_total
+
+    def test_no_garbage_rtt_reaches_the_monitor(
+        self, faulted_stream, monkeypatch
+    ):
+        dirty, rib = faulted_stream
+        monitor, fed = monitor_with_runs(monkeypatch, dirty, rib)
+        assert monitor.quality.degraded_count(DropReason.GARBAGE_RTT) > 0
+        assert monitor.results_seen == len(fed)
+        rtts = [
+            rtt for result in fed for hop in result.hops
+            for rtt in hop.rtts
+        ]
+        assert rtts
+        assert all(
+            math.isfinite(rtt) and 0 <= rtt <= MAX_SANE_RTT_MS
+            for rtt in rtts
+        )

@@ -47,10 +47,10 @@ class TestSimulateAndClassify:
         # JSONL rows parse back as Atlas results.
         import json
 
-        from repro.atlas import TracerouteResult
+        from repro.atlas import parse_result
 
         first = out.read_text().splitlines()[0]
-        result = TracerouteResult.from_json(json.loads(first))
+        result = parse_result(json.loads(first))
         assert result.hops
 
     def test_simulate_stream_is_live_like_for_raclette(
@@ -403,6 +403,30 @@ class TestQualityErrorPaths:
     def test_quality_unreadable_path(self, tmp_path, capsys):
         # A directory is unreadable as a traceroute campaign.
         code = main(["quality", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot read")
+
+
+class TestInjectErrorPaths:
+    def test_inject_names_the_corrupt_line(self, tmp_path, capsys):
+        """``repro inject`` run on a corrupted file, such as its own
+        output, exits 1 on the first line that is not JSON."""
+        src = tmp_path / "dirty.jsonl"
+        out = tmp_path / "again.jsonl"
+        src.write_text('{"prb_id": 1}\n\n#corrupt{"prb_id": 2}\n')
+        assert main(["inject", str(src), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot read {src}: line 3: ")
+        assert not out.exists()
+
+    def test_inject_missing_path(self, tmp_path, capsys):
+        code = main([
+            "inject", str(tmp_path / "nope.jsonl"),
+            str(tmp_path / "out.jsonl"),
+        ])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1

@@ -5,7 +5,6 @@ import pytest
 from repro.netbase import (
     CorruptLineError,
     EmptyPopulationError,
-    GarbageRTTError,
     MalformedRecordError,
     MeasurementDataError,
     TransientFaultError,
@@ -74,7 +73,6 @@ class TestDataQualityReport:
 class TestErrorTaxonomy:
     def test_reason_codes_attached(self):
         assert CorruptLineError("x").reason == DropReason.CORRUPT_LINE
-        assert GarbageRTTError("x").reason == DropReason.GARBAGE_RTT
         assert MalformedRecordError("x").reason == (
             DropReason.MALFORMED_RECORD
         )
@@ -82,9 +80,9 @@ class TestErrorTaxonomy:
         assert error.reason == DropReason.OUT_OF_ORDER
 
     def test_message_carries_reason_and_detail(self):
-        error = GarbageRTTError("hop 3 rtt -5")
-        assert str(error) == "garbage-rtt: hop 3 rtt -5"
-        assert error.detail == "hop 3 rtt -5"
+        error = MalformedRecordError("hop 3 has 4 replies")
+        assert str(error) == "malformed-record: hop 3 has 4 replies"
+        assert error.detail == "hop 3 has 4 replies"
 
     def test_hierarchy(self):
         assert issubclass(CorruptLineError, MeasurementDataError)
