@@ -46,6 +46,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import zipfile
+import zlib
 from pathlib import Path
 from typing import List, Optional
 
@@ -68,6 +70,7 @@ from .core import (
 )
 from .io import (
     export_site,
+    lastmile_files,
     load_lastmile,
     load_traceroutes,
     save_lastmile,
@@ -170,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "repro.io.save_lastmile",
     )
     classify.add_argument("--min-probes", type=int, default=3)
+    add_obs_flags(classify)
 
     stream = sub.add_parser(
         "stream",
@@ -688,10 +692,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    dataset = load_lastmile(args.dataset)
-    result = classify_dataset(
-        dataset, dataset.grid.period, min_probes=args.min_probes,
-    )
+    return run_observed(args, _run_classify)
+
+
+def _run_classify(args) -> int:
+    obs = get_observer()
+    with obs.stage_span("classify"):
+        dataset = _load_saved_period(obs, args.dataset)
+        if dataset is None:
+            return 1
+        result = classify_dataset(
+            dataset, dataset.grid.period, min_probes=args.min_probes,
+        )
     if not result.reports:
         print("no AS qualifies (need >= "
               f"{args.min_probes} probes with metadata)")
@@ -702,6 +714,24 @@ def cmd_classify(args) -> int:
               f"daily amplitude {amplitude:.2f} ms "
               f"({report.probe_count} probes)")
     return 0
+
+
+def _load_saved_period(obs, base: str):
+    """``load_lastmile(base)`` under a ``load`` span, or None after
+    printing one ``error: cannot read BASE: ...`` line when the files
+    are missing, truncated or corrupt."""
+    with obs.stage_span("load", path=base) as span:
+        try:
+            dataset = load_lastmile(base)
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile,
+                zlib.error) as exc:
+            print(f"error: cannot read {base}: {exc}", file=sys.stderr)
+            return None
+        span.set_attr("probes", len(dataset))
+        span.set_attr("bytes", sum(
+            path.stat().st_size for path in lastmile_files(base)
+        ))
+    return dataset
 
 
 def cmd_stream(args) -> int:
@@ -725,8 +755,9 @@ def _stream_period(args, obs, root) -> int:
     """
     table = None
     if args.dataset:
-        with obs.stage_span("load", path=args.dataset):
-            dataset = load_lastmile(args.dataset)
+        dataset = _load_saved_period(obs, args.dataset)
+        if dataset is None:
+            return 1
         period = dataset.grid.period
     else:
         wanted = args.period or LONGITUDINAL_PERIODS[-1].name

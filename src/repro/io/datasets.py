@@ -6,14 +6,27 @@ Formats are deliberately boring and inspectable:
   what a download from the Atlas API looks like);
 * binned last-mile datasets → one ``.npz`` of aligned arrays plus a
   JSON sidecar for the grid and probe metadata.
+
+The ``.npz`` is an ordinary numpy archive, written member by member
+(``probe_ids.npy``, ``medians.npy``, ``counts.npy``, in that order).
+Float members are stored uncompressed: float64 last-mile medians
+deflate only to ~91 % of their size, because their low mantissa bits
+are noise, while inflating them cost most of a load.  Integer members
+(probe ids, traceroute counts) deflate to a few percent and stay
+deflated.  Every member carries the fixed zip timestamp 1980-01-01,
+so one dataset always saves to the same bytes.  ``np.load`` reads
+stored and deflated members alike, so files written by
+``np.savez_compressed`` (every member deflated) still load, and the
+zip CRC-32 still rejects a flipped byte in a stored member.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import zipfile
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +45,9 @@ from ..core.series import LastMileDataset, ProbeBinSeries
 PathLike = Union[str, Path]
 
 LOAD_STAGE = "io-load-traceroutes"
+
+#: The timestamp of every ``.npz`` member: the zip format's epoch.
+_ZIP_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 def save_traceroutes(dataset: MeasurementDataset, path: PathLike) -> int:
@@ -183,8 +199,15 @@ def _meta_from_dict(entry: Dict) -> ProbeMeta:
 
 
 def save_lastmile(dataset: LastMileDataset, path: PathLike) -> None:
-    """Write a binned last-mile dataset as ``.npz`` + JSON sidecar."""
-    path = Path(path)
+    """Write a binned last-mile dataset as ``.npz`` + JSON sidecar.
+
+    ``path`` is the base: the files are ``<base>.npz`` and
+    ``<base>.sidecar.json`` (:func:`lastmile_files`).  The medians
+    member is stored, the integer members deflated, and every member
+    stamped 1980-01-01 (see the module docstring), so saving one
+    dataset twice gives byte-identical files.
+    """
+    npz_path, sidecar_path = lastmile_files(path)
     probe_ids = dataset.probe_ids()
     arrays = {}
     if probe_ids:
@@ -195,7 +218,17 @@ def save_lastmile(dataset: LastMileDataset, path: PathLike) -> None:
         arrays["counts"] = np.vstack([
             dataset.series[p].traceroute_counts for p in probe_ids
         ])
-    np.savez_compressed(path, **arrays)
+    with zipfile.ZipFile(npz_path, "w", allowZip64=True) as archive:
+        for name, array in arrays.items():
+            member = zipfile.ZipInfo(name + ".npy", _ZIP_DATE_TIME)
+            member.compress_type = (
+                zipfile.ZIP_STORED if array.dtype.kind == "f"
+                else zipfile.ZIP_DEFLATED
+            )
+            with archive.open(member, "w", force_zip64=True) as handle:
+                np.lib.format.write_array(
+                    handle, array, allow_pickle=False
+                )
 
     period = dataset.grid.period
     sidecar = {
@@ -211,16 +244,15 @@ def save_lastmile(dataset: LastMileDataset, path: PathLike) -> None:
             if isinstance(meta, ProbeMeta)
         },
     }
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=1))
+    sidecar_path.write_text(json.dumps(sidecar, indent=1))
 
 
 def load_lastmile(path: PathLike) -> LastMileDataset:
     """Read a dataset written by :func:`save_lastmile`."""
     import datetime as dt
 
-    path = Path(path)
-    npz_path = path if path.suffix == ".npz" else Path(str(path) + ".npz")
-    sidecar = json.loads(_sidecar_path(path).read_text())
+    npz_path, sidecar_path = lastmile_files(path)
+    sidecar = json.loads(sidecar_path.read_text())
     period = MeasurementPeriod(
         name=sidecar["period"]["name"],
         start=dt.datetime.fromisoformat(sidecar["period"]["start"]),
@@ -245,6 +277,12 @@ def load_lastmile(path: PathLike) -> LastMileDataset:
     return dataset
 
 
-def _sidecar_path(path: Path) -> Path:
-    base = path if path.suffix != ".npz" else path.with_suffix("")
-    return Path(str(base) + ".sidecar.json")
+def lastmile_files(path: PathLike) -> Tuple[Path, Path]:
+    """The ``(npz, sidecar)`` paths of a saved last-mile dataset.
+
+    ``path`` is the base or the ``.npz`` itself: ``run`` and
+    ``run.npz`` both name ``run.npz`` and ``run.sidecar.json``.
+    """
+    path = Path(path)
+    base = path.with_suffix("") if path.suffix == ".npz" else path
+    return Path(f"{base}.npz"), Path(f"{base}.sidecar.json")

@@ -1,6 +1,8 @@
 """Tests for dataset persistence."""
 
 import datetime as dt
+import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro.atlas import AtlasPlatform, ProbeVersion
 from repro.core import LastMileDataset, ProbeBinSeries
 from repro.io import (
+    lastmile_files,
     load_lastmile,
     load_traceroutes,
     save_lastmile,
@@ -71,6 +74,14 @@ class TestTraceroutePersistence:
         assert restored.probe_meta == {}
 
 
+def assert_same_bytes(original: ProbeBinSeries, loaded: ProbeBinSeries):
+    """Equal dtypes and equal bytes, NaN payloads included."""
+    for name in ("median_rtt_ms", "traceroute_counts"):
+        want, got = getattr(original, name), getattr(loaded, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 class TestLastMilePersistence:
     def test_roundtrip(self, platform_and_probes, tmp_path):
         platform, probes = platform_and_probes
@@ -85,13 +96,7 @@ class TestLastMilePersistence:
         for prb_id in dataset.probe_ids():
             original = dataset.series[prb_id]
             loaded = restored.series[prb_id]
-            assert np.allclose(
-                original.median_rtt_ms, loaded.median_rtt_ms,
-                equal_nan=True,
-            )
-            assert np.array_equal(
-                original.traceroute_counts, loaded.traceroute_counts
-            )
+            assert_same_bytes(original, loaded)
             assert restored.probe_meta[prb_id] == (
                 dataset.probe_meta[prb_id]
             )
@@ -222,3 +227,57 @@ class TestLenientLoading:
         assert sorted(
             r.timestamp for r in dataset.for_probe(prb)
         ) == restored_stamps
+
+    def test_saves_are_byte_identical(self, platform_and_probes,
+                                      tmp_path):
+        platform, probes = platform_and_probes
+        dataset = platform.run_period_binned(PERIOD, probes)
+        save_lastmile(dataset, tmp_path / "first")
+        save_lastmile(dataset, tmp_path / "second")
+        for first, second in zip(
+            lastmile_files(tmp_path / "first"),
+            lastmile_files(tmp_path / "second"),
+        ):
+            assert first.read_bytes() == second.read_bytes()
+
+    def test_member_layout(self, platform_and_probes, tmp_path):
+        """Medians are stored (they barely deflate and inflating them
+        dominated a load); the integer arrays are deflated.  Names,
+        order and the fixed timestamp are part of the format."""
+        platform, probes = platform_and_probes
+        save_lastmile(
+            platform.run_period_binned(PERIOD, probes), tmp_path / "lm"
+        )
+        with zipfile.ZipFile(lastmile_files(tmp_path / "lm")[0]) as npz:
+            members = npz.infolist()
+        assert [(m.filename, m.compress_type) for m in members] == [
+            ("probe_ids.npy", zipfile.ZIP_DEFLATED),
+            ("medians.npy", zipfile.ZIP_STORED),
+            ("counts.npy", zipfile.ZIP_DEFLATED),
+        ]
+        assert {m.date_time for m in members} == {(1980, 1, 1, 0, 0, 0)}
+
+    def test_loads_savez_compressed_files(self, platform_and_probes,
+                                          tmp_path):
+        """A file written with ``np.savez_compressed`` (every member
+        deflated, as saves did before the medians were stored) loads
+        to the same bytes as the current layout."""
+        platform, probes = platform_and_probes
+        dataset = platform.run_period_binned(PERIOD, probes)
+        new_npz, new_sidecar = lastmile_files(tmp_path / "new")
+        old_npz, old_sidecar = lastmile_files(tmp_path / "old")
+        save_lastmile(dataset, tmp_path / "new")
+        with np.load(new_npz) as data:
+            np.savez_compressed(old_npz, **{k: data[k] for k in data})
+        shutil.copy(new_sidecar, old_sidecar)
+        with zipfile.ZipFile(old_npz) as npz:
+            assert {m.compress_type for m in npz.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+
+        old, new = load_lastmile(old_npz), load_lastmile(new_npz)
+        assert old.probe_ids() == new.probe_ids() == dataset.probe_ids()
+        assert old.probe_meta == new.probe_meta
+        for prb_id in dataset.probe_ids():
+            assert_same_bytes(new.series[prb_id], old.series[prb_id])
+            assert_same_bytes(dataset.series[prb_id], old.series[prb_id])

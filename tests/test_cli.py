@@ -4,6 +4,19 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from .kernels.test_differential import synthetic_dataset
+
+
+@pytest.fixture
+def saved_period(tmp_path):
+    """Base path of a small saved last-mile period (3 ASes, 12
+    probes) that ``repro classify`` reports on."""
+    from repro.io import save_lastmile
+
+    base = tmp_path / "period"
+    save_lastmile(synthetic_dataset(num_ases=3), base)
+    return base
+
 
 class TestParser:
     def test_requires_command(self):
@@ -289,6 +302,48 @@ class TestObsFlags:
         attrs = simulate["attrs"]
         assert attrs["threads"] == min(usable_cpus(), attrs["probes"])
 
+    def test_classify_trace_shape(self, saved_period, capsys):
+        # One classify root: the load of the saved period, then the
+        # classification, with no simulator anywhere.
+        import json
+
+        from repro.io import lastmile_files
+
+        report_path = saved_period.parent / "metrics.json"
+        assert main([
+            "classify", str(saved_period),
+            "--metrics-out", str(report_path),
+        ]) == 0
+        capsys.readouterr()
+        roots = json.loads(report_path.read_text())["trace"]
+
+        def paths(spans, prefix=()):
+            for span in spans:
+                path = prefix + (span["name"],)
+                yield path, span
+                yield from paths(span.get("children", []), path)
+
+        found = list(paths(roots))
+        assert [span["name"] for span in roots] == ["classify"]
+        assert {path for path, _ in found} == {
+            ("classify",),
+            ("classify", "load"),
+            ("classify", "classify-dataset"),
+            ("classify", "classify-dataset", "filter"),
+            ("classify", "classify-dataset", "classify"),
+            ("classify", "classify-dataset", "classify", "aggregate"),
+            ("classify", "classify-dataset", "population-signals"),
+            ("classify", "classify-dataset", "spectral"),
+        }
+        (load,) = [span for path, span in found if path[-1] == "load"]
+        assert load["attrs"] == {
+            "path": str(saved_period),
+            "probes": 12,
+            "bytes": sum(
+                p.stat().st_size for p in lastmile_files(saved_period)
+            ),
+        }
+
     def test_stream_trace_shape(self, tmp_path, capsys):
         # One root, `stream`; its children say where a run's time went:
         # load (with the simulator under it), decompose, and one
@@ -431,6 +486,73 @@ class TestInjectErrorPaths:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: cannot read")
+
+
+class TestSavedPeriodErrorPaths:
+    """``repro classify`` and ``repro stream --dataset`` on a saved
+    period they cannot read print one ``error:`` line and exit 1."""
+
+    @staticmethod
+    def _argv(command, base, tmp_path):
+        if command == "classify":
+            return ["classify", str(base)]
+        return ["stream", "--dataset", str(base),
+                "--archive", str(tmp_path / "archive")]
+
+    def _assert_refused(self, command, base, tmp_path, capsys):
+        assert main(self._argv(command, base, tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot read {base}: ")
+        # The stream refused before it opened a live period.
+        assert not (tmp_path / "archive").exists()
+        return captured.err
+
+    @pytest.mark.parametrize("command", ["classify", "stream"])
+    def test_missing_base(self, command, tmp_path, capsys):
+        self._assert_refused(command, tmp_path / "nope", tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["classify", "stream"])
+    def test_missing_sidecar(self, command, saved_period, tmp_path,
+                             capsys):
+        from repro.io import lastmile_files
+
+        lastmile_files(saved_period)[1].unlink()
+        err = self._assert_refused(command, saved_period, tmp_path, capsys)
+        assert "sidecar.json" in err
+
+    @pytest.mark.parametrize("command", ["classify", "stream"])
+    def test_truncated_npz(self, command, saved_period, tmp_path, capsys):
+        from repro.io import lastmile_files
+
+        npz = lastmile_files(saved_period)[0]
+        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+        self._assert_refused(command, saved_period, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["classify", "stream"])
+    def test_flipped_byte_in_stored_medians(self, command, saved_period,
+                                            tmp_path, capsys):
+        # The medians member is stored, not deflated: only the zip
+        # CRC-32 stands between a flipped bit and a wrong median.
+        import struct
+        import zipfile
+
+        from repro.io import lastmile_files
+
+        npz = lastmile_files(saved_period)[0]
+        with zipfile.ZipFile(npz) as archive:
+            member = archive.getinfo("medians.npy")
+        assert member.compress_type == zipfile.ZIP_STORED
+        data = bytearray(npz.read_bytes())
+        start = member.header_offset
+        name_len, extra_len = struct.unpack(
+            "<HH", data[start + 26:start + 30]
+        )
+        payload = start + 30 + name_len + extra_len
+        data[payload + member.compress_size // 2] ^= 0x01
+        npz.write_bytes(bytes(data))
+        err = self._assert_refused(command, saved_period, tmp_path, capsys)
+        assert "Bad CRC-32 for file 'medians.npy'" in err
 
 
 class TestObsDiff:
