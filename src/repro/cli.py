@@ -20,9 +20,9 @@
 * ``serve``    — serve an archive over HTTP (the paper's public
   lookup site) with bounded concurrency, per-request deadlines and
   per-period circuit breakers; SIGTERM/SIGINT drain in-flight
-  requests before exit; ``--access-log`` appends a structured JSONL
-  access log flushed on graceful shutdown, and ``/v1/metrics``
-  exposes the live RED metrics (Prometheus text or JSON);
+  requests before exit; ``--log-jsonl`` gets one ``access`` line
+  per request, and ``/v1/metrics`` exposes the live RED metrics
+  (Prometheus text or JSON);
 * ``loadtest`` — closed-loop load generator against an archive
   (ephemeral server) or a running ``--url``; reports sustained
   req/s and p50/p95/p99 latency, optionally updating the committed
@@ -372,12 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--retry-after", type=float, default=1.0, metavar="SECONDS",
         help="Retry-After hint attached to every 503",
-    )
-    serve.add_argument(
-        "--access-log", default=None, metavar="PATH",
-        help="append one JSON object per finished request to PATH "
-        "(request id, route, status, duration, outcome); flushed on "
-        "graceful shutdown",
     )
     add_obs_flags(serve)
 
@@ -1149,21 +1143,15 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    access_log = None
     try:
         archive = SurveyArchive(args.archive)
         if not len(archive):
             print(f"error: no committed periods in {args.archive} "
                   "(run `repro store ingest` first)", file=sys.stderr)
             return 1
-        if args.access_log:
-            from .serve import AccessLog
-
-            access_log = AccessLog(args.access_log)
         server = SurveyServer(
             archive, host=args.host, port=args.port,
             cache_size=args.cache_size, resilience=resilience,
-            access_log=access_log,
         )
     except (NetbaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1174,47 +1162,41 @@ def cmd_serve(args) -> int:
         f"on {server.url} (SIGTERM/SIGINT/Ctrl-C drain and stop)",
         flush=True,
     )
-    observer, sink, report_requested = _serve_observer(args)
-
-    def _on_shutdown() -> None:
-        # Runs after the last in-flight request drained, so the
-        # report and access log see every finished request — a
-        # SIGTERM'd server still writes its --metrics-out file.
-        if report_requested:
-            finish_observer(args, observer)
-        if access_log is not None:
-            access_log.close()
-            print(f"wrote access log to {access_log.path} "
-                  f"({access_log.written} requests)")
-
+    observer, sink = _serve_observer(args)
     try:
         with observed(observer):
-            server.serve_forever(on_shutdown=_on_shutdown)
+            # The report is written after the last in-flight request
+            # drained, so a SIGTERM'd server still writes its
+            # --metrics-out file and counts every finished request.
+            server.serve_forever(
+                on_shutdown=lambda: finish_observer(args, observer)
+            )
     finally:
         if sink is not None:
             sink.close()
-        if access_log is not None:
-            access_log.close()
     print("shut down cleanly")
     return 0
 
 
 def _serve_observer(args):
-    """The server's observer, its log sink, and whether to report.
+    """The server's observer and its log sink.
 
     The server always runs observed — /v1/metrics needs a live
     registry even when no obs flag asked for a report at the end.
+    Spans are kept only when ``--trace`` or ``--metrics-out`` will
+    read them, and then only the most recent roots: a live tracer
+    keeps one per cache miss, and a server runs for days.
     """
     from .serve import TRACE_RING_ROOTS
 
     observer, sink = make_observer(args)
-    if observer is None:
-        # Nobody reads spans here, and a live tracer keeps one per
-        # cache miss.
-        return Observability(tracer=NullTracer()), sink, False
-    # A traced server keeps its most recent roots, not every one.
+    if not (args.trace or args.metrics_out):
+        return Observability(
+            tracer=NullTracer(),
+            logger=observer.logger if observer is not None else None,
+        ), sink
     observer.keep_recent_spans(TRACE_RING_ROOTS)
-    return observer, sink, True
+    return observer, sink
 
 
 def cmd_loadtest(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, TextIO, Union
@@ -36,9 +37,13 @@ class StructuredLogger:
     ``io.StringIO``, ``sys.stderr``); None disables emission entirely.
     ``bind`` returns a child logger sharing the sink but extending the
     context — binding never mutates the parent.
+
+    A logger and all of its ``bind`` children share one lock, and each
+    record is one ``write`` call under it, so records that threads
+    emit concurrently (the server's handler threads) never interleave.
     """
 
-    __slots__ = ("sink", "context", "_min_level", "_clock")
+    __slots__ = ("sink", "context", "_min_level", "_clock", "_lock")
 
     def __init__(
         self,
@@ -53,6 +58,7 @@ class StructuredLogger:
         self.context = dict(context or {})
         self._min_level = _LEVEL_NUM[level]
         self._clock = clock
+        self._lock = threading.Lock()
 
     @property
     def level(self) -> str:
@@ -62,10 +68,12 @@ class StructuredLogger:
         """Child logger with extra context fields."""
         merged = dict(self.context)
         merged.update(fields)
-        return StructuredLogger(
+        child = StructuredLogger(
             sink=self.sink, level=self.level, context=merged,
             clock=self._clock,
         )
+        child._lock = self._lock
+        return child
 
     def _emit(self, level_num: int, event: str, fields: Dict) -> None:
         if self.sink is None or level_num < self._min_level:
@@ -77,7 +85,9 @@ class StructuredLogger:
         }
         record.update(self.context)
         record.update(fields)
-        self.sink.write(json.dumps(record, default=str) + "\n")
+        line = json.dumps(record, default=str) + "\n"
+        with self._lock:
+            self.sink.write(line)
 
     def debug(self, event: str, **fields) -> None:
         self._emit(0, event, fields)

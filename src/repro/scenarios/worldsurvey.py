@@ -439,7 +439,7 @@ def run_survey_period(
             )
         result = SurveyResult(period=period)
         with obs.stage_span(
-            "classify-dataset", period=period.name, kernel=kern.name,
+            "survey-slice", period=period.name, kernel=kern.name,
         ):
             probe_meta = {
                 probe.probe_id: platform.probe_meta(probe)

@@ -5,20 +5,20 @@ congestion verdict; this package is that lookup service for archived
 survey results:
 
 * :mod:`repro.serve.app`        — :class:`SurveyAPI`, socket-free
-  routing from request targets to rendered JSON responses with ETags
-  and taxonomy-mapped error statuses;
+  routing from request targets to rendered JSON responses with ETags,
+  taxonomy-mapped error statuses, and the route and outcome each
+  response names;
 * :mod:`repro.serve.http`       — :class:`SurveyServer`, the stdlib
   keep-alive HTTP/1.1 shell (one thread per connection) with
   conditional (304) responses, in-flight drain and signal-driven
-  graceful shutdown;
+  graceful shutdown; the one place a served request is booked
+  (``http_requests_total``, ``serve_request_seconds`` and one
+  ``access`` line on the ``--log-jsonl`` logger);
 * :mod:`repro.serve.cache`      — :class:`LRUCache`, the thread-safe
   hot-object cache rendered responses sit in;
 * :mod:`repro.serve.resilience` — the overload/corruption middleware:
   concurrency limiter (shed with 503 + Retry-After), per-period
-  circuit breaker, cooperative request deadlines;
-* :mod:`repro.serve.accesslog`  — :class:`AccessLog`, the structured
-  JSONL per-request log (request id, route, status, duration,
-  cache/shed/breaker outcome) flushed on graceful shutdown.
+  circuit breaker, cooperative request deadlines.
 
 Typical embedding::
 
@@ -33,7 +33,6 @@ Standalone: ``python -m repro serve archive/ --port 8080``
 (SIGTERM/SIGINT drain in-flight requests and flush metrics).
 """
 
-from .accesslog import AccessLog, read_access_log
 from .app import Response, SEVERITY_CLASSES, SurveyAPI, status_for
 from .cache import LRUCache, LRUStats
 from .http import SERVER_NAME, TRACE_RING_ROOTS, SurveyServer
@@ -48,8 +47,6 @@ from .resilience import (
 )
 
 __all__ = [
-    "AccessLog",
-    "read_access_log",
     "SurveyAPI",
     "Response",
     "status_for",

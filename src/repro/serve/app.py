@@ -30,16 +30,14 @@ The HTTP surface (all ``GET``, all JSON):
 
 Every response carries an ``X-Request-Id`` header — echoed from the
 request when the client sent one, freshly generated otherwise — and
-each finished request lands in the optional structured
-:class:`~repro.serve.accesslog.AccessLog` (request id, route, status,
-duration, cache/shed/breaker outcome).  RED metrics per route:
-``http_requests_total{route,status}``, the per-route latency
-histogram ``serve_request_seconds{route}``, the ``serve_in_flight``
-gauge and the ``serve_cache_hit_ratio`` gauge.  A cache hit keeps the
-*original* route on ``http_requests_total`` (hit-ness is tracked by
-``serve_cache_hits_total`` and the hit-ratio gauge), while the
-latency histogram keeps its historical ``cached`` / ``shed`` route
-labels.
+names the ``route`` that rendered it and an ``outcome`` word (``ok``,
+``cached``, ``shed``, ``breaker-open``, ``deadline`` or ``error``).
+The HTTP shell (:mod:`repro.serve.http`) books each request once from
+those: ``http_requests_total{route,status}``, the
+``serve_request_seconds{route}`` histogram and one ``access`` log
+line.  This layer keeps only what it alone knows:
+``requests_shed_total``, ``serve_cache_hits_total``, the
+``serve_cache_hit_ratio`` gauge and cache invalidations.
 
 Error mapping follows the :mod:`repro.netbase.errors` taxonomy:
 *not found* archive errors → 404, malformed requests → 400, archive
@@ -126,6 +124,10 @@ class Response:
     #: The route that rendered this response — cached copies keep it,
     #: so a cache hit still lands on the right RED series.
     route: str = "unknown"
+    #: How the request went: ``ok``, ``cached``, ``shed``,
+    #: ``breaker-open``, ``deadline`` or ``error`` (the shell's own
+    #: refusals say ``refused``).
+    outcome: str = "ok"
 
     @property
     def cacheable(self) -> bool:
@@ -155,36 +157,23 @@ def _request_id(headers) -> str:
     return os.urandom(8).hex()
 
 
-def _with_request_id(response: Response, request_id: str) -> Response:
+def _stamped(response: Response, request_id: str, route: str,
+             outcome: str) -> Response:
+    """``response`` as this request's: its id, route and outcome."""
     return Response(
         response.status, response.body, response.etag,
         response.content_type,
         response.headers + ((REQUEST_ID_HEADER, request_id),),
-        response.route,
+        route, outcome,
     )
 
 
 class _Instruments:
-    """One observer's serving instruments, resolved once."""
+    """One observer's cache instruments, resolved once."""
 
-    __slots__ = (
-        "latency", "requests", "in_flight", "hit_ratio", "cache_hits",
-        "by_status",
-    )
+    __slots__ = ("hit_ratio", "cache_hits")
 
     def __init__(self, obs):
-        self.latency = obs.histogram(
-            "serve_request_seconds", "request latency by route",
-            ("route",),
-        )
-        self.requests = obs.counter(
-            "http_requests_total",
-            "HTTP requests by route and response status",
-            ("route", "status"),
-        )
-        self.in_flight = obs.gauge(
-            "serve_in_flight", "requests currently being handled",
-        )
         self.hit_ratio = obs.gauge(
             "serve_cache_hit_ratio",
             "hot-object cache hit rate since start",
@@ -193,20 +182,10 @@ class _Instruments:
             "serve_cache_hits_total",
             "responses served from the hot-object cache",
         ).labels()
-        #: Bound ``http_requests_total`` handles by (route, status).
-        self.by_status: Dict[Tuple[str, int], object] = {}
-
-    def count(self, route: str, status: int) -> None:
-        handle = self.by_status.get((route, status))
-        if handle is None:
-            handle = self.by_status[route, status] = self.requests.labels(
-                route=route, status=str(status)
-            )
-        handle.inc()
 
 
 def outcome_for(exc: Exception) -> str:
-    """Access-log outcome word for a failed request."""
+    """Outcome word for a failed request."""
     if isinstance(exc, BreakerOpenError):
         return "breaker-open"
     if isinstance(exc, DeadlineExceeded):
@@ -252,13 +231,11 @@ class SurveyAPI:
         cache_size: int = 512,
         resilience: Optional[ResilienceConfig] = None,
         clock: Callable[[], float] = time.monotonic,
-        access_log=None,
     ):
         from .cache import LRUCache
 
         self.archive = archive
         self.cache = LRUCache(cache_size)
-        self.access_log = access_log
         self.resilience = (
             resilience if resilience is not None else ResilienceConfig()
         )
@@ -286,7 +263,6 @@ class SurveyAPI:
         ``Accept`` negotiation of ``/v1/metrics``.
         """
         obs = get_observer()
-        started = time.perf_counter()
         request_id = _request_id(headers)
         try:
             self.limiter.acquire()
@@ -295,21 +271,12 @@ class SurveyAPI:
                 "requests_shed_total",
                 "requests refused at the concurrency limit",
             ).inc()
-            response = _with_request_id(
-                replace(
-                    self._retry_later(
-                        _error(503, "Overloaded", str(exc))
-                    ),
-                    route="shed",
-                ),
-                request_id,
+            return _stamped(
+                self._retry_later(_error(503, "Overloaded", str(exc))),
+                request_id, "shed", "shed",  # never routed
             )
-            self._account(
-                obs, response, "shed", "shed", started, request_id,
-                target,
-            )
-            return response
-        route, outcome, response = "unknown", "ok", None
+        instruments = self._instruments.get(obs)
+        route = "unknown"
         try:
             self._local.deadline = Deadline(
                 self.resilience.deadline_seconds, self._clock
@@ -319,10 +286,8 @@ class SurveyAPI:
             self._invalidate_if_stale(obs)
             cached = self.cache.get(target)
             if cached is not None:
-                route, outcome = cached.route, "cached"
-                self._instruments.get(obs).cache_hits.inc()
-                response = _with_request_id(cached, request_id)
-                return response
+                instruments.cache_hits.inc()
+                return _stamped(cached, request_id, cached.route, "cached")
             route, run_handler = self._dispatch(target)
             if run_handler is None:
                 rendered = _error(
@@ -331,16 +296,13 @@ class SurveyAPI:
             else:
                 with obs.span("serve-" + route):
                     rendered = run_handler()
-            rendered = replace(rendered, route=route)
             if rendered.cacheable and route != "healthz":
                 # The cached copy keeps its route but not this
                 # request's id — hits get their own.
-                self.cache.put(target, rendered)
-            response = _with_request_id(rendered, request_id)
-            return response
+                self.cache.put(target, replace(rendered, route=route))
+            return _stamped(rendered, request_id, route, "ok")
         except Exception as exc:  # noqa: BLE001 — boundary mapping
             status = status_for(exc)
-            outcome = outcome_for(exc)
             obs.logger.bind(stage=STAGE).warning(
                 "request-failed", target=target,
                 error=type(exc).__name__, status=status,
@@ -349,43 +311,12 @@ class SurveyAPI:
             rendered = _error(status, type(exc).__name__, str(exc))
             if status == 503:
                 rendered = self._retry_later(rendered)
-            response = _with_request_id(
-                replace(rendered, route=route), request_id
-            )
-            return response
+            return _stamped(rendered, request_id, route, outcome_for(exc))
         finally:
             self._local.deadline = None
             self._local.headers = None
             self.limiter.release()
-            self._account(
-                obs, response, route, outcome, started, request_id,
-                target,
-            )
-
-    def _account(
-        self, obs, response: Optional[Response], route: str,
-        outcome: str, started: float, request_id: str, target: str,
-    ) -> None:
-        """RED metrics + access-log record for one finished request."""
-        elapsed = time.perf_counter() - started
-        status = response.status if response is not None else 500
-        instruments = self._instruments.get(obs)
-        # The latency histogram books cache hits under ``cached``.
-        instruments.latency.observe(
-            elapsed, route="cached" if outcome == "cached" else route
-        )
-        instruments.count(route, status)
-        instruments.in_flight.set(self.limiter.in_flight)
-        instruments.hit_ratio.set(self.cache.stats.hit_rate)
-        if self.access_log is not None:
-            self.access_log.record(
-                request_id=request_id,
-                target=target,
-                route=route,
-                status=status,
-                outcome=outcome,
-                duration_ms=round(elapsed * 1000.0, 3),
-            )
+            instruments.hit_ratio.set(self.cache.stats.hit_rate)
 
     def _retry_later(self, response: Response) -> Response:
         value = format(self.resilience.retry_after_seconds, "g")

@@ -35,11 +35,22 @@ weakly, so ``W/"…"`` matches — or ``*`` gets a 304 with the ETag,
 Content-Length.  The survey site's per-AS pages are effectively
 immutable per period, so repeat lookups cost a header exchange.
 
-Timing: each response carries ``Server-Timing: app;dur=<ms>`` (the
-``SurveyAPI.handle`` call), and ``serve_http_request_seconds`` times
-the whole request at the shell, from the request line read to the
-last byte sent.  With a log sink installed (``--log-jsonl``) each
-request also logs one ``serve-http`` ``access`` line.
+Accounting: the loop books every request exactly once, refusals and
+304s included, from the ``route`` and ``outcome`` the response names
+(the shell's own 400/414/431/501/505 answers say ``refused``):
+
+* ``http_requests_total{route,status}`` counts the status sent on the
+  wire;
+* one ``access`` line goes to the observer's logger (``--log-jsonl``)
+  before the response is sent, so a client that waits for each
+  response finds its requests logged in order.  It holds
+  ``request_id``, ``method``, ``target``, ``route``, ``status``,
+  ``outcome``, ``bytes`` (body bytes sent) and ``duration_ms``, the
+  app time that ``Server-Timing: app;dur=<ms>`` reports (0 for a
+  refusal, which never reaches the app);
+* after the last byte is sent, ``serve_request_seconds{route}``
+  (sub-millisecond :data:`SHELL_BUCKETS`) times the whole request,
+  from the request line read.
 
 Shutdown is graceful every way in:
 
@@ -62,11 +73,14 @@ import signal
 import socketserver
 import threading
 import time
+from dataclasses import replace
 from typing import Callable, Iterable, Optional, Tuple, Union
 
 from ..obs import PerObserver, get_observer
 from ..store import SurveyArchive
-from .app import Response, SurveyAPI, _error
+from .app import (
+    REQUEST_ID_HEADER, Response, SurveyAPI, _error, _request_id,
+)
 from .resilience import ResilienceConfig
 
 SERVER_NAME = "repro-serve"
@@ -169,9 +183,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise ValueError(version)
             major, minor = map(int, version[5:].split("."))
         except ValueError:
-            return self._refuse(400, "bad HTTP version", started)
+            return self._refuse(400, "bad HTTP version", started, words)
         if major != 1:
-            return self._refuse(505, "only HTTP/1.x is served", started)
+            return self._refuse(
+                505, "only HTTP/1.x is served", started, words
+            )
         headers = Headers()
         for _ in range(MAX_HEADERS + 1):
             raw = self.rfile.readline(MAX_LINE + 1)
@@ -180,16 +196,18 @@ class _Handler(socketserver.StreamRequestHandler):
             if not raw:
                 return False
             if len(raw) > MAX_LINE:
-                return self._refuse(431, "header line too long", started)
+                return self._refuse(
+                    431, "header line too long", started, words
+                )
             name, colon, value = raw.decode("iso-8859-1").partition(":")
             if not colon:
-                return self._refuse(400, "bad header line", started)
+                return self._refuse(400, "bad header line", started, words)
             headers.setdefault(name.strip().lower(), value.strip())
         else:
-            return self._refuse(431, "too many headers", started)
+            return self._refuse(431, "too many headers", started, words)
         if method not in ("GET", "HEAD"):
             return self._refuse(
-                501, f"unsupported method {method!r}", started
+                501, f"unsupported method {method!r}", started, words
             )
         connection = headers.get("connection", "").lower()
         keep_alive = connection != "close" and (
@@ -207,23 +225,31 @@ class _Handler(socketserver.StreamRequestHandler):
                 headers.get("if-none-match"), response.etag
             ):
                 status, body = 304, b""
-                self.server.instruments().not_modified.inc()
             head = _head(
                 response, status, len(body), keep_alive,
                 f"Server-Timing: app;dur={app_ms:.3f}\r\n",
             )
-            self._log_access(words, status, len(body))
-            self._send(head, b"" if method == "HEAD" else body)
-            self._observe(started)
+            if method == "HEAD":
+                body = b""
+            self._book(words, response, status, len(body), app_ms)
+            self._send(head, body)
+            self._observe(response.route, started)
         return keep_alive
 
-    def _refuse(self, status: int, detail: str, started: float) -> bool:
+    def _refuse(self, status: int, detail: str, started: float,
+                words=(None, None)) -> bool:
         """Answer a request the shell cannot serve, then close."""
-        response = _error(status, _REASONS[status].replace(" ", ""), detail)
-        self._log_access((), status, len(response.body))
-        self._send(_head(response, status, len(response.body), False),
-                   response.body)
-        self._observe(started)
+        response = replace(
+            _error(status, _REASONS[status].replace(" ", ""), detail),
+            outcome="refused",
+        )
+        with self.server.tracked():
+            self._book(words, response, status, len(response.body), 0.0)
+            self._send(
+                _head(response, status, len(response.body), False),
+                response.body,
+            )
+            self._observe(response.route, started)
         return False
 
     def _send(self, head: bytes, body: bytes) -> None:
@@ -236,38 +262,66 @@ class _Handler(socketserver.StreamRequestHandler):
             if sent:
                 buffers[0] = memoryview(buffers[0])[sent:]
 
-    @staticmethod
-    def _log_access(words, status: int, length: int) -> None:
-        """Log the request before its response goes out, so a client
-        that waits for each response sees its requests logged in
-        order."""
+    def _book(self, words, response: Response, status: int, length: int,
+              app_ms: float) -> None:
+        """Count the request and log its ``access`` line, before the
+        response goes out."""
+        self.server.instruments().count(response.route, status)
         logger = get_observer().logger
-        if logger.sink is not None:
-            logger.bind(stage="serve-http").info(
-                "access", message=f'"{" ".join(words)}" {status} {length}',
-            )
+        if logger.sink is None:
+            return
+        request_id = next(
+            (value for name, value in response.headers
+             if name == REQUEST_ID_HEADER),
+            None,
+        ) or _request_id(None)  # a refusal never reached the app
+        logger.info(
+            "access", stage="serve-http", request_id=request_id,
+            method=words[0], target=words[1], route=response.route,
+            status=status, outcome=response.outcome, bytes=length,
+            duration_ms=round(app_ms, 3),
+        )
 
-    def _observe(self, started: float) -> None:
+    def _observe(self, route: str, started: float) -> None:
         """Book the whole request, send included, in the histogram."""
-        self.server.instruments().timer.observe(
-            time.perf_counter() - started
+        self.server.instruments().time(
+            route, time.perf_counter() - started
         )
 
 
 class _Instruments:
-    """One observer's shell instruments, resolved once."""
+    """One observer's request instruments, resolved once, with bound
+    handles per route and per (route, status)."""
 
-    __slots__ = ("timer", "not_modified")
+    __slots__ = ("requests", "latency", "_counts", "_timers")
 
     def __init__(self, obs):
-        self.timer = obs.histogram(
-            "serve_http_request_seconds",
-            "whole-request time at the HTTP shell",
-            buckets=SHELL_BUCKETS,
+        self.requests = obs.counter(
+            "http_requests_total",
+            "HTTP requests by route and status sent",
+            ("route", "status"),
         )
-        self.not_modified = obs.counter(
-            "serve_not_modified_total", "conditional requests answered 304",
+        self.latency = obs.histogram(
+            "serve_request_seconds",
+            "whole-request time at the HTTP shell, by route",
+            ("route",), buckets=SHELL_BUCKETS,
         )
+        self._counts = {}
+        self._timers = {}
+
+    def count(self, route: str, status: int) -> None:
+        handle = self._counts.get((route, status))
+        if handle is None:
+            handle = self._counts[route, status] = self.requests.labels(
+                route=route, status=str(status)
+            )
+        handle.inc()
+
+    def time(self, route: str, seconds: float) -> None:
+        handle = self._timers.get(route)
+        if handle is None:
+            handle = self._timers[route] = self.latency.labels(route=route)
+        handle.observe(seconds)
 
 
 def _head(response: Response, status: int, length: int,
@@ -360,13 +414,11 @@ class SurveyServer:
         port: int = 0,
         cache_size: int = 512,
         resilience: Optional[ResilienceConfig] = None,
-        access_log=None,
     ):
         self.api = (
             archive if isinstance(archive, SurveyAPI)
             else SurveyAPI(
                 archive, cache_size=cache_size, resilience=resilience,
-                access_log=access_log,
             )
         )
         self._httpd = _TrackedServer((host, port), self.api)

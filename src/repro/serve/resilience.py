@@ -10,7 +10,8 @@ the rest of the archive is fine).  This module gives
   request that cannot get a slot is **shed** immediately with
   ``503 + Retry-After`` instead of queueing unboundedly, so overload
   degrades to fast refusals, never to hangs
-  (``requests_shed_total`` counts every refusal);
+  (``requests_shed_total`` counts every refusal) and the
+  ``serve_in_flight`` gauge follows every acquire and release;
 * :class:`Deadline` — a per-request time budget; handlers check it at
   loop checkpoints so one slow archive walk cannot hold a worker
   thread forever (:class:`DeadlineExceeded` also maps to 503);
@@ -116,16 +117,21 @@ class ConcurrencyLimiter:
 
     def acquire(self) -> None:
         """Take a slot or raise :class:`OverloadedError` (no wait)."""
+        gauge = self._gauge.get(get_observer())
         with self._lock:
             if self._in_flight >= self.limit:
                 self.shed_total += 1
                 raise OverloadedError(self.limit)
             self._in_flight += 1
-        self._gauge.get(get_observer()).set(self._in_flight)
+            gauge.set(self._in_flight)
 
     def release(self) -> None:
+        # The gauge is set under the lock, so the last writer always
+        # holds the current count and a drained server reads 0.
+        gauge = self._gauge.get(get_observer())
         with self._lock:
             self._in_flight = max(0, self._in_flight - 1)
+            gauge.set(self._in_flight)
 
 
 class Deadline:

@@ -5,9 +5,11 @@ import datetime as dt
 import pytest
 
 from repro.core import Severity
-from repro.loadgen import LoadConfig, api_transport, build_mix, run_load
+from repro.loadgen import (
+    LoadConfig, api_transport, build_mix, http_transport, run_load,
+)
 from repro.obs import observed
-from repro.serve import ResilienceConfig, SurveyAPI
+from repro.serve import ResilienceConfig, SurveyAPI, SurveyServer
 from repro.store import SurveyArchive
 from tests.store.conftest import make_ranking, make_survey
 
@@ -26,8 +28,7 @@ def archive(tmp_path):
 
 
 def test_loadtest_drives_api_and_scrapes_metrics(archive):
-    with observed() as obs:
-        api = SurveyAPI(archive)
+    with observed() as obs, SurveyServer(archive) as server:
         config = LoadConfig(
             concurrency=4, duration_seconds=0.4, warmup_seconds=0.1,
             mix=build_mix(archive, {
@@ -35,7 +36,7 @@ def test_loadtest_drives_api_and_scrapes_metrics(archive):
                 "metrics": 0.25,
             }),
         )
-        report = run_load(api_transport(api), config)
+        report = run_load(http_transport(server.url), config)
     assert report.requests > 0
     assert report.errors == 0
     assert report.error_rate == 0.0
@@ -46,6 +47,10 @@ def test_loadtest_drives_api_and_scrapes_metrics(archive):
         "http_requests_total", "", ("route", "status")
     ).samples()).values())
     assert total >= report.requests
+    # The shell times each request it counts, once.
+    assert sum(series.count for _key, series in obs.metrics.histogram(
+        "serve_request_seconds", "", ("route",)
+    ).samples()) == total
 
 
 def test_shed_outcomes_carry_retry_after(archive):

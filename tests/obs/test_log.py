@@ -1,10 +1,13 @@
 """Tests for the structured JSONL logger."""
 
 import io
+import json
+import threading
+import time
 
 import pytest
 
-from repro.obs.log import StructuredLogger, read_jsonl
+from repro.obs.log import StructuredLogger, open_jsonl_sink, read_jsonl
 
 
 class TestStructuredLogger:
@@ -62,3 +65,76 @@ class TestStructuredLogger:
         logger = StructuredLogger(sink=sink, clock=lambda: 0.0)
         logger.info("x", path=object())
         assert "object" in read_jsonl(sink)[0]["path"]
+
+
+class TestConcurrentWriters:
+    THREADS = 8
+    PER_THREAD = 200
+
+    def test_threads_never_interleave_lines(self, tmp_path):
+        """Bound children of one logger, each on its own thread, write
+        to one file: every line parses and none is lost."""
+        path = tmp_path / "events.jsonl"
+        sink = open_jsonl_sink(path)
+        logger = StructuredLogger(sink=sink)
+        barrier = threading.Barrier(self.THREADS)
+        filler = "x" * 9000  # past the file's buffer size
+
+        def worker(index):
+            log = logger.bind(thread=index)
+            barrier.wait()
+            for seq in range(self.PER_THREAD):
+                log.info("tick", seq=seq, filler=filler)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(self.THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        sink.close()
+
+        records = [
+            json.loads(line) for line in path.read_text().splitlines()
+        ]
+        assert len(records) == self.THREADS * self.PER_THREAD
+        for index in range(self.THREADS):
+            assert [r["seq"] for r in records if r["thread"] == index] \
+                == list(range(self.PER_THREAD))
+
+    def test_lock_keeps_a_record_whole_on_any_sink(self):
+        """A sink that writes in pieces, yielding between them, still
+        receives each record as one uninterrupted write."""
+
+        class PiecewiseSink:
+            def __init__(self):
+                self.pieces = []
+
+            def write(self, text):
+                half = len(text) // 2
+                self.pieces.append(text[:half])
+                time.sleep(0)  # let another thread run mid-record
+                self.pieces.append(text[half:])
+
+        sink = PiecewiseSink()
+        logger = StructuredLogger(sink=sink)
+        barrier = threading.Barrier(self.THREADS)
+
+        def worker(index):
+            log = logger.bind(thread=index)
+            barrier.wait()
+            for seq in range(self.PER_THREAD):
+                log.info("tick", seq=seq)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(self.THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        records = read_jsonl("".join(sink.pieces))
+        assert len(records) == self.THREADS * self.PER_THREAD

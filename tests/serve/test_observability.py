@@ -1,30 +1,77 @@
-"""Serving observability: /v1/metrics, X-Request-Id, RED metrics and
-the structured access log — including their behavior under genuine
-concurrency (counter consistency, uncorrupted JSONL)."""
+"""Serving observability: /v1/metrics, X-Request-Id, the RED metrics
+and the ``access`` log line the HTTP shell books once per request —
+including their behavior under genuine concurrency (counter
+consistency, uncorrupted JSONL)."""
 
+import http.client
+import io
 import json
 import threading
 
 import pytest
 
-from repro.obs import NOOP, Observability, observed, parse_prometheus
-from repro.serve import AccessLog, SurveyAPI, read_access_log
+from repro.obs import (
+    NOOP, Observability, StructuredLogger, observed, open_jsonl_sink,
+    parse_prometheus,
+)
+from repro.obs.log import read_jsonl
+from repro.serve import ResilienceConfig, SurveyAPI, SurveyServer
 from repro.serve.app import METRICS_CONTENT_TYPE, REQUEST_ID_HEADER
+from tests.serve.test_http_protocol import Conn, get
 
 
 def _request_id_of(response):
     return dict(response.headers)[REQUEST_ID_HEADER]
 
 
+def _logged(sink=None):
+    """A live observer whose logger writes to ``sink`` (a fresh
+    ``io.StringIO`` by default); returns (observer, sink)."""
+    sink = io.StringIO() if sink is None else sink
+    return Observability(logger=StructuredLogger(sink=sink)), sink
+
+
+def _access_lines(sink):
+    return [r for r in read_jsonl(sink) if r["event"] == "access"]
+
+
+def _counts(obs):
+    return {
+        (dict(key)["route"], dict(key)["status"]): value
+        for key, value in obs.metrics.counter(
+            "http_requests_total", "", ("route", "status")
+        ).samples()
+    }
+
+
+def _timed(obs):
+    """``serve_request_seconds`` observation count per route."""
+    return {
+        dict(key)["route"]: series.count
+        for key, series in obs.metrics.histogram(
+            "serve_request_seconds", "", ("route",)
+        ).samples()
+    }
+
+
+def _get(connection, target, headers=None):
+    connection.request("GET", target, headers=headers or {})
+    response = connection.getresponse()
+    return response.status, dict(response.headers), response.read()
+
+
 class TestMetricsEndpoint:
     def test_prometheus_by_default_and_round_trips(self, archive):
-        with observed() as obs:
-            api = SurveyAPI(archive)
-            api.handle("/v1/as/100")
-            response = api.handle("/v1/metrics")
-        assert response.status == 200
-        assert response.content_type == METRICS_CONTENT_TYPE
-        parsed = parse_prometheus(response.body.decode())
+        with observed() as obs, SurveyServer(archive) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            _get(connection, "/v1/as/100")
+            status, headers, body = _get(connection, "/v1/metrics")
+            connection.close()
+        assert status == 200
+        assert headers["Content-Type"] == METRICS_CONTENT_TYPE
+        parsed = parse_prometheus(body.decode())
         samples = {
             (sample["labels"]["route"], sample["labels"]["status"]):
                 sample["value"]
@@ -33,11 +80,7 @@ class TestMetricsEndpoint:
         assert samples[("as", "200")] == 1.0
         # The scrape pre-dates its own accounting; the live registry
         # has since counted the /v1/metrics request itself.
-        json_samples = {
-            (s["labels"]["route"], s["labels"]["status"]): s["value"]
-            for s in obs.metrics.to_dict()["http_requests_total"]
-            ["samples"]
-        }
+        json_samples = _counts(obs)
         assert json_samples[("as", "200")] == samples[("as", "200")]
         assert json_samples[("metrics", "200")] == 1.0
 
@@ -51,7 +94,7 @@ class TestMetricsEndpoint:
             )
         assert response.content_type == "application/json"
         payload = json.loads(response.body)
-        assert payload["http_requests_total"]["type"] == "counter"
+        assert payload["serve_cache_hit_ratio"]["type"] == "gauge"
 
     def test_format_query_beats_accept(self, archive):
         with observed():
@@ -115,97 +158,153 @@ class TestRequestId:
         assert _request_id_of(response)
 
 
+class TestOutcome:
+    def test_responses_name_route_and_outcome(self, archive):
+        api = SurveyAPI(archive)
+        first = api.handle("/v1/as/100")
+        hit = api.handle("/v1/as/100")
+        missing = api.handle("/v1/as/999999")
+        unrouted = api.handle("/nope")
+        assert [(r.route, r.outcome) for r in (
+            first, hit, missing, unrouted,
+        )] == [
+            ("as", "ok"), ("as", "cached"), ("as", "error"),
+            ("unknown", "ok"),
+        ]
+
+    def test_shed_request_says_shed(self, archive):
+        api = SurveyAPI(archive, resilience=ResilienceConfig(
+            max_concurrency=1,
+        ))
+        api.limiter.acquire()  # the one slot is taken
+        try:
+            response = api.handle("/v1/as/100")
+        finally:
+            api.limiter.release()
+        assert (response.status, response.outcome) == (503, "shed")
+
+
 class TestRedMetrics:
-    def _counter_samples(self, obs):
-        return {
-            (dict(key)["route"], dict(key)["status"]): value
-            for key, value in obs.metrics.counter(
-                "http_requests_total", "", ("route", "status")
-            ).samples()
-        }
+    """``http_requests_total`` and ``serve_request_seconds`` are
+    booked by the HTTP shell, once per request; read after the server
+    stopped, since a request is timed after its last byte is sent."""
+
+    def _serve(self, archive, targets, headers=None):
+        with observed() as obs, SurveyServer(archive) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            statuses = [
+                _get(connection, target, headers)[0] for target in targets
+            ]
+            connection.close()
+        return obs, statuses
 
     def test_cache_hit_keeps_real_route(self, archive):
-        with observed() as obs:
-            api = SurveyAPI(archive)
-            api.handle("/v1/as/100")
-            api.handle("/v1/as/100")  # cache hit
-        samples = self._counter_samples(obs)
-        assert samples[("as", "200")] == 2.0
-        assert not any(route == "cached" for route, _ in samples)
-        # The latency histogram keeps its historical cached label.
-        timed = {
-            dict(key)["route"]
-            for key, _ in obs.metrics.get("serve_request_seconds").samples()
-        }
-        assert timed == {"as", "cached"}
-        assert obs.metrics.get("serve_requests_total") is None
+        obs, _ = self._serve(archive, ["/v1/as/100", "/v1/as/100"])
+        assert _counts(obs) == {("as", "200"): 2.0}
+        # The latency histogram labels a hit exactly as the counter.
+        assert _timed(obs) == {"as": 2}
+        assert obs.metrics.get("serve_http_request_seconds") is None
+        assert obs.metrics.counter(
+            "serve_cache_hits_total", ""
+        ).value() == 1
 
     def test_statuses_land_on_their_series(self, archive):
-        with observed() as obs:
-            api = SurveyAPI(archive)
-            api.handle("/v1/as/100")
-            api.handle("/v1/as/999999")        # 404
-            api.handle("/v1/as/not-a-number")  # 400
-        samples = self._counter_samples(obs)
-        assert samples[("as", "200")] == 1.0
-        assert samples[("as", "404")] == 1.0
-        assert samples[("as", "400")] == 1.0
+        obs, statuses = self._serve(archive, [
+            "/v1/as/100", "/v1/as/999999", "/v1/as/not-a-number",
+        ])
+        assert statuses == [200, 404, 400]
+        assert _counts(obs) == {
+            ("as", "200"): 1.0, ("as", "404"): 1.0, ("as", "400"): 1.0,
+        }
+        assert _timed(obs) == {"as": 3}
+
+    def test_not_modified_is_counted_as_304(self, archive):
+        with observed() as obs, SurveyServer(archive) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            _status, headers, _body = _get(connection, "/v1/as/100")
+            status, _headers, _body = _get(
+                connection, "/v1/as/100",
+                {"If-None-Match": headers["ETag"]},
+            )
+            connection.close()
+        assert status == 304
+        assert _counts(obs) == {("as", "200"): 1.0, ("as", "304"): 1.0}
+        assert _timed(obs) == {"as": 2}
 
     def test_in_flight_returns_to_zero_and_hit_ratio_tracks(
         self, archive
     ):
-        with observed() as obs:
-            api = SurveyAPI(archive)
-            api.handle("/v1/as/100")
-            api.handle("/v1/as/100")
+        obs, _ = self._serve(archive, ["/v1/as/100", "/v1/as/100"])
         assert obs.metrics.gauge("serve_in_flight", "").value() == 0
         assert obs.metrics.gauge(
             "serve_cache_hit_ratio", ""
         ).value() == pytest.approx(0.5)
 
 
+class TestRefusalsAreBooked:
+    """The shell's own 400/414/431/501/505 answers are counted, timed
+    and logged once each, like any request."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (get("/v1/as/" + "1" * 70_000), 414),
+        (get("/v1/healthz", *(f"X-H{i}: v" for i in range(101))), 431),
+        (get("/v1/healthz", method="POST"), 501),
+        (get("/v1/healthz", version="HTTP/2.0"), 505),
+    ], ids=["400", "414", "431", "501", "505"])
+    def test_one_line_and_one_count(self, archive, request_bytes, status):
+        observer, sink = _logged()
+        with observed(observer), SurveyServer(archive) as server:
+            conn = Conn(server.port)
+            conn.send(request_bytes)
+            assert conn.reply().status == status
+            assert conn.closed()
+            conn.close()
+        assert _counts(observer) == {("unknown", str(status)): 1.0}
+        assert _timed(observer) == {"unknown": 1}
+        (line,) = _access_lines(sink)
+        assert (line["status"], line["route"], line["outcome"]) == (
+            status, "unknown", "refused",
+        )
+        assert line["request_id"]
+        assert line["duration_ms"] == 0.0
+
+
 class TestAccessLog:
-    def test_records_request_fields(self, archive, tmp_path):
-        path = tmp_path / "access.jsonl"
-        with AccessLog(path) as log:
-            api = SurveyAPI(archive, access_log=log)
-            api.handle(
-                "/v1/as/100", headers={REQUEST_ID_HEADER: "rid-1"}
+    def test_records_request_fields(self, archive):
+        observer, sink = _logged()
+        with observed(observer), SurveyServer(archive) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
             )
-            api.handle("/v1/as/100")
-            api.handle("/v1/as/999999")
-        entries = list(read_access_log(path))
+            _status, headers, body = _get(
+                connection, "/v1/as/100", {REQUEST_ID_HEADER: "rid-1"}
+            )
+            _get(connection, "/v1/as/100")
+            _get(connection, "/v1/as/999999")
+            connection.close()
+        entries = _access_lines(sink)
         assert [e["outcome"] for e in entries] == [
             "ok", "cached", "error",
         ]
         first = entries[0]
+        assert first["stage"] == "serve-http"
         assert first["request_id"] == "rid-1"
+        assert first["method"] == "GET"
+        assert first["target"] == "/v1/as/100"
         assert first["route"] == "as"
         assert first["status"] == 200
-        assert first["target"] == "/v1/as/100"
-        assert first["duration_ms"] >= 0
+        assert first["bytes"] == len(body)
+        # duration_ms is the app time Server-Timing reports.
+        assert first["duration_ms"] == pytest.approx(float(
+            headers["Server-Timing"].partition(";dur=")[2]
+        ), abs=1e-3)
+        assert entries[1]["request_id"] != "rid-1"
         assert entries[2]["status"] == 404
-
-    def test_in_memory_mode_and_bounding(self):
-        log = AccessLog(keep=3)
-        for i in range(10):
-            log.record(seq=i)
-        assert log.written == 10
-        assert [e["seq"] for e in log.entries] == [7, 8, 9]
-
-    def test_close_is_idempotent(self, tmp_path):
-        log = AccessLog(tmp_path / "a.jsonl")
-        log.record(x=1)
-        log.close()
-        log.close()
-        assert [e["x"] for e in read_access_log(tmp_path / "a.jsonl")] \
-            == [1]
-
-    def test_corrupt_line_raises(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(ValueError, match="corrupt"):
-            list(read_access_log(path))
 
 
 class TestConcurrentTelemetry:
@@ -215,22 +314,28 @@ class TestConcurrentTelemetry:
     def test_counters_and_log_consistent_under_concurrency(
         self, archive, tmp_path
     ):
-        """Parallel handlers must leave the books exactly balanced:
-        the per-route/status counter sum equals the number of requests
-        issued, and every access-log line is one valid JSON object."""
+        """Parallel connections must leave the books exactly
+        balanced: the per-route/status counter and the latency
+        histogram each sum to the number of requests issued, and
+        every logged line is one valid JSON object."""
         targets = [
             "/v1/as/100", "/v1/as/200", "/v1/period/2019-06",
             "/v1/healthz", "/v1/as/999999",
         ]
-        path = tmp_path / "access.jsonl"
-        with AccessLog(path) as log, observed() as obs:
-            api = SurveyAPI(archive, access_log=log)
+        path = tmp_path / "events.jsonl"
+        sink = open_jsonl_sink(path)
+        observer, _ = _logged(sink)
+        with observed(observer), SurveyServer(archive) as server:
             barrier = threading.Barrier(self.THREADS)
 
             def worker(index):
+                connection = http.client.HTTPConnection(
+                    server.host, server.port, timeout=10
+                )
                 barrier.wait()
                 for i in range(self.PER_THREAD):
-                    api.handle(targets[(index + i) % len(targets)])
+                    _get(connection, targets[(index + i) % len(targets)])
+                connection.close()
 
             threads = [
                 threading.Thread(target=worker, args=(i,))
@@ -240,26 +345,21 @@ class TestConcurrentTelemetry:
                 t.start()
             for t in threads:
                 t.join()
+        sink.close()
 
         total = self.THREADS * self.PER_THREAD
-        by_series = dict(obs.metrics.counter(
-            "http_requests_total", "", ("route", "status")
-        ).samples())
-        assert sum(by_series.values()) == total
-        assert obs.metrics.histogram(
-            "serve_request_seconds", "", ("route",)
-        )  # exists with the same schema — would raise otherwise
-
-        entries = list(read_access_log(path))  # raises on corruption
-        assert len(entries) == total
-        assert log.written == total
+        assert sum(_counts(observer).values()) == total
+        assert sum(_timed(observer).values()) == total
+        lines = path.read_text().splitlines()
+        entries = [json.loads(line) for line in lines]  # raises on corruption
+        access = [e for e in entries if e["event"] == "access"]
+        assert len(access) == total
         by_outcome = {}
-        for entry in entries:
+        for entry in access:
             by_outcome[entry["outcome"]] = \
                 by_outcome.get(entry["outcome"], 0) + 1
-        # Everything resolved: no outcome category went missing.
-        assert sum(by_outcome.values()) == total
         assert by_outcome.get("ok", 0) + by_outcome.get("cached", 0) > 0
+        assert observer.metrics.gauge("serve_in_flight", "").value() == 0
 
     def test_noop_observer_still_serves(self, archive):
         api = SurveyAPI(archive)
@@ -271,8 +371,6 @@ class TestBoundedServerTrace:
     def test_ring_bounds_roots_and_counts_drops(self, archive):
         """A traced server past its ring: the root count stays at the
         ring size and ``obs_spans_dropped_total`` is exact."""
-        import http.client
-
         from repro.obs import SPANS_DROPPED
         from repro.serve import TRACE_RING_ROOTS, SurveyServer
 
@@ -313,15 +411,14 @@ class TestBoundedServerTrace:
         from repro.serve import TRACE_RING_ROOTS
 
         parser = build_parser()
-        observer, sink, report = _serve_observer(
+        observer, sink = _serve_observer(
             parser.parse_args(["serve", "arc", "--trace"])
         )
-        assert report and sink is None
+        assert sink is None
         assert observer.tracer.max_roots == TRACE_RING_ROOTS
-        observer, _sink, report = _serve_observer(
+        observer, _sink = _serve_observer(
             parser.parse_args(["serve", "arc"])
         )
-        assert not report
         assert isinstance(observer.tracer, NullTracer)
 
 

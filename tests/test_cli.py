@@ -238,9 +238,12 @@ class TestObsFlags:
             for sample in metrics["pipeline_duration_seconds"]["samples"]
         }
         assert {
-            "survey-period", "load", "simulate", "classify-dataset",
+            "survey-period", "load", "simulate", "survey-slice",
             "filter", "aggregate", "spectral",
         } <= stages
+        # classify-dataset names only core.survey.classify_dataset,
+        # which a survey does not run.
+        assert "classify-dataset" not in stages
         # Structured events landed in the JSONL sink.
         events = [
             json.loads(line) for line in
@@ -262,7 +265,7 @@ class TestObsFlags:
     def test_survey_trace_shape(self, tmp_path, capsys):
         # One survey-period root.  The population is filtered before
         # anything is simulated, so `simulate` runs inside
-        # classify-dataset, after `filter`.  The simulator's thread
+        # survey-slice, after `filter`.  The simulator's thread
         # pool adds a `threads` attribute and nothing else: no pool
         # thread opens a span of its own (it would surface as an extra
         # root).
@@ -290,13 +293,13 @@ class TestObsFlags:
         assert {path for path, _ in found} == {
             ("survey-period",),
             ("survey-period", "load"),
-            ("survey-period", "classify-dataset"),
-            ("survey-period", "classify-dataset", "filter"),
-            ("survey-period", "classify-dataset", "simulate"),
-            ("survey-period", "classify-dataset", "classify"),
-            ("survey-period", "classify-dataset", "classify", "aggregate"),
-            ("survey-period", "classify-dataset", "population-signals"),
-            ("survey-period", "classify-dataset", "spectral"),
+            ("survey-period", "survey-slice"),
+            ("survey-period", "survey-slice", "filter"),
+            ("survey-period", "survey-slice", "simulate"),
+            ("survey-period", "survey-slice", "classify"),
+            ("survey-period", "survey-slice", "classify", "aggregate"),
+            ("survey-period", "survey-slice", "population-signals"),
+            ("survey-period", "survey-slice", "spectral"),
         }
         (simulate,) = [span for path, span in found if path[-1] == "simulate"]
         attrs = simulate["attrs"]
@@ -639,6 +642,38 @@ class TestObsDiff:
         assert err.count("\n") == 1
         assert err.startswith(f"error: cannot read {after}")
         assert "metrics section" in err
+
+
+class TestServeObserver:
+    """``repro serve`` always runs observed (``/v1/metrics`` reads a
+    live registry) but keeps spans only when ``--trace`` or
+    ``--metrics-out`` will read them."""
+
+    @pytest.mark.parametrize("flags, keeps_spans", [
+        ([], False),
+        (["--log-jsonl", "events.jsonl"], False),
+        (["--trace"], True),
+        (["--metrics-out", "m.json"], True),
+        (["--log-jsonl", "events.jsonl", "--trace"], True),
+    ])
+    def test_spans_only_when_read(
+        self, tmp_path, monkeypatch, flags, keeps_spans
+    ):
+        from repro.cli import _serve_observer
+        from repro.obs import NullTracer
+
+        monkeypatch.chdir(tmp_path)
+        observer, sink = _serve_observer(
+            build_parser().parse_args(["serve", "arc", *flags])
+        )
+        try:
+            assert isinstance(observer.tracer, NullTracer) != keeps_spans
+            assert observer.metrics is not None
+            assert observer.logger.sink is sink
+            assert (sink is not None) == ("--log-jsonl" in flags)
+        finally:
+            if sink is not None:
+                sink.close()
 
 
 class TestLoadtestCommand:
